@@ -93,6 +93,8 @@ class StabilityQuery:
             raise ConfigurationError("lam must be -1, 0 or 1")
         if self.mode not in (TT, CONFORMAL):
             raise ConfigurationError(f"mode must be '{TT}' or '{CONFORMAL}'")
+        if not (np.isfinite(self.s) and np.isfinite(self.tau)):
+            raise ConfigurationError("s and tau must be finite")
 
 
 @dataclass(frozen=True)

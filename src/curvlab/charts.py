@@ -35,6 +35,7 @@ from .errors import (
 )
 from .fields import (
     EULER_SU2,
+    JET_ORDER,
     POINCARE_BALL,
     SPHERE_ANGULAR,
     TORUS_BOX,
@@ -174,20 +175,15 @@ def _torus_model(n: int, lengths: Sequence[float] | None) -> MetricField:
     dom = torus_domain(n, lengths)
     eye = np.eye(n)
 
-    def ev(X):
-        return np.broadcast_to(eye, (X.shape[0], n, n)).copy()
-
-    def zeros1(X):
-        return np.zeros((X.shape[0], n, n, n))
-
-    def zeros2(X):
-        return np.zeros((X.shape[0], n, n, n, n))
+    def jet(X, order):
+        N = X.shape[0]
+        flat = [np.zeros((N,) + (n,) * (2 + k)) for k in range(1, order + 1)]
+        return [np.broadcast_to(eye, (N, n, n)).copy()] + flat
 
     return MetricField(
         domain=dom,
-        _eval=ev,
-        _d1=zeros1,
-        _d2=zeros2,
+        _jet=jet,
+        exact_order=JET_ORDER,
         lam=0.0,
         model_kind="torus",
         name=f"flat torus T^{n}",

@@ -4,13 +4,19 @@ Subcommands: curvature, check-identities, verify-gradient, verify-hessian,
 rayleigh, classify, atlas.  Exit codes: 0 success, 1 usage or configuration
 error, 2 tolerance failure (the report is still written).  Reports are
 byte-identical across runs with the same configuration.
+
+``--config`` names a JSON object of defaults for the subcommand's flags
+(keys as the flag names, e.g. ``"lambda"``, ``"s-min"``); values pass
+through the same type conversion and choices as on the command line, and an
+unknown key is a usage error.  The computations are vectorized numpy; cap
+the BLAS thread pool with ``OMP_NUM_THREADS`` in the environment before
+starting the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -58,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="curvlab", description="quadratic curvature functional lab")
     p.add_argument("--config", help="JSON file with default flag values")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices
 
     c = sub.add_parser("curvature", help="space-form curvature deviations")
     c.add_argument("--model", default="sphere", choices=["torus", "sphere", "poincare", "s3-euler"])
@@ -238,27 +245,38 @@ _HANDLERS = {
 }
 
 
-def _merge_config(args, defaults: dict, argv: list) -> None:
-    """Apply config values for flags not given on the command line."""
-    given = {
-        tok.split("=", 1)[0][2:].replace("-", "_")
-        for tok in argv
-        if tok.startswith("--")
+def _merge_config(parser, args, defaults, argv: list) -> None:
+    """Apply config values for flags not given on the command line, converted
+    and checked as argparse would; raises UsageError on a bad key or value."""
+    if not isinstance(defaults, dict):
+        raise UsageError("config must be a JSON object")
+    # a key names a flag of the subcommand, by option string or by dest
+    actions = {
+        name.lstrip("-").replace("_", "-"): action
+        for action in parser.commands[args.command]._actions
+        if action.dest != "help"
+        for name in action.option_strings + [action.dest]
     }
+    given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
     for key, value in defaults.items():
-        dest = key.replace("-", "_")
-        flag = dest
-        if dest == "lambda":
-            dest = "lam"
-        if flag not in given and hasattr(args, dest):
-            setattr(args, dest, value)
+        action = actions.get(str(key).replace("_", "-"))
+        if action is None:
+            raise UsageError(f"unknown config key {key!r} for {args.command}")
+        if given & set(action.option_strings):
+            continue
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            value = action.type(text) if action.type else text
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"config value for {key!r}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(
+                f"config value {value!r} for {key!r} is not one of {list(action.choices)}"
+            )
+        setattr(args, action.dest, value)
 
 
 def run(argv=None) -> int:
-    threads = os.environ.get("CURVLAB_THREADS")
-    if threads is not None and threads != "0":
-        # computations are vectorized and single-threaded; cap BLAS pools
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -271,7 +289,11 @@ def run(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             sys.stderr.write(f"error: cannot read config: {exc}\n")
             return EXIT_USAGE
-        _merge_config(args, defaults, sys.argv[1:] if argv is None else argv)
+        try:
+            _merge_config(parser, args, defaults, sys.argv[1:] if argv is None else argv)
+        except UsageError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_USAGE
     missing = [f for f in _REQUIRED.get(args.command, ()) if getattr(args, f) is None]
     if missing:
         flags = ", ".join("--" + f.replace("_", "-").replace("lam", "lambda") for f in missing)

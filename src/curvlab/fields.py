@@ -2,16 +2,23 @@
 
 Every geometric object in this package is a field over a single coordinate
 chart: a callable mapping a batch of chart points (shape ``(N, n)``) to
-component arrays with a leading batch axis.  Fields carry their first and
-second coordinate partials either in closed form (``deriv_mode="analytic"``,
-usually generated through sympy) or through 4th-order central finite
-differences of the evaluation callable.
+component arrays with a leading batch axis.  A field hands out its jet, the
+components together with their coordinate partials up to a requested order
+(:meth:`_TensorValuedField.jet`).  Partials are exact up to the field's
+``exact_order``: closed forms for trigonometric fields, sympy derivatives
+for analytic fields (orders 3 and 4 built on first request), and Leibniz'
+rule or linearity for fields combined from others.  Each order above
+``exact_order`` takes one more level of 4th-order central finite differences
+of the order below it.
 
-Index conventions for derivative arrays (leading axis is always the batch):
+Index conventions for jet arrays (leading axis is always the batch, the
+derivative axes trail the component axes and are symmetric among
+themselves):
 
 * metric            ``g[a, i, j]``
 * first partials    ``d1[a, i, j, k] = d g_ij / d x^k``
 * second partials   ``d2[a, i, j, k, l] = d^2 g_ij / (d x^k d x^l)``
+* order m           m trailing derivative axes
 """
 
 from __future__ import annotations
@@ -34,9 +41,14 @@ EULER_SU2 = "EulerAnglesSU2"
 
 _CHART_KINDS = (TORUS_BOX, SPHERE_ANGULAR, POINCARE_BALL, EULER_SU2)
 
-# Default relative step for finite-difference partials of raw fields,
-# as a fraction of the smallest axis extent.  4th-order central stencils.
+# Default relative step for finite-difference partials of fields beyond
+# their exact order, as a fraction of the smallest axis extent.  4th-order
+# central stencils.
 DEFAULT_FD_REL_STEP = 1e-3
+
+# Order of the exact partials closed-form fields provide: the curvature
+# derivatives of the identity suites need the metric to order 4.
+JET_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -126,8 +138,7 @@ def fd_partials(fn: Callable[[Array], Array], X: Array, steps: Array) -> Array:
     shape ``(N, *comp, n)`` with the derivative axis appended last.
     """
     N, n = X.shape
-    base = np.asarray(fn(X))
-    out = np.empty(base.shape + (n,), dtype=float)
+    out = None
     for k in range(n):
         h = steps[k]
         e = np.zeros(n)
@@ -136,18 +147,28 @@ def fd_partials(fn: Callable[[Array], Array], X: Array, steps: Array) -> Array:
         f_1 = fn(X - e)
         f2 = fn(X + 2 * e)
         f_2 = fn(X - 2 * e)
-        out[..., k] = (f_2 - 8 * f_1 + 8 * f1 - f2) / (12 * h)
+        dk = (f_2 - 8 * f_1 + 8 * f1 - f2) / (12 * h)
+        if out is None:
+            out = np.empty(np.shape(dk) + (n,), dtype=float)
+        out[..., k] = dk
     return out
+
+
+def _scaled_jet(jet, c: float):
+    return lambda X, order: [c * t for t in jet(X, order)]
 
 
 @dataclass
 class _TensorValuedField:
-    """Shared plumbing for metric / symmetric-tensor / covector / scalar fields."""
+    """Shared plumbing for metric / symmetric-tensor / covector / scalar fields.
+
+    ``_jet(X, order)`` returns the exact partials of orders 0..order for any
+    ``order <= exact_order``.
+    """
 
     domain: ChartDomain
-    _eval: Callable[[Array], Array]
-    _d1: Callable[[Array], Array] | None = None
-    _d2: Callable[[Array], Array] | None = None
+    _jet: Callable[[Array, int], list[Array]]
+    exact_order: int = 0
     fd_rel_step: float = DEFAULT_FD_REL_STEP
     name: str = "field"
 
@@ -157,27 +178,31 @@ class _TensorValuedField:
 
     @property
     def deriv_mode(self) -> str:
-        return "analytic" if self._d1 is not None else "finite-difference"
+        if self.exact_order >= JET_ORDER:
+            return "analytic"
+        return f"exact to order {self.exact_order}, finite-difference above"
 
     def _steps(self) -> Array:
         h = self.fd_rel_step * float(np.min(self.domain.extents))
         return np.full(self.dimension, h)
 
-    def eval_grid(self, X: Array) -> Array:
+    def jet(self, X: Array, order: int) -> list[Array]:
+        """[T, dT, ..., d^order T] at the points, derivative axes trailing."""
         X, _ = _as_batch(X, self.dimension)
-        return np.asarray(self._eval(X), dtype=float)
+        if order <= self.exact_order:
+            return self._jet(X, order)
+        lower = self.jet(X, order - 1)
+        top = fd_partials(lambda Y: self.jet(Y, order - 1)[-1], X, self._steps())
+        return lower + [top]
+
+    def eval_grid(self, X: Array) -> Array:
+        return self.jet(X, 0)[0]
 
     def d1_grid(self, X: Array) -> Array:
-        X, _ = _as_batch(X, self.dimension)
-        if self._d1 is not None:
-            return np.asarray(self._d1(X), dtype=float)
-        return fd_partials(self._eval, X, self._steps())
+        return self.jet(X, 1)[1]
 
     def d2_grid(self, X: Array) -> Array:
-        X, _ = _as_batch(X, self.dimension)
-        if self._d2 is not None:
-            return np.asarray(self._d2(X), dtype=float)
-        return fd_partials(lambda Y: self.d1_grid(Y), X, self._steps())
+        return self.jet(X, 2)[2]
 
 
 @dataclass
@@ -208,12 +233,9 @@ class MetricField(_TensorValuedField):
         """The metric c*g (c a positive constant)."""
         if c <= 0:
             raise ConfigurationError("scale factor must be positive")
-        ev, d1, d2 = self._eval, self._d1, self._d2
         return replace(
             self,
-            _eval=lambda X: c * ev(X),
-            _d1=None if d1 is None else (lambda X: c * d1(X)),
-            _d2=None if d2 is None else (lambda X: c * d2(X)),
+            _jet=_scaled_jet(self._jet, c),
             lam=None if self.lam is None else self.lam / c,
             radius=None if self.radius is None else self.radius * np.sqrt(c),
             name=f"{self.name}*{c:g}",
@@ -230,14 +252,7 @@ class SymTensorField(_TensorValuedField):
         return h[0] if single else h
 
     def scaled(self, c: float) -> "SymTensorField":
-        ev, d1, d2 = self._eval, self._d1, self._d2
-        return replace(
-            self,
-            _eval=lambda X: c * ev(X),
-            _d1=None if d1 is None else (lambda X: c * d1(X)),
-            _d2=None if d2 is None else (lambda X: c * d2(X)),
-            name=f"{self.name}*{c:g}",
-        )
+        return replace(self, _jet=_scaled_jet(self._jet, c), name=f"{self.name}*{c:g}")
 
 
 @dataclass
@@ -254,9 +269,8 @@ def metric_as_sym_tensor(g: MetricField) -> SymTensorField:
     """View a metric as a symmetric 2-tensor field (e.g. the direction h = g)."""
     return SymTensorField(
         domain=g.domain,
-        _eval=g._eval,
-        _d1=g._d1,
-        _d2=g._d2,
+        _jet=g._jet,
+        exact_order=g.exact_order,
         fd_rel_step=g.fd_rel_step,
         name=f"{g.name} (as tensor)",
     )
@@ -268,25 +282,15 @@ def linear_combination_metric(
     """The metric scale*(base + t*h); derivatives combine linearly."""
     if h.dimension != base.dimension:
         raise DimensionError("perturbation dimension mismatch")
-    be, bd1, bd2 = base._eval, base._d1, base._d2
-    he, hd1, hd2 = h._eval, h._d1, h._d2
+    bj, hj = base._jet, h._jet
 
-    def ev(X):
-        return scale * (np.asarray(be(X)) + t * np.asarray(he(X)))
-
-    analytic = bd1 is not None and hd1 is not None
-
-    def d1(X):
-        return scale * (np.asarray(bd1(X)) + t * np.asarray(hd1(X)))
-
-    def d2(X):
-        return scale * (np.asarray(bd2(X)) + t * np.asarray(hd2(X)))
+    def jet(X, order):
+        return [scale * (b + t * d) for b, d in zip(bj(X, order), hj(X, order))]
 
     return MetricField(
         domain=base.domain,
-        _eval=ev,
-        _d1=d1 if analytic else None,
-        _d2=d2 if analytic else None,
+        _jet=jet,
+        exact_order=min(base.exact_order, h.exact_order),
         fd_rel_step=base.fd_rel_step,
         lam=None,
         model_kind=None,
@@ -301,51 +305,78 @@ def linear_combination_metric(
 # ---------------------------------------------------------------------------
 
 
-def _lambdify_tensor(coords, exprs: np.ndarray) -> Callable[[Array], Array]:
-    """Lambdify an object array of sympy expressions into a batched evaluator."""
-    shape = exprs.shape
-    flat = [sp.sympify(e) for e in exprs.ravel()]
-    fn = sp.lambdify(coords, flat, modules="numpy")
+class _SympyJet:
+    """Partials of a sympy tensor expression, differentiated and lambdified
+    order by order on first request (orders up to ``eager`` at once).
 
-    def ev(X: Array) -> Array:
-        args = [X[:, k] for k in range(X.shape[1])]
-        vals = fn(*args)
+    Only unique components are kept: derivative indices are sorted, and so
+    are the two component indices of a symmetric 2-tensor.
+    """
+
+    def __init__(self, coords, exprs: np.ndarray, symmetric: bool, eager: int = 2):
+        self.coords = tuple(coords)
+        self.shape = exprs.shape
+        self.symmetric = symmetric
+        self._exprs = [
+            {
+                idx: sp.sympify(exprs[idx])
+                for idx in np.ndindex(self.shape)
+                if self._key(idx) == idx
+            }
+        ]
+        self._fns: list = []
+        self._fn(eager)
+
+    def _key(self, idx: tuple) -> tuple:
+        comp, deriv = idx[: len(self.shape)], idx[len(self.shape) :]
+        return (tuple(sorted(comp)) if self.symmetric else comp) + tuple(sorted(deriv))
+
+    def _fn(self, k: int):
+        """(lambdified unique components, full-index gather map) of order k."""
+        nc = len(self.shape)
+        while len(self._fns) <= k:
+            m = len(self._fns)
+            if m == len(self._exprs):
+                # differentiate the stored top order, keeping indices sorted
+                self._exprs.append(
+                    {
+                        key + (q,): sp.diff(e, self.coords[q])
+                        for key, e in self._exprs[-1].items()
+                        for q in range(key[-1] if len(key) > nc else 0, len(self.coords))
+                    }
+                )
+            keys = list(self._exprs[m])
+            col = {key: c for c, key in enumerate(keys)}
+            full = self.shape + (len(self.coords),) * m
+            index = np.empty(full, dtype=np.intp)
+            for idx in np.ndindex(full):
+                index[idx] = col[self._key(idx)]
+            exprs = [self._exprs[m][key] for key in keys]
+            self._fns.append((sp.lambdify(self.coords, exprs, modules="numpy"), index))
+        return self._fns[k]
+
+    def __call__(self, X: Array, order: int) -> list[Array]:
         N = X.shape[0]
-        cols = [np.broadcast_to(np.asarray(v, dtype=float), (N,)) for v in vals]
-        out = np.stack(cols, axis=-1)
-        return out.reshape((N,) + shape)
-
-    return ev
-
-
-def _diff_tensor(exprs: np.ndarray, coords) -> np.ndarray:
-    out = np.empty(exprs.shape + (len(coords),), dtype=object)
-    for idx in np.ndindex(exprs.shape):
-        for k, c in enumerate(coords):
-            out[idx + (k,)] = sp.diff(exprs[idx], c)
-    return out
-
-
-def _analytic_callables(coords, exprs: np.ndarray):
-    d1 = _diff_tensor(exprs, coords)
-    d2 = _diff_tensor(d1, coords)
-    return (
-        _lambdify_tensor(coords, exprs),
-        _lambdify_tensor(coords, d1),
-        _lambdify_tensor(coords, d2),
-    )
+        args = [X[:, k] for k in range(X.shape[1])]
+        out = []
+        for k in range(order + 1):
+            fn, index = self._fn(k)
+            cols = [np.broadcast_to(np.asarray(v, dtype=float), (N,)) for v in fn(*args)]
+            out.append(np.stack(cols, axis=-1)[:, index])
+        return out
 
 
 def analytic_metric_field(
     domain: ChartDomain, coords, g_expr: sp.Matrix, **meta
 ) -> MetricField:
+    """Metric from a symmetric sympy matrix (its upper triangle is read)."""
     n = domain.dimension
     exprs = np.empty((n, n), dtype=object)
     for i in range(n):
-        for j in range(n):
-            exprs[i, j] = sp.simplify(g_expr[i, j])
-    ev, d1, d2 = _analytic_callables(coords, exprs)
-    return MetricField(domain=domain, _eval=ev, _d1=d1, _d2=d2, **meta)
+        for j in range(i, n):
+            exprs[i, j] = exprs[j, i] = sp.simplify(g_expr[i, j])
+    jet = _SympyJet(coords, exprs, symmetric=True)
+    return MetricField(domain=domain, _jet=jet, exact_order=JET_ORDER, **meta)
 
 
 def analytic_sym_tensor_field(
@@ -355,11 +386,11 @@ def analytic_sym_tensor_field(
     exprs = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
-            if sp.simplify(h_expr[i, j] - h_expr[j, i]) != 0:
+            if i < j and sp.simplify(h_expr[i, j] - h_expr[j, i]) != 0:
                 raise DimensionError("symmetric tensor expression is not symmetric")
             exprs[i, j] = h_expr[i, j]
-    ev, d1, d2 = _analytic_callables(coords, exprs)
-    return SymTensorField(domain=domain, _eval=ev, _d1=d1, _d2=d2, name=name)
+    jet = _SympyJet(coords, exprs, symmetric=True)
+    return SymTensorField(domain=domain, _jet=jet, exact_order=JET_ORDER, name=name)
 
 
 def analytic_scalar_field(
@@ -367,13 +398,27 @@ def analytic_scalar_field(
 ) -> ScalarField:
     exprs = np.empty((), dtype=object)
     exprs[()] = sp.sympify(f_expr)
-    ev, d1, d2 = _analytic_callables(coords, exprs)
-    return ScalarField(domain=domain, _eval=ev, _d1=d1, _d2=d2, name=name)
+    jet = _SympyJet(coords, exprs, symmetric=False)
+    return ScalarField(domain=domain, _jet=jet, exact_order=JET_ORDER, name=name)
 
 
 # ---------------------------------------------------------------------------
 # Trigonometric fields on the torus (closed-form derivatives, no sympy)
 # ---------------------------------------------------------------------------
+
+
+def _wave_jet(X: Array, w: Array, order: int) -> tuple[list, list]:
+    """Jets of cos(x.w) and sin(x.w), each a list of (N, n^k) arrays."""
+    phase = X @ w
+    c, s = np.cos(phase), np.sin(phase)
+    # d^k cos = cycle[k % 4] w^k and d^k sin = cycle[(k + 3) % 4] w^k
+    cycle = (c, -s, -c, s)
+    cos_jet, sin_jet, wk = [], [], np.ones(())
+    for k in range(order + 1):
+        cos_jet.append(np.multiply.outer(cycle[k % 4], wk))
+        sin_jet.append(np.multiply.outer(cycle[(k + 3) % 4], wk))
+        wk = np.multiply.outer(wk, w)
+    return cos_jet, sin_jet
 
 
 def trig_sym_tensor_field(
@@ -398,32 +443,16 @@ def trig_sym_tensor_field(
             raise DimensionError("wave amplitude matrices must be symmetric")
         packed.append((2 * np.pi * k, C, S))
 
-    def ev(X):
-        out = np.zeros((X.shape[0], n, n))
+    def jet(X, order):
+        out = [np.zeros((X.shape[0],) + (n,) * (2 + k)) for k in range(order + 1)]
         for w, C, S in packed:
-            phase = X @ w
-            out += np.cos(phase)[:, None, None] * C + np.sin(phase)[:, None, None] * S
+            cos_jet, sin_jet = _wave_jet(X, w, order)
+            for k in range(order + 1):
+                out[k] += np.einsum("a...,ij->aij...", cos_jet[k], C)
+                out[k] += np.einsum("a...,ij->aij...", sin_jet[k], S)
         return out
 
-    def d1(X):
-        out = np.zeros((X.shape[0], n, n, n))
-        for w, C, S in packed:
-            phase = X @ w
-            c, s = np.cos(phase), np.sin(phase)
-            out += np.einsum("a,ij,k->aijk", -s, C, w)
-            out += np.einsum("a,ij,k->aijk", c, S, w)
-        return out
-
-    def d2(X):
-        out = np.zeros((X.shape[0], n, n, n, n))
-        for w, C, S in packed:
-            phase = X @ w
-            c, s = np.cos(phase), np.sin(phase)
-            out += np.einsum("a,ij,k,l->aijkl", -c, C, w, w)
-            out += np.einsum("a,ij,k,l->aijkl", -s, S, w, w)
-        return out
-
-    return SymTensorField(domain=domain, _eval=ev, _d1=d1, _d2=d2, name=name)
+    return SymTensorField(domain=domain, _jet=jet, exact_order=JET_ORDER, name=name)
 
 
 def random_torus_sym_tensor(
@@ -454,18 +483,18 @@ def random_torus_metric(
 ) -> MetricField:
     """Identity metric plus a small random trigonometric perturbation."""
     pert = random_torus_sym_tensor(n, rng, amplitude=amplitude, modes=modes)
-    dom = pert.domain
-    pe, pd1, pd2 = pert._eval, pert._d1, pert._d2
+    pert_jet = pert._jet
     eye = np.eye(n)
 
-    def ev(X):
-        return eye[None, :, :] + pe(X)
+    def jet(X, order):
+        out = pert_jet(X, order)
+        out[0] = eye[None, :, :] + out[0]
+        return out
 
     return MetricField(
-        domain=dom,
-        _eval=ev,
-        _d1=pd1,
-        _d2=pd2,
+        domain=pert.domain,
+        _jet=jet,
+        exact_order=pert.exact_order,
         lam=None,
         model_kind=None,
         name="perturbed torus",
@@ -478,48 +507,36 @@ def cosine_scalar_field(domain: ChartDomain, k: Sequence[float]) -> ScalarField:
     if w.shape != (domain.dimension,):
         raise DimensionError("wave vector length must match the chart dimension")
 
-    def ev(X):
-        return np.cos(X @ w)
-
-    def d1(X):
-        return np.einsum("a,k->ak", -np.sin(X @ w), w)
-
-    def d2(X):
-        return np.einsum("a,k,l->akl", -np.cos(X @ w), w, w)
+    def jet(X, order):
+        return _wave_jet(X, w, order)[0]
 
     return ScalarField(
-        domain=domain, _eval=ev, _d1=d1, _d2=d2, name=f"cos(2pi {list(k)}.x)"
+        domain=domain,
+        _jet=jet,
+        exact_order=JET_ORDER,
+        name=f"cos(2pi {list(k)}.x)",
     )
 
 
 _SPHERE_JET_CACHE: dict = {}
 
 
-def _sphere_embedding_jet(n: int, radius: float):
-    """Lambdified jet (Y, J, dJ, d2J) of the round embedding into R^{n+1}.
-
-    J[a, A, i] = dY_A/dx^i and so on; cached per (n, radius).
-    """
+def _sphere_embedding_jet(n: int, radius: float) -> _SympyJet:
+    """Jet of the round embedding Y of the chart into R^{n+1}, cached per
+    (n, radius); its first partials J[a, A, i] = dY_A/dx^i pull tensors back."""
     key = (n, float(radius))
-    if key in _SPHERE_JET_CACHE:
-        return _SPHERE_JET_CACHE[key]
-    coords = sp.symbols(f"t0:{n}")
-    Y = []
-    for A in range(n + 1):
-        expr = sp.Float(radius)
-        for m in range(min(A, n)):
-            expr = expr * sp.sin(coords[m])
-        if A < n:
-            expr = expr * sp.cos(coords[A])
-        Y.append(sp.simplify(expr))
-    Yarr = np.empty(n + 1, dtype=object)
-    Yarr[:] = Y
-    Jarr = _diff_tensor(Yarr, coords)
-    dJarr = _diff_tensor(Jarr, coords)
-    d2Jarr = _diff_tensor(dJarr, coords)
-    jet = tuple(_lambdify_tensor(coords, a) for a in (Yarr, Jarr, dJarr, d2Jarr))
-    _SPHERE_JET_CACHE[key] = jet
-    return jet
+    if key not in _SPHERE_JET_CACHE:
+        coords = sp.symbols(f"t0:{n}")
+        Y = np.empty(n + 1, dtype=object)
+        for A in range(n + 1):
+            expr = sp.Float(radius)
+            for m in range(min(A, n)):
+                expr = expr * sp.sin(coords[m])
+            if A < n:
+                expr = expr * sp.cos(coords[A])
+            Y[A] = sp.simplify(expr)
+        _SPHERE_JET_CACHE[key] = _SympyJet(coords, Y, symmetric=False, eager=3)
+    return _SPHERE_JET_CACHE[key]
 
 
 def sphere_pullback_sym_tensor(
@@ -535,55 +552,28 @@ def sphere_pullback_sym_tensor(
     (not merely chart-smooth), which is what the integration-by-parts
     identities require.
     """
+    from .tensors import jet_einsum
+
     m = n + 1
     P0 = np.asarray(P0, dtype=float)
     if P0.shape != (m, m) or not np.allclose(P0, P0.T):
         raise DimensionError(f"P0 must be symmetric {m}x{m}")
-    if P1 is not None:
-        P1 = np.asarray(P1, dtype=float)
-        if P1.shape != (m, m, m):
-            raise DimensionError(f"P1 must have shape {(m, m, m)}")
-    Yf, Jf, dJf, d2Jf = _sphere_embedding_jet(n, radius)
+    if P1 is None:
+        P1 = np.zeros((m, m, m))
+    P1 = np.asarray(P1, dtype=float)
+    if P1.shape != (m, m, m):
+        raise DimensionError(f"P1 must have shape {(m, m, m)}")
+    Yjet = _sphere_embedding_jet(n, radius)
 
-    def P_at(Y):
-        P = np.broadcast_to(P0, (Y.shape[0], m, m)).copy()
-        if P1 is not None:
-            P += np.einsum("ABc,ac->aAB", P1, Y)
-        return P
-
-    def ev(X):
-        Y, J = Yf(X), Jf(X)
-        return np.einsum("aAi,aAB,aBj->aij", J, P_at(Y), J)
-
-    def d1(X):
-        Y, J, dJ = Yf(X), Jf(X), dJf(X)
-        P = P_at(Y)
-        out = np.einsum("aAik,aAB,aBj->aijk", dJ, P, J)
-        out += np.einsum("aAi,aAB,aBjk->aijk", J, P, dJ)
-        if P1 is not None:
-            dP = np.einsum("ABc,ack->aABk", P1, J)
-            out += np.einsum("aAi,aABk,aBj->aijk", J, dP, J)
-        return out
-
-    def d2(X):
-        Y, J, dJ, d2J = Yf(X), Jf(X), dJf(X), d2Jf(X)
-        P = P_at(Y)
-        out = np.einsum("aAikl,aAB,aBj->aijkl", d2J, P, J)
-        out += np.einsum("aAik,aAB,aBjl->aijkl", dJ, P, dJ)
-        out += np.einsum("aAil,aAB,aBjk->aijkl", dJ, P, dJ)
-        out += np.einsum("aAi,aAB,aBjkl->aijkl", J, P, d2J)
-        if P1 is not None:
-            dP = np.einsum("ABc,ack->aABk", P1, J)
-            d2P = np.einsum("ABc,ackl->aABkl", P1, dJ)
-            out += np.einsum("aAik,aABl,aBj->aijkl", dJ, dP, J)
-            out += np.einsum("aAil,aABk,aBj->aijkl", dJ, dP, J)
-            out += np.einsum("aAi,aABk,aBjl->aijkl", J, dP, dJ)
-            out += np.einsum("aAi,aABl,aBjk->aijkl", J, dP, dJ)
-            out += np.einsum("aAi,aABkl,aBj->aijkl", J, d2P, J)
-        return out
+    def jet(X, order):
+        Y = Yjet(X, order + 1)
+        J = Y[1:]
+        P = [np.einsum("ABc,ac...->aAB...", P1, y) for y in Y[:-1]]
+        P[0] = P0 + P[0]
+        return jet_einsum("aAi,aAj->aij", J, jet_einsum("aAB,aBj->aAj", P, J))
 
     return SymTensorField(
-        domain=sphere_domain(n), _eval=ev, _d1=d1, _d2=d2, name=name
+        domain=sphere_domain(n), _jet=jet, exact_order=JET_ORDER, name=name
     )
 
 

@@ -14,6 +14,11 @@ normalization Ric = (n-1) * lam * g):
 * Ricci ``Ric[a,i,k] = Rm13[a,j,i,j,k]``; scalar ``R = g^{ik} Ric_ik``.
 * Covariant derivatives of a symmetric tensor follow the index order
   ``h_ij,kl = nabla_l nabla_k h_ij``: ``Dh[a,i,j,k]``, ``D2h[a,i,j,k,l]``.
+* A jet ``[T, dT, ..., d^m T]`` appends m symmetric coordinate-derivative
+  axes to the components (as in :mod:`curvlab.fields`); :func:`jet_einsum`,
+  :func:`jet_inverse` and :func:`covariant_jet` carry jets through products,
+  inverses and covariant derivatives, so derivatives of computed curvature
+  are exact.
 
 The rough Laplacian is the metric trace of the second covariant derivative,
 with the sign that makes it non-positive on the flat torus
@@ -23,6 +28,8 @@ with the sign that makes it non-positive on the flat torus
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -30,13 +37,108 @@ import numpy as np
 from .errors import DegenerateMetricError, DimensionError, PreconditionError
 from .fields import Array, CovectorField, MetricField, SymTensorField, _as_batch
 
-# Relative FD step (fraction of the smallest axis extent) used when
-# differentiating computed tensor fields such as the Ricci tensor.  Chosen so
-# nested second-derivative stencils stay clear of chart singularities while
-# keeping roundoff on constant-curvature integrands near 1e-10.
+# Relative FD step (fraction of the smallest axis extent) for finite
+# differences of computed tensor fields such as the Ricci tensor.  The
+# package's own curvature derivatives are exact jets; this step serves the
+# independent finite-difference oracles that check them, where it keeps the
+# stencils clear of chart singularities.
 FIELD_FD_REL_STEP = 2e-3
 
 EINSTEIN_TOL = 1e-6
+
+# Nodes per block of covariant_hessian_blocks: order-4 jets of every
+# ingredient are live at once, so blocks keep peak memory flat in the grid.
+HESSIAN_BLOCK = 64
+
+
+# ---------------------------------------------------------------------------
+# Jet algebra
+# ---------------------------------------------------------------------------
+#
+# A jet of order m is a list [T, dT, ..., d^m T] of batched arrays; d^k T
+# carries k trailing derivative axes, symmetric among themselves.  Products
+# follow Leibniz' rule (Taylor propagation, Griewank & Walther, "Evaluating
+# Derivatives", 2nd ed., ch. 13): the k-th partial of a product sums, over
+# every way of handing each of the k derivative indices to one factor, the
+# product of the factors' partials.
+
+_DERIV = "uvwxyz"
+_SLOTS = "ijkl"
+
+
+@lru_cache(maxsize=None)
+def _leibniz_terms(spec: str, k: int) -> tuple:
+    """(einsum subscripts, factor orders) of every term of the k-th partial."""
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    d = _DERIV[:k]
+    terms = []
+    for owner in product(range(len(ins)), repeat=k):
+        subs = [
+            s + "".join(c for c, o in zip(d, owner) if o == f) for f, s in enumerate(ins)
+        ]
+        orders = tuple(owner.count(f) for f in range(len(ins)))
+        terms.append((",".join(subs) + "->" + out + d, orders))
+    return tuple(terms)
+
+
+def _leibniz(spec: str, jets, k: int):
+    """k-th partial of an einsum product; partials missing from a short jet
+    count as zero."""
+    total = 0.0
+    for subs, orders in _leibniz_terms(spec, k):
+        if all(r < len(j) for r, j in zip(orders, jets)):
+            total = total + np.einsum(subs, *(j[r] for r, j in zip(orders, jets)))
+    return total
+
+
+def jet_einsum(spec: str, *jets: list, order: int | None = None) -> list:
+    """Jet of the batched einsum ``spec`` of the factors' jets, to ``order``
+    (default: the order of the shortest factor jet)."""
+    shortest = min(len(j) for j in jets) - 1
+    if order is None:
+        order = shortest
+    elif order > shortest:
+        raise DimensionError(f"a factor jet of order {shortest} cannot give order {order}")
+    return [_leibniz(spec, jets, k) for k in range(order + 1)]
+
+
+def jet_inverse(A: list) -> list:
+    """Jet of the matrix inverse, solving d^k(A A^-1) = 0 order by order."""
+    inv = [np.linalg.inv(A[0])]
+    for k in range(1, len(A)):
+        # the terms of d^k(A A^-1) whose A factor is differentiated
+        rest = _leibniz("aij,ajk->aik", (A, inv), k)
+        inv.append(-np.einsum("aij,ajk...->aik...", inv[0], rest))
+    return inv
+
+
+def connection_jet(g: list) -> tuple[list, list]:
+    """Jets of (g^-1, Gamma) from a metric jet; both come one order short."""
+    ginv = jet_inverse(g[:-1])
+    # S[a,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij
+    S = [
+        np.einsum("ajli...->alij...", d)
+        + np.einsum("ailj...->alij...", d)
+        - np.einsum("aijl...->alij...", d)
+        for d in g[1:]
+    ]
+    return ginv, [0.5 * G for G in jet_einsum("akl,alij->akij", ginv, S)]
+
+
+def covariant_jet(T: list, Gamma: list) -> list:
+    """Jet of nabla T (new slot last), one order shorter than the jet of T.
+
+    (nabla T)_{..m} = d_m T - sum over slots s of Gamma^p_{m i_s} T_{..p..};
+    the jet of Gamma must reach the order of the result.
+    """
+    comp = _SLOTS[: T[0].ndim - 1]
+    out = list(T[1:])
+    for s, c in enumerate(comp):
+        spec = f"apm{c},a{comp[:s]}p{comp[s + 1:]}->a{comp}m"
+        corr = jet_einsum(spec, Gamma, T, order=len(T) - 2)
+        out = [o - x for o, x in zip(out, corr)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -46,60 +148,36 @@ EINSTEIN_TOL = 1e-6
 
 def christoffel_arrays(g: Array, dg: Array) -> Array:
     """Gamma[a,k,i,j] from the metric and its first partials."""
-    ginv = np.linalg.inv(g)
-    # S[a,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij
-    S = (
-        np.einsum("ajli->alij", dg)
-        + np.einsum("ailj->alij", dg)
-        - np.einsum("aijl->alij", dg)
-    )
-    return 0.5 * np.einsum("akl,alij->akij", ginv, S)
+    return connection_jet([g, dg])[1][0]
 
 
 def connection_arrays(g: Array, dg: Array, d2g: Array):
     """(ginv, Gamma, dGamma) with dGamma[a,k,i,j,m] = d_m Gamma^k_ij."""
-    ginv = np.linalg.inv(g)
-    S = (
-        np.einsum("ajli->alij", dg)
-        + np.einsum("ailj->alij", dg)
-        - np.einsum("aijl->alij", dg)
-    )
-    Gamma = 0.5 * np.einsum("akl,alij->akij", ginv, S)
-    dS = (
-        np.einsum("ajlim->alijm", d2g)
-        + np.einsum("ailjm->alijm", d2g)
-        - np.einsum("aijlm->alijm", d2g)
-    )
-    dginv = -np.einsum("akp,apqm,aql->aklm", ginv, dg, ginv)
-    dGamma = 0.5 * (
-        np.einsum("aklm,alij->akijm", dginv, S)
-        + np.einsum("akl,alijm->akijm", ginv, dS)
-    )
-    return ginv, Gamma, dGamma
+    ginv, Gamma = connection_jet([g, dg, d2g])
+    return ginv[0], Gamma[0], Gamma[1]
 
 
-def ricci_arrays(field, X: Array):
-    """Lean pipeline: (g, ginv, Gamma, dGamma, Ric, R) at the points.
+def ricci_arrays(field, X: Array, order: int = 0):
+    """Lean pipeline: jets of (g, ginv, Gamma, Ric, R) at the points.
 
-    Ricci is assembled directly from contractions of the connection data so
-    no rank-5 intermediate is materialized; used heavily inside nested
-    finite differences of curvature.
+    Ric and R come to ``order``, ginv and Gamma to ``order + 1`` and g to
+    ``order + 2``.  Ricci is contracted straight from the connection data, so
+    no rank-5 intermediate is materialized.
     """
     X, _ = _as_batch(X, field.dimension)
-    g = field.metric_grid(X)
-    dg = field.d1_grid(X)
-    d2g = field.d2_grid(X)
-    ginv, Gamma, dGamma = connection_arrays(g, dg, d2g)
+    g = field.jet(X, order + 2)
+    ginv, Gamma = connection_jet(g)
     # Ric_ik = d_j Gamma^j_ik - d_k Gamma^j_ij + Gamma^p_ik Gamma^j_jp
     #          - Gamma^p_ij Gamma^j_kp
-    t1 = np.einsum("ajikj->aik", dGamma)
-    t2 = np.einsum("ajijk->aik", dGamma)
-    c1 = np.einsum("ajjp->ap", Gamma)
-    t3 = np.einsum("apik,ap->aik", Gamma, c1)
-    t4 = np.einsum("apij,ajkp->aik", Gamma, Gamma)
-    Ric = t1 - t2 + t3 - t4
-    R = np.einsum("aik,aik->a", ginv, Ric)
-    return g, ginv, Gamma, dGamma, Ric, R
+    c1 = [np.einsum("ajjp...->ap...", G) for G in Gamma]
+    t3 = jet_einsum("apik,ap->aik", Gamma, c1, order=order)
+    t4 = jet_einsum("apij,ajkp->aik", Gamma, Gamma, order=order)
+    Ric = [
+        np.einsum("ajikj...->aik...", dG) - np.einsum("ajijk...->aik...", dG) + p - q
+        for dG, p, q in zip(Gamma[1:], t3, t4)
+    ]
+    R = jet_einsum("aik,aik->a", ginv, Ric)
+    return g, ginv, Gamma, Ric, R
 
 
 @dataclass
@@ -120,21 +198,6 @@ class CurvatureBundle:
     @property
     def dimension(self) -> int:
         return self.g.shape[-1]
-
-    def at(self, a: int) -> "CurvatureBundle":
-        sel = lambda t: None if t is None else t[a : a + 1]
-        return CurvatureBundle(
-            self.g[a : a + 1],
-            self.ginv[a : a + 1],
-            self.Gamma[a : a + 1],
-            self.Rm13[a : a + 1],
-            self.Rm4[a : a + 1],
-            self.Ric[a : a + 1],
-            self.R[a : a + 1],
-            sel(self.W),
-            self.normRm2[a : a + 1],
-            self.normRic2[a : a + 1],
-        )
 
 
 def raise_all(T: Array, ginv: Array, slots: tuple[int, ...]) -> Array:
@@ -206,24 +269,7 @@ def curvature_bundle(g: Array, dg: Array, d2g: Array) -> CurvatureBundle:
     if np.any(det <= 0):
         a = int(np.nonzero(det <= 0)[0][0])
         raise DegenerateMetricError(f"metric not positive definite (node {a})")
-    ginv = np.linalg.inv(g)
-    S = (
-        np.einsum("ajli->alij", dg)
-        + np.einsum("ailj->alij", dg)
-        - np.einsum("aijl->alij", dg)
-    )
-    Gamma = 0.5 * np.einsum("akl,alij->akij", ginv, S)
-    # dS[a,l,i,j,m] = d_m S_lij
-    dS = (
-        np.einsum("ajlim->alijm", d2g)
-        + np.einsum("ailjm->alijm", d2g)
-        - np.einsum("aijlm->alijm", d2g)
-    )
-    dginv = -np.einsum("akp,apqm,aql->aklm", ginv, dg, ginv)
-    dGamma = 0.5 * (
-        np.einsum("aklm,alij->akijm", dginv, S)
-        + np.einsum("akl,alijm->akijm", ginv, dS)
-    )
+    ginv, Gamma, dGamma = connection_arrays(g, dg, d2g)
     Rm13 = (
         np.einsum("alikj->alijk", dGamma)
         - dGamma
@@ -245,13 +291,9 @@ def curvature_grid(
     """Curvature bundle at a batch of points, evaluated in blocks."""
     X, _ = _as_batch(X, field.dimension)
     if X.shape[0] <= block:
-        return curvature_bundle(field.metric_grid(X), field.d1_grid(X), field.d2_grid(X))
+        return curvature_bundle(*field.jet(X, 2))
     parts = [
-        curvature_bundle(
-            field.metric_grid(X[i : i + block]),
-            field.d1_grid(X[i : i + block]),
-            field.d2_grid(X[i : i + block]),
-        )
+        curvature_bundle(*field.jet(X[i : i + block], 2))
         for i in range(0, X.shape[0], block)
     ]
     cat = lambda k: (
@@ -293,43 +335,16 @@ def weyl(bundle: CurvatureBundle) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def sym_tensor_cov_derivs(
-    field: MetricField, h: SymTensorField, X: Array, conn=None
-):
-    """(h, Dh, D2h) at the nodes: Dh[a,i,j,k] = h_ij,k, D2h[a,i,j,k,l] = h_ij,kl.
-
-    ``conn`` may pass precomputed (g, ginv, Gamma, dGamma) to share work.
-    """
+def sym_tensor_cov_derivs(field: MetricField, h: SymTensorField, X: Array):
+    """(h, Dh, D2h, g, ginv, Gamma) at the nodes: Dh[a,i,j,k] = h_ij,k,
+    D2h[a,i,j,k,l] = h_ij,kl."""
     X, _ = _as_batch(X, field.dimension)
-    if conn is None:
-        g = field.metric_grid(X)
-        ginv, Gamma, dGamma = connection_arrays(g, field.d1_grid(X), field.d2_grid(X))
-    else:
-        g, ginv, Gamma, dGamma = conn
-
-    hv = h.eval_grid(X)
-    dh = h.d1_grid(X)
-    d2h = h.d2_grid(X)
-    Dh = (
-        dh
-        - np.einsum("apki,apj->aijk", Gamma, hv)
-        - np.einsum("apkj,aip->aijk", Gamma, hv)
-    )
-    # partial_l of Dh, then the three connection corrections of a (0,3) tensor
-    dDh = (
-        d2h
-        - np.einsum("apkil,apj->aijkl", dGamma, hv)
-        - np.einsum("apki,apjl->aijkl", Gamma, dh)
-        - np.einsum("apkjl,aip->aijkl", dGamma, hv)
-        - np.einsum("apkj,aipl->aijkl", Gamma, dh)
-    )
-    D2h = (
-        dDh
-        - np.einsum("apli,apjk->aijkl", Gamma, Dh)
-        - np.einsum("aplj,aipk->aijkl", Gamma, Dh)
-        - np.einsum("aplk,aijp->aijkl", Gamma, Dh)
-    )
-    return hv, Dh, D2h, g, ginv, Gamma
+    g = field.jet(X, 2)
+    ginv, Gamma = connection_jet(g)
+    hj = h.jet(X, 2)
+    Dh = covariant_jet(hj, Gamma)
+    D2h = covariant_jet(Dh, Gamma)[0]
+    return hj[0], Dh[0], D2h, g[0], ginv[0], Gamma[0]
 
 
 def covariant_derivative(
@@ -363,12 +378,8 @@ def trace(field: MetricField, h: SymTensorField, x) -> Array:
 def delta_star(field: MetricField, omega: CovectorField, x) -> Array:
     """(delta* w)_ij = -(w_i,j + w_j,i)/2, the L^2 adjoint of the divergence."""
     X, single = _as_batch(x, field.dimension)
-    g = field.metric_grid(X)
-    dg = field.d1_grid(X)
-    Gamma = christoffel_arrays(g, dg)
-    w = omega.eval_grid(X)
-    dw = omega.d1_grid(X)
-    Dw = dw - np.einsum("apji,ap->aij", Gamma, w)  # Dw[a,i,j] = w_i,j
+    Gamma = christoffel_arrays(*field.jet(X, 1))
+    Dw = covariant_jet(omega.jet(X, 1), [Gamma])[0]  # Dw[a,i,j] = w_i,j
     out = -0.5 * (Dw + np.einsum("aij->aji", Dw))
     return out[0] if single else out
 
@@ -416,151 +427,28 @@ def lichnerowicz_arrays(
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference engine for computed tensor fields
+# Second covariant derivatives of computed tensor fields
 # ---------------------------------------------------------------------------
 
 
-def _field_steps(field: MetricField, rel: float) -> Array:
-    h = rel * float(np.min(field.domain.extents))
-    return np.full(field.dimension, h)
-
-
-def gamma_of(field: MetricField, X: Array) -> Array:
-    return christoffel_arrays(field.metric_grid(X), field.d1_grid(X))
-
-
-_LETTERS = "ijklmn"
-
-
-def cov_grad_of_map(
-    field: MetricField,
-    fn: Callable[[Array], Array],
-    valence: int,
-    X: Array,
-    rel_step: float = FIELD_FD_REL_STEP,
-) -> Array:
-    """Covariant derivative of a computed fully-covariant tensor field.
-
-    ``fn`` maps points to (M, n^valence) component arrays.  Partials come
-    from 4th-order central differences; one connection correction is applied
-    per covariant slot.  Output appends the new derivative index last.
-    """
-    from .fields import fd_partials
-
-    X, _ = _as_batch(X, field.dimension)
-    steps = _field_steps(field, rel_step)
-    dT = fd_partials(fn, X, steps)
-    if valence == 0:
-        return dT
-    T = np.asarray(fn(X))
-    Gamma = gamma_of(field, X)
-    comp = _LETTERS[:valence]
-    out = dT
-    for s in range(valence):
-        t_sub = "a" + comp[:s] + "p" + comp[s + 1 :]
-        g_sub = "apm" + comp[s]
-        out = out - np.einsum(f"{g_sub},{t_sub}->a{comp}m", Gamma, T)
-    return out
-
-
-def rough_laplacian_of_map(
-    field: MetricField,
-    fn: Callable[[Array], Array],
-    valence: int,
-    X: Array,
-    rel_step: float = FIELD_FD_REL_STEP,
-) -> Array:
-    """g^{kl} (nabla nabla T)_{..kl} for a computed covariant tensor field."""
-    X, _ = _as_batch(X, field.dimension)
-
-    def grad_fn(Y):
-        return cov_grad_of_map(field, fn, valence, Y, rel_step)
-
-    second = cov_grad_of_map(field, grad_fn, valence + 1, X, rel_step)
-    ginv = np.linalg.inv(field.metric_grid(X))
-    return np.einsum("akl,a...kl->a...", ginv, second)
-
-
-def hessian_of_scalar_map(
-    field: MetricField,
-    fn: Callable[[Array], Array],
-    X: Array,
-    rel_step: float = FIELD_FD_REL_STEP,
-) -> Array:
-    """nabla_k nabla_i f for a computed scalar field; returns (N, n, n)."""
-    X, _ = _as_batch(X, field.dimension)
-
-    def grad_fn(Y):
-        return cov_grad_of_map(field, fn, 0, Y, rel_step)
-
-    return cov_grad_of_map(field, grad_fn, 1, X, rel_step)
-
-
-def _apply_connection_corrections(dT: Array, T: Array, Gamma: Array, valence: int):
-    comp = _LETTERS[:valence]
-    out = dT
-    for s in range(valence):
-        t_sub = "a" + comp[:s] + "p" + comp[s + 1 :]
-        g_sub = "apm" + comp[s]
-        out = out - np.einsum(f"{g_sub},{t_sub}->a{comp}m", Gamma, T)
-    return out
-
-
 def covariant_hessian_blocks(
-    field: MetricField,
-    inner_fn: Callable[[Array], list[Array]],
-    valences: list[int],
-    X: Array,
-    rel_step: float = FIELD_FD_REL_STEP,
+    field: MetricField, inner_fn: Callable[[Array], list[list[Array]]], X: Array
 ) -> list[Array]:
     """Second covariant derivatives of several computed fields at once.
 
-    ``inner_fn(Y)`` returns one covariant tensor array per entry of
-    ``valences``.  All blocks share a single nested stencil pass, which is
-    the dominant cost; the connection corrections are applied per block.
+    ``inner_fn(Y)`` returns, for each computed covariant tensor field, its
+    exact jet [T, dT, d2T] at the points ``Y``; the connection corrections
+    turn each into nabla nabla T.  Nodes go in blocks of ``HESSIAN_BLOCK``.
     Each output has shape (N, n^valence, n, n) with the trailing axes
     ordered (k, l) for nabla_l nabla_k.
     """
-    from .fields import fd_partials
-
     X, _ = _as_batch(X, field.dimension)
-    n = field.dimension
-    steps = _field_steps(field, rel_step)
-    shapes = [(n,) * v for v in valences]
-    sizes = [int(np.prod(s, dtype=int)) if s else 1 for s in shapes]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    def flat_inner(Y):
-        blocks = inner_fn(Y)
-        return np.concatenate(
-            [np.reshape(b, (Y.shape[0], -1)) for b in blocks], axis=1
-        )
-
-    def flat_grad(Y):
-        dT = fd_partials(flat_inner, Y, steps)  # (M, K, n)
-        T = flat_inner(Y)
-        Gamma = gamma_of(field, Y)
-        pieces = []
-        for v, sh, o, sz in zip(valences, shapes, offsets[:-1], sizes):
-            M = Y.shape[0]
-            block_d = dT[:, o : o + sz, :].reshape((M,) + sh + (n,))
-            block = T[:, o : o + sz].reshape((M,) + sh)
-            grad = _apply_connection_corrections(block_d, block, Gamma, v)
-            pieces.append(grad.reshape(M, -1))
-        return np.concatenate(pieces, axis=1)
-
-    dU = fd_partials(flat_grad, X, steps)  # (N, K*n, n)
-    U = flat_grad(X)
-    Gamma = gamma_of(field, X)
-    out = []
-    for v, sh, o, sz in zip(valences, shapes, offsets[:-1], sizes):
-        N = X.shape[0]
-        gsz = sz * n
-        go = o * n
-        block_d = dU[:, go : go + gsz, :].reshape((N,) + sh + (n, n))
-        block = U[:, go : go + gsz].reshape((N,) + sh + (n,))
-        out.append(_apply_connection_corrections(block_d, block, Gamma, v + 1))
-    return out
+    parts = []
+    for i in range(0, X.shape[0], HESSIAN_BLOCK):
+        Y = X[i : i + HESSIAN_BLOCK]
+        _, Gamma = connection_jet(field.jet(Y, 2))
+        parts.append([covariant_jet(covariant_jet(T, Gamma), Gamma)[0] for T in inner_fn(Y)])
+    return [np.concatenate(p) for p in zip(*parts)]
 
 
 def max_abs(T: Array) -> float:

@@ -15,8 +15,11 @@ Levi-Civita connection is
 and the curvature variations follow from it; all covariant derivatives are
 taken with the unperturbed connection and use the index order
 h_ij,kl = nabla_l nabla_k h_ij.  Quantities that need derivatives of
-curvature (Lap Ric, Hess R) are produced by the finite-difference engine of
-:mod:`curvlab.tensors` applied to pointwise-exact curvature evaluations.
+curvature (Lap Ric, Hess R, and their primes) are exact: the jets of the
+metric and of h to order 4 propagate through the curvature pipeline by
+Leibniz' rule (:func:`curvlab.tensors.jet_einsum`), and
+:func:`curvlab.tensors.covariant_hessian_blocks` adds the connection
+corrections to the resulting exact partials.
 """
 
 from __future__ import annotations
@@ -44,12 +47,13 @@ from .fields import (
 )
 from .functionals import Coefficients, evaluate
 from .tensors import (
-    FIELD_FD_REL_STEP,
     CurvatureBundle,
-    christoffel_arrays,
+    connection_jet,
     covariant_hessian_blocks,
+    covariant_jet,
     curvature_grid,
     einstein_defect,
+    jet_einsum,
     max_abs,
     norm2_02,
     raise_all,
@@ -65,34 +69,16 @@ SPACE_FORM_TOL = 1e-6
 
 
 def conformal_tensor(base: MetricField, f: ScalarField) -> SymTensorField:
-    """The conformal direction h = f * g with exact derivative plumbing."""
-    ge, gd1, gd2 = base._eval, base._d1, base._d2
-    fe, fd1, fd2 = f._eval, f._d1, f._d2
+    """The conformal direction h = f * g, its jet by Leibniz' rule."""
+    fj, gj = f._jet, base._jet
 
-    def ev(X):
-        return np.asarray(fe(X))[:, None, None] * np.asarray(ge(X))
-
-    analytic = gd1 is not None and fd1 is not None
-
-    def d1(X):
-        g, dg = np.asarray(ge(X)), np.asarray(gd1(X))
-        fv, df = np.asarray(fe(X)), np.asarray(fd1(X))
-        return np.einsum("ak,aij->aijk", df, g) + fv[:, None, None, None] * dg
-
-    def d2(X):
-        g, dg, d2g = np.asarray(ge(X)), np.asarray(gd1(X)), np.asarray(gd2(X))
-        fv, df, d2f = np.asarray(fe(X)), np.asarray(fd1(X)), np.asarray(fd2(X))
-        out = np.einsum("akl,aij->aijkl", d2f, g)
-        out += np.einsum("ak,aijl->aijkl", df, dg)
-        out += np.einsum("al,aijk->aijkl", df, dg)
-        out += fv[:, None, None, None, None] * d2g
-        return out
+    def jet(X, order):
+        return jet_einsum("a,aij->aij", fj(X, order), gj(X, order))
 
     return SymTensorField(
         domain=base.domain,
-        _eval=ev,
-        _d1=d1 if analytic else None,
-        _d2=d2 if analytic else None,
+        _jet=jet,
+        exact_order=min(base.exact_order, f.exact_order),
         name=f"{f.name}*g",
     )
 
@@ -204,23 +190,20 @@ def _is_verified_space_form(base: MetricField, bundle: CurvatureBundle) -> bool:
 
 
 def gradient_ingredients(
-    base: MetricField,
-    X: Array,
-    rel_step: float = FIELD_FD_REL_STEP,
-    use_structure: bool = True,
+    base: MetricField, X: Array, use_structure: bool = True
 ) -> dict:
     """Curvature contractions and curvature derivatives entering the gradient.
 
     The Laplacian of the Ricci tensor and the Hessian of the scalar
-    curvature share one nested finite-difference pass over a lean
-    Ricci-only evaluation; these reuse across coefficient choices.
+    curvature come from the exact order-2 jets of Ric and R (the metric jet
+    to order 4 through the lean Ricci pipeline) plus the connection
+    corrections; they reuse across coefficient choices.
 
     Constant-curvature metrics have parallel curvature, so when the field
     declares a space form and the declaration is confirmed pointwise on
-    these nodes the derivative ingredients are exact zeros; near-pole nodes
-    of angular charts would otherwise lose ~6 digits to the conditioning of
-    nested differences (set ``use_structure=False`` to force the generic
-    path).
+    these nodes the derivative ingredients are exact zeros and the jet work
+    is skipped (set ``use_structure=False`` to force the generic path, which
+    leaves roundoff of order 1e-7 at the near-pole nodes of angular charts).
     """
     X, _ = _as_batch(X, base.dimension)
     bundle = curvature_grid(base, X)
@@ -238,10 +221,10 @@ def gradient_ingredients(
         lap_R = np.zeros(N)
     else:
         def inner(Y):
-            _, _, _, _, Ric, R = ricci_arrays(base, Y)
+            _, _, _, Ric, R = ricci_arrays(base, Y, order=2)
             return [Ric, R]
 
-        ric_hess, r_hess = covariant_hessian_blocks(base, inner, [2, 0], X, rel_step)
+        ric_hess, r_hess = covariant_hessian_blocks(base, inner, X)
         lap_ric = np.einsum("akl,aijkl->aij", ginv, ric_hess)
         hess_R = r_hess
         lap_R = np.einsum("aik,aik->a", ginv, hess_R)
@@ -591,10 +574,7 @@ def _require_space_form(base: MetricField, bundle: CurvatureBundle) -> float:
 
 
 def _variation_quantities(
-    base: MetricField,
-    h: SymTensorField,
-    grid: QuadratureGrid,
-    rel_step: float,
+    base: MetricField, h: SymTensorField, grid: QuadratureGrid
 ) -> dict:
     """Everything needed to integrate the primed curvature contractions."""
     X = grid.nodes
@@ -610,25 +590,28 @@ def _variation_quantities(
         return float(np.sum(measure * np.einsum("aij,aij->a", T, hup)))
 
     def inner(Y):
-        # one evaluation for every per-point quantity the nested pass needs
-        g_y, ginv_y, Gamma_y, dGamma_y, Ric_y, _ = ricci_arrays(base, Y)
-        hv_y, Dh_y, D2h_y, *_ = sym_tensor_cov_derivs(
-            base, h, Y, conn=(g_y, ginv_y, Gamma_y, dGamma_y)
-        )
-        t1 = np.einsum("ajp,apikj->aik", ginv_y, D2h_y)
-        t2 = np.einsum("ajp,apkij->aik", ginv_y, D2h_y)
-        lap_h_y = np.einsum("akl,aijkl->aij", ginv_y, D2h_y)
-        hess_H_y = np.einsum("apq,apqik->aik", ginv_y, D2h_y)
-        dric_y = 0.5 * (t1 + t2 - lap_h_y - hess_H_y)
-        hup_y = raise_all(hv_y, ginv_y, (0, 1))
-        div2_y = np.einsum("aip,ajq,apqij->a", ginv_y, ginv_y, D2h_y)
-        lap_H_y = np.einsum("aik,aik->a", ginv_y, hess_H_y)
-        dR_y = -np.einsum("aij,aij->a", hup_y, Ric_y) + div2_y - lap_H_y
-        tr_dric_y = np.einsum("aik,aik->a", ginv_y, dric_y)
-        return [dric_y, dR_y, tr_dric_y, lap_h_y]
+        # order-2 jets (suffix _j) of the primed quantities whose Hessians
+        # enter the suite, from the order-4 jets of the metric and of h
+        _, ginv_j, Gamma_j, Ric_j, _ = ricci_arrays(base, Y, order=2)
+        h_j = h.jet(Y, 4)
+        D2h_j = covariant_jet(covariant_jet(h_j, Gamma_j), Gamma_j)
+        t1 = jet_einsum("ajp,apikj->aik", ginv_j, D2h_j)  # h^j_{i,kj}
+        t2 = jet_einsum("ajp,apkij->aik", ginv_j, D2h_j)  # h^j_{k,ij}
+        lap_h_j = jet_einsum("akl,aijkl->aij", ginv_j, D2h_j)
+        hess_H_j = jet_einsum("apq,apqik->aik", ginv_j, D2h_j)
+        dric_j = [0.5 * (p + q - r - s) for p, q, r, s in zip(t1, t2, lap_h_j, hess_H_j)]
+        h_mix = jet_einsum("aip,apq->aiq", ginv_j, h_j, order=2)
+        hup_j = jet_einsum("ajq,aiq->aij", ginv_j, h_mix)
+        div_mix = jet_einsum("aip,apqij->aqj", ginv_j, D2h_j)
+        div2_j = jet_einsum("ajq,aqj->a", ginv_j, div_mix)  # h^{ij}_{,ij}
+        lap_H_j = jet_einsum("aik,aik->a", ginv_j, hess_H_j)
+        h_ric = jet_einsum("aij,aij->a", hup_j, Ric_j)
+        dR_j = [q - p - r for p, q, r in zip(h_ric, div2_j, lap_H_j)]
+        tr_dric_j = jet_einsum("aik,aik->a", ginv_j, dric_j)
+        return [dric_j, dR_j, tr_dric_j, lap_h_j]
 
     dric_hess, dR_hess, trdric_hess, laph_hess = covariant_hessian_blocks(
-        base, inner, [2, 0, 0, 2], X, rel_step
+        base, inner, X
     )
     lap_h = arrs["lap_h"]
     lap2_h = np.einsum("akl,aijkl->aij", ginv, laph_hess)
@@ -746,10 +729,7 @@ def _suite_lhs(q: dict) -> dict[str, float]:
 
 
 def tt_identity_suite(
-    base: MetricField,
-    h: SymTensorField,
-    grid: QuadratureGrid,
-    rel_step: float = FIELD_FD_REL_STEP,
+    base: MetricField, h: SymTensorField, grid: QuadratureGrid
 ) -> list[IdentityCheck]:
     """Integral identities for TT directions on a round-sphere base.
 
@@ -757,14 +737,14 @@ def tt_identity_suite(
     a combination of int |h|^2 and int <h, Lap h>; the suite returns the
     directly computed and closed-form values side by side.
     """
-    from .spectral import tt_defect
+    from .spectral import TT_TOL, tt_defect
 
     dd, dt = tt_defect(base, h, grid)
-    if dd > 1e-6 or dt > 1e-6:
+    if dd > TT_TOL or dt > TT_TOL:
         raise PreconditionError(
             f"suite requires a TT field (div {dd:.2e}, tr {dt:.2e})"
         )
-    q = _variation_quantities(base, h, grid, rel_step)
+    q = _variation_quantities(base, h, grid)
     lam, n = q["lam"], q["n"]
     nrm, ihl, ihl2 = q["nrm"], q["ip_h_lap"], q["ip_h_lap2"]
     lhs = _suite_lhs(q)
@@ -784,30 +764,24 @@ def tt_identity_suite(
 
 
 def conformal_identity_suite(
-    base: MetricField,
-    f: ScalarField,
-    grid: QuadratureGrid,
-    rel_step: float = FIELD_FD_REL_STEP,
+    base: MetricField, f: ScalarField, grid: QuadratureGrid
 ) -> list[IdentityCheck]:
     """Same contract as :func:`tt_identity_suite` for h = f g."""
     h = conformal_tensor(base, f)
-    q = _variation_quantities(base, h, grid, rel_step)
+    q = _variation_quantities(base, h, grid)
     lam, n = q["lam"], q["n"]
     X = grid.nodes
     fv = f.eval_grid(X)
 
-    # Hess f is analytic (f carries exact partials); only Lap^2 f needs FD
-    def lap_f_at(Y):
-        gi, Gamma = np.linalg.inv(base.metric_grid(Y)), None
-        Gamma = christoffel_arrays(base.metric_grid(Y), base.d1_grid(Y))
-        hess = f.d2_grid(Y) - np.einsum("apik,ap->aik", Gamma, f.d1_grid(Y))
-        return np.einsum("aik,aik->a", gi, hess)
+    def lap_f_at(Y, order):
+        """Jet of Lap f to ``order``, from the jets of f and of the metric."""
+        ginv, Gamma = connection_jet(base.jet(Y, order + 1))
+        hess = covariant_jet(covariant_jet(f.jet(Y, order + 2), Gamma), Gamma)
+        return jet_einsum("aik,aik->a", ginv, hess)
 
     ginv = q["b"].ginv
-    lap_f = lap_f_at(X)
-    (lapf_hess,) = covariant_hessian_blocks(
-        base, lambda Y: [lap_f_at(Y)], [0], X, rel_step
-    )
+    lap_f = lap_f_at(X, 0)[0]
+    (lapf_hess,) = covariant_hessian_blocks(base, lambda Y: [lap_f_at(Y, 2)], X)
     lap2_f = np.einsum("akl,akl->a", ginv, lapf_hess)
     m = q["measure"]
     f2 = float(np.sum(m * fv**2))

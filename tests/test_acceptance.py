@@ -297,5 +297,5 @@ def test_criterion_10_identity_suites():
     worst = 0.0
     for check in tt + cf:
         worst = max(worst, check.rel_err)
-        assert check.rel_err <= 1e-4, check
+        assert check.rel_err <= 8e-7, check  # worst measured 7.2e-8
     report(10, f"TT and conformal identity batteries, worst mismatch {worst:.2e}")

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -114,7 +117,7 @@ def test_degenerate_metric_error_names_node():
     dom = torus_domain(2)
     bad = MetricField(
         domain=dom,
-        _eval=lambda X: np.broadcast_to(np.diag([1.0, -1.0]), (X.shape[0], 2, 2)),
+        _jet=lambda X, order: [np.broadcast_to(np.diag([1.0, -1.0]), (X.shape[0], 2, 2))],
         name="indefinite",
     )
     with pytest.raises(DegenerateMetricError, match="node"):
@@ -182,3 +185,108 @@ def test_milnor_frame_duality_and_brackets(euler3):
     Fr = milnor_frame(X[:6])
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         assert np.abs(bracket(i, j, X[:6]) - 2 * Fr[:, k, :]).max() < 1e-4
+
+
+def _fd_partials_reference(fn, X, steps):
+    """fd_partials as it read before it stopped pre-evaluating fn(X)."""
+    N, n = X.shape
+    base = np.asarray(fn(X))
+    out = np.empty(base.shape + (n,), dtype=float)
+    for k in range(n):
+        h = steps[k]
+        e = np.zeros(n)
+        e[k] = h
+        f1 = fn(X + e)
+        f_1 = fn(X - e)
+        f2 = fn(X + 2 * e)
+        f_2 = fn(X - 2 * e)
+        out[..., k] = (f_2 - 8 * f_1 + 8 * f1 - f2) / (12 * h)
+    return out
+
+
+def test_fd_partials_evaluates_only_the_stencil(euler3):
+    calls = []
+
+    def fn(Y):
+        calls.append(Y.shape[0])
+        return euler3.d1_grid(Y)
+
+    X = random_probes(euler3.domain, np.random.default_rng(5), count=7)
+    steps = np.full(3, 1e-3)
+    out = fd_partials(fn, X, steps)
+    assert calls == [7] * (4 * 3)
+    assert np.array_equal(out, _fd_partials_reference(fn, X, steps))
+
+
+@functools.lru_cache(maxsize=None)
+def _jet_fields():
+    from curvlab.fields import (
+        cosine_scalar_field,
+        linear_combination_metric,
+        metric_as_sym_tensor,
+        random_sphere_sym_tensor,
+        random_torus_metric,
+        random_torus_sym_tensor,
+    )
+    from curvlab.spectral import s3_invariant_tt
+    from curvlab.variations import conformal_tensor
+    from curvlab.verify import s3_first_harmonic
+
+    rng = np.random.default_rng(8)
+    sphere3, euler3 = make_model("sphere", 3), make_model("s3-euler", 3)
+    pullback = random_sphere_sym_tensor(3, rng, amplitude=0.3)
+    tt = s3_invariant_tt((2.0, -1.0, -1.0))
+    torus_h = random_torus_sym_tensor(3, rng)
+    return {
+        "sympy metric (sphere)": sphere3,
+        "sympy metric (euler)": euler3,
+        "sympy metric (poincare)": make_model("poincare", 3),
+        "sympy tensor": tt,
+        "sympy scalar": s3_first_harmonic(),
+        "trig tensor": torus_h,
+        "torus model": make_model("torus", 3),
+        "cosine scalar": cosine_scalar_field(torus_domain(3), (1, -2, 0)),
+        "random torus metric": random_torus_metric(3, rng),
+        "conformal": conformal_tensor(euler3, s3_first_harmonic()),
+        "linear combination": linear_combination_metric(sphere3, pullback, 0.2, 1.5),
+        "rescaled": sphere3.rescaled(2.0),
+        "scaled": tt.scaled(-0.5),
+        "metric as tensor": metric_as_sym_tensor(euler3),
+        "sphere pullback": pullback,
+        # exact to order 2 only: order 3 and up come from the FD fallback
+        "fallback": dataclasses.replace(tt, exact_order=2),
+        "fallback reference": tt,
+    }
+
+
+JET_KINDS = [
+    "sympy metric (sphere)", "sympy metric (euler)", "sympy metric (poincare)",
+    "sympy tensor", "sympy scalar", "trig tensor", "torus model", "cosine scalar",
+    "random torus metric", "conformal", "linear combination", "rescaled", "scaled",
+    "metric as tensor", "sphere pullback",
+]
+
+
+@pytest.mark.parametrize("kind", JET_KINDS)
+def test_jet_orders_match_finite_differences(kind):
+    field = _jet_fields()[kind]
+    X = random_probes(field.domain, np.random.default_rng(6), count=4)
+    steps = np.full(field.dimension, field.fd_rel_step * float(np.min(field.domain.extents)))
+    jet = field.jet(X, 4)
+    assert [t.shape for t in jet] == [jet[0].shape + (field.dimension,) * k for k in range(5)]
+    for k in range(1, 5):
+        fd = fd_partials(lambda Y: field.jet(Y, k - 1)[k - 1], X, steps)
+        scale = max(1.0, float(np.max(np.abs(jet[k]))))
+        # the stencil's truncation error is about 1e-9 of the scale here
+        assert np.max(np.abs(jet[k] - fd)) <= 1e-8 * scale, (kind, k)
+
+
+def test_jet_fallback_above_exact_order():
+    fields = _jet_fields()
+    field, exact = fields["fallback"], fields["fallback reference"]
+    assert field.exact_order == 2 and "finite-difference" in field.deriv_mode
+    X = random_probes(field.domain, np.random.default_rng(7), count=4)
+    jet, ref = field.jet(X, 4), exact.jet(X, 4)
+    for k in range(5):
+        scale = max(1.0, float(np.max(np.abs(ref[k]))))
+        assert np.max(np.abs(jet[k] - ref[k])) <= 1e-8 * scale, k

@@ -109,3 +109,33 @@ def test_config_supplies_defaults(tmp_path, capsys):
     code = run(["--config", str(cfg), "classify", "--s", "-1.0"])
     assert code == 0
     assert "Boundary" in capsys.readouterr().out
+
+
+def test_classify_rejects_non_finite_coefficients(capsys):
+    for flag in ("--s", "--tau"):
+        argv = ["classify", "--n", "4", "--lambda", "1", "--mode", "tt",
+                "--s", "0", "--tau", "0"]
+        argv[argv.index(flag) + 1] = "nan"
+        assert run(argv) == 1
+        assert "finite" in capsys.readouterr().err
+
+
+def test_config_values_are_converted_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"n": "4", "lambda": "1", "mode": "conformal", "s": "0", "tau": 0}
+    ))
+    assert run(["--config", str(cfg), "classify"]) == 0
+    assert "LocalMin" in capsys.readouterr().out
+    for bad in ({"n": "four"}, {"mode": "bogus"}):
+        cfg.write_text(json.dumps(bad))
+        assert run(["--config", str(cfg), "classify"]) == 1
+
+
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"n": 4, "lambda": 1, "mode": "conformal", "s": 0.0, "tau": 0.0, "sigma": 1}
+    ))
+    assert run(["--config", str(cfg), "classify"]) == 1
+    assert "sigma" in capsys.readouterr().err

@@ -205,20 +205,21 @@ def test_divergence_adjoint_to_delta_star(torus3, torus3_grid):
 
     h = random_torus_sym_tensor(3, np.random.default_rng(9))
     w = 2 * np.pi * np.array([0.0, 1.0, 0.0])
-    om = CovectorField(
-        domain=torus3.domain,
-        _eval=lambda X: np.stack(
-            [np.cos(X @ w), 0.2 * np.sin(X @ w), np.full(X.shape[0], 0.4)], axis=1
-        ),
-        _d1=lambda X: np.stack(
+
+    def om_jet(X, order):
+        c, s = np.cos(X @ w), np.sin(X @ w)
+        ev = np.stack([c, 0.2 * s, np.full(X.shape[0], 0.4)], axis=1)
+        d1 = np.stack(
             [
-                np.einsum("a,k->ak", -np.sin(X @ w), w),
-                np.einsum("a,k->ak", 0.2 * np.cos(X @ w), w),
+                np.einsum("a,k->ak", -s, w),
+                np.einsum("a,k->ak", 0.2 * c, w),
                 np.zeros((X.shape[0], 3)),
             ],
             axis=1,
-        ),
-    )
+        )
+        return [ev, d1][: order + 1]
+
+    om = CovectorField(domain=torus3.domain, _jet=om_jet, exact_order=1)
     X = torus3_grid.nodes
     g = torus3.metric_grid(X)
     gi = np.linalg.inv(g)
@@ -271,3 +272,23 @@ def test_rough_laplacian_sign_convention(torus3):
     lap = rough_laplacian_tensor(torus3, mode, X)
     hv = mode.eval_grid(X)
     assert np.allclose(lap, -((2 * np.pi) ** 2) * hv, atol=1e-10)
+
+
+def test_contracted_bianchi_hessian_on_generic_metric():
+    # g^{ik} g^{jl} nabla_l nabla_k R_ij = (1/2) Lap R holds on every metric;
+    # the perturbed torus is no space form, so the exact jets carry it
+    from curvlab.tensors import covariant_hessian_blocks, ricci_arrays
+
+    base = random_torus_metric(3, np.random.default_rng(44), amplitude=0.1)
+    X = random_probes(base.domain, np.random.default_rng(45), count=300)
+
+    def inner(Y):
+        _, _, _, Ric, R = ricci_arrays(base, Y, order=2)
+        return [Ric, R]
+
+    ric_hess, r_hess = covariant_hessian_blocks(base, inner, X)
+    gi = np.linalg.inv(base.metric_grid(X))
+    lhs = np.einsum("aik,ajl,aijkl->a", gi, gi, ric_hess)
+    rhs = 0.5 * np.einsum("akl,akl->a", gi, r_hess)
+    assert np.abs(rhs).max() > 1.0  # the identity is not trivially 0 = 0
+    assert np.abs(lhs - rhs).max() <= 1e-11 * np.abs(rhs).max()
