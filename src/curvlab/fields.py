@@ -158,12 +158,14 @@ def _scaled_jet(jet, c: float):
     return lambda X, order: [c * t for t in jet(X, order)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _TensorValuedField:
     """Shared plumbing for metric / symmetric-tensor / covector / scalar fields.
 
     ``_jet(X, order)`` returns the exact partials of orders 0..order for any
-    ``order <= exact_order``.
+    ``order <= exact_order``.  Fields are frozen, so cached models and
+    directions can be handed to every caller; derive a new field with
+    ``dataclasses.replace`` or the combinators below.
     """
 
     domain: ChartDomain
@@ -205,7 +207,7 @@ class _TensorValuedField:
         return self.jet(X, 2)[2]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricField(_TensorValuedField):
     """A Riemannian metric on a chart, with derivative access.
 
@@ -242,7 +244,7 @@ class MetricField(_TensorValuedField):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymTensorField(_TensorValuedField):
     """A symmetric (0,2) tensor field (metric perturbation direction)."""
 
@@ -255,12 +257,12 @@ class SymTensorField(_TensorValuedField):
         return replace(self, _jet=_scaled_jet(self._jet, c), name=f"{self.name}*{c:g}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CovectorField(_TensorValuedField):
     """A 1-form field; eval shape (N, n)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalarField(_TensorValuedField):
     """A scalar field; eval shape (N,)."""
 
@@ -362,7 +364,8 @@ class _SympyJet:
         for k in range(order + 1):
             fn, index = self._fn(k)
             cols = [np.broadcast_to(np.asarray(v, dtype=float), (N,)) for v in fn(*args)]
-            out.append(np.stack(cols, axis=-1)[:, index])
+            # take keeps each node's components contiguous, unlike [:, index]
+            out.append(np.take(np.stack(cols, axis=-1), index, axis=1))
         return out
 
 
@@ -374,7 +377,7 @@ def analytic_metric_field(
     exprs = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(i, n):
-            exprs[i, j] = exprs[j, i] = sp.simplify(g_expr[i, j])
+            exprs[i, j] = exprs[j, i] = g_expr[i, j]
     jet = _SympyJet(coords, exprs, symmetric=True)
     return MetricField(domain=domain, _jet=jet, exact_order=JET_ORDER, **meta)
 
@@ -534,7 +537,7 @@ def _sphere_embedding_jet(n: int, radius: float) -> _SympyJet:
                 expr = expr * sp.sin(coords[m])
             if A < n:
                 expr = expr * sp.cos(coords[A])
-            Y[A] = sp.simplify(expr)
+            Y[A] = expr
         _SPHERE_JET_CACHE[key] = _SympyJet(coords, Y, symmetric=False, eager=3)
     return _SPHERE_JET_CACHE[key]
 

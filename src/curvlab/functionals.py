@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import QuadratureGrid, sqrt_det_grid, volume
+from .charts import QuadratureGrid, volume
 from .errors import DimensionError, GlobalIntegralUnsupportedError
 from .fields import MetricField
 from .tensors import curvature_grid, norm2_04
@@ -68,14 +68,12 @@ def evaluate(
         )
     n = field.dimension
     bundle = curvature_grid(field, grid.nodes)
-    measure = grid.weights * sqrt_det_grid(field, grid)
+    measure = grid.weights * bundle.sqrt_det
     rquad = float(np.sum(measure * bundle.normRm2))
     rho = float(np.sum(measure * bundle.normRic2))
     s_int = float(np.sum(measure * bundle.R**2))
-    if n >= 3 and bundle.W is not None:
-        w_int = float(np.sum(measure * norm2_04(bundle.W, bundle.ginv)))
-    else:
-        w_int = 0.0
+    # the Weyl tensor vanishes identically for n <= 3
+    w_int = float(np.sum(measure * norm2_04(bundle.W, bundle.ginv))) if n >= 4 else 0.0
     vol = float(np.sum(measure))
     total = rquad + coeff.s * rho + coeff.tau * s_int
     return FunctionalReport(W=w_int, rho=rho, S=s_int, Rquad=rquad, F=total, volume=vol)

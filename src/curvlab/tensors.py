@@ -1,7 +1,7 @@
 """Pointwise Riemannian tensor algebra on coordinate charts.
 
-All computations are batched over a leading node axis ``a`` and use einsum.
-Index conventions (frozen by the unit tests against the round-sphere
+All computations are batched over a leading node axis ``a``.  Index
+conventions (frozen by the unit tests against the round-sphere
 normalization Ric = (n-1) * lam * g):
 
 * ``dg[a,i,j,k] = d g_ij / d x^k``; ``d2g[a,i,j,k,l]`` appends ``d/d x^l``.
@@ -20,6 +20,18 @@ normalization Ric = (n-1) * lam * g):
   inverses and covariant derivatives, so derivatives of computed curvature
   are exact.
 
+Products of two batched tensors go through :func:`contract`, which reads an
+einsum spec and runs it as one batched ``np.matmul``: each index is a batch
+index (in both operands and kept), a free index (in one operand and kept) or
+a contracted index (in both, summed), and the operands are transposed and
+reshaped to (batch, free, contracted) matrices.  numpy's own ``einsum``
+cannot hand a product that keeps the node axis to BLAS, and its inner loops
+here run only n = 3..5 long.  ``contract`` falls back to ``np.einsum`` for an
+index summed inside one operand, for more than two operands, and for a batch
+smaller than :data:`MATMUL_MIN_BATCH` (single-point calls), where the
+transposes cost more than they save.  Single-operand traces and
+permutations stay plain ``np.einsum``.
+
 The rough Laplacian is the metric trace of the second covariant derivative,
 with the sign that makes it non-positive on the flat torus
 (Laplacian of cos(k.x) = -|k|^2 cos(k.x)).
@@ -27,9 +39,10 @@ with the sign that makes it non-positive on the flat torus
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 from itertools import product
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -49,6 +62,110 @@ EINSTEIN_TOL = 1e-6
 # Nodes per block of covariant_hessian_blocks: order-4 jets of every
 # ingredient are live at once, so blocks keep peak memory flat in the grid.
 HESSIAN_BLOCK = 64
+
+# Smallest batch that contract runs as a matmul.  Pointwise calls carry one
+# node and grids at least HESSIAN_BLOCK; below this size the transposes and
+# reshapes cost more than np.einsum's own loop.
+MATMUL_MIN_BATCH = 16
+
+
+# ---------------------------------------------------------------------------
+# Contraction kernel
+# ---------------------------------------------------------------------------
+
+
+def _expand_ellipsis(sub: str, ndim: int) -> str | None:
+    """Subscripts with ``...`` replaced by one digit label per axis, aligned
+    from the right as numpy broadcasts them; None if the count is off."""
+    if "..." not in sub:
+        return sub if len(sub) == ndim else None
+    width = ndim - (len(sub) - 3)
+    if not 0 <= width <= 10:
+        return None
+    return sub.replace("...", "".join(str(k) for k in reversed(range(width))))
+
+
+def _operand_layout(sub: str, batch: str, free: str, summed: str):
+    """(axis permutation, True when the contracted group comes first) that
+    brings an operand to batch + free + contracted or batch + contracted +
+    free, whichever its own axis order already follows."""
+    rest = "".join(c for c in sub if c not in batch)
+    k_first = rest == summed + free and rest != free + summed
+    order = batch + (summed + free if k_first else free + summed)
+    return tuple(sub.index(c) for c in order), k_first
+
+
+@lru_cache(maxsize=None)
+def _contract_plan(spec: str, ndims: tuple[int, ...]):
+    """Axis plan running a two-operand einsum spec as one batched matmul, or
+    None when the spec needs np.einsum."""
+    ins, arrow, out = spec.partition("->")
+    subs = ins.split(",")
+    if not arrow or len(subs) != 2 or len(ndims) != 2:
+        return None
+    a, b = (_expand_ellipsis(s, nd) for s, nd in zip(subs, ndims))
+    if a is None or b is None:
+        return None
+    width = max(sum(c.isdigit() for c in x) for x in (a, b))
+    if "..." not in out and width:
+        return None
+    out = out.replace("...", "".join(str(k) for k in reversed(range(width))))
+    if any(len(set(x)) != len(x) for x in (a, b, out)):
+        return None  # a diagonal or a repeated output index
+    if any(c not in out for c in a + b if (c in a) != (c in b)):
+        return None  # an index summed inside one operand
+    if any(c not in a + b for c in out):
+        return None
+    batch = "".join(c for c in a if c in b and c in out)
+    fa = "".join(c for c in a if c not in b)
+    fb = "".join(c for c in b if c not in a)
+    # the contracted indices follow the operand with more axes
+    longer = a if len(a) >= len(b) else b
+    summed = "".join(c for c in longer if c in a and c in b and c not in out)
+    perm_a, a_k_first = _operand_layout(a, batch, fa, summed)
+    perm_b, b_k_first = _operand_layout(b, batch, fb, summed)
+    # matmul gives (batch, fa, fb); the swapped product B^T A^T gives
+    # (batch, fb, fa), taken when the output lists an index of B first
+    kept = [c for c in out if c not in batch]
+    swap = bool(kept) and kept[0] in fb
+    made = batch + (fb + fa if swap else fa + fb)
+    out_perm = tuple(made.index(c) for c in out)
+    return (
+        perm_a, a_k_first, perm_b, b_k_first,
+        len(batch), len(fa), len(summed), swap, out_perm,
+    )
+
+
+def contract(spec: str, *operands: Array) -> Array:
+    """``np.einsum(spec, *operands)`` for two batched operands, run as one
+    batched matmul (see the module docstring for the fallback cases)."""
+    plan = _contract_plan(spec, tuple(map(np.ndim, operands)))
+    if plan is None:
+        return np.einsum(spec, *operands)
+    perm_a, a_k_first, perm_b, b_k_first, nb, nfa, nk, swap, out_perm = plan
+    A, B = operands
+    if prod(A.shape[i] for i in perm_a[:nb]) < MATMUL_MIN_BATCH:
+        return np.einsum(spec, A, B)
+    A, B = np.transpose(A, perm_a), np.transpose(B, perm_b)
+    bshape = A.shape[:nb]
+    if a_k_first:
+        kshape, fashape = A.shape[nb : nb + nk], A.shape[nb + nk :]
+    else:
+        fashape, kshape = A.shape[nb : nb + nfa], A.shape[nb + nfa :]
+    if b_k_first:
+        bk, fbshape = B.shape[nb : nb + nk], B.shape[nb + nk :]
+    else:
+        fbshape, bk = B.shape[nb : B.ndim - nk], B.shape[B.ndim - nk :]
+    if B.shape[:nb] != bshape or bk != kshape:  # broadcasting: leave it to einsum
+        return np.einsum(spec, *operands)
+    size, fa, k, fb = prod(bshape), prod(fashape), prod(kshape), prod(fbshape)
+    A = A.reshape((size, k, fa)).swapaxes(1, 2) if a_k_first else A.reshape((size, fa, k))
+    B = B.reshape((size, k, fb)) if b_k_first else B.reshape((size, fb, k)).swapaxes(1, 2)
+    if swap:
+        R = np.matmul(B.swapaxes(1, 2), A.swapaxes(1, 2)).reshape(bshape + fbshape + fashape)
+    else:
+        R = np.matmul(A, B).reshape(bshape + fashape + fbshape)
+    return np.transpose(R, out_perm)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +205,7 @@ def _leibniz(spec: str, jets, k: int):
     total = 0.0
     for subs, orders in _leibniz_terms(spec, k):
         if all(r < len(j) for r, j in zip(orders, jets)):
-            total = total + np.einsum(subs, *(j[r] for r, j in zip(orders, jets)))
+            total = total + contract(subs, *(j[r] for r, j in zip(orders, jets)))
     return total
 
 
@@ -109,7 +226,7 @@ def jet_inverse(A: list) -> list:
     for k in range(1, len(A)):
         # the terms of d^k(A A^-1) whose A factor is differentiated
         rest = _leibniz("aij,ajk->aik", (A, inv), k)
-        inv.append(-np.einsum("aij,ajk...->aik...", inv[0], rest))
+        inv.append(-contract("aij,ajk...->aik...", inv[0], rest))
     return inv
 
 
@@ -186,12 +303,12 @@ class CurvatureBundle:
 
     g: Array
     ginv: Array
+    sqrt_det: Array  # (a,) sqrt(det g), the volume element
     Gamma: Array  # (a,k,i,j)
     Rm13: Array  # (a,l,i,j,k) = R^l_ijk
     Rm4: Array  # (a,l,i,j,k) = g_lp R^p_ijk
     Ric: Array  # (a,i,k)
     R: Array  # (a,)
-    W: Array | None  # Weyl (0,4); None for n = 2
     normRm2: Array  # |Rm|^2
     normRic2: Array  # |Ric|^2
 
@@ -199,15 +316,38 @@ class CurvatureBundle:
     def dimension(self) -> int:
         return self.g.shape[-1]
 
+    @cached_property
+    def W(self) -> Array | None:
+        """Weyl (0,4) tensor, built on first use; zeros for n = 3, None for
+        n = 2."""
+        if self.dimension < 3:
+            return None
+        return weyl_from_parts(self.g, self.ginv, self.Rm4, self.Ric, self.R)
+
 
 def raise_all(T: Array, ginv: Array, slots: tuple[int, ...]) -> Array:
-    """Raise the given component slots of a batched covariant tensor."""
-    out = T
-    for s in slots:
-        out = np.moveaxis(
-            np.einsum("aip,a...p->a...i", ginv, np.moveaxis(out, s + 1, -1)), -1, s + 1
-        )
-    return out
+    """Raise the given component slots of a batched covariant tensor:
+    each slot index p becomes i through ginv[a, i, p].
+
+    A slot at either end of the working array's axis order is contracted
+    without a copy, and its raised index lands at the other end; raising
+    every slot thus cycles the axes back to a contiguous result.
+    """
+    comp = _SLOTS[: T.ndim - 1]
+    mem, out = comp, T  # mem: the component letters of out, in axis order
+    pending = [comp[s] for s in slots]
+    while pending:
+        c = mem[0] if mem[0] in pending else mem[-1] if mem[-1] in pending else pending[0]
+        pending.remove(c)
+        up = c.upper()
+        if c == mem[0]:
+            new = mem[1:] + up
+            out = contract(f"a{mem},a{up}{c}->a{new}", out, ginv)
+        else:
+            new = up + mem.replace(c, "")
+            out = contract(f"a{up}{c},a{mem}->a{new}", ginv, out)
+        mem = new
+    return np.transpose(out, (0,) + tuple(1 + mem.lower().index(c) for c in comp))
 
 
 def kulkarni_nomizu(A: Array, B: Array) -> Array:
@@ -223,10 +363,10 @@ def kulkarni_nomizu(A: Array, B: Array) -> Array:
     if A.shape != B.shape:
         raise DimensionError(f"shape mismatch {A.shape} vs {B.shape}")
     out = (
-        np.einsum("aik,ajl->aijkl", A, B)
-        + np.einsum("ajl,aik->aijkl", A, B)
-        - np.einsum("ail,ajk->aijkl", A, B)
-        - np.einsum("ajk,ail->aijkl", A, B)
+        contract("aik,ajl->aijkl", A, B)
+        + contract("ajl,aik->aijkl", A, B)
+        - contract("ail,ajk->aijkl", A, B)
+        - contract("ajk,ail->aijkl", A, B)
     )
     return out[0] if single else out
 
@@ -255,16 +395,15 @@ def weyl_from_parts(g: Array, ginv: Array, Rm4: Array, Ric: Array, R: Array) -> 
 def norm2_04(T: Array, ginv: Array) -> Array:
     """|T|^2 for a batched (0,4) tensor."""
     up = raise_all(T, ginv, (0, 1, 2, 3))
-    return np.einsum("aijkl,aijkl->a", T, up)
+    return contract("aijkl,aijkl->a", T, up)
 
 
 def norm2_02(T: Array, ginv: Array) -> Array:
     up = raise_all(T, ginv, (0, 1))
-    return np.einsum("aij,aij->a", T, up)
+    return contract("aij,aij->a", T, up)
 
 
 def curvature_bundle(g: Array, dg: Array, d2g: Array) -> CurvatureBundle:
-    n = g.shape[-1]
     det = np.linalg.det(g)
     if np.any(det <= 0):
         a = int(np.nonzero(det <= 0)[0][0])
@@ -273,16 +412,15 @@ def curvature_bundle(g: Array, dg: Array, d2g: Array) -> CurvatureBundle:
     Rm13 = (
         np.einsum("alikj->alijk", dGamma)
         - dGamma
-        + np.einsum("apik,aljp->alijk", Gamma, Gamma)
-        - np.einsum("apij,alkp->alijk", Gamma, Gamma)
+        + contract("apik,aljp->alijk", Gamma, Gamma)
+        - contract("apij,alkp->alijk", Gamma, Gamma)
     )
-    Rm4 = np.einsum("alp,apijk->alijk", g, Rm13)
+    Rm4 = contract("alp,apijk->alijk", g, Rm13)
     Ric = np.einsum("ajijk->aik", Rm13)
-    R = np.einsum("aik,aik->a", ginv, Ric)
+    R = contract("aik,aik->a", ginv, Ric)
     normRm2 = norm2_04(Rm4, ginv)
     normRic2 = norm2_02(Ric, ginv)
-    W = weyl_from_parts(g, ginv, Rm4, Ric, R) if n >= 3 else None
-    return CurvatureBundle(g, ginv, Gamma, Rm13, Rm4, Ric, R, W, normRm2, normRic2)
+    return CurvatureBundle(g, ginv, np.sqrt(det), Gamma, Rm13, Rm4, Ric, R, normRm2, normRic2)
 
 
 def curvature_grid(
@@ -290,29 +428,20 @@ def curvature_grid(
 ) -> CurvatureBundle:
     """Curvature bundle at a batch of points, evaluated in blocks."""
     X, _ = _as_batch(X, field.dimension)
-    if X.shape[0] <= block:
+    N = X.shape[0]
+    if N <= block:
         return curvature_bundle(*field.jet(X, 2))
-    parts = [
-        curvature_bundle(*field.jet(X[i : i + block], 2))
-        for i in range(0, X.shape[0], block)
-    ]
-    cat = lambda k: (
-        None
-        if getattr(parts[0], k) is None
-        else np.concatenate([getattr(p, k) for p in parts])
-    )
-    return CurvatureBundle(
-        cat("g"),
-        cat("ginv"),
-        cat("Gamma"),
-        cat("Rm13"),
-        cat("Rm4"),
-        cat("Ric"),
-        cat("R"),
-        cat("W"),
-        cat("normRm2"),
-        cat("normRic2"),
-    )
+    # blocks are copied into the full arrays as they come, so no block
+    # outlives the next one
+    out = {}
+    for i in range(0, N, block):
+        part = curvature_bundle(*field.jet(X[i : i + block], 2))
+        for f in fields(CurvatureBundle):
+            arr = getattr(part, f.name)
+            if i == 0:
+                out[f.name] = np.empty((N,) + arr.shape[1:])
+            out[f.name][i : i + block] = arr
+    return CurvatureBundle(**out)
 
 
 def curvature(field: MetricField, x) -> CurvatureBundle:
@@ -325,9 +454,7 @@ def weyl(bundle: CurvatureBundle) -> Array:
     """Weyl tensor of an existing bundle (n >= 3)."""
     if bundle.dimension < 3:
         raise DimensionError("Weyl tensor requires n >= 3")
-    return weyl_from_parts(
-        bundle.g, bundle.ginv, bundle.Rm4, bundle.Ric, bundle.R
-    )
+    return bundle.W
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +490,7 @@ def divergence(field: MetricField, h: SymTensorField, x) -> Array:
     """(delta h)_j = g^{pq} h_pj,q."""
     X, single = _as_batch(x, field.dimension)
     _, Dh, _, _, ginv, _ = sym_tensor_cov_derivs(field, h, X)
-    out = np.einsum("apq,apjq->aj", ginv, Dh)
+    out = contract("apq,apjq->aj", ginv, Dh)
     return out[0] if single else out
 
 
@@ -371,7 +498,7 @@ def trace(field: MetricField, h: SymTensorField, x) -> Array:
     """tr_g h = g^{ij} h_ij."""
     X, single = _as_batch(x, field.dimension)
     ginv = np.linalg.inv(field.metric_grid(X))
-    out = np.einsum("aij,aij->a", ginv, h.eval_grid(X))
+    out = contract("aij,aij->a", ginv, h.eval_grid(X))
     return out[0] if single else out
 
 
@@ -388,7 +515,7 @@ def rough_laplacian_tensor(field: MetricField, h: SymTensorField, x) -> Array:
     """(Lap h)_ij = g^{kl} h_ij,kl (non-positive spectrum on the flat torus)."""
     X, single = _as_batch(x, field.dimension)
     _, _, D2h, _, ginv, _ = sym_tensor_cov_derivs(field, h, X)
-    out = np.einsum("akl,aijkl->aij", ginv, D2h)
+    out = contract("akl,aijkl->aij", ginv, D2h)
     return out[0] if single else out
 
 
@@ -420,9 +547,9 @@ def lichnerowicz_arrays(
 ) -> Array:
     n = field.dimension
     hv, _, D2h, _, ginv, _ = sym_tensor_cov_derivs(field, h, X)
-    lap = np.einsum("akl,aijkl->aij", ginv, D2h)
+    lap = contract("akl,aijkl->aij", ginv, D2h)
     hup = raise_all(hv, ginv, (0, 1))
-    curv = 2 * np.einsum("aikjl,akl->aij", bundle.Rm4, hup)
+    curv = 2 * contract("aikjl,akl->aij", bundle.Rm4, hup)
     return lap + curv - (2.0 / n) * bundle.R[:, None, None] * hv
 
 

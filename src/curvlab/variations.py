@@ -630,19 +630,13 @@ def _variation_quantities(
     ric2 = np.einsum("aip,apq,aqj->aij", b.Ric, ginv, b.Ric)
     B = np.einsum("apl,aipjl->aij", ric_up, b.Rm4)
 
-    def slot_swap(T, M, s):
-        # raise slot s of T with matrix M, leaving other slots untouched
-        return np.moveaxis(
-            np.einsum("aip,a...p->a...i", M, np.moveaxis(T, s + 1, -1)), -1, s + 1
-        )
-
     # d(A1)_ij, A1_ij = Rm[i,alpha] (g^-1)^3 Rm[j,alpha]
     dA1 = np.einsum("aiplk,ajplk->aij", dRm4, Rm_up3) + np.einsum(
         "aiplk,ajplk->aij", Rm_up3, dRm4
     )
     for s in (1, 2, 3):
         others = tuple(t for t in (1, 2, 3) if t != s)
-        Ts = slot_swap(raise_all(b.Rm4, ginv, others), hup, s)
+        Ts = raise_all(raise_all(b.Rm4, ginv, others), hup, (s,))
         dA1 -= np.einsum("aiplk,ajplk->aij", Ts, b.Rm4)
 
     # d(Ric^2)_ij
@@ -655,8 +649,8 @@ def _variation_quantities(
     # d(R^{pl} R_{ipjl})_ij
     dric_up = (
         raise_all(dRic, ginv, (0, 1))
-        - slot_swap(raise_all(b.Ric, ginv, (1,)), hup, 0)
-        - slot_swap(raise_all(b.Ric, ginv, (0,)), hup, 1)
+        - raise_all(raise_all(b.Ric, ginv, (1,)), hup, (0,))
+        - raise_all(raise_all(b.Ric, ginv, (0,)), hup, (1,))
     )
     dB = np.einsum("apl,aipjl->aij", dric_up, b.Rm4) + np.einsum(
         "apl,aipjl->aij", ric_up, dRm4

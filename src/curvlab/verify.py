@@ -6,6 +6,8 @@ the closed-form prediction it is checked against.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import sympy as sp
 
@@ -61,6 +63,16 @@ def s3_second_harmonic(radius: float = 1.0) -> ScalarField:
     )
 
 
+@lru_cache(maxsize=None)
+def _standard_direction(mode: str) -> SymTensorField | ScalarField:
+    """The fixed S^3 directions of the standard cases, built once (fields are
+    frozen, so the cases can share them): the invariant TT mode d = (2, -1,
+    -1) for ``"tt"``, the first harmonic for ``"conformal"``."""
+    if mode == "tt":
+        return s3_invariant_tt((2.0, -1.0, -1.0))
+    return s3_first_harmonic()
+
+
 def integral_norm2(base: MetricField, h: SymTensorField, grid: QuadratureGrid) -> float:
     from .charts import sqrt_det_grid
     from .tensors import norm2_02
@@ -87,7 +99,7 @@ def hessian_case(
     """Numeric-vs-predicted second variation for one of the standard modes."""
     if model == "s3-invariant":
         base = make_model("s3-euler", 3)
-        h = s3_invariant_tt((2.0, -1.0, -1.0))
+        h = _standard_direction("tt")
         grid = build_grid(base.domain, (12, 12, 16))
         n, lam, mode = 3, 1, "tt"
         norm2 = integral_norm2(base, h, grid)
@@ -190,10 +202,12 @@ def curvature_case(kind: str, n: int, radius: float = 1.0, res=None) -> dict:
     bundle = curvature_grid(field, grid.nodes)
     lam = field.lam
     g = bundle.g
-    model_rm = lam * (
-        np.einsum("alj,aik->alijk", g, g) - np.einsum("alk,aij->alijk", g, g)
-    )
-    rm_dev = float(np.max(np.abs(bundle.Rm4 - model_rm)))
+    # in place: each rank-4 array of the default S^5 grid takes 66 MB
+    model_rm = np.einsum("alj,aik->alijk", g, g)
+    model_rm -= np.einsum("alk,aij->alijk", g, g)
+    model_rm *= lam
+    dev = np.subtract(bundle.Rm4, model_rm, out=model_rm)
+    rm_dev = float(np.max(np.abs(dev, out=dev)))
     ric_dev = float(np.max(np.abs(bundle.Ric - (n - 1) * lam * g)))
     r_dev = float(np.max(np.abs(bundle.R - n * (n - 1) * lam)))
     return {
@@ -211,7 +225,7 @@ def rayleigh_case(model: str, res: int | None = None, d=None, k=None):
     """RayleighReport plus metadata for the standard spectral modes."""
     if model == "s3-invariant":
         base = make_model("s3-euler", 3)
-        h = s3_invariant_tt((2.0, -1.0, -1.0) if d is None else tuple(d))
+        h = _standard_direction("tt") if d is None else s3_invariant_tt(tuple(d))
         grid = build_grid(base.domain, 24 if res is None else res)
         expected = 12.0
     elif model == "torus-tt":
@@ -231,9 +245,7 @@ def identity_case(mode: str, res=(8, 12, 16)) -> list:
     base = make_model("s3-euler", 3)
     grid = build_grid(base.domain, res)
     if mode == "tt":
-        h = s3_invariant_tt((2.0, -1.0, -1.0))
-        return tt_identity_suite(base, h, grid)
+        return tt_identity_suite(base, _standard_direction(mode), grid)
     if mode == "conformal":
-        f = s3_first_harmonic()
-        return conformal_identity_suite(base, f, grid)
+        return conformal_identity_suite(base, _standard_direction(mode), grid)
     raise ConfigurationError("identity mode must be 'tt' or 'conformal'")

@@ -290,3 +290,13 @@ def test_jet_fallback_above_exact_order():
     for k in range(5):
         scale = max(1.0, float(np.max(np.abs(ref[k]))))
         assert np.max(np.abs(jet[k] - ref[k])) <= 1e-8 * scale, k
+
+
+def test_cached_models_are_frozen():
+    field = make_model("sphere", 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.lam = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.name = "changed"
+    assert make_model("sphere", 3).lam == 1.0
+    assert dataclasses.replace(field, name="copy").name == "copy"

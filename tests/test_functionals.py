@@ -119,3 +119,11 @@ def test_torus_spectral_convergence():
 def test_coefficients_validation():
     with pytest.raises(DimensionError):
         Coefficients(np.nan, 0.0)
+
+
+def test_evaluate_volume_element_matches_sqrt_det_grid(sphere4):
+    from curvlab.charts import sqrt_det_grid
+
+    grid = build_grid(sphere4.domain, 4)
+    rep = evaluate(sphere4, grid, Coefficients())
+    assert rep.volume == float(np.sum(grid.weights * sqrt_det_grid(sphere4, grid)))

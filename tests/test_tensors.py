@@ -12,8 +12,12 @@ from curvlab.fields import (
     torus_domain,
     trig_sym_tensor_field,
 )
+from curvlab import tensors
+from curvlab.functionals import Coefficients, evaluate
 from curvlab.spectral import s3_invariant_tt, torus_tt_mode
 from curvlab.tensors import (
+    MATMUL_MIN_BATCH,
+    contract,
     covariant_derivative,
     curvature,
     curvature_grid,
@@ -26,6 +30,7 @@ from curvlab.tensors import (
     rough_laplacian_tensor,
     trace,
     weyl,
+    weyl_from_parts,
 )
 
 from conftest import random_probes
@@ -292,3 +297,140 @@ def test_contracted_bianchi_hessian_on_generic_metric():
     rhs = 0.5 * np.einsum("akl,akl->a", gi, r_hess)
     assert np.abs(rhs).max() > 1.0  # the identity is not trivially 0 = 0
     assert np.abs(lhs - rhs).max() <= 1e-11 * np.abs(rhs).max()
+
+
+# ---------------------------------------------------------------------------
+# contract: the batched-matmul kernel against np.einsum
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pipeline_contractions():
+    """{(spec, ndims): operand shapes} of every contract call the pipeline
+    makes: curvature, Weyl and the functionals on S^4, the generic gradient
+    ingredients on a perturbed torus, both identity suites, the pointwise
+    operators and the sphere pullback jet."""
+    from curvlab.fields import random_sphere_sym_tensor
+    from curvlab.variations import (
+        conformal_identity_suite,
+        gradient_ingredients,
+        tt_identity_suite,
+    )
+    from curvlab.verify import s3_first_harmonic
+
+    seen = {}
+    real = tensors.contract
+
+    def spy(spec, *ops):
+        shapes = tuple(np.shape(o) for o in ops)
+        seen.setdefault((spec, tuple(len(x) for x in shapes)), shapes)
+        return real(spec, *ops)
+
+    rng = np.random.default_rng(3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensors, "contract", spy)
+        s4 = make_model("sphere", 4)
+        evaluate(s4, build_grid(s4.domain, 4), Coefficients(1.0, 1.0))
+        pm = random_torus_metric(3, rng)
+        gradient_ingredients(pm, rng.uniform(0, 1, (20, 3)), use_structure=False)
+        e3 = make_model("s3-euler", 3)
+        grid = build_grid(e3.domain, 4)
+        h = s3_invariant_tt((2.0, -1.0, -1.0))
+        tt_identity_suite(e3, h, grid)
+        conformal_identity_suite(e3, s3_first_harmonic(), grid)
+        X = random_probes(e3.domain, rng, count=20)
+        lichnerowicz(e3, h, X)
+        divergence(e3, h, X)
+        trace(e3, h, X)
+        rough_laplacian_tensor(e3, h, X)
+        random_sphere_sym_tensor(3, rng).jet(random_probes(make_model("sphere", 3).domain, rng, 20), 4)
+        kulkarni_nomizu(np.eye(3), np.eye(3))
+    return seen
+
+
+def _per_node_error(spec, A, B):
+    """max over nodes of |contract - einsum| / (|A_a| |B_a|)."""
+    got = contract(spec, A, B)
+    want = np.einsum(spec, A, B)
+    assert got.shape == want.shape
+    err = np.abs(got - want).reshape(len(want), -1).max(axis=1)
+    scale = np.linalg.norm(A.reshape(len(A), -1), axis=1) * np.linalg.norm(
+        B.reshape(len(B), -1), axis=1
+    )
+    return float(np.max(err / np.maximum(scale, 1e-300)))
+
+
+def _strided(X):
+    """The same array with the first component axis moved last in memory."""
+    if X.ndim < 3:
+        return X
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(X, 1, -1)), -1, 1)
+
+
+def test_contract_matches_einsum_on_every_pipeline_spec(pipeline_contractions):
+    rng = np.random.default_rng(5)
+    two = {k: v for k, v in pipeline_contractions.items() if len(v) == 2}
+    assert len(two) > 60
+    sizes = (1, MATMUL_MIN_BATCH - 1, MATMUL_MIN_BATCH + 1, 300)
+    worst = 0.0
+    for (spec, _), shapes in two.items():
+        assert all(s.startswith("a") for s in spec.split("->")[0].split(",")), spec
+        for N in sizes:
+            A, B = (rng.standard_normal((N,) + sh[1:]) for sh in shapes)
+            for a_op, b_op in ((A, B), (_strided(A), _strided(B))):
+                worst = max(worst, _per_node_error(spec, a_op, b_op))
+    assert worst < 1e-13
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_contract_ellipsis_derivative_axes(m):
+    rng = np.random.default_rng(m)
+    n, tail = 4, (4,) * m
+    for N in (1, MATMUL_MIN_BATCH - 1, MATMUL_MIN_BATCH + 1, 300):
+        for spec, sa, sb in (
+            ("aij,ajk...->aik...", (n, n), (n, n) + tail),
+            ("aij...,ajk->aik...", (n, n) + tail, (n, n)),
+            ("apm...,aip->aim...", (n, n) + tail, (n, n)),
+        ):
+            A = rng.standard_normal((N,) + sa)
+            B = rng.standard_normal((N,) + sb)
+            assert _per_node_error(spec, A, B) < 1e-13
+            assert _per_node_error(spec, _strided(A), _strided(B)) < 1e-13
+
+
+def test_contract_falls_back_to_einsum():
+    plan = tensors._contract_plan
+    assert plan("ajjp->ap", (4,)) is None  # one operand
+    assert plan("ajj,ajk->ak", (3, 3)) is None  # summed inside one operand
+    assert plan("aij,ajk,akl->ail", (3, 3, 3)) is None  # three operands
+    assert plan("aij,ajk->aik", (3, 3)) is not None
+    rng = np.random.default_rng(0)
+    A, B, C = (rng.standard_normal((40, 3, 3)) for _ in range(3))
+    assert np.allclose(contract("aij,ajk,akl->ail", A, B, C), np.einsum("aij,ajk,akl->ail", A, B, C))
+    assert np.allclose(contract("aij,ajj->ai", A, B), np.einsum("aij,ajj->ai", A, B))
+
+
+def test_raise_all_matches_slot_by_slot():
+    rng = np.random.default_rng(9)
+    G = rng.standard_normal((40, 4, 4)) + 4 * np.eye(4)  # not symmetric: fixes the convention
+    T = rng.standard_normal((40, 4, 4, 4, 4))
+    for slots in ((0, 1, 2, 3), (1, 2, 3), (2, 3), (1, 3), (1, 2), (0,), (3,)):
+        want = T
+        for s in slots:
+            want = np.moveaxis(np.einsum("aip,a...p->a...i", G, np.moveaxis(want, s + 1, -1)), -1, s + 1)
+        got = raise_all(T, G, slots)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+    assert raise_all(T, G, (0, 1, 2, 3)).flags["C_CONTIGUOUS"]
+
+
+def test_weyl_on_demand_random_torus_n4():
+    pm = random_torus_metric(4, np.random.default_rng(11))
+    grid = build_grid(pm.domain, 4)
+    b = curvature_grid(pm, grid.nodes)
+    assert "W" not in vars(b)  # the pipeline never builds W itself
+    W = weyl_from_parts(b.g, b.ginv, b.Rm4, b.Ric, b.R)
+    assert np.abs(W).max() > 1e-2
+    assert np.array_equal(b.W, W)
+    assert b.W is b.W
+    explicit = float(np.sum(grid.weights * np.sqrt(np.linalg.det(b.g)) * norm2_04(W, b.ginv)))
+    assert evaluate(pm, grid, Coefficients()).W == pytest.approx(explicit, rel=1e-13, abs=0)
