@@ -39,6 +39,7 @@ from .fields import (
 from .tensors import (
     curvature_grid,
     einstein_defect,
+    inner_02,
     lichnerowicz_arrays,
     norm2_02,
     raise_all,
@@ -165,11 +166,10 @@ def rayleigh_lichnerowicz(
         raise PreconditionError(
             f"field is not transverse-traceless (div {dd:.2e}, tr {dt:.2e})"
         )
-    measure = grid.weights * sqrt_det_grid(base, grid)
+    measure = grid.weights * bundle.sqrt_det
     lap_L = lichnerowicz_arrays(base, h, grid.nodes, bundle)
     hv = h.eval_grid(grid.nodes)
-    hup = raise_all(hv, bundle.ginv, (0, 1))
-    energy = float(np.sum(measure * -np.einsum("aij,aij->a", lap_L, hup)))
+    energy = float(np.sum(measure * -inner_02(lap_L, hv, bundle.ginv)))
     norm2 = float(np.sum(measure * norm2_02(hv, bundle.ginv)))
     return RayleighReport(
         energy=energy,

@@ -12,6 +12,11 @@ normalization Ric = (n-1) * lam * g):
   lowered to ``Rm4[a,l,i,j,k] = g_lp R^p_ijk`` (antisymmetric pairs (l,i)
   and (j,k)).  On a space form Rm4[l,i,j,k] = lam (g_lj g_ik - g_lk g_ij).
 * Ricci ``Ric[a,i,k] = Rm13[a,j,i,j,k]``; scalar ``R = g^{ik} Ric_ik``.
+* The quadratic contractions of the gradient are cached on the bundle:
+  ``A1_ij = R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl`` and
+  ``ric2_ij = R_ip g^{pq} R_qj``, all with Rm4's slot order.
+  :func:`space_form_deviation` is the one space-form test: max |Rm4 -
+  lam (g o g)/2|, each caller comparing it with its own tolerance.
 * Covariant derivatives of a symmetric tensor follow the index order
   ``h_ij,kl = nabla_l nabla_k h_ij``: ``Dh[a,i,j,k]``, ``D2h[a,i,j,k,l]``.
 * A jet ``[T, dT, ..., d^m T]`` appends m symmetric coordinate-derivative
@@ -59,8 +64,9 @@ FIELD_FD_REL_STEP = 2e-3
 
 EINSTEIN_TOL = 1e-6
 
-# Nodes per block of covariant_hessian_blocks: order-4 jets of every
-# ingredient are live at once, so blocks keep peak memory flat in the grid.
+# Nodes per block of covariant_hessian_blocks (order-4 jets of every
+# ingredient are live at once) and of space_form_deviation's model tensor:
+# blocks keep peak memory flat in the grid.
 HESSIAN_BLOCK = 64
 
 # Smallest batch that contract runs as a matmul.  Pointwise calls carry one
@@ -233,14 +239,16 @@ def jet_inverse(A: list) -> list:
 def connection_jet(g: list) -> tuple[list, list]:
     """Jets of (g^-1, Gamma) from a metric jet; both come one order short."""
     ginv = jet_inverse(g[:-1])
-    # S[a,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij
-    S = [
-        np.einsum("ajli...->alij...", d)
-        + np.einsum("ailj...->alij...", d)
-        - np.einsum("aijl...->alij...", d)
-        for d in g[1:]
-    ]
+    S = [christoffel_combination(d) for d in g[1:]]
     return ginv, [0.5 * G for G in jet_einsum("akl,alij->akij", ginv, S)]
+
+
+def christoffel_combination(D: Array) -> Array:
+    """S[a,l,i,j,...] = D[a,j,l,i,...] + D[a,i,l,j,...] - D[a,i,j,l,...], any
+    trailing derivative axes riding along: Gamma^k_ij = g^{kl} S_lij / 2 for
+    D = dg, and (Gamma^k_ij)' is the same for D = nabla h."""
+    P = np.einsum("ailj...->alij...", D)
+    return P + P.swapaxes(2, 3) - np.einsum("aijl...->alij...", D)
 
 
 def covariant_jet(T: list, Gamma: list) -> list:
@@ -324,6 +332,31 @@ class CurvatureBundle:
             return None
         return weyl_from_parts(self.g, self.ginv, self.Rm4, self.Ric, self.R)
 
+    @cached_property
+    def Rm_up3(self) -> Array:
+        """R_i^{jkl}: Rm4 with its last three slots raised."""
+        return raise_all(self.Rm4, self.ginv, (1, 2, 3))
+
+    @cached_property
+    def ric_up(self) -> Array:
+        """R^{ik}."""
+        return raise_all(self.Ric, self.ginv, (0, 1))
+
+    @cached_property
+    def A1(self) -> Array:
+        """A1_ij = R_i^{plk} R_jplk."""
+        return contract("aiplk,ajplk->aij", self.Rm4, self.Rm_up3)
+
+    @cached_property
+    def B(self) -> Array:
+        """B_ij = R^{pl} R_ipjl."""
+        return contract("apl,aipjl->aij", self.ric_up, self.Rm4)
+
+    @cached_property
+    def ric2(self) -> Array:
+        """(Ric^2)_ij = R_ip g^{pq} R_qj."""
+        return np.einsum("aip,apq,aqj->aij", self.Ric, self.ginv, self.Ric)
+
 
 def raise_all(T: Array, ginv: Array, slots: tuple[int, ...]) -> Array:
     """Raise the given component slots of a batched covariant tensor:
@@ -398,9 +431,13 @@ def norm2_04(T: Array, ginv: Array) -> Array:
     return contract("aijkl,aijkl->a", T, up)
 
 
+def inner_02(S: Array, T: Array, ginv: Array) -> Array:
+    """S_ij T^ij for batched (0,2) tensors."""
+    return contract("aij,aij->a", S, raise_all(T, ginv, (0, 1)))
+
+
 def norm2_02(T: Array, ginv: Array) -> Array:
-    up = raise_all(T, ginv, (0, 1))
-    return contract("aij,aij->a", T, up)
+    return inner_02(T, T, ginv)
 
 
 def curvature_bundle(g: Array, dg: Array, d2g: Array) -> CurvatureBundle:
@@ -448,6 +485,20 @@ def curvature(field: MetricField, x) -> CurvatureBundle:
     """Curvature bundle at a single chart point (arrays keep a length-1 batch)."""
     X, _ = _as_batch(x, field.dimension)
     return curvature_grid(field, X)
+
+
+def space_form_deviation(bundle: CurvatureBundle, lam: float) -> float:
+    """max |Rm4 - lam (g o g)/2| = max |Rm4_lijk - lam (g_lj g_ik - g_lk g_ij)|,
+    the model built in place per ``HESSIAN_BLOCK`` nodes (no grid-sized temporary)."""
+    dev = 0.0
+    for i in range(0, len(bundle.g), HESSIAN_BLOCK):
+        g = bundle.g[i : i + HESSIAN_BLOCK]
+        model = g[:, :, None, :, None] * g[:, None, :, None, :]
+        model -= g[:, :, None, None, :] * g[:, None, :, :, None]
+        model *= lam
+        np.subtract(bundle.Rm4[i : i + HESSIAN_BLOCK], model, out=model)
+        dev = max(dev, max_abs(model))
+    return dev
 
 
 def weyl(bundle: CurvatureBundle) -> Array:

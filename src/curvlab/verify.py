@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 import sympy as sp
 
-from .charts import QuadratureGrid, build_grid, make_model
+from .charts import QuadratureGrid, build_grid, integrate_density, make_model
 from .errors import ConfigurationError
 from .fields import (
     MetricField,
@@ -32,13 +32,14 @@ from .variations import (
     conformal_tensor,
     first_variation,
     first_variation_numeric,
+    gradient_tensor,
     lagrange_constant,
     second_variation_conformal_predicted,
     second_variation_numeric,
     second_variation_tt_predicted,
     tt_identity_suite,
 )
-from .tensors import curvature_grid
+from .tensors import curvature_grid, inner_02, norm2_02, space_form_deviation
 
 HESSIAN_MODELS = ("s3-invariant", "torus-tt", "torus-conformal")
 
@@ -74,21 +75,8 @@ def _standard_direction(mode: str) -> SymTensorField | ScalarField:
 
 
 def integral_norm2(base: MetricField, h: SymTensorField, grid: QuadratureGrid) -> float:
-    from .charts import sqrt_det_grid
-    from .tensors import norm2_02
-
-    bundle_g = base.metric_grid(grid.nodes)
-    ginv = np.linalg.inv(bundle_g)
-    hv = h.eval_grid(grid.nodes)
-    measure = grid.weights * sqrt_det_grid(base, grid)
-    return float(np.sum(measure * norm2_02(hv, ginv)))
-
-
-def integral_f2(base: MetricField, f: ScalarField, grid: QuadratureGrid) -> float:
-    from .charts import sqrt_det_grid
-
-    measure = grid.weights * sqrt_det_grid(base, grid)
-    return float(np.sum(measure * f.eval_grid(grid.nodes) ** 2))
+    ginv = np.linalg.inv(base.metric_grid(grid.nodes))
+    return integrate_density(base, grid, norm2_02(h.eval_grid(grid.nodes), ginv))
 
 
 def hessian_case(
@@ -117,7 +105,7 @@ def hessian_case(
         h = conformal_tensor(base, f)
         grid = build_grid(base.domain, (16, 8, 8))
         n, lam, mode = 3, 0, "conformal"
-        f2 = integral_f2(base, f, grid)
+        f2 = integrate_density(base, grid, f.eval_grid(grid.nodes) ** 2)
         predicted = second_variation_conformal_predicted(
             n, lam, (2 * np.pi) ** 2, coeff, f2
         )
@@ -168,18 +156,12 @@ def gradient_case(
     else:
         raise ConfigurationError("gradient models are 'torus' and 's3'")
     # the gradient density is independent of h; integrate it per direction
-    from .charts import sqrt_det_grid
-    from .tensors import raise_all
-    from .variations import gradient_tensor
-
     G = gradient_tensor(base, grid.nodes, coeff).grad_total
     ginv = np.linalg.inv(base.metric_grid(grid.nodes))
-    measure = grid.weights * sqrt_det_grid(base, grid)
     rows = []
     for i in range(count):
         h = make_h()
-        hup = raise_all(h.eval_grid(grid.nodes), ginv, (0, 1))
-        d1a = float(np.sum(measure * np.einsum("aij,aij->a", G, hup)))
+        d1a = integrate_density(base, grid, inner_02(G, h.eval_grid(grid.nodes), ginv))
         d1n = first_variation_numeric(base, grid, h, coeff)
         rows.append(
             {
@@ -201,14 +183,8 @@ def curvature_case(kind: str, n: int, radius: float = 1.0, res=None) -> dict:
     grid = build_grid(field.domain, res)
     bundle = curvature_grid(field, grid.nodes)
     lam = field.lam
-    g = bundle.g
-    # in place: each rank-4 array of the default S^5 grid takes 66 MB
-    model_rm = np.einsum("alj,aik->alijk", g, g)
-    model_rm -= np.einsum("alk,aij->alijk", g, g)
-    model_rm *= lam
-    dev = np.subtract(bundle.Rm4, model_rm, out=model_rm)
-    rm_dev = float(np.max(np.abs(dev, out=dev)))
-    ric_dev = float(np.max(np.abs(bundle.Ric - (n - 1) * lam * g)))
+    rm_dev = space_form_deviation(bundle, lam)
+    ric_dev = float(np.max(np.abs(bundle.Ric - (n - 1) * lam * bundle.g)))
     r_dev = float(np.max(np.abs(bundle.R - n * (n - 1) * lam)))
     return {
         "model": kind,

@@ -121,9 +121,21 @@ def test_coefficients_validation():
         Coefficients(np.nan, 0.0)
 
 
-def test_evaluate_volume_element_matches_sqrt_det_grid(sphere4):
-    from curvlab.charts import sqrt_det_grid
+def test_evaluate_volume_element_matches_sqrt_det_grid(sphere4, euler3, torus3, sphere3):
+    # evaluate and the functions holding a curvature bundle (lagrange_constant,
+    # el_residual, the identity suites, rayleigh_lichnerowicz) take the volume
+    # element from the bundle; it must be sqrt_det_grid's bit for bit
+    from curvlab.charts import sqrt_det_grid, to_unit_volume
+    from curvlab.tensors import curvature_grid
 
     grid = build_grid(sphere4.domain, 4)
     rep = evaluate(sphere4, grid, Coefficients())
     assert rep.volume == float(np.sum(grid.weights * sqrt_det_grid(sphere4, grid)))
+    s3_grid = build_grid(sphere3.domain, (8, 8, 12))
+    for field, grid in (
+        (euler3, build_grid(euler3.domain, (8, 12, 16))),
+        (torus3, build_grid(torus3.domain, 8)),
+        (to_unit_volume(sphere3, s3_grid), s3_grid),
+    ):
+        bundle = curvature_grid(field, grid.nodes)
+        assert np.array_equal(bundle.sqrt_det, sqrt_det_grid(field, grid)), field.name

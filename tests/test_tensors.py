@@ -28,6 +28,7 @@ from curvlab.tensors import (
     norm2_04,
     raise_all,
     rough_laplacian_tensor,
+    space_form_deviation,
     trace,
     weyl,
     weyl_from_parts,
@@ -434,3 +435,38 @@ def test_weyl_on_demand_random_torus_n4():
     assert b.W is b.W
     explicit = float(np.sum(grid.weights * np.sqrt(np.linalg.det(b.g)) * norm2_04(W, b.ginv)))
     assert evaluate(pm, grid, Coefficients()).W == pytest.approx(explicit, rel=1e-13, abs=0)
+
+
+def test_space_form_deviation_against_dense_model(sphere4):
+    pm = random_torus_metric(4, np.random.default_rng(12))
+    X = random_probes(pm.domain, np.random.default_rng(13), count=3 * tensors.HESSIAN_BLOCK + 5)
+    b = curvature_grid(pm, X)
+    dense = float(np.abs(b.Rm4 - 0.5 * kulkarni_nomizu(b.g, b.g)).max())
+    assert dense > 1e-2  # not a space form
+    assert space_form_deviation(b, 1.0) == pytest.approx(dense, rel=1e-14, abs=0)
+    S = curvature_grid(sphere4, random_probes(sphere4.domain, RNG, count=100))
+    assert space_form_deviation(S, sphere4.lam) <= 1e-12
+
+
+def test_bundle_quadratic_contractions_random_torus_n4():
+    pm = random_torus_metric(4, np.random.default_rng(14))
+    b = curvature_grid(pm, build_grid(pm.domain, 4).nodes)
+    assert "A1" not in vars(b)  # built on first use
+    gi, Rm, Ric = b.ginv, b.Rm4, b.Ric
+    A1 = np.einsum("aiplk,ajqrs,apq,alr,aks->aij", Rm, Rm, gi, gi, gi, optimize=True)
+    B = np.einsum("apq,alr,aqr,aipjl->aij", gi, gi, Ric, Rm, optimize=True)
+    ric2 = np.einsum("aip,apq,aqj->aij", Ric, gi, Ric)
+    for got, want in ((b.A1, A1), (b.B, B), (b.ric2, ric2)):
+        assert np.abs(want).max() > 1e-3
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert b.A1 is b.A1
+
+
+def test_christoffel_combination_matches_three_views():
+    D = np.random.default_rng(15).standard_normal((20, 3, 3, 3, 3))
+    want = (
+        np.einsum("ajli...->alij...", D)
+        + np.einsum("ailj...->alij...", D)
+        - np.einsum("aijl...->alij...", D)
+    )
+    assert np.array_equal(tensors.christoffel_combination(D), want)

@@ -501,3 +501,52 @@ def test_suites_require_space_form():
     h = torus_tt_mode(3, (1, 0, 0), np.diag([0.0, 1.0, -1.0]))
     with pytest.raises(PreconditionError):
         tt_identity_suite(pm, h, grid)
+
+
+def _ricci_variation_arrays_reference(hv, D2h, ginv, Ric):
+    """Ric', R', Lap h, Lap tr h and h^{ij} as array formulas (independent
+    spellings of the jet ones)."""
+    hup = raise_all(hv, ginv, (0, 1))
+    term1 = np.einsum("ajp,apikj->aik", ginv, D2h)
+    term2 = np.einsum("ajp,apkij->aik", ginv, D2h)
+    lap_h = np.einsum("akl,aijkl->aij", ginv, D2h)
+    hess_H = np.einsum("apq,apqik->aik", ginv, D2h)
+    dRic = 0.5 * (term1 + term2 - lap_h - hess_H)
+    div2 = np.einsum("aip,ajq,apqij->a", ginv, ginv, D2h)
+    lap_H = np.einsum("aik,aik->a", ginv, hess_H)
+    dR = -np.einsum("aij,aij->a", hup, Ric) + div2 - lap_H
+    return dRic, dR, lap_h, lap_H, hup
+
+
+def test_ricci_variation_jet_order0_matches_array_formulas(euler3):
+    from curvlab.fields import random_torus_metric
+    from curvlab.tensors import sym_tensor_cov_derivs
+    from curvlab.variations import ricci_variation_jet
+
+    rng = np.random.default_rng(37)
+    pm = random_torus_metric(3, rng)
+    cases = [
+        (euler3, s3_invariant_tt((2.0, -1.0, -1.0))),
+        (pm, random_torus_sym_tensor(3, rng)),
+    ]
+    for base, h in cases:
+        X = random_probes(base.domain, rng, count=40)
+        hv, _, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, X)
+        Ric = curvature_grid(base, X).Ric
+        got = [q[0] for q in ricci_variation_jet([ginv], [hv], [D2h], [Ric])]
+        want = _ricci_variation_arrays_reference(hv, D2h, ginv, Ric)
+        # R' and Lap tr h of the TT mode are 0 up to roundoff: relative to
+        # the size of the terms they sum
+        terms = np.einsum("aip,ajq,apqij->a", *map(np.abs, (ginv, ginv, D2h))).max()
+        for name, a, b in zip(("dRic", "dR", "lap_h", "lap_H", "hup"), got, want):
+            scale = max(np.abs(b).max(), terms if b.ndim == 1 else 0.0)
+            assert np.abs(a - b).max() <= 1e-13 * scale, (base.name, name)
+
+
+def test_first_variation_numeric_flat_torus_direction():
+    # at t_step 1e-2 this direction's Richardson difference was off by 1.6e-4
+    base = make_model("torus", 3)
+    grid = build_grid(base.domain, (10, 10, 10))
+    rng = np.random.default_rng(1583431696)
+    h = [random_torus_sym_tensor(3, rng) for _ in range(16)][15]
+    assert abs(first_variation_numeric(base, grid, h, C00)) <= 1e-6
