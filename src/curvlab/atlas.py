@@ -5,12 +5,12 @@ Verdict semantics
 Every verdict is a *sufficient* statement about the sign of the second
 variation over the whole admissible spectrum of the relevant mode family:
 
-* TT mode: sign of  (lam_L - 2(n-1) lam) ((4+s)/2 lam_L - (2n+4) lam
-  - (n-1)(2s + n tau) lam)  over the admissible -Lap_L eigenvalues
-  (lam_L >= 4n for lam = 1, lam_L >= -n for lam = -1, any positive -Lap
-  eigenvalue with coefficient 2(1 + s/4) mu^2 for lam = 0).
-* Conformal mode: sign of P1(mu) over mu >= n for lam = 1, of P2(mu) over
-  mu > 0 for lam = -1, and of (n s + 4(n-1) tau + 4) for lam = 0.
+* TT mode: sign of :func:`tt_polynomial` (lam_L - 2(n-1) lam) ((4+s)/2 lam_L
+  - lam (2n+4 + (n-1)(2s + n tau))) over the admissible -Lap_L eigenvalues
+  (lam_L >= 4n for lam = 1, lam_L >= -n for lam = -1, lam_L > 0 for lam = 0).
+* Conformal mode: sign of :func:`conformal_polynomial` (n-1)(mu - lam n)
+  (a mu + lam b), a and b as in the clause table: P1 (lam = 1) over mu >= n,
+  P2 (lam = -1) over mu > 0, and (n-1) a mu^2 (lam = 0) over mu > 0.
 
 Clause table used in citations (LocalMin regions; LocalMax mirrors them):
 
@@ -60,22 +60,34 @@ TT = "tt"
 CONFORMAL = "conformal"
 
 
-def p1(n, s, tau, mu):
-    """Conformal sign polynomial for positive curvature,
-    (n-1)(mu-n)(((n s - 4 tau + 4 n tau + 4)/2) mu
-                + (n-4)(n^2 tau + n s - n tau - s + 2))."""
+def _conformal_ab(n, s, tau):
+    """The coefficients a, b of the conformal polynomial (clause table)."""
     a = (n * s - 4 * tau + 4 * n * tau + 4) / 2
     b = (n - 4) * (n**2 * tau + n * s - n * tau - s + 2)
-    return (n - 1) * (mu - n) * (a * mu + b)
+    return a, b
+
+
+def tt_polynomial(n, lam, s, tau, lam_L):
+    """TT second variation per unit |h|^2 at curvature lam in {-1, 0, 1}."""
+    return (lam_L - 2 * (n - 1) * lam) * (
+        (4 + s) / 2 * lam_L - lam * (2 * n + 4) - lam * (n - 1) * (2 * s + n * tau)
+    )
+
+
+def conformal_polynomial(n, lam, s, tau, mu):
+    """Conformal second variation per unit |f|^2 at curvature lam in {-1, 0, 1}."""
+    a, b = _conformal_ab(n, s, tau)
+    return (n - 1) * (mu - lam * n) * (a * mu + lam * b)
+
+
+def p1(n, s, tau, mu):
+    """P1, the conformal polynomial at lam = 1."""
+    return conformal_polynomial(n, 1, s, tau, mu)
 
 
 def p2(n, s, tau, mu):
-    """Conformal sign polynomial for negative curvature,
-    (n-1)(mu+n)(((n s - 4 tau + 4 n tau + 4)/2) mu
-                - (n-4)(n^2 tau + n s - n tau - s + 2))."""
-    a = (n * s - 4 * tau + 4 * n * tau + 4) / 2
-    b = (n - 4) * (n**2 * tau + n * s - n * tau - s + 2)
-    return (n - 1) * (mu + n) * (a * mu - b)
+    """P2, the conformal polynomial at lam = -1."""
+    return conformal_polynomial(n, -1, s, tau, mu)
 
 
 @dataclass(frozen=True)
@@ -156,8 +168,7 @@ def classify(q: StabilityQuery) -> Verdict:
             "Thm 1.4 / Cor 3.2",
             "boundary of Thm 1.4",
         )
-    a = (n * s - 4 * tau + 4 * n * tau + 4) / 2
-    b = (n - 4) * (n**2 * tau + n * s - n * tau - s + 2)
+    a, b = _conformal_ab(n, s, tau)
     if q.lam == 1:
         clause = {3: "Thm 1.5(2)", 4: "Thm 1.5(1)"}.get(n, "Thm 1.5(3)")
         if n == 4:

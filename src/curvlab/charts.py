@@ -278,8 +278,8 @@ def make_model(
         )
     if kind == "s3-euler" and n != 3:
         raise UnsupportedModelError("the SU(2) Euler chart requires n = 3")
-    if radius <= 0:
-        raise UnsupportedModelError("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise UnsupportedModelError(f"radius must be positive and finite, got {radius}")
 
     key = (kind, n, radius, None if lengths is None else tuple(lengths))
     if key in _MODEL_CACHE:

@@ -8,15 +8,16 @@ byte-identical across runs with the same configuration.
 ``--config`` names a JSON object of defaults for the subcommand's flags
 (keys as the flag names, e.g. ``"lambda"``, ``"s-min"``); values pass
 through the same type conversion and choices as on the command line, and an
-unknown key is a usage error.  The computations are vectorized numpy; cap
-the BLAS thread pool with ``OMP_NUM_THREADS`` in the environment before
-starting the process.
+unknown key is a usage error.  Float flags accept finite values only.  The
+computations are vectorized numpy; cap the BLAS thread pool with
+``OMP_NUM_THREADS`` in the environment before starting the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -56,8 +57,20 @@ def _dump(report, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+def finite_float(text: str) -> float:
+    """The type of every float flag: NaN and infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def finite_float_list(text: str) -> tuple[float, ...]:
+    return tuple(finite_float(v) for v in text.split(","))
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,13 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("curvature", help="space-form curvature deviations")
     c.add_argument("--model", default="sphere", choices=["torus", "sphere", "poincare", "s3-euler"])
     c.add_argument("--n", type=int, default=3)
-    c.add_argument("--radius", type=float, default=1.0)
-    c.add_argument("--tol", type=float, default=1e-6)
+    c.add_argument("--radius", type=finite_float, default=1.0)
+    c.add_argument("--tol", type=finite_float, default=1e-6)
     c.add_argument("--out")
 
     ci = sub.add_parser("check-identities", help="TT/conformal integral identity battery")
     ci.add_argument("--mode", required=True, choices=["tt", "conformal"])
-    ci.add_argument("--tol", type=float, default=1e-4)
+    ci.add_argument("--tol", type=finite_float, default=1e-4)
     ci.add_argument("--out")
 
     vg = sub.add_parser("verify-gradient", help="first variation vs finite differences")
@@ -83,33 +96,33 @@ def build_parser() -> argparse.ArgumentParser:
     vg.add_argument("--n", type=int, default=3)
     vg.add_argument("--count", type=int, default=10)
     vg.add_argument("--seed", type=int, default=0)
-    vg.add_argument("--s", type=float, default=0.0)
-    vg.add_argument("--tau", type=float, default=0.0)
-    vg.add_argument("--tol", type=float, default=1e-4)
+    vg.add_argument("--s", type=finite_float, default=0.0)
+    vg.add_argument("--tau", type=finite_float, default=0.0)
+    vg.add_argument("--tol", type=finite_float, default=1e-4)
     vg.add_argument("--out")
 
     vh = sub.add_parser("verify-hessian", help="second variation vs closed form")
     vh.add_argument("--model", default="s3-invariant", choices=list(HESSIAN_MODELS))
-    vh.add_argument("--s", type=float, default=0.0)
-    vh.add_argument("--tau", type=float, default=0.0)
-    vh.add_argument("--t-step", type=float, default=1e-2)
-    vh.add_argument("--tol", type=float, default=0.01)
+    vh.add_argument("--s", type=finite_float, default=0.0)
+    vh.add_argument("--tau", type=finite_float, default=0.0)
+    vh.add_argument("--t-step", type=finite_float, default=1e-2)
+    vh.add_argument("--tol", type=finite_float, default=0.01)
     vh.add_argument("--out")
 
     r = sub.add_parser("rayleigh", help="Rayleigh quotient of the Lichnerowicz operator")
     r.add_argument("--model", default="s3-invariant", choices=["s3-invariant", "torus-tt"])
-    r.add_argument("--d", help="comma-separated invariant-mode coefficients")
-    r.add_argument("--k", help="comma-separated torus wave vector")
+    r.add_argument("--d", type=finite_float_list, help="comma-separated invariant-mode coefficients")
+    r.add_argument("--k", type=int_list, help="comma-separated torus wave vector")
     r.add_argument("--res", type=int)
-    r.add_argument("--tol", type=float, default=1e-3)
+    r.add_argument("--tol", type=finite_float, default=1e-3)
     r.add_argument("--out")
 
     cl = sub.add_parser("classify", help="stability verdict at a single (s, tau)")
     cl.add_argument("--n", type=int)
     cl.add_argument("--lambda", dest="lam", type=int)
     cl.add_argument("--mode", choices=["tt", "conformal"])
-    cl.add_argument("--s", type=float)
-    cl.add_argument("--tau", type=float)
+    cl.add_argument("--s", type=finite_float)
+    cl.add_argument("--tau", type=finite_float)
     cl.add_argument("--format", default="text", choices=["text", "json"])
     cl.add_argument("--out")
 
@@ -117,10 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--n", type=int)
     at.add_argument("--lambda", dest="lam", type=int)
     at.add_argument("--mode", choices=["tt", "conformal"])
-    at.add_argument("--s-min", type=float)
-    at.add_argument("--s-max", type=float)
-    at.add_argument("--tau-min", type=float)
-    at.add_argument("--tau-max", type=float)
+    at.add_argument("--s-min", type=finite_float)
+    at.add_argument("--s-max", type=finite_float)
+    at.add_argument("--tau-min", type=finite_float)
+    at.add_argument("--tau-max", type=finite_float)
     at.add_argument("--res", type=int)
     at.add_argument("--out")
     at.add_argument("--format", default="csv", choices=["csv", "json"])
@@ -130,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_curvature(args) -> int:
     rep = curvature_case(args.model, args.n, radius=args.radius)
     rep["tol"] = args.tol
-    worst = max(rep["max_rm_dev"], rep["max_ric_dev"], rep["max_r_dev"])
-    rep["pass"] = bool(worst <= args.tol)
+    # all(), not max(): max() can drop a NaN deviation, which must fail
+    rep["pass"] = all(rep[k] <= args.tol for k in ("max_rm_dev", "max_ric_dev", "max_r_dev"))
     _dump(rep, args.out)
     return EXIT_OK if rep["pass"] else EXIT_TOLERANCE
 
@@ -179,9 +192,7 @@ def _cmd_hessian(args) -> int:
 
 
 def _cmd_rayleigh(args) -> int:
-    d = _parse_floats(args.d) if args.d else None
-    k = [int(v) for v in args.k.split(",")] if args.k else None
-    report, meta = rayleigh_case(args.model, res=args.res, d=d, k=k)
+    report, meta = rayleigh_case(args.model, res=args.res, d=args.d, k=args.k)
     body = json.loads(report.to_json(model=meta["model"], mode_desc=meta["mode_desc"]))
     body["expected_quotient"] = meta["expected_quotient"]
     ok = abs(report.quotient - meta["expected_quotient"]) <= args.tol

@@ -84,10 +84,6 @@ class ChartDomain:
         b = np.asarray(self.bounds, dtype=float)
         return b[:, 1] - b[:, 0]
 
-    @property
-    def coordinate_volume(self) -> float:
-        return float(np.prod(self.extents))
-
 
 def torus_domain(n: int, lengths: Sequence[float] | None = None) -> ChartDomain:
     lengths = [1.0] * n if lengths is None else list(lengths)

@@ -32,10 +32,11 @@ a contracted index (in both, summed), and the operands are transposed and
 reshaped to (batch, free, contracted) matrices.  numpy's own ``einsum``
 cannot hand a product that keeps the node axis to BLAS, and its inner loops
 here run only n = 3..5 long.  ``contract`` falls back to ``np.einsum`` for an
-index summed inside one operand, for more than two operands, and for a batch
-smaller than :data:`MATMUL_MIN_BATCH` (single-point calls), where the
-transposes cost more than they save.  Single-operand traces and
-permutations stay plain ``np.einsum``.
+index summed inside one operand, for more than two operands, for operands
+whose shared axes differ in size (broadcasting), and for a batch smaller
+than :data:`MATMUL_MIN_BATCH` (single-point calls), where the transposes
+cost more than they save.  Single-operand traces and permutations stay
+plain ``np.einsum``.
 
 The rough Laplacian is the metric trace of the second covariant derivative,
 with the sign that makes it non-positive on the flat torus
@@ -610,22 +611,21 @@ def lichnerowicz_arrays(
 
 
 def covariant_hessian_blocks(
-    field: MetricField, inner_fn: Callable[[Array], list[list[Array]]], X: Array
+    inner_fn: Callable[[Array], tuple[list[Array], list[list[Array]]]], X: Array
 ) -> list[Array]:
     """Second covariant derivatives of several computed fields at once.
 
-    ``inner_fn(Y)`` returns, for each computed covariant tensor field, its
-    exact jet [T, dT, d2T] at the points ``Y``; the connection corrections
-    turn each into nabla nabla T.  Nodes go in blocks of ``HESSIAN_BLOCK``.
-    Each output has shape (N, n^valence, n, n) with the trailing axes
-    ordered (k, l) for nabla_l nabla_k.
+    ``inner_fn(Y)`` returns the jet of Gamma it built at the points ``Y``
+    (to order 1 at least) and, for each computed covariant tensor field, its
+    exact jet [T, dT, d2T] there; the connection corrections turn each into
+    nabla nabla T.  Nodes go in blocks of ``HESSIAN_BLOCK``.  Each output
+    has shape (N, n^valence, n, n) with the trailing axes ordered (k, l) for
+    nabla_l nabla_k.
     """
-    X, _ = _as_batch(X, field.dimension)
     parts = []
     for i in range(0, X.shape[0], HESSIAN_BLOCK):
-        Y = X[i : i + HESSIAN_BLOCK]
-        _, Gamma = connection_jet(field.jet(Y, 2))
-        parts.append([covariant_jet(covariant_jet(T, Gamma), Gamma)[0] for T in inner_fn(Y)])
+        Gamma, jets = inner_fn(X[i : i + HESSIAN_BLOCK])
+        parts.append([covariant_jet(covariant_jet(T, Gamma), Gamma)[0] for T in jets])
     return [np.concatenate(p) for p in zip(*parts)]
 
 

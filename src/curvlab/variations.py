@@ -25,13 +25,13 @@ corrections to the resulting exact partials.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .atlas import p1, p2
-from .charts import QuadratureGrid, integrate_density, volume
+from .atlas import conformal_polynomial, tt_polynomial
+from .charts import QuadratureGrid, volume
 from .errors import (
     EigenvalueRangeError,
     GlobalIntegralUnsupportedError,
@@ -226,10 +226,10 @@ def gradient_ingredients(
         lap_R = np.zeros(N)
     else:
         def inner(Y):
-            _, _, _, Ric, R = ricci_arrays(base, Y, order=2)
-            return [Ric, R]
+            _, _, Gamma, Ric, R = ricci_arrays(base, Y, order=2)
+            return Gamma, [Ric, R]
 
-        ric_hess, r_hess = covariant_hessian_blocks(base, inner, X)
+        ric_hess, r_hess = covariant_hessian_blocks(inner, X)
         lap_ric = contract("akl,aijkl->aij", ginv, ric_hess)
         hess_R = r_hess
         lap_R = contract("aik,aik->a", ginv, hess_R)
@@ -241,7 +241,9 @@ def gradient_ingredients(
     }
 
 
-def _gradient_parts(ing: dict) -> tuple[Array, Array, Array]:
+def _gradient_parts(ing: dict, coeff: Coefficients) -> GradientTensor:
+    """The gradient G = gR + s gRic + tau gS of F, the one place its terms
+    are written."""
     b: CurvatureBundle = ing["bundle"]
     g = b.g
     gR = (
@@ -265,29 +267,32 @@ def _gradient_parts(ing: dict) -> tuple[Array, Array, Array]:
         - 2 * b.R[:, None, None] * b.Ric
         + 0.5 * (b.R**2)[:, None, None] * g
     )
-    return gR, gRic, gS
+    return GradientTensor(gR, gRic, gS, gR + coeff.s * gRic + coeff.tau * gS)
 
 
 def gradient_tensor(base: MetricField, x, coeff: Coefficients) -> GradientTensor:
     """Gradient tensors at a point (or batch of points)."""
     X, single = _as_batch(x, base.dimension)
-    ing = gradient_ingredients(base, X)
-    gR, gRic, gS = _gradient_parts(ing)
-    total = gR + coeff.s * gRic + coeff.tau * gS
+    G = _gradient_parts(gradient_ingredients(base, X), coeff)
     if single:
-        return GradientTensor(gR[0], gRic[0], gS[0], total[0])
-    return GradientTensor(gR, gRic, gS, total)
+        return GradientTensor(*(getattr(G, f.name)[0] for f in fields(G)))
+    return G
 
 
-def _lagrange_constant(ing: dict, grid: QuadratureGrid, coeff: Coefficients) -> float:
+def _trace_multiplier(ing: dict, coeff: Coefficients) -> Array:
+    """tr_g G / n at each node, from the trace identity
+    tr_g G = ((n-4) (|Rm|^2 + s |Ric|^2 + tau R^2) - (4 + n s + 4(n-1) tau) Lap R) / 2."""
     b: CurvatureBundle = ing["bundle"]
     n = b.dimension
     density = b.normRm2 + coeff.s * b.normRic2 + coeff.tau * b.R**2
-    c_pt = (
+    return (
         (n - 4) * density - (4 + n * coeff.s + 4 * (n - 1) * coeff.tau) * ing["lap_R"]
     ) / (2 * n)
-    measure = grid.weights * b.sqrt_det
-    return float(np.sum(measure * c_pt) / np.sum(measure))
+
+
+def _lagrange_constant(ing: dict, grid: QuadratureGrid, coeff: Coefficients) -> float:
+    measure = grid.weights * ing["bundle"].sqrt_det
+    return float(np.sum(measure * _trace_multiplier(ing, coeff)) / np.sum(measure))
 
 
 def lagrange_constant(
@@ -297,16 +302,25 @@ def lagrange_constant(
     return _lagrange_constant(gradient_ingredients(base, grid.nodes), grid, coeff)
 
 
+def _first_variation_pairing(
+    base: MetricField, grid: QuadratureGrid, coeff: Coefficients
+) -> Callable[[SymTensorField], float]:
+    """h -> int G_ij h^{ij} dV, with G, g^-1 and the volume element of one
+    curvature bundle built once for every direction."""
+    if not base.supports_global_quadrature:
+        raise GlobalIntegralUnsupportedError("first variation needs global integrals")
+    ing = gradient_ingredients(base, grid.nodes)
+    b: CurvatureBundle = ing["bundle"]
+    G = _gradient_parts(ing, coeff).grad_total
+    measure = grid.weights * b.sqrt_det
+    return lambda h: float(np.sum(measure * inner_02(G, h.eval_grid(grid.nodes), b.ginv)))
+
+
 def first_variation(
     base: MetricField, grid: QuadratureGrid, h: SymTensorField, coeff: Coefficients
 ) -> float:
     """int G_ij h^{ij} dV along the raw family."""
-    if not base.supports_global_quadrature:
-        raise GlobalIntegralUnsupportedError("first variation needs global integrals")
-    X = grid.nodes
-    G = gradient_tensor(base, X, coeff).grad_total
-    ginv = np.linalg.inv(base.metric_grid(X))
-    return integrate_density(base, grid, inner_02(G, h.eval_grid(X), ginv))
+    return _first_variation_pairing(base, grid, coeff)(h)
 
 
 def first_variation_numeric(
@@ -339,8 +353,9 @@ def el_residual(
     coeff: Coefficients,
     ingredients: dict | None = None,
 ) -> tuple[float, float]:
-    """Sup-norm (componentwise, over all nodes) of the trace-free
-    Euler-Lagrange tensor, and the multiplier c from its trace.
+    """Sup-norm (componentwise, over all nodes) of the Euler-Lagrange tensor,
+    the trace-free part G - (tr_g G / n) g of the gradient, and the
+    multiplier c of G = c g, the volume average of tr_g G / n.
 
     The base must have unit quadrature volume (rescale with
     :func:`curvlab.charts.to_unit_volume` first).  ``ingredients`` may pass
@@ -354,20 +369,8 @@ def el_residual(
         raise PreconditionError(
             f"Euler-Lagrange residual needs a unit-volume base (vol = {vol:.6g})"
         )
-    n = base.dimension
-    s, tau = coeff.s, coeff.tau
-    g = b.g
-    density = b.normRm2 + s * b.normRic2 + tau * b.R**2
-    E = (
-        -(4 + s) * ing["lap_ric"]
-        + (2 + s + 2 * tau) * ing["hess_R"]
-        + ((2 - 2 * tau) / n) * ing["lap_R"][:, None, None] * g
-        - 2 * b.A1
-        - (4 + 2 * s) * b.B
-        + 4 * b.ric2
-        - 2 * tau * b.R[:, None, None] * b.Ric
-        + (2.0 / n) * density[:, None, None] * g
-    )
+    G = _gradient_parts(ing, coeff).grad_total
+    E = G - _trace_multiplier(ing, coeff)[:, None, None] * b.g
     return max_abs(E), _lagrange_constant(ing, grid, coeff)
 
 
@@ -458,6 +461,8 @@ def second_variation_numeric(
         raise PreconditionError("second variation requires the rescaled family")
     if family.base.lam is None:
         raise PreconditionError("second variation is evaluated at space-form bases")
+    if not (np.isfinite(t_step) and t_step > 0):
+        raise PreconditionError(f"t_step must be positive and finite, got {t_step}")
 
     def F(t: float) -> float:
         return evaluate(family.metric_at(t, grid), grid, coeff).F
@@ -477,63 +482,40 @@ def second_variation_numeric(
 def second_variation_tt_predicted(
     n: int, lam: int, lam_L: float, coeff: Coefficients, h_norm2: float
 ) -> float:
-    """Closed-form second variation on a TT eigendirection.
+    """Closed-form second variation on a TT eigendirection,
+    :func:`curvlab.atlas.tt_polynomial` times |h|^2.
 
     ``lam_L`` is the eigenvalue of -Lap_L (of -Lap for lam = 0).  Admissible
     ranges: lam_L >= 2(n-1) for lam = 1 (the least TT eigenvalue is 4n, but
     the formula is defined down to the first factor root), lam_L >= -n for
     lam = -1, lam_L > 0 for lam = 0.
     """
-    s, tau = coeff.s, coeff.tau
-    if lam == 1:
-        if lam_L < 2 * (n - 1) - 1e-12:
-            raise EigenvalueRangeError(
-                f"lam_L = {lam_L} below the admissible range for lam=1"
-            )
-        return (
-            (lam_L - 2 * (n - 1))
-            * ((4 + s) / 2 * lam_L - (2 * n + 4) - (n - 1) * (2 * s + n * tau))
-            * h_norm2
-        )
-    if lam == -1:
-        if lam_L < -n - 1e-12:
-            raise EigenvalueRangeError(
-                f"lam_L = {lam_L} below the admissible range for lam=-1"
-            )
-        return (
-            (lam_L + 2 * (n - 1))
-            * ((4 + s) / 2 * lam_L + (2 * n + 4) + (n - 1) * (2 * s + n * tau))
-            * h_norm2
-        )
-    if lam == 0:
-        if lam_L <= 0:
-            raise EigenvalueRangeError("flat TT modes have positive -Lap eigenvalues")
-        return 2 * (1 + s / 4) * lam_L**2 * h_norm2
-    raise EigenvalueRangeError(f"lam must be in {{-1, 0, 1}}, got {lam}")
+    if lam not in (-1, 0, 1):
+        raise EigenvalueRangeError(f"lam must be in {{-1, 0, 1}}, got {lam}")
+    if lam == 0 and lam_L <= 0:
+        raise EigenvalueRangeError("flat TT modes have positive -Lap eigenvalues")
+    if lam != 0 and lam_L < (2 * (n - 1) if lam == 1 else -n) - 1e-12:
+        raise EigenvalueRangeError(f"lam_L = {lam_L} below the admissible range for lam={lam}")
+    return tt_polynomial(n, lam, coeff.s, coeff.tau, lam_L) * h_norm2
 
 
 def second_variation_conformal_predicted(
     n: int, lam: int, mu: float, coeff: Coefficients, f_norm2: float
 ) -> float:
-    """Closed-form second variation on a conformal eigendirection f.
+    """Closed-form second variation on a conformal eigendirection f,
+    :func:`curvlab.atlas.conformal_polynomial` times |f|^2.
 
     ``mu`` is the eigenvalue of -Lap on f.  For lam = 1 the admissible
-    spectrum starts at mu = n (attained exactly on the round sphere).
+    spectrum starts at mu = n (attained exactly on the round sphere); for
+    lam = 0 and -1 it is mu > 0.
     """
-    s, tau = coeff.s, coeff.tau
-    if lam == 1:
-        if mu < n - 1e-12:
-            raise EigenvalueRangeError(f"mu = {mu} below the first eigenvalue n = {n}")
-        return p1(n, s, tau, mu) * f_norm2
-    if lam == 0:
-        if mu <= 0:
-            raise EigenvalueRangeError("flat conformal modes need mu > 0")
-        return 0.5 * (n - 1) * (s * n + 4 * (n - 1) * tau + 4) * mu**2 * f_norm2
-    if lam == -1:
-        if mu <= 0:
-            raise EigenvalueRangeError("hyperbolic conformal modes need mu > 0")
-        return p2(n, s, tau, mu) * f_norm2
-    raise EigenvalueRangeError(f"lam must be in {{-1, 0, 1}}, got {lam}")
+    if lam not in (-1, 0, 1):
+        raise EigenvalueRangeError(f"lam must be in {{-1, 0, 1}}, got {lam}")
+    if lam == 1 and mu < n - 1e-12:
+        raise EigenvalueRangeError(f"mu = {mu} below the first eigenvalue n = {n}")
+    if lam != 1 and mu <= 0:
+        raise EigenvalueRangeError(f"conformal modes at lam = {lam} need mu > 0")
+    return conformal_polynomial(n, lam, coeff.s, coeff.tau, mu) * f_norm2
 
 
 # ---------------------------------------------------------------------------
@@ -586,11 +568,9 @@ def _variation_quantities(
         D2h_j = covariant_jet(covariant_jet(h_j, Gamma_j), Gamma_j)
         dric_j, dR_j, lap_h_j, _, _ = ricci_variation_jet(ginv_j, h_j, D2h_j, Ric_j)
         tr_dric_j = jet_einsum("aik,aik->a", ginv_j, dric_j)
-        return [dric_j, dR_j, tr_dric_j, lap_h_j]
+        return Gamma_j, [dric_j, dR_j, tr_dric_j, lap_h_j]
 
-    dric_hess, d_hess_R, trdric_hess, laph_hess = covariant_hessian_blocks(
-        base, inner, X
-    )
+    dric_hess, d_hess_R, trdric_hess, laph_hess = covariant_hessian_blocks(inner, X)
     lap_h = arrs["lap_h"]
     lap2_h = contract("akl,aijkl->aij", ginv, laph_hess)
 
@@ -733,14 +713,14 @@ def conformal_identity_suite(
     fv = f.eval_grid(X)
 
     def lap_f_at(Y, order):
-        """Jet of Lap f to ``order``, from the jets of f and of the metric."""
+        """(Gamma jet, [jet of Lap f]) to ``order``, from the jets of f and g."""
         ginv, Gamma = connection_jet(base.jet(Y, order + 1))
         hess = covariant_jet(covariant_jet(f.jet(Y, order + 2), Gamma), Gamma)
-        return jet_einsum("aik,aik->a", ginv, hess)
+        return Gamma, [jet_einsum("aik,aik->a", ginv, hess)]
 
     ginv = q["b"].ginv
-    lap_f = lap_f_at(X, 0)[0]
-    (lapf_hess,) = covariant_hessian_blocks(base, lambda Y: [lap_f_at(Y, 2)], X)
+    _, [[lap_f]] = lap_f_at(X, 0)  # at order 0 the one jet is [Lap f]
+    (lapf_hess,) = covariant_hessian_blocks(lambda Y: lap_f_at(Y, 2), X)
     lap2_f = np.einsum("akl,akl->a", ginv, lapf_hess)
     m = q["measure"]
     f2 = float(np.sum(m * fv**2))

@@ -28,18 +28,18 @@ from .variations import (
     CONSTANT_RESCALE,
     PerturbationFamily,
     VariationReport,
+    _first_variation_pairing,
     conformal_identity_suite,
     conformal_tensor,
     first_variation,
     first_variation_numeric,
-    gradient_tensor,
     lagrange_constant,
     second_variation_conformal_predicted,
     second_variation_numeric,
     second_variation_tt_predicted,
     tt_identity_suite,
 )
-from .tensors import curvature_grid, inner_02, norm2_02, space_form_deviation
+from .tensors import curvature_grid, norm2_02, space_form_deviation
 
 HESSIAN_MODELS = ("s3-invariant", "torus-tt", "torus-conformal")
 
@@ -144,6 +144,8 @@ def gradient_case(
     seed: int = 0,
 ) -> list[dict]:
     """First-variation cross-checks on random perturbation directions."""
+    if count < 1:
+        raise ConfigurationError(f"gradient checks need count >= 1, got {count}")
     rng = np.random.default_rng(seed)
     if model == "torus":
         base = make_model("torus", n)
@@ -155,13 +157,12 @@ def gradient_case(
         make_h = lambda: random_sphere_sym_tensor(3, rng)
     else:
         raise ConfigurationError("gradient models are 'torus' and 's3'")
-    # the gradient density is independent of h; integrate it per direction
-    G = gradient_tensor(base, grid.nodes, coeff).grad_total
-    ginv = np.linalg.inv(base.metric_grid(grid.nodes))
+    # the gradient is independent of h: build it once, pair it per direction
+    d1_analytic = _first_variation_pairing(base, grid, coeff)
     rows = []
     for i in range(count):
         h = make_h()
-        d1a = integrate_density(base, grid, inner_02(G, h.eval_grid(grid.nodes), ginv))
+        d1a = d1_analytic(h)
         d1n = first_variation_numeric(base, grid, h, coeff)
         rows.append(
             {

@@ -1,12 +1,25 @@
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlab.atlas import StabilityQuery, Verdict, classify, emit_atlas, p1, p2
+from curvlab.atlas import (
+    StabilityQuery,
+    Verdict,
+    classify,
+    conformal_polynomial,
+    emit_atlas,
+    p1,
+    p2,
+    tt_polynomial,
+)
 from curvlab.errors import ConfigurationError
 from curvlab.functionals import Coefficients
-from curvlab.variations import second_variation_tt_predicted
+from curvlab.variations import (
+    second_variation_conformal_predicted,
+    second_variation_tt_predicted,
+)
 
 finite = st.floats(-50, 50, allow_nan=False)
 
@@ -23,6 +36,37 @@ def test_polynomial_values():
     # ns - 4 tau + 4 n tau + 4 = 0 at n = 4, s = -1, tau = 0 kills p2
     for mu in (1.0, 7.3, 40.0):
         assert p2(4, -1.0, 0.0, mu) == 0.0
+
+
+def test_one_lambda_formula_equals_the_per_lambda_forms():
+    # exact polynomial identity in (n, s, tau, lam_L or mu) against the
+    # closed forms as written separately for lam = 1, -1 and 0
+    n, s, tau, x = sp.symbols("n s tau x")
+    c = (n - 1) * (2 * s + n * tau)
+    tt = {
+        1: (x - 2 * (n - 1)) * ((4 + s) / 2 * x - (2 * n + 4) - c),
+        -1: (x + 2 * (n - 1)) * ((4 + s) / 2 * x + (2 * n + 4) + c),
+        0: 2 * (1 + s / 4) * x**2,
+    }
+    a = (n * s - 4 * tau + 4 * n * tau + 4) / 2
+    b = (n - 4) * (n**2 * tau + n * s - n * tau - s + 2)
+    conformal = {
+        1: (n - 1) * (x - n) * (a * x + b),
+        -1: (n - 1) * (x + n) * (a * x - b),
+        0: sp.Rational(1, 2) * (n - 1) * (s * n + 4 * (n - 1) * tau + 4) * x**2,
+    }
+    for lam in (-1, 0, 1):
+        assert sp.expand(tt_polynomial(n, lam, s, tau, x) - tt[lam]) == 0, lam
+        assert sp.expand(conformal_polynomial(n, lam, s, tau, x) - conformal[lam]) == 0, lam
+    assert sp.expand(p1(n, s, tau, x) - conformal[1]) == 0
+    assert sp.expand(p2(n, s, tau, x) - conformal[-1]) == 0
+    # the predicted second variations are these polynomials times the norm
+    coeff = Coefficients(0.3, -0.7)
+    for lam, x0 in ((1, 13.0), (-1, 2.5), (0, 5.0)):
+        tt0 = tt_polynomial(4, lam, coeff.s, coeff.tau, x0)
+        conf0 = conformal_polynomial(4, lam, coeff.s, coeff.tau, x0)
+        assert second_variation_tt_predicted(4, lam, x0, coeff, 2.0) == 2.0 * tt0
+        assert second_variation_conformal_predicted(4, lam, x0, coeff, 2.0) == 2.0 * conf0
 
 
 @given(s=finite, tau=finite, mu=finite)

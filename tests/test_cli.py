@@ -139,3 +139,51 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ))
     assert run(["--config", str(cfg), "classify"]) == 1
     assert "sigma" in capsys.readouterr().err
+
+
+def test_non_finite_radius_is_usage_error(capsys):
+    # NaN slipped past `radius <= 0` and the NaN deviations past max()
+    for value in ("nan", "inf", "-inf"):
+        assert run(["curvature", "--model", "sphere", "--n", "2", "--radius", value]) == 1
+        assert "error: argument --radius" in capsys.readouterr().err
+
+
+def test_non_finite_float_flags_and_config_values(tmp_path, capsys):
+    assert run(["verify-hessian", "--model", "torus-tt", "--t-step", "inf"]) == 1
+    assert run(["check-identities", "--mode", "tt", "--tol", "nan"]) == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radius": "nan"}))
+    assert run(["--config", str(cfg), "curvature", "--n", "2"]) == 1
+    assert "config value for 'radius'" in capsys.readouterr().err
+
+
+def test_curvature_nan_deviation_fails_the_check(monkeypatch, tmp_path):
+    import curvlab.cli as cli
+
+    def nan_case(kind, n, radius=1.0):
+        return {"max_rm_dev": 0.0, "max_ric_dev": float("nan"), "max_r_dev": 0.0}
+
+    monkeypatch.setattr(cli, "curvature_case", nan_case)
+    out = tmp_path / "curv.json"
+    assert run(["curvature", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["pass"] is False
+
+
+def test_zero_t_step_is_usage_error(capsys):
+    for value in ("0", "-0.01"):
+        assert run(["verify-hessian", "--model", "torus-tt", "--t-step", value]) == 1
+        assert "t_step" in capsys.readouterr().err
+
+
+def test_rayleigh_malformed_lists_are_usage_errors(capsys):
+    assert run(["rayleigh", "--model", "torus-tt", "--k", "a,b,c"]) == 1
+    assert "--k" in capsys.readouterr().err
+    assert run(["rayleigh", "--model", "s3-invariant", "--d", "1,x,2"]) == 1
+    assert "--d" in capsys.readouterr().err
+    assert run(["rayleigh", "--model", "s3-invariant", "--d", "1,nan,2"]) == 1
+
+
+def test_verify_gradient_needs_a_direction(capsys):
+    for value in ("0", "-2"):
+        assert run(["verify-gradient", "--model", "torus", "--count", value]) == 1
+        assert "count" in capsys.readouterr().err

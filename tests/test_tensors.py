@@ -289,10 +289,10 @@ def test_contracted_bianchi_hessian_on_generic_metric():
     X = random_probes(base.domain, np.random.default_rng(45), count=300)
 
     def inner(Y):
-        _, _, _, Ric, R = ricci_arrays(base, Y, order=2)
-        return [Ric, R]
+        _, _, Gamma, Ric, R = ricci_arrays(base, Y, order=2)
+        return Gamma, [Ric, R]
 
-    ric_hess, r_hess = covariant_hessian_blocks(base, inner, X)
+    ric_hess, r_hess = covariant_hessian_blocks(inner, X)
     gi = np.linalg.inv(base.metric_grid(X))
     lhs = np.einsum("aik,ajl,aijkl->a", gi, gi, ric_hess)
     rhs = 0.5 * np.einsum("akl,akl->a", gi, r_hess)

@@ -14,6 +14,7 @@ from curvlab.fields import (
     metric_as_sym_tensor,
     linear_combination_metric,
     random_sphere_sym_tensor,
+    random_torus_metric,
     random_torus_sym_tensor,
 )
 from curvlab.functionals import Coefficients
@@ -28,6 +29,8 @@ from curvlab.variations import (
     CONSTANT_RESCALE,
     RAW,
     PerturbationFamily,
+    _gradient_parts,
+    _trace_multiplier,
     christoffel_variation,
     conformal_identity_suite,
     conformal_tensor,
@@ -36,6 +39,7 @@ from curvlab.variations import (
     el_residual,
     first_variation,
     first_variation_numeric,
+    gradient_ingredients,
     gradient_tensor,
     lagrange_constant,
     second_variation_conformal_predicted,
@@ -220,8 +224,6 @@ def test_gradient_vanishes_at_n4_space_form(sphere4):
 def test_generic_curvature_derivatives_vanish_on_space_form(euler3, euler3_grid):
     # the exact-jet path, without the parallel-curvature shortcut: Lap Ric and
     # Hess R are 0 on the round S^3 up to roundoff at the near-pole Gauss ring
-    from curvlab.variations import gradient_ingredients
-
     ing = gradient_ingredients(euler3, euler3_grid.nodes, use_structure=False)
     for key in ("lap_ric", "hess_R", "lap_R"):
         assert np.abs(ing[key]).max() < 3e-6, key  # worst measured 3.1e-7
@@ -254,6 +256,37 @@ def test_first_variation_matches_fd_on_random_directions(torus3, sphere3):
         d1a = first_variation(sphere3, sg, hs, coeff)
         d1n = first_variation_numeric(sphere3, sg, hs, coeff)
         assert abs(d1a - d1n) <= 1e-4 * max(1.0, abs(d1a))
+
+
+def test_gradient_on_generic_metric():
+    # away from critical points Lap Ric, Hess R and Lap R are nonzero, so a
+    # wrong coefficient on any term of the gradient shows; the metric and the
+    # direction share their wave vectors, so <G, h> does not integrate to 0
+    base = random_torus_metric(3, np.random.default_rng(5), amplitude=0.08)
+    h = random_torus_sym_tensor(3, np.random.default_rng(5))
+    grid = build_grid(base.domain, 10)
+    unit = to_unit_volume(base, grid)
+    X = grid.nodes
+    ing = gradient_ingredients(unit, X)
+    b = ing["bundle"]
+    measure = grid.weights * b.sqrt_det
+    for s, tau in ((0.0, 0.0), (0.5, -0.3), (-1.7, 2.2)):
+        coeff = Coefficients(s, tau)
+        d1a = first_variation(base, grid, h, coeff)
+        d1n = first_variation_numeric(base, grid, h, coeff)
+        # measured 2.4e-4, 2.8e-4 and 6.5e-5
+        assert abs(d1a - d1n) <= 1e-3 * abs(d1n), (s, tau)
+        # the Euler-Lagrange tensor is the trace-free part of G ...
+        G = _gradient_parts(ing, coeff).grad_total
+        E = G - _trace_multiplier(ing, coeff)[:, None, None] * b.g
+        tr_E = np.einsum("aij,aij->a", b.ginv, E)
+        assert np.abs(tr_E).max() <= 1e-10 * np.abs(G).max(), (s, tau)
+        res, c = el_residual(unit, grid, coeff, ingredients=ing)
+        assert res == np.abs(E).max() and res > 0.1 * np.abs(G).max()
+        # ... and the multiplier the volume mean of tr_g G / n
+        tr_G = np.einsum("aij,aij->a", b.ginv, G) / 3
+        mean = np.sum(measure * tr_G) / np.sum(measure)
+        assert abs(c - mean) <= 1e-12 * abs(mean), (s, tau)
 
 
 def test_el_residual_space_forms(sphere4, torus3, torus3_grid, sphere3):
