@@ -119,7 +119,7 @@ def sqrt_det_grid(field: MetricField, grid: QuadratureGrid) -> Array:
     """sqrt(det g) at every node; raises naming the first bad node."""
     g = field.metric_grid(grid.nodes)
     det = np.linalg.det(g)
-    bad = np.nonzero(det <= 0)[0]
+    bad = np.nonzero(det.real <= 0)[0]
     if bad.size:
         a = int(bad[0])
         raise DegenerateMetricError(

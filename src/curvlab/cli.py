@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--tol", type=finite_float, default=1e-4)
     ci.add_argument("--out")
 
-    vg = sub.add_parser("verify-gradient", help="first variation vs finite differences")
+    vg = sub.add_parser("verify-gradient", help="first variation vs complex-step derivative")
     vg.add_argument("--model", default="torus", choices=["torus", "s3"])
     vg.add_argument("--n", type=int, default=3)
     vg.add_argument("--count", type=int, default=10)

@@ -145,7 +145,7 @@ def fd_partials(fn: Callable[[Array], Array], X: Array, steps: Array) -> Array:
         f_2 = fn(X - 2 * e)
         dk = (f_2 - 8 * f_1 + 8 * f1 - f2) / (12 * h)
         if out is None:
-            out = np.empty(np.shape(dk) + (n,), dtype=float)
+            out = np.empty(np.shape(dk) + (n,), dtype=dk.dtype)
         out[..., k] = dk
     return out
 

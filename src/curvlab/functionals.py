@@ -15,8 +15,8 @@ import numpy as np
 
 from .charts import QuadratureGrid, volume
 from .errors import DimensionError, GlobalIntegralUnsupportedError
-from .fields import MetricField
-from .tensors import curvature_grid, norm2_04
+from .fields import Array, MetricField
+from .tensors import CurvatureBundle, curvature_grid, norm2_04
 
 
 @dataclass(frozen=True)
@@ -58,25 +58,33 @@ class FunctionalReport:
         return json.dumps(self.to_json_dict(**meta), sort_keys=True)
 
 
-def evaluate(
+def _integrals(
     field: MetricField, grid: QuadratureGrid, coeff: Coefficients
-) -> FunctionalReport:
-    """Integrate the curvature invariants of the field over the grid."""
+) -> tuple[dict, CurvatureBundle, Array]:
+    """The quadrature sums of F and its parts, in the field's dtype (complex
+    along a complex-step direction), with the bundle and the measure."""
     if not field.supports_global_quadrature:
         raise GlobalIntegralUnsupportedError(
             f"{field.name}: global integrals are not defined on this chart"
         )
-    n = field.dimension
     bundle = curvature_grid(field, grid.nodes)
     measure = grid.weights * bundle.sqrt_det
-    rquad = float(np.sum(measure * bundle.normRm2))
-    rho = float(np.sum(measure * bundle.normRic2))
-    s_int = float(np.sum(measure * bundle.R**2))
-    # the Weyl tensor vanishes identically for n <= 3
-    w_int = float(np.sum(measure * norm2_04(bundle.W, bundle.ginv))) if n >= 4 else 0.0
-    vol = float(np.sum(measure))
+    densities = (bundle.normRm2, bundle.normRic2, bundle.R**2)
+    rquad, rho, s_int = (np.sum(measure * d) for d in densities)
     total = rquad + coeff.s * rho + coeff.tau * s_int
-    return FunctionalReport(W=w_int, rho=rho, S=s_int, Rquad=rquad, F=total, volume=vol)
+    return dict(Rquad=rquad, rho=rho, S=s_int, F=total, volume=np.sum(measure)), bundle, measure
+
+
+def evaluate(
+    field: MetricField, grid: QuadratureGrid, coeff: Coefficients
+) -> FunctionalReport:
+    """Integrate the curvature invariants of the field over the grid."""
+    sums, bundle, measure = _integrals(field, grid, coeff)
+    # the Weyl tensor vanishes identically for n <= 3
+    w_int = 0.0
+    if field.dimension >= 4:
+        w_int = float(np.sum(measure * norm2_04(bundle.W, bundle.ginv)))
+    return FunctionalReport(W=w_int, **{k: float(v) for k, v in sums.items()})
 
 
 def decomposition_residual(field: MetricField, grid: QuadratureGrid) -> float:

@@ -443,8 +443,8 @@ def norm2_02(T: Array, ginv: Array) -> Array:
 
 def curvature_bundle(g: Array, dg: Array, d2g: Array) -> CurvatureBundle:
     det = np.linalg.det(g)
-    if np.any(det <= 0):
-        a = int(np.nonzero(det <= 0)[0][0])
+    if np.any(det.real <= 0):  # real part: complex-step metrics pass through
+        a = int(np.argmax(det.real <= 0))
         raise DegenerateMetricError(f"metric not positive definite (node {a})")
     ginv, Gamma, dGamma = connection_arrays(g, dg, d2g)
     Rm13 = (
@@ -469,15 +469,15 @@ def curvature_grid(
     N = X.shape[0]
     if N <= block:
         return curvature_bundle(*field.jet(X, 2))
-    # blocks are copied into the full arrays as they come, so no block
-    # outlives the next one
+    # blocks are copied as they come into full arrays of their dtype (complex
+    # for a complex-step metric), so no block outlives the next one
     out = {}
     for i in range(0, N, block):
         part = curvature_bundle(*field.jet(X[i : i + block], 2))
         for f in fields(CurvatureBundle):
             arr = getattr(part, f.name)
             if i == 0:
-                out[f.name] = np.empty((N,) + arr.shape[1:])
+                out[f.name] = np.empty((N,) + arr.shape[1:], dtype=arr.dtype)
             out[f.name][i : i + block] = arr
     return CurvatureBundle(**out)
 

@@ -29,11 +29,11 @@ from .variations import (
     PerturbationFamily,
     VariationReport,
     _first_variation_pairing,
+    _lagrange_constant,
     conformal_identity_suite,
     conformal_tensor,
-    first_variation,
     first_variation_numeric,
-    lagrange_constant,
+    gradient_ingredients,
     second_variation_conformal_predicted,
     second_variation_numeric,
     second_variation_tt_predicted,
@@ -42,6 +42,7 @@ from .variations import (
 from .tensors import curvature_grid, norm2_02, space_form_deviation
 
 HESSIAN_MODELS = ("s3-invariant", "torus-tt", "torus-conformal")
+CURVATURE_RES = {2: (16, 32), 3: (10, 10, 16), 4: (8, 8, 8, 12), 5: (6, 6, 6, 6, 10)}
 
 
 def s3_first_harmonic(radius: float = 1.0) -> ScalarField:
@@ -113,12 +114,13 @@ def hessian_case(
         raise ConfigurationError(
             f"unknown hessian model {model!r}; pick one of {HESSIAN_MODELS}"
         )
-    d1_analytic = first_variation(base, grid, h, coeff)
+    ing = gradient_ingredients(base, grid.nodes)
+    d1_analytic = _first_variation_pairing(ing, grid, coeff)(h)
     d1_numeric = first_variation_numeric(base, grid, h, coeff)
     d2 = second_variation_numeric(
         PerturbationFamily(base, h, CONSTANT_RESCALE), grid, coeff, t_step
     )
-    c = lagrange_constant(base, grid, coeff)
+    c = _lagrange_constant(ing, grid, coeff)
     return VariationReport(
         model=model,
         mode=mode,
@@ -143,7 +145,10 @@ def gradient_case(
     count: int = 10,
     seed: int = 0,
 ) -> list[dict]:
-    """First-variation cross-checks on random perturbation directions."""
+    """int <G, h> dV against the complex-step derivative of F on random
+    directions.  On the flat torus both sides vanish identically (F is
+    quadratic in the curvature, which is zero there; the numeric side is
+    roundoff), so the s3 rows are the ones comparing nonzero values."""
     if count < 1:
         raise ConfigurationError(f"gradient checks need count >= 1, got {count}")
     rng = np.random.default_rng(seed)
@@ -152,13 +157,15 @@ def gradient_case(
         grid = build_grid(base.domain, (10,) * n)
         make_h = lambda: random_torus_sym_tensor(n, rng)
     elif model == "s3":
+        if n != 3:
+            raise ConfigurationError(f"the s3 gradient model has n = 3, got n = {n}")
         base = make_model("sphere", 3)
         grid = build_grid(base.domain, (10, 10, 12))
         make_h = lambda: random_sphere_sym_tensor(3, rng)
     else:
         raise ConfigurationError("gradient models are 'torus' and 's3'")
     # the gradient is independent of h: build it once, pair it per direction
-    d1_analytic = _first_variation_pairing(base, grid, coeff)
+    d1_analytic = _first_variation_pairing(gradient_ingredients(base, grid.nodes), grid, coeff)
     rows = []
     for i in range(count):
         h = make_h()
@@ -178,9 +185,11 @@ def gradient_case(
 
 def curvature_case(kind: str, n: int, radius: float = 1.0, res=None) -> dict:
     """Space-form deviations of a model over a grid of nodes."""
-    field = make_model(kind, n, radius=radius)
     if res is None:
-        res = {2: (16, 32), 3: (10, 10, 16), 4: (8, 8, 8, 12), 5: (6, 6, 6, 6, 10)}[n]
+        if n not in CURVATURE_RES:
+            raise ConfigurationError(f"no default curvature grid for n = {n}; n must be 2 to 5")
+        res = CURVATURE_RES[n]
+    field = make_model(kind, n, radius=radius)
     grid = build_grid(field.domain, res)
     bundle = curvature_grid(field, grid.nodes)
     lam = field.lam

@@ -1,0 +1,45 @@
+"""The benchmark under perfbench/ reaches into curvlab by name: its tracer
+rebinds the functions listed in ``perfbench/tracer.py``, and its workloads
+read keyword defaults by signature.  These tests fail on a rename in the
+package, before the benchmark would crash on it."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+@pytest.mark.parametrize("module, path", [(m, p) for m, p, _, _ in _traced()])
+def test_traced_function_resolves(module, path):
+    owner = importlib.import_module(f"curvlab.{module}")
+    *outer, attr = path.split(".")
+    for part in outer:
+        owner = getattr(owner, part)
+    # a method is rebound on the class that defines it
+    target = vars(owner).get(attr) if outer else getattr(owner, attr, None)
+    assert callable(target), f"curvlab.{module}.{path}"
+
+
+@pytest.mark.parametrize(
+    "module, name, param",
+    [
+        ("variations", "first_variation_numeric", "t_step"),
+        ("verify", "hessian_case", "t_step"),
+        ("verify", "identity_case", "res"),
+    ],
+)
+def test_keyword_defaults_read_by_the_benchmark(module, name, param):
+    fn = getattr(importlib.import_module(f"curvlab.{module}"), name)
+    parameter = inspect.signature(fn).parameters.get(param)
+    assert parameter is not None and parameter.default is not inspect.Parameter.empty

@@ -74,8 +74,9 @@ def test_verify_gradient_exit_codes(tmp_path):
     assert code == 0
     body = json.loads(out.read_text())
     assert body["pass"] and len(body["rows"]) == 2
-    # an absurd tolerance forces the tolerance-failure exit code
-    code = run(["verify-gradient", "--model", "torus", "--n", "3", "--count", "1",
+    # an absurd tolerance forces the tolerance-failure exit code; on the
+    # flat torus both sides vanish identically, so it takes the curved s3
+    code = run(["verify-gradient", "--model", "s3", "--n", "3", "--count", "1",
                 "--seed", "0", "--tol", "1e-30", "--out", str(out)])
     assert code == 2
     assert json.loads(out.read_text())["pass"] is False
@@ -181,6 +182,18 @@ def test_rayleigh_malformed_lists_are_usage_errors(capsys):
     assert run(["rayleigh", "--model", "s3-invariant", "--d", "1,x,2"]) == 1
     assert "--d" in capsys.readouterr().err
     assert run(["rayleigh", "--model", "s3-invariant", "--d", "1,nan,2"]) == 1
+
+
+def test_curvature_without_default_grid_is_a_usage_error(capsys):
+    assert run(["curvature", "--n", "7"]) == 1
+    assert capsys.readouterr().err.startswith("error: no default curvature grid for n = 7")
+
+
+def test_verify_gradient_s3_model_is_three_dimensional(capsys, tmp_path):
+    out = tmp_path / "grad.json"
+    assert run(["verify-gradient", "--model", "s3", "--n", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: the s3 gradient model has n = 3")
+    assert not out.exists()
 
 
 def test_verify_gradient_needs_a_direction(capsys):

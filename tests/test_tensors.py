@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from curvlab.charts import build_grid, make_model
-from curvlab.errors import DimensionError, PreconditionError
+from curvlab.errors import DegenerateMetricError, DimensionError, PreconditionError
 from curvlab.fields import (
     CovectorField,
     SymTensorField,
+    linear_combination_metric,
     metric_as_sym_tensor,
     random_torus_metric,
     random_torus_sym_tensor,
@@ -470,3 +473,21 @@ def test_christoffel_combination_matches_three_views():
         - np.einsum("aijl...->alij...", D)
     )
     assert np.array_equal(tensors.christoffel_combination(D), want)
+
+
+def test_curvature_grid_blocks_keep_complex_fields(sphere3):
+    # a complex-step metric g + i eps h: blocked grids must keep the
+    # imaginary part of every bundle array
+    h = random_torus_sym_tensor(3, np.random.default_rng(43))
+    field = linear_combination_metric(sphere3, h, 1e-3j)
+    X = random_probes(sphere3.domain, np.random.default_rng(44), count=200)
+    whole = tensors.curvature_bundle(*field.jet(X, 2))
+    blocked = curvature_grid(field, X, block=64)
+    for f in dataclasses.fields(tensors.CurvatureBundle):
+        a, b = getattr(blocked, f.name), getattr(whole, f.name)
+        assert a.dtype == b.dtype == complex, f.name
+        assert np.allclose(a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max()), f.name
+    assert np.abs(blocked.R.imag).max() > 1e-4
+    # the positivity test reads the real part of det g
+    with pytest.raises(DegenerateMetricError):
+        curvature_grid(linear_combination_metric(sphere3, metric_as_sym_tensor(sphere3), -1 + 1j), X)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -17,7 +19,7 @@ from curvlab.fields import (
     random_torus_metric,
     random_torus_sym_tensor,
 )
-from curvlab.functionals import Coefficients
+from curvlab.functionals import Coefficients, evaluate
 from curvlab.spectral import s3_invariant_tt, torus_tt_mode
 from curvlab.tensors import (
     FIELD_FD_REL_STEP,
@@ -347,6 +349,20 @@ def test_criticality_rejects_non_einstein():
 # ---------------------------------------------------------------------------
 
 
+def _family_t_derivative(fam, X, grid, order, dt=1e-3):
+    """Richardson-extrapolated central t-derivative (first or second order)
+    of the metric along a perturbation family."""
+
+    def diff(step):
+        gp = fam.metric_at(step, grid).metric_grid(X)
+        gm = fam.metric_at(-step, grid).metric_grid(X)
+        if order == 1:
+            return (gp - gm) / (2 * step)
+        return (gp - 2 * fam.base.metric_grid(X) + gm) / step**2
+
+    return (4 * diff(dt / 2) - diff(dt)) / 3
+
+
 def test_family_volume_and_identities(euler3, euler3_grid):
     h = s3_invariant_tt((2.0, -1.0, -1.0))
     fam = PerturbationFamily(euler3, h, CONSTANT_RESCALE)
@@ -360,8 +376,8 @@ def test_family_volume_and_identities(euler3, euler3_grid):
     assert fam.metric_at(0.0, euler3_grid) is euler3
 
     X = euler3_grid.nodes
-    v1 = fam.metric_t_derivative(X, euler3_grid, order=1)
-    v2 = fam.metric_t_derivative(X, euler3_grid, order=2)
+    v1 = _family_t_derivative(fam, X, euler3_grid, order=1)
+    v2 = _family_t_derivative(fam, X, euler3_grid, order=2)
     g0 = euler3.metric_grid(X)
     gi = np.linalg.inv(g0)
     meas = euler3_grid.weights * sqrt_det_grid(euler3, euler3_grid)
@@ -577,9 +593,55 @@ def test_ricci_variation_jet_order0_matches_array_formulas(euler3):
 
 
 def test_first_variation_numeric_flat_torus_direction():
-    # at t_step 1e-2 this direction's Richardson difference was off by 1.6e-4
+    # F'(0) = 0 at the flat base; a Richardson difference at t_step 1e-2 was
+    # off by 1.6e-4 on this direction, the complex step leaves roundoff
     base = make_model("torus", 3)
     grid = build_grid(base.domain, (10, 10, 10))
     rng = np.random.default_rng(1583431696)
     h = [random_torus_sym_tensor(3, rng) for _ in range(16)][15]
-    assert abs(first_variation_numeric(base, grid, h, C00)) <= 1e-6
+    assert abs(first_variation_numeric(base, grid, h, C00)) <= 1e-20
+
+
+def _richardson_first_variation(base, grid, h, coeff, t_step=2.5e-3):
+    """Three-level Richardson-extrapolated central difference of F along
+    g + t h (error of order t_step^6), the independent oracle of the
+    complex-step derivative."""
+
+    def F(t):
+        return evaluate(linear_combination_metric(base, h, t), grid, coeff).F
+
+    def D(dt):
+        return (F(dt) - F(-dt)) / (2 * dt)
+
+    d1, d2, d3 = D(t_step), D(t_step / 2), D(t_step / 4)
+    r1 = (4 * d2 - d1) / 3
+    r2 = (4 * d3 - d2) / 3
+    return (16 * r2 - r1) / 15
+
+
+@pytest.mark.parametrize("s, tau", [(0.0, 0.0), (0.7, -0.4), (-3.0, 1.0)])
+def test_complex_step_matches_richardson_oracle(sphere3, s, tau):
+    grid = build_grid(sphere3.domain, (10, 10, 12))
+    h = random_sphere_sym_tensor(3, np.random.default_rng(41))
+    coeff = Coefficients(s, tau)
+    d1 = first_variation_numeric(sphere3, grid, h, coeff)
+    oracle = _richardson_first_variation(sphere3, grid, h, coeff)
+    # measured 8.2e-13, 6.1e-12 and 2.0e-12
+    assert abs(d1 - oracle) <= 1e-9 * abs(oracle)
+    # no step dependence: the O(t_step^2) error is far below roundoff
+    tiny = first_variation_numeric(sphere3, grid, h, coeff, t_step=1e-40)
+    assert abs(d1 - tiny) <= 1e-13 * abs(d1)
+    for bad in (0.0, -1e-20, np.inf):
+        with pytest.raises(PreconditionError):
+            first_variation_numeric(sphere3, grid, h, coeff, t_step=bad)
+
+
+def test_complex_step_through_finite_difference_partials(sphere3):
+    # a direction exact to order 1 only: the second partials of the complex
+    # metric come from fd_partials, which must keep their imaginary part
+    grid = build_grid(sphere3.domain, (10, 10, 12))
+    h = random_sphere_sym_tensor(3, np.random.default_rng(41))
+    exact = first_variation_numeric(sphere3, grid, h, C00)
+    fd = first_variation_numeric(sphere3, grid, dataclasses.replace(h, exact_order=1), C00)
+    # measured 3.0e-9, the finite-difference error
+    assert abs(fd - exact) <= 1e-7 * abs(exact)
