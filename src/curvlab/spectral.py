@@ -142,8 +142,11 @@ def tt_defect(
     base: MetricField, h: SymTensorField, grid: QuadratureGrid
 ) -> tuple[float, float]:
     """(sup |delta h|_g, sup |tr h|) over the grid nodes."""
-    X = grid.nodes
-    hv, Dh, _, g, ginv, _ = sym_tensor_cov_derivs(base, h, X)
+    hv, Dh, _, _, ginv, _ = sym_tensor_cov_derivs(base, h, grid.nodes)
+    return _tt_defect_arrays(hv, Dh, ginv)
+
+
+def _tt_defect_arrays(hv: Array, Dh: Array, ginv: Array) -> tuple[float, float]:
     div = np.einsum("apq,apjq->aj", ginv, Dh)
     div_norm = np.sqrt(np.maximum(np.einsum("aij,ai,aj->a", ginv, div, div), 0.0))
     tr = np.einsum("aij,aij->a", ginv, hv)
@@ -161,14 +164,14 @@ def rayleigh_lichnerowicz(
     bundle = curvature_grid(base, grid.nodes)
     if float(np.max(einstein_defect(bundle))) > TT_TOL:
         raise PreconditionError("base metric is not Einstein on this grid")
-    dd, dt = tt_defect(base, h, grid)
+    hv, Dh, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, grid.nodes)
+    dd, dt = _tt_defect_arrays(hv, Dh, ginv)
     if dd > TT_TOL or dt > TT_TOL:
         raise PreconditionError(
             f"field is not transverse-traceless (div {dd:.2e}, tr {dt:.2e})"
         )
     measure = grid.weights * bundle.sqrt_det
-    lap_L = lichnerowicz_arrays(base, h, grid.nodes, bundle)
-    hv = h.eval_grid(grid.nodes)
+    lap_L = lichnerowicz_arrays(hv, D2h, bundle)
     energy = float(np.sum(measure * -inner_02(lap_L, hv, bundle.ginv)))
     norm2 = float(np.sum(measure * norm2_02(hv, bundle.ginv)))
     return RayleighReport(

@@ -5,13 +5,18 @@ conventions (frozen by the unit tests against the round-sphere
 normalization Ric = (n-1) * lam * g):
 
 * ``dg[a,i,j,k] = d g_ij / d x^k``; ``d2g[a,i,j,k,l]`` appends ``d/d x^l``.
-* Christoffel symbols ``Gamma[a,k,i,j]`` = Gamma^k_ij.
-* Curvature ``Rm13[a,l,i,j,k]`` = R^l_ijk
-      = d_j Gamma^l_ik - d_k Gamma^l_ij + Gamma^p_ik Gamma^l_jp
-        - Gamma^p_ij Gamma^l_kp,
-  lowered to ``Rm4[a,l,i,j,k] = g_lp R^p_ijk`` (antisymmetric pairs (l,i)
-  and (j,k)).  On a space form Rm4[l,i,j,k] = lam (g_lj g_ik - g_lk g_ij).
-* Ricci ``Ric[a,i,k] = Rm13[a,j,i,j,k]``; scalar ``R = g^{ik} Ric_ik``.
+* Christoffel symbols ``Gamma[a,k,i,j]`` = Gamma^k_ij = g^{kl} S_lij / 2,
+  where ``S[a,l,i,j]`` = g_jl,i + g_il,j - g_ij,l = 2 Gamma_{l,ij} holds the
+  symbols of the first kind (:func:`christoffel_combination`).
+* Curvature is the Riemann tensor of the first kind ``Rm4[a,l,i,j,k]`` =
+  R_lijk = g_lp R^p_ijk, R^l_ijk = d_j Gamma^l_ik - d_k Gamma^l_ij +
+  Gamma^p_ik Gamma^l_jp - Gamma^p_ij Gamma^l_kp (antisymmetric pairs (l,i)
+  and (j,k); Rm4[l,i,j,k] = lam (g_lj g_ik - g_lk g_ij) on a space form).
+  It comes from the second partials of g with no derivative of the
+  connection (Eisenhart, *Riemannian Geometry*, 1926): R_lijk = T_lijk -
+  T_likj, T_lijk = (g_lk,ij - g_ik,lj + S_qkl Gamma^q_ij) / 2, so the (j,k)
+  antisymmetry is exact.  ``Rm13`` = R^l_ijk is raised from Rm4 on demand.
+* Ricci ``Ric[a,i,k] = g^{lj} R_lijk``; scalar ``R = g^{ik} Ric_ik``.
 * The quadratic contractions of the gradient are cached on the bundle:
   ``A1_ij = R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl`` and
   ``ric2_ij = R_ip g^{pq} R_qj``, all with Rm4's slot order.
@@ -272,15 +277,17 @@ def covariant_jet(T: list, Gamma: list) -> list:
 # ---------------------------------------------------------------------------
 
 
+def connection_arrays(g: Array, dg: Array):
+    """(ginv, S, Gamma) from the metric and its first partials: S[a,l,i,j] =
+    2 Gamma_{l,ij} (first kind) and Gamma[a,k,i,j] = g^{kl} S_lij / 2."""
+    ginv = np.linalg.inv(g)
+    S = christoffel_combination(dg)
+    return ginv, S, 0.5 * contract("akl,alij->akij", ginv, S)
+
+
 def christoffel_arrays(g: Array, dg: Array) -> Array:
     """Gamma[a,k,i,j] from the metric and its first partials."""
-    return connection_jet([g, dg])[1][0]
-
-
-def connection_arrays(g: Array, dg: Array, d2g: Array):
-    """(ginv, Gamma, dGamma) with dGamma[a,k,i,j,m] = d_m Gamma^k_ij."""
-    ginv, Gamma = connection_jet([g, dg, d2g])
-    return ginv[0], Gamma[0], Gamma[1]
+    return connection_arrays(g, dg)[2]
 
 
 def ricci_arrays(field, X: Array, order: int = 0):
@@ -314,8 +321,7 @@ class CurvatureBundle:
     ginv: Array
     sqrt_det: Array  # (a,) sqrt(det g), the volume element
     Gamma: Array  # (a,k,i,j)
-    Rm13: Array  # (a,l,i,j,k) = R^l_ijk
-    Rm4: Array  # (a,l,i,j,k) = g_lp R^p_ijk
+    Rm4: Array  # (a,l,i,j,k) = R_lijk, the curvature array (first kind)
     Ric: Array  # (a,i,k)
     R: Array  # (a,)
     normRm2: Array  # |Rm|^2
@@ -332,6 +338,11 @@ class CurvatureBundle:
         if self.dimension < 3:
             return None
         return weyl_from_parts(self.g, self.ginv, self.Rm4, self.Ric, self.R)
+
+    @cached_property
+    def Rm13(self) -> Array:
+        """R^l_ijk: Rm4 with its first slot raised."""
+        return raise_all(self.Rm4, self.ginv, (0,))
 
     @cached_property
     def Rm_up3(self) -> Array:
@@ -389,8 +400,9 @@ def kulkarni_nomizu(A: Array, B: Array) -> Array:
 
     Accepts (n,n) or batched (N,n,n) symmetric inputs.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    A, B = np.asarray(A), np.asarray(B)
+    dtype = np.result_type(A, B, float)  # complex inputs stay complex
+    A, B = A.astype(dtype, copy=False), B.astype(dtype, copy=False)
     single = A.ndim == 2
     if single:
         A, B = A[None], B[None]
@@ -427,9 +439,19 @@ def weyl_from_parts(g: Array, ginv: Array, Rm4: Array, Ric: Array, R: Array) -> 
 
 
 def norm2_04(T: Array, ginv: Array) -> Array:
-    """|T|^2 for a batched (0,4) tensor."""
-    up = raise_all(T, ginv, (0, 1, 2, 3))
-    return contract("aijkl,aijkl->a", T, up)
+    """|T|^2 for a batched (0,4) tensor antisymmetric in slots (0,1) and in
+    slots (2,3), as Rm and W are: over the index pairs p = (l < i),
+    |T|^2 = 4 tr(M L M L) with M[p,q] = T_{lp ip lq iq} and L the 2x2 minors
+    of g^-1, L[p,q] = g^{lp lq} g^{ip iq} - g^{lp iq} g^{ip lq}."""
+    N, n = ginv.shape[:2]
+    l, i = np.triu_indices(n, 1)
+    p = l * n + i
+    M = T.reshape(N, n * n, n * n)[:, p][:, :, p]
+    G = ginv.reshape(N, n * n)
+    ll, ii = l[:, None] * n + l, i[:, None] * n + i
+    li, il = l[:, None] * n + i, i[:, None] * n + l
+    L = G[:, ll] * G[:, ii] - G[:, li] * G[:, il]
+    return 4 * contract("apq,apq->a", M, np.matmul(np.matmul(L, M), L))
 
 
 def inner_02(S: Array, T: Array, ginv: Array) -> Array:
@@ -446,19 +468,22 @@ def curvature_bundle(g: Array, dg: Array, d2g: Array) -> CurvatureBundle:
     if np.any(det.real <= 0):  # real part: complex-step metrics pass through
         a = int(np.argmax(det.real <= 0))
         raise DegenerateMetricError(f"metric not positive definite (node {a})")
-    ginv, Gamma, dGamma = connection_arrays(g, dg, d2g)
-    Rm13 = (
-        np.einsum("alikj->alijk", dGamma)
-        - dGamma
-        + contract("apik,aljp->alijk", Gamma, Gamma)
-        - contract("apij,alkp->alijk", Gamma, Gamma)
-    )
-    Rm4 = contract("alp,apijk->alijk", g, Rm13)
-    Ric = np.einsum("ajijk->aik", Rm13)
+    ginv, S, Gamma = connection_arrays(g, dg)
+    N, n = g.shape[:2]
+    # P[a,k,l,i,j] = 2 T_lijk = g_lk,ij - g_ik,lj + S_qkl Gamma^q_ij, built in
+    # the product's own layout (g_lk,ij = d2g[a,k,l,i,j] by symmetry of g)
+    P = contract("aqkl,aqij->aklij", S, Gamma)
+    P += d2g
+    P -= d2g.transpose(0, 2, 3, 1, 4)
+    Rm4 = np.subtract(P.transpose(0, 2, 3, 4, 1), P.transpose(0, 2, 3, 1, 4))
+    Rm4 *= 0.5
+    # Ric_ik = g^{lj} R_lijk = -g^{lj} R_ljik: the contracted slots are
+    # adjacent, so the product runs on Rm4's own layout
+    Ric = -np.matmul(ginv.reshape(N, 1, 1, n * n), Rm4.reshape(N, n, n * n, n)).reshape(N, n, n)
     R = contract("aik,aik->a", ginv, Ric)
     normRm2 = norm2_04(Rm4, ginv)
     normRic2 = norm2_02(Ric, ginv)
-    return CurvatureBundle(g, ginv, np.sqrt(det), Gamma, Rm13, Rm4, Ric, R, normRm2, normRic2)
+    return CurvatureBundle(g, ginv, np.sqrt(det), Gamma, Rm4, Ric, R, normRm2, normRic2)
 
 
 def curvature_grid(
@@ -590,19 +615,19 @@ def lichnerowicz(field: MetricField, h: SymTensorField, x) -> Array:
         raise PreconditionError(
             f"base metric is not Einstein (defect {np.max(defect):.2e})"
         )
-    out = lichnerowicz_arrays(field, h, X, bundle)
+    hv, _, D2h, _, _, _ = sym_tensor_cov_derivs(field, h, X)
+    out = lichnerowicz_arrays(hv, D2h, bundle)
     return out[0] if single else out
 
 
-def lichnerowicz_arrays(
-    field: MetricField, h: SymTensorField, X: Array, bundle: CurvatureBundle
-) -> Array:
-    n = field.dimension
-    hv, _, D2h, _, ginv, _ = sym_tensor_cov_derivs(field, h, X)
+def lichnerowicz_arrays(hv: Array, D2h: Array, bundle: CurvatureBundle) -> Array:
+    """Lap_L h from h, its second covariant derivative D2h and the bundle
+    of the base at the same nodes."""
+    ginv = bundle.ginv
     lap = contract("akl,aijkl->aij", ginv, D2h)
     hup = raise_all(hv, ginv, (0, 1))
     curv = 2 * contract("aikjl,akl->aij", bundle.Rm4, hup)
-    return lap + curv - (2.0 / n) * bundle.R[:, None, None] * hv
+    return lap + curv - (2.0 / bundle.dimension) * bundle.R[:, None, None] * hv
 
 
 # ---------------------------------------------------------------------------

@@ -407,17 +407,23 @@ class PerturbationFamily:
         if self.normalization not in (RAW, CONSTANT_RESCALE):
             raise PreconditionError(f"unknown normalization {self.normalization!r}")
 
-    def scale_factor(self, t: float, grid: QuadratureGrid) -> float:
+    def scale_factor(
+        self, t: float, grid: QuadratureGrid, base_vol: float | None = None
+    ) -> float:
+        """a(t); ``base_vol`` is Vol(base) on the grid when the caller has it."""
         if self.normalization == RAW or t == 0.0:
             return 1.0
-        base_vol = volume(self.base, grid)
+        if base_vol is None:
+            base_vol = volume(self.base, grid)
         vol_t = volume(linear_combination_metric(self.base, self.h, t), grid)
         return (base_vol / vol_t) ** (2.0 / self.base.dimension)
 
-    def metric_at(self, t: float, grid: QuadratureGrid) -> MetricField:
+    def metric_at(
+        self, t: float, grid: QuadratureGrid, base_vol: float | None = None
+    ) -> MetricField:
         if t == 0.0:
             return self.base
-        a = self.scale_factor(t, grid)
+        a = self.scale_factor(t, grid, base_vol)
         return linear_combination_metric(self.base, self.h, t, scale=a)
 
 
@@ -444,8 +450,10 @@ def second_variation_numeric(
     if not (np.isfinite(t_step) and t_step > 0):
         raise PreconditionError(f"t_step must be positive and finite, got {t_step}")
 
+    base_vol = volume(family.base, grid)
+
     def F(t: float) -> float:
-        return evaluate(family.metric_at(t, grid), grid, coeff).F
+        return evaluate(family.metric_at(t, grid, base_vol), grid, coeff).F
 
     F0 = F(0.0)
 

@@ -1,13 +1,15 @@
 """The benchmark under perfbench/ reaches into curvlab by name: its tracer
 rebinds the functions listed in ``perfbench/tracer.py``, and its workloads
-read keyword defaults by signature.  These tests fail on a rename in the
-package, before the benchmark would crash on it."""
+read keyword defaults by signature and curvature bundle fields by name.
+These tests fail on a rename in the package, before the benchmark would
+crash on it."""
 
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -43,3 +45,17 @@ def test_keyword_defaults_read_by_the_benchmark(module, name, param):
     fn = getattr(importlib.import_module(f"curvlab.{module}"), name)
     parameter = inspect.signature(fn).parameters.get(param)
     assert parameter is not None and parameter.default is not inspect.Parameter.empty
+
+
+def test_bundle_fields_read_by_the_benchmark():
+    # the workloads' space-form check reads b.g and b.Rm4 of the bundles
+    # from tensors.curvature and variations.gradient_ingredients
+    from curvlab.charts import make_model
+    from curvlab.tensors import curvature
+    from curvlab.variations import gradient_ingredients
+
+    base = make_model("s3-euler", 3)
+    X = np.array([[0.9, 0.4, 1.1], [1.3, 2.0, 0.7]])
+    for b, N in ((curvature(base, X[0]), 1), (gradient_ingredients(base, X)["bundle"], 2)):
+        assert b.g.shape == (N, 3, 3)
+        assert b.Rm4.shape == (N, 3, 3, 3, 3)

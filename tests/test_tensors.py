@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from curvlab.fields import (
     linear_combination_metric,
     metric_as_sym_tensor,
     random_torus_metric,
+    random_sphere_sym_tensor,
     random_torus_sym_tensor,
     torus_domain,
     trig_sym_tensor_field,
@@ -57,18 +59,87 @@ def test_bundle_symmetries_on_models():
         X = random_probes(field.domain, RNG, count=100)
         b = curvature_grid(field, X)
         scale = max(1.0, np.abs(b.Rm4).max())
-        # antisymmetry in the last two slots, pair symmetry, first Bianchi
-        assert np.abs(b.Rm4 + np.einsum("alijk->alikj", b.Rm4)).max() / scale < 1e-8
-        assert np.abs(b.Rm4 - np.einsum("alijk->ajkli", b.Rm4)).max() / scale < 1e-8
+        # antisymmetry in the last two slots (exact: Rm4 = T - T(j<->k)),
+        # pair symmetry, first Bianchi
+        assert np.array_equal(b.Rm4, -np.einsum("alijk->alikj", b.Rm4))
+        assert np.abs(b.Rm4 - np.einsum("alijk->ajkli", b.Rm4)).max() / scale < 1e-14
         bianchi = (
             b.Rm4
             + np.einsum("alijk->aljki", b.Rm4)
             + np.einsum("alijk->alkij", b.Rm4)
         )
-        assert np.abs(bianchi).max() / scale < 1e-8
+        assert np.abs(bianchi).max() / scale < 1e-14
         if b.W is not None:
             tr_w = np.einsum("alj,alijk->aik", b.ginv, b.W)
-            assert np.abs(tr_w).max() < 1e-7
+            assert np.abs(tr_w).max() < 1e-12
+
+
+def _dgamma_route(g, dg, d2g):
+    """(Rm13, Rm4, Ric, R) the classical way, the oracle for the bundle:
+    the order-1 connection jet gives dGamma, R^l_ijk = d_j Gamma^l_ik -
+    d_k Gamma^l_ij + Gamma^p_ik Gamma^l_jp - Gamma^p_ij Gamma^l_kp, lowered
+    by g, and Ric_ik = R^j_ijk."""
+    ginv, (G, dG) = tensors.connection_jet([g, dg, d2g])
+    Rm13 = (
+        np.einsum("alikj->alijk", dG)
+        - dG
+        + np.einsum("apik,aljp->alijk", G, G)
+        - np.einsum("apij,alkp->alijk", G, G)
+    )
+    Ric = np.einsum("ajijk->aik", Rm13)
+    return Rm13, np.einsum("alp,apijk->alijk", g, Rm13), Ric, np.einsum("aik,aik->a", ginv[0], Ric)
+
+
+def _bundle_vs_dgamma_route(field, X, part=np.real):
+    """Largest relative deviation of (Rm13, Rm4, Ric, R) from the oracle."""
+    jet = field.jet(X, 2)
+    b = tensors.curvature_bundle(*jet)
+    assert "Rm13" not in vars(b)  # raised from Rm4 only on demand
+    want = _dgamma_route(*jet)
+    got = (b.Rm13, b.Rm4, b.Ric, b.R)
+    return max(
+        float(np.abs(part(x) - part(y)).max() / np.abs(part(y)).max()) for x, y in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_bundle_matches_dgamma_route_random_torus(n):
+    pm = random_torus_metric(n, np.random.default_rng(20 + n))
+    X = random_probes(pm.domain, np.random.default_rng(30 + n), count=200)
+    assert _bundle_vs_dgamma_route(pm, X) <= 1e-13  # measured 5e-16
+
+
+def test_bundle_matches_dgamma_route_complex_step_s3(sphere3):
+    h = random_sphere_sym_tensor(3, np.random.default_rng(40))
+    field = linear_combination_metric(sphere3, h, 1e-3j)
+    X = random_probes(sphere3.domain, np.random.default_rng(41), count=200)
+    assert _bundle_vs_dgamma_route(field, X, np.real) <= 1e-12  # measured 9e-15
+    assert _bundle_vs_dgamma_route(field, X, np.imag) <= 1e-12  # measured 6e-15
+
+
+def test_bundle_matches_dgamma_route_s5_probes():
+    s5 = make_model("sphere", 5)
+    X = random_probes(s5.domain, np.random.default_rng(50), count=200)
+    assert _bundle_vs_dgamma_route(s5, X) <= 1e-12  # measured 3e-14 (R)
+
+
+def test_weyl_complex_step_matches_central_difference(sphere4):
+    # h is only chart-smooth, so the probes keep clear of the polar angles;
+    # a random_sphere_sym_tensor direction changes W only at second order
+    # on the round sphere, which would leave nothing to compare
+    h = random_torus_sym_tensor(4, np.random.default_rng(60))
+    X = random_probes(sphere4.domain, np.random.default_rng(61), count=100, margin=0.25)
+    eps, t = 1e-20, 3e-5
+
+    def W(s):
+        return curvature_grid(linear_combination_metric(sphere4, h, s), X).W
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning: W keeps its imaginary part
+        dW = W(eps * 1j).imag / eps
+    fd = (W(t) - W(-t)) / (2 * t)
+    assert np.abs(fd).max() > 1.0
+    assert np.abs(dW - fd).max() <= 1e-6 * np.abs(fd).max()  # measured 9e-8
 
 
 def test_flat_torus_curvature_vanishes(torus3):
@@ -425,6 +496,18 @@ def test_raise_all_matches_slot_by_slot():
         got = raise_all(T, G, slots)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
     assert raise_all(T, G, (0, 1, 2, 3)).flags["C_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_norm2_04_matches_four_raised_slots(n):
+    rng = np.random.default_rng(16 + n)
+    A = rng.standard_normal((40, n, n))
+    G = np.einsum("aij,akj->aik", A, A) + n * np.eye(n)
+    T = rng.standard_normal((40, n, n, n, n))
+    T = T - T.swapaxes(1, 2)
+    T = T - T.swapaxes(3, 4)  # curvature type: antisymmetric in each pair
+    want = np.einsum("aijkl,aijkl->a", T, raise_all(T, G, (0, 1, 2, 3)))
+    assert np.abs(norm2_04(T, G) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_weyl_on_demand_random_torus_n4():
