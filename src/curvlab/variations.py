@@ -1,29 +1,32 @@
 """First and second variations of the quadratic curvature functionals.
 
-The metric family is g(t) = a(t) (g0 + t h).  With a = 1 ("raw") the first
-variation of F equals int G_ij h^ij dV, where G is the gradient tensor
-assembled in :func:`gradient_tensor`.  With the "constant-rescale"
-normalization a(t) is the constant making Vol(g(t)) = Vol(g0), which is the
-volume-preserving path along which the second-variation formulas at
+The first variation of F along g0 + t h equals int G_ij h^ij dV, where G is
+the gradient tensor assembled in :func:`gradient_tensor`.  Second variations
+are taken along the family g(t) = a(t) (g0 + t h) of
+:class:`PerturbationFamily`, whose constant a(t) keeps Vol(g(t)) = Vol(g0):
+the volume-preserving path along which the second-variation formulas at
 constant-curvature critical metrics hold.
 
-The numeric first variation is a complex-step derivative (Squire & Trapp,
+Every numeric first derivative in t here is a complex step (Squire & Trapp,
 SIAM Rev. 40:110, 1998; Martins, Sturdza & Alonso, ACM TOMS 29:245, 2003):
-F is analytic in the metric, so F'(0) = Im F(g0 + i eps h) / eps + O(eps^2)
-from one curvature pass, with no difference of nearby values to cancel
-digits.  The numeric second variation is a Richardson second difference.
+the pipeline is analytic in the metric, so X'(0) = Im X(g0 + i eps h) / eps +
+O(eps^2) from one curvature pass, with no difference of nearby values to
+cancel digits.  :func:`first_variation_numeric` takes it of F; the identity
+suites take it of each of the ten terms of the gradient, so their primed
+contractions are not derived by hand.  The numeric second variation is a
+Richardson second difference.
 
-Derivative bookkeeping: primes denote d/dt at t = 0.  The variation of the
-Levi-Civita connection is
+Hand-derived primes remain only in :func:`curvature_variations` (Gamma',
+Rm', Ric', R'), which the tests check against finite differences.  There,
+primes denote d/dt at t = 0, the variation of the Levi-Civita connection is
 
-    (Gamma^k_ij)' = 1/2 g^{kl} (h_il,j + h_jl,i - h_ij,l)
+    (Gamma^k_ij)' = 1/2 g^{kl} (h_il,j + h_jl,i - h_ij,l),
 
-and the curvature variations follow from it; all covariant derivatives are
-taken with the unperturbed connection and use the index order
-h_ij,kl = nabla_l nabla_k h_ij.  Quantities that need derivatives of
-curvature (Lap Ric, Hess R, and their primes) are exact: the jets of the
-metric and of h to order 4 propagate through the curvature pipeline by
-Leibniz' rule (:func:`curvlab.tensors.jet_einsum`), and
+and covariant derivatives are taken with the unperturbed connection in the
+index order h_ij,kl = nabla_l nabla_k h_ij.  Quantities that need
+derivatives of curvature (Lap Ric, Hess R) are exact: the jets of the
+metric to order 4 propagate through the curvature pipeline by Leibniz' rule
+(:func:`curvlab.tensors.jet_einsum`), and
 :func:`curvlab.tensors.covariant_hessian_blocks` adds the connection
 corrections to the resulting exact partials.
 """
@@ -55,10 +58,8 @@ from .functionals import Coefficients, _integrals, evaluate
 from .tensors import (
     CurvatureBundle,
     christoffel_combination,
-    connection_jet,
     contract,
     covariant_hessian_blocks,
-    covariant_jet,
     curvature_grid,
     einstein_defect,
     inner_02,
@@ -70,11 +71,11 @@ from .tensors import (
     sym_tensor_cov_derivs,
 )
 
-RAW = "raw"
-CONSTANT_RESCALE = "constant-rescale"
-
 UNIT_VOLUME_TOL = 1e-6
 SPACE_FORM_TOL = 1e-6
+# step eps of the complex-step derivatives Im X(g + i eps h) / eps: their
+# O(eps^2) error is far below roundoff (eps = 1e-20 and 1e-40 agree to 1e-15)
+COMPLEX_STEP = 1e-20
 
 
 def conformal_tensor(base: MetricField, f: ScalarField) -> SymTensorField:
@@ -105,37 +106,28 @@ def christoffel_variation(base: MetricField, h: SymTensorField, x) -> Array:
     return out[0] if single else out
 
 
-def ricci_variation_jet(ginv: list, h: list, D2h: list, Ric: list):
-    """Jets of (Ric', R', Lap h, Lap tr h, h^{ij}) under (g_ij)' = h_ij, from
-    the jets of (g^-1, h, nabla nabla h, Ric), to the order of the D2h jet:
+def ricci_variation_arrays(ginv: Array, hv: Array, D2h: Array, Ric: Array):
+    """(Ric', R') under (g_ij)' = h_ij, from g^-1, h, nabla nabla h and Ric:
 
         Ric'_ik = (h^j_{i,kj} + h^j_{k,ij} - (Lap h)_ik - (tr h)_{,ik}) / 2
         R' = h^{ij}_{,ij} - Lap tr h - h^{ij} R_ij
     """
-    order = len(D2h) - 1
-
-    def c(spec, *jets):
-        return jet_einsum(spec, *jets, order=order)
-
-    t1 = c("ajp,apikj->aik", ginv, D2h)  # h^j_{i,kj}
-    t2 = c("ajp,apkij->aik", ginv, D2h)  # h^j_{k,ij}
-    lap_h = c("akl,aijkl->aij", ginv, D2h)
-    hess_H = c("apq,apqik->aik", ginv, D2h)  # (tr h)_{,ik}
-    dRic = [0.5 * (p + q - r - s) for p, q, r, s in zip(t1, t2, lap_h, hess_H)]
-    hup = c("ajq,aiq->aij", ginv, c("aip,apq->aiq", ginv, h))
-    div2 = c("ajq,aqj->a", ginv, c("aip,apqij->aqj", ginv, D2h))  # h^{ij}_{,ij}
-    lap_H = c("aik,aik->a", ginv, hess_H)
-    h_ric = c("aij,aij->a", hup, Ric)
-    dR = [q - p - r for p, q, r in zip(h_ric, div2, lap_H)]
-    return dRic, dR, lap_h, lap_H, hup
+    hess_H = contract("apq,apqik->aik", ginv, D2h)  # (tr h)_{,ik}
+    dRic = 0.5 * (
+        contract("ajp,apikj->aik", ginv, D2h)  # h^j_{i,kj}
+        + contract("ajp,apkij->aik", ginv, D2h)  # h^j_{k,ij}
+        - contract("akl,aijkl->aij", ginv, D2h)  # Lap h
+        - hess_H
+    )
+    div2 = contract("ajq,aqj->a", ginv, contract("aip,apqij->aqj", ginv, D2h))  # h^{ij}_{,ij}
+    lap_H = contract("aik,aik->a", ginv, hess_H)
+    h_ric = contract("aij,aij->a", raise_all(hv, ginv, (0, 1)), Ric)
+    return dRic, div2 - h_ric - lap_H
 
 
 def curvature_variation_arrays(base: MetricField, h: SymTensorField, X: Array) -> dict:
-    """Batched variations of curvature under (g_ij)' = h_ij.
-
-    Returns dRm13 (variation of R^l_ijk), dRm4 (of the lowered tensor),
-    dRic, dR, plus h, h^{ij}, Lap h and Lap tr h.
-    """
+    """Batched variations of curvature under (g_ij)' = h_ij: dRm13 (of
+    R^l_ijk), dRm4 (of the lowered tensor), dRic and dR."""
     X, _ = _as_batch(X, base.dimension)
     bundle = curvature_grid(base, X)
     hv, _, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, X)
@@ -152,30 +144,15 @@ def curvature_variation_arrays(base: MetricField, h: SymTensorField, X: Array) -
     dRm13 = 0.5 * contract("apl,apijk->alijk", ginv, combo)
     # the lowered variation reuses combo with its first component slot read as l
     dRm4 = contract("alq,aqijk->alijk", hv, bundle.Rm13) + 0.5 * combo
-    dRic, dR, lap_h, lap_H, hup = (
-        q[0] for q in ricci_variation_jet([ginv], [hv], [D2h], [bundle.Ric])
-    )
-    return {
-        "bundle": bundle,
-        "h": hv,
-        "hup": hup,
-        "lap_h": lap_h,
-        "lap_H": lap_H,
-        "dRm13": dRm13,
-        "dRm4": dRm4,
-        "dRic": dRic,
-        "dR": dR,
-    }
+    dRic, dR = ricci_variation_arrays(ginv, hv, D2h, bundle.Ric)
+    return {"dRm13": dRm13, "dRm4": dRm4, "dRic": dRic, "dR": dR}
 
 
 def curvature_variations(base: MetricField, h: SymTensorField, x) -> dict:
     """Pointwise variations {dRm13, dRm4, dRic, dR} at x."""
     X, single = _as_batch(x, base.dimension)
     arrs = curvature_variation_arrays(base, h, X)
-    keys = ("dRm13", "dRm4", "dRic", "dR")
-    if single:
-        return {k: arrs[k][0] for k in keys}
-    return {k: arrs[k] for k in keys}
+    return {k: v[0] for k, v in arrs.items()} if single else arrs
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +299,7 @@ def _first_variation_pairing(
 def first_variation(
     base: MetricField, grid: QuadratureGrid, h: SymTensorField, coeff: Coefficients
 ) -> float:
-    """int G_ij h^{ij} dV along the raw family."""
+    """int G_ij h^{ij} dV, the first variation of F along g + t h."""
     if not base.supports_global_quadrature:
         raise GlobalIntegralUnsupportedError("first variation needs global integrals")
     return _first_variation_pairing(gradient_ingredients(base, grid.nodes), grid, coeff)(h)
@@ -333,11 +310,10 @@ def first_variation_numeric(
     grid: QuadratureGrid,
     h: SymTensorField,
     coeff: Coefficients,
-    t_step: float = 1e-20,
+    t_step: float = COMPLEX_STEP,
 ) -> float:
     """Complex-step derivative Im F(g + i t_step h) / t_step of F along
-    g + t h (see the module docstring).  Its O(t_step^2) error is far below
-    roundoff: the values at 1e-20 and 1e-40 agree to about 1e-15."""
+    g + t h (see the module docstring)."""
     if not (np.isfinite(t_step) and t_step > 0):
         raise PreconditionError(f"t_step must be positive and finite, got {t_step}")
     sums, _, _ = _integrals(linear_combination_metric(base, h, 1j * t_step), grid, coeff)
@@ -392,26 +368,18 @@ def einstein_criticality_defect(base: MetricField, grid: QuadratureGrid) -> floa
 
 @dataclass
 class PerturbationFamily:
-    """The family g(t) = a(t) (base + t h).
-
-    With normalization "constant-rescale" the constant a(t) keeps the total
-    volume pinned at Vol(base) for every t (so a(0) = 1 and g(0) is the base
-    itself); "raw" leaves a = 1.
-    """
+    """The family g(t) = a(t) (base + t h), where the constant a(t) keeps the
+    total volume pinned at Vol(base) for every t (so a(0) = 1 and g(0) is the
+    base itself)."""
 
     base: MetricField
     h: SymTensorField
-    normalization: str = CONSTANT_RESCALE
-
-    def __post_init__(self):
-        if self.normalization not in (RAW, CONSTANT_RESCALE):
-            raise PreconditionError(f"unknown normalization {self.normalization!r}")
 
     def scale_factor(
         self, t: float, grid: QuadratureGrid, base_vol: float | None = None
     ) -> float:
         """a(t); ``base_vol`` is Vol(base) on the grid when the caller has it."""
-        if self.normalization == RAW or t == 0.0:
+        if t == 0.0:
             return 1.0
         if base_vol is None:
             base_vol = volume(self.base, grid)
@@ -440,11 +408,8 @@ def second_variation_numeric(
 ) -> D2Numeric:
     """Richardson-extrapolated second difference of F along the family.
 
-    Requires the constant-rescale normalization and a constant-curvature
-    (hence critical) base.
+    Requires a constant-curvature (hence critical) base.
     """
-    if family.normalization != CONSTANT_RESCALE:
-        raise PreconditionError("second variation requires the rescaled family")
     if family.base.lam is None:
         raise PreconditionError("second variation is evaluated at space-form bases")
     if not (np.isfinite(t_step) and t_step > 0):
@@ -532,127 +497,47 @@ def _require_space_form(base: MetricField, bundle: CurvatureBundle) -> float:
     return lam
 
 
-def _variation_quantities(
-    base: MetricField, h: SymTensorField, grid: QuadratureGrid
-) -> dict:
-    """Everything needed to integrate the primed curvature contractions."""
+def _suite_sides(
+    base: MetricField, h: SymTensorField, grid: QuadratureGrid, hv, D2h, ginv
+) -> tuple[float, dict[str, float], tuple[float, float, float]]:
+    """lam, the left-hand sides {name: int <T', h> dV} of the ten terms T of
+    the gradient, and (int |h|^2, int <h, Lap h>, int |Lap h|^2), from h, its
+    second covariant derivative D2h and g^-1 on the grid nodes.
+
+    Each T' is the complex step Im T(g + i eps h) / eps, all ten from one
+    :func:`gradient_ingredients` pass on the complex metric (its generic
+    path: the complex metric declares no space form).  Lap R g enters as
+    (g^{ik} (Hess R)'_ik) g, its prime at a space form, where Lap R =
+    Hess R = 0: Im(Lap R g) / eps would also carry the generic path's
+    roundoff in Lap R (about 3e-7 at the near-pole nodes) through Lap R h.
+    On a closed manifold int <h, Lap^2 h> = int |Lap h|^2, which the closed
+    forms read from the last integral.
+    """
     X = grid.nodes
-    arrs = curvature_variation_arrays(base, h, X)
-    b: CurvatureBundle = arrs["bundle"]
+    ing = gradient_ingredients(linear_combination_metric(base, h, 1j * COMPLEX_STEP), X)
+    b: CurvatureBundle = ing["bundle"]
     lam = _require_space_form(base, b)
-    n = base.dimension
-    ginv = b.ginv
-    hv, hup = arrs["h"], arrs["hup"]
-    measure = grid.weights * b.sqrt_det
+    measure = grid.weights * b.sqrt_det.real
 
-    def pair(T) -> float:
-        return float(np.sum(measure * inner_02(T, hv, ginv)))
+    def integral(S, T) -> float:
+        return float(np.sum(measure * inner_02(S, T, ginv)))
 
-    def inner(Y):
-        # order-2 jets (suffix _j) of the primed quantities whose Hessians
-        # enter the suite, from the order-4 jets of the metric and of h
-        _, ginv_j, Gamma_j, Ric_j, _ = ricci_arrays(base, Y, order=2)
-        h_j = h.jet(Y, 4)
-        D2h_j = covariant_jet(covariant_jet(h_j, Gamma_j), Gamma_j)
-        dric_j, dR_j, lap_h_j, _, _ = ricci_variation_jet(ginv_j, h_j, D2h_j, Ric_j)
-        tr_dric_j = jet_einsum("aik,aik->a", ginv_j, dric_j)
-        return Gamma_j, [dric_j, dR_j, tr_dric_j, lap_h_j]
-
-    dric_hess, d_hess_R, trdric_hess, laph_hess = covariant_hessian_blocks(inner, X)
-    lap_h = arrs["lap_h"]
-    lap2_h = contract("akl,aijkl->aij", ginv, laph_hess)
-
-    # constant-curvature reductions of the primed second-order quantities
-    d_lap_ric = contract("akl,aijkl->aij", ginv, dric_hess) - lam * (n - 1) * lap_h
-    d_lap_R = contract("akl,akl->a", ginv, trdric_hess) - lam * (n - 1) * arrs["lap_H"]
-
-    dRm4, dRic, dR = arrs["dRm4"], arrs["dRic"], arrs["dR"]
-
-    # d(A1)_ij, A1_ij = Rm[i,alpha] (g^-1)^3 Rm[j,alpha]
-    dA1 = contract("aiplk,ajplk->aij", dRm4, b.Rm_up3) + contract(
-        "aiplk,ajplk->aij", b.Rm_up3, dRm4
-    )
-    for s in (1, 2, 3):
-        others = tuple(t for t in (1, 2, 3) if t != s)
-        Ts = raise_all(raise_all(b.Rm4, ginv, others), hup, (s,))
-        dA1 -= contract("aiplk,ajplk->aij", Ts, b.Rm4)
-
-    # d(Ric^2)_ij
-    dric2 = (
-        np.einsum("aip,apq,aqj->aij", dRic, ginv, b.Ric)
-        + np.einsum("aip,apq,aqj->aij", b.Ric, ginv, dRic)
-        - np.einsum("aip,apq,aqj->aij", b.Ric, hup, b.Ric)
-    )
-
-    # d(R^{pl} R_{ipjl})_ij
-    dric_up = (
-        raise_all(dRic, ginv, (0, 1))
-        - raise_all(raise_all(b.Ric, ginv, (1,)), hup, (0,))
-        - raise_all(raise_all(b.Ric, ginv, (0,)), hup, (1,))
-    )
-    dB = contract("apl,aipjl->aij", dric_up, b.Rm4) + contract(
-        "apl,aipjl->aij", b.ric_up, dRm4
-    )
-
-    # scalar variations
-    Rm_up4 = raise_all(b.Rm4, ginv, (0, 1, 2, 3))
-    d_normRm2 = 2 * contract("aiplk,aiplk->a", dRm4, Rm_up4) - 4 * contract(
-        "aij,aij->a", hup, b.A1
-    )
-    d_normRic2 = 2 * contract("aij,aij->a", dRic, b.ric_up) - 2 * contract(
-        "aij,aij->a", hup, b.ric2
-    )
-
-    return dict(
-        lam=lam,
-        n=n,
-        pair=pair,
-        hv=hv,
-        b=b,
-        dA1=dA1,
-        d_lap_ric=d_lap_ric,
-        d_hess_R=d_hess_R,
-        d_lap_R=d_lap_R,
-        dric2=dric2,
-        dB=dB,
-        d_normRm2=d_normRm2,
-        d_normRic2=d_normRic2,
-        dRic=dRic,
-        dR=dR,
-        nrm=pair(hv),
-        ip_h_lap=pair(lap_h),
-        ip_h_lap2=pair(lap2_h),
-        measure=measure,
-    )
-
-
-def _suite_lhs(q: dict) -> dict[str, float]:
-    """Integrals of each primed contraction against h^{ij}."""
-    b: CurvatureBundle = q["b"]
-    g, hv = b.g, q["hv"]
-    pair = q["pair"]
-    dR = q["dR"]
-    # ambient scalars are constant on a space form: Lap R = 0 exactly
-    return {
-        "riemann_product": pair(q["dA1"]),
-        "ricci_laplacian": pair(q["d_lap_ric"]),
-        "scalar_hessian": pair(q["d_hess_R"]),
-        "ricci_square": pair(q["dric2"]),
-        "ricci_riemann": pair(q["dB"]),
-        "riem_norm_metric": pair(
-            q["d_normRm2"][:, None, None] * g + b.normRm2[:, None, None] * hv
-        ),
-        "scalar_laplacian_metric": pair(q["d_lap_R"][:, None, None] * g),
-        "ricci_norm_metric": pair(
-            q["d_normRic2"][:, None, None] * g + b.normRic2[:, None, None] * hv
-        ),
-        "scalar_ricci": pair(
-            dR[:, None, None] * b.Ric + b.R[:, None, None] * q["dRic"]
-        ),
-        "scalar_square_metric": pair(
-            (2 * b.R * dR)[:, None, None] * g + (b.R**2)[:, None, None] * hv
-        ),
+    terms = {
+        "riemann_product": b.A1,
+        "ricci_laplacian": ing["lap_ric"],
+        "scalar_hessian": ing["hess_R"],
+        "ricci_square": b.ric2,
+        "ricci_riemann": b.B,
+        "riem_norm_metric": b.normRm2[:, None, None] * b.g,
+        "scalar_laplacian_metric": contract("aik,aik->a", ginv, ing["hess_R"])[:, None, None]
+        * b.g.real,
+        "ricci_norm_metric": b.normRic2[:, None, None] * b.g,
+        "scalar_ricci": b.R[:, None, None] * b.Ric,
+        "scalar_square_metric": (b.R**2)[:, None, None] * b.g,
     }
+    lhs = {k: integral(T.imag / COMPLEX_STEP, hv) for k, T in terms.items()}
+    lap_h = contract("akl,aijkl->aij", ginv, D2h)
+    return lam, lhs, (integral(hv, hv), integral(lap_h, hv), integral(lap_h, lap_h))
 
 
 def tt_identity_suite(
@@ -660,21 +545,22 @@ def tt_identity_suite(
 ) -> list[IdentityCheck]:
     """Integral identities for TT directions on a round-sphere base.
 
-    Each primed curvature contraction, integrated against h^{ij}, reduces to
-    a combination of int |h|^2 and int <h, Lap h>; the suite returns the
-    directly computed and closed-form values side by side.
+    Each primed gradient term (a complex step, see :func:`_suite_sides`),
+    integrated against h^{ij}, reduces to a combination of int |h|^2,
+    int <h, Lap h> and int <h, Lap^2 h>, the last read as int |Lap h|^2;
+    the suite returns the directly computed and closed-form values side by
+    side.
     """
-    from .spectral import TT_TOL, tt_defect
+    from .spectral import TT_TOL, _tt_defect_arrays
 
-    dd, dt = tt_defect(base, h, grid)
+    hv, Dh, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, grid.nodes)
+    dd, dt = _tt_defect_arrays(hv, Dh, ginv)
     if dd > TT_TOL or dt > TT_TOL:
         raise PreconditionError(
             f"suite requires a TT field (div {dd:.2e}, tr {dt:.2e})"
         )
-    q = _variation_quantities(base, h, grid)
-    lam, n = q["lam"], q["n"]
-    nrm, ihl, ihl2 = q["nrm"], q["ip_h_lap"], q["ip_h_lap2"]
-    lhs = _suite_lhs(q)
+    lam, lhs, (nrm, ihl, ihl2) = _suite_sides(base, h, grid, hv, D2h, ginv)
+    n = base.dimension
     rhs = {
         "riemann_product": 2 * (n + 1) * lam**2 * nrm - 2 * lam * ihl,
         "ricci_laplacian": -0.5 * ihl2 + lam * ihl,
@@ -693,28 +579,14 @@ def tt_identity_suite(
 def conformal_identity_suite(
     base: MetricField, f: ScalarField, grid: QuadratureGrid
 ) -> list[IdentityCheck]:
-    """Same contract as :func:`tt_identity_suite` for h = f g."""
+    """Same contract as :func:`tt_identity_suite` for h = f g, in terms of
+    int f^2, int f Lap f and int f Lap^2 f = int (Lap f)^2."""
     h = conformal_tensor(base, f)
-    q = _variation_quantities(base, h, grid)
-    lam, n = q["lam"], q["n"]
-    X = grid.nodes
-    fv = f.eval_grid(X)
-
-    def lap_f_at(Y, order):
-        """(Gamma jet, [jet of Lap f]) to ``order``, from the jets of f and g."""
-        ginv, Gamma = connection_jet(base.jet(Y, order + 1))
-        hess = covariant_jet(covariant_jet(f.jet(Y, order + 2), Gamma), Gamma)
-        return Gamma, [jet_einsum("aik,aik->a", ginv, hess)]
-
-    ginv = q["b"].ginv
-    _, [[lap_f]] = lap_f_at(X, 0)  # at order 0 the one jet is [Lap f]
-    (lapf_hess,) = covariant_hessian_blocks(lambda Y: lap_f_at(Y, 2), X)
-    lap2_f = np.einsum("akl,akl->a", ginv, lapf_hess)
-    m = q["measure"]
-    f2 = float(np.sum(m * fv**2))
-    f_lap = float(np.sum(m * fv * lap_f))
-    f_lap2 = float(np.sum(m * fv * lap2_f))
-    lhs = _suite_lhs(q)
+    hv, _, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, grid.nodes)
+    lam, lhs, h_integrals = _suite_sides(base, h, grid, hv, D2h, ginv)
+    n = base.dimension
+    # |f g|^2 = n f^2 and Lap(f g) = (Lap f) g
+    f2, f_lap, f_lap2 = (v / n for v in h_integrals)
     rhs = {
         "riemann_product": -2 * lam**2 * n * (n - 1) * f2 - 4 * lam * (n - 1) * f_lap,
         "ricci_laplacian": -(n - 1) * f_lap2 - lam * n * (n - 1) * f_lap,

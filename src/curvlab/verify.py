@@ -11,10 +11,9 @@ from functools import lru_cache
 import numpy as np
 import sympy as sp
 
-from .charts import QuadratureGrid, build_grid, integrate_density, make_model
+from .charts import build_grid, make_model
 from .errors import ConfigurationError
 from .fields import (
-    MetricField,
     ScalarField,
     SymTensorField,
     analytic_scalar_field,
@@ -25,7 +24,6 @@ from .fields import (
 from .functionals import Coefficients
 from .spectral import rayleigh_lichnerowicz, s3_invariant_tt, torus_tt_mode
 from .variations import (
-    CONSTANT_RESCALE,
     PerturbationFamily,
     VariationReport,
     _first_variation_pairing,
@@ -75,11 +73,6 @@ def _standard_direction(mode: str) -> SymTensorField | ScalarField:
     return s3_first_harmonic()
 
 
-def integral_norm2(base: MetricField, h: SymTensorField, grid: QuadratureGrid) -> float:
-    ginv = np.linalg.inv(base.metric_grid(grid.nodes))
-    return integrate_density(base, grid, norm2_02(h.eval_grid(grid.nodes), ginv))
-
-
 def hessian_case(
     model: str,
     coeff: Coefficients,
@@ -90,36 +83,34 @@ def hessian_case(
         base = make_model("s3-euler", 3)
         h = _standard_direction("tt")
         grid = build_grid(base.domain, (12, 12, 16))
-        n, lam, mode = 3, 1, "tt"
-        norm2 = integral_norm2(base, h, grid)
-        predicted = second_variation_tt_predicted(n, lam, 4.0 * n, coeff, norm2)
+        n, lam, mode, eigenvalue = 3, 1, "tt", 12.0
     elif model == "torus-tt":
         base = make_model("torus", 3)
         h = torus_tt_mode(3, (1, 0, 0), np.diag([0.0, 1.0, -1.0]))
         grid = build_grid(base.domain, (16, 8, 8))
-        n, lam, mode = 3, 0, "tt"
-        norm2 = integral_norm2(base, h, grid)
-        predicted = second_variation_tt_predicted(n, lam, (2 * np.pi) ** 2, coeff, norm2)
+        n, lam, mode, eigenvalue = 3, 0, "tt", (2 * np.pi) ** 2
     elif model == "torus-conformal":
         base = make_model("torus", 3)
         f = cosine_scalar_field(base.domain, (1, 0, 0))
         h = conformal_tensor(base, f)
         grid = build_grid(base.domain, (16, 8, 8))
-        n, lam, mode = 3, 0, "conformal"
-        f2 = integrate_density(base, grid, f.eval_grid(grid.nodes) ** 2)
-        predicted = second_variation_conformal_predicted(
-            n, lam, (2 * np.pi) ** 2, coeff, f2
-        )
+        n, lam, mode, eigenvalue = 3, 0, "conformal", (2 * np.pi) ** 2
     else:
         raise ConfigurationError(
             f"unknown hessian model {model!r}; pick one of {HESSIAN_MODELS}"
         )
     ing = gradient_ingredients(base, grid.nodes)
+    b = ing["bundle"]
+    measure = grid.weights * b.sqrt_det
+    if mode == "tt":
+        norm2 = float(np.sum(measure * norm2_02(h.eval_grid(grid.nodes), b.ginv)))
+        predicted = second_variation_tt_predicted(n, lam, eigenvalue, coeff, norm2)
+    else:
+        f2 = float(np.sum(measure * f.eval_grid(grid.nodes) ** 2))
+        predicted = second_variation_conformal_predicted(n, lam, eigenvalue, coeff, f2)
     d1_analytic = _first_variation_pairing(ing, grid, coeff)(h)
     d1_numeric = first_variation_numeric(base, grid, h, coeff)
-    d2 = second_variation_numeric(
-        PerturbationFamily(base, h, CONSTANT_RESCALE), grid, coeff, t_step
-    )
+    d2 = second_variation_numeric(PerturbationFamily(base, h), grid, coeff, t_step)
     c = _lagrange_constant(ing, grid, coeff)
     return VariationReport(
         model=model,
@@ -153,6 +144,9 @@ def gradient_case(
         raise ConfigurationError(f"gradient checks need count >= 1, got {count}")
     rng = np.random.default_rng(seed)
     if model == "torus":
+        # a 10^n-node grid: n = 6 would need about 10 GB for Rm alone
+        if n not in CURVATURE_RES:
+            raise ConfigurationError(f"the torus gradient model has n = 2 to 5, got n = {n}")
         base = make_model("torus", n)
         grid = build_grid(base.domain, (10,) * n)
         make_h = lambda: random_torus_sym_tensor(n, rng)

@@ -19,7 +19,6 @@ from curvlab.spectral import (
 )
 from curvlab.tensors import curvature_grid, norm2_04
 from curvlab.variations import (
-    CONSTANT_RESCALE,
     PerturbationFamily,
     conformal_identity_suite,
     conformal_tensor,
@@ -126,7 +125,7 @@ def test_criterion_05_tt_second_variation_flat():
     base = make_model("torus", 3)
     grid = build_grid(base.domain, (16, 8, 8))
     h = torus_tt_mode(3, (1, 0, 0), np.diag([0.0, 1.0, -1.0]))
-    fam = PerturbationFamily(base, h, CONSTANT_RESCALE)
+    fam = PerturbationFamily(base, h)
     d2 = second_variation_numeric(fam, grid, C00).value
     target = 2 * (2 * np.pi) ** 4
     assert abs(d2 - target) / target <= 0.01
@@ -144,7 +143,7 @@ def test_criterion_06_tt_second_variation_sphere():
     base = make_model("s3-euler", 3)
     grid = build_grid(base.domain, (12, 12, 16))
     h = s3_invariant_tt((2.0, -1.0, -1.0))
-    fam = PerturbationFamily(base, h, CONSTANT_RESCALE)
+    fam = PerturbationFamily(base, h)
     d2 = second_variation_numeric(fam, grid, C00).value
     target = 112 * 6 * TWO_PI_SQ
     assert abs(d2 - target) / target <= 0.01
@@ -162,7 +161,7 @@ def test_criterion_07_conformal_second_variation_flat():
     base = make_model("torus", 3)
     grid = build_grid(base.domain, (16, 8, 8))
     f = cosine_scalar_field(base.domain, (1, 0, 0))
-    fam = PerturbationFamily(base, conformal_tensor(base, f), CONSTANT_RESCALE)
+    fam = PerturbationFamily(base, conformal_tensor(base, f))
     d2 = second_variation_numeric(fam, grid, C00).value
     target = 2 * (2 * np.pi) ** 4
     assert abs(d2 - target) / target <= 0.01
@@ -297,5 +296,5 @@ def test_criterion_10_identity_suites():
     worst = 0.0
     for check in tt + cf:
         worst = max(worst, check.rel_err)
-        assert check.rel_err <= 8e-7, check  # worst measured 7.2e-8
+        assert check.rel_err <= 8e-7, check  # worst measured 1.8e-7
     report(10, f"TT and conformal identity batteries, worst mismatch {worst:.2e}")

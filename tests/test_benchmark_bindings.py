@@ -39,6 +39,7 @@ def test_traced_function_resolves(module, path):
         ("variations", "first_variation_numeric", "t_step"),
         ("verify", "hessian_case", "t_step"),
         ("verify", "identity_case", "res"),
+        ("variations", "gradient_ingredients", "use_structure"),
     ],
 )
 def test_keyword_defaults_read_by_the_benchmark(module, name, param):
@@ -59,3 +60,26 @@ def test_bundle_fields_read_by_the_benchmark():
     for b, N in ((curvature(base, X[0]), 1), (gradient_ingredients(base, X)["bundle"], 2)):
         assert b.g.shape == (N, 3, 3)
         assert b.Rm4.shape == (N, 3, 3, 3, 3)
+
+
+def test_constants_printed_in_the_benchmark_provenance():
+    from curvlab import fields, tensors
+
+    assert isinstance(fields.DEFAULT_FD_REL_STEP, float)
+    assert isinstance(tensors.FIELD_FD_REL_STEP, float)
+
+
+def test_pointwise_calls_made_by_the_benchmark():
+    # the pointwise workload reads the dRic and dR keys of curvature_variations
+    # and calls covariant_derivative with order=2 at single points
+    from curvlab.charts import make_model
+    from curvlab.spectral import s3_invariant_tt
+    from curvlab.tensors import covariant_derivative
+    from curvlab.variations import curvature_variations
+
+    base = make_model("s3-euler", 3)
+    h = s3_invariant_tt((2.0, -1.0, -1.0))
+    x = np.array([0.9, 0.4, 1.1])
+    v = curvature_variations(base, h, x)
+    assert v["dRic"].shape == (3, 3) and np.shape(v["dR"]) == ()
+    assert covariant_derivative(base, h, x, order=2).shape == (3, 3, 3, 3)

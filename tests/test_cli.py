@@ -200,3 +200,11 @@ def test_verify_gradient_needs_a_direction(capsys):
     for value in ("0", "-2"):
         assert run(["verify-gradient", "--model", "torus", "--count", value]) == 1
         assert "count" in capsys.readouterr().err
+
+
+def test_verify_gradient_bounds_the_torus_dimension(capsys, tmp_path):
+    # the torus grid has 10^n nodes; n = 6 would need about 10 GB for Rm
+    out = tmp_path / "grad.json"
+    assert run(["verify-gradient", "--model", "torus", "--n", "6", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: the torus gradient model has n = 2 to 5")
+    assert not out.exists()
