@@ -252,7 +252,7 @@ def connection_jet(g: list) -> tuple[list, list]:
 def christoffel_combination(D: Array) -> Array:
     """S[a,l,i,j,...] = D[a,j,l,i,...] + D[a,i,l,j,...] - D[a,i,j,l,...], any
     trailing derivative axes riding along: Gamma^k_ij = g^{kl} S_lij / 2 for
-    D = dg, and (Gamma^k_ij)' is the same for D = nabla h."""
+    D = dg."""
     P = np.einsum("ailj...->alij...", D)
     return P + P.swapaxes(2, 3) - np.einsum("aijl...->alij...", D)
 

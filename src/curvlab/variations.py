@@ -11,23 +11,19 @@ Every numeric first derivative in t here is a complex step (Squire & Trapp,
 SIAM Rev. 40:110, 1998; Martins, Sturdza & Alonso, ACM TOMS 29:245, 2003):
 the pipeline is analytic in the metric, so X'(0) = Im X(g0 + i eps h) / eps +
 O(eps^2) from one curvature pass, with no difference of nearby values to
-cancel digits.  :func:`first_variation_numeric` takes it of F; the identity
-suites take it of each of the ten terms of the gradient, so their primed
-contractions are not derived by hand.  The numeric second variation is a
+cancel digits.  :func:`first_variation_numeric` takes it of F,
+:func:`curvature_variations` of Rm, Ric and R, :func:`christoffel_variation`
+of Gamma, and the identity suites of each of the ten terms of the gradient.
+No hand-derived prime (Gamma', Rm', Ric', R') remains in the package: the
+classical linearisations live on only in the tests, as oracles for these
+complex steps beside finite differences.  The numeric second variation is a
 Richardson second difference.
 
-Hand-derived primes remain only in :func:`curvature_variations` (Gamma',
-Rm', Ric', R'), which the tests check against finite differences.  There,
-primes denote d/dt at t = 0, the variation of the Levi-Civita connection is
-
-    (Gamma^k_ij)' = 1/2 g^{kl} (h_il,j + h_jl,i - h_ij,l),
-
-and covariant derivatives are taken with the unperturbed connection in the
-index order h_ij,kl = nabla_l nabla_k h_ij.  Quantities that need
-derivatives of curvature (Lap Ric, Hess R) are exact: the jets of the
-metric to order 4 propagate through the curvature pipeline by Leibniz' rule
-(:func:`curvlab.tensors.jet_einsum`), and
-:func:`curvlab.tensors.covariant_hessian_blocks` adds the connection
+Covariant derivatives are taken with the index order h_ij,kl = nabla_l
+nabla_k h_ij.  Quantities that need derivatives of curvature (Lap Ric,
+Hess R) are exact: the jets of the metric to order 4 propagate through the
+curvature pipeline by Leibniz' rule (:func:`curvlab.tensors.jet_einsum`),
+and :func:`curvlab.tensors.covariant_hessian_blocks` adds the connection
 corrections to the resulting exact partials.
 """
 
@@ -57,7 +53,7 @@ from .fields import (
 from .functionals import Coefficients, _integrals, evaluate
 from .tensors import (
     CurvatureBundle,
-    christoffel_combination,
+    christoffel_arrays,
     contract,
     covariant_hessian_blocks,
     curvature_grid,
@@ -65,7 +61,6 @@ from .tensors import (
     inner_02,
     jet_einsum,
     max_abs,
-    raise_all,
     ricci_arrays,
     space_form_deviation,
     sym_tensor_cov_derivs,
@@ -99,53 +94,25 @@ def conformal_tensor(base: MetricField, f: ScalarField) -> SymTensorField:
 
 
 def christoffel_variation(base: MetricField, h: SymTensorField, x) -> Array:
-    """(Gamma^k_ij)' = 1/2 g^{kl}(h_il,j + h_jl,i - h_ij,l); shape (n,n,n)."""
+    """(Gamma^k_ij)' under (g_ij)' = h_ij, the complex step of Gamma; shape
+    (n,n,n) at a point."""
     X, single = _as_batch(x, base.dimension)
-    _, Dh, _, _, ginv, _ = sym_tensor_cov_derivs(base, h, X)
-    out = 0.5 * contract("akl,alij->akij", ginv, christoffel_combination(Dh))
+    metric = linear_combination_metric(base, h, 1j * COMPLEX_STEP)
+    out = christoffel_arrays(*metric.jet(X, 1)).imag / COMPLEX_STEP
     return out[0] if single else out
-
-
-def ricci_variation_arrays(ginv: Array, hv: Array, D2h: Array, Ric: Array):
-    """(Ric', R') under (g_ij)' = h_ij, from g^-1, h, nabla nabla h and Ric:
-
-        Ric'_ik = (h^j_{i,kj} + h^j_{k,ij} - (Lap h)_ik - (tr h)_{,ik}) / 2
-        R' = h^{ij}_{,ij} - Lap tr h - h^{ij} R_ij
-    """
-    hess_H = contract("apq,apqik->aik", ginv, D2h)  # (tr h)_{,ik}
-    dRic = 0.5 * (
-        contract("ajp,apikj->aik", ginv, D2h)  # h^j_{i,kj}
-        + contract("ajp,apkij->aik", ginv, D2h)  # h^j_{k,ij}
-        - contract("akl,aijkl->aij", ginv, D2h)  # Lap h
-        - hess_H
-    )
-    div2 = contract("ajq,aqj->a", ginv, contract("aip,apqij->aqj", ginv, D2h))  # h^{ij}_{,ij}
-    lap_H = contract("aik,aik->a", ginv, hess_H)
-    h_ric = contract("aij,aij->a", raise_all(hv, ginv, (0, 1)), Ric)
-    return dRic, div2 - h_ric - lap_H
 
 
 def curvature_variation_arrays(base: MetricField, h: SymTensorField, X: Array) -> dict:
     """Batched variations of curvature under (g_ij)' = h_ij: dRm13 (of
-    R^l_ijk), dRm4 (of the lowered tensor), dRic and dR."""
-    X, _ = _as_batch(X, base.dimension)
-    bundle = curvature_grid(base, X)
-    hv, _, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, X)
-
-    # combo[a,p,i,j,k] = h_ip,kj + h_kp,ij - h_ik,pj - h_ip,jk - h_jp,ik + h_ij,pk
-    combo = (
-        np.einsum("aipkj->apijk", D2h)
-        + np.einsum("akpij->apijk", D2h)
-        - np.einsum("aikpj->apijk", D2h)
-        - np.einsum("aipjk->apijk", D2h)
-        - np.einsum("ajpik->apijk", D2h)
-        + np.einsum("aijpk->apijk", D2h)
-    )
-    dRm13 = 0.5 * contract("apl,apijk->alijk", ginv, combo)
-    # the lowered variation reuses combo with its first component slot read as l
-    dRm4 = contract("alq,aqijk->alijk", hv, bundle.Rm13) + 0.5 * combo
-    dRic, dR = ricci_variation_arrays(ginv, hv, D2h, bundle.Ric)
-    return {"dRm13": dRm13, "dRm4": dRm4, "dRic": dRic, "dR": dR}
+    R^l_ijk), dRm4 (of the lowered tensor), dRic and dR, each the complex
+    step of one curvature pass."""
+    b = curvature_grid(linear_combination_metric(base, h, 1j * COMPLEX_STEP), X)
+    return {
+        "dRm13": b.Rm13.imag / COMPLEX_STEP,
+        "dRm4": b.Rm4.imag / COMPLEX_STEP,
+        "dRic": b.Ric.imag / COMPLEX_STEP,
+        "dR": b.R.imag / COMPLEX_STEP,
+    }
 
 
 def curvature_variations(base: MetricField, h: SymTensorField, x) -> dict:

@@ -140,8 +140,8 @@ def gradient_case(
     directions.  On the flat torus both sides vanish identically (F is
     quadratic in the curvature, which is zero there; the numeric side is
     roundoff), so the s3 rows are the ones comparing nonzero values."""
-    if count < 1:
-        raise ConfigurationError(f"gradient checks need count >= 1, got {count}")
+    if count < 1 or seed < 0:
+        raise ConfigurationError(f"gradient checks need count >= 1, seed >= 0, got {count}, {seed}")
     rng = np.random.default_rng(seed)
     if model == "torus":
         # a 10^n-node grid: n = 6 would need about 10 GB for Rm alone
@@ -203,6 +203,8 @@ def curvature_case(kind: str, n: int, radius: float = 1.0, res=None) -> dict:
 
 def rayleigh_case(model: str, res: int | None = None, d=None, k=None):
     """RayleighReport plus metadata for the standard spectral modes."""
+    if (model == "s3-invariant" and k is not None) or (model == "torus-tt" and d is not None):
+        raise ConfigurationError("mode d is for s3-invariant, wave vector k for torus-tt")
     if model == "s3-invariant":
         base = make_model("s3-euler", 3)
         h = _standard_direction("tt") if d is None else s3_invariant_tt(tuple(d))

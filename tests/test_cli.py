@@ -202,6 +202,21 @@ def test_verify_gradient_needs_a_direction(capsys):
         assert "count" in capsys.readouterr().err
 
 
+def test_verify_gradient_refuses_a_negative_seed(capsys, tmp_path):
+    out = tmp_path / "grad.json"
+    assert run(["verify-gradient", "--model", "torus", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: gradient checks need count >= 1, seed >= 0")
+    assert not out.exists()
+
+
+def test_rayleigh_refuses_the_other_models_flag(capsys, tmp_path):
+    out = tmp_path / "ray.json"
+    for flags in (["--model", "s3-invariant", "--k", "1,0"], ["--model", "torus-tt", "--d", "5,-1,-4"]):
+        assert run(["rayleigh", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: mode d is for s3-invariant")
+    assert not out.exists()
+
+
 def test_verify_gradient_bounds_the_torus_dimension(capsys, tmp_path):
     # the torus grid has 10^n nodes; n = 6 would need about 10 GB for Rm
     out = tmp_path / "grad.json"

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvlab.charts import build_grid, make_model, sqrt_det_grid, to_unit_volume
 from curvlab.errors import EigenvalueRangeError, PreconditionError
@@ -37,6 +39,7 @@ from curvlab.variations import (
     christoffel_variation,
     conformal_identity_suite,
     conformal_tensor,
+    curvature_variation_arrays,
     curvature_variations,
     einstein_criticality_defect,
     el_residual,
@@ -174,7 +177,6 @@ def cov_grad_of_map(field, fn, valence, X, rel_step=FIELD_FD_REL_STEP):
 def test_ricci_derivative_variation_identity(euler3):
     # (R_ij,k)' = (R_ij')_,k - lam (n-1) h_ij,k at a space form, against FD
     from curvlab.tensors import sym_tensor_cov_derivs
-    from curvlab.variations import curvature_variation_arrays
 
     h = s3_invariant_tt((1.0, 1.0, -2.0))
     X = random_probes(euler3.domain, np.random.default_rng(20), count=4)
@@ -581,7 +583,11 @@ def test_suites_require_space_form():
 
 
 def _ricci_variation_reference(hv, D2h, ginv, Ric):
-    """Ric' and R' in einsum spellings independent of the contract ones."""
+    """The hand-derived Ric' and R' under (g_ij)' = h_ij:
+
+        Ric'_ik = (h^j_{i,kj} + h^j_{k,ij} - (Lap h)_ik - (tr h)_{,ik}) / 2
+        R' = h^{ij}_{,ij} - Lap tr h - h^{ij} R_ij
+    """
     term1 = np.einsum("ajp,apikj->aik", ginv, D2h)
     term2 = np.einsum("ajp,apkij->aik", ginv, D2h)
     lap_h = np.einsum("akl,aijkl->aij", ginv, D2h)
@@ -594,8 +600,8 @@ def _ricci_variation_reference(hv, D2h, ginv, Ric):
 
 
 def test_ricci_variation_arrays_match_reference_formulas(euler3):
+    # the complex-step dRic and dR against the hand-derived linearisations
     from curvlab.tensors import sym_tensor_cov_derivs
-    from curvlab.variations import ricci_variation_arrays
 
     rng = np.random.default_rng(37)
     pm = random_torus_metric(3, rng)
@@ -607,14 +613,43 @@ def test_ricci_variation_arrays_match_reference_formulas(euler3):
         X = random_probes(base.domain, rng, count=40)
         hv, _, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, X)
         Ric = curvature_grid(base, X).Ric
-        got = ricci_variation_arrays(ginv, hv, D2h, Ric)
+        arrs = curvature_variation_arrays(base, h, X)
         want = _ricci_variation_reference(hv, D2h, ginv, Ric)
         # R' of the TT mode is 0 up to roundoff: relative to the size of the
         # terms it sums
         terms = np.einsum("aip,ajq,apqij->a", *map(np.abs, (ginv, ginv, D2h))).max()
-        for name, a, b in zip(("dRic", "dR"), got, want):
+        for name, b in zip(("dRic", "dR"), want):
             scale = max(np.abs(b).max(), terms if b.ndim == 1 else 0.0)
-            assert np.abs(a - b).max() <= 1e-13 * scale, (base.name, name)
+            assert np.abs(arrs[name] - b).max() <= 1e-13 * scale, (base.name, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
+def test_curvature_variations_keep_curvature_identities(n, seed):
+    # dRm4 linearises a tensor with the symmetries of Rm4 and dR the trace
+    # R = g^{ik} Ric_ik, whatever the metric and the direction
+    rng = np.random.default_rng(seed)
+    base = random_torus_metric(n, rng)
+    h = random_torus_sym_tensor(n, rng)
+    X = rng.uniform(0.0, 1.0, (4, n))
+    arrs = curvature_variation_arrays(base, h, X)
+    dRm = arrs["dRm4"]
+    scale = np.abs(dRm).max()
+    assert np.array_equal(dRm, -dRm.swapaxes(3, 4))  # (j, k), exact by construction
+    defects = {
+        "(l, i)": dRm + dRm.swapaxes(1, 2),
+        "pair": dRm - np.einsum("ajkli->alijk", dRm),
+        "bianchi": dRm + np.einsum("aljki->alijk", dRm) + np.einsum("alkij->alijk", dRm),
+    }
+    for name, defect in defects.items():
+        assert np.abs(defect).max() <= 1e-13 * scale, name
+    b = curvature_grid(base, X)
+    trace_terms = (
+        np.einsum("aik,aik->a", b.ginv, arrs["dRic"]),
+        np.einsum("aik,aik->a", raise_all(h.eval_grid(X), b.ginv, (0, 1)), b.Ric),
+    )
+    scale = max(np.abs(t).max() for t in trace_terms)
+    assert np.abs(arrs["dR"] - (trace_terms[0] - trace_terms[1])).max() <= 1e-13 * scale
 
 
 def test_first_variation_numeric_flat_torus_direction():
