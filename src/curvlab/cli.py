@@ -8,9 +8,10 @@ byte-identical across runs with the same configuration.
 ``--config`` names a JSON object of defaults for the subcommand's flags
 (keys as the flag names, e.g. ``"lambda"``, ``"s-min"``); values pass
 through the same type conversion and choices as on the command line, and an
-unknown key is a usage error.  Float flags accept finite values only.  The
-computations are vectorized numpy; cap the BLAS thread pool with
-``OMP_NUM_THREADS`` in the environment before starting the process.
+unknown key is a usage error.  Float flags accept finite values only, and
+``--tol`` no negative one.  The computations are vectorized numpy; cap the
+BLAS thread pool with ``OMP_NUM_THREADS`` in the environment before starting
+the process.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 from . import atlas as atlas_mod
 from .errors import CurvlabError
 from .functionals import Coefficients
+from .variations import SECOND_VARIATION_STEP
 from .verify import (
     HESSIAN_MODELS,
     curvature_case,
@@ -65,6 +67,14 @@ def finite_float(text: str) -> float:
     return value
 
 
+def tolerance(text: str) -> float:
+    """The type of every --tol flag: a finite float, at least 0."""
+    value = finite_float(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
 def finite_float_list(text: str) -> tuple[float, ...]:
     return tuple(finite_float(v) for v in text.split(","))
 
@@ -83,12 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--model", default="sphere", choices=["torus", "sphere", "poincare", "s3-euler"])
     c.add_argument("--n", type=int, default=3)
     c.add_argument("--radius", type=finite_float, default=1.0)
-    c.add_argument("--tol", type=finite_float, default=1e-6)
+    c.add_argument("--tol", type=tolerance, default=1e-6)
     c.add_argument("--out")
 
     ci = sub.add_parser("check-identities", help="TT/conformal integral identity battery")
     ci.add_argument("--mode", required=True, choices=["tt", "conformal"])
-    ci.add_argument("--tol", type=finite_float, default=1e-4)
+    ci.add_argument("--tol", type=tolerance, default=1e-4)
     ci.add_argument("--out")
 
     vg = sub.add_parser("verify-gradient", help="first variation vs complex-step derivative")
@@ -98,15 +108,16 @@ def build_parser() -> argparse.ArgumentParser:
     vg.add_argument("--seed", type=int, default=0)
     vg.add_argument("--s", type=finite_float, default=0.0)
     vg.add_argument("--tau", type=finite_float, default=0.0)
-    vg.add_argument("--tol", type=finite_float, default=1e-4)
+    vg.add_argument("--tol", type=tolerance, default=1e-4)
     vg.add_argument("--out")
 
     vh = sub.add_parser("verify-hessian", help="second variation vs closed form")
     vh.add_argument("--model", default="s3-invariant", choices=list(HESSIAN_MODELS))
     vh.add_argument("--s", type=finite_float, default=0.0)
     vh.add_argument("--tau", type=finite_float, default=0.0)
-    vh.add_argument("--t-step", type=finite_float, default=1e-2)
-    vh.add_argument("--tol", type=finite_float, default=0.01)
+    vh.add_argument("--t-step", type=finite_float, default=SECOND_VARIATION_STEP,
+                    help="rotated complex step: F at t = +-t_step exp(i pi/4), error O(t_step^4)")
+    vh.add_argument("--tol", type=tolerance, default=0.01)
     vh.add_argument("--out")
 
     r = sub.add_parser("rayleigh", help="Rayleigh quotient of the Lichnerowicz operator")
@@ -114,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--d", type=finite_float_list, help="comma-separated invariant-mode coefficients")
     r.add_argument("--k", type=int_list, help="comma-separated torus wave vector")
     r.add_argument("--res", type=int)
-    r.add_argument("--tol", type=finite_float, default=1e-3)
+    r.add_argument("--tol", type=tolerance, default=1e-3)
     r.add_argument("--out")
 
     cl = sub.add_parser("classify", help="stability verdict at a single (s, tau)")

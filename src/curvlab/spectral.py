@@ -38,11 +38,11 @@ from .fields import (
 )
 from .tensors import (
     curvature_grid,
-    einstein_defect,
     inner_02,
     lichnerowicz_arrays,
     norm2_02,
     raise_all,
+    require_einstein,
     sym_tensor_cov_derivs,
 )
 
@@ -162,8 +162,7 @@ def rayleigh_lichnerowicz(
             "Rayleigh quotients need global integrals; this chart has none"
         )
     bundle = curvature_grid(base, grid.nodes)
-    if float(np.max(einstein_defect(bundle))) > TT_TOL:
-        raise PreconditionError("base metric is not Einstein on this grid")
+    require_einstein(bundle)
     hv, Dh, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, grid.nodes)
     dd, dt = _tt_defect_arrays(hv, Dh, ginv)
     if dd > TT_TOL or dt > TT_TOL:

@@ -596,11 +596,15 @@ def rough_laplacian_tensor(field: MetricField, h: SymTensorField, x) -> Array:
     return out[0] if single else out
 
 
-def einstein_defect(bundle: CurvatureBundle) -> Array:
-    """|Ric - (R/n) g|_g at each node."""
+def require_einstein(bundle: CurvatureBundle) -> None:
+    """Raise PreconditionError unless |Ric - (R/n) g|_g <= EINSTEIN_TOL *
+    max(1, |R|/n) at every node: the one Einstein gate, relative to the size
+    of Ric."""
     n = bundle.dimension
     E = bundle.Ric - (bundle.R / n)[:, None, None] * bundle.g
-    return np.sqrt(np.maximum(norm2_02(E, bundle.ginv), 0.0))
+    defect = float(np.sqrt(max(np.max(norm2_02(E, bundle.ginv)), 0.0)))
+    if not defect <= EINSTEIN_TOL * max(1.0, float(np.max(np.abs(bundle.R))) / n):
+        raise PreconditionError(f"base metric is not Einstein (defect {defect:.2e})")
 
 
 def lichnerowicz(field: MetricField, h: SymTensorField, x) -> Array:
@@ -610,11 +614,7 @@ def lichnerowicz(field: MetricField, h: SymTensorField, x) -> Array:
     """
     X, single = _as_batch(x, field.dimension)
     bundle = curvature_grid(field, X)
-    defect = einstein_defect(bundle)
-    if np.max(defect) > EINSTEIN_TOL:
-        raise PreconditionError(
-            f"base metric is not Einstein (defect {np.max(defect):.2e})"
-        )
+    require_einstein(bundle)
     hv, _, D2h, _, _, _ = sym_tensor_cov_derivs(field, h, X)
     out = lichnerowicz_arrays(hv, D2h, bundle)
     return out[0] if single else out

@@ -16,8 +16,13 @@ cancel digits.  :func:`first_variation_numeric` takes it of F,
 of Gamma, and the identity suites of each of the ten terms of the gradient.
 No hand-derived prime (Gamma', Rm', Ric', R') remains in the package: the
 classical linearisations live on only in the tests, as oracles for these
-complex steps beside finite differences.  The numeric second variation is a
-Richardson second difference.
+complex steps beside finite differences.  :func:`second_variation_numeric`
+takes the second-order sibling, the complex step rotated by pi/4 (the
+four-point contour of Lyness & Moler, SIAM J. Numer. Anal. 4:202, 1967,
+halved by conjugate symmetry): with w = t e^(i pi/4) and phi real on the real
+axis, Im (phi(w) + phi(-w)) / t^2 = phi''(0) + O(t^4), and no difference of
+nearby values cancels digits.  Richardson differences remain only in the
+tests, as oracles.
 
 Covariant derivatives are taken with the index order h_ij,kl = nabla_l
 nabla_k h_ij.  Quantities that need derivatives of curvature (Lap Ric,
@@ -30,7 +35,7 @@ corrections to the resulting exact partials.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,17 +55,17 @@ from .fields import (
     _as_batch,
     linear_combination_metric,
 )
-from .functionals import Coefficients, _integrals, evaluate
+from .functionals import Coefficients, _integrals
 from .tensors import (
     CurvatureBundle,
     christoffel_arrays,
     contract,
     covariant_hessian_blocks,
     curvature_grid,
-    einstein_defect,
     inner_02,
     jet_einsum,
     max_abs,
+    require_einstein,
     ricci_arrays,
     space_form_deviation,
     sym_tensor_cov_derivs,
@@ -71,6 +76,9 @@ SPACE_FORM_TOL = 1e-6
 # step eps of the complex-step derivatives Im X(g + i eps h) / eps: their
 # O(eps^2) error is far below roundoff (eps = 1e-20 and 1e-40 agree to 1e-15)
 COMPLEX_STEP = 1e-20
+# default step of second_variation_numeric, error O(t_step^4): on the S^3 TT
+# mode 1e-3 is 1e-10 off the closed form, 1e-2 is 2e-7 off
+SECOND_VARIATION_STEP = 1e-3
 
 
 def conformal_tensor(base: MetricField, f: ScalarField) -> SymTensorField:
@@ -320,10 +328,7 @@ def einstein_criticality_defect(base: MetricField, grid: QuadratureGrid) -> floa
     every (s, tau)."""
     n = base.dimension
     bundle = curvature_grid(base, grid.nodes)
-    if float(np.max(einstein_defect(bundle))) > SPACE_FORM_TOL * max(
-        1.0, float(np.max(np.abs(bundle.R))) / n
-    ):
-        raise PreconditionError("base metric is not Einstein on this grid")
+    require_einstein(bundle)
     D = bundle.A1 - (bundle.normRm2 / n)[:, None, None] * bundle.g
     return max_abs(D)
 
@@ -336,29 +341,23 @@ def einstein_criticality_defect(base: MetricField, grid: QuadratureGrid) -> floa
 @dataclass
 class PerturbationFamily:
     """The family g(t) = a(t) (base + t h), where the constant a(t) keeps the
-    total volume pinned at Vol(base) for every t (so a(0) = 1 and g(0) is the
-    base itself)."""
+    total volume pinned at Vol(base) for every real t (so a(0) = 1 and g(0)
+    is the base itself)."""
 
     base: MetricField
     h: SymTensorField
 
-    def scale_factor(
-        self, t: float, grid: QuadratureGrid, base_vol: float | None = None
-    ) -> float:
-        """a(t); ``base_vol`` is Vol(base) on the grid when the caller has it."""
+    def scale_factor(self, t: float, grid: QuadratureGrid) -> float:
+        """a(t) = (Vol(base) / Vol(base + t h))^(2/n)."""
         if t == 0.0:
             return 1.0
-        if base_vol is None:
-            base_vol = volume(self.base, grid)
         vol_t = volume(linear_combination_metric(self.base, self.h, t), grid)
-        return (base_vol / vol_t) ** (2.0 / self.base.dimension)
+        return (volume(self.base, grid) / vol_t) ** (2.0 / self.base.dimension)
 
-    def metric_at(
-        self, t: float, grid: QuadratureGrid, base_vol: float | None = None
-    ) -> MetricField:
+    def metric_at(self, t: float, grid: QuadratureGrid) -> MetricField:
         if t == 0.0:
             return self.base
-        a = self.scale_factor(t, grid, base_vol)
+        a = self.scale_factor(t, grid)
         return linear_combination_metric(self.base, self.h, t, scale=a)
 
 
@@ -371,32 +370,35 @@ def second_variation_numeric(
     family: PerturbationFamily,
     grid: QuadratureGrid,
     coeff: Coefficients,
-    t_step: float = 1e-2,
+    t_step: float = SECOND_VARIATION_STEP,
 ) -> D2Numeric:
-    """Richardson-extrapolated second difference of F along the family.
+    """phi''(0) of phi(t) = F(g(t)) along the family by the rotated complex
+    step of the module docstring: one real pass on the base, two complex ones.
 
+    By the scaling law F(a g) = a^((n-4)/2) F(g), phi(z) = (V_0 / V(z))^((n-4)/n)
+    F(g_0 + z h), F and the volume V from one quadrature pass.  With a_k the
+    Taylor coefficients of phi and S = phi(w) + phi(-w), the estimate is
+    (a_4 t_step^2 / a_2)^2 + eps (|a_0| + |S|) / (t_step^2 max(1, |a_2|)).
     Requires a constant-curvature (hence critical) base.
     """
-    if family.base.lam is None:
+    base, h, n = family.base, family.h, family.base.dimension
+    if base.lam is None:
         raise PreconditionError("second variation is evaluated at space-form bases")
     if not (np.isfinite(t_step) and t_step > 0):
         raise PreconditionError(f"t_step must be positive and finite, got {t_step}")
+    sums, _, _ = _integrals(base, grid, coeff)
+    a0, vol0 = float(sums["F"]), float(sums["volume"])
 
-    base_vol = volume(family.base, grid)
+    def phi(z: complex) -> complex:
+        s, _, _ = _integrals(linear_combination_metric(base, h, z), grid, coeff)
+        return (vol0 / s["volume"]) ** ((n - 4) / n) * s["F"]
 
-    def F(t: float) -> float:
-        return evaluate(family.metric_at(t, grid, base_vol), grid, coeff).F
-
-    F0 = F(0.0)
-
-    def D(dt: float) -> float:
-        return (F(dt) - 2 * F0 + F(-dt)) / dt**2
-
-    coarse = D(t_step)
-    fine = D(t_step / 2)
-    value = (4 * fine - coarse) / 3
-    rel = abs(value - fine) / max(1.0, abs(value))
-    return D2Numeric(value, rel)
+    w = t_step * np.exp(0.25j * np.pi)
+    S = complex(phi(w) + phi(-w))
+    value = S.imag / t_step**2
+    a2, a4 = value / 2, (a0 - S.real / 2) / t_step**4
+    roundoff = np.finfo(float).eps * (abs(a0) + abs(S)) / (t_step**2 * max(1.0, abs(a2)))
+    return D2Numeric(value, (a4 * t_step**2 / a2) ** 2 + roundoff if a2 else np.inf)
 
 
 def second_variation_tt_predicted(
@@ -595,24 +597,10 @@ class VariationReport:
     d2_predicted: float
     rel_err_d1: float
     rel_err_d2: float
+    d2_rel_err_estimate: float
     c_lagrange: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "model": self.model,
-                "mode": self.mode,
-                "n": self.n,
-                "lambda": self.lam,
-                "s": self.s,
-                "tau": self.tau,
-                "d1_numeric": self.d1_numeric,
-                "d1_analytic": self.d1_analytic,
-                "d2_numeric": self.d2_numeric,
-                "d2_predicted": self.d2_predicted,
-                "rel_err_d1": self.rel_err_d1,
-                "rel_err_d2": self.rel_err_d2,
-                "c_lagrange": self.c_lagrange,
-            },
-            sort_keys=True,
-        )
+        body = asdict(self)
+        body["lambda"] = body.pop("lam")
+        return json.dumps(body, sort_keys=True)

@@ -24,6 +24,7 @@ from .fields import (
 from .functionals import Coefficients
 from .spectral import rayleigh_lichnerowicz, s3_invariant_tt, torus_tt_mode
 from .variations import (
+    SECOND_VARIATION_STEP,
     PerturbationFamily,
     VariationReport,
     _first_variation_pairing,
@@ -76,7 +77,7 @@ def _standard_direction(mode: str) -> SymTensorField | ScalarField:
 def hessian_case(
     model: str,
     coeff: Coefficients,
-    t_step: float = 1e-2,
+    t_step: float = SECOND_VARIATION_STEP,
 ) -> VariationReport:
     """Numeric-vs-predicted second variation for one of the standard modes."""
     if model == "s3-invariant":
@@ -125,6 +126,7 @@ def hessian_case(
         d2_predicted=predicted,
         rel_err_d1=abs(d1_numeric - d1_analytic) / max(1.0, abs(d1_analytic)),
         rel_err_d2=abs(d2.value - predicted) / max(1.0, abs(predicted)),
+        d2_rel_err_estimate=d2.rel_err_estimate,
         c_lagrange=c,
     )
 

@@ -128,7 +128,7 @@ def test_criterion_05_tt_second_variation_flat():
     fam = PerturbationFamily(base, h)
     d2 = second_variation_numeric(fam, grid, C00).value
     target = 2 * (2 * np.pi) ** 4
-    assert abs(d2 - target) / target <= 0.01
+    assert abs(d2 - target) / target <= 5e-11
     above = second_variation_numeric(fam, grid, Coefficients(-3.5, 0.0)).value
     below = second_variation_numeric(fam, grid, Coefficients(-4.5, 0.0)).value
     assert above > 0 > below
@@ -146,7 +146,7 @@ def test_criterion_06_tt_second_variation_sphere():
     fam = PerturbationFamily(base, h)
     d2 = second_variation_numeric(fam, grid, C00).value
     target = 112 * 6 * TWO_PI_SQ
-    assert abs(d2 - target) / target <= 0.01
+    assert abs(d2 - target) / target <= 2e-9
     pos = second_variation_numeric(fam, grid, Coefficients(2.0, 0.5)).value
     neg = second_variation_numeric(fam, grid, Coefficients(-6.0, 2.0)).value
     assert pos > 0 > neg
@@ -164,7 +164,7 @@ def test_criterion_07_conformal_second_variation_flat():
     fam = PerturbationFamily(base, conformal_tensor(base, f))
     d2 = second_variation_numeric(fam, grid, C00).value
     target = 2 * (2 * np.pi) ** 4
-    assert abs(d2 - target) / target <= 0.01
+    assert abs(d2 - target) / target <= 5e-11
     # predicted coefficient crosses zero exactly on s + 4 tau = 4 (tau - 1)/n
     n, mu = 3, (2 * np.pi) ** 2
     for tau in (-1.0, 0.0, 0.8, 2.5):

@@ -60,6 +60,8 @@ def test_verify_hessian_report(tmp_path, capsys):
     body = json.loads(out.read_text())
     assert body["rel_err_d2"] <= 0.01
     assert abs(body["d2_numeric"] - 3117.0909) < 1.0
+    # the rotated complex step's own error estimate is reported beside it
+    assert 0 < body["d2_rel_err_estimate"] <= 30 * body["rel_err_d2"]
     # byte-identical reruns
     out2 = tmp_path / "hess2.json"
     run(["verify-hessian", "--model", "torus-tt", "--s", "0", "--tau", "0",
@@ -222,4 +224,30 @@ def test_verify_gradient_bounds_the_torus_dimension(capsys, tmp_path):
     out = tmp_path / "grad.json"
     assert run(["verify-gradient", "--model", "torus", "--n", "6", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: the torus gradient model has n = 2 to 5")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature"],
+        ["check-identities", "--mode", "tt"],
+        ["verify-gradient", "--count", "1"],
+        ["verify-hessian", "--model", "torus-tt"],
+        ["rayleigh", "--model", "torus-tt"],
+    ],
+)
+@pytest.mark.parametrize("from_config", [False, True])
+def test_negative_tol_is_a_usage_error(argv, from_config, capsys, tmp_path):
+    # no result can pass a negative tolerance: refuse it before any work
+    out = tmp_path / "report.json"
+    if from_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": -1}))
+        argv = ["--config", str(cfg), *argv]
+    else:
+        argv = [*argv, "--tol", "-1"]
+    assert run([*argv, "--out", str(out)]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and "tol" in last
     assert not out.exists()

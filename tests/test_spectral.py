@@ -7,7 +7,7 @@ from curvlab.errors import (
     InvalidModeError,
     PreconditionError,
 )
-from curvlab.fields import random_torus_sym_tensor
+from curvlab.fields import random_torus_metric, random_torus_sym_tensor
 from curvlab.spectral import (
     rayleigh_lichnerowicz,
     s3_invariant_tt,
@@ -95,6 +95,13 @@ def test_rayleigh_refuses_non_tt(torus3, torus3_grid):
     h = random_torus_sym_tensor(3, np.random.default_rng(31))
     with pytest.raises(PreconditionError):
         rayleigh_lichnerowicz(torus3, h, torus3_grid)
+
+
+def test_rayleigh_refuses_a_non_einstein_base(torus3_grid):
+    base = random_torus_metric(3, np.random.default_rng(35), amplitude=0.05)
+    mode = torus_tt_mode(3, (1, 0, 0), np.diag([0.0, 1.0, -1.0]))
+    with pytest.raises(PreconditionError, match="not Einstein"):
+        rayleigh_lichnerowicz(base, mode, torus3_grid)
 
 
 def test_rayleigh_refuses_hyperbolic(poincare3):

@@ -320,6 +320,20 @@ def test_lichnerowicz_flat_equals_rough(torus3):
     ).max() < 1e-12
 
 
+def test_einstein_gate_is_relative_to_the_curvature():
+    # a round S^3 of radius 3e-5 has |R|/n = 2.2e9 and an Einstein defect of
+    # 7e-6 from roundoff; an absolute 1e-6 gate refused it
+    r = 3e-5
+    small = make_model("sphere", 3, radius=r)
+    X = random_probes(small.domain, np.random.default_rng(3), count=50)
+    h = random_sphere_sym_tensor(3, np.random.default_rng(4), radius=r)
+    assert np.isfinite(lichnerowicz(small, h, X)).all()
+    pm = random_torus_metric(3, np.random.default_rng(35), amplitude=0.05)
+    Y = np.random.default_rng(5).uniform(0, 1, (5, 3))
+    with pytest.raises(PreconditionError, match="not Einstein"):
+        lichnerowicz(pm, random_torus_sym_tensor(3, np.random.default_rng(6)), Y)
+
+
 def test_lichnerowicz_invariant_mode(euler3):
     h = s3_invariant_tt((2.0, -1.0, -1.0))
     X = random_probes(euler3.domain, np.random.default_rng(14), count=12)

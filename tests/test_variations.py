@@ -21,6 +21,7 @@ from curvlab.fields import (
     random_sphere_sym_tensor,
     random_torus_metric,
     random_torus_sym_tensor,
+    trig_sym_tensor_field,
 )
 from curvlab.functionals import Coefficients, evaluate
 from curvlab.spectral import s3_invariant_tt, torus_tt_mode
@@ -53,7 +54,7 @@ from curvlab.variations import (
     second_variation_tt_predicted,
     tt_identity_suite,
 )
-from curvlab.verify import s3_first_harmonic, s3_second_harmonic
+from curvlab.verify import HESSIAN_MODELS, hessian_case, s3_first_harmonic, s3_second_harmonic
 
 from conftest import random_probes
 
@@ -427,6 +428,54 @@ def test_second_variation_preconditions(torus3, torus3_grid):
         second_variation_numeric(
             PerturbationFamily(pm, h), torus3_grid, C00
         )
+    for bad in (0.0, -1e-3, np.nan):
+        with pytest.raises(PreconditionError):
+            second_variation_numeric(PerturbationFamily(torus3, h), torus3_grid, C00, bad)
+
+
+def test_second_variation_along_a_flat_deformation(torus3, torus3_grid):
+    # a constant h keeps the torus flat, so F is identically 0 along it: the
+    # value is exactly 0 and its relative error has no scale
+    A = np.array([[1.0, 0.2, 0.0], [0.2, -0.5, 0.1], [0.0, 0.1, 0.3]])
+    h = trig_sym_tensor_field(torus3.domain, [((0, 0, 0), A, np.zeros((3, 3)))])
+    d2 = second_variation_numeric(PerturbationFamily(torus3, h), torus3_grid, C00)
+    assert d2 == (0.0, np.inf)
+
+
+def _richardson_second_variation(family, grid, coeff, t_step=2.5e-3):
+    """Richardson-extrapolated central second difference of F along the
+    family (error of order t_step^4), the independent oracle of the rotated
+    complex step."""
+    F0 = evaluate(family.base, grid, coeff).F
+
+    def D(dt):
+        Fp, Fm = (evaluate(family.metric_at(t, grid), grid, coeff).F for t in (dt, -dt))
+        return (Fp - 2 * F0 + Fm) / dt**2
+
+    return (4 * D(t_step / 2) - D(t_step)) / 3
+
+
+@pytest.mark.parametrize("n, res", [(3, (10, 10, 12)), (4, (6, 6, 6, 8)), (5, (4, 4, 4, 4, 6))])
+def test_rotated_step_matches_richardson_oracle(n, res):
+    # random pullback directions are not volume-neutral, so a(t) and the
+    # exponent (n - 4)/n of the scaling law enter (n = 4: F is scale-free)
+    base = make_model("sphere", n)
+    grid = build_grid(base.domain, res)
+    fam = PerturbationFamily(base, random_sphere_sym_tensor(n, np.random.default_rng(41)))
+    coeff = Coefficients(0.7, -0.4)
+    d2 = second_variation_numeric(fam, grid, coeff).value
+    oracle = _richardson_second_variation(fam, grid, coeff)
+    # measured 1.4e-9, 2.0e-9 and 6.8e-9: the oracle's own error
+    assert abs(d2 - oracle) <= 1e-7 * abs(oracle)
+
+
+@pytest.mark.parametrize("model", HESSIAN_MODELS)
+@pytest.mark.parametrize("s, tau", [(0.0, 0.0), (0.7, -0.4), (-3.0, 1.0)])
+def test_second_variation_error_estimate(model, s, tau):
+    report = hessian_case(model, Coefficients(s, tau))
+    err, est = report.rel_err_d2, report.d2_rel_err_estimate
+    # measured est / err from 0.93 to 3.4
+    assert err / 30 <= est <= 30 * err
 
 
 def test_torus_tt_second_variation(torus3):
@@ -434,7 +483,8 @@ def test_torus_tt_second_variation(torus3):
     h = torus_tt_mode(3, (1, 0, 0), np.diag([0.0, 1.0, -1.0]))
     fam = PerturbationFamily(torus3, h)
     d2 = second_variation_numeric(fam, grid, C00)
-    assert d2.value == pytest.approx(2 * (2 * np.pi) ** 4, rel=1e-6)
+    # measured 1.2e-12
+    assert d2.value == pytest.approx(2 * (2 * np.pi) ** 4, rel=5e-11)
     # sign flips across s = -4
     assert second_variation_numeric(fam, grid, Coefficients(-3.5, 0.0)).value > 0
     assert second_variation_numeric(fam, grid, Coefficients(-4.5, 0.0)).value < 0
@@ -445,7 +495,8 @@ def test_torus_conformal_second_variation(torus3):
     f = cosine_scalar_field(torus3.domain, (1, 0, 0))
     fam = PerturbationFamily(torus3, conformal_tensor(torus3, f))
     d2 = second_variation_numeric(fam, grid, C00)
-    assert d2.value == pytest.approx(2 * (2 * np.pi) ** 4, rel=1e-6)
+    # measured 3.9e-12
+    assert d2.value == pytest.approx(2 * (2 * np.pi) ** 4, rel=5e-11)
 
 
 def test_s3_tt_second_variation(euler3):
@@ -455,7 +506,8 @@ def test_s3_tt_second_variation(euler3):
     d2 = second_variation_numeric(fam, grid, C00)
     predicted = second_variation_tt_predicted(3, 1, 12.0, C00, 6 * TWO_PI_SQ)
     assert predicted == pytest.approx(13264.748315, abs=1e-4)
-    assert abs(d2.value - predicted) / predicted < 0.01
+    # measured 6.5e-11
+    assert abs(d2.value - predicted) / predicted < 2e-9
     # region signs from the classification theorems
     assert second_variation_numeric(fam, grid, Coefficients(2.0, 0.5)).value > 0
     assert second_variation_numeric(fam, grid, Coefficients(-6.0, 2.0)).value < 0
@@ -470,7 +522,10 @@ def test_s3_conformal_second_variation_second_harmonic(euler3):
     f2 = TWO_PI_SQ / 16
     predicted = second_variation_conformal_predicted(3, 1, 8.0, C00, f2)
     assert predicted == pytest.approx(140 * TWO_PI_SQ / 16, rel=1e-12)
-    assert abs(d2.value - predicted) / abs(predicted) < 0.01
+    # measured 1.4e-10, estimated 1.8e-9
+    err = abs(d2.value - predicted) / abs(predicted)
+    assert err < 2e-9
+    assert err / 30 <= d2.rel_err_estimate <= 30 * err
 
 
 def test_predicted_formulas_and_domains():
