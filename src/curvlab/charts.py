@@ -168,6 +168,14 @@ def exact_sphere_volume(n: int, radius: float = 1.0) -> float:
 # Models
 # ---------------------------------------------------------------------------
 
+def positive_normal_power(x: float, p: int) -> bool:
+    """True when x > 0 and x**p is a finite, normal float64: the range of a
+    length (a radius, a step) whose p-th power a computation divides by."""
+    with np.errstate(over="ignore", under="ignore"):
+        y = np.float64(x) ** p
+    return bool(x > 0 and np.isfinite(y) and y >= np.finfo(float).tiny)
+
+
 _MODEL_CACHE: dict[tuple, MetricField] = {}
 
 
@@ -278,8 +286,13 @@ def make_model(
         )
     if kind == "s3-euler" and n != 3:
         raise UnsupportedModelError("the SU(2) Euler chart requires n = 3")
-    if not (np.isfinite(radius) and radius > 0):
-        raise UnsupportedModelError(f"radius must be positive and finite, got {radius}")
+    if kind in ("torus", "poincare"):
+        if radius != 1.0:
+            raise UnsupportedModelError(f"model {kind!r} takes no radius, got {radius}")
+    elif not positive_normal_power(radius, 2):
+        raise UnsupportedModelError(
+            f"radius must be positive with radius**2 a finite normal float, got {radius}"
+        )
 
     key = (kind, n, radius, None if lengths is None else tuple(lengths))
     if key in _MODEL_CACHE:

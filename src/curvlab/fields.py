@@ -308,7 +308,11 @@ class _SympyJet:
     order by order on first request (orders up to ``eager`` at once).
 
     Only unique components are kept: derivative indices are sorted, and so
-    are the two component indices of a symmetric 2-tensor.
+    are the two component indices of a symmetric 2-tensor.  A call fills the
+    unique columns of each order into one ``(N, ncols)`` float64 array (a
+    column sympy folded to a constant arrives as a scalar and broadcasts)
+    and gathers the full index set from it with ``np.take``, so every order
+    comes back C-contiguous.
     """
 
     def __init__(self, coords, exprs: np.ndarray, symmetric: bool, eager: int = 2):
@@ -359,9 +363,12 @@ class _SympyJet:
         out = []
         for k in range(order + 1):
             fn, index = self._fn(k)
-            cols = [np.broadcast_to(np.asarray(v, dtype=float), (N,)) for v in fn(*args)]
+            vals = fn(*args)
+            cols = np.empty((N, len(vals)))
+            for c, v in enumerate(vals):
+                cols[:, c] = v  # a constant column is a scalar and broadcasts
             # take keeps each node's components contiguous, unlike [:, index]
-            out.append(np.take(np.stack(cols, axis=-1), index, axis=1))
+            out.append(np.take(cols, index, axis=1))
         return out
 
 

@@ -193,11 +193,10 @@ def symmetrization_energies(
     Both are non-negative; the invariant S^3 mode makes cyc vanish, the
     equality case of the least-eigenvalue bound on the unit sphere.
     """
-    dd, dt = tt_defect(base, h, grid)
+    hv, Dh, _, _, ginv, _ = sym_tensor_cov_derivs(base, h, grid.nodes)
+    dd, dt = _tt_defect_arrays(hv, Dh, ginv)
     if dd > TT_TOL or dt > TT_TOL:
         raise PreconditionError("field is not transverse-traceless")
-    X = grid.nodes
-    _, Dh, _, g, ginv, _ = sym_tensor_cov_derivs(base, h, X)
     measure = grid.weights * sqrt_det_grid(base, grid)
     cyc = Dh + np.einsum("ajki->aijk", Dh) + np.einsum("akij->aijk", Dh)
     anti = Dh - np.einsum("aikj->aijk", Dh)

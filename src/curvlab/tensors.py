@@ -17,8 +17,12 @@ normalization Ric = (n-1) * lam * g):
   T_likj, T_lijk = (g_lk,ij - g_ik,lj + S_qkl Gamma^q_ij) / 2, so the (j,k)
   antisymmetry is exact.  ``Rm13`` = R^l_ijk is raised from Rm4 on demand.
 * Ricci ``Ric[a,i,k] = g^{lj} R_lijk``; scalar ``R = g^{ik} Ric_ik``.
-* The quadratic contractions of the gradient are cached on the bundle:
-  ``A1_ij = R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl`` and
+* A :class:`CurvatureBundle` holds g, g^-1, sqrt(det g), Gamma, Rm4, Ric
+  and R.  The rest is computed on first read and cached on the bundle: the
+  norms ``normRm2`` = |Rm|^2 and ``normRic2`` = |Ric|^2 (read by the
+  functionals and the gradient, not by the curvature checks), ``W``, the
+  raised forms of Rm4 and Ric, and the quadratic contractions of the
+  gradient, ``A1_ij = R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl`` and
   ``ric2_ij = R_ip g^{pq} R_qj``, all with Rm4's slot order.
   :func:`space_form_deviation` is the one space-form test: max |Rm4 -
   lam (g o g)/2|, each caller comparing it with its own tolerance.
@@ -324,12 +328,20 @@ class CurvatureBundle:
     Rm4: Array  # (a,l,i,j,k) = R_lijk, the curvature array (first kind)
     Ric: Array  # (a,i,k)
     R: Array  # (a,)
-    normRm2: Array  # |Rm|^2
-    normRic2: Array  # |Ric|^2
 
     @property
     def dimension(self) -> int:
         return self.g.shape[-1]
+
+    @cached_property
+    def normRm2(self) -> Array:
+        """|Rm|^2."""
+        return norm2_04(self.Rm4, self.ginv)
+
+    @cached_property
+    def normRic2(self) -> Array:
+        """|Ric|^2."""
+        return norm2_02(self.Ric, self.ginv)
 
     @cached_property
     def W(self) -> Array | None:
@@ -481,9 +493,7 @@ def curvature_bundle(g: Array, dg: Array, d2g: Array) -> CurvatureBundle:
     # adjacent, so the product runs on Rm4's own layout
     Ric = -np.matmul(ginv.reshape(N, 1, 1, n * n), Rm4.reshape(N, n, n * n, n)).reshape(N, n, n)
     R = contract("aik,aik->a", ginv, Ric)
-    normRm2 = norm2_04(Rm4, ginv)
-    normRic2 = norm2_02(Ric, ginv)
-    return CurvatureBundle(g, ginv, np.sqrt(det), Gamma, Rm4, Ric, R, normRm2, normRic2)
+    return CurvatureBundle(g, ginv, np.sqrt(det), Gamma, Rm4, Ric, R)
 
 
 def curvature_grid(
@@ -523,7 +533,7 @@ def space_form_deviation(bundle: CurvatureBundle, lam: float) -> float:
         model -= g[:, :, None, None, :] * g[:, None, :, :, None]
         model *= lam
         np.subtract(bundle.Rm4[i : i + HESSIAN_BLOCK], model, out=model)
-        dev = max(dev, max_abs(model))
+        dev = float(np.maximum(dev, max_abs(model)))  # keeps a NaN, unlike max()
     return dev
 
 

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .atlas import conformal_polynomial, tt_polynomial
-from .charts import QuadratureGrid, volume
+from .charts import QuadratureGrid, positive_normal_power, volume
 from .errors import (
     EigenvalueRangeError,
     GlobalIntegralUnsupportedError,
@@ -384,8 +384,10 @@ def second_variation_numeric(
     base, h, n = family.base, family.h, family.base.dimension
     if base.lam is None:
         raise PreconditionError("second variation is evaluated at space-form bases")
-    if not (np.isfinite(t_step) and t_step > 0):
-        raise PreconditionError(f"t_step must be positive and finite, got {t_step}")
+    if not positive_normal_power(t_step, 4):
+        raise PreconditionError(
+            f"t_step must be positive with t_step**4 a finite normal float, got {t_step}"
+        )
     sums, _, _ = _integrals(base, grid, coeff)
     a0, vol0 = float(sums["F"]), float(sums["volume"])
 

@@ -52,6 +52,16 @@ def test_make_model_errors():
         make_model("sphere", 3, curvature=-1)
     with pytest.raises(UnsupportedModelError):
         make_model("torus", 1)
+    # lam = 1/radius**2 needs radius**2 to be a positive, finite, normal float
+    for kind, radius in (("sphere", 1e-200), ("s3-euler", 1e-170), ("sphere", 1e200),
+                         ("sphere", 1e-155), ("sphere", 0.0), ("sphere", -1.0)):
+        with pytest.raises(UnsupportedModelError, match="radius"):
+            make_model(kind, 3, radius=radius)
+    # the flat torus and the Poincare ball have no radius to set
+    for kind in ("torus", "poincare"):
+        with pytest.raises(UnsupportedModelError, match="takes no radius"):
+            make_model(kind, 3, radius=2.0)
+    assert make_model("sphere", 2, radius=1e-150).lam == pytest.approx(1e300)
 
 
 def test_torus_metric_is_identity(torus3):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -176,6 +177,30 @@ def test_zero_t_step_is_usage_error(capsys):
     for value in ("0", "-0.01"):
         assert run(["verify-hessian", "--model", "torus-tt", "--t-step", value]) == 1
         assert "t_step" in capsys.readouterr().err
+
+
+def _refused_cleanly(argv, capsys) -> None:
+    # exit 1 with one "error:" line: no traceback and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "model, radius",
+    [("sphere", "1e-200"), ("s3-euler", "1e-170"), ("sphere", "1e200"),
+     ("torus", "2"), ("poincare", "2")],
+)
+def test_out_of_range_radius_is_usage_error(model, radius, capsys):
+    _refused_cleanly(["curvature", "--model", model, "--radius", radius], capsys)
+
+
+@pytest.mark.parametrize("t_step", ["1e-100", "1e-300", "1e300"])
+def test_t_step_with_no_normal_fourth_power_is_usage_error(t_step, capsys):
+    # t_step**4 underflows to 0 or overflows
+    _refused_cleanly(["verify-hessian", "--model", "torus-tt", "--t-step", t_step], capsys)
 
 
 def test_rayleigh_malformed_lists_are_usage_errors(capsys):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from curvlab.charts import build_grid, make_model
+from curvlab import spectral
+from curvlab.charts import build_grid, make_model, sqrt_det_grid
 from curvlab.errors import (
     GlobalIntegralUnsupportedError,
     InvalidModeError,
     PreconditionError,
 )
-from curvlab.fields import random_torus_metric, random_torus_sym_tensor
+from curvlab.fields import metric_as_sym_tensor, random_torus_metric, random_torus_sym_tensor
 from curvlab.spectral import (
     rayleigh_lichnerowicz,
     s3_invariant_tt,
@@ -15,6 +16,7 @@ from curvlab.spectral import (
     torus_tt_mode,
     tt_defect,
 )
+from curvlab.tensors import covariant_derivative
 from curvlab.variations import conformal_tensor
 from curvlab.fields import cosine_scalar_field
 
@@ -135,6 +137,43 @@ def test_symmetrization_energies(torus3, torus3_grid, euler3, euler3_grid):
     cyc_s, anti_s = symmetrization_energies(euler3, inv, euler3_grid)
     assert abs(cyc_s) <= 1e-6  # equality case of the sphere bound
     assert anti_s >= -1e-12
+
+
+def test_symmetrization_energies_take_one_cov_derivs_pass(
+    monkeypatch, torus3, torus3_grid, euler3, euler3_grid
+):
+    inv = s3_invariant_tt((2.0, -1.0, -1.0))
+    mode = torus_tt_mode(3, (1, 0, 0), np.diag([0.0, 1.0, -1.0]))
+    cases = ((euler3, inv, euler3_grid), (torus3, mode, torus3_grid))
+    # reference: the energies of the module formula from a separate pass
+    want = []
+    for base, h, grid in cases:
+        Dh = covariant_derivative(base, h, grid.nodes, order=1)
+        ginv = np.linalg.inv(base.metric_grid(grid.nodes))
+        measure = grid.weights * sqrt_det_grid(base, grid)
+        cyc = Dh + np.einsum("ajki->aijk", Dh) + np.einsum("akij->aijk", Dh)
+        anti = Dh - np.einsum("aikj->aijk", Dh)
+        want.append(tuple(
+            float(np.sum(measure * np.einsum("aijk,aip,ajq,akr,apqr->a", T, ginv, ginv, ginv, T)))
+            for T in (cyc, anti)
+        ))
+    calls = []
+    real = spectral.sym_tensor_cov_derivs
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "sym_tensor_cov_derivs", counted)
+    for (base, h, grid), (cyc, anti) in zip(cases, want):
+        calls.clear()
+        got = symmetrization_energies(base, h, grid)
+        assert len(calls) == 1
+        assert got == pytest.approx((cyc, anti), rel=1e-12, abs=1e-12)
+    calls.clear()
+    with pytest.raises(PreconditionError, match="transverse-traceless"):
+        symmetrization_energies(torus3, metric_as_sym_tensor(torus3), torus3_grid)
+    assert len(calls) == 1
 
 
 def test_sphere_bound(euler3):

@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+import sympy as sp
 
-from curvlab.charts import build_grid, make_model
+from curvlab.charts import _euler_su2_exprs, build_grid, make_model
 from curvlab.errors import DegenerateMetricError, DimensionError, PreconditionError
 from curvlab.fields import (
     CovectorField,
+    _SympyJet,
     SymTensorField,
     linear_combination_metric,
     metric_as_sym_tensor,
@@ -548,6 +550,49 @@ def test_space_form_deviation_against_dense_model(sphere4):
     assert space_form_deviation(S, sphere4.lam) <= 1e-12
 
 
+def test_space_form_deviation_keeps_a_nan(sphere4):
+    # a NaN in an early block must not be dropped by the running maximum
+    S = curvature_grid(sphere4, random_probes(sphere4.domain, RNG, count=3 * tensors.HESSIAN_BLOCK))
+    Rm4 = S.Rm4.copy()
+    Rm4[1, 0, 1, 0, 1] = np.nan
+    assert np.isnan(space_form_deviation(dataclasses.replace(S, Rm4=Rm4), sphere4.lam))
+
+
+def test_curvature_norms_are_computed_on_first_read(sphere4):
+    b = curvature(sphere4, random_probes(sphere4.domain, RNG, count=1)[0])
+    assert "normRm2" not in vars(b) and "normRic2" not in vars(b)
+    assert np.array_equal(b.normRm2, norm2_04(b.Rm4, b.ginv))
+    assert np.array_equal(b.normRic2, tensors.norm2_02(b.Ric, b.ginv))
+    assert "normRm2" in vars(b) and "normRic2" in vars(b)
+    assert np.abs(b.normRm2 - 24).max() < 1e-9  # 2 n (n-1) on the unit S^4
+
+
+@pytest.mark.parametrize("N", [1, 64])
+def test_sympy_jet_matches_per_component_lambdify(N):
+    # the Euler S^3 metric has constant components (1/4 and 0) at every order,
+    # which lambdify returns as scalars; each must broadcast bitwise
+    coords, g = _euler_su2_exprs(1.0)
+    exprs = np.empty((3, 3), dtype=object)
+    for i, j in np.ndindex(3, 3):
+        exprs[i, j] = g[i, j]
+    euler = make_model("s3-euler", 3)
+    X = random_probes(euler.domain, np.random.default_rng(N), count=N)
+    args = [X[:, k] for k in range(3)]
+    jet = _SympyJet(coords, exprs, symmetric=True)(X, 4)
+    constant = 0
+    for k, got in enumerate(jet):
+        assert got.shape == (N, 3, 3) + (3,) * k
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        for idx in np.ndindex(got.shape[1:]):
+            e = g[idx[0], idx[1]]
+            for q in idx[2:]:
+                e = sp.diff(e, coords[q])
+            constant += e.is_constant()
+            want = np.broadcast_to(np.asarray(sp.lambdify(coords, e, "numpy")(*args), float), (N,))
+            assert np.array_equal(got[(slice(None),) + idx], want), (k, idx)
+    assert constant > 0
+
+
 def test_bundle_quadratic_contractions_random_torus_n4():
     pm = random_torus_metric(4, np.random.default_rng(14))
     b = curvature_grid(pm, build_grid(pm.domain, 4).nodes)
@@ -580,11 +625,14 @@ def test_curvature_grid_blocks_keep_complex_fields(sphere3):
     X = random_probes(sphere3.domain, np.random.default_rng(44), count=200)
     whole = tensors.curvature_bundle(*field.jet(X, 2))
     blocked = curvature_grid(field, X, block=64)
-    for f in dataclasses.fields(tensors.CurvatureBundle):
-        a, b = getattr(blocked, f.name), getattr(whole, f.name)
-        assert a.dtype == b.dtype == complex, f.name
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max()), f.name
+    # the norms are computed on first read, so fields() does not list them
+    names = [f.name for f in dataclasses.fields(tensors.CurvatureBundle)]
+    for name in names + ["normRm2", "normRic2"]:
+        a, b = getattr(blocked, name), getattr(whole, name)
+        assert a.dtype == b.dtype == complex, name
+        assert np.allclose(a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max()), name
     assert np.abs(blocked.R.imag).max() > 1e-4
+    assert np.abs(blocked.normRm2.imag).max() > 1e-4
     # the positivity test reads the real part of det g
     with pytest.raises(DegenerateMetricError):
         curvature_grid(linear_combination_metric(sphere3, metric_as_sym_tensor(sphere3), -1 + 1j), X)

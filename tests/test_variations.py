@@ -428,7 +428,8 @@ def test_second_variation_preconditions(torus3, torus3_grid):
         second_variation_numeric(
             PerturbationFamily(pm, h), torus3_grid, C00
         )
-    for bad in (0.0, -1e-3, np.nan):
+    # t_step**4 must be a positive normal float: 1e-100 underflows it to 0
+    for bad in (0.0, -1e-3, np.nan, np.inf, 1e-100, 1e-300, 1e300):
         with pytest.raises(PreconditionError):
             second_variation_numeric(PerturbationFamily(torus3, h), torus3_grid, C00, bad)
 
