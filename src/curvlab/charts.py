@@ -29,7 +29,6 @@ import sympy as sp
 
 from .errors import (
     ConfigurationError,
-    DegenerateMetricError,
     GlobalIntegralUnsupportedError,
     UnsupportedModelError,
 )
@@ -48,6 +47,7 @@ from .fields import (
     sphere_domain,
     torus_domain,
 )
+from .tensors import volume_element
 
 MIN_RESOLUTION = 4
 
@@ -116,16 +116,8 @@ def build_grid(domain: ChartDomain, resolution: Sequence[int] | int) -> Quadratu
 
 
 def sqrt_det_grid(field: MetricField, grid: QuadratureGrid) -> Array:
-    """sqrt(det g) at every node; raises naming the first bad node."""
-    g = field.metric_grid(grid.nodes)
-    det = np.linalg.det(g)
-    bad = np.nonzero(det.real <= 0)[0]
-    if bad.size:
-        a = int(bad[0])
-        raise DegenerateMetricError(
-            f"det g = {det[a]:.3e} <= 0 at node {a} x={grid.nodes[a].tolist()}"
-        )
-    return np.sqrt(det)
+    """sqrt(det g) at every node (:func:`curvlab.tensors.volume_element`)."""
+    return volume_element(field.metric_grid(grid.nodes))
 
 
 def _require_quadrature(field: MetricField):

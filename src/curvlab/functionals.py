@@ -1,9 +1,12 @@
 """Quadrature evaluation of the quadratic curvature energies.
 
 The total functional is  F = int |Rm|^2 + s int |Ric|^2 + tau int R^2,
-reported together with the Weyl energy and the volume.  Reductions use
-numpy's pairwise summation over a fixed node order, so reports are
-bit-stable.
+reported together with the Weyl energy and the volume.  The curvature is
+streamed over the grid in node blocks (:func:`curvlab.tensors.node_blocks`),
+which hand back per-node densities; every sum runs once over the
+concatenated densities, never over partial sums per block, with numpy's
+pairwise summation in a fixed node order.  Reports are therefore bit-stable
+and do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import numpy as np
 
 from .charts import QuadratureGrid, volume
 from .errors import DimensionError, GlobalIntegralUnsupportedError
-from .fields import Array, MetricField
-from .tensors import CurvatureBundle, curvature_grid, norm2_04
+from .fields import MetricField
+from .tensors import curvature_grid, node_blocks, norm2_04
 
 
 @dataclass(frozen=True)
@@ -59,32 +62,36 @@ class FunctionalReport:
 
 
 def _integrals(
-    field: MetricField, grid: QuadratureGrid, coeff: Coefficients
-) -> tuple[dict, CurvatureBundle, Array]:
-    """The quadrature sums of F and its parts, in the field's dtype (complex
-    along a complex-step direction), with the bundle and the measure."""
+    field: MetricField, grid: QuadratureGrid, coeff: Coefficients, weyl: bool = False
+) -> dict:
+    """The quadrature sums of F, its parts and the volume (with ``weyl``,
+    also int |W|^2), in the field's dtype: complex along a complex-step
+    direction."""
     if not field.supports_global_quadrature:
         raise GlobalIntegralUnsupportedError(
             f"{field.name}: global integrals are not defined on this chart"
         )
-    bundle = curvature_grid(field, grid.nodes)
-    measure = grid.weights * bundle.sqrt_det
-    densities = (bundle.normRm2, bundle.normRic2, bundle.R**2)
-    rquad, rho, s_int = (np.sum(measure * d) for d in densities)
-    total = rquad + coeff.s * rho + coeff.tau * s_int
-    return dict(Rquad=rquad, rho=rho, S=s_int, F=total, volume=np.sum(measure)), bundle, measure
+
+    def densities(Y):
+        b = curvature_grid(field, Y)
+        out = (b.sqrt_det, b.normRm2, b.normRic2, b.R**2)
+        return out + (norm2_04(b.W, b.ginv),) if weyl else out
+
+    sqrt_det, *parts = node_blocks(densities, grid.nodes)
+    measure = grid.weights * sqrt_det
+    sums = {k: np.sum(measure * d) for k, d in zip(("Rquad", "rho", "S", "W"), parts)}
+    sums["F"] = sums["Rquad"] + coeff.s * sums["rho"] + coeff.tau * sums["S"]
+    sums["volume"] = np.sum(measure)
+    return sums
 
 
 def evaluate(
     field: MetricField, grid: QuadratureGrid, coeff: Coefficients
 ) -> FunctionalReport:
     """Integrate the curvature invariants of the field over the grid."""
-    sums, bundle, measure = _integrals(field, grid, coeff)
     # the Weyl tensor vanishes identically for n <= 3
-    w_int = 0.0
-    if field.dimension >= 4:
-        w_int = float(np.sum(measure * norm2_04(bundle.W, bundle.ginv)))
-    return FunctionalReport(W=w_int, **{k: float(v) for k, v in sums.items()})
+    sums = {"W": 0.0} | _integrals(field, grid, coeff, weyl=field.dimension >= 4)
+    return FunctionalReport(**{k: float(v) for k, v in sums.items()})
 
 
 def decomposition_residual(field: MetricField, grid: QuadratureGrid) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .charts import QuadratureGrid, make_model, milnor_coframe_exprs, sqrt_det_grid
+from .charts import QuadratureGrid, make_model, milnor_coframe_exprs
 from .errors import (
     GlobalIntegralUnsupportedError,
     InvalidModeError,
@@ -38,12 +38,15 @@ from .fields import (
 )
 from .tensors import (
     curvature_grid,
+    einstein_parts,
     inner_02,
     lichnerowicz_arrays,
+    node_blocks,
     norm2_02,
     raise_all,
     require_einstein,
     sym_tensor_cov_derivs,
+    volume_element,
 )
 
 TT_TOL = 1e-6
@@ -110,11 +113,18 @@ def torus_tt_mode(n: int, k, A, lengths=None) -> SymTensorField:
     return field
 
 
+# s3_invariant_tt's fields by (coefficient bytes, radius), built once: fields
+# are frozen, so calls can share them.  Bytes keep d = -0.0 apart from 0.0,
+# which names the mode differently.
+_S3_TT_CACHE: dict = {}
+
+
 def s3_invariant_tt(d, radius: float = 1.0) -> SymTensorField:
     """Left-invariant traceless diagonal mode on the round S^3 Euler chart.
 
     h = sum_i d_i w^i w^i in the orthonormal bi-invariant coframe, expressed
-    in chart components; requires sum d_i = 0 and d != 0.
+    in chart components; requires sum d_i = 0 and d != 0.  Built once per
+    (d, radius).
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (3,):
@@ -123,6 +133,9 @@ def s3_invariant_tt(d, radius: float = 1.0) -> SymTensorField:
         raise InvalidModeError(f"sum d = {d.sum()} != 0 (trace condition)")
     if not d.any():
         raise InvalidModeError("mode coefficients are all zero")
+    key = (d.tobytes(), radius)
+    if key in _S3_TT_CACHE:
+        return _S3_TT_CACHE[key]
     coords, w = milnor_coframe_exprs(radius)
     h = sp.zeros(3, 3)
     for i in range(3):
@@ -135,6 +148,7 @@ def s3_invariant_tt(d, radius: float = 1.0) -> SymTensorField:
         h,
         name=f"S^3 invariant mode d={d.tolist()}",
     )
+    _S3_TT_CACHE[key] = field
     return field
 
 
@@ -142,37 +156,58 @@ def tt_defect(
     base: MetricField, h: SymTensorField, grid: QuadratureGrid
 ) -> tuple[float, float]:
     """(sup |delta h|_g, sup |tr h|) over the grid nodes."""
-    hv, Dh, _, _, ginv, _ = sym_tensor_cov_derivs(base, h, grid.nodes)
-    return _tt_defect_arrays(hv, Dh, ginv)
+
+    def defects(Y):
+        hv, Dh, _, _, ginv, _ = sym_tensor_cov_derivs(base, h, Y)
+        return _tt_defect_arrays(hv, Dh, ginv)
+
+    return tuple(float(np.max(v)) for v in node_blocks(defects, grid.nodes))
 
 
-def _tt_defect_arrays(hv: Array, Dh: Array, ginv: Array) -> tuple[float, float]:
+def _tt_defect_arrays(hv: Array, Dh: Array, ginv: Array) -> tuple[Array, Array]:
+    """(|delta h|_g, |tr h|) at each node."""
     div = np.einsum("apq,apjq->aj", ginv, Dh)
     div_norm = np.sqrt(np.maximum(np.einsum("aij,ai,aj->a", ginv, div, div), 0.0))
     tr = np.einsum("aij,aij->a", ginv, hv)
-    return float(np.max(div_norm)), float(np.max(np.abs(tr)))
+    return div_norm, np.abs(tr)
+
+
+def _require_tt(div_norm: Array, tr: Array, what: str) -> tuple[float, float]:
+    """The TT defect maxima over all nodes; PreconditionError past TT_TOL."""
+    dd, dt = float(np.max(div_norm)), float(np.max(tr))
+    if dd > TT_TOL or dt > TT_TOL:
+        raise PreconditionError(f"{what} (div {dd:.2e}, tr {dt:.2e})")
+    return dd, dt
 
 
 def rayleigh_lichnerowicz(
     base: MetricField, h: SymTensorField, grid: QuadratureGrid
 ) -> RayleighReport:
-    """Rayleigh quotient of -Lap_L on a TT field over an Einstein base."""
+    """Rayleigh quotient of -Lap_L on a TT field over an Einstein base, the
+    nodes streamed in blocks (per-node densities, one sum over all nodes)."""
     if not base.supports_global_quadrature:
         raise GlobalIntegralUnsupportedError(
             "Rayleigh quotients need global integrals; this chart has none"
         )
-    bundle = curvature_grid(base, grid.nodes)
-    require_einstein(bundle)
-    hv, Dh, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, grid.nodes)
-    dd, dt = _tt_defect_arrays(hv, Dh, ginv)
-    if dd > TT_TOL or dt > TT_TOL:
-        raise PreconditionError(
-            f"field is not transverse-traceless (div {dd:.2e}, tr {dt:.2e})"
+
+    def densities(Y):
+        bundle = curvature_grid(base, Y)
+        hv, Dh, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, Y)
+        lap_L = lichnerowicz_arrays(hv, D2h, bundle)
+        return (
+            *einstein_parts(bundle),
+            *_tt_defect_arrays(hv, Dh, ginv),
+            bundle.sqrt_det,
+            -inner_02(lap_L, hv, bundle.ginv),
+            norm2_02(hv, bundle.ginv),
         )
-    measure = grid.weights * bundle.sqrt_det
-    lap_L = lichnerowicz_arrays(hv, D2h, bundle)
-    energy = float(np.sum(measure * -inner_02(lap_L, hv, bundle.ginv)))
-    norm2 = float(np.sum(measure * norm2_02(hv, bundle.ginv)))
+
+    defect2, r_scale, div_norm, tr, sqrt_det, energy_d, norm_d = node_blocks(densities, grid.nodes)
+    require_einstein(defect2, r_scale)
+    dd, dt = _require_tt(div_norm, tr, "field is not transverse-traceless")
+    measure = grid.weights * sqrt_det
+    energy = float(np.sum(measure * energy_d))
+    norm2 = float(np.sum(measure * norm_d))
     return RayleighReport(
         energy=energy,
         norm2=norm2,
@@ -193,16 +228,18 @@ def symmetrization_energies(
     Both are non-negative; the invariant S^3 mode makes cyc vanish, the
     equality case of the least-eigenvalue bound on the unit sphere.
     """
-    hv, Dh, _, _, ginv, _ = sym_tensor_cov_derivs(base, h, grid.nodes)
-    dd, dt = _tt_defect_arrays(hv, Dh, ginv)
-    if dd > TT_TOL or dt > TT_TOL:
-        raise PreconditionError("field is not transverse-traceless")
-    measure = grid.weights * sqrt_det_grid(base, grid)
-    cyc = Dh + np.einsum("ajki->aijk", Dh) + np.einsum("akij->aijk", Dh)
-    anti = Dh - np.einsum("aikj->aijk", Dh)
 
-    def energy(T):
-        up = raise_all(T, ginv, (0, 1, 2))
-        return float(np.sum(measure * np.einsum("aijk,aijk->a", T, up)))
+    def densities(Y):
+        hv, Dh, _, g, ginv, _ = sym_tensor_cov_derivs(base, h, Y)
+        cyc = Dh + np.einsum("ajki->aijk", Dh) + np.einsum("akij->aijk", Dh)
+        anti = Dh - np.einsum("aikj->aijk", Dh)
+        return (
+            *_tt_defect_arrays(hv, Dh, ginv),
+            volume_element(g),
+            *(np.einsum("aijk,aijk->a", T, raise_all(T, ginv, (0, 1, 2))) for T in (cyc, anti)),
+        )
 
-    return energy(cyc), energy(anti)
+    div_norm, tr, sqrt_det, cyc_d, anti_d = node_blocks(densities, grid.nodes)
+    _require_tt(div_norm, tr, "field is not transverse-traceless")
+    measure = grid.weights * sqrt_det
+    return float(np.sum(measure * cyc_d)), float(np.sum(measure * anti_d))

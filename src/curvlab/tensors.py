@@ -18,11 +18,13 @@ normalization Ric = (n-1) * lam * g):
   antisymmetry is exact.  ``Rm13`` = R^l_ijk is raised from Rm4 on demand.
 * Ricci ``Ric[a,i,k] = g^{lj} R_lijk``; scalar ``R = g^{ik} Ric_ik``.
 * A :class:`CurvatureBundle` holds g, g^-1, sqrt(det g), Gamma, Rm4, Ric
-  and R.  The rest is computed on first read and cached on the bundle: the
-  norms ``normRm2`` = |Rm|^2 and ``normRic2`` = |Ric|^2 (read by the
-  functionals and the gradient, not by the curvature checks), ``W``, the
-  raised forms of Rm4 and Ric, and the quadratic contractions of the
-  gradient, ``A1_ij = R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl`` and
+  and R; sqrt(det g) comes from :func:`volume_element`, the one positivity
+  test and volume measure, shared with :func:`curvlab.charts.sqrt_det_grid`.
+  The rest is computed on first read and cached on the bundle: the norms
+  ``normRm2`` = |Rm|^2 and ``normRic2`` = |Ric|^2 (read by the functionals
+  and the gradient, not by the curvature checks), ``W``, the raised forms
+  of Rm4 and Ric, and the quadratic contractions of the gradient,
+  ``A1_ij = R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl`` and
   ``ric2_ij = R_ip g^{pq} R_qj``, all with Rm4's slot order.
   :func:`space_form_deviation` is the one space-form test: max |Rm4 -
   lam (g o g)/2|, each caller comparing it with its own tolerance.
@@ -47,6 +49,20 @@ than :data:`MATMUL_MIN_BATCH` (single-point calls), where the transposes
 cost more than they save.  Single-operand traces and permutations stay
 plain ``np.einsum``.
 
+Work over many nodes goes through one block helper, :func:`node_blocks`: it
+splits the nodes into near-equal blocks, runs a function on each and hands
+back each block's per-node outputs (or per-block maxima) concatenated in
+node order.  It has two block sizes.  :data:`HESSIAN_BLOCK` (64 nodes) serves
+:func:`covariant_hessian_blocks`, where the order-4 jets of every ingredient
+are live at once.  :data:`GRID_BLOCK` (1,024 nodes) serves the whole-grid
+reductions of order-2 curvature and covariant jets (the curvature check,
+the functionals, the Rayleigh quotient, the Einstein defects), so no
+grid-sized rank-4 or rank-5 array is built.  No block falls below
+:data:`MATMUL_MIN_BATCH` unless the whole batch does: every node then takes
+the contraction path a whole-grid pass would give it, the per-node values
+are the same bits, and callers that sum the concatenated densities in node
+order report the same bytes whatever the block size.
+
 The rough Laplacian is the metric trace of the second covariant derivative,
 with the sign that makes it non-positive on the flat torus
 (Laplacian of cos(k.x) = -|k|^2 cos(k.x)).
@@ -54,7 +70,7 @@ with the sign that makes it non-positive on the flat torus
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
@@ -78,6 +94,11 @@ EINSTEIN_TOL = 1e-6
 # ingredient are live at once) and of space_form_deviation's model tensor:
 # blocks keep peak memory flat in the grid.
 HESSIAN_BLOCK = 64
+
+# Nodes per block of the whole-grid reductions (order-2 curvature and
+# covariant jets, reduced to per-node densities or block maxima): on the
+# default 12,960-node S^5 grid one rank-5 array is 65 MB, one block's 5 MB.
+GRID_BLOCK = 1024
 
 # Smallest batch that contract runs as a matmul.  Pointwise calls carry one
 # node and grids at least HESSIAN_BLOCK; below this size the transposes and
@@ -182,6 +203,24 @@ def contract(spec: str, *operands: Array) -> Array:
     else:
         R = np.matmul(A, B).reshape(bshape + fashape + fbshape)
     return np.transpose(R, out_perm)
+
+
+def node_blocks(fn: Callable[..., tuple], *arrays: Array, size: int | None = None) -> tuple:
+    """Run ``fn`` on near-equal blocks of the rows of ``arrays`` (all cut at
+    the same nodes) and concatenate each of its outputs over the blocks, in
+    node order.
+
+    ``fn`` returns a tuple of arrays led by the block's node axis, or of
+    length-1 sequences for a reduction per block.  Blocks hold at most
+    ``size`` nodes (default :data:`GRID_BLOCK`) and, when there are that
+    many, no fewer than :data:`MATMUL_MIN_BATCH`, a floor that wins over a
+    smaller ``size``.
+    """
+    N = len(arrays[0])
+    count = max(1, min(-(-N // (GRID_BLOCK if size is None else size)), N // MATMUL_MIN_BATCH))
+    edges = [N * k // count for k in range(count + 1)]
+    parts = [fn(*(A[a:b] for A in arrays)) for a, b in zip(edges, edges[1:])]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +514,28 @@ def norm2_02(T: Array, ginv: Array) -> Array:
     return inner_02(T, T, ginv)
 
 
-def curvature_bundle(g: Array, dg: Array, d2g: Array) -> CurvatureBundle:
+def volume_element(g: Array) -> Array:
+    """sqrt(det g) at every node, the one volume measure; raises naming the
+    first node whose metric is not positive definite.
+
+    The test reads the real part of det g, so complex-step metrics pass
+    through.  A determinant that underflows to 0 (a valid metric with tiny
+    entries) is rechecked by the sign slogdet gives at that node.
+    """
     det = np.linalg.det(g)
-    if np.any(det.real <= 0):  # real part: complex-step metrics pass through
-        a = int(np.argmax(det.real <= 0))
-        raise DegenerateMetricError(f"metric not positive definite (node {a})")
+    bad = np.flatnonzero(det.real <= 0)
+    if bad.size:
+        bad = bad[np.linalg.slogdet(g[bad])[0].real <= 0]
+        if bad.size:
+            a = int(bad[0])
+            raise DegenerateMetricError(
+                f"metric not positive definite (node {a}, det g = {det[a]:.3e})"
+            )
+    return np.sqrt(det)
+
+
+def curvature_bundle(g: Array, dg: Array, d2g: Array) -> CurvatureBundle:
+    sqrt_det = volume_element(g)
     ginv, S, Gamma = connection_arrays(g, dg)
     N, n = g.shape[:2]
     # P[a,k,l,i,j] = 2 T_lijk = g_lk,ij - g_ik,lj + S_qkl Gamma^q_ij, built in
@@ -493,28 +549,14 @@ def curvature_bundle(g: Array, dg: Array, d2g: Array) -> CurvatureBundle:
     # adjacent, so the product runs on Rm4's own layout
     Ric = -np.matmul(ginv.reshape(N, 1, 1, n * n), Rm4.reshape(N, n, n * n, n)).reshape(N, n, n)
     R = contract("aik,aik->a", ginv, Ric)
-    return CurvatureBundle(g, ginv, np.sqrt(det), Gamma, Rm4, Ric, R)
+    return CurvatureBundle(g, ginv, sqrt_det, Gamma, Rm4, Ric, R)
 
 
-def curvature_grid(
-    field: MetricField, X: Array, block: int = 4096
-) -> CurvatureBundle:
-    """Curvature bundle at a batch of points, evaluated in blocks."""
+def curvature_grid(field: MetricField, X: Array) -> CurvatureBundle:
+    """Curvature bundle at a batch of points, in one pass; a reduction over a
+    whole grid streams it through :func:`node_blocks` instead."""
     X, _ = _as_batch(X, field.dimension)
-    N = X.shape[0]
-    if N <= block:
-        return curvature_bundle(*field.jet(X, 2))
-    # blocks are copied as they come into full arrays of their dtype (complex
-    # for a complex-step metric), so no block outlives the next one
-    out = {}
-    for i in range(0, N, block):
-        part = curvature_bundle(*field.jet(X[i : i + block], 2))
-        for f in fields(CurvatureBundle):
-            arr = getattr(part, f.name)
-            if i == 0:
-                out[f.name] = np.empty((N,) + arr.shape[1:], dtype=arr.dtype)
-            out[f.name][i : i + block] = arr
-    return CurvatureBundle(**out)
+    return curvature_bundle(*field.jet(X, 2))
 
 
 def curvature(field: MetricField, x) -> CurvatureBundle:
@@ -526,15 +568,16 @@ def curvature(field: MetricField, x) -> CurvatureBundle:
 def space_form_deviation(bundle: CurvatureBundle, lam: float) -> float:
     """max |Rm4 - lam (g o g)/2| = max |Rm4_lijk - lam (g_lj g_ik - g_lk g_ij)|,
     the model built in place per ``HESSIAN_BLOCK`` nodes (no grid-sized temporary)."""
-    dev = 0.0
-    for i in range(0, len(bundle.g), HESSIAN_BLOCK):
-        g = bundle.g[i : i + HESSIAN_BLOCK]
+
+    def block_max(g, Rm4):
         model = g[:, :, None, :, None] * g[:, None, :, None, :]
         model -= g[:, :, None, None, :] * g[:, None, :, :, None]
         model *= lam
-        np.subtract(bundle.Rm4[i : i + HESSIAN_BLOCK], model, out=model)
-        dev = float(np.maximum(dev, max_abs(model)))  # keeps a NaN, unlike max()
-    return dev
+        np.subtract(Rm4, model, out=model)
+        return ([max_abs(model)],)
+
+    # np.max over the block maxima keeps a NaN
+    return float(np.max(node_blocks(block_max, bundle.g, bundle.Rm4, size=HESSIAN_BLOCK)[0]))
 
 
 def weyl(bundle: CurvatureBundle) -> Array:
@@ -606,14 +649,20 @@ def rough_laplacian_tensor(field: MetricField, h: SymTensorField, x) -> Array:
     return out[0] if single else out
 
 
-def require_einstein(bundle: CurvatureBundle) -> None:
-    """Raise PreconditionError unless |Ric - (R/n) g|_g <= EINSTEIN_TOL *
-    max(1, |R|/n) at every node: the one Einstein gate, relative to the size
-    of Ric."""
+def einstein_parts(bundle: CurvatureBundle) -> tuple[Array, Array]:
+    """Per node (|Ric - (R/n) g|_g^2, |R|/n): what :func:`require_einstein`
+    judges, so that blocks of a grid can be judged once, together."""
     n = bundle.dimension
     E = bundle.Ric - (bundle.R / n)[:, None, None] * bundle.g
-    defect = float(np.sqrt(max(np.max(norm2_02(E, bundle.ginv)), 0.0)))
-    if not defect <= EINSTEIN_TOL * max(1.0, float(np.max(np.abs(bundle.R))) / n):
+    return norm2_02(E, bundle.ginv), np.abs(bundle.R) / n
+
+
+def require_einstein(defect2: Array, r_scale: Array) -> None:
+    """Raise PreconditionError unless |Ric - (R/n) g|_g <= EINSTEIN_TOL *
+    max(1, |R|/n) at every node, from the per-node :func:`einstein_parts`
+    of all nodes: the one Einstein gate, relative to the size of Ric."""
+    defect = float(np.sqrt(max(np.max(defect2), 0.0)))
+    if not defect <= EINSTEIN_TOL * max(1.0, float(np.max(r_scale))):
         raise PreconditionError(f"base metric is not Einstein (defect {defect:.2e})")
 
 
@@ -624,7 +673,7 @@ def lichnerowicz(field: MetricField, h: SymTensorField, x) -> Array:
     """
     X, single = _as_batch(x, field.dimension)
     bundle = curvature_grid(field, X)
-    require_einstein(bundle)
+    require_einstein(*einstein_parts(bundle))
     hv, _, D2h, _, _, _ = sym_tensor_cov_derivs(field, h, X)
     out = lichnerowicz_arrays(hv, D2h, bundle)
     return out[0] if single else out
@@ -657,11 +706,12 @@ def covariant_hessian_blocks(
     has shape (N, n^valence, n, n) with the trailing axes ordered (k, l) for
     nabla_l nabla_k.
     """
-    parts = []
-    for i in range(0, X.shape[0], HESSIAN_BLOCK):
-        Gamma, jets = inner_fn(X[i : i + HESSIAN_BLOCK])
-        parts.append([covariant_jet(covariant_jet(T, Gamma), Gamma)[0] for T in jets])
-    return [np.concatenate(p) for p in zip(*parts)]
+
+    def block(Y):
+        Gamma, jets = inner_fn(Y)
+        return tuple(covariant_jet(covariant_jet(T, Gamma), Gamma)[0] for T in jets)
+
+    return list(node_blocks(block, X, size=HESSIAN_BLOCK))
 
 
 def max_abs(T: Array) -> float:

@@ -62,9 +62,11 @@ from .tensors import (
     contract,
     covariant_hessian_blocks,
     curvature_grid,
+    einstein_parts,
     inner_02,
     jet_einsum,
     max_abs,
+    node_blocks,
     require_einstein,
     ricci_arrays,
     space_form_deviation,
@@ -291,7 +293,7 @@ def first_variation_numeric(
     g + t h (see the module docstring)."""
     if not (np.isfinite(t_step) and t_step > 0):
         raise PreconditionError(f"t_step must be positive and finite, got {t_step}")
-    sums, _, _ = _integrals(linear_combination_metric(base, h, 1j * t_step), grid, coeff)
+    sums = _integrals(linear_combination_metric(base, h, 1j * t_step), grid, coeff)
     return float(sums["F"].imag / t_step)
 
 
@@ -327,10 +329,15 @@ def einstein_criticality_defect(base: MetricField, grid: QuadratureGrid) -> floa
     (componentwise).  Zero exactly when the Einstein base is critical for
     every (s, tau)."""
     n = base.dimension
-    bundle = curvature_grid(base, grid.nodes)
-    require_einstein(bundle)
-    D = bundle.A1 - (bundle.normRm2 / n)[:, None, None] * bundle.g
-    return max_abs(D)
+
+    def block(Y):
+        b = curvature_grid(base, Y)
+        D = b.A1 - (b.normRm2 / n)[:, None, None] * b.g
+        return (*einstein_parts(b), [max_abs(D)])
+
+    defect2, r_scale, D_max = node_blocks(block, grid.nodes)
+    require_einstein(defect2, r_scale)
+    return float(np.max(D_max))
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +395,11 @@ def second_variation_numeric(
         raise PreconditionError(
             f"t_step must be positive with t_step**4 a finite normal float, got {t_step}"
         )
-    sums, _, _ = _integrals(base, grid, coeff)
+    sums = _integrals(base, grid, coeff)
     a0, vol0 = float(sums["F"]), float(sums["volume"])
 
     def phi(z: complex) -> complex:
-        s, _, _ = _integrals(linear_combination_metric(base, h, z), grid, coeff)
+        s = _integrals(linear_combination_metric(base, h, z), grid, coeff)
         return (vol0 / s["volume"]) ** ((n - 4) / n) * s["F"]
 
     w = t_step * np.exp(0.25j * np.pi)
@@ -522,14 +529,10 @@ def tt_identity_suite(
     the suite returns the directly computed and closed-form values side by
     side.
     """
-    from .spectral import TT_TOL, _tt_defect_arrays
+    from .spectral import _require_tt, _tt_defect_arrays
 
     hv, Dh, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, grid.nodes)
-    dd, dt = _tt_defect_arrays(hv, Dh, ginv)
-    if dd > TT_TOL or dt > TT_TOL:
-        raise PreconditionError(
-            f"suite requires a TT field (div {dd:.2e}, tr {dt:.2e})"
-        )
+    _require_tt(*_tt_defect_arrays(hv, Dh, ginv), "suite requires a TT field")
     lam, lhs, (nrm, ihl, ihl2) = _suite_sides(base, h, grid, hv, D2h, ginv)
     n = base.dimension
     rhs = {

@@ -38,7 +38,7 @@ from .variations import (
     second_variation_tt_predicted,
     tt_identity_suite,
 )
-from .tensors import curvature_grid, norm2_02, space_form_deviation
+from .tensors import curvature_grid, max_abs, node_blocks, norm2_02, space_form_deviation
 
 HESSIAN_MODELS = ("s3-invariant", "torus-tt", "torus-conformal")
 CURVATURE_RES = {2: (16, 32), 3: (10, 10, 16), 4: (8, 8, 8, 12), 5: (6, 6, 6, 6, 10)}
@@ -180,18 +180,26 @@ def gradient_case(
 
 
 def curvature_case(kind: str, n: int, radius: float = 1.0, res=None) -> dict:
-    """Space-form deviations of a model over a grid of nodes."""
+    """Space-form deviations of a model over a grid of nodes, the grid
+    streamed in node blocks."""
     if res is None:
         if n not in CURVATURE_RES:
             raise ConfigurationError(f"no default curvature grid for n = {n}; n must be 2 to 5")
         res = CURVATURE_RES[n]
     field = make_model(kind, n, radius=radius)
     grid = build_grid(field.domain, res)
-    bundle = curvature_grid(field, grid.nodes)
     lam = field.lam
-    rm_dev = space_form_deviation(bundle, lam)
-    ric_dev = float(np.max(np.abs(bundle.Ric - (n - 1) * lam * bundle.g)))
-    r_dev = float(np.max(np.abs(bundle.R - n * (n - 1) * lam)))
+
+    def block_max(Y):
+        b = curvature_grid(field, Y)
+        return (
+            [space_form_deviation(b, lam)],
+            [max_abs(b.Ric - (n - 1) * lam * b.g)],
+            [max_abs(b.R - n * (n - 1) * lam)],
+        )
+
+    # np.max over the block maxima keeps a NaN
+    rm_dev, ric_dev, r_dev = (float(np.max(v)) for v in node_blocks(block_max, grid.nodes))
     return {
         "model": kind,
         "n": n,

@@ -134,6 +134,33 @@ def test_degenerate_metric_error_names_node():
         volume(bad, build_grid(dom, 4))
 
 
+def _constant_metric(g0):
+    n = len(g0)
+    return MetricField(
+        domain=torus_domain(n),
+        _jet=lambda X, order: [np.broadcast_to(g0, (X.shape[0], n, n))]
+        + [np.zeros((X.shape[0],) + (n,) * (2 + k)) for k in range(1, order + 1)],
+        exact_order=2,
+        name="constant",
+    )
+
+
+def test_determinant_underflow_is_not_a_degenerate_metric():
+    # det(1e-120 I) = 1e-360 underflows to 0, yet the metric is positive
+    # definite; volume and curvature share the one positivity test
+    tiny = _constant_metric(1e-120 * np.eye(3))
+    grid = build_grid(tiny.domain, 4)
+    assert volume(tiny, grid) == 0.0  # sqrt(det g) keeps its underflowed value
+    b = curvature_grid(tiny, grid.nodes)
+    assert np.array_equal(b.sqrt_det, np.zeros(grid.node_count)) and not b.R.any()
+    for g0 in (np.diag([1.0, -1.0, 1.0]), 1e-120 * np.diag([1.0, -1.0, 1.0])):
+        bad = _constant_metric(g0)
+        with pytest.raises(DegenerateMetricError, match="node 0"):
+            volume(bad, grid)
+        with pytest.raises(DegenerateMetricError, match="node 0"):
+            curvature_grid(bad, grid.nodes)
+
+
 def test_hyperbolic_chart_refuses_integrals(poincare3):
     grid = build_grid(poincare3.domain, 4)
     with pytest.raises(GlobalIntegralUnsupportedError):

@@ -101,6 +101,16 @@ def test_curvature_report(tmp_path):
     assert body["pass"] and body["max_rm_dev"] < 1e-6
 
 
+def test_curvature_at_a_tiny_radius_is_not_refused(tmp_path, capsys):
+    # det g underflows to 0 on the radius-1e-60 sphere; the metric is valid
+    out = tmp_path / "curv.json"
+    argv = ["curvature", "--model", "sphere", "--n", "3", "--radius", "1e-60"]
+    code = run(argv + ["--out", str(out)])
+    assert code != 1, capsys.readouterr().err
+    body = json.loads(out.read_text())
+    assert body["lambda"] == 1e120 and body["max_rm_dev"] < 1e-120
+
+
 def test_config_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
@@ -276,3 +286,32 @@ def test_negative_tol_is_a_usage_error(argv, from_config, capsys, tmp_path):
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("error: ") and "tol" in last
     assert not out.exists()
+
+
+DEFAULT_ARGV = [
+    ["curvature"],
+    ["check-identities", "--mode", "tt"],
+    ["check-identities", "--mode", "conformal"],
+    ["verify-gradient"],
+    ["verify-hessian"],
+    ["rayleigh"],
+    ["classify", "--n", "4", "--lambda", "1", "--mode", "tt", "--s", "-1", "--tau", "0.5",
+     "--format", "json"],
+    ["atlas", "--n", "4", "--lambda", "-1", "--mode", "conformal", "--s-min", "-8",
+     "--s-max", "4", "--tau-min", "-2", "--tau-max", "2", "--res", "11"],
+    # a mode outside the standard directions: built on the first call, then
+    # served from the cache
+    ["rayleigh", "--model", "s3-invariant", "--d", "1,-2,1"],
+]
+
+
+@pytest.mark.parametrize("argv", DEFAULT_ARGV, ids=lambda argv: "-".join(argv[:3]))
+def test_reports_are_the_same_bytes_on_a_repeat_in_one_process(argv, tmp_path):
+    # a repeat reads the caches that the first call filled (models, modes,
+    # lazy jets) and streams the grid in the same node blocks
+    reports = []
+    for k in range(2):
+        out = tmp_path / f"report{k}"
+        assert run(argv + ["--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] and reports[0]

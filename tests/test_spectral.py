@@ -41,6 +41,23 @@ def test_invariant_mode_constraints():
         s3_invariant_tt((0.0, 0.0, 0.0))
 
 
+def test_invariant_mode_is_built_once_per_coefficients_and_radius():
+    h = s3_invariant_tt((1.0, -2.0, 1.0))
+    assert s3_invariant_tt([1, -2, 1]) is h
+    assert s3_invariant_tt(np.array([1.0, -2.0, 1.0]), radius=1.0) is h
+    assert s3_invariant_tt((1.0, -2.0, 1.0), radius=2.0) is not h
+    # -0.0 names the mode differently from 0.0, so it is a field of its own
+    plus, minus = s3_invariant_tt((1.0, 0.0, -1.0)), s3_invariant_tt((1.0, -0.0, -1.0))
+    assert plus is not minus and plus.name != minus.name
+    assert s3_invariant_tt((1.0, -0.0, -1.0)) is minus
+    # an invalid d is refused on every call, cached neighbours or not
+    for _ in range(2):
+        with pytest.raises(InvalidModeError, match="trace"):
+            s3_invariant_tt((1.0, -2.0, 2.0))
+        with pytest.raises(InvalidModeError, match="three"):
+            s3_invariant_tt((1.0, -1.0))
+
+
 def test_torus_mode_is_tt(torus3, torus3_grid):
     mode = torus_tt_mode(3, (1, 0, 0), np.diag([0.0, 1.0, -1.0]))
     dd, dt = tt_defect(torus3, mode, torus3_grid)
@@ -157,23 +174,24 @@ def test_symmetrization_energies_take_one_cov_derivs_pass(
             float(np.sum(measure * np.einsum("aijk,aip,ajq,akr,apqr->a", T, ginv, ginv, ginv, T)))
             for T in (cyc, anti)
         ))
+    # nodes per call: the grid is streamed in blocks, each node in one pass
     calls = []
     real = spectral.sym_tensor_cov_derivs
 
     def counted(*args):
-        calls.append(1)
+        calls.append(len(args[2]))
         return real(*args)
 
     monkeypatch.setattr(spectral, "sym_tensor_cov_derivs", counted)
     for (base, h, grid), (cyc, anti) in zip(cases, want):
         calls.clear()
         got = symmetrization_energies(base, h, grid)
-        assert len(calls) == 1
+        assert sum(calls) == grid.node_count
         assert got == pytest.approx((cyc, anti), rel=1e-12, abs=1e-12)
     calls.clear()
     with pytest.raises(PreconditionError, match="transverse-traceless"):
         symmetrization_energies(torus3, metric_as_sym_tensor(torus3), torus3_grid)
-    assert len(calls) == 1
+    assert sum(calls) == torus3_grid.node_count
 
 
 def test_sphere_bound(euler3):

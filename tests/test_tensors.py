@@ -617,22 +617,25 @@ def test_christoffel_combination_matches_three_views():
     assert np.array_equal(tensors.christoffel_combination(D), want)
 
 
-def test_curvature_grid_blocks_keep_complex_fields(sphere3):
-    # a complex-step metric g + i eps h: blocked grids must keep the
-    # imaginary part of every bundle array
+def test_node_blocks_keep_complex_fields(sphere3):
+    # a complex-step metric g + i eps h: bundles built per node block must
+    # keep the imaginary part of every array, bit for bit a whole pass's
     h = random_torus_sym_tensor(3, np.random.default_rng(43))
     field = linear_combination_metric(sphere3, h, 1e-3j)
     X = random_probes(sphere3.domain, np.random.default_rng(44), count=200)
     whole = tensors.curvature_bundle(*field.jet(X, 2))
-    blocked = curvature_grid(field, X, block=64)
     # the norms are computed on first read, so fields() does not list them
     names = [f.name for f in dataclasses.fields(tensors.CurvatureBundle)]
-    for name in names + ["normRm2", "normRic2"]:
-        a, b = getattr(blocked, name), getattr(whole, name)
+    names += ["normRm2", "normRic2"]
+    blocked = tensors.node_blocks(
+        lambda Y: tuple(getattr(curvature_grid(field, Y), k) for k in names), X, size=64
+    )
+    for name, a in zip(names, blocked):
+        b = getattr(whole, name)
         assert a.dtype == b.dtype == complex, name
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max()), name
-    assert np.abs(blocked.R.imag).max() > 1e-4
-    assert np.abs(blocked.normRm2.imag).max() > 1e-4
+        assert np.array_equal(a, b), name
+    assert np.abs(whole.R.imag).max() > 1e-4
+    assert np.abs(whole.normRm2.imag).max() > 1e-4
     # the positivity test reads the real part of det g
     with pytest.raises(DegenerateMetricError):
         curvature_grid(linear_combination_metric(sphere3, metric_as_sym_tensor(sphere3), -1 + 1j), X)
