@@ -34,7 +34,6 @@ from .errors import (
 )
 from .fields import (
     EULER_SU2,
-    JET_ORDER,
     POINCARE_BALL,
     SPHERE_ANGULAR,
     TORUS_BOX,
@@ -183,7 +182,6 @@ def _torus_model(n: int, lengths: Sequence[float] | None) -> MetricField:
     return MetricField(
         domain=dom,
         _jet=jet,
-        exact_order=JET_ORDER,
         lam=0.0,
         model_kind="torus",
         name=f"flat torus T^{n}",

@@ -4,12 +4,12 @@ Every geometric object in this package is a field over a single coordinate
 chart: a callable mapping a batch of chart points (shape ``(N, n)``) to
 component arrays with a leading batch axis.  A field hands out its jet, the
 components together with their coordinate partials up to a requested order
-(:meth:`_TensorValuedField.jet`).  Partials are exact up to the field's
-``exact_order``: closed forms for trigonometric fields, sympy derivatives
-for analytic fields (orders 3 and 4 built on first request), and Leibniz'
-rule or linearity for fields combined from others.  Each order above
-``exact_order`` takes one more level of 4th-order central finite differences
-of the order below it.
+(:meth:`_TensorValuedField.jet`).  Partials are exact at every order: closed
+forms for trigonometric fields, sympy derivatives for analytic fields (each
+order above 2 differentiated and lambdified on first request), and Leibniz'
+rule or linearity for fields combined from others.  No finite difference
+enters a jet; :func:`fd_partials` is kept only as the independent oracle the
+tests check the exact jets against.
 
 Index conventions for jet arrays (leading axis is always the batch, the
 derivative axes trail the component axes and are symmetric among
@@ -41,14 +41,10 @@ EULER_SU2 = "EulerAnglesSU2"
 
 _CHART_KINDS = (TORUS_BOX, SPHERE_ANGULAR, POINCARE_BALL, EULER_SU2)
 
-# Default relative step for finite-difference partials of fields beyond
-# their exact order, as a fraction of the smallest axis extent.  4th-order
-# central stencils.
+# Relative step of the finite-difference oracle (:func:`fd_partials`) that
+# the tests check exact jets against, as a fraction of the smallest axis
+# extent.  No jet of the package uses it.
 DEFAULT_FD_REL_STEP = 1e-3
-
-# Order of the exact partials closed-form fields provide: the curvature
-# derivatives of the identity suites need the metric to order 4.
-JET_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,8 @@ def _as_batch(x: Array | Sequence[float], n: int) -> tuple[Array, bool]:
 
 
 def fd_partials(fn: Callable[[Array], Array], X: Array, steps: Array) -> Array:
-    """4th-order central partials of a batched map.
+    """4th-order central partials of a batched map: the finite-difference
+    oracle for exact jets, used by the tests only.
 
     ``fn`` maps ``(M, n)`` points to ``(M, *comp)`` arrays; the result has
     shape ``(N, *comp, n)`` with the derivative axis appended last.
@@ -158,40 +155,23 @@ def _scaled_jet(jet, c: float):
 class _TensorValuedField:
     """Shared plumbing for metric / symmetric-tensor / covector / scalar fields.
 
-    ``_jet(X, order)`` returns the exact partials of orders 0..order for any
-    ``order <= exact_order``.  Fields are frozen, so cached models and
-    directions can be handed to every caller; derive a new field with
-    ``dataclasses.replace`` or the combinators below.
+    ``_jet(X, order)`` returns the exact partials of orders 0..order, at any
+    order.  Fields are frozen, so cached models and directions can be handed
+    to every caller; derive a new field with ``dataclasses.replace`` or the
+    combinators below.
     """
 
     domain: ChartDomain
     _jet: Callable[[Array, int], list[Array]]
-    exact_order: int = 0
-    fd_rel_step: float = DEFAULT_FD_REL_STEP
     name: str = "field"
 
     @property
     def dimension(self) -> int:
         return self.domain.dimension
 
-    @property
-    def deriv_mode(self) -> str:
-        if self.exact_order >= JET_ORDER:
-            return "analytic"
-        return f"exact to order {self.exact_order}, finite-difference above"
-
-    def _steps(self) -> Array:
-        h = self.fd_rel_step * float(np.min(self.domain.extents))
-        return np.full(self.dimension, h)
-
     def jet(self, X: Array, order: int) -> list[Array]:
         """[T, dT, ..., d^order T] at the points, derivative axes trailing."""
-        X, _ = _as_batch(X, self.dimension)
-        if order <= self.exact_order:
-            return self._jet(X, order)
-        lower = self.jet(X, order - 1)
-        top = fd_partials(lambda Y: self.jet(Y, order - 1)[-1], X, self._steps())
-        return lower + [top]
+        return self._jet(_as_batch(X, self.dimension)[0], order)
 
     def eval_grid(self, X: Array) -> Array:
         return self.jet(X, 0)[0]
@@ -268,8 +248,6 @@ def metric_as_sym_tensor(g: MetricField) -> SymTensorField:
     return SymTensorField(
         domain=g.domain,
         _jet=g._jet,
-        exact_order=g.exact_order,
-        fd_rel_step=g.fd_rel_step,
         name=f"{g.name} (as tensor)",
     )
 
@@ -288,8 +266,6 @@ def linear_combination_metric(
     return MetricField(
         domain=base.domain,
         _jet=jet,
-        exact_order=min(base.exact_order, h.exact_order),
-        fd_rel_step=base.fd_rel_step,
         lam=None,
         model_kind=None,
         radius=None,
@@ -382,7 +358,7 @@ def analytic_metric_field(
         for j in range(i, n):
             exprs[i, j] = exprs[j, i] = g_expr[i, j]
     jet = _SympyJet(coords, exprs, symmetric=True)
-    return MetricField(domain=domain, _jet=jet, exact_order=JET_ORDER, **meta)
+    return MetricField(domain=domain, _jet=jet, **meta)
 
 
 def analytic_sym_tensor_field(
@@ -396,7 +372,7 @@ def analytic_sym_tensor_field(
                 raise DimensionError("symmetric tensor expression is not symmetric")
             exprs[i, j] = h_expr[i, j]
     jet = _SympyJet(coords, exprs, symmetric=True)
-    return SymTensorField(domain=domain, _jet=jet, exact_order=JET_ORDER, name=name)
+    return SymTensorField(domain=domain, _jet=jet, name=name)
 
 
 def analytic_scalar_field(
@@ -405,7 +381,7 @@ def analytic_scalar_field(
     exprs = np.empty((), dtype=object)
     exprs[()] = sp.sympify(f_expr)
     jet = _SympyJet(coords, exprs, symmetric=False)
-    return ScalarField(domain=domain, _jet=jet, exact_order=JET_ORDER, name=name)
+    return ScalarField(domain=domain, _jet=jet, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +434,7 @@ def trig_sym_tensor_field(
                 out[k] += np.einsum("a...,ij->aij...", sin_jet[k], S)
         return out
 
-    return SymTensorField(domain=domain, _jet=jet, exact_order=JET_ORDER, name=name)
+    return SymTensorField(domain=domain, _jet=jet, name=name)
 
 
 def random_torus_sym_tensor(
@@ -500,7 +476,6 @@ def random_torus_metric(
     return MetricField(
         domain=pert.domain,
         _jet=jet,
-        exact_order=pert.exact_order,
         lam=None,
         model_kind=None,
         name="perturbed torus",
@@ -516,12 +491,7 @@ def cosine_scalar_field(domain: ChartDomain, k: Sequence[float]) -> ScalarField:
     def jet(X, order):
         return _wave_jet(X, w, order)[0]
 
-    return ScalarField(
-        domain=domain,
-        _jet=jet,
-        exact_order=JET_ORDER,
-        name=f"cos(2pi {list(k)}.x)",
-    )
+    return ScalarField(domain=domain, _jet=jet, name=f"cos(2pi {list(k)}.x)")
 
 
 _SPHERE_JET_CACHE: dict = {}
@@ -578,9 +548,7 @@ def sphere_pullback_sym_tensor(
         P[0] = P0 + P[0]
         return jet_einsum("aAi,aAj->aij", J, jet_einsum("aAB,aBj->aAj", P, J))
 
-    return SymTensorField(
-        domain=sphere_domain(n), _jet=jet, exact_order=JET_ORDER, name=name
-    )
+    return SymTensorField(domain=sphere_domain(n), _jet=jet, name=name)
 
 
 def random_sphere_sym_tensor(

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import QuadratureGrid, volume
-from .errors import DimensionError, GlobalIntegralUnsupportedError
+from .charts import QuadratureGrid, _require_quadrature, volume
+from .errors import DimensionError
 from .fields import MetricField
 from .tensors import curvature_grid, node_blocks, norm2_04
 
@@ -67,10 +67,7 @@ def _integrals(
     """The quadrature sums of F, its parts and the volume (with ``weyl``,
     also int |W|^2), in the field's dtype: complex along a complex-step
     direction."""
-    if not field.supports_global_quadrature:
-        raise GlobalIntegralUnsupportedError(
-            f"{field.name}: global integrals are not defined on this chart"
-        )
+    _require_quadrature(field)
 
     def densities(Y):
         b = curvature_grid(field, Y)

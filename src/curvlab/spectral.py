@@ -22,12 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .charts import QuadratureGrid, make_model, milnor_coframe_exprs
-from .errors import (
-    GlobalIntegralUnsupportedError,
-    InvalidModeError,
-    PreconditionError,
-)
+from .charts import QuadratureGrid, _require_quadrature, make_model, milnor_coframe_exprs
+from .errors import InvalidModeError, PreconditionError
 from .fields import (
     Array,
     MetricField,
@@ -37,7 +33,7 @@ from .fields import (
     trig_sym_tensor_field,
 )
 from .tensors import (
-    curvature_grid,
+    curvature_bundle,
     einstein_parts,
     inner_02,
     lichnerowicz_arrays,
@@ -184,15 +180,14 @@ def rayleigh_lichnerowicz(
     base: MetricField, h: SymTensorField, grid: QuadratureGrid
 ) -> RayleighReport:
     """Rayleigh quotient of -Lap_L on a TT field over an Einstein base, the
-    nodes streamed in blocks (per-node densities, one sum over all nodes)."""
-    if not base.supports_global_quadrature:
-        raise GlobalIntegralUnsupportedError(
-            "Rayleigh quotients need global integrals; this chart has none"
-        )
+    nodes streamed in blocks (per-node densities, one sum over all nodes),
+    each block's curvature built from the metric jet of its covariant
+    derivatives."""
+    _require_quadrature(base)
 
     def densities(Y):
-        bundle = curvature_grid(base, Y)
-        hv, Dh, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, Y)
+        hv, Dh, D2h, g, ginv, _ = sym_tensor_cov_derivs(base, h, Y)
+        bundle = curvature_bundle(*g)
         lap_L = lichnerowicz_arrays(hv, D2h, bundle)
         return (
             *einstein_parts(bundle),
@@ -228,6 +223,7 @@ def symmetrization_energies(
     Both are non-negative; the invariant S^3 mode makes cyc vanish, the
     equality case of the least-eigenvalue bound on the unit sphere.
     """
+    _require_quadrature(base)
 
     def densities(Y):
         hv, Dh, _, g, ginv, _ = sym_tensor_cov_derivs(base, h, Y)
@@ -235,7 +231,7 @@ def symmetrization_energies(
         anti = Dh - np.einsum("aikj->aijk", Dh)
         return (
             *_tt_defect_arrays(hv, Dh, ginv),
-            volume_element(g),
+            volume_element(g[0]),
             *(np.einsum("aijk,aijk->a", T, raise_all(T, ginv, (0, 1, 2))) for T in (cyc, anti)),
         )
 

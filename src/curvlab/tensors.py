@@ -81,11 +81,11 @@ import numpy as np
 from .errors import DegenerateMetricError, DimensionError, PreconditionError
 from .fields import Array, CovectorField, MetricField, SymTensorField, _as_batch
 
-# Relative FD step (fraction of the smallest axis extent) for finite
-# differences of computed tensor fields such as the Ricci tensor.  The
-# package's own curvature derivatives are exact jets; this step serves the
-# independent finite-difference oracles that check them, where it keeps the
-# stencils clear of chart singularities.
+# Relative FD step (fraction of the smallest axis extent) of the
+# finite-difference oracles the tests check computed tensor fields, such as
+# the Ricci tensor, against; the package's own curvature derivatives are
+# exact jets and never read it.  It keeps the stencils clear of chart
+# singularities.
 FIELD_FD_REL_STEP = 2e-3
 
 EINSTEIN_TOL = 1e-6
@@ -594,14 +594,16 @@ def weyl(bundle: CurvatureBundle) -> Array:
 
 def sym_tensor_cov_derivs(field: MetricField, h: SymTensorField, X: Array):
     """(h, Dh, D2h, g, ginv, Gamma) at the nodes: Dh[a,i,j,k] = h_ij,k,
-    D2h[a,i,j,k,l] = h_ij,kl."""
+    D2h[a,i,j,k,l] = h_ij,kl, and g the metric jet [g, dg, d2g] it evaluated,
+    from which ``curvature_bundle(*g)`` builds the curvature of the same
+    nodes."""
     X, _ = _as_batch(X, field.dimension)
     g = field.jet(X, 2)
     ginv, Gamma = connection_jet(g)
     hj = h.jet(X, 2)
     Dh = covariant_jet(hj, Gamma)
     D2h = covariant_jet(Dh, Gamma)[0]
-    return hj[0], Dh[0], D2h, g[0], ginv[0], Gamma[0]
+    return hj[0], Dh[0], D2h, g, ginv[0], Gamma[0]
 
 
 def covariant_derivative(
@@ -672,9 +674,9 @@ def lichnerowicz(field: MetricField, h: SymTensorField, x) -> Array:
     Requires an Einstein base metric at the evaluation points.
     """
     X, single = _as_batch(x, field.dimension)
-    bundle = curvature_grid(field, X)
+    hv, _, D2h, g, _, _ = sym_tensor_cov_derivs(field, h, X)
+    bundle = curvature_bundle(*g)
     require_einstein(*einstein_parts(bundle))
-    hv, _, D2h, _, _, _ = sym_tensor_cov_derivs(field, h, X)
     out = lichnerowicz_arrays(hv, D2h, bundle)
     return out[0] if single else out
 

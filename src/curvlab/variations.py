@@ -41,12 +41,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .atlas import conformal_polynomial, tt_polynomial
-from .charts import QuadratureGrid, positive_normal_power, volume
-from .errors import (
-    EigenvalueRangeError,
-    GlobalIntegralUnsupportedError,
-    PreconditionError,
-)
+from .charts import QuadratureGrid, _require_quadrature, positive_normal_power, volume
+from .errors import EigenvalueRangeError, PreconditionError
 from .fields import (
     Array,
     MetricField,
@@ -90,12 +86,7 @@ def conformal_tensor(base: MetricField, f: ScalarField) -> SymTensorField:
     def jet(X, order):
         return jet_einsum("a,aij->aij", fj(X, order), gj(X, order))
 
-    return SymTensorField(
-        domain=base.domain,
-        _jet=jet,
-        exact_order=min(base.exact_order, f.exact_order),
-        name=f"{f.name}*g",
-    )
+    return SymTensorField(domain=base.domain, _jet=jet, name=f"{f.name}*g")
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +241,10 @@ def _trace_multiplier(ing: dict, coeff: Coefficients) -> Array:
     ) / (2 * n)
 
 
-def _lagrange_constant(ing: dict, grid: QuadratureGrid, coeff: Coefficients) -> float:
+def _lagrange_constant(
+    base: MetricField, ing: dict, grid: QuadratureGrid, coeff: Coefficients
+) -> float:
+    _require_quadrature(base)
     measure = grid.weights * ing["bundle"].sqrt_det
     return float(np.sum(measure * _trace_multiplier(ing, coeff)) / np.sum(measure))
 
@@ -259,14 +253,16 @@ def lagrange_constant(
     base: MetricField, grid: QuadratureGrid, coeff: Coefficients
 ) -> float:
     """Volume average of the trace identity defining the multiplier c."""
-    return _lagrange_constant(gradient_ingredients(base, grid.nodes), grid, coeff)
+    return _lagrange_constant(base, gradient_ingredients(base, grid.nodes), grid, coeff)
 
 
 def _first_variation_pairing(
-    ing: dict, grid: QuadratureGrid, coeff: Coefficients
+    base: MetricField, ing: dict, grid: QuadratureGrid, coeff: Coefficients
 ) -> Callable[[SymTensorField], float]:
     """h -> int G_ij h^{ij} dV, with G, g^-1 and the volume element of one
-    set of gradient ingredients on the grid built once for every direction."""
+    set of gradient ingredients of the base on the grid built once for every
+    direction."""
+    _require_quadrature(base)
     b: CurvatureBundle = ing["bundle"]
     G = _gradient_parts(ing, coeff).grad_total
     measure = grid.weights * b.sqrt_det
@@ -277,9 +273,8 @@ def first_variation(
     base: MetricField, grid: QuadratureGrid, h: SymTensorField, coeff: Coefficients
 ) -> float:
     """int G_ij h^{ij} dV, the first variation of F along g + t h."""
-    if not base.supports_global_quadrature:
-        raise GlobalIntegralUnsupportedError("first variation needs global integrals")
-    return _first_variation_pairing(gradient_ingredients(base, grid.nodes), grid, coeff)(h)
+    ing = gradient_ingredients(base, grid.nodes)
+    return _first_variation_pairing(base, ing, grid, coeff)(h)
 
 
 def first_variation_numeric(
@@ -312,6 +307,7 @@ def el_residual(
     the output of :func:`gradient_ingredients` on this grid, which does not
     depend on (s, tau).
     """
+    _require_quadrature(base)
     ing = gradient_ingredients(base, grid.nodes) if ingredients is None else ingredients
     b: CurvatureBundle = ing["bundle"]
     vol = float(np.sum(grid.weights * b.sqrt_det))
@@ -321,7 +317,7 @@ def el_residual(
         )
     G = _gradient_parts(ing, coeff).grad_total
     E = G - _trace_multiplier(ing, coeff)[:, None, None] * b.g
-    return max_abs(E), _lagrange_constant(ing, grid, coeff)
+    return max_abs(E), _lagrange_constant(base, ing, grid, coeff)
 
 
 def einstein_criticality_defect(base: MetricField, grid: QuadratureGrid) -> float:
@@ -491,6 +487,7 @@ def _suite_sides(
     On a closed manifold int <h, Lap^2 h> = int |Lap h|^2, which the closed
     forms read from the last integral.
     """
+    _require_quadrature(base)
     X = grid.nodes
     ing = gradient_ingredients(linear_combination_metric(base, h, 1j * COMPLEX_STEP), X)
     b: CurvatureBundle = ing["bundle"]

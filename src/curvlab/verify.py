@@ -109,10 +109,10 @@ def hessian_case(
     else:
         f2 = float(np.sum(measure * f.eval_grid(grid.nodes) ** 2))
         predicted = second_variation_conformal_predicted(n, lam, eigenvalue, coeff, f2)
-    d1_analytic = _first_variation_pairing(ing, grid, coeff)(h)
+    d1_analytic = _first_variation_pairing(base, ing, grid, coeff)(h)
     d1_numeric = first_variation_numeric(base, grid, h, coeff)
     d2 = second_variation_numeric(PerturbationFamily(base, h), grid, coeff, t_step)
-    c = _lagrange_constant(ing, grid, coeff)
+    c = _lagrange_constant(base, ing, grid, coeff)
     return VariationReport(
         model=model,
         mode=mode,
@@ -161,7 +161,8 @@ def gradient_case(
     else:
         raise ConfigurationError("gradient models are 'torus' and 's3'")
     # the gradient is independent of h: build it once, pair it per direction
-    d1_analytic = _first_variation_pairing(gradient_ingredients(base, grid.nodes), grid, coeff)
+    ing = gradient_ingredients(base, grid.nodes)
+    d1_analytic = _first_variation_pairing(base, ing, grid, coeff)
     rows = []
     for i in range(count):
         h = make_h()
@@ -179,9 +180,16 @@ def gradient_case(
     return rows
 
 
-def curvature_case(kind: str, n: int, radius: float = 1.0, res=None) -> dict:
+def curvature_case(
+    kind: str, n: int, radius: float = 1.0, res=None, tol: float | None = None
+) -> dict:
     """Space-form deviations of a model over a grid of nodes, the grid
-    streamed in node blocks."""
+    streamed in node blocks.
+
+    With ``tol``, the report also says whether each deviation passes: the
+    Rm, Ric and R deviations against ``tol`` times max(1, |lam| max|g|^k),
+    k = 2, 1, 0, the size of the model tensor each is measured against.
+    """
     if res is None:
         if n not in CURVATURE_RES:
             raise ConfigurationError(f"no default curvature grid for n = {n}; n must be 2 to 5")
@@ -196,11 +204,14 @@ def curvature_case(kind: str, n: int, radius: float = 1.0, res=None) -> dict:
             [space_form_deviation(b, lam)],
             [max_abs(b.Ric - (n - 1) * lam * b.g)],
             [max_abs(b.R - n * (n - 1) * lam)],
+            [max_abs(b.g)],
         )
 
     # np.max over the block maxima keeps a NaN
-    rm_dev, ric_dev, r_dev = (float(np.max(v)) for v in node_blocks(block_max, grid.nodes))
-    return {
+    rm_dev, ric_dev, r_dev, g_max = (
+        float(np.max(v)) for v in node_blocks(block_max, grid.nodes)
+    )
+    report = {
         "model": kind,
         "n": n,
         "lambda": lam,
@@ -209,6 +220,15 @@ def curvature_case(kind: str, n: int, radius: float = 1.0, res=None) -> dict:
         "max_ric_dev": ric_dev,
         "max_r_dev": r_dev,
     }
+    if tol is not None:
+        # |lam| g g, not |lam| g**2: a float power raises OverflowError, a product does not
+        scales = (abs(lam) * g_max * g_max, abs(lam) * g_max, abs(lam))
+        report["tol"] = tol
+        # all(), not max(): max() can drop a NaN deviation, which must fail
+        report["pass"] = all(
+            dev <= tol * max(1.0, s) for dev, s in zip((rm_dev, ric_dev, r_dev), scales)
+        )
+    return report
 
 
 def rayleigh_case(model: str, res: int | None = None, d=None, k=None):

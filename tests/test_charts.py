@@ -20,6 +20,7 @@ from curvlab.errors import (
     UnsupportedModelError,
 )
 from curvlab.fields import (
+    DEFAULT_FD_REL_STEP,
     ChartDomain,
     MetricField,
     fd_partials,
@@ -140,7 +141,6 @@ def _constant_metric(g0):
         domain=torus_domain(n),
         _jet=lambda X, order: [np.broadcast_to(g0, (X.shape[0], n, n))]
         + [np.zeros((X.shape[0],) + (n,) * (2 + k)) for k in range(1, order + 1)],
-        exact_order=2,
         name="constant",
     )
 
@@ -178,7 +178,7 @@ def test_analytic_partials_match_finite_differences(sphere3, euler3, poincare3):
     rng = np.random.default_rng(3)
     for field in (sphere3, euler3, poincare3):
         X = random_probes(field.domain, rng, count=5)
-        step = field.fd_rel_step * float(np.min(field.domain.extents))
+        step = DEFAULT_FD_REL_STEP * float(np.min(field.domain.extents))
         fd1 = fd_partials(field.metric_grid, X, np.full(field.dimension, step))
         assert np.abs(field.d1_grid(X) - fd1).max() < 10 * step**2
         fd2 = fd_partials(field.d1_grid, X, np.full(field.dimension, step))
@@ -290,9 +290,6 @@ def _jet_fields():
         "scaled": tt.scaled(-0.5),
         "metric as tensor": metric_as_sym_tensor(euler3),
         "sphere pullback": pullback,
-        # exact to order 2 only: order 3 and up come from the FD fallback
-        "fallback": dataclasses.replace(tt, exact_order=2),
-        "fallback reference": tt,
     }
 
 
@@ -306,27 +303,17 @@ JET_KINDS = [
 
 @pytest.mark.parametrize("kind", JET_KINDS)
 def test_jet_orders_match_finite_differences(kind):
+    # every order is exact, also order 5, one above what the package asks for
     field = _jet_fields()[kind]
     X = random_probes(field.domain, np.random.default_rng(6), count=4)
-    steps = np.full(field.dimension, field.fd_rel_step * float(np.min(field.domain.extents)))
-    jet = field.jet(X, 4)
-    assert [t.shape for t in jet] == [jet[0].shape + (field.dimension,) * k for k in range(5)]
-    for k in range(1, 5):
+    steps = np.full(field.dimension, DEFAULT_FD_REL_STEP * float(np.min(field.domain.extents)))
+    jet = field.jet(X, 5)
+    assert [t.shape for t in jet] == [jet[0].shape + (field.dimension,) * k for k in range(6)]
+    for k in range(1, 6):
         fd = fd_partials(lambda Y: field.jet(Y, k - 1)[k - 1], X, steps)
         scale = max(1.0, float(np.max(np.abs(jet[k]))))
         # the stencil's truncation error is about 1e-9 of the scale here
         assert np.max(np.abs(jet[k] - fd)) <= 1e-8 * scale, (kind, k)
-
-
-def test_jet_fallback_above_exact_order():
-    fields = _jet_fields()
-    field, exact = fields["fallback"], fields["fallback reference"]
-    assert field.exact_order == 2 and "finite-difference" in field.deriv_mode
-    X = random_probes(field.domain, np.random.default_rng(7), count=4)
-    jet, ref = field.jet(X, 4), exact.jet(X, 4)
-    for k in range(5):
-        scale = max(1.0, float(np.max(np.abs(ref[k]))))
-        assert np.max(np.abs(jet[k] - ref[k])) <= 1e-8 * scale, k
 
 
 def test_cached_models_are_frozen():

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import pytest
@@ -172,15 +173,23 @@ def test_non_finite_float_flags_and_config_values(tmp_path, capsys):
 
 
 def test_curvature_nan_deviation_fails_the_check(monkeypatch, tmp_path):
-    import curvlab.cli as cli
+    import curvlab.verify as verify
 
-    def nan_case(kind, n, radius=1.0):
-        return {"max_rm_dev": 0.0, "max_ric_dev": float("nan"), "max_r_dev": 0.0}
-
-    monkeypatch.setattr(cli, "curvature_case", nan_case)
+    monkeypatch.setattr(verify, "space_form_deviation", lambda bundle, lam: float("nan"))
     out = tmp_path / "curv.json"
     assert run(["curvature", "--out", str(out)]) == 2
-    assert json.loads(out.read_text())["pass"] is False
+    body = json.loads(out.read_text())
+    assert body["pass"] is False and math.isnan(body["max_rm_dev"])
+
+
+@pytest.mark.parametrize("radius", ["1e-3", "1e40", "1e-60"])
+def test_curvature_passes_relative_to_the_size_of_the_curvature(radius, tmp_path):
+    # exact round spheres: R = 6e6 at radius 1e-3 and |Rm| about 1e80 at
+    # 1e40, each deviation a roundoff of the tensor it is measured against
+    out = tmp_path / "curv.json"
+    argv = ["curvature", "--model", "sphere", "--n", "3", "--radius", radius]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pass"] is True
 
 
 def test_zero_t_step_is_usage_error(capsys):

@@ -1,0 +1,43 @@
+"""Rules the package source keeps, checked on its syntax trees."""
+
+import ast
+from pathlib import Path
+
+import curvlab
+
+SRC = Path(curvlab.__file__).parent
+
+# the finite-difference oracle and its steps: defined in the package so the
+# tests (and the benchmark) can check exact jets against them, never used by it
+FD_ORACLE = {
+    "fd_partials": "fields.py",
+    "DEFAULT_FD_REL_STEP": "fields.py",
+    "FIELD_FD_REL_STEP": "tensors.py",
+}
+
+
+def _oracle_uses(tree: ast.AST):
+    """(name, line, is_definition) for every mention of an oracle name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in FD_ORACLE:
+            yield node.name, node.lineno, True
+        elif isinstance(node, ast.Name) and node.id in FD_ORACLE:
+            yield node.id, node.lineno, isinstance(node.ctx, ast.Store)
+        elif isinstance(node, ast.Attribute) and node.attr in FD_ORACLE:
+            yield node.attr, node.lineno, False
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name.rsplit(".", 1)[-1] in FD_ORACLE:
+                    yield alias.name, node.lineno, False
+
+
+def test_package_takes_no_finite_difference_partials():
+    defined, used = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for name, line, is_def in _oracle_uses(ast.parse(path.read_text())):
+            (defined if is_def else used).append((path.name, name, line))
+    assert not used, f"finite-difference oracle referenced in the package: {used}"
+    # each name is defined once, where the tests import it from
+    assert sorted((f, n) for f, n, _ in defined) == sorted(
+        (f, n) for n, f in FD_ORACLE.items()
+    )

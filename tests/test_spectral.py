@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from curvlab.spectral import (
     torus_tt_mode,
     tt_defect,
 )
-from curvlab.tensors import covariant_derivative
+from curvlab.tensors import covariant_derivative, lichnerowicz
 from curvlab.variations import conformal_tensor
 from curvlab.fields import cosine_scalar_field
 
@@ -192,6 +194,23 @@ def test_symmetrization_energies_take_one_cov_derivs_pass(
     with pytest.raises(PreconditionError, match="transverse-traceless"):
         symmetrization_energies(torus3, metric_as_sym_tensor(torus3), torus3_grid)
     assert sum(calls) == torus3_grid.node_count
+
+    # the Rayleigh quotient and Lap_L build the curvature from the metric jet
+    # of the covariant derivatives: one metric jet per node block, not two
+    orders = []
+
+    def counted_jet(X, order):
+        orders.append(order)
+        return euler3._jet(X, order)
+
+    counting = dataclasses.replace(euler3, _jet=counted_jet)
+    calls.clear()
+    rayleigh_lichnerowicz(counting, inv, euler3_grid)
+    assert sum(calls) == euler3_grid.node_count and len(calls) == 2
+    assert orders == [2] * len(calls)
+    orders.clear()
+    lichnerowicz(counting, inv, euler3_grid.nodes[:5])
+    assert orders == [2]
 
 
 def test_sphere_bound(euler3):

@@ -301,7 +301,7 @@ def test_divergence_adjoint_to_delta_star(torus3, torus3_grid):
         )
         return [ev, d1][: order + 1]
 
-    om = CovectorField(domain=torus3.domain, _jet=om_jet, exact_order=1)
+    om = CovectorField(domain=torus3.domain, _jet=om_jet)
     X = torus3_grid.nodes
     g = torus3.metric_grid(X)
     gi = np.linalg.inv(g)

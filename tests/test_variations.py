@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -8,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab.charts import build_grid, make_model, sqrt_det_grid, to_unit_volume
-from curvlab.errors import EigenvalueRangeError, PreconditionError
+from curvlab.errors import (
+    EigenvalueRangeError,
+    GlobalIntegralUnsupportedError,
+    PreconditionError,
+)
 from curvlab.fields import (
     SPHERE_ANGULAR,
     ChartDomain,
@@ -24,7 +27,7 @@ from curvlab.fields import (
     trig_sym_tensor_field,
 )
 from curvlab.functionals import Coefficients, evaluate
-from curvlab.spectral import s3_invariant_tt, torus_tt_mode
+from curvlab.spectral import s3_invariant_tt, symmetrization_energies, torus_tt_mode
 from curvlab.tensors import (
     FIELD_FD_REL_STEP,
     christoffel_arrays,
@@ -93,7 +96,6 @@ def test_christoffel_variation_flat_linear(torus3):
     h = SymTensorField(
         domain=t2.domain,
         _jet=lambda X, order: [ev(X), d1(X), np.zeros((X.shape[0],) + (2,) * 4)][: order + 1],
-        exact_order=2,
         name="x1 delta",
     )
     dG = christoffel_variation(t2, h, [0.4, 0.7])
@@ -347,6 +349,25 @@ def test_el_residual_requires_unit_volume(sphere3):
     grid = build_grid(sphere3.domain, (8, 8, 12))
     with pytest.raises(PreconditionError):
         el_residual(sphere3, grid, C00)
+
+
+def test_integrals_refuse_the_poincare_chart(poincare3):
+    # the chart covers a non-compact model: a sum against its quadrature
+    # weights is no integral, even on a box where every term is finite
+    grid = build_grid(poincare3.domain, 4)
+    f = cosine_scalar_field(poincare3.domain, (1, 0, 0))
+    h = conformal_tensor(poincare3, f)
+    refusals = {
+        "lagrange_constant": lambda: lagrange_constant(poincare3, grid, C00),
+        "conformal_identity_suite": lambda: conformal_identity_suite(poincare3, f, grid),
+        "first_variation": lambda: first_variation(poincare3, grid, h, C00),
+        "el_residual": lambda: el_residual(poincare3, grid, C00),
+        "symmetrization_energies": lambda: symmetrization_energies(poincare3, h, grid),
+    }
+    for name, call in refusals.items():
+        with pytest.raises(GlobalIntegralUnsupportedError):
+            call()
+            pytest.fail(name)
 
 
 def test_einstein_criticality(sphere3, torus3, torus3_grid):
@@ -751,13 +772,3 @@ def test_complex_step_matches_richardson_oracle(sphere3, s, tau):
         with pytest.raises(PreconditionError):
             first_variation_numeric(sphere3, grid, h, coeff, t_step=bad)
 
-
-def test_complex_step_through_finite_difference_partials(sphere3):
-    # a direction exact to order 1 only: the second partials of the complex
-    # metric come from fd_partials, which must keep their imaginary part
-    grid = build_grid(sphere3.domain, (10, 10, 12))
-    h = random_sphere_sym_tensor(3, np.random.default_rng(41))
-    exact = first_variation_numeric(sphere3, grid, h, C00)
-    fd = first_variation_numeric(sphere3, grid, dataclasses.replace(h, exact_order=1), C00)
-    # measured 3.0e-9, the finite-difference error
-    assert abs(fd - exact) <= 1e-7 * abs(exact)
