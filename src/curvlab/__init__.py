@@ -37,7 +37,6 @@ from .functionals import (
 )
 from .spectral import (
     RayleighReport,
-    TorusTTMode,
     rayleigh_lichnerowicz,
     s3_invariant_tt,
     symmetrization_energies,

@@ -43,7 +43,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -58,6 +57,7 @@ UNDETERMINED = "Undetermined"
 
 TT = "tt"
 CONFORMAL = "conformal"
+MODES = (TT, CONFORMAL)
 
 
 def _conformal_ab(n, s, tau):
@@ -103,7 +103,7 @@ class StabilityQuery:
             raise ConfigurationError("stability queries need n >= 3")
         if self.lam not in (-1, 0, 1):
             raise ConfigurationError("lam must be -1, 0 or 1")
-        if self.mode not in (TT, CONFORMAL):
+        if self.mode not in MODES:
             raise ConfigurationError(f"mode must be '{TT}' or '{CONFORMAL}'")
         if not (np.isfinite(self.s) and np.isfinite(self.tau)):
             raise ConfigurationError("s and tau must be finite")
@@ -196,14 +196,13 @@ def emit_atlas(
     s_range: tuple[float, float],
     tau_range: tuple[float, float],
     resolution: int,
-    path: str | Path | None,
     fmt: str = "csv",
 ) -> str:
     """Classify a (s, tau) grid and serialize it.
 
     Rows run tau-major (outer loop over tau, inner over s) and are fully
-    deterministic.  Returns the serialized text; writes it to ``path`` when
-    given.
+    deterministic.  Returns the serialized text, CSV or JSON; the ``atlas``
+    subcommand writes it through the CLI's one report writer.
     """
     if resolution < 2:
         raise ConfigurationError("atlas resolution must be >= 2")
@@ -242,9 +241,4 @@ def emit_atlas(
         text = json.dumps(rows, sort_keys=True, indent=None) + "\n"
     else:
         raise ConfigurationError(f"unknown atlas format {fmt!r}")
-    if path is not None:
-        try:
-            Path(path).write_text(text)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot write atlas to {path}: {exc}") from exc
     return text

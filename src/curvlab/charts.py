@@ -33,10 +33,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .fields import (
-    EULER_SU2,
     POINCARE_BALL,
-    SPHERE_ANGULAR,
-    TORUS_BOX,
     Array,
     ChartDomain,
     MetricField,
@@ -120,7 +117,8 @@ def sqrt_det_grid(field: MetricField, grid: QuadratureGrid) -> Array:
 
 
 def _require_quadrature(field: MetricField):
-    if not field.supports_global_quadrature:
+    # the Poincare chart covers a non-compact model; every other chart a closed one
+    if field.domain.kind == POINCARE_BALL:
         raise GlobalIntegralUnsupportedError(
             f"{field.name}: chart covers a non-compact model; "
             "global integrals are not defined"
@@ -167,7 +165,16 @@ def positive_normal_power(x: float, p: int) -> bool:
     return bool(x > 0 and np.isfinite(y) and y >= np.finfo(float).tiny)
 
 
+def _finite_power(x: float, p: int) -> bool:
+    """True when x**p is a finite float64 (it may underflow)."""
+    with np.errstate(over="ignore", under="ignore"):
+        return bool(np.isfinite(np.float64(x) ** p))
+
+
 _MODEL_CACHE: dict[tuple, MetricField] = {}
+
+# built-in model kind -> sign of its sectional curvature
+MODEL_CURVATURE_SIGN = {"torus": 0, "sphere": 1, "poincare": -1, "s3-euler": 1}
 
 
 def _torus_model(n: int, lengths: Sequence[float] | None) -> MetricField:
@@ -183,7 +190,6 @@ def _torus_model(n: int, lengths: Sequence[float] | None) -> MetricField:
         domain=dom,
         _jet=jet,
         lam=0.0,
-        model_kind="torus",
         name=f"flat torus T^{n}",
     )
 
@@ -203,14 +209,12 @@ def _sphere_model(n: int, radius: float) -> MetricField:
         coords,
         g,
         lam=1.0 / radius**2,
-        model_kind="sphere",
-        radius=radius,
         name=f"round S^{n} r={radius:g}",
     )
 
 
-def _poincare_model(n: int, r_max: float = 0.45) -> MetricField:
-    dom = poincare_domain(n, r_max=r_max)
+def _poincare_model(n: int) -> MetricField:
+    dom = poincare_domain(n)
     coords = sp.symbols(f"x0:{n}")
     conf = 4 / (1 - sum(c**2 for c in coords)) ** 2
     g = sp.eye(n) * conf
@@ -219,8 +223,6 @@ def _poincare_model(n: int, r_max: float = 0.45) -> MetricField:
         coords,
         g,
         lam=-1.0,
-        model_kind="poincare",
-        supports_global_quadrature=False,
         name=f"Poincare ball chart n={n}",
     )
 
@@ -246,8 +248,6 @@ def _s3_euler_model(radius: float) -> MetricField:
         coords,
         g,
         lam=1.0 / radius**2,
-        model_kind="s3-euler",
-        radius=radius,
         name=f"round S^3 (Euler chart) r={radius:g}",
     )
 
@@ -267,21 +267,22 @@ def make_model(
     """
     if n < 2:
         raise UnsupportedModelError(f"models need dimension >= 2, got {n}")
-    expected = {"torus": 0, "sphere": 1, "poincare": -1, "s3-euler": 1}
-    if kind not in expected:
+    if kind not in MODEL_CURVATURE_SIGN:
         raise UnsupportedModelError(f"unknown model kind {kind!r}")
-    if curvature is not None and curvature != expected[kind]:
+    sign = MODEL_CURVATURE_SIGN[kind]
+    if curvature is not None and curvature != sign:
         raise UnsupportedModelError(
-            f"model {kind!r} has curvature sign {expected[kind]}, not {curvature}"
+            f"model {kind!r} has curvature sign {sign}, not {curvature}"
         )
     if kind == "s3-euler" and n != 3:
         raise UnsupportedModelError("the SU(2) Euler chart requires n = 3")
     if kind in ("torus", "poincare"):
         if radius != 1.0:
             raise UnsupportedModelError(f"model {kind!r} takes no radius, got {radius}")
-    elif not positive_normal_power(radius, 2):
+    elif not (positive_normal_power(radius, 2) and _finite_power(radius, 2 * n)):
         raise UnsupportedModelError(
-            f"radius must be positive with radius**2 a finite normal float, got {radius}"
+            f"radius must be positive with radius**2 a finite normal float and "
+            f"radius**{2 * n} (the size of det g) finite, got {radius}"
         )
 
     key = (kind, n, radius, None if lengths is None else tuple(lengths))

@@ -5,6 +5,12 @@ rayleigh, classify, atlas.  Exit codes: 0 success, 1 usage or configuration
 error, 2 tolerance failure (the report is still written).  Reports are
 byte-identical across runs with the same configuration.
 
+Each ``_cmd_*`` handler builds its report from what its case returns and
+hands back ``(text, ok)``; every report leaves through one writer,
+:func:`_write`, to stdout or to the ``--out`` file.  An ``--out`` that cannot
+be written (a missing directory, a directory) is a configuration error:
+exit 1 with one ``error:`` line.
+
 ``--config`` names a JSON object of defaults for the subcommand's flags
 (keys as the flag names, e.g. ``"lambda"``, ``"s-min"``); values pass
 through the same type conversion and choices as on the command line, and an
@@ -20,14 +26,19 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import atlas as atlas_mod
-from .errors import CurvlabError
+from .charts import MODEL_CURVATURE_SIGN
+from .errors import ConfigurationError, CurvlabError
 from .functionals import Coefficients
 from .variations import SECOND_VARIATION_STEP
 from .verify import (
+    GRADIENT_MODELS,
     HESSIAN_MODELS,
+    IDENTITY_MODES,
+    RAYLEIGH_MODELS,
     curvature_case,
     gradient_case,
     hessian_case,
@@ -51,12 +62,19 @@ class UsageError(Exception):
     pass
 
 
-def _dump(report, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+def _json(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def _write(text: str, out: str | None) -> None:
+    """The one writer of every report: the ``--out`` file, else stdout."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write report to {out}: {exc}") from exc
 
 
 def finite_float(text: str) -> float:
@@ -90,19 +108,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.commands = sub.choices
 
     c = sub.add_parser("curvature", help="space-form curvature deviations")
-    c.add_argument("--model", default="sphere", choices=["torus", "sphere", "poincare", "s3-euler"])
+    c.add_argument("--model", default="sphere", choices=list(MODEL_CURVATURE_SIGN))
     c.add_argument("--n", type=int, default=3)
     c.add_argument("--radius", type=finite_float, default=1.0)
     c.add_argument("--tol", type=tolerance, default=1e-6)
     c.add_argument("--out")
 
     ci = sub.add_parser("check-identities", help="TT/conformal integral identity battery")
-    ci.add_argument("--mode", required=True, choices=["tt", "conformal"])
+    ci.add_argument("--mode", required=True, choices=list(IDENTITY_MODES))
     ci.add_argument("--tol", type=tolerance, default=1e-4)
     ci.add_argument("--out")
 
     vg = sub.add_parser("verify-gradient", help="first variation vs complex-step derivative")
-    vg.add_argument("--model", default="torus", choices=["torus", "s3"])
+    vg.add_argument("--model", default="torus", choices=list(GRADIENT_MODELS))
     vg.add_argument("--n", type=int, default=3)
     vg.add_argument("--count", type=int, default=10)
     vg.add_argument("--seed", type=int, default=0)
@@ -121,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     vh.add_argument("--out")
 
     r = sub.add_parser("rayleigh", help="Rayleigh quotient of the Lichnerowicz operator")
-    r.add_argument("--model", default="s3-invariant", choices=["s3-invariant", "torus-tt"])
+    r.add_argument("--model", default="s3-invariant", choices=list(RAYLEIGH_MODELS))
     r.add_argument("--d", type=finite_float_list, help="comma-separated invariant-mode coefficients")
     r.add_argument("--k", type=int_list, help="comma-separated torus wave vector")
     r.add_argument("--res", type=int)
@@ -131,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl = sub.add_parser("classify", help="stability verdict at a single (s, tau)")
     cl.add_argument("--n", type=int)
     cl.add_argument("--lambda", dest="lam", type=int)
-    cl.add_argument("--mode", choices=["tt", "conformal"])
+    cl.add_argument("--mode", choices=list(atlas_mod.MODES))
     cl.add_argument("--s", type=finite_float)
     cl.add_argument("--tau", type=finite_float)
     cl.add_argument("--format", default="text", choices=["text", "json"])
@@ -140,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     at = sub.add_parser("atlas", help="classify an (s, tau) grid to CSV/JSON")
     at.add_argument("--n", type=int)
     at.add_argument("--lambda", dest="lam", type=int)
-    at.add_argument("--mode", choices=["tt", "conformal"])
+    at.add_argument("--mode", choices=list(atlas_mod.MODES))
     at.add_argument("--s-min", type=finite_float)
     at.add_argument("--s-max", type=finite_float)
     at.add_argument("--tau-min", type=finite_float)
@@ -151,101 +169,77 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_curvature(args) -> int:
+def _cmd_curvature(args) -> tuple[str, bool]:
     rep = curvature_case(args.model, args.n, radius=args.radius, tol=args.tol)
-    _dump(rep, args.out)
-    return EXIT_OK if rep["pass"] else EXIT_TOLERANCE
+    return _json(rep), rep["pass"]
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args) -> tuple[str, bool]:
     checks = identity_case(args.mode)
-    rows = [
-        {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "rel_err": c.rel_err}
-        for c in checks
-    ]
     ok = all(c.rel_err <= args.tol for c in checks)
-    _dump({"mode": args.mode, "tol": args.tol, "pass": ok, "checks": rows}, args.out)
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    rows = [c._asdict() for c in checks]
+    return _json({"mode": args.mode, "tol": args.tol, "pass": ok, "checks": rows}), ok
 
 
-def _cmd_gradient(args) -> int:
+def _cmd_gradient(args) -> tuple[str, bool]:
     rows = gradient_case(
         args.model, args.n, Coefficients(args.s, args.tau), args.count, args.seed
     )
     ok = all(r["rel_err"] <= args.tol for r in rows)
-    _dump(
-        {
-            "model": args.model,
-            "n": args.n,
-            "s": args.s,
-            "tau": args.tau,
-            "seed": args.seed,
-            "tol": args.tol,
-            "pass": ok,
-            "rows": rows,
-        },
-        args.out,
-    )
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    report = {
+        "model": args.model,
+        "n": args.n,
+        "s": args.s,
+        "tau": args.tau,
+        "seed": args.seed,
+        "tol": args.tol,
+        "pass": ok,
+        "rows": rows,
+    }
+    return _json(report), ok
 
 
-def _cmd_hessian(args) -> int:
-    report = hessian_case(args.model, Coefficients(args.s, args.tau), args.t_step)
-    text = report.to_json() + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK if report.rel_err_d2 <= args.tol else EXIT_TOLERANCE
+def _cmd_hessian(args) -> tuple[str, bool]:
+    report = asdict(hessian_case(args.model, Coefficients(args.s, args.tau), args.t_step))
+    report["lambda"] = report.pop("lam")
+    # one line, unlike the other JSON reports
+    return json.dumps(report, sort_keys=True) + "\n", report["rel_err_d2"] <= args.tol
 
 
-def _cmd_rayleigh(args) -> int:
+def _cmd_rayleigh(args) -> tuple[str, bool]:
     report, meta = rayleigh_case(args.model, res=args.res, d=args.d, k=args.k)
-    body = json.loads(report.to_json(model=meta["model"], mode_desc=meta["mode_desc"]))
-    body["expected_quotient"] = meta["expected_quotient"]
     ok = abs(report.quotient - meta["expected_quotient"]) <= args.tol
-    body["pass"] = bool(ok)
-    _dump(body, args.out)
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    return _json(asdict(report) | meta | {"pass": ok}), ok
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[str, bool]:
     q = atlas_mod.StabilityQuery(n=args.n, lam=args.lam, mode=args.mode, s=args.s, tau=args.tau)
     v = atlas_mod.classify(q)
-    if args.format == "json":
-        _dump(
-            {
-                "n": args.n,
-                "lambda": args.lam,
-                "mode": args.mode,
-                "s": args.s,
-                "tau": args.tau,
-                "verdict": v.value,
-                "citation": v.citation,
-            },
-            args.out,
-        )
-    else:
-        line = f"{v.value} ({v.citation})" if v.citation else v.value
-        if args.out:
-            Path(args.out).write_text(line + "\n")
-        else:
-            sys.stdout.write(line + "\n")
-    return EXIT_OK
+    if args.format == "text":
+        return (f"{v.value} ({v.citation})" if v.citation else v.value) + "\n", True
+    report = {
+        "n": args.n,
+        "lambda": args.lam,
+        "mode": args.mode,
+        "s": args.s,
+        "tau": args.tau,
+        "verdict": v.value,
+        "citation": v.citation,
+    }
+    return _json(report), True
 
 
-def _cmd_atlas(args) -> int:
-    atlas_mod.emit_atlas(
+def _cmd_atlas(args) -> tuple[str, bool]:
+    text = atlas_mod.emit_atlas(
         n=args.n,
         lam=args.lam,
         mode=args.mode,
         s_range=(args.s_min, args.s_max),
         tau_range=(args.tau_min, args.tau_max),
         resolution=args.res,
-        path=args.out,
         fmt=args.format,
     )
-    return EXIT_OK
+    return text, True
 
 
 _REQUIRED = {
@@ -319,10 +313,12 @@ def run(argv=None) -> int:
         sys.stderr.write(f"error: missing required arguments: {flags}\n")
         return EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        text, ok = _HANDLERS[args.command](args)
+        _write(text, args.out)
     except CurvlabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    return EXIT_OK if ok else EXIT_TOLERANCE
 
 
 def main() -> None:

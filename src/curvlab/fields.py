@@ -189,15 +189,12 @@ class MetricField(_TensorValuedField):
 
     ``eval_grid`` returns symmetric positive-definite component matrices.
     ``lam`` records the sectional curvature when the field is a built-in
-    space form (None for generic fields); ``supports_global_quadrature``
-    is False for charts that only cover a non-compact model (hyperbolic),
-    in which case all integral operations refuse the field.
+    space form (None for generic fields).  Whether integrals are defined is
+    a property of the chart: every integral operation refuses a field on the
+    Poincare ball chart, which covers a non-compact model.
     """
 
     lam: float | None = None
-    model_kind: str | None = None
-    radius: float | None = None
-    supports_global_quadrature: bool = True
 
     def metric(self, x) -> Array:
         X, single = _as_batch(x, self.dimension)
@@ -215,7 +212,6 @@ class MetricField(_TensorValuedField):
             self,
             _jet=_scaled_jet(self._jet, c),
             lam=None if self.lam is None else self.lam / c,
-            radius=None if self.radius is None else self.radius * np.sqrt(c),
             name=f"{self.name}*{c:g}",
         )
 
@@ -267,9 +263,6 @@ def linear_combination_metric(
         domain=base.domain,
         _jet=jet,
         lam=None,
-        model_kind=None,
-        radius=None,
-        supports_global_quadrature=base.supports_global_quadrature,
         name=f"{base.name}+{t:g}*{h.name}",
     )
 
@@ -477,7 +470,6 @@ def random_torus_metric(
         domain=pert.domain,
         _jet=jet,
         lam=None,
-        model_kind=None,
         name="perturbed torus",
     )
 

@@ -11,7 +11,6 @@ and do not depend on the block size.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,23 +41,6 @@ class FunctionalReport:
     Rquad: float  # int |Rm|^2
     F: float
     volume: float
-
-    def to_json_dict(self, n=None, model=None, s=None, tau=None) -> dict:
-        return {
-            "n": n,
-            "model": model,
-            "s": s,
-            "tau": tau,
-            "W": self.W,
-            "rho": self.rho,
-            "S": self.S,
-            "Rquad": self.Rquad,
-            "F": self.F,
-            "volume": self.volume,
-        }
-
-    def to_json(self, **meta) -> str:
-        return json.dumps(self.to_json_dict(**meta), sort_keys=True)
 
 
 def _integrals(

@@ -16,7 +16,6 @@ spectral claim here is meant to be exactly checkable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,38 +48,12 @@ TT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class TorusTTMode:
-    """Wave vector and amplitude of a flat TT Fourier mode."""
-
-    k: tuple[int, ...]
-    amplitude: Array  # constant symmetric matrix, tr = 0, A k = 0
-
-    @property
-    def dimension(self) -> int:
-        return len(self.k)
-
-
-@dataclass(frozen=True)
 class RayleighReport:
     energy: float  # int <-Lap_L h, h>
     norm2: float  # int |h|^2
     quotient: float
     tt_defect_div: float
     tt_defect_tr: float
-
-    def to_json(self, model=None, mode_desc=None) -> str:
-        return json.dumps(
-            {
-                "model": model,
-                "mode_desc": mode_desc,
-                "energy": self.energy,
-                "norm2": self.norm2,
-                "quotient": self.quotient,
-                "tt_defect_div": self.tt_defect_div,
-                "tt_defect_tr": self.tt_defect_tr,
-            },
-            sort_keys=True,
-        )
 
 
 def torus_tt_mode(n: int, k, A, lengths=None) -> SymTensorField:

@@ -26,8 +26,10 @@ normalization Ric = (n-1) * lam * g):
   of Rm4 and Ric, and the quadratic contractions of the gradient,
   ``A1_ij = R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl`` and
   ``ric2_ij = R_ip g^{pq} R_qj``, all with Rm4's slot order.
-  :func:`space_form_deviation` is the one space-form test: max |Rm4 -
-  lam (g o g)/2|, each caller comparing it with its own tolerance.
+  :func:`space_form_deviation` is the one space-form deviation, max |Rm4 -
+  lam (g o g)/2|, and :func:`is_space_form` the one gate on it: each caller
+  passes its own tolerance, judged relative to :func:`space_form_scale`,
+  the size max(1, |lam| max|g|^2) of the model tensor.
 * Covariant derivatives of a symmetric tensor follow the index order
   ``h_ij,kl = nabla_l nabla_k h_ij``: ``Dh[a,i,j,k]``, ``D2h[a,i,j,k,l]``.
 * A jet ``[T, dT, ..., d^m T]`` appends m symmetric coordinate-derivative
@@ -578,6 +580,22 @@ def space_form_deviation(bundle: CurvatureBundle, lam: float) -> float:
 
     # np.max over the block maxima keeps a NaN
     return float(np.max(node_blocks(block_max, bundle.g, bundle.Rm4, size=HESSIAN_BLOCK)[0]))
+
+
+def space_form_scale(lam: float, g_max: float) -> float:
+    """max(1, |lam| max|g|^2): the size of the model tensor lam (g o g)/2,
+    which a space-form deviation is judged against, given max|g|."""
+    # |lam| g g, not |lam| g**2: a float power raises OverflowError, a product does not
+    return max(1.0, abs(lam) * g_max * g_max)
+
+
+def is_space_form(bundle: CurvatureBundle, lam: float, tol: float) -> tuple[bool, float]:
+    """(deviation <= tol * scale, deviation): the one space-form gate, the
+    :func:`space_form_deviation` of the bundle judged relative to
+    :func:`space_form_scale`, so that it holds at any radius.  A NaN
+    deviation fails."""
+    dev = space_form_deviation(bundle, lam)
+    return dev <= tol * space_form_scale(lam, max_abs(bundle.g)), dev
 
 
 def weyl(bundle: CurvatureBundle) -> Array:

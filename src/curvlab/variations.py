@@ -34,8 +34,7 @@ corrections to the resulting exact partials.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -60,12 +59,12 @@ from .tensors import (
     curvature_grid,
     einstein_parts,
     inner_02,
+    is_space_form,
     jet_einsum,
     max_abs,
     node_blocks,
     require_einstein,
     ricci_arrays,
-    space_form_deviation,
     sym_tensor_cov_derivs,
 )
 
@@ -144,10 +143,7 @@ PARALLEL_CURVATURE_TOL = 1e-9
 def _is_verified_space_form(base: MetricField, bundle: CurvatureBundle) -> bool:
     """True when the field declares constant curvature and the computed
     curvature confirms it pointwise to well below working tolerance."""
-    lam = base.lam
-    if lam is None:
-        return False
-    return space_form_deviation(bundle, lam) <= PARALLEL_CURVATURE_TOL * max(1.0, abs(lam))
+    return base.lam is not None and is_space_form(bundle, base.lam, PARALLEL_CURVATURE_TOL)[0]
 
 
 def gradient_ingredients(
@@ -465,8 +461,8 @@ def _require_space_form(base: MetricField, bundle: CurvatureBundle) -> float:
     lam = base.lam
     if lam is None:
         raise PreconditionError("identity suites need a constant-curvature base")
-    dev = space_form_deviation(bundle, lam)
-    if dev > SPACE_FORM_TOL * max(1.0, abs(lam)):
+    ok, dev = is_space_form(bundle, lam, SPACE_FORM_TOL)
+    if not ok:
         raise PreconditionError(f"base is not a space form (deviation {dev:.2e})")
     return lam
 
@@ -601,8 +597,3 @@ class VariationReport:
     rel_err_d2: float
     d2_rel_err_estimate: float
     c_lagrange: float
-
-    def to_json(self) -> str:
-        body = asdict(self)
-        body["lambda"] = body.pop("lam")
-        return json.dumps(body, sort_keys=True)

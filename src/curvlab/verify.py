@@ -38,9 +38,20 @@ from .variations import (
     second_variation_tt_predicted,
     tt_identity_suite,
 )
-from .tensors import curvature_grid, max_abs, node_blocks, norm2_02, space_form_deviation
+from .tensors import (
+    curvature_grid,
+    max_abs,
+    node_blocks,
+    norm2_02,
+    space_form_deviation,
+    space_form_scale,
+)
 
+# the names each case dispatches on, read by the CLI's choices
+GRADIENT_MODELS = ("torus", "s3")
 HESSIAN_MODELS = ("s3-invariant", "torus-tt", "torus-conformal")
+RAYLEIGH_MODELS = ("s3-invariant", "torus-tt")
+IDENTITY_MODES = ("tt", "conformal")
 CURVATURE_RES = {2: (16, 32), 3: (10, 10, 16), 4: (8, 8, 8, 12), 5: (6, 6, 6, 6, 10)}
 
 
@@ -159,7 +170,7 @@ def gradient_case(
         grid = build_grid(base.domain, (10, 10, 12))
         make_h = lambda: random_sphere_sym_tensor(3, rng)
     else:
-        raise ConfigurationError("gradient models are 'torus' and 's3'")
+        raise ConfigurationError(f"unknown gradient model {model!r}; pick one of {GRADIENT_MODELS}")
     # the gradient is independent of h: build it once, pair it per direction
     ing = gradient_ingredients(base, grid.nodes)
     d1_analytic = _first_variation_pairing(base, ing, grid, coeff)
@@ -188,7 +199,9 @@ def curvature_case(
 
     With ``tol``, the report also says whether each deviation passes: the
     Rm, Ric and R deviations against ``tol`` times max(1, |lam| max|g|^k),
-    k = 2, 1, 0, the size of the model tensor each is measured against.
+    k = 2, 1, 0, the size of the model tensor each is measured against (k = 2
+    is :func:`curvlab.tensors.space_form_scale`, the scale of every
+    space-form gate).
     """
     if res is None:
         if n not in CURVATURE_RES:
@@ -221,12 +234,11 @@ def curvature_case(
         "max_r_dev": r_dev,
     }
     if tol is not None:
-        # |lam| g g, not |lam| g**2: a float power raises OverflowError, a product does not
-        scales = (abs(lam) * g_max * g_max, abs(lam) * g_max, abs(lam))
+        scales = (space_form_scale(lam, g_max), max(1.0, abs(lam) * g_max), max(1.0, abs(lam)))
         report["tol"] = tol
         # all(), not max(): max() can drop a NaN deviation, which must fail
         report["pass"] = all(
-            dev <= tol * max(1.0, s) for dev, s in zip((rm_dev, ric_dev, r_dev), scales)
+            dev <= tol * s for dev, s in zip((rm_dev, ric_dev, r_dev), scales)
         )
     return report
 
@@ -247,7 +259,7 @@ def rayleigh_case(model: str, res: int | None = None, d=None, k=None):
         grid = build_grid(base.domain, 12 if res is None else res)
         expected = float((2 * np.pi) ** 2 * np.dot(kk, kk))
     else:
-        raise ConfigurationError("rayleigh models are 's3-invariant' and 'torus-tt'")
+        raise ConfigurationError(f"unknown rayleigh model {model!r}; pick one of {RAYLEIGH_MODELS}")
     report = rayleigh_lichnerowicz(base, h, grid)
     return report, {"model": model, "mode_desc": h.name, "expected_quotient": expected}
 
@@ -260,4 +272,4 @@ def identity_case(mode: str, res=(8, 12, 16)) -> list:
         return tt_identity_suite(base, _standard_direction(mode), grid)
     if mode == "conformal":
         return conformal_identity_suite(base, _standard_direction(mode), grid)
-    raise ConfigurationError("identity mode must be 'tt' or 'conformal'")
+    raise ConfigurationError(f"unknown identity mode {mode!r}; pick one of {IDENTITY_MODES}")

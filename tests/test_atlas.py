@@ -174,10 +174,9 @@ def test_classifier_consistent_with_spectra(n, lam, mode, s, tau):
         assert vals.max() <= tol
 
 
-def test_emit_atlas_csv(tmp_path):
-    out = tmp_path / "atlas.csv"
-    text = emit_atlas(4, 1, "conformal", (-4, 2), (-2, 2), 50, out)
-    lines = out.read_text().strip().split("\n")
+def test_emit_atlas_csv():
+    text = emit_atlas(4, 1, "conformal", (-4, 2), (-2, 2), 50)
+    lines = text.strip().split("\n")
     assert lines[0] == "n,lambda,mode,s,tau,verdict,citation"
     assert len(lines) == 2501
     # the verdict changes exactly across the line s + 3 tau = -1
@@ -192,10 +191,9 @@ def test_emit_atlas_csv(tmp_path):
             assert verdict == "LocalMax"
 
 
-def test_atlas_tt_split_lines(tmp_path):
-    out = tmp_path / "tt.csv"
-    emit_atlas(3, 1, "tt", (-8, 0), (0, 2), 9, out)
-    rows = out.read_text().strip().split("\n")[1:]
+def test_atlas_tt_split_lines():
+    text = emit_atlas(3, 1, "tt", (-8, 0), (0, 2), 9)
+    rows = text.strip().split("\n")[1:]
     assert len(rows) == 81
     for row in rows:
         _, _, _, s_, tau_, verdict, _ = row.split(",", 6)
@@ -210,23 +208,23 @@ def test_atlas_tt_split_lines(tmp_path):
             assert verdict == "Undetermined"
 
 
-def test_atlas_degenerate_and_json(tmp_path):
+def test_atlas_degenerate_and_json():
     import json
 
-    text = emit_atlas(3, 0, "tt", (-5, -3), (0, 1), 2, None)
+    text = emit_atlas(3, 0, "tt", (-5, -3), (0, 1), 2)
     assert len(text.strip().split("\n")) == 5
-    jtext = emit_atlas(3, 0, "tt", (-5, -3), (0, 1), 2, None, fmt="json")
+    jtext = emit_atlas(3, 0, "tt", (-5, -3), (0, 1), 2, fmt="json")
     rows = json.loads(jtext)
     assert len(rows) == 4 and all(r["verdict"] for r in rows)
     with pytest.raises(ConfigurationError):
-        emit_atlas(3, 0, "tt", (-5, -3), (0, 1), 1, None)
+        emit_atlas(3, 0, "tt", (-5, -3), (0, 1), 1)
     with pytest.raises(ConfigurationError):
-        emit_atlas(3, 0, "tt", (-np.inf, 0), (0, 1), 3, None)
+        emit_atlas(3, 0, "tt", (-np.inf, 0), (0, 1), 3)
 
 
 def test_atlas_refinement_invariance():
-    coarse = emit_atlas(5, 1, "conformal", (-6, 2), (-2, 2), 5, None)
-    fine = emit_atlas(5, 1, "conformal", (-6, 2), (-2, 2), 9, None)
+    coarse = emit_atlas(5, 1, "conformal", (-6, 2), (-2, 2), 5)
+    fine = emit_atlas(5, 1, "conformal", (-6, 2), (-2, 2), 9)
 
     def parse(text):
         out = {}

@@ -210,10 +210,32 @@ def _refused_cleanly(argv, capsys) -> None:
 @pytest.mark.parametrize(
     "model, radius",
     [("sphere", "1e-200"), ("s3-euler", "1e-170"), ("sphere", "1e200"),
-     ("torus", "2"), ("poincare", "2")],
+     ("torus", "2"), ("poincare", "2"),
+     # radius**6, the size of det g on S^3, overflows
+     ("sphere", "1e55"), ("sphere", "1e150")],
 )
 def test_out_of_range_radius_is_usage_error(model, radius, capsys):
     _refused_cleanly(["curvature", "--model", model, "--radius", radius], capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature"],
+        ["check-identities", "--mode", "conformal"],
+        ["verify-gradient", "--count", "1"],
+        ["verify-hessian", "--model", "torus-tt"],
+        ["rayleigh", "--model", "torus-tt", "--res", "8"],
+        ["classify", "--n", "4", "--lambda", "1", "--mode", "tt", "--s", "0", "--tau", "0"],
+        ["atlas", "--n", "3", "--lambda", "1", "--mode", "tt", "--s-min", "-8", "--s-max", "0",
+         "--tau-min", "0", "--tau-max", "2", "--res", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_usage_error(argv, capsys, tmp_path):
+    # the one report writer turns an OSError into a configuration error
+    _refused_cleanly([*argv, "--out", str(tmp_path / "missing" / "x")], capsys)
+    _refused_cleanly([*argv, "--out", str(tmp_path)], capsys)
 
 
 @pytest.mark.parametrize("t_step", ["1e-100", "1e-300", "1e300"])

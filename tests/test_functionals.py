@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -32,14 +30,6 @@ def test_round_s3_functional_values(sphere3):
     assert rep11.F == pytest.approx(
         rep11.Rquad + 1.0 * rep11.rho + 1.0 * rep11.S, abs=1e-12
     )
-
-
-def test_report_serialization(sphere3):
-    grid = build_grid(sphere3.domain, (8, 8, 12))
-    rep = evaluate(sphere3, grid, Coefficients(0.5, 0.25))
-    body = json.loads(rep.to_json(n=3, model="sphere", s=0.5, tau=0.25))
-    assert set(body) == {"n", "model", "s", "tau", "W", "rho", "S", "Rquad", "F", "volume"}
-    assert body["F"] == rep.F
 
 
 def test_hyperbolic_rejected(poincare3):

@@ -41,3 +41,41 @@ def test_package_takes_no_finite_difference_partials():
     assert sorted((f, n) for f, n, _ in defined) == sorted(
         (f, n) for n, f in FD_ORACLE.items()
     )
+
+
+# every emitted byte leaves through the CLI's one report writer
+WRITER_MODULE = "cli.py"
+WRITE_CALLS = {"write_text", "write_bytes", "open"}
+
+
+def _report_writes(tree: ast.AST):
+    """(what, line) for every file or stdout write and every to_json* method."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("to_json"):
+            yield f"def {node.name}", node.lineno
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in WRITE_CALLS:
+                yield f.id, node.lineno
+            elif isinstance(f, ast.Attribute) and f.attr in WRITE_CALLS:
+                yield f.attr, node.lineno
+            elif (
+                isinstance(f, ast.Attribute)
+                and f.attr == "write"
+                and isinstance(f.value, ast.Attribute)
+                and f.value.attr == "stdout"
+            ):
+                yield "sys.stdout.write", node.lineno
+
+
+def test_reports_leave_through_one_writer():
+    found = [
+        (path.name, what, line)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != WRITER_MODULE
+        for what, line in _report_writes(ast.parse(path.read_text()))
+    ]
+    assert not found, f"report writes outside {WRITER_MODULE}: {found}"
+    # the rule sees the writer it protects
+    writer = ast.parse((SRC / WRITER_MODULE).read_text())
+    assert {what for what, _ in _report_writes(writer)} == {"write_text", "sys.stdout.write"}

@@ -659,6 +659,26 @@ def test_suites_require_space_form():
         tt_identity_suite(pm, h, grid)
 
 
+def test_space_form_shortcut_holds_at_a_large_radius():
+    # relative deviation 5.6e-17 on the radius-1e4 S^4: judged against
+    # max(1, |lam|) the shortcut was refused and Lap Ric came back as 3e-22
+    base = make_model("sphere", 4, radius=1e4)
+    ing = gradient_ingredients(base, build_grid(base.domain, 4).nodes)
+    for key in ("lap_ric", "hess_R", "lap_R"):
+        assert not ing[key].any(), key
+
+
+def test_identity_suite_accepts_a_large_round_sphere():
+    # the radius-1e6 Euler S^3 deviates by 3.3e-3 from its model tensor,
+    # a roundoff of |lam| max|g|^2 = 6.25e10; the suites refused it
+    base = make_model("s3-euler", 3, radius=1e6)
+    grid = build_grid(base.domain, (8, 12, 16))
+    checks = tt_identity_suite(base, s3_invariant_tt((2.0, -1.0, -1.0), radius=1e6), grid)
+    scale = max(max(abs(c.lhs), abs(c.rhs)) for c in checks)
+    for c in checks:
+        assert abs(c.lhs - c.rhs) <= 1e-8 * scale, c  # worst measured 1.5e-10
+
+
 def _ricci_variation_reference(hv, D2h, ginv, Ric):
     """The hand-derived Ric' and R' under (g_ij)' = h_ij:
 
