@@ -244,7 +244,7 @@ def _cmd_atlas(args) -> tuple[str, bool]:
 
 _REQUIRED = {
     "classify": ("n", "lam", "mode", "s", "tau"),
-    "atlas": ("n", "lam", "mode", "s_min", "s_max", "tau_min", "tau_max", "res", "out"),
+    "atlas": ("n", "lam", "mode", "s_min", "s_max", "tau_min", "tau_max", "res"),
 }
 
 _HANDLERS = {

@@ -32,7 +32,8 @@ from .fields import (
     trig_sym_tensor_field,
 )
 from .tensors import (
-    curvature_bundle,
+    _bundle_from_connection,
+    christoffel_combination,
     einstein_parts,
     inner_02,
     lichnerowicz_arrays,
@@ -154,13 +155,13 @@ def rayleigh_lichnerowicz(
 ) -> RayleighReport:
     """Rayleigh quotient of -Lap_L on a TT field over an Einstein base, the
     nodes streamed in blocks (per-node densities, one sum over all nodes),
-    each block's curvature built from the metric jet of its covariant
-    derivatives."""
+    each block's curvature built from the metric jet, g^-1 and Gamma of its
+    covariant derivatives."""
     _require_quadrature(base)
 
     def densities(Y):
-        hv, Dh, D2h, g, ginv, _ = sym_tensor_cov_derivs(base, h, Y)
-        bundle = curvature_bundle(*g)
+        hv, Dh, D2h, g, ginv, Gamma = sym_tensor_cov_derivs(base, h, Y)
+        bundle = _bundle_from_connection(*g, ginv, christoffel_combination(g[1]), Gamma)
         lap_L = lichnerowicz_arrays(hv, D2h, bundle)
         return (
             *einstein_parts(bundle),

@@ -36,7 +36,11 @@ normalization Ric = (n-1) * lam * g):
   axes to the components (as in :mod:`curvlab.fields`); :func:`jet_einsum`,
   :func:`jet_inverse` and :func:`covariant_jet` carry jets through products,
   inverses and covariant derivatives, so derivatives of computed curvature
-  are exact.
+  are exact.  They require that symmetry of their inputs (every jet in the
+  package has it): Leibniz' rule runs on packed partials, the C(n+k-1, k)
+  sorted derivative multi-indices of each order, one packed product per
+  split of the order among the factors, and each result is expanded to its
+  full, exactly symmetric derivative axes once.
 
 Products of two batched tensors go through :func:`contract`, which reads an
 einsum spec and runs it as one batched ``np.matmul``: each index is a batch
@@ -74,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import prod
 from typing import Callable
 
@@ -230,60 +234,149 @@ def node_blocks(fn: Callable[..., tuple], *arrays: Array, size: int | None = Non
 # ---------------------------------------------------------------------------
 #
 # A jet of order m is a list [T, dT, ..., d^m T] of batched arrays; d^k T
-# carries k trailing derivative axes, symmetric among themselves.  Products
-# follow Leibniz' rule (Taylor propagation, Griewank & Walther, "Evaluating
-# Derivatives", 2nd ed., ch. 13): the k-th partial of a product sums, over
-# every way of handing each of the k derivative indices to one factor, the
-# product of the factors' partials.
+# carries k trailing derivative axes.  Every jet in the package is symmetric
+# in those axes (partials commute), and the products below rely on it: they
+# read each order only on its C(n+k-1, k) sorted derivative multi-indices.
+#
+# Products follow Leibniz' rule (Taylor propagation, Griewank & Walther,
+# "Evaluating Derivatives", 2nd ed., ch. 13): the k-th partial of a product
+# sums, over every way of handing each of the k derivative indices to one
+# factor, the product of the factors' partials.  The ways group by split,
+# the orders (r_1, ..., r_F) the factors receive, and the rule runs on
+# packed jets: each order-r partial taken once (np.take) on its sorted
+# multi-indices, one trailing packed axis.  Each split is one packed
+# product, in which every factor's packed axis is a free matmul dimension.
+# A constant multiplicity matrix then folds the tuples (beta_1, ..., beta_F)
+# of the factors' multi-indices into the sorted output multi-index they make
+# up, in one 2-D matmul, and the splits' sum is expanded to the full
+# symmetric derivative axes once (Griewank, Utke & Walther, Math. Comp.
+# 69:1117, 2000; the unique-columns-then-expand pattern of the sympy jets in
+# :mod:`curvlab.fields`).  The partials that come out are thus exactly
+# symmetric.  At n = 3, k = 4 a two-factor product is 5 packed products
+# over 126 (beta_1, beta_2) pairs; handing out the indices one by one would
+# take 16 products at all n^4 = 81 columns each.
 
-_DERIV = "uvwxyz"
+_PACKED = "uvwxyz"  # packed-axis letters, less those the product spec uses
 _SLOTS = "ijkl"
 
 
 @lru_cache(maxsize=None)
-def _leibniz_terms(spec: str, k: int) -> tuple:
-    """(einsum subscripts, factor orders) of every term of the k-th partial."""
+def _symmetric_index(n: int, k: int) -> tuple[Array, Array]:
+    """(the sorted column of each full derivative index of order k, the flat
+    position of each sorted multi-index), the columns in
+    combinations_with_replacement order; a sorted multi-index is the first
+    of its permutations in C order."""
+    column = {alpha: c for c, alpha in enumerate(combinations_with_replacement(range(n), k))}
+    expand = np.array([column[tuple(sorted(i))] for i in np.ndindex((n,) * k)]).reshape((n,) * k)
+    return expand, np.unique(expand, return_index=True)[1]
+
+
+def _pack(T: Array, r: int) -> Array:
+    """An order-r partial on its sorted derivative multi-indices, one
+    trailing packed axis (orders 0 and 1 are already packed)."""
+    if r < 2:
+        return T
+    flat = T.reshape(T.shape[: T.ndim - r] + (-1,))
+    return np.take(flat, _symmetric_index(T.shape[-1], r)[1], axis=-1)
+
+
+def _pack_jet(J: list) -> list:
+    """Every order of a jet, packed."""
+    return [_pack(T, r) for r, T in enumerate(J)]
+
+
+def _expand(P: Array, k: int, n: int) -> Array:
+    """The packed order-k partial P on its full symmetric derivative axes."""
+    return P if k < 2 else np.take(P, _symmetric_index(n, k)[0], axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _leibniz_plan(spec: str, k: int, n: int, tops: tuple[int, ...]) -> tuple:
+    """The splits of the k-th partial (k >= 1) of the einsum product ``spec``
+    in n dimensions, factor f's jet reaching order ``tops[f]``.
+
+    A split is (orders, packed spec, number of packed axes, fold).  Factor f
+    enters with its packed order-r_f partial, whose packed axis the packed
+    spec names when r_f > 0 and appends to the output, in factor order.
+    ``fold`` maps the flattened packed axes to the sorted output
+    multi-indices; it is None when one factor takes every index, where it is
+    the identity.
+    """
     ins, out = spec.split("->")
     ins = ins.split(",")
-    d = _DERIV[:k]
-    terms = []
-    for owner in product(range(len(ins)), repeat=k):
-        subs = [
-            s + "".join(c for c, o in zip(d, owner) if o == f) for f, s in enumerate(ins)
-        ]
-        orders = tuple(owner.count(f) for f in range(len(ins)))
-        terms.append((",".join(subs) + "->" + out + d, orders))
-    return tuple(terms)
+    letters = [c for c in _PACKED if c not in spec]
+    alphas = list(combinations_with_replacement(range(n), k))
+    splits = []
+    for orders in product(range(k + 1), repeat=len(ins)):
+        if sum(orders) != k or any(r > t for r, t in zip(orders, tops)):
+            continue
+        owners = [f for f, r in enumerate(orders) if r]
+        subs = [s + (letters[f] if r else "") for f, (s, r) in enumerate(zip(ins, orders))]
+        packed_spec = ",".join(subs) + "->" + out + "".join(letters[f] for f in owners)
+        fold = None
+        if len(owners) > 1:
+            betas = [combinations_with_replacement(range(n), orders[f]) for f in owners]
+            rows = {beta: i for i, beta in enumerate(product(*betas))}
+            fold = np.zeros((len(rows), len(alphas)))
+            for owner in product(owners, repeat=k):
+                if any(owner.count(f) != orders[f] for f in owners):
+                    continue
+                for c, alpha in enumerate(alphas):
+                    beta = tuple(
+                        tuple(d for d, o in zip(alpha, owner) if o == f) for f in owners
+                    )
+                    fold[rows[beta], c] += 1
+        splits.append((orders, packed_spec, len(owners), fold))
+    return tuple(splits)
 
 
-def _leibniz(spec: str, jets, k: int):
-    """k-th partial of an einsum product; partials missing from a short jet
-    count as zero."""
-    total = 0.0
-    for subs, orders in _leibniz_terms(spec, k):
-        if all(r < len(j) for r, j in zip(orders, jets)):
-            total = total + contract(subs, *(j[r] for r, j in zip(orders, jets)))
+def _leibniz(spec: str, packed: list, k: int) -> Array:
+    """Packed k-th partial (k >= 1) of an einsum product from the factors'
+    packed jets; partials missing from a short jet count as zero."""
+    n = packed[0][1].shape[-1]
+    tops = tuple(min(len(j) - 1, k) for j in packed)
+    total = None
+    for orders, packed_spec, npacked, fold in _leibniz_plan(spec, k, n, tops):
+        P = contract(packed_spec, *(j[r] for j, r in zip(packed, orders)))
+        if fold is not None:
+            lead = P.shape[: P.ndim - npacked]
+            P = P.reshape(-1, fold.shape[0]) @ fold.astype(P.dtype, copy=False)
+            P = P.reshape(lead + (-1,))
+        total = P if total is None else total + P
     return total
+
+
+def _packed_product(spec: str, packed: list, order: int) -> list:
+    """Packed partials, orders 0 to ``order``, of an einsum product from the
+    factors' packed jets; order 0 is the plain product on the same spec."""
+    return [contract(spec, *(j[0] for j in packed))] + [
+        _leibniz(spec, packed, k) for k in range(1, order + 1)
+    ]
 
 
 def jet_einsum(spec: str, *jets: list, order: int | None = None) -> list:
     """Jet of the batched einsum ``spec`` of the factors' jets, to ``order``
-    (default: the order of the shortest factor jet)."""
+    (default: the order of the shortest factor jet).  The factors' partials
+    must be symmetric in their derivative axes; the result's are exactly."""
     shortest = min(len(j) for j in jets) - 1
     if order is None:
         order = shortest
     elif order > shortest:
         raise DimensionError(f"a factor jet of order {shortest} cannot give order {order}")
-    return [_leibniz(spec, jets, k) for k in range(order + 1)]
+    packed = [_pack_jet(j[: order + 1]) for j in jets]
+    n = jets[0][1].shape[-1] if order else 0
+    return [_expand(P, k, n) for k, P in enumerate(_packed_product(spec, packed, order))]
 
 
 def jet_inverse(A: list) -> list:
     """Jet of the matrix inverse, solving d^k(A A^-1) = 0 order by order."""
     inv = [np.linalg.inv(A[0])]
+    packed_A, packed_inv = _pack_jet(A), inv[:]
     for k in range(1, len(A)):
         # the terms of d^k(A A^-1) whose A factor is differentiated
-        rest = _leibniz("aij,ajk->aik", (A, inv), k)
-        inv.append(-contract("aij,ajk...->aik...", inv[0], rest))
+        rest = _leibniz("aij,ajk->aik", (packed_A, packed_inv), k)
+        packed_inv.append(-contract("aij,ajk...->aik...", inv[0], rest))
+        inv.append(_expand(packed_inv[-1], k, A[0].shape[-1]))
     return inv
 
 
@@ -306,15 +399,18 @@ def covariant_jet(T: list, Gamma: list) -> list:
     """Jet of nabla T (new slot last), one order shorter than the jet of T.
 
     (nabla T)_{..m} = d_m T - sum over slots s of Gamma^p_{m i_s} T_{..p..};
-    the jet of Gamma must reach the order of the result.
+    the jet of Gamma must reach the order of the result.  Each order is
+    formed packed (d^k of d_m T on the sorted multi-indices of its last k
+    axes) and expanded once.
     """
     comp = _SLOTS[: T[0].ndim - 1]
-    out = list(T[1:])
+    order = len(T) - 2
+    factors = [_pack_jet(J[: order + 1]) for J in (Gamma, T)]
+    out = [_pack(dT, k) for k, dT in enumerate(T[1:])]
     for s, c in enumerate(comp):
         spec = f"apm{c},a{comp[:s]}p{comp[s + 1:]}->a{comp}m"
-        corr = jet_einsum(spec, Gamma, T, order=len(T) - 2)
-        out = [o - x for o, x in zip(out, corr)]
-    return out
+        out = [o - x for o, x in zip(out, _packed_product(spec, factors, order))]
+    return [_expand(P, k, T[1].shape[-1]) for k, P in enumerate(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +633,17 @@ def volume_element(g: Array) -> Array:
 
 
 def curvature_bundle(g: Array, dg: Array, d2g: Array) -> CurvatureBundle:
+    return _bundle_from_connection(g, dg, d2g, *connection_arrays(g, dg))
+
+
+def _bundle_from_connection(
+    g: Array, dg: Array, d2g: Array, ginv: Array, S: Array, Gamma: Array
+) -> CurvatureBundle:
+    """The bundle of the metric jet [g, dg, d2g] from its connection (ginv,
+    S, Gamma) as :func:`connection_arrays` gives it, or as the order-0 parts
+    of :func:`connection_jet` (the same bits) with S =
+    christoffel_combination(dg)."""
     sqrt_det = volume_element(g)
-    ginv, S, Gamma = connection_arrays(g, dg)
     N, n = g.shape[:2]
     # P[a,k,l,i,j] = 2 T_lijk = g_lk,ij - g_ik,lj + S_qkl Gamma^q_ij, built in
     # the product's own layout (g_lk,ij = d2g[a,k,l,i,j] by symmetry of g)
@@ -614,7 +719,8 @@ def sym_tensor_cov_derivs(field: MetricField, h: SymTensorField, X: Array):
     """(h, Dh, D2h, g, ginv, Gamma) at the nodes: Dh[a,i,j,k] = h_ij,k,
     D2h[a,i,j,k,l] = h_ij,kl, and g the metric jet [g, dg, d2g] it evaluated,
     from which ``curvature_bundle(*g)`` builds the curvature of the same
-    nodes."""
+    nodes; ``_bundle_from_connection`` builds it from ginv and Gamma too,
+    without inverting g again."""
     X, _ = _as_batch(X, field.dimension)
     g = field.jet(X, 2)
     ginv, Gamma = connection_jet(g)
@@ -692,8 +798,8 @@ def lichnerowicz(field: MetricField, h: SymTensorField, x) -> Array:
     Requires an Einstein base metric at the evaluation points.
     """
     X, single = _as_batch(x, field.dimension)
-    hv, _, D2h, g, _, _ = sym_tensor_cov_derivs(field, h, X)
-    bundle = curvature_bundle(*g)
+    hv, _, D2h, g, ginv, Gamma = sym_tensor_cov_derivs(field, h, X)
+    bundle = _bundle_from_connection(*g, ginv, christoffel_combination(g[1]), Gamma)
     require_einstein(*einstein_parts(bundle))
     out = lichnerowicz_arrays(hv, D2h, bundle)
     return out[0] if single else out

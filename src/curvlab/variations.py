@@ -453,8 +453,16 @@ class IdentityCheck(NamedTuple):
     rel_err: float
 
 
-def _check(name: str, lhs: float, rhs: float) -> IdentityCheck:
-    return IdentityCheck(name, lhs, rhs, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+def _checks(lhs: dict[str, float], rhs: dict[str, float]) -> list[IdentityCheck]:
+    """One check per term: |lhs - rhs| relative to the size of the suite, its
+    largest |rhs| (or the term's own |lhs| or |rhs|, if larger), so that a
+    mismatch is judged alike at every radius of the base."""
+    scale = max(abs(v) for v in rhs.values())
+    out = []
+    for k, r in rhs.items():
+        size = max(scale, abs(lhs[k]), abs(r))
+        out.append(IdentityCheck(k, lhs[k], r, abs(lhs[k] - r) / size if size else 0.0))
+    return out
 
 
 def _require_space_form(base: MetricField, bundle: CurvatureBundle) -> float:
@@ -540,7 +548,7 @@ def tt_identity_suite(
         "scalar_ricci": lam**2 * n**2 * (n - 1) * nrm - 0.5 * lam * n * (n - 1) * ihl,
         "scalar_square_metric": lam**2 * n**2 * (n - 1) ** 2 * nrm,
     }
-    return [_check(k, lhs[k], rhs[k]) for k in rhs]
+    return _checks(lhs, rhs)
 
 
 def conformal_identity_suite(
@@ -573,7 +581,7 @@ def conformal_identity_suite(
         "scalar_square_metric": -(lam**2) * n**3 * (n - 1) ** 2 * f2
         - 2 * lam * n**2 * (n - 1) ** 2 * f_lap,
     }
-    return [_check(k, lhs[k], rhs[k]) for k in rhs]
+    return _checks(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

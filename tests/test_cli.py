@@ -54,6 +54,17 @@ def test_atlas_deterministic(tmp_path):
     assert len(b1.decode().strip().split("\n")) == 101
 
 
+def test_atlas_without_out_writes_stdout(tmp_path, capsys):
+    args = ["atlas", "--n", "3", "--lambda", "1", "--mode", "tt",
+            "--s-min", "-8", "--s-max", "0", "--tau-min", "0", "--tau-max", "2",
+            "--res", "4"]
+    out = tmp_path / "atlas.csv"
+    assert run(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(args) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_verify_hessian_report(tmp_path, capsys):
     out = tmp_path / "hess.json"
     code = run(["verify-hessian", "--model", "torus-tt", "--s", "0", "--tau", "0",

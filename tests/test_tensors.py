@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -391,16 +392,127 @@ def test_contracted_bianchi_hessian_on_generic_metric():
 
 
 # ---------------------------------------------------------------------------
+# Jet algebra: the packed Leibniz rule against the full owner expansion
+# ---------------------------------------------------------------------------
+
+
+def _owner_leibniz(spec, jets, k):
+    """The k-th partial of an einsum product as the sum, over all len(jets)^k
+    ways of handing each derivative index to one factor, of the factors'
+    full partials: the rule the packed products must reproduce."""
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    d = "uvwxyz"[:k]
+    total = 0.0
+    for owner in itertools.product(range(len(ins)), repeat=k):
+        subs = [s + "".join(c for c, o in zip(d, owner) if o == f) for f, s in enumerate(ins)]
+        orders = [owner.count(f) for f in range(len(ins))]
+        if all(r < len(j) for r, j in zip(orders, jets)):
+            factors = (j[r] for r, j in zip(orders, jets))
+            total = total + np.einsum(",".join(subs) + "->" + out + d, *factors, optimize=True)
+    return total
+
+
+def _owner_inverse(A):
+    inv = [np.linalg.inv(A[0])]
+    for k in range(1, len(A)):
+        rest = _owner_leibniz("aij,ajk->aik", (A, inv), k)
+        inv.append(-np.einsum("aij,ajk...->aik...", inv[0], rest))
+    return inv
+
+
+def _random_symmetric_jet(rng, N, comp, n, order, dtype):
+    """[T, dT, ..., d^order T] with random values on the sorted derivative
+    multi-indices, copied to every permutation: exactly symmetric."""
+    jet = []
+    for r in range(order + 1):
+        sorted_idx = list(itertools.combinations_with_replacement(range(n), r))
+        col = {idx: c for c, idx in enumerate(sorted_idx)}
+        index = np.array([col[tuple(sorted(i))] for i in np.ndindex((n,) * r)]).reshape((n,) * r)
+        vals = rng.standard_normal((N, *comp, len(sorted_idx)))
+        if dtype == complex:
+            vals = vals + 1j * rng.standard_normal(vals.shape)
+        jet.append(np.take(vals, index, axis=-1))
+    return jet
+
+
+def _derivative_asymmetry(T, k):
+    """max |T - T with two adjacent derivative axes swapped| over the last k
+    axes: 0 for an exactly symmetric partial."""
+    worst = 0.0
+    for a in range(T.ndim - k, T.ndim - 1):
+        worst = max(worst, float(np.max(np.abs(T - T.swapaxes(a, a + 1)), initial=0.0)))
+    return worst
+
+
+def _relative_error(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+JET_PRODUCTS = [
+    # (spec, component shape of each factor): n stands for the dimension,
+    # N for the ambient dimension n + 1
+    ("aij,ajk->aik", ("nn", "nn")),  # a matrix product
+    ("a,aij->aij", ("", "nn")),  # a scalar factor
+    ("aAi,aAj->aij", ("Nn", "Nn")),  # the pullback's ambient index
+    ("ai,aij,aj->a", ("n", "nn", "n")),  # three factors
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_jet_einsum_matches_owner_expansion(n, dtype):
+    rng = np.random.default_rng(10 * n + (dtype == complex))
+    sizes = {"n": n, "N": n + 1}
+    for N in (1, MATMUL_MIN_BATCH - 1, MATMUL_MIN_BATCH + 1, 64):
+        for spec, comps in JET_PRODUCTS:
+            jets = [
+                _random_symmetric_jet(rng, N, tuple(sizes[c] for c in comp), n, 4, dtype)
+                for comp in comps
+            ]
+            got = tensors.jet_einsum(spec, *jets)
+            for k, T in enumerate(got):
+                want = _owner_leibniz(spec, jets, k)
+                assert T.shape == want.shape and T.dtype == want.dtype
+                assert _relative_error(T, want) <= 1e-13, (spec, N, k)
+                assert _derivative_asymmetry(T, k) == 0.0, (spec, N, k)
+            assert np.array_equal(got[0], contract(spec, *(j[0] for j in jets)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_jet_inverse_matches_owner_expansion(n, dtype):
+    rng = np.random.default_rng(20 * n + (dtype == complex))
+    for N in (1, MATMUL_MIN_BATCH - 1, MATMUL_MIN_BATCH + 1, 64):
+        A = _random_symmetric_jet(rng, N, (n, n), n, 4, dtype)
+        A[0] = A[0] + 2 * n * np.eye(n)  # well conditioned
+        got, want = tensors.jet_inverse(A), _owner_inverse(A)
+        assert np.array_equal(got[0], want[0])
+        for k in range(1, 5):
+            assert _relative_error(got[k], want[k]) <= 1e-13, (N, k)
+            assert _derivative_asymmetry(got[k], k) == 0.0, (N, k)
+
+
+def test_pipeline_jet_partials_are_exactly_symmetric(pipeline_contractions):
+    assert pipeline_contractions[2] == 0.0
+
+
+# ---------------------------------------------------------------------------
 # contract: the batched-matmul kernel against np.einsum
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def pipeline_contractions():
-    """{(spec, ndims): operand shapes} of every contract call the pipeline
-    makes: curvature, Weyl and the functionals on S^4, the generic gradient
+    """What the pipeline hands the jet algebra and the contraction kernel:
+    curvature, Weyl and the functionals on S^4, the generic gradient
     ingredients on a perturbed torus, both identity suites, the pointwise
-    operators and the sphere pullback jet."""
+    operators and the sphere pullback jet.
+
+    Returns ({(spec, ndims): operand shapes} of every contract call,
+    {order: packed product specs of every Leibniz plan}, the largest
+    asymmetry in its derivative axes of a partial the jet algebra expanded).
+    """
     from curvlab.fields import random_sphere_sym_tensor
     from curvlab.variations import (
         conformal_identity_suite,
@@ -409,17 +521,29 @@ def pipeline_contractions():
     )
     from curvlab.verify import s3_first_harmonic
 
-    seen = {}
-    real = tensors.contract
+    seen, planned, asymmetry = {}, {}, [0.0]
+    real, real_plan, real_expand = tensors.contract, tensors._leibniz_plan, tensors._expand
 
     def spy(spec, *ops):
         shapes = tuple(np.shape(o) for o in ops)
         seen.setdefault((spec, tuple(len(x) for x in shapes)), shapes)
         return real(spec, *ops)
 
+    def plan_spy(spec, k, n, tops):
+        splits = real_plan(spec, k, n, tops)
+        planned.setdefault(k, set()).update(packed_spec for _, packed_spec, _, _ in splits)
+        return splits
+
+    def expand_spy(P, k, n):
+        out = real_expand(P, k, n)
+        asymmetry[0] = max(asymmetry[0], _derivative_asymmetry(out, k))
+        return out
+
     rng = np.random.default_rng(3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensors, "contract", spy)
+        mp.setattr(tensors, "_leibniz_plan", plan_spy)
+        mp.setattr(tensors, "_expand", expand_spy)
         s4 = make_model("sphere", 4)
         evaluate(s4, build_grid(s4.domain, 4), Coefficients(1.0, 1.0))
         pm = random_torus_metric(3, rng)
@@ -436,7 +560,7 @@ def pipeline_contractions():
         rough_laplacian_tensor(e3, h, X)
         random_sphere_sym_tensor(3, rng).jet(random_probes(make_model("sphere", 3).domain, rng, 20), 4)
         kulkarni_nomizu(np.eye(3), np.eye(3))
-    return seen
+    return seen, planned, asymmetry[0]
 
 
 def _per_node_error(spec, A, B):
@@ -458,10 +582,28 @@ def _strided(X):
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(X, 1, -1)), -1, 1)
 
 
+# The contract specs the pipeline issues besides the packed Leibniz products:
+# plain products, some of them also the order-0 terms of a jet product.
+NON_JET_SPECS = {
+    "aJj,aKLij->aJKLi", "aKk,aLijk->aKLij", "aLl,aijkl->aLijk", "aij,aIi->ajI",
+    "aij,aij->a", "aij,ajk...->aik...", "aik,aik->a", "aik,ajl->aijkl",
+    "aikjl,akl->aij", "ail,ajk->aijkl", "aiplk,ajplk->aij", "ajI,aJj->aIJ",
+    "ajk,ail->aijkl", "ajl,aik->aijkl", "akl,aijkl->aij", "akl,alij->akij",
+    "apl,aipjl->aij", "apq,apjq->aj", "apq,apq->a", "aqkl,aqij->aklij",
+}
+
+
 def test_contract_matches_einsum_on_every_pipeline_spec(pipeline_contractions):
+    seen, planned, _ = pipeline_contractions
+    specs = {spec for spec, _ in seen}
+    assert NON_JET_SPECS <= specs, NON_JET_SPECS - specs
+    # the packed Leibniz products of every order 1-4 reach the kernel
+    assert sorted(planned) == [1, 2, 3, 4]
+    for k, packed in planned.items():
+        assert packed <= specs, (k, packed - specs)
     rng = np.random.default_rng(5)
-    two = {k: v for k, v in pipeline_contractions.items() if len(v) == 2}
-    assert len(two) > 60
+    two = {k: v for k, v in seen.items() if len(v) == 2}
+    assert len(two) == len(seen)
     sizes = (1, MATMUL_MIN_BATCH - 1, MATMUL_MIN_BATCH + 1, 300)
     worst = 0.0
     for (spec, _), shapes in two.items():
