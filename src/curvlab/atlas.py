@@ -48,6 +48,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+# A point is on a defining line when the line's linear form, divided by
+# max(1, |s|, |tau|) n^2, is within BOUNDARY_TOL of zero: a tolerance
+# relative to the size of the form's terms, so that rounding them at large
+# s or tau cannot move a point on the line to LocalMin or LocalMax.
 BOUNDARY_TOL = 1e-12
 
 LOCAL_MIN = "LocalMin"
@@ -136,24 +140,25 @@ def _one_form_verdict(f, cite_min, cite_max, boundary_cite):
 def classify(q: StabilityQuery) -> Verdict:
     """Stability verdict for the query, with the clause that fired."""
     n, s, tau = q.n, q.s, q.tau
+    u = 1.0 / (max(1.0, abs(s), abs(tau)) * n * n)  # scales each form, keeping its sign
     if q.mode == TT:
         thr = (6 * n - 12) / (n * (n - 1))
         if q.lam == 0:
             return _one_form_verdict(
-                s + 4, "Thm 1.3 / Cor 3.1", "Thm 1.3 / Cor 3.1", "boundary of Thm 1.3"
+                u * (s + 4), "Thm 1.3 / Cor 3.1", "Thm 1.3 / Cor 3.1", "boundary of Thm 1.3"
             )
         if q.lam == 1:
             return _two_form_verdict(
-                s + 4,
-                thr - tau,
+                u * (s + 4),
+                u * (thr - tau),
                 (1.0, 1.0),
                 "Thm 1.1(1)",
                 "Thm 1.1(2)",
                 "boundary of Thm 1.1",
             )
         return _two_form_verdict(
-            s + 4,
-            tau - thr,
+            u * (s + 4),
+            u * (tau - thr),
             (1.0, 1.0),
             "Thm 1.2(1)",
             "Thm 1.2(2)",
@@ -163,7 +168,7 @@ def classify(q: StabilityQuery) -> Verdict:
     # conformal mode
     if q.lam == 0:
         return _one_form_verdict(
-            s + 4 * tau - 4 * (tau - 1) / n,
+            u * (s + 4 * tau - 4 * (tau - 1) / n),
             "Thm 1.4 / Cor 3.2",
             "Thm 1.4 / Cor 3.2",
             "boundary of Thm 1.4",
@@ -172,21 +177,21 @@ def classify(q: StabilityQuery) -> Verdict:
     if q.lam == 1:
         clause = {3: "Thm 1.5(2)", 4: "Thm 1.5(1)"}.get(n, "Thm 1.5(3)")
         if n == 4:
-            return _one_form_verdict(a, clause, clause, "boundary of Thm 1.5(1)")
+            return _one_form_verdict(u * a, clause, clause, "boundary of Thm 1.5(1)")
         return _two_form_verdict(
-            a, a * n + b, (1.0, 1.0), clause, clause, f"boundary of {clause}"
+            u * a, u * (a * n + b), (1.0, 1.0), clause, clause, f"boundary of {clause}"
         )
     # lam = -1 conformal: P2 >= 0 on (0, inf) iff a >= 0 and b <= 0
     if n == 4:
         return _one_form_verdict(
-            a, "Thm 1.6(1)", "Thm 1.6(1)", "boundary of Thm 1.6(1)"
+            u * a, "Thm 1.6(1)", "Thm 1.6(1)", "boundary of Thm 1.6(1)"
         )
     clause = (
         "Thm 1.6(2), regions per P2 criterion"
         if n == 3
         else "Thm 1.6(3), regions per P2 criterion"
     )
-    return _two_form_verdict(a, -b, (1.0, 1.0), clause, clause, f"boundary of {clause}")
+    return _two_form_verdict(u * a, -u * b, (1.0, 1.0), clause, clause, f"boundary of {clause}")
 
 
 def emit_atlas(

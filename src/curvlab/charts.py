@@ -13,6 +13,11 @@ Built-in models
               exposed through :func:`milnor_frame` / :func:`milnor_coframe`
               so left-invariant tensors can be written in chart components.
 
+Every model's jet is closed form: the sphere and Euler-chart metrics are
+:class:`~curvlab.fields.Separable` sums of products of one-coordinate
+waves, the Poincare metric 4 delta (1/u)^2 with u = 1 - |x|^2.  Models are
+cheap to build, so :func:`make_model` builds a fresh one on every call.
+
 Sphere-type integrals use the angular chart (product-of-sines volume
 element): one chart covers everything but a measure-zero set, and the polar
 axes carry Gauss-Legendre nodes, which never touch the coordinate
@@ -22,10 +27,11 @@ singularities at theta in {0, pi}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Sequence
 
 import numpy as np
-import sympy as sp
 
 from .errors import (
     ConfigurationError,
@@ -37,13 +43,17 @@ from .fields import (
     Array,
     ChartDomain,
     MetricField,
+    Separable,
+    _SeparableJet,
+    _separable,
     analytic_metric_field,
     euler_su2_domain,
     poincare_domain,
     sphere_domain,
     torus_domain,
+    wave,
 )
-from .tensors import volume_element
+from .tensors import jet_einsum, jet_inverse, volume_element
 
 MIN_RESOLUTION = 4
 
@@ -171,84 +181,51 @@ def _finite_power(x: float, p: int) -> bool:
         return bool(np.isfinite(np.float64(x) ** p))
 
 
-_MODEL_CACHE: dict[tuple, MetricField] = {}
-
 # built-in model kind -> sign of its sectional curvature
 MODEL_CURVATURE_SIGN = {"torus": 0, "sphere": 1, "poincare": -1, "s3-euler": 1}
 
 
 def _torus_model(n: int, lengths: Sequence[float] | None) -> MetricField:
-    dom = torus_domain(n, lengths)
-    eye = np.eye(n)
-
-    def jet(X, order):
-        N = X.shape[0]
-        flat = [np.zeros((N,) + (n,) * (2 + k)) for k in range(1, order + 1)]
-        return [np.broadcast_to(eye, (N, n, n)).copy()] + flat
-
-    return MetricField(
-        domain=dom,
-        _jet=jet,
-        lam=0.0,
-        name=f"flat torus T^{n}",
-    )
+    g = {(i, i): 1.0 for i in range(n)}
+    return analytic_metric_field(torus_domain(n, lengths), g, lam=0.0, name=f"flat torus T^{n}")
 
 
 def _sphere_model(n: int, radius: float) -> MetricField:
-    dom = sphere_domain(n)
-    coords = sp.symbols(f"t0:{n}")
-    g = sp.zeros(n, n)
-    prefactor = sp.Float(radius) ** 2
-    for i in range(n):
-        gi = prefactor
-        for m in range(i):
-            gi = gi * sp.sin(coords[m]) ** 2
-        g[i, i] = gi
+    # g_ii = r^2 sin^2 t_0 ... sin^2 t_(i-1)
+    sin2 = [wave(m, q=3) * wave(m, q=3) for m in range(n)]
+    g = {(i, i): reduce(mul, sin2[:i], _separable(radius**2)) for i in range(n)}
     return analytic_metric_field(
-        dom,
-        coords,
-        g,
-        lam=1.0 / radius**2,
-        name=f"round S^{n} r={radius:g}",
+        sphere_domain(n), g, lam=1.0 / radius**2, name=f"round S^{n} r={radius:g}"
     )
 
 
 def _poincare_model(n: int) -> MetricField:
-    dom = poincare_domain(n)
-    coords = sp.symbols(f"x0:{n}")
-    conf = 4 / (1 - sum(c**2 for c in coords)) ** 2
-    g = sp.eye(n) * conf
-    return analytic_metric_field(
-        dom,
-        coords,
-        g,
-        lam=-1.0,
-        name=f"Poincare ball chart n={n}",
-    )
+    """g = 4 delta (1/u)^2, u = 1 - |x|^2: 1/u is the jet inverse of the
+    1x1 jet of u, written out, and its square one jet product."""
+    eye = np.eye(n)
 
+    def jet(X, order):
+        N = X.shape[0]
+        u = [1.0 - np.einsum("ai,ai->a", X, X), -2.0 * X, np.tile(-2.0 * eye, (N, 1, 1))]
+        u += [np.zeros((N,) + (n,) * k) for k in range(3, order + 1)]
+        w = jet_inverse([t.reshape((N, 1, 1) + t.shape[1:]) for t in u[: order + 1]])
+        w2 = jet_einsum("aij,ajk->aik", w, w)
+        g = [np.zeros((N, n * n) + t.shape[3:]) for t in w2]
+        for out, t in zip(g, w2):
+            out[:, :: n + 1] = 4.0 * t[:, 0]  # the diagonal, g_ii = 4 (1/u)^2
+        return [out.reshape((N, n, n) + out.shape[2:]) for out in g]
 
-def _euler_su2_exprs(radius: float):
-    theta, phi, psi = sp.symbols("theta phi psi")
-    r2 = sp.Float(radius) ** 2
-    g = (r2 / 4) * sp.Matrix(
-        [
-            [1, 0, 0],
-            [0, 1, sp.cos(theta)],
-            [0, sp.cos(theta), 1],
-        ]
+    return MetricField(
+        domain=poincare_domain(n), _jet=jet, lam=-1.0, name=f"Poincare ball chart n={n}"
     )
-    return (theta, phi, psi), g
 
 
 def _s3_euler_model(radius: float) -> MetricField:
-    dom = euler_su2_domain()
-    coords, g = _euler_su2_exprs(radius)
+    # g = (r^2 / 4) [[1, 0, 0], [0, 1, cos theta], [0, cos theta, 1]]
+    c = radius**2 / 4
+    g = {(0, 0): c, (1, 1): c, (2, 2): c, (1, 2): c * wave(0)}
     return analytic_metric_field(
-        dom,
-        coords,
-        g,
-        lam=1.0 / radius**2,
-        name=f"round S^3 (Euler chart) r={radius:g}",
+        euler_su2_domain(), g, lam=1.0 / radius**2, name=f"round S^3 (Euler chart) r={radius:g}"
     )
 
 
@@ -285,19 +262,13 @@ def make_model(
             f"radius**{2 * n} (the size of det g) finite, got {radius}"
         )
 
-    key = (kind, n, radius, None if lengths is None else tuple(lengths))
-    if key in _MODEL_CACHE:
-        return _MODEL_CACHE[key]
     if kind == "torus":
-        field = _torus_model(n, lengths)
-    elif kind == "sphere":
-        field = _sphere_model(n, radius)
-    elif kind == "poincare":
-        field = _poincare_model(n)
-    else:
-        field = _s3_euler_model(radius)
-    _MODEL_CACHE[key] = field
-    return field
+        return _torus_model(n, lengths)
+    if kind == "sphere":
+        return _sphere_model(n, radius)
+    if kind == "poincare":
+        return _poincare_model(n)
+    return _s3_euler_model(radius)
 
 
 # ---------------------------------------------------------------------------
@@ -305,51 +276,33 @@ def make_model(
 # ---------------------------------------------------------------------------
 
 
+def milnor_coframe_exprs(radius: float = 1.0) -> list[list[Separable]]:
+    """The bi-invariant orthonormal coframe in closed form: ``w[i][mu]`` is
+    the :class:`~curvlab.fields.Separable` component of the i-th 1-form in
+    (theta, phi, psi), from which invariant tensors get closed-form jets."""
+    sin, cos = (lambda m: wave(m, q=3)), wave
+    rows = (
+        (sin(2), -1.0 * sin(0) * cos(2), 0.0),
+        (cos(2), sin(0) * sin(2), 0.0),
+        (0.0, cos(0), 1.0),
+    )
+    return [[radius / 2 * _separable(c) for c in row] for row in rows]
+
+
+def milnor_coframe(points: Array, radius: float = 1.0) -> Array:
+    """``W[a, i, mu]``: the components of the i-th coframe 1-form of
+    :func:`milnor_coframe_exprs` at the points."""
+    w = milnor_coframe_exprs(radius)
+    jet = _SeparableJet(3, {(i, mu): w[i][mu] for i in range(3) for mu in range(3)}, (3, 3), False)
+    return jet(np.atleast_2d(np.asarray(points, dtype=float)), 0)[0]
+
+
 def milnor_frame(points: Array, radius: float = 1.0) -> Array:
-    """Left-invariant orthonormal frame on the Euler S^3 chart.
+    """Left-invariant orthonormal frame on the Euler S^3 chart, dual to
+    :func:`milnor_coframe`.
 
     Returns ``F[a, i, mu]``: chart components of the i-th frame vector field.
     The frame satisfies [X_1, X_2] = (2/r) X_3 (cyclically) and is orthonormal
     for the radius-r bi-invariant metric.
     """
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    th, ps = X[:, 0], X[:, 2]
-    sth, cth = np.sin(th), np.cos(th)
-    sps, cps = np.sin(ps), np.cos(ps)
-    F = np.zeros((X.shape[0], 3, 3))
-    F[:, 0, 0] = sps
-    F[:, 0, 1] = -cps / sth
-    F[:, 0, 2] = cps * cth / sth
-    F[:, 1, 0] = cps
-    F[:, 1, 1] = sps / sth
-    F[:, 1, 2] = -sps * cth / sth
-    F[:, 2, 2] = 1.0
-    return (2.0 / radius) * F
-
-
-def milnor_coframe(points: Array, radius: float = 1.0) -> Array:
-    """Dual coframe to :func:`milnor_frame`; ``W[a, i, mu]`` are the
-    components of the i-th coframe 1-form."""
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    th, ps = X[:, 0], X[:, 2]
-    sth, cth = np.sin(th), np.cos(th)
-    sps, cps = np.sin(ps), np.cos(ps)
-    W = np.zeros((X.shape[0], 3, 3))
-    W[:, 0, 0] = sps
-    W[:, 0, 1] = -sth * cps
-    W[:, 1, 0] = cps
-    W[:, 1, 1] = sth * sps
-    W[:, 2, 1] = cth
-    W[:, 2, 2] = 1.0
-    return (radius / 2.0) * W
-
-
-def milnor_coframe_exprs(radius: float = 1.0):
-    """Sympy expressions for the coframe, used to build invariant tensors."""
-    theta, phi, psi = sp.symbols("theta phi psi")
-    r = sp.Float(radius)
-    e1 = [sp.sin(psi), -sp.sin(theta) * sp.cos(psi), sp.Integer(0)]
-    e2 = [sp.cos(psi), sp.sin(theta) * sp.sin(psi), sp.Integer(0)]
-    e3 = [sp.Integer(0), sp.cos(theta), sp.Integer(1)]
-    scaled = [[(r / 2) * c for c in row] for row in (e1, e2, e3)]
-    return (theta, phi, psi), scaled
+    return np.linalg.inv(milnor_coframe(points, radius)).transpose(0, 2, 1)

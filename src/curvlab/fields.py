@@ -4,12 +4,15 @@ Every geometric object in this package is a field over a single coordinate
 chart: a callable mapping a batch of chart points (shape ``(N, n)``) to
 component arrays with a leading batch axis.  A field hands out its jet, the
 components together with their coordinate partials up to a requested order
-(:meth:`_TensorValuedField.jet`).  Partials are exact at every order: closed
-forms for trigonometric fields, sympy derivatives for analytic fields (each
-order above 2 differentiated and lambdified on first request), and Leibniz'
-rule or linearity for fields combined from others.  No finite difference
-enters a jet; :func:`fd_partials` is kept only as the independent oracle the
-tests check the exact jets against.
+(:meth:`_TensorValuedField.jet`).  Partials are exact at every order and in
+closed form, with no symbolic step: the torus fields are plane waves, the
+built-in curved fields are :class:`Separable` sums of products of
+one-coordinate waves (the sphere and Euler-chart metrics, the sphere
+embedding, the S^3 coframe, its invariant modes and harmonics), and fields
+combined from others follow Leibniz' rule or linearity.  No finite
+difference enters a jet; :func:`fd_partials` is kept only as the independent
+oracle the tests check the exact jets against (sympy, in the tests, is the
+other).
 
 Index conventions for jet arrays (leading axis is always the batch, the
 derivative axes trail the component axes and are symmetric among
@@ -24,10 +27,12 @@ themselves):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement, groupby
+from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy as sp
 
 from .errors import ConfigurationError, DimensionError
 
@@ -156,8 +161,8 @@ class _TensorValuedField:
     """Shared plumbing for metric / symmetric-tensor / covector / scalar fields.
 
     ``_jet(X, order)`` returns the exact partials of orders 0..order, at any
-    order.  Fields are frozen, so cached models and directions can be handed
-    to every caller; derive a new field with ``dataclasses.replace`` or the
+    order.  Fields are frozen, so one model or direction can be handed to
+    every caller; derive a new field with ``dataclasses.replace`` or the
     combinators below.
     """
 
@@ -268,117 +273,198 @@ def linear_combination_metric(
 
 
 # ---------------------------------------------------------------------------
-# sympy-backed analytic fields
+# Separable fields: sums of products of one-coordinate waves (closed form)
 # ---------------------------------------------------------------------------
+#
+# Every built-in curved field is a sum of terms c prod_m f_m(x^m), each
+# factor one wave cos(w x^m + q pi/2) or the product of two waves of one
+# frequency.  The partial of a term on a sorted multi-index alpha is c times
+# the product over m of f_m's derivative of order count(m in alpha), with no
+# Leibniz sum (Taylor arithmetic, Griewank & Walther, "Evaluating
+# Derivatives", 2nd ed., ch. 13).  A factor's value is the product of its
+# waves (sin t sin t, accurate near the poles), its derivatives those of the
+# one wave it differs from a constant by (sin^2 t = 1/2 - cos(2t)/2).
+#
+# A _SeparableJet's table holds ones, the waves cos, -sin, -cos and sin of
+# each distinct (coordinate, frequency), and the product factors' values.
+# Each order's plan is made once (orders 0-2 at construction): the table
+# columns and scale of every (term, multi-index) pair that is not
+# identically zero, sorted by the unique partial it sums into, and one index
+# from every full component and derivative index to that sum.  A call then
+# takes a fixed handful of numpy operations per order, none a loop over
+# multi-indices.
 
 
-class _SympyJet:
-    """Partials of a sympy tensor expression, differentiated and lambdified
-    order by order on first request (orders up to ``eager`` at once).
+@dataclass(frozen=True)
+class Separable:
+    """A scalar: coefficients times products of waves.  ``terms`` pairs each
+    coefficient with a sorted tuple of waves (m, w, q), the function cos(w x^m
+    + q pi/2); sums and products collect like terms and drop cancelled ones."""
 
-    Only unique components are kept: derivative indices are sorted, and so
-    are the two component indices of a symmetric 2-tensor.  A call fills the
-    unique columns of each order into one ``(N, ncols)`` float64 array (a
-    column sympy folded to a constant arrives as a scalar and broadcasts)
-    and gathers the full index set from it with ``np.take``, so every order
-    comes back C-contiguous.
-    """
+    terms: tuple = ()
 
-    def __init__(self, coords, exprs: np.ndarray, symmetric: bool, eager: int = 2):
-        self.coords = tuple(coords)
-        self.shape = exprs.shape
-        self.symmetric = symmetric
-        self._exprs = [
-            {
-                idx: sp.sympify(exprs[idx])
-                for idx in np.ndindex(self.shape)
-                if self._key(idx) == idx
-            }
+    def __add__(self, other) -> "Separable":
+        return _collect(self.terms + _separable(other).terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Separable":
+        return self + -1.0 * _separable(other)
+
+    def __mul__(self, other) -> "Separable":
+        other = _separable(other)
+        return _collect(
+            (a * b, tuple(sorted(u + v))) for a, u in self.terms for b, v in other.terms
+        )
+
+    __rmul__ = __mul__
+
+
+def _separable(x) -> Separable:
+    return x if isinstance(x, Separable) else Separable(((float(x), ()),))
+
+
+def _collect(terms) -> Separable:
+    merged: dict = {}
+    for c, waves in terms:
+        merged[waves] = merged.get(waves, 0.0) + c
+    return Separable(tuple((c, w) for w, c in merged.items() if c != 0.0))
+
+
+def wave(m: int, w: float = 1.0, q: int = 0) -> Separable:
+    """cos(w x^m + q pi/2): cos for q = 0, sin for q = 3."""
+    return Separable(((1.0, ((m, float(w), q % 4),)),))
+
+
+def _single_wave(waves) -> tuple[float, float, int]:
+    """(a, w, q) of the wave a cos(w t + q pi/2) that a factor differs from a
+    constant by: cos A cos B = (cos(A + B) + cos(A - B)) / 2."""
+    if len(waves) == 1:
+        return (1.0, *waves[0])
+    if len(waves) != 2 or waves[0][0] != waves[1][0]:
+        raise ConfigurationError(f"a factor is one wave or two of one frequency, got {waves}")
+    return 0.5, 2 * waves[0][0], (waves[0][1] + waves[1][1]) % 4
+
+
+@lru_cache(maxsize=None)
+def _multi_index_counts(n: int, k: int) -> Array:
+    """How often each coordinate occurs in each sorted multi-index of order
+    k, in the packed order of :mod:`curvlab.tensors`."""
+    alphas = combinations_with_replacement(range(n), k)
+    return np.array([[alpha.count(m) for m in range(n)] for alpha in alphas], dtype=np.intp)
+
+
+class _SeparableJet:
+    """Closed-form jet of a tensor whose unique components are
+    :class:`Separable` sums (absent components are zero)."""
+
+    def __init__(self, n: int, entries: dict, shape: tuple, symmetric: bool):
+        self.n = n
+        comps = sorted(c for c, e in entries.items() if _separable(e).terms)
+        if symmetric and any(list(c) != sorted(c) for c in comps):
+            raise DimensionError("symmetric components are keyed by sorted indices")
+        where = {c: u for u, c in enumerate(comps)}
+        key = (lambda i: tuple(sorted(i))) if symmetric else (lambda i: i)
+        self._comp = np.array([where.get(key(i), -1) for i in np.ndindex(shape)]).reshape(shape)
+        # (unique component, coefficient, factors (m, the waves (w, q) of x^m))
+        self._terms = [
+            (u, coef, [(m, tuple(x[1:] for x in g)) for m, g in groupby(waves, itemgetter(0))])
+            for u, c in enumerate(comps)
+            for coef, waves in _separable(entries[c]).terms
         ]
-        self._fns: list = []
-        self._fn(eager)
+        factors = sorted({f for *_, fs in self._terms for f in fs})
+        self._single = {f: _single_wave(f[1]) for f in factors}
+        freqs = {(m, w) for m, ws in factors for w, _ in ws}
+        freqs = sorted(freqs | {(f[0], s[1]) for f, s in self._single.items()})
+        self._col = {mw: 1 + c for c, mw in enumerate(freqs)}
+        self._m = np.array([m for m, _ in freqs], dtype=np.intp)
+        self._w = np.array([w for _, w in freqs])
+        # a factor's value: its wave's column, or its product's after the waves
+        products = [f for f in factors if len(f[1]) == 2]
+        self._pairs = np.array([[self._wave_col(m, *wq) for wq in ws] for m, ws in products])
+        self._value = {f: self._wave_col(f[0], *f[1][0]) for f in factors}
+        self._value.update((f, 1 + 4 * len(freqs) + i) for i, f in enumerate(products))
+        self._plans: list = []
+        self._plan(2)
 
-    def _key(self, idx: tuple) -> tuple:
-        comp, deriv = idx[: len(self.shape)], idx[len(self.shape) :]
-        return (tuple(sorted(comp)) if self.symmetric else comp) + tuple(sorted(deriv))
+    def _wave_col(self, m, w, q):
+        """Table column of the wave cos(w x^m + q pi/2)."""
+        return self._col[(m, w)] + q * len(self._w)
 
-    def _fn(self, k: int):
-        """(lambdified unique components, full-index gather map) of order k."""
-        nc = len(self.shape)
-        while len(self._fns) <= k:
-            m = len(self._fns)
-            if m == len(self._exprs):
-                # differentiate the stored top order, keeping indices sorted
-                self._exprs.append(
-                    {
-                        key + (q,): sp.diff(e, self.coords[q])
-                        for key, e in self._exprs[-1].items()
-                        for q in range(key[-1] if len(key) > nc else 0, len(self.coords))
-                    }
-                )
-            keys = list(self._exprs[m])
-            col = {key: c for c, key in enumerate(keys)}
-            full = self.shape + (len(self.coords),) * m
-            index = np.empty(full, dtype=np.intp)
-            for idx in np.ndindex(full):
-                index[idx] = col[self._key(idx)]
-            exprs = [self._exprs[m][key] for key in keys]
-            self._fns.append((sp.lambdify(self.coords, exprs, modules="numpy"), index))
-        return self._fns[k]
+    def _plan(self, order: int) -> None:
+        """Make the plans of the orders up to ``order`` not made yet."""
+        from .tensors import _symmetric_index
+
+        depth = max([1] + [len(fs) for *_, fs in self._terms])
+        for k in range(len(self._plans), order + 1):
+            counts = _multi_index_counts(self.n, k)
+            A = len(counts)
+            # the first pair, of scale 0, gives the zero partials
+            rows, scales, targets = [np.zeros((depth, 1), dtype=np.intp)], [[0.0]], [[-1]]
+            for u, coef, fs in self._terms:
+                ms = [m for m, _ in fs]
+                ok = np.flatnonzero(counts[:, ms].sum(axis=1) == k)  # alpha within ms
+                R, s = np.zeros((depth, len(ok)), dtype=np.intp), np.full(len(ok), coef)
+                for level, (f, c) in enumerate(zip(fs, counts[ok][:, ms].T)):
+                    a, w, q = self._single[f]
+                    # d^c/dt^c a cos(w t + q pi/2) = a w^c cos(w t + (q + c) pi/2)
+                    R[level] = np.where(c > 0, self._wave_col(f[0], w, (q + c) % 4), self._value[f])
+                    s = s * np.where(c > 0, a * w**c, 1.0)
+                rows.append(R)
+                scales.append(s)
+                targets.append(u * A + ok)
+            target = np.concatenate(targets)
+            comp = self._comp.reshape(self._comp.shape + (1,) * k)
+            full = np.where(comp < 0, -1, comp * A + _symmetric_index(self.n, k)[0])
+            full[~np.isin(full, target)] = -1
+            by_target = np.argsort(target, kind="stable")
+            unique, starts = np.unique(target[by_target], return_index=True)
+            self._plans.append((
+                np.concatenate(rows, axis=1)[:, by_target],
+                np.concatenate(scales)[by_target],
+                starts if len(starts) < len(target) else None,
+                np.searchsorted(unique, full),
+            ))
 
     def __call__(self, X: Array, order: int) -> list[Array]:
-        N = X.shape[0]
-        args = [X[:, k] for k in range(X.shape[1])]
+        self._plan(order)
+        phase = X[:, self._m] * self._w
+        c, s = np.cos(phase), np.sin(phase)
+        table = np.concatenate([np.ones((len(X), 1)), c, -s, -c, s], axis=1)
+        if len(self._pairs):
+            products = table[:, self._pairs[:, 0]] * table[:, self._pairs[:, 1]]
+            table = np.concatenate([table, products], axis=1)
         out = []
-        for k in range(order + 1):
-            fn, index = self._fn(k)
-            vals = fn(*args)
-            cols = np.empty((N, len(vals)))
-            for c, v in enumerate(vals):
-                cols[:, c] = v  # a constant column is a scalar and broadcasts
-            # take keeps each node's components contiguous, unlike [:, index]
-            out.append(np.take(cols, index, axis=1))
+        for R, scale, starts, full in self._plans[: order + 1]:
+            vals = table[:, R[0]]
+            for r in R[1:]:
+                vals *= table[:, r]
+            vals *= scale
+            if starts is not None:
+                vals = np.add.reduceat(vals, starts, axis=1)
+            out.append(np.take(vals, full, axis=1))
         return out
 
 
-def analytic_metric_field(
-    domain: ChartDomain, coords, g_expr: sp.Matrix, **meta
-) -> MetricField:
-    """Metric from a symmetric sympy matrix (its upper triangle is read)."""
-    n = domain.dimension
-    exprs = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(i, n):
-            exprs[i, j] = exprs[j, i] = g_expr[i, j]
-    jet = _SympyJet(coords, exprs, symmetric=True)
+def analytic_metric_field(domain: ChartDomain, entries: dict, **meta) -> MetricField:
+    """Metric from its upper-triangle components, {(i, j): Separable} with
+    i <= j (absent ones zero), with closed-form jets."""
+    jet = _SeparableJet(domain.dimension, entries, (domain.dimension,) * 2, symmetric=True)
     return MetricField(domain=domain, _jet=jet, **meta)
 
 
-def analytic_sym_tensor_field(
-    domain: ChartDomain, coords, h_expr: sp.Matrix, name: str = "h"
-) -> SymTensorField:
-    n = domain.dimension
-    exprs = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            if i < j and sp.simplify(h_expr[i, j] - h_expr[j, i]) != 0:
-                raise DimensionError("symmetric tensor expression is not symmetric")
-            exprs[i, j] = h_expr[i, j]
-    jet = _SympyJet(coords, exprs, symmetric=True)
+def analytic_sym_tensor_field(domain: ChartDomain, entries: dict, name="h") -> SymTensorField:
+    """Symmetric 2-tensor from its components as analytic_metric_field reads them."""
+    jet = _SeparableJet(domain.dimension, entries, (domain.dimension,) * 2, symmetric=True)
     return SymTensorField(domain=domain, _jet=jet, name=name)
 
 
-def analytic_scalar_field(
-    domain: ChartDomain, coords, f_expr, name: str = "f"
-) -> ScalarField:
-    exprs = np.empty((), dtype=object)
-    exprs[()] = sp.sympify(f_expr)
-    jet = _SympyJet(coords, exprs, symmetric=False)
-    return ScalarField(domain=domain, _jet=jet, name=name)
+def analytic_scalar_field(domain: ChartDomain, f: Separable, name="f") -> ScalarField:
+    return ScalarField(domain, _SeparableJet(domain.dimension, {(): f}, (), False), name)
 
 
 # ---------------------------------------------------------------------------
-# Trigonometric fields on the torus (closed-form derivatives, no sympy)
+# Trigonometric fields on the torus (plane waves)
 # ---------------------------------------------------------------------------
 
 
@@ -458,20 +544,12 @@ def random_torus_metric(
 ) -> MetricField:
     """Identity metric plus a small random trigonometric perturbation."""
     pert = random_torus_sym_tensor(n, rng, amplitude=amplitude, modes=modes)
-    pert_jet = pert._jet
-    eye = np.eye(n)
 
     def jet(X, order):
-        out = pert_jet(X, order)
-        out[0] = eye[None, :, :] + out[0]
-        return out
+        out = pert._jet(X, order)
+        return [np.eye(n) + out[0]] + out[1:]
 
-    return MetricField(
-        domain=pert.domain,
-        _jet=jet,
-        lam=None,
-        name="perturbed torus",
-    )
+    return MetricField(domain=pert.domain, _jet=jet, name="perturbed torus")
 
 
 def cosine_scalar_field(domain: ChartDomain, k: Sequence[float]) -> ScalarField:
@@ -486,25 +564,13 @@ def cosine_scalar_field(domain: ChartDomain, k: Sequence[float]) -> ScalarField:
     return ScalarField(domain=domain, _jet=jet, name=f"cos(2pi {list(k)}.x)")
 
 
-_SPHERE_JET_CACHE: dict = {}
-
-
-def _sphere_embedding_jet(n: int, radius: float) -> _SympyJet:
-    """Jet of the round embedding Y of the chart into R^{n+1}, cached per
-    (n, radius); its first partials J[a, A, i] = dY_A/dx^i pull tensors back."""
-    key = (n, float(radius))
-    if key not in _SPHERE_JET_CACHE:
-        coords = sp.symbols(f"t0:{n}")
-        Y = np.empty(n + 1, dtype=object)
-        for A in range(n + 1):
-            expr = sp.Float(radius)
-            for m in range(min(A, n)):
-                expr = expr * sp.sin(coords[m])
-            if A < n:
-                expr = expr * sp.cos(coords[A])
-            Y[A] = expr
-        _SPHERE_JET_CACHE[key] = _SympyJet(coords, Y, symmetric=False, eager=3)
-    return _SPHERE_JET_CACHE[key]
+def _sphere_embedding_jet(n: int, radius: float) -> _SeparableJet:
+    """Jet of the round embedding Y of the chart into R^{n+1}, Y_A = r
+    sin t_0 ... sin t_(A-1) cos t_A (no cosine for A = n); its first partials
+    J[a, A, i] = dY_A/dx^i pull tensors back."""
+    sines = [wave(m, q=3) for m in range(n)]
+    Y = {(A,): reduce(mul, sines[:A], wave(A) if A < n else 1.0) * radius for A in range(n + 1)}
+    return _SeparableJet(n, Y, (n + 1,), symmetric=False)
 
 
 def sphere_pullback_sym_tensor(

@@ -19,21 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
-from .charts import QuadratureGrid, _require_quadrature, make_model, milnor_coframe_exprs
+from .charts import QuadratureGrid, _require_quadrature, milnor_coframe_exprs
 from .errors import InvalidModeError, PreconditionError
 from .fields import (
     Array,
     MetricField,
+    Separable,
     SymTensorField,
     analytic_sym_tensor_field,
+    euler_su2_domain,
     torus_domain,
     trig_sym_tensor_field,
 )
 from .tensors import (
     _bundle_from_connection,
-    christoffel_combination,
     einstein_parts,
     inner_02,
     lichnerowicz_arrays,
@@ -83,18 +83,12 @@ def torus_tt_mode(n: int, k, A, lengths=None) -> SymTensorField:
     return field
 
 
-# s3_invariant_tt's fields by (coefficient bytes, radius), built once: fields
-# are frozen, so calls can share them.  Bytes keep d = -0.0 apart from 0.0,
-# which names the mode differently.
-_S3_TT_CACHE: dict = {}
-
-
 def s3_invariant_tt(d, radius: float = 1.0) -> SymTensorField:
     """Left-invariant traceless diagonal mode on the round S^3 Euler chart.
 
     h = sum_i d_i w^i w^i in the orthonormal bi-invariant coframe, expressed
-    in chart components; requires sum d_i = 0 and d != 0.  Built once per
-    (d, radius).
+    in chart components with closed-form jets; requires sum d_i = 0 and
+    d != 0.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (3,):
@@ -103,23 +97,15 @@ def s3_invariant_tt(d, radius: float = 1.0) -> SymTensorField:
         raise InvalidModeError(f"sum d = {d.sum()} != 0 (trace condition)")
     if not d.any():
         raise InvalidModeError("mode coefficients are all zero")
-    key = (d.tobytes(), radius)
-    if key in _S3_TT_CACHE:
-        return _S3_TT_CACHE[key]
-    coords, w = milnor_coframe_exprs(radius)
-    h = sp.zeros(3, 3)
-    for i in range(3):
-        for mu in range(3):
-            for nu in range(3):
-                h[mu, nu] += sp.Float(d[i]) * w[i][mu] * w[i][nu]
-    field = analytic_sym_tensor_field(
-        make_model("s3-euler", 3, radius=radius).domain,
-        coords,
-        h,
-        name=f"S^3 invariant mode d={d.tolist()}",
+    w = milnor_coframe_exprs(radius)
+    h = {
+        (mu, nu): sum((float(d[i]) * w[i][mu] * w[i][nu] for i in range(3)), Separable())
+        for mu in range(3)
+        for nu in range(mu, 3)
+    }
+    return analytic_sym_tensor_field(
+        euler_su2_domain(), h, name=f"S^3 invariant mode d={d.tolist()}"
     )
-    _S3_TT_CACHE[key] = field
-    return field
 
 
 def tt_defect(
@@ -128,7 +114,7 @@ def tt_defect(
     """(sup |delta h|_g, sup |tr h|) over the grid nodes."""
 
     def defects(Y):
-        hv, Dh, _, _, ginv, _ = sym_tensor_cov_derivs(base, h, Y)
+        hv, Dh, _, _, ginv, *_ = sym_tensor_cov_derivs(base, h, Y)
         return _tt_defect_arrays(hv, Dh, ginv)
 
     return tuple(float(np.max(v)) for v in node_blocks(defects, grid.nodes))
@@ -155,13 +141,13 @@ def rayleigh_lichnerowicz(
 ) -> RayleighReport:
     """Rayleigh quotient of -Lap_L on a TT field over an Einstein base, the
     nodes streamed in blocks (per-node densities, one sum over all nodes),
-    each block's curvature built from the metric jet, g^-1 and Gamma of its
-    covariant derivatives."""
+    each block's curvature built from the metric jet and connection (g^-1,
+    S, Gamma) of its covariant derivatives."""
     _require_quadrature(base)
 
     def densities(Y):
-        hv, Dh, D2h, g, ginv, Gamma = sym_tensor_cov_derivs(base, h, Y)
-        bundle = _bundle_from_connection(*g, ginv, christoffel_combination(g[1]), Gamma)
+        hv, Dh, D2h, g, ginv, S, Gamma = sym_tensor_cov_derivs(base, h, Y)
+        bundle = _bundle_from_connection(*g, ginv, S, Gamma)
         lap_L = lichnerowicz_arrays(hv, D2h, bundle)
         return (
             *einstein_parts(bundle),
@@ -200,7 +186,7 @@ def symmetrization_energies(
     _require_quadrature(base)
 
     def densities(Y):
-        hv, Dh, _, g, ginv, _ = sym_tensor_cov_derivs(base, h, Y)
+        hv, Dh, _, g, ginv, *_ = sym_tensor_cov_derivs(base, h, Y)
         cyc = Dh + np.einsum("ajki->aijk", Dh) + np.einsum("akij->aijk", Dh)
         anti = Dh - np.einsum("aikj->aijk", Dh)
         return (

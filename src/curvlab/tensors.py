@@ -250,8 +250,8 @@ def node_blocks(fn: Callable[..., tuple], *arrays: Array, size: int | None = Non
 # of the factors' multi-indices into the sorted output multi-index they make
 # up, in one 2-D matmul, and the splits' sum is expanded to the full
 # symmetric derivative axes once (Griewank, Utke & Walther, Math. Comp.
-# 69:1117, 2000; the unique-columns-then-expand pattern of the sympy jets in
-# :mod:`curvlab.fields`).  The partials that come out are thus exactly
+# 69:1117, 2000; the unique-partials-then-expand pattern of the closed-form
+# jets in :mod:`curvlab.fields`).  The partials that come out are thus exactly
 # symmetric.  At n = 3, k = 4 a two-factor product is 5 packed products
 # over 126 (beta_1, beta_2) pairs; handing out the indices one by one would
 # take 16 products at all n^4 = 81 columns each.
@@ -376,15 +376,18 @@ def jet_inverse(A: list) -> list:
         # the terms of d^k(A A^-1) whose A factor is differentiated
         rest = _leibniz("aij,ajk->aik", (packed_A, packed_inv), k)
         packed_inv.append(-contract("aij,ajk...->aik...", inv[0], rest))
-        inv.append(_expand(packed_inv[-1], k, A[0].shape[-1]))
+        # the coordinate count is the derivative axis, not the matrix size
+        inv.append(_expand(packed_inv[-1], k, A[1].shape[-1]))
     return inv
 
 
-def connection_jet(g: list) -> tuple[list, list]:
-    """Jets of (g^-1, Gamma) from a metric jet; both come one order short."""
+def connection_jet(g: list) -> tuple[list, list, list]:
+    """Jets of (g^-1, S, Gamma) from a metric jet, S =
+    :func:`christoffel_combination` of the partials of g; all come one order
+    short."""
     ginv = jet_inverse(g[:-1])
     S = [christoffel_combination(d) for d in g[1:]]
-    return ginv, [0.5 * G for G in jet_einsum("akl,alij->akij", ginv, S)]
+    return ginv, S, [0.5 * G for G in jet_einsum("akl,alij->akij", ginv, S)]
 
 
 def christoffel_combination(D: Array) -> Array:
@@ -440,7 +443,7 @@ def ricci_arrays(field, X: Array, order: int = 0):
     """
     X, _ = _as_batch(X, field.dimension)
     g = field.jet(X, order + 2)
-    ginv, Gamma = connection_jet(g)
+    ginv, _, Gamma = connection_jet(g)
     # Ric_ik = d_j Gamma^j_ik - d_k Gamma^j_ij + Gamma^p_ik Gamma^j_jp
     #          - Gamma^p_ij Gamma^j_kp
     c1 = [np.einsum("ajjp...->ap...", G) for G in Gamma]
@@ -641,8 +644,7 @@ def _bundle_from_connection(
 ) -> CurvatureBundle:
     """The bundle of the metric jet [g, dg, d2g] from its connection (ginv,
     S, Gamma) as :func:`connection_arrays` gives it, or as the order-0 parts
-    of :func:`connection_jet` (the same bits) with S =
-    christoffel_combination(dg)."""
+    of :func:`connection_jet` (the same bits)."""
     sqrt_det = volume_element(g)
     N, n = g.shape[:2]
     # P[a,k,l,i,j] = 2 T_lijk = g_lk,ij - g_ik,lj + S_qkl Gamma^q_ij, built in
@@ -716,18 +718,18 @@ def weyl(bundle: CurvatureBundle) -> Array:
 
 
 def sym_tensor_cov_derivs(field: MetricField, h: SymTensorField, X: Array):
-    """(h, Dh, D2h, g, ginv, Gamma) at the nodes: Dh[a,i,j,k] = h_ij,k,
-    D2h[a,i,j,k,l] = h_ij,kl, and g the metric jet [g, dg, d2g] it evaluated,
-    from which ``curvature_bundle(*g)`` builds the curvature of the same
-    nodes; ``_bundle_from_connection`` builds it from ginv and Gamma too,
-    without inverting g again."""
+    """(h, Dh, D2h, g, ginv, S, Gamma) at the nodes: Dh[a,i,j,k] = h_ij,k,
+    D2h[a,i,j,k,l] = h_ij,kl, g the metric jet [g, dg, d2g] it evaluated and
+    (ginv, S, Gamma) its connection, from which
+    ``_bundle_from_connection(*g, ginv, S, Gamma)`` builds the curvature of
+    the same nodes without inverting g or combining dg again."""
     X, _ = _as_batch(X, field.dimension)
     g = field.jet(X, 2)
-    ginv, Gamma = connection_jet(g)
+    ginv, S, Gamma = connection_jet(g)
     hj = h.jet(X, 2)
     Dh = covariant_jet(hj, Gamma)
     D2h = covariant_jet(Dh, Gamma)[0]
-    return hj[0], Dh[0], D2h, g, ginv[0], Gamma[0]
+    return hj[0], Dh[0], D2h, g, ginv[0], S[0], Gamma[0]
 
 
 def covariant_derivative(
@@ -737,7 +739,7 @@ def covariant_derivative(
     if order not in (1, 2):
         raise DimensionError("order must be 1 or 2")
     X, single = _as_batch(x, field.dimension)
-    _, Dh, D2h, _, _, _ = sym_tensor_cov_derivs(field, h, X)
+    _, Dh, D2h, *_ = sym_tensor_cov_derivs(field, h, X)
     out = Dh if order == 1 else D2h
     return out[0] if single else out
 
@@ -745,7 +747,7 @@ def covariant_derivative(
 def divergence(field: MetricField, h: SymTensorField, x) -> Array:
     """(delta h)_j = g^{pq} h_pj,q."""
     X, single = _as_batch(x, field.dimension)
-    _, Dh, _, _, ginv, _ = sym_tensor_cov_derivs(field, h, X)
+    _, Dh, _, _, ginv, *_ = sym_tensor_cov_derivs(field, h, X)
     out = contract("apq,apjq->aj", ginv, Dh)
     return out[0] if single else out
 
@@ -770,7 +772,7 @@ def delta_star(field: MetricField, omega: CovectorField, x) -> Array:
 def rough_laplacian_tensor(field: MetricField, h: SymTensorField, x) -> Array:
     """(Lap h)_ij = g^{kl} h_ij,kl (non-positive spectrum on the flat torus)."""
     X, single = _as_batch(x, field.dimension)
-    _, _, D2h, _, ginv, _ = sym_tensor_cov_derivs(field, h, X)
+    _, _, D2h, _, ginv, *_ = sym_tensor_cov_derivs(field, h, X)
     out = contract("akl,aijkl->aij", ginv, D2h)
     return out[0] if single else out
 
@@ -798,8 +800,8 @@ def lichnerowicz(field: MetricField, h: SymTensorField, x) -> Array:
     Requires an Einstein base metric at the evaluation points.
     """
     X, single = _as_batch(x, field.dimension)
-    hv, _, D2h, g, ginv, Gamma = sym_tensor_cov_derivs(field, h, X)
-    bundle = _bundle_from_connection(*g, ginv, christoffel_combination(g[1]), Gamma)
+    hv, _, D2h, g, *connection = sym_tensor_cov_derivs(field, h, X)
+    bundle = _bundle_from_connection(*g, *connection)
     require_einstein(*einstein_parts(bundle))
     out = lichnerowicz_arrays(hv, D2h, bundle)
     return out[0] if single else out

@@ -532,7 +532,7 @@ def tt_identity_suite(
     """
     from .spectral import _require_tt, _tt_defect_arrays
 
-    hv, Dh, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, grid.nodes)
+    hv, Dh, D2h, _, ginv, *_ = sym_tensor_cov_derivs(base, h, grid.nodes)
     _require_tt(*_tt_defect_arrays(hv, Dh, ginv), "suite requires a TT field")
     lam, lhs, (nrm, ihl, ihl2) = _suite_sides(base, h, grid, hv, D2h, ginv)
     n = base.dimension
@@ -557,7 +557,7 @@ def conformal_identity_suite(
     """Same contract as :func:`tt_identity_suite` for h = f g, in terms of
     int f^2, int f Lap f and int f Lap^2 f = int (Lap f)^2."""
     h = conformal_tensor(base, f)
-    hv, _, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, grid.nodes)
+    hv, _, D2h, _, ginv, *_ = sym_tensor_cov_derivs(base, h, grid.nodes)
     lam, lhs, h_integrals = _suite_sides(base, h, grid, hv, D2h, ginv)
     n = base.dimension
     # |f g|^2 = n f^2 and Lap(f g) = (Lap f) g

@@ -6,20 +6,18 @@ the closed-form prediction it is checked against.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-import sympy as sp
 
 from .charts import build_grid, make_model
 from .errors import ConfigurationError
 from .fields import (
     ScalarField,
-    SymTensorField,
     analytic_scalar_field,
     cosine_scalar_field,
+    euler_su2_domain,
     random_torus_sym_tensor,
     random_sphere_sym_tensor,
+    wave,
 )
 from .functionals import Coefficients
 from .spectral import rayleigh_lichnerowicz, s3_invariant_tt, torus_tt_mode
@@ -55,34 +53,23 @@ IDENTITY_MODES = ("tt", "conformal")
 CURVATURE_RES = {2: (16, 32), 3: (10, 10, 16), 4: (8, 8, 8, 12), 5: (6, 6, 6, 6, 10)}
 
 
+# x1 = cos(theta/2) cos((phi+psi)/2), the first ambient coordinate of the
+# unit S^3 on the Euler chart, in half-angle waves (q = 0 cos, q = 3 sin)
+_X1 = wave(0, 0.5) * (wave(1, 0.5) * wave(2, 0.5) - wave(1, 0.5, 3) * wave(2, 0.5, 3))
+# the invariant TT mode of the standard S^3 cases (their conformal
+# direction is the first harmonic)
+_STANDARD_TT = (2.0, -1.0, -1.0)
+
+
 def s3_first_harmonic(radius: float = 1.0) -> ScalarField:
-    """cos(theta/2) cos((phi+psi)/2): a first spherical harmonic on the
-    Euler chart, -Lap f = (n / r^2) f, mean zero."""
-    theta, phi, psi = sp.symbols("theta phi psi")
-    f = sp.cos(theta / 2) * sp.cos((phi + psi) / 2)
-    dom = make_model("s3-euler", 3, radius=radius).domain
-    return analytic_scalar_field(dom, (theta, phi, psi), f, name="S^3 harmonic l=1")
+    """x1: a first spherical harmonic on the Euler chart of any radius r,
+    -Lap f = (n / r^2) f, mean zero."""
+    return analytic_scalar_field(euler_su2_domain(), _X1, name="S^3 harmonic l=1")
 
 
 def s3_second_harmonic(radius: float = 1.0) -> ScalarField:
-    """x1^2 - 1/4 on the unit S^3 (x1 the first ambient coordinate);
-    -Lap f = 8 f, mean zero."""
-    theta, phi, psi = sp.symbols("theta phi psi")
-    x1 = sp.cos(theta / 2) * sp.cos((phi + psi) / 2)
-    dom = make_model("s3-euler", 3, radius=radius).domain
-    return analytic_scalar_field(
-        dom, (theta, phi, psi), x1**2 - sp.Rational(1, 4), name="S^3 harmonic l=2"
-    )
-
-
-@lru_cache(maxsize=None)
-def _standard_direction(mode: str) -> SymTensorField | ScalarField:
-    """The fixed S^3 directions of the standard cases, built once (fields are
-    frozen, so the cases can share them): the invariant TT mode d = (2, -1,
-    -1) for ``"tt"``, the first harmonic for ``"conformal"``."""
-    if mode == "tt":
-        return s3_invariant_tt((2.0, -1.0, -1.0))
-    return s3_first_harmonic()
+    """x1^2 - 1/4 on the unit S^3; -Lap f = 8 f, mean zero."""
+    return analytic_scalar_field(euler_su2_domain(), _X1 * _X1 - 0.25, name="S^3 harmonic l=2")
 
 
 def hessian_case(
@@ -93,7 +80,7 @@ def hessian_case(
     """Numeric-vs-predicted second variation for one of the standard modes."""
     if model == "s3-invariant":
         base = make_model("s3-euler", 3)
-        h = _standard_direction("tt")
+        h = s3_invariant_tt(_STANDARD_TT)
         grid = build_grid(base.domain, (12, 12, 16))
         n, lam, mode, eigenvalue = 3, 1, "tt", 12.0
     elif model == "torus-tt":
@@ -249,7 +236,7 @@ def rayleigh_case(model: str, res: int | None = None, d=None, k=None):
         raise ConfigurationError("mode d is for s3-invariant, wave vector k for torus-tt")
     if model == "s3-invariant":
         base = make_model("s3-euler", 3)
-        h = _standard_direction("tt") if d is None else s3_invariant_tt(tuple(d))
+        h = s3_invariant_tt(_STANDARD_TT if d is None else tuple(d))
         grid = build_grid(base.domain, 24 if res is None else res)
         expected = 12.0
     elif model == "torus-tt":
@@ -269,7 +256,7 @@ def identity_case(mode: str, res=(8, 12, 16)) -> list:
     base = make_model("s3-euler", 3)
     grid = build_grid(base.domain, res)
     if mode == "tt":
-        return tt_identity_suite(base, _standard_direction(mode), grid)
+        return tt_identity_suite(base, s3_invariant_tt(_STANDARD_TT), grid)
     if mode == "conformal":
-        return conformal_identity_suite(base, _standard_direction(mode), grid)
+        return conformal_identity_suite(base, s3_first_harmonic(), grid)
     raise ConfigurationError(f"unknown identity mode {mode!r}; pick one of {IDENTITY_MODES}")

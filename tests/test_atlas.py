@@ -137,6 +137,18 @@ def test_boundary_tolerance_is_strict():
     assert v.value == "LocalMin"
 
 
+def test_boundary_tolerance_is_relative_to_the_form_size():
+    # on the conformal lam = 0 line s + 4 tau - 4 (tau - 1)/n = 0 at tau = 3e8
+    # the form rounds to about 6e-8, far above an absolute 1e-12
+    n, tau = 3, 3e8
+    s = 4 * (tau - 1) / n - 4 * tau
+    assert abs(s + 4 * tau - 4 * (tau - 1) / n) > 1e-12
+    assert classify(q(n, 0, "conformal", s, tau)).value == "Boundary"
+    # one part in 1e9 off the line is still a verdict
+    assert classify(q(n, 0, "conformal", s * (1 - 1e-9), tau)).value == "LocalMin"
+    assert classify(q(n, 0, "conformal", s * (1 + 1e-9), tau)).value == "LocalMax"
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(3, 7),

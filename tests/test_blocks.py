@@ -102,7 +102,7 @@ def test_weyl_energy_and_criticality_defect_are_block_invariant(monkeypatch):
 
 
 def _traced_peak_mib(fn) -> float:
-    fn()  # sympy models and lazy jets are built once, outside the measure
+    fn()  # warms numpy and the jet plans' index tables, outside the measure
     tracemalloc.start()
     try:
         fn()

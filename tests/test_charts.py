@@ -293,6 +293,8 @@ def _jet_fields():
     }
 
 
+# the "sympy" kinds are closed-form fields that tests/test_closed_form_jets.py
+# also checks against the sympy oracle
 JET_KINDS = [
     "sympy metric (sphere)", "sympy metric (euler)", "sympy metric (poincare)",
     "sympy tensor", "sympy scalar", "trig tensor", "torus model", "cosine scalar",

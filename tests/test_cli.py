@@ -341,16 +341,15 @@ DEFAULT_ARGV = [
      "--format", "json"],
     ["atlas", "--n", "4", "--lambda", "-1", "--mode", "conformal", "--s-min", "-8",
      "--s-max", "4", "--tau-min", "-2", "--tau-max", "2", "--res", "11"],
-    # a mode outside the standard directions: built on the first call, then
-    # served from the cache
+    # a mode outside the standard directions
     ["rayleigh", "--model", "s3-invariant", "--d", "1,-2,1"],
 ]
 
 
 @pytest.mark.parametrize("argv", DEFAULT_ARGV, ids=lambda argv: "-".join(argv[:3]))
 def test_reports_are_the_same_bytes_on_a_repeat_in_one_process(argv, tmp_path):
-    # a repeat reads the caches that the first call filled (models, modes,
-    # lazy jets) and streams the grid in the same node blocks
+    # a repeat builds its models and modes afresh and streams the grid in the
+    # same node blocks
     reports = []
     for k in range(2):
         out = tmp_path / f"report{k}"

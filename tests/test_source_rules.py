@@ -1,6 +1,8 @@
 """Rules the package source keeps, checked on its syntax trees."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import curvlab
@@ -79,3 +81,37 @@ def test_reports_leave_through_one_writer():
     # the rule sees the writer it protects
     writer = ast.parse((SRC / WRITER_MODULE).read_text())
     assert {what for what, _ in _report_writes(writer)} == {"write_text", "sys.stdout.write"}
+
+
+# jets are closed form: sympy is the tests' oracle, never the package's
+def _sympy_imports(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] == "sympy":
+                yield name, node.lineno
+
+
+def test_package_does_not_import_sympy():
+    found = [
+        (path.name, name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _sympy_imports(ast.parse(path.read_text()))
+    ]
+    assert not found, f"sympy imported in the package: {found}"
+    # the rule sees an import it forbids
+    assert list(_sympy_imports(ast.parse("import sympy as sp\nfrom sympy.abc import x")))
+
+
+def test_importing_the_package_loads_no_sympy():
+    code = "import sys, curvlab, curvlab.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(SRC.parent)},
+    )
+    assert out.stdout.strip() == "False"

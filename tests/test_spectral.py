@@ -10,7 +10,12 @@ from curvlab.errors import (
     InvalidModeError,
     PreconditionError,
 )
-from curvlab.fields import metric_as_sym_tensor, random_torus_metric, random_torus_sym_tensor
+from curvlab.fields import (
+    euler_su2_domain,
+    metric_as_sym_tensor,
+    random_torus_metric,
+    random_torus_sym_tensor,
+)
 from curvlab.spectral import (
     rayleigh_lichnerowicz,
     s3_invariant_tt,
@@ -21,6 +26,8 @@ from curvlab.spectral import (
 from curvlab.tensors import covariant_derivative, lichnerowicz
 from curvlab.variations import conformal_tensor
 from curvlab.fields import cosine_scalar_field
+
+from conftest import random_probes
 
 TWO_PI_SQ = 2 * np.pi**2
 
@@ -43,16 +50,23 @@ def test_invariant_mode_constraints():
         s3_invariant_tt((0.0, 0.0, 0.0))
 
 
-def test_invariant_mode_is_built_once_per_coefficients_and_radius():
+def test_invariant_mode_depends_only_on_coefficients_and_radius():
+    # each call builds the mode afresh: equal coefficients give the same name
+    # and the same jet bits, whatever sequence type carries them
+    X = random_probes(euler_su2_domain(), np.random.default_rng(12), count=5)
     h = s3_invariant_tt((1.0, -2.0, 1.0))
-    assert s3_invariant_tt([1, -2, 1]) is h
-    assert s3_invariant_tt(np.array([1.0, -2.0, 1.0]), radius=1.0) is h
-    assert s3_invariant_tt((1.0, -2.0, 1.0), radius=2.0) is not h
-    # -0.0 names the mode differently from 0.0, so it is a field of its own
+    jet = h.jet(X, 3)
+    for same in (s3_invariant_tt([1, -2, 1]), s3_invariant_tt(np.array([1.0, -2.0, 1.0]), radius=1.0)):
+        assert same.name == h.name
+        assert all(np.array_equal(a, b) for a, b in zip(same.jet(X, 3), jet))
+    # h = sum d_i w^i w^i scales with r^2 (a power of 2 here, so exactly)
+    wide = s3_invariant_tt((1.0, -2.0, 1.0), radius=2.0)
+    assert all(np.array_equal(a, 4 * b) for a, b in zip(wide.jet(X, 3), jet))
+    # -0.0 names the mode differently from 0.0; the field is the same
     plus, minus = s3_invariant_tt((1.0, 0.0, -1.0)), s3_invariant_tt((1.0, -0.0, -1.0))
-    assert plus is not minus and plus.name != minus.name
-    assert s3_invariant_tt((1.0, -0.0, -1.0)) is minus
-    # an invalid d is refused on every call, cached neighbours or not
+    assert plus.name != minus.name
+    assert all(np.array_equal(a, b) for a, b in zip(plus.jet(X, 2), minus.jet(X, 2)))
+    # an invalid d is refused on every call
     for _ in range(2):
         with pytest.raises(InvalidModeError, match="trace"):
             s3_invariant_tt((1.0, -2.0, 2.0))

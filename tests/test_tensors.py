@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from curvlab.charts import _euler_su2_exprs, build_grid, make_model
+from curvlab.charts import build_grid, make_model
 from curvlab.errors import DegenerateMetricError, DimensionError, PreconditionError
 from curvlab.fields import (
     CovectorField,
-    _SympyJet,
     SymTensorField,
     linear_combination_metric,
     metric_as_sym_tensor,
@@ -42,6 +41,7 @@ from curvlab.tensors import (
     weyl_from_parts,
 )
 
+import sympy_oracle
 from conftest import random_probes
 
 RNG = np.random.default_rng(42)
@@ -82,7 +82,7 @@ def _dgamma_route(g, dg, d2g):
     the order-1 connection jet gives dGamma, R^l_ijk = d_j Gamma^l_ik -
     d_k Gamma^l_ij + Gamma^p_ik Gamma^l_jp - Gamma^p_ij Gamma^l_kp, lowered
     by g, and Ric_ik = R^j_ijk."""
-    ginv, (G, dG) = tensors.connection_jet([g, dg, d2g])
+    ginv, _, (G, dG) = tensors.connection_jet([g, dg, d2g])
     Rm13 = (
         np.einsum("alikj->alijk", dG)
         - dG
@@ -236,11 +236,7 @@ def test_metric_compatibility():
 
 def test_ricci_identity_on_round_s3(euler3):
     # S_ij,kl - S_ij,lk = S_pj R_pikl + S_ip R_pjkl on a random polynomial field
-    import sympy as sp
-
-    from curvlab.fields import analytic_sym_tensor_field
-
-    th, ph, ps = sp.symbols("theta phi psi")
+    th, ph, ps = sympy_oracle.EULER
     rngl = np.random.default_rng(5)
     c = rngl.uniform(-0.3, 0.3, size=9)
     hm = sp.Matrix(
@@ -250,7 +246,7 @@ def test_ricci_identity_on_round_s3(euler3):
             [c[2] * ps, c[4] * th, 1 + c[5] * th * ps],
         ]
     )
-    h = analytic_sym_tensor_field(euler3.domain, (th, ph, ps), hm, name="poly probe")
+    h = sympy_oracle.sympy_sym_tensor_field(euler3.domain, (th, ph, ps), hm, name="poly probe")
     X = random_probes(euler3.domain, np.random.default_rng(6), count=8)
     D2 = covariant_derivative(euler3, h, X, order=2)
     b = curvature_grid(euler3, X)
@@ -493,6 +489,74 @@ def test_jet_inverse_matches_owner_expansion(n, dtype):
             assert _derivative_asymmetry(got[k], k) == 0.0, (N, k)
 
 
+def _polynomial_matrix_jet(rng, X, m, order):
+    """Jet of A(x) = M0 + x_i M1_i + x_i x_j M2_ij / 2 + x_i x_j x_k M3_ijk / 6
+    (m x m, coefficients symmetric in the coordinate indices), by hand."""
+    n = X.shape[1]
+    M0 = rng.standard_normal((m, m)) + 4 * np.eye(m)
+    M1 = rng.standard_normal((m, m, n))
+    M2 = rng.standard_normal((m, m, n, n))
+    M3 = rng.standard_normal((m, m, n, n, n))
+    M2 = (M2 + M2.swapaxes(2, 3)) / 2
+    M3 = sum(np.transpose(M3, (0, 1) + p) for p in itertools.permutations((2, 3, 4))) / 6
+    A3 = np.broadcast_to(M3, (len(X),) + M3.shape).copy()
+    A2 = M2 + np.einsum("ijklp,ap->aijkl", M3, X)
+    A1 = M1 + np.einsum("ijkl,al->aijk", M2, X) + np.einsum("ijklp,al,ap->aijk", M3, X, X) / 2
+    A0 = (
+        M0
+        + np.einsum("ijk,ak->aij", M1, X)
+        + np.einsum("ijkl,ak,al->aij", M2, X, X) / 2
+        + np.einsum("ijklp,ak,al,ap->aij", M3, X, X, X) / 6
+    )
+    return [A0, A1, A2, A3][: order + 1]
+
+
+def _inverse_by_partitions(A):
+    """Partials of B = A^-1 to order 3 over the ordered set partitions of the
+    derivative indices: d^k B = sum of (-1)^blocks B A_block1 B A_block2 B ..."""
+    B = np.linalg.inv(A[0])
+
+    def chain(*blocks):  # B A_b1 B A_b2 ... B, each A_b with its derivative axes last
+        out, axes = B, ""
+        for b in blocks:
+            out = np.einsum(f"aij{axes},ajk{b}->aik{axes}{b}", out, A[len(b)])
+            out = np.einsum(f"aij{axes}{b},ajk->aik{axes}{b}", out, B)
+            axes += b
+        return out
+
+    def to(spec, T):  # derivative axes named by spec, reordered alphabetically
+        return np.einsum(f"aij{spec}->aij{''.join(sorted(spec))}", T)
+
+    d1 = -chain("p")
+    d2 = -chain("pq") + chain("p", "q") + to("qp", chain("q", "p"))
+    d3 = -chain("pqr")
+    for one, two in (("r", "pq"), ("q", "pr"), ("p", "qr")):
+        d3 = d3 + to(two + one, chain(two, one)) + to(one + two, chain(one, two))
+    for perm in itertools.permutations("pqr"):
+        d3 = d3 - to("".join(perm), chain(*perm))
+    return [B, d1, d2, d3]
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 4)])
+def test_jet_inverse_of_a_matrix_smaller_than_the_coordinate_count(m, n):
+    # the derivative axes have n entries, the matrix m: 1x1 over 3
+    # coordinates (the Poincare model's 1/u) and 2x2 over 4
+    rng = np.random.default_rng(30 + n)
+    X = rng.uniform(-0.3, 0.3, size=(5, n))
+    A = _polynomial_matrix_jet(rng, X, m, 3)
+    got, want = tensors.jet_inverse(A), _inverse_by_partitions(A)
+    for k in range(4):
+        assert got[k].shape == (5, m, m) + (n,) * k
+        assert _relative_error(got[k], want[k]) <= 1e-13, k
+    # and the hand formula for 1/u, u = 1 - |x|^2: d2 = 2 delta/u^2 + 2 u_i u_j/u^3
+    u = 1.0 - np.einsum("ai,ai->a", X, X)
+    du, d2u = -2.0 * X, np.broadcast_to(-2.0 * np.eye(n), (5, n, n))
+    w = tensors.jet_inverse([t.reshape((5, 1, 1) + t.shape[1:]) for t in (u, du, d2u)])
+    hand = 2 * np.eye(n) / u[:, None, None] ** 2 + 2 * np.einsum("ai,aj->aij", du, du) / u[:, None, None] ** 3
+    assert _relative_error(w[2][:, 0, 0], hand) <= 1e-14
+    assert _relative_error(w[1][:, 0, 0], -du / u[:, None] ** 2) <= 1e-15
+
+
 def test_pipeline_jet_partials_are_exactly_symmetric(pipeline_contractions):
     assert pipeline_contractions[2] == 0.0
 
@@ -713,14 +777,14 @@ def test_curvature_norms_are_computed_on_first_read(sphere4):
 def test_sympy_jet_matches_per_component_lambdify(N):
     # the Euler S^3 metric has constant components (1/4 and 0) at every order,
     # which lambdify returns as scalars; each must broadcast bitwise
-    coords, g = _euler_su2_exprs(1.0)
+    coords, g = sympy_oracle.euler_su2_metric(1.0)
     exprs = np.empty((3, 3), dtype=object)
     for i, j in np.ndindex(3, 3):
         exprs[i, j] = g[i, j]
     euler = make_model("s3-euler", 3)
     X = random_probes(euler.domain, np.random.default_rng(N), count=N)
     args = [X[:, k] for k in range(3)]
-    jet = _SympyJet(coords, exprs, symmetric=True)(X, 4)
+    jet = sympy_oracle._SympyJet(coords, exprs, symmetric=True)(X, 4)
     constant = 0
     for k, got in enumerate(jet):
         assert got.shape == (N, 3, 3) + (3,) * k

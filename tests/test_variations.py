@@ -16,7 +16,6 @@ from curvlab.fields import (
     SPHERE_ANGULAR,
     ChartDomain,
     SymTensorField,
-    analytic_metric_field,
     cosine_scalar_field,
     fd_partials,
     metric_as_sym_tensor,
@@ -60,6 +59,7 @@ from curvlab.variations import (
 )
 from curvlab.verify import HESSIAN_MODELS, hessian_case, s3_first_harmonic, s3_second_harmonic
 
+import sympy_oracle
 from conftest import random_probes
 
 C00 = Coefficients(0.0, 0.0)
@@ -189,7 +189,7 @@ def test_ricci_derivative_variation_identity(euler3):
         return curvature_variation_arrays(euler3, h, Y)["dRic"]
 
     lhs = cov_grad_of_map(euler3, dric_field, 2, X)  # (R_ij')_,k
-    _, Dh, _, _, _, _ = sym_tensor_cov_derivs(euler3, h, X)
+    _, Dh, *_ = sym_tensor_cov_derivs(euler3, h, X)
     rhs_expected = lhs - 1.0 * (3 - 1) * Dh  # (R_ij,k)' per the identity
 
     # FD oracle for (R_ij,k)': difference covariant derivatives of Ricci
@@ -384,7 +384,7 @@ def test_einstein_criticality(sphere3, torus3, torus3_grid):
     )
     a, b, c, d = sp.symbols("a b c d")
     gm = sp.diag(1, sp.sin(a) ** 2, 1, sp.sin(c) ** 2)
-    prod = analytic_metric_field(dom, (a, b, c, d), gm, name="S2xS2")
+    prod = sympy_oracle.sympy_metric_field(dom, (a, b, c, d), gm, name="S2xS2")
     pgrid = build_grid(dom, (8, 12, 8, 12))
     assert einstein_criticality_defect(prod, pgrid) < 1e-7
 
@@ -729,7 +729,7 @@ def test_ricci_variation_arrays_match_reference_formulas(euler3):
     ]
     for base, h in cases:
         X = random_probes(base.domain, rng, count=40)
-        hv, _, D2h, _, ginv, _ = sym_tensor_cov_derivs(base, h, X)
+        hv, _, D2h, _, ginv, *_ = sym_tensor_cov_derivs(base, h, X)
         Ric = curvature_grid(base, X).Ric
         arrs = curvature_variation_arrays(base, h, X)
         want = _ricci_variation_reference(hv, D2h, ginv, Ric)
