@@ -18,7 +18,7 @@ import numpy as np
 from .charts import QuadratureGrid, _require_quadrature, volume
 from .errors import DimensionError
 from .fields import MetricField
-from .tensors import curvature_grid, node_blocks, norm2_04
+from .tensors import curvature_grid, node_blocks
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def _integrals(
     def densities(Y):
         b = curvature_grid(field, Y)
         out = (b.sqrt_det, b.normRm2, b.normRic2, b.R**2)
-        return out + (norm2_04(b.W, b.ginv),) if weyl else out
+        return out + (b.normW2,) if weyl else out
 
     sqrt_det, *parts = node_blocks(densities, grid.nodes)
     measure = grid.weights * sqrt_det

@@ -14,22 +14,23 @@ normalization Ric = (n-1) * lam * g):
   and (j,k); Rm4[l,i,j,k] = lam (g_lj g_ik - g_lk g_ij) on a space form).
   It comes from the second partials of g with no derivative of the
   connection (Eisenhart, *Riemannian Geometry*, 1926): R_lijk = T_lijk -
-  T_likj, T_lijk = (g_lk,ij - g_ik,lj + S_qkl Gamma^q_ij) / 2, so the (j,k)
-  antisymmetry is exact.  ``Rm13`` = R^l_ijk is raised from Rm4 on demand.
+  T_likj, T_lijk = (g_lk,ij - g_ik,lj + S_qkl Gamma^q_ij) / 2, on the sorted
+  pairs p = (l < i), q = (j < k): the bivector operator ``M[a,p,q]`` =
+  R_{l_p i_p j_q k_q}.  Rm4 expands M, so both antisymmetries are exact.
 * Ricci ``Ric[a,i,k] = g^{lj} R_lijk``; scalar ``R = g^{ik} Ric_ik``.
-* A :class:`CurvatureBundle` holds g, g^-1, sqrt(det g), Gamma, Rm4, Ric
+* A :class:`CurvatureBundle` holds g, g^-1, sqrt(det g), Gamma, M, Rm4, Ric
   and R; sqrt(det g) comes from :func:`volume_element`, the one positivity
   test and volume measure, shared with :func:`curvlab.charts.sqrt_det_grid`.
   The rest is computed on first read and cached on the bundle: the norms
-  ``normRm2`` = |Rm|^2 and ``normRic2`` = |Ric|^2 (read by the functionals
-  and the gradient, not by the curvature checks), ``W``, the raised forms
-  of Rm4 and Ric, and the quadratic contractions of the gradient,
-  ``A1_ij = R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl`` and
+  ``normRm2``, ``normRic2`` and ``normW2`` (read by the functionals and the
+  gradient, not by the curvature checks), ``W``, the raised forms of Rm4
+  and Ric (``Rm13`` = R^l_ijk), and the quadratic contractions of the
+  gradient, ``A1_ij = R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl`` and
   ``ric2_ij = R_ip g^{pq} R_qj``, all with Rm4's slot order.
-  :func:`space_form_deviation` is the one space-form deviation, max |Rm4 -
-  lam (g o g)/2|, and :func:`is_space_form` the one gate on it: each caller
-  passes its own tolerance, judged relative to :func:`space_form_scale`,
-  the size max(1, |lam| max|g|^2) of the model tensor.
+  :func:`space_form_deviation` is the one space-form deviation, max |M -
+  lam wedge^2 g| = max |Rm4 - lam (g o g)/2|, and :func:`is_space_form` the
+  one gate on it: each caller passes its own tolerance, judged relative to
+  :func:`space_form_scale`, the size max(1, |lam| max|g|^2) of the model.
 * Covariant derivatives of a symmetric tensor follow the index order
   ``h_ij,kl = nabla_l nabla_k h_ij``: ``Dh[a,i,j,k]``, ``D2h[a,i,j,k,l]``.
 * A jet ``[T, dT, ..., d^m T]`` appends m symmetric coordinate-derivative
@@ -97,8 +98,7 @@ FIELD_FD_REL_STEP = 2e-3
 EINSTEIN_TOL = 1e-6
 
 # Nodes per block of covariant_hessian_blocks (order-4 jets of every
-# ingredient are live at once) and of space_form_deviation's model tensor:
-# blocks keep peak memory flat in the grid.
+# ingredient are live at once): blocks keep peak memory flat in the grid.
 HESSIAN_BLOCK = 64
 
 # Nodes per block of the whole-grid reductions (order-2 curvature and
@@ -459,13 +459,15 @@ def ricci_arrays(field, X: Array, order: int = 0):
 
 @dataclass
 class CurvatureBundle:
-    """Pointwise curvature data; arrays keep the leading node axis."""
+    """Pointwise curvature data; arrays keep the leading node axis.  On a
+    space form M = lam wedge^2 g, the 2x2 minors of g (:func:`bivector_product`)."""
 
     g: Array
     ginv: Array
     sqrt_det: Array  # (a,) sqrt(det g), the volume element
     Gamma: Array  # (a,k,i,j)
-    Rm4: Array  # (a,l,i,j,k) = R_lijk, the curvature array (first kind)
+    M: Array  # (a,p,q) = R_{l_p i_p j_q k_q} on the sorted pairs l < i, j < k
+    Rm4: Array  # (a,l,i,j,k) = R_lijk (first kind), the expansion of M
     Ric: Array  # (a,i,k)
     R: Array  # (a,)
 
@@ -476,12 +478,20 @@ class CurvatureBundle:
     @cached_property
     def normRm2(self) -> Array:
         """|Rm|^2."""
-        return norm2_04(self.Rm4, self.ginv)
+        return _pair_norm2(self.M, self.ginv)
 
     @cached_property
     def normRic2(self) -> Array:
         """|Ric|^2."""
         return norm2_02(self.Ric, self.ginv)
+
+    @cached_property
+    def normW2(self) -> Array:
+        """|W|^2 (n >= 4) on the pairs, W = M - (Ric o g)/(n-2) + R wedge^2 g/((n-1)(n-2))."""
+        n, g, Ric = self.dimension, self.g, self.Ric
+        W = self.M - (bivector_product(Ric, g) + bivector_product(g, Ric)) / (n - 2)
+        W += (self.R / ((n - 1) * (n - 2)))[:, None, None] * bivector_product(g, g)
+        return _pair_norm2(W, self.ginv)
 
     @cached_property
     def W(self) -> Array | None:
@@ -590,25 +600,50 @@ def weyl_from_parts(g: Array, ginv: Array, Rm4: Array, Ric: Array, R: Array) -> 
     return W
 
 
-def norm2_04(T: Array, ginv: Array) -> Array:
-    """|T|^2 for a batched (0,4) tensor antisymmetric in slots (0,1) and in
-    slots (2,3), as Rm and W are: over the index pairs p = (l < i),
-    |T|^2 = 4 tr(M L M L) with M[p,q] = T_{lp ip lq iq} and L the 2x2 minors
-    of g^-1, L[p,q] = g^{lp lq} g^{ip iq} - g^{lp iq} g^{ip lq}."""
-    N, n = ginv.shape[:2]
+@lru_cache(maxsize=None)
+def _pair_index(n: int) -> tuple:
+    """The sorted pairs p = (l < i) in np.triu_indices order, and two flat
+    index tables over p and q = (j < k): the Eisenhart reads [[klij, jlik],
+    [iklj, ijlk]] in an n^4 array, and each R_lijk's entry of [M, -M, 0]."""
     l, i = np.triu_indices(n, 1)
-    p = l * n + i
-    M = T.reshape(N, n * n, n * n)[:, p][:, :, p]
-    G = ginv.reshape(N, n * n)
-    ll, ii = l[:, None] * n + l, i[:, None] * n + i
-    li, il = l[:, None] * n + i, i[:, None] * n + l
-    L = G[:, ll] * G[:, ii] - G[:, li] * G[:, il]
+    m = len(l)
+    L, I, J, K = l[:, None], i[:, None], l, i
+    flat = lambda *idx: np.ravel_multi_index(idx, (n,) * 4)
+    reads = np.array([[flat(K, L, I, J), flat(J, L, I, K)], [flat(I, K, L, J), flat(I, J, L, K)]])
+    signed = np.zeros((n, n), int)  # p + 1 on the pair p = (l < i), -(p + 1) on (i, l)
+    signed[l, i], signed[i, l] = np.arange(1, m + 1), -np.arange(1, m + 1)
+    s, a = np.multiply.outer(signed, signed).ravel(), np.abs(signed) - 1
+    expand = np.where(s == 0, 2 * m * m, np.add.outer(a * m, a).ravel() + m * m * (s < 0))
+    return l, i, reads, expand
+
+
+def bivector_product(A: Array, B: Array) -> Array:
+    """(A wedge B)[a,p,q] = A_{l_p j_q} B_{i_p k_q} - A_{l_p k_q} B_{i_p j_q}
+    on the sorted pairs, for batched (n, n) arrays: wedge^2 g = g wedge g,
+    and A o B (:func:`kulkarni_nomizu`) is A wedge B + B wedge A there."""
+    l, i = _pair_index(A.shape[-1])[:2]
+    L, I = l[:, None], i[:, None]
+    return A[:, L, l] * B[:, I, i] - A[:, L, i] * B[:, I, l]
+
+
+def _pair_norm2(M: Array, ginv: Array) -> Array:
+    """4 tr(M^T L M L), L = wedge^2 g^-1: |T|^2 of a (0,4) tensor
+    antisymmetric in slots (0,1) and in slots (2,3) from its pair matrix M."""
+    L = bivector_product(ginv, ginv)
     return 4 * contract("apq,apq->a", M, np.matmul(np.matmul(L, M), L))
 
 
+def norm2_04(T: Array, ginv: Array) -> Array:
+    """|T|^2 for a batched (0,4) tensor antisymmetric in slots (0,1) and in
+    slots (2,3), as Rm and W are: its pair matrix, then :func:`_pair_norm2`."""
+    l, i = _pair_index(ginv.shape[-1])[:2]
+    return _pair_norm2(T[:, l, i][:, :, l, i], ginv)
+
+
 def inner_02(S: Array, T: Array, ginv: Array) -> Array:
-    """S_ij T^ij for batched (0,2) tensors."""
-    return contract("aij,aij->a", S, raise_all(T, ginv, (0, 1)))
+    """S_ij T^ij for batched (0,2) tensors, T symmetric: tr((g^-1 S)(g^-1 T))."""
+    X = np.matmul(ginv, S)
+    return np.einsum("aij,aji->a", X, X if T is S else np.matmul(ginv, T))
 
 
 def norm2_02(T: Array, ginv: Array) -> Array:
@@ -647,18 +682,22 @@ def _bundle_from_connection(
     of :func:`connection_jet` (the same bits)."""
     sqrt_det = volume_element(g)
     N, n = g.shape[:2]
-    # P[a,k,l,i,j] = 2 T_lijk = g_lk,ij - g_ik,lj + S_qkl Gamma^q_ij, built in
-    # the product's own layout (g_lk,ij = d2g[a,k,l,i,j] by symmetry of g)
-    P = contract("aqkl,aqij->aklij", S, Gamma)
-    P += d2g
-    P -= d2g.transpose(0, 2, 3, 1, 4)
-    Rm4 = np.subtract(P.transpose(0, 2, 3, 4, 1), P.transpose(0, 2, 3, 1, 4))
-    Rm4 *= 0.5
+    _, _, reads, expand = _pair_index(n)
+    # 2 R_lijk = P_klij - P_jlik (Eisenhart), P_klij = 2 T_lijk = S_qkl Gamma^q_ij
+    # + g_lk,ij - g_ik,lj (g_lk,ij = d2g[a,k,l,i,j]), read on the sorted pairs
+    # (l < i, j < k) only; products and second partials enter as one difference each
+    Q = np.take(contract("aqkl,aqij->aklij", S, Gamma).reshape(N, -1), reads[0], axis=1)
+    D = np.take(d2g.reshape(N, -1), reads, axis=1)
+    M = 0.5 * ((Q[:, 0] - Q[:, 1]) + ((D[:, 0, 0] - D[:, 1, 0]) - (D[:, 0, 1] - D[:, 1, 1])))
+    del Q, D  # freed before Rm4 is built, so they add nothing to its peak
+    # Rm4 expands M: -M on a swapped pair, 0 on a repeated index
+    flat = np.concatenate([M, -M, np.zeros_like(M[:, :1])], 1).reshape(N, -1)
+    Rm4 = np.take(flat, expand, axis=1).reshape((N,) + (n,) * 4)
     # Ric_ik = g^{lj} R_lijk = -g^{lj} R_ljik: the contracted slots are
     # adjacent, so the product runs on Rm4's own layout
     Ric = -np.matmul(ginv.reshape(N, 1, 1, n * n), Rm4.reshape(N, n, n * n, n)).reshape(N, n, n)
     R = contract("aik,aik->a", ginv, Ric)
-    return CurvatureBundle(g, ginv, sqrt_det, Gamma, Rm4, Ric, R)
+    return CurvatureBundle(g, ginv, sqrt_det, Gamma, M, Rm4, Ric, R)
 
 
 def curvature_grid(field: MetricField, X: Array) -> CurvatureBundle:
@@ -675,18 +714,9 @@ def curvature(field: MetricField, x) -> CurvatureBundle:
 
 
 def space_form_deviation(bundle: CurvatureBundle, lam: float) -> float:
-    """max |Rm4 - lam (g o g)/2| = max |Rm4_lijk - lam (g_lj g_ik - g_lk g_ij)|,
-    the model built in place per ``HESSIAN_BLOCK`` nodes (no grid-sized temporary)."""
-
-    def block_max(g, Rm4):
-        model = g[:, :, None, :, None] * g[:, None, :, None, :]
-        model -= g[:, :, None, None, :] * g[:, None, :, :, None]
-        model *= lam
-        np.subtract(Rm4, model, out=model)
-        return ([max_abs(model)],)
-
-    # np.max over the block maxima keeps a NaN
-    return float(np.max(node_blocks(block_max, bundle.g, bundle.Rm4, size=HESSIAN_BLOCK)[0]))
+    """max |Rm4 - lam (g o g)/2| = max |M - lam wedge^2 g|, the same bits: Rm4
+    expands M, and the model is exactly antisymmetric too.  A NaN is kept."""
+    return max_abs(bundle.M - lam * bivector_product(bundle.g, bundle.g))
 
 
 def space_form_scale(lam: float, g_max: float) -> float:

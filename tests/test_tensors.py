@@ -62,9 +62,10 @@ def test_bundle_symmetries_on_models():
         X = random_probes(field.domain, RNG, count=100)
         b = curvature_grid(field, X)
         scale = max(1.0, np.abs(b.Rm4).max())
-        # antisymmetry in the last two slots (exact: Rm4 = T - T(j<->k)),
-        # pair symmetry, first Bianchi
+        # antisymmetry in each pair of slots (exact: Rm4 expands the pair
+        # matrix M), pair symmetry, first Bianchi
         assert np.array_equal(b.Rm4, -np.einsum("alijk->alikj", b.Rm4))
+        assert np.array_equal(b.Rm4, -np.einsum("alijk->ailjk", b.Rm4))
         assert np.abs(b.Rm4 - np.einsum("alijk->ajkli", b.Rm4)).max() / scale < 1e-14
         bianchi = (
             b.Rm4
@@ -126,6 +127,24 @@ def test_bundle_matches_dgamma_route_s5_probes():
     assert _bundle_vs_dgamma_route(s5, X) <= 1e-12  # measured 3e-14 (R)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("step", [0.0, 1e-3j], ids=["real", "complex-step"])
+def test_pair_matrix_matches_dgamma_route(n, step):
+    # M[p, q] = R_{l_p i_p j_q k_q} over the sorted pairs, read from the
+    # classical route on a generic metric and along a complex step
+    rng = np.random.default_rng(70 + n)
+    base = random_torus_metric(n, rng)
+    field = linear_combination_metric(base, random_torus_sym_tensor(n, rng), step) if step else base
+    X = random_probes(base.domain, rng, count=100)
+    jet = field.jet(X, 2)
+    l, i = np.triu_indices(n, 1)
+    want = _dgamma_route(*jet)[1][:, l, i][:, :, l, i]
+    got = tensors.curvature_bundle(*jet).M
+    assert got.shape == (100, len(l), len(l))
+    for part in (np.real, np.imag) if step else (np.real,):
+        assert np.abs(part(got) - part(want)).max() <= 1e-13 * np.abs(part(want)).max()
+
+
 def test_weyl_complex_step_matches_central_difference(sphere4):
     # h is only chart-smooth, so the probes keep clear of the polar angles;
     # a random_sphere_sym_tensor direction changes W only at second order
@@ -181,6 +200,11 @@ def test_kulkarni_nomizu():
     B = RNG.standard_normal((4, 4))
     B = B + B.T
     assert np.allclose(kulkarni_nomizu(A, B), kulkarni_nomizu(B, A))
+    # on the sorted pairs, A o B = A wedge B + B wedge A
+    l, i = np.triu_indices(4, 1)
+    pairs = kulkarni_nomizu(A, B)[l, i][:, l, i]
+    wedge = tensors.bivector_product(A[None], B[None]) + tensors.bivector_product(B[None], A[None])
+    assert np.abs(pairs - wedge[0]).max() <= 1e-14 * np.abs(pairs).max()
     with pytest.raises(DimensionError):
         kulkarni_nomizu(np.eye(3), np.eye(4))
 
@@ -208,6 +232,7 @@ def test_weyl_decomposition_identity_n4():
     X = np.random.default_rng(8).uniform(0, 1, (40, 4))
     b = curvature_grid(pm, X)
     w2 = norm2_04(b.W, b.ginv)
+    assert np.abs(b.normW2 - w2).max() <= 1e-13 * np.abs(w2).max()  # on the pairs
     rhs = w2 + 2.0 * b.normRic2 - (1.0 / 3.0) * b.R**2
     rel = np.abs(b.normRm2 - rhs) / np.maximum(1.0, np.abs(b.normRm2))
     assert rel.max() < 1e-7
@@ -730,6 +755,13 @@ def test_norm2_04_matches_four_raised_slots(n):
     T = T - T.swapaxes(3, 4)  # curvature type: antisymmetric in each pair
     want = np.einsum("aijkl,aijkl->a", T, raise_all(T, G, (0, 1, 2, 3)))
     assert np.abs(norm2_04(T, G) - want).max() <= 1e-13 * np.abs(want).max()
+    # the (0,2) inner product, as a trace of matrix products, S any and T symmetric
+    S, T2 = rng.standard_normal((2, 40, n, n))
+    T2 = T2 + T2.swapaxes(1, 2)
+    for X, Y in ((S, T2), (T2, T2)):
+        want = np.einsum("aij,aij->a", X, raise_all(Y, G, (0, 1)))
+        assert np.abs(tensors.inner_02(X, Y, G) - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(tensors.norm2_02(T2, G), tensors.inner_02(T2, T2, G))
 
 
 def test_weyl_on_demand_random_torus_n4():
@@ -756,12 +788,25 @@ def test_space_form_deviation_against_dense_model(sphere4):
     assert space_form_deviation(S, sphere4.lam) <= 1e-12
 
 
+def test_space_form_deviation_equals_the_full_tensor_maximum(sphere4):
+    # on the pairs, and bit for bit: Rm4 expands M exactly and the swapped
+    # entries of the model are exact negations
+    h = random_sphere_sym_tensor(4, np.random.default_rng(12))
+    field = linear_combination_metric(sphere4, h, 0.05)
+    b = curvature_grid(field, random_probes(sphere4.domain, np.random.default_rng(13), count=200))
+    lam = 0.7
+    model = lam * (np.einsum("alj,aik->alijk", b.g, b.g) - np.einsum("alk,aij->alijk", b.g, b.g))
+    dense = float(np.abs(b.Rm4 - model).max())
+    assert dense > 1e-2  # not a space form
+    assert space_form_deviation(b, lam) == dense
+
+
 def test_space_form_deviation_keeps_a_nan(sphere4):
-    # a NaN in an early block must not be dropped by the running maximum
-    S = curvature_grid(sphere4, random_probes(sphere4.domain, RNG, count=3 * tensors.HESSIAN_BLOCK))
-    Rm4 = S.Rm4.copy()
-    Rm4[1, 0, 1, 0, 1] = np.nan
-    assert np.isnan(space_form_deviation(dataclasses.replace(S, Rm4=Rm4), sphere4.lam))
+    # a NaN in the pair matrix the deviation reads must survive the maximum
+    S = curvature_grid(sphere4, random_probes(sphere4.domain, RNG, count=100))
+    M = S.M.copy()
+    M[1, 0, 1] = np.nan
+    assert np.isnan(space_form_deviation(dataclasses.replace(S, M=M), sphere4.lam))
 
 
 def test_curvature_norms_are_computed_on_first_read(sphere4):

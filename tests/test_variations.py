@@ -753,9 +753,10 @@ def test_curvature_variations_keep_curvature_identities(n, seed):
     arrs = curvature_variation_arrays(base, h, X)
     dRm = arrs["dRm4"]
     scale = np.abs(dRm).max()
-    assert np.array_equal(dRm, -dRm.swapaxes(3, 4))  # (j, k), exact by construction
+    # both antisymmetries are exact by construction: Rm4 expands its pair matrix
+    assert np.array_equal(dRm, -dRm.swapaxes(3, 4))
+    assert np.array_equal(dRm, -dRm.swapaxes(1, 2))
     defects = {
-        "(l, i)": dRm + dRm.swapaxes(1, 2),
         "pair": dRm - np.einsum("ajkli->alijk", dRm),
         "bianchi": dRm + np.einsum("aljki->alijk", dRm) + np.einsum("alkij->alijk", dRm),
     }
