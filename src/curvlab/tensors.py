@@ -23,8 +23,9 @@ normalization Ric = (n-1) * lam * g):
   test and volume measure, shared with :func:`curvlab.charts.sqrt_det_grid`.
   The rest is computed on first read and cached on the bundle: the norms
   ``normRm2``, ``normRic2`` and ``normW2`` (read by the functionals and the
-  gradient, not by the curvature checks), ``W``, the raised forms of Rm4
-  and Ric (``Rm13`` = R^l_ijk), and the quadratic contractions of the
+  gradient, not by the curvature checks), wedge^2 g and wedge^2 g^-1, the
+  Weyl tensor's pair matrix ``W_pairs`` and its expansion ``W``, the raised
+  forms of Rm4 and Ric (``Rm13`` = R^l_ijk), and the quadratic contractions of the
   gradient, ``A1_ij = R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl`` and
   ``ric2_ij = R_ip g^{pq} R_qj``, all with Rm4's slot order.
   :func:`space_form_deviation` is the one space-form deviation, max |M -
@@ -476,9 +477,19 @@ class CurvatureBundle:
         return self.g.shape[-1]
 
     @cached_property
+    def wedge2_g(self) -> Array:
+        """wedge^2 g, the 2x2 minors of g (:func:`bivector_product`)."""
+        return bivector_product(self.g, self.g)
+
+    @cached_property
+    def wedge2_ginv(self) -> Array:
+        """wedge^2 g^-1, which raises both pairs of a pair matrix."""
+        return bivector_product(self.ginv, self.ginv)
+
+    @cached_property
     def normRm2(self) -> Array:
         """|Rm|^2."""
-        return _pair_norm2(self.M, self.ginv)
+        return _pair_norm2(self.M, self.wedge2_ginv)
 
     @cached_property
     def normRic2(self) -> Array:
@@ -486,20 +497,19 @@ class CurvatureBundle:
         return norm2_02(self.Ric, self.ginv)
 
     @cached_property
-    def normW2(self) -> Array:
-        """|W|^2 (n >= 4) on the pairs, W = M - (Ric o g)/(n-2) + R wedge^2 g/((n-1)(n-2))."""
-        n, g, Ric = self.dimension, self.g, self.Ric
-        W = self.M - (bivector_product(Ric, g) + bivector_product(g, Ric)) / (n - 2)
-        W += (self.R / ((n - 1) * (n - 2)))[:, None, None] * bivector_product(g, g)
-        return _pair_norm2(W, self.ginv)
+    def W_pairs(self) -> Array | None:
+        """Weyl's pair matrix (:func:`weyl_pairs`); None for n = 2."""
+        return None if self.dimension < 3 else weyl_pairs(self.M, self.g, self.Ric, self.R, self.wedge2_g)
+
+    @cached_property
+    def normW2(self) -> Array | None:
+        """|W|^2; exact zeros for n = 3, None for n = 2."""
+        return None if self.W_pairs is None else _pair_norm2(self.W_pairs, self.wedge2_ginv)
 
     @cached_property
     def W(self) -> Array | None:
-        """Weyl (0,4) tensor, built on first use; zeros for n = 3, None for
-        n = 2."""
-        if self.dimension < 3:
-            return None
-        return weyl_from_parts(self.g, self.ginv, self.Rm4, self.Ric, self.R)
+        """Weyl (0,4) tensor, ``W_pairs`` expanded; zeros for n = 3, None for n = 2."""
+        return None if self.W_pairs is None else expand_pairs(self.W_pairs, self.dimension)
 
     @cached_property
     def Rm13(self) -> Array:
@@ -558,9 +568,8 @@ def raise_all(T: Array, ginv: Array, slots: tuple[int, ...]) -> Array:
 
 
 def kulkarni_nomizu(A: Array, B: Array) -> Array:
-    """(A o B)_ijkl = A_ik B_jl + A_jl B_ik - A_il B_jk - A_jk B_il.
-
-    Accepts (n,n) or batched (N,n,n) symmetric inputs.
+    """(A o B)_ijkl = A_ik B_jl + A_jl B_ik - A_il B_jk - A_jk B_il, the expansion
+    of A wedge B + B wedge A.  Accepts (n,n) or batched (N,n,n) symmetric inputs.
     """
     A, B = np.asarray(A), np.asarray(B)
     dtype = np.result_type(A, B, float)  # complex inputs stay complex
@@ -570,33 +579,19 @@ def kulkarni_nomizu(A: Array, B: Array) -> Array:
         A, B = A[None], B[None]
     if A.shape != B.shape:
         raise DimensionError(f"shape mismatch {A.shape} vs {B.shape}")
-    out = (
-        contract("aik,ajl->aijkl", A, B)
-        + contract("ajl,aik->aijkl", A, B)
-        - contract("ail,ajk->aijkl", A, B)
-        - contract("ajk,ail->aijkl", A, B)
-    )
+    out = expand_pairs(bivector_product(A, B) + bivector_product(B, A), A.shape[-1])
     return out[0] if single else out
 
 
-def weyl_from_parts(g: Array, ginv: Array, Rm4: Array, Ric: Array, R: Array) -> Array:
-    """Weyl tensor of the decomposition
-    Rm = W + (Ric o g)/(n-2) - R (g o g)/(2 (n-1)(n-2)).
-
-    The coefficient on g o g is the unique one making W totally trace-free
-    (checked by the unit tests).  n = 3 returns exact zeros.
-    """
+def weyl_pairs(M: Array, g: Array, Ric: Array, R: Array, wedge2_g: Array) -> Array:
+    """Pair matrix of W in Rm = W + (Ric o g)/(n-2) - R (g o g)/(2 (n-1)(n-2)), from
+    Rm's pair matrix M: M - (Ric wedge g + g wedge Ric)/(n-2) + R wedge^2 g/((n-1)(n-2)),
+    the one totally trace-free W (checked by the unit tests); exact zeros for n = 3."""
     n = g.shape[-1]
-    if n < 3:
-        raise DimensionError("Weyl tensor requires n >= 3")
-    if n == 3:
-        return np.zeros_like(Rm4)
-    W = (
-        Rm4
-        - kulkarni_nomizu(Ric, g) / (n - 2)
-        + (R / (2 * (n - 1) * (n - 2)))[:, None, None, None, None]
-        * kulkarni_nomizu(g, g)
-    )
+    if n < 4:
+        return np.zeros_like(M)
+    W = M - (bivector_product(Ric, g) + bivector_product(g, Ric)) / (n - 2)
+    W += (R / ((n - 1) * (n - 2)))[:, None, None] * wedge2_g
     return W
 
 
@@ -626,10 +621,16 @@ def bivector_product(A: Array, B: Array) -> Array:
     return A[:, L, l] * B[:, I, i] - A[:, L, i] * B[:, I, l]
 
 
-def _pair_norm2(M: Array, ginv: Array) -> Array:
+def expand_pairs(M: Array, n: int) -> Array:
+    """The (0,4) tensor of a pair matrix: M on the sorted pairs, -M on a swapped
+    pair, 0 on a repeated index, so exactly antisymmetric in each pair of slots."""
+    flat = np.concatenate([M, -M, np.zeros_like(M[:, :1])], 1).reshape(len(M), -1)
+    return np.take(flat, _pair_index(n)[3], axis=1).reshape((len(M),) + (n,) * 4)
+
+
+def _pair_norm2(M: Array, L: Array) -> Array:
     """4 tr(M^T L M L), L = wedge^2 g^-1: |T|^2 of a (0,4) tensor
     antisymmetric in slots (0,1) and in slots (2,3) from its pair matrix M."""
-    L = bivector_product(ginv, ginv)
     return 4 * contract("apq,apq->a", M, np.matmul(np.matmul(L, M), L))
 
 
@@ -637,17 +638,18 @@ def norm2_04(T: Array, ginv: Array) -> Array:
     """|T|^2 for a batched (0,4) tensor antisymmetric in slots (0,1) and in
     slots (2,3), as Rm and W are: its pair matrix, then :func:`_pair_norm2`."""
     l, i = _pair_index(ginv.shape[-1])[:2]
-    return _pair_norm2(T[:, l, i][:, :, l, i], ginv)
+    return _pair_norm2(T[:, l, i][:, :, l, i], bivector_product(ginv, ginv))
 
 
 def inner_02(S: Array, T: Array, ginv: Array) -> Array:
-    """S_ij T^ij for batched (0,2) tensors, T symmetric: tr((g^-1 S)(g^-1 T))."""
-    X = np.matmul(ginv, S)
-    return np.einsum("aij,aji->a", X, X if T is S else np.matmul(ginv, T))
+    """S_ij T^ij for batched (0,2) tensors: the sum of (g^-1 S) o (T g^-1)."""
+    return np.einsum("aij,aij->a", np.matmul(ginv, S), np.matmul(T, ginv))
 
 
 def norm2_02(T: Array, ginv: Array) -> Array:
-    return inner_02(T, T, ginv)
+    """|T|^2 for a batched symmetric (0,2) tensor: the sum of X o X^T, X = g^-1 T."""
+    X = np.matmul(ginv, T)
+    return np.einsum("aij,aji->a", X, X)
 
 
 def volume_element(g: Array) -> Array:
@@ -682,7 +684,7 @@ def _bundle_from_connection(
     of :func:`connection_jet` (the same bits)."""
     sqrt_det = volume_element(g)
     N, n = g.shape[:2]
-    _, _, reads, expand = _pair_index(n)
+    reads = _pair_index(n)[2]
     # 2 R_lijk = P_klij - P_jlik (Eisenhart), P_klij = 2 T_lijk = S_qkl Gamma^q_ij
     # + g_lk,ij - g_ik,lj (g_lk,ij = d2g[a,k,l,i,j]), read on the sorted pairs
     # (l < i, j < k) only; products and second partials enter as one difference each
@@ -690,9 +692,7 @@ def _bundle_from_connection(
     D = np.take(d2g.reshape(N, -1), reads, axis=1)
     M = 0.5 * ((Q[:, 0] - Q[:, 1]) + ((D[:, 0, 0] - D[:, 1, 0]) - (D[:, 0, 1] - D[:, 1, 1])))
     del Q, D  # freed before Rm4 is built, so they add nothing to its peak
-    # Rm4 expands M: -M on a swapped pair, 0 on a repeated index
-    flat = np.concatenate([M, -M, np.zeros_like(M[:, :1])], 1).reshape(N, -1)
-    Rm4 = np.take(flat, expand, axis=1).reshape((N,) + (n,) * 4)
+    Rm4 = expand_pairs(M, n)
     # Ric_ik = g^{lj} R_lijk = -g^{lj} R_ljik: the contracted slots are
     # adjacent, so the product runs on Rm4's own layout
     Ric = -np.matmul(ginv.reshape(N, 1, 1, n * n), Rm4.reshape(N, n, n * n, n)).reshape(N, n, n)
@@ -716,7 +716,7 @@ def curvature(field: MetricField, x) -> CurvatureBundle:
 def space_form_deviation(bundle: CurvatureBundle, lam: float) -> float:
     """max |Rm4 - lam (g o g)/2| = max |M - lam wedge^2 g|, the same bits: Rm4
     expands M, and the model is exactly antisymmetric too.  A NaN is kept."""
-    return max_abs(bundle.M - lam * bivector_product(bundle.g, bundle.g))
+    return max_abs(bundle.M - lam * bundle.wedge2_g)
 
 
 def space_form_scale(lam: float, g_max: float) -> float:

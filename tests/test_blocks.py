@@ -111,8 +111,8 @@ def _traced_peak_mib(fn) -> float:
         tracemalloc.stop()
 
 
-# Peaks measured on the default grids (numpy 2.4): 201.0 MiB and 91.6 MiB
-# with one whole-grid curvature pass, 16.0 MiB and 7.7 MiB in node blocks.
+# Peaks measured on the default grids (numpy 2.4): 197.0 MiB and 91.6 MiB
+# with one whole-grid curvature pass, 15.7 MiB and 7.7 MiB in node blocks.
 @pytest.mark.parametrize(
     "case, gate_mib",
     [

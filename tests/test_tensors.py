@@ -38,7 +38,6 @@ from curvlab.tensors import (
     space_form_deviation,
     trace,
     weyl,
-    weyl_from_parts,
 )
 
 import sympy_oracle
@@ -200,11 +199,13 @@ def test_kulkarni_nomizu():
     B = RNG.standard_normal((4, 4))
     B = B + B.T
     assert np.allclose(kulkarni_nomizu(A, B), kulkarni_nomizu(B, A))
-    # on the sorted pairs, A o B = A wedge B + B wedge A
-    l, i = np.triu_indices(4, 1)
-    pairs = kulkarni_nomizu(A, B)[l, i][:, l, i]
-    wedge = tensors.bivector_product(A[None], B[None]) + tensors.bivector_product(B[None], A[None])
-    assert np.abs(pairs - wedge[0]).max() <= 1e-14 * np.abs(pairs).max()
+    # the expansion of A wedge B + B wedge A against the four products
+    four = sum(
+        sign * np.einsum(spec, X, Y)
+        for sign, spec in ((1, "ik,jl->ijkl"), (-1, "il,jk->ijkl"))
+        for X, Y in ((A, B), (B, A))
+    )
+    assert np.abs(kulkarni_nomizu(A, B) - four).max() <= 1e-14 * np.abs(four).max()
     with pytest.raises(DimensionError):
         kulkarni_nomizu(np.eye(3), np.eye(4))
 
@@ -222,9 +223,11 @@ def test_weyl_vanishes_on_space_forms_and_in_3d():
     assert np.abs(b.W).max() < 1e-9
     pm3 = random_torus_metric(3, np.random.default_rng(1), amplitude=0.05)
     b3 = curvature_grid(pm3, np.random.default_rng(2).uniform(0, 1, (20, 3)))
-    assert np.abs(b3.W).max() == 0.0
+    assert np.abs(b3.W).max() == 0.0 and np.abs(b3.normW2).max() == 0.0
+    b2 = curvature(make_model("sphere", 2), [1.0, 2.0])
+    assert b2.W is None and b2.normW2 is None
     with pytest.raises(DimensionError):
-        weyl(curvature(make_model("sphere", 2), [1.0, 2.0]))
+        weyl(b2)
 
 
 def test_weyl_decomposition_identity_n4():
@@ -232,7 +235,7 @@ def test_weyl_decomposition_identity_n4():
     X = np.random.default_rng(8).uniform(0, 1, (40, 4))
     b = curvature_grid(pm, X)
     w2 = norm2_04(b.W, b.ginv)
-    assert np.abs(b.normW2 - w2).max() <= 1e-13 * np.abs(w2).max()  # on the pairs
+    assert np.array_equal(b.normW2, w2)  # W expands the pair matrix normW2 reads
     rhs = w2 + 2.0 * b.normRic2 - (1.0 / 3.0) * b.R**2
     rel = np.abs(b.normRm2 - rhs) / np.maximum(1.0, np.abs(b.normRm2))
     assert rel.max() < 1e-7
@@ -675,9 +678,8 @@ def _strided(X):
 # plain products, some of them also the order-0 terms of a jet product.
 NON_JET_SPECS = {
     "aJj,aKLij->aJKLi", "aKk,aLijk->aKLij", "aLl,aijkl->aLijk", "aij,aIi->ajI",
-    "aij,aij->a", "aij,ajk...->aik...", "aik,aik->a", "aik,ajl->aijkl",
-    "aikjl,akl->aij", "ail,ajk->aijkl", "aiplk,ajplk->aij", "ajI,aJj->aIJ",
-    "ajk,ail->aijkl", "ajl,aik->aijkl", "akl,aijkl->aij", "akl,alij->akij",
+    "aij,aij->a", "aij,ajk...->aik...", "aik,aik->a", "aikjl,akl->aij",
+    "aiplk,ajplk->aij", "ajI,aJj->aIJ", "akl,aijkl->aij", "akl,alij->akij",
     "apl,aipjl->aij", "apq,apjq->aj", "apq,apq->a", "aqkl,aqij->aklij",
 }
 
@@ -755,13 +757,13 @@ def test_norm2_04_matches_four_raised_slots(n):
     T = T - T.swapaxes(3, 4)  # curvature type: antisymmetric in each pair
     want = np.einsum("aijkl,aijkl->a", T, raise_all(T, G, (0, 1, 2, 3)))
     assert np.abs(norm2_04(T, G) - want).max() <= 1e-13 * np.abs(want).max()
-    # the (0,2) inner product, as a trace of matrix products, S any and T symmetric
+    # the (0,2) inner product of any two tensors, and the norm of a symmetric one
     S, T2 = rng.standard_normal((2, 40, n, n))
+    want = np.einsum("aij,aij->a", S, raise_all(T2, G, (0, 1)))
+    assert np.abs(tensors.inner_02(S, T2, G) - want).max() <= 1e-13 * np.abs(want).max()
     T2 = T2 + T2.swapaxes(1, 2)
-    for X, Y in ((S, T2), (T2, T2)):
-        want = np.einsum("aij,aij->a", X, raise_all(Y, G, (0, 1)))
-        assert np.abs(tensors.inner_02(X, Y, G) - want).max() <= 1e-13 * np.abs(want).max()
-    assert np.array_equal(tensors.norm2_02(T2, G), tensors.inner_02(T2, T2, G))
+    want = np.einsum("aij,aij->a", T2, raise_all(T2, G, (0, 1)))
+    assert np.abs(tensors.norm2_02(T2, G) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_weyl_on_demand_random_torus_n4():
@@ -769,9 +771,15 @@ def test_weyl_on_demand_random_torus_n4():
     grid = build_grid(pm.domain, 4)
     b = curvature_grid(pm, grid.nodes)
     assert "W" not in vars(b)  # the pipeline never builds W itself
-    W = weyl_from_parts(b.g, b.ginv, b.Rm4, b.Ric, b.R)
+    # the Weyl pair matrix of Rm4's own pairs, and the dense decomposition
+    l, i = np.triu_indices(4, 1)
+    W = tensors.weyl_pairs(b.Rm4[:, l, i][:, :, l, i], b.g, b.Ric, b.R, b.wedge2_g)
+    W = tensors.expand_pairs(W, 4)
     assert np.abs(W).max() > 1e-2
     assert np.array_equal(b.W, W)
+    R = b.R[:, None, None, None, None]
+    dense = b.Rm4 - kulkarni_nomizu(b.Ric, b.g) / 2 + R / 12 * kulkarni_nomizu(b.g, b.g)
+    assert np.abs(W - dense).max() <= 1e-13 * np.abs(W).max()
     assert b.W is b.W
     explicit = float(np.sum(grid.weights * np.sqrt(np.linalg.det(b.g)) * norm2_04(W, b.ginv)))
     assert evaluate(pm, grid, Coefficients()).W == pytest.approx(explicit, rel=1e-13, abs=0)
