@@ -45,6 +45,8 @@ from .fields import (
     MetricField,
     Separable,
     _SeparableJet,
+    _multi_index_counts,
+    _packed_axes,
     _separable,
     analytic_metric_field,
     euler_su2_domain,
@@ -202,12 +204,13 @@ def _sphere_model(n: int, radius: float) -> MetricField:
 def _poincare_model(n: int) -> MetricField:
     """g = 4 delta (1/u)^2, u = 1 - |x|^2: 1/u is the jet inverse of the
     1x1 jet of u, written out, and its square one jet product."""
-    eye = np.eye(n)
+    # d^2 u = -2 delta, packed: 1 on the multi-indices (i, i), 0 elsewhere
+    diagonal = (_multi_index_counts(n, 2).max(axis=1) == 2).astype(float)
 
     def jet(X, order):
         N = X.shape[0]
-        u = [1.0 - np.einsum("ai,ai->a", X, X), -2.0 * X, np.tile(-2.0 * eye, (N, 1, 1))]
-        u += [np.zeros((N,) + (n,) * k) for k in range(3, order + 1)]
+        u = [1.0 - np.einsum("ai,ai->a", X, X), -2.0 * X, np.tile(-2.0 * diagonal, (N, 1))]
+        u += [np.zeros((N,) + _packed_axes(n, k)) for k in range(3, order + 1)]
         w = jet_inverse([t.reshape((N, 1, 1) + t.shape[1:]) for t in u[: order + 1]])
         w2 = jet_einsum("aij,ajk->aik", w, w)
         g = [np.zeros((N, n * n) + t.shape[3:]) for t in w2]

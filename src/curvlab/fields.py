@@ -4,7 +4,7 @@ Every geometric object in this package is a field over a single coordinate
 chart: a callable mapping a batch of chart points (shape ``(N, n)``) to
 component arrays with a leading batch axis.  A field hands out its jet, the
 components together with their coordinate partials up to a requested order
-(:meth:`_TensorValuedField.jet`).  Partials are exact at every order and in
+(:meth:`_TensorValuedField.packed_jet`).  Partials are exact at every order and in
 closed form, with no symbolic step: the torus fields are plane waves, the
 built-in curved fields are :class:`Separable` sums of products of
 one-coordinate waves (the sphere and Euler-chart metrics, the sphere
@@ -15,13 +15,21 @@ oracle the tests check the exact jets against (sympy, in the tests, is the
 other).
 
 Index conventions for jet arrays (leading axis is always the batch, the
-derivative axes trail the component axes and are symmetric among
-themselves):
+derivative index trails the component axes):
 
 * metric            ``g[a, i, j]``
 * first partials    ``d1[a, i, j, k] = d g_ij / d x^k``
-* second partials   ``d2[a, i, j, k, l] = d^2 g_ij / (d x^k d x^l)``
-* order m           m trailing derivative axes
+* order m >= 2      packed: one trailing axis over the C(n+m-1, m) sorted
+                    derivative multi-indices in
+                    ``combinations_with_replacement`` order, so each partial
+                    is stored once (``d2[a, i, j, c]``, c the column of k <= l)
+
+The whole pipeline of :mod:`curvlab.tensors` takes and returns packed jets.
+:meth:`_TensorValuedField.jet` is the one place a jet is expanded to full
+derivative axes, ``d2[a, i, j, k, l] = d^2 g_ij / (d x^k d x^l)`` and m
+symmetric trailing axes at order m, for the tests and pointwise readers.
+:func:`_merge_index` splits one derivative index off a packed order: slot m
+and packed beta of order k - 1 go to the packed column of sort(beta + (m,)).
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, groupby
+from math import comb
 from operator import itemgetter, mul
 from typing import Callable, Sequence
 
@@ -152,6 +161,58 @@ def fd_partials(fn: Callable[[Array], Array], X: Array, steps: Array) -> Array:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Packed derivative multi-indices
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _multi_indices(n: int, k: int) -> tuple:
+    """The sorted derivative multi-indices of order k, in packed column order."""
+    return tuple(combinations_with_replacement(range(n), k))
+
+
+@lru_cache(maxsize=None)
+def _symmetric_index(n: int, k: int) -> Array:
+    """The packed column of every full derivative index of order k, an
+    (n,) * k table."""
+    column = {alpha: c for c, alpha in enumerate(_multi_indices(n, k))}
+    return np.array([column[tuple(sorted(i))] for i in np.ndindex((n,) * k)]).reshape((n,) * k)
+
+
+@lru_cache(maxsize=None)
+def _merge_index(n: int, k: int) -> Array:
+    """The packed column of order k + 1 of sort(beta + (m,)) for a slot m and
+    a packed multi-index beta of order k >= 1: an (n, C(n+k-1, k)) table."""
+    full = _symmetric_index(n, k + 1)
+    return np.stack([full[(slice(None),) + beta] for beta in _multi_indices(n, k)], axis=-1)
+
+
+def _packed_axes(n: int, k: int) -> tuple:
+    """The trailing shape of a packed order-k partial."""
+    return (comb(n + k - 1, k),) if k else ()
+
+
+@lru_cache(maxsize=None)
+def _prefix_index(n: int, k: int) -> tuple[Array, Array]:
+    """(the packed column of alpha[:-1] in order k - 1, alpha[-1]) for every
+    sorted multi-index alpha of order k >= 1."""
+    column = {beta: c for c, beta in enumerate(_multi_indices(n, k - 1))}
+    alphas = _multi_indices(n, k)
+    return np.array([column[a[:-1]] for a in alphas]), np.array([a[-1] for a in alphas])
+
+
+def _split(P: Array, k: int, n: int) -> Array:
+    """The packed order-k partial P (k >= 1) with one derivative index split
+    off as a slot: component axes, then m, then packed order k - 1."""
+    return P if k == 1 else np.take(P, _merge_index(n, k - 1), axis=-1)
+
+
+def _expand(P: Array, k: int, n: int) -> Array:
+    """The packed order-k partial P on its full, exactly symmetric derivative axes."""
+    return P if k < 2 else np.take(P, _symmetric_index(n, k), axis=-1)
+
+
 def _scaled_jet(jet, c: float):
     return lambda X, order: [c * t for t in jet(X, order)]
 
@@ -161,9 +222,9 @@ class _TensorValuedField:
     """Shared plumbing for metric / symmetric-tensor / covector / scalar fields.
 
     ``_jet(X, order)`` returns the exact partials of orders 0..order, at any
-    order.  Fields are frozen, so one model or direction can be handed to
-    every caller; derive a new field with ``dataclasses.replace`` or the
-    combinators below.
+    order, packed (see the module docstring).  Fields are frozen, so one
+    model or direction can be handed to every caller, from any thread;
+    derive a new field with ``dataclasses.replace`` or the combinators below.
     """
 
     domain: ChartDomain
@@ -174,15 +235,21 @@ class _TensorValuedField:
     def dimension(self) -> int:
         return self.domain.dimension
 
-    def jet(self, X: Array, order: int) -> list[Array]:
-        """[T, dT, ..., d^order T] at the points, derivative axes trailing."""
+    def packed_jet(self, X: Array, order: int) -> list[Array]:
+        """[T, dT, ..., d^order T] at the points, each order packed."""
         return self._jet(_as_batch(X, self.dimension)[0], order)
 
+    def jet(self, X: Array, order: int) -> list[Array]:
+        """[T, dT, ..., d^order T] at the points on full derivative axes,
+        trailing and exactly symmetric: the one expansion of a packed jet."""
+        n = self.dimension
+        return [_expand(P, k, n) for k, P in enumerate(self.packed_jet(X, order))]
+
     def eval_grid(self, X: Array) -> Array:
-        return self.jet(X, 0)[0]
+        return self.packed_jet(X, 0)[0]
 
     def d1_grid(self, X: Array) -> Array:
-        return self.jet(X, 1)[1]
+        return self.packed_jet(X, 1)[1]
 
     def d2_grid(self, X: Array) -> Array:
         return self.jet(X, 2)[2]
@@ -256,13 +323,15 @@ def metric_as_sym_tensor(g: MetricField) -> SymTensorField:
 def linear_combination_metric(
     base: MetricField, h: SymTensorField, t: float, scale: float = 1.0
 ) -> MetricField:
-    """The metric scale*(base + t*h); derivatives combine linearly."""
+    """The metric scale*(base + t*h); derivatives combine linearly (a scale
+    of 1 multiplies nothing)."""
     if h.dimension != base.dimension:
         raise DimensionError("perturbation dimension mismatch")
     bj, hj = base._jet, h._jet
 
     def jet(X, order):
-        return [scale * (b + t * d) for b, d in zip(bj(X, order), hj(X, order))]
+        out = [b + t * d for b, d in zip(bj(X, order), hj(X, order))]
+        return out if scale == 1 else [scale * T for T in out]
 
     return MetricField(
         domain=base.domain,
@@ -290,7 +359,7 @@ def linear_combination_metric(
 # Each order's plan is made once (orders 0-2 at construction): the table
 # columns and scale of every (term, multi-index) pair that is not
 # identically zero, sorted by the unique partial it sums into, and one index
-# from every full component and derivative index to that sum.  A call then
+# from every component and packed multi-index to that sum.  A call then
 # takes a fixed handful of numpy operations per order, none a loop over
 # multi-indices.
 
@@ -349,8 +418,8 @@ def _single_wave(waves) -> tuple[float, float, int]:
 @lru_cache(maxsize=None)
 def _multi_index_counts(n: int, k: int) -> Array:
     """How often each coordinate occurs in each sorted multi-index of order
-    k, in the packed order of :mod:`curvlab.tensors`."""
-    alphas = combinations_with_replacement(range(n), k)
+    k, in packed column order."""
+    alphas = _multi_indices(n, k)
     return np.array([[alpha.count(m) for m in range(n)] for alpha in alphas], dtype=np.intp)
 
 
@@ -385,49 +454,57 @@ class _SeparableJet:
         self._value = {f: self._wave_col(f[0], *f[1][0]) for f in factors}
         self._value.update((f, 1 + 4 * len(freqs) + i) for i, f in enumerate(products))
         self._plans: list = []
-        self._plan(2)
+        self._plans_to(2)
 
     def _wave_col(self, m, w, q):
         """Table column of the wave cos(w x^m + q pi/2)."""
         return self._col[(m, w)] + q * len(self._w)
 
-    def _plan(self, order: int) -> None:
-        """Make the plans of the orders up to ``order`` not made yet."""
-        from .tensors import _symmetric_index
+    def _plans_to(self, order: int) -> list:
+        """The plans of orders 0 to ``order``.  Missing ones are made in a new
+        list, published with one assignment: a call on another thread keeps
+        the list it read, and never sees one half made."""
+        plans = self._plans
+        if len(plans) <= order:
+            plans = plans + [self._plan(k) for k in range(len(plans), order + 1)]
+            self._plans = plans
+        return plans
 
+    def _plan(self, k: int) -> tuple:
+        """The plan of order k: (table columns, scales, reduceat starts or
+        None, index of each component and packed multi-index)."""
         depth = max([1] + [len(fs) for *_, fs in self._terms])
-        for k in range(len(self._plans), order + 1):
-            counts = _multi_index_counts(self.n, k)
-            A = len(counts)
-            # the first pair, of scale 0, gives the zero partials
-            rows, scales, targets = [np.zeros((depth, 1), dtype=np.intp)], [[0.0]], [[-1]]
-            for u, coef, fs in self._terms:
-                ms = [m for m, _ in fs]
-                ok = np.flatnonzero(counts[:, ms].sum(axis=1) == k)  # alpha within ms
-                R, s = np.zeros((depth, len(ok)), dtype=np.intp), np.full(len(ok), coef)
-                for level, (f, c) in enumerate(zip(fs, counts[ok][:, ms].T)):
-                    a, w, q = self._single[f]
-                    # d^c/dt^c a cos(w t + q pi/2) = a w^c cos(w t + (q + c) pi/2)
-                    R[level] = np.where(c > 0, self._wave_col(f[0], w, (q + c) % 4), self._value[f])
-                    s = s * np.where(c > 0, a * w**c, 1.0)
-                rows.append(R)
-                scales.append(s)
-                targets.append(u * A + ok)
-            target = np.concatenate(targets)
-            comp = self._comp.reshape(self._comp.shape + (1,) * k)
-            full = np.where(comp < 0, -1, comp * A + _symmetric_index(self.n, k)[0])
-            full[~np.isin(full, target)] = -1
-            by_target = np.argsort(target, kind="stable")
-            unique, starts = np.unique(target[by_target], return_index=True)
-            self._plans.append((
-                np.concatenate(rows, axis=1)[:, by_target],
-                np.concatenate(scales)[by_target],
-                starts if len(starts) < len(target) else None,
-                np.searchsorted(unique, full),
-            ))
+        counts = _multi_index_counts(self.n, k)
+        A = len(counts)
+        # the first pair, of scale 0, gives the zero partials
+        rows, scales, targets = [np.zeros((depth, 1), dtype=np.intp)], [[0.0]], [[-1]]
+        for u, coef, fs in self._terms:
+            ms = [m for m, _ in fs]
+            ok = np.flatnonzero(counts[:, ms].sum(axis=1) == k)  # alpha within ms
+            R, s = np.zeros((depth, len(ok)), dtype=np.intp), np.full(len(ok), coef)
+            for level, (f, c) in enumerate(zip(fs, counts[ok][:, ms].T)):
+                a, w, q = self._single[f]
+                # d^c/dt^c a cos(w t + q pi/2) = a w^c cos(w t + (q + c) pi/2)
+                R[level] = np.where(c > 0, self._wave_col(f[0], w, (q + c) % 4), self._value[f])
+                s = s * np.where(c > 0, a * w**c, 1.0)
+            rows.append(R)
+            scales.append(s)
+            targets.append(u * A + ok)
+        target = np.concatenate(targets)
+        comp = self._comp[..., None] if k else self._comp
+        index = np.where(comp < 0, -1, comp * A + (np.arange(A) if k else 0))
+        index[~np.isin(index, target)] = -1
+        by_target = np.argsort(target, kind="stable")
+        unique, starts = np.unique(target[by_target], return_index=True)
+        return (
+            np.concatenate(rows, axis=1)[:, by_target],
+            np.concatenate(scales)[by_target],
+            starts if len(starts) < len(target) else None,
+            np.searchsorted(unique, index),
+        )
 
     def __call__(self, X: Array, order: int) -> list[Array]:
-        self._plan(order)
+        plans = self._plans_to(order)
         phase = X[:, self._m] * self._w
         c, s = np.cos(phase), np.sin(phase)
         table = np.concatenate([np.ones((len(X), 1)), c, -s, -c, s], axis=1)
@@ -435,14 +512,14 @@ class _SeparableJet:
             products = table[:, self._pairs[:, 0]] * table[:, self._pairs[:, 1]]
             table = np.concatenate([table, products], axis=1)
         out = []
-        for R, scale, starts, full in self._plans[: order + 1]:
+        for R, scale, starts, index in plans[: order + 1]:
             vals = table[:, R[0]]
             for r in R[1:]:
                 vals *= table[:, r]
             vals *= scale
             if starts is not None:
                 vals = np.add.reduceat(vals, starts, axis=1)
-            out.append(np.take(vals, full, axis=1))
+            out.append(np.take(vals, index, axis=1))
         return out
 
 
@@ -469,7 +546,8 @@ def analytic_scalar_field(domain: ChartDomain, f: Separable, name="f") -> Scalar
 
 
 def _wave_jet(X: Array, w: Array, order: int) -> tuple[list, list]:
-    """Jets of cos(x.w) and sin(x.w), each a list of (N, n^k) arrays."""
+    """Packed jets of cos(x.w) and sin(x.w): order k is (N, C(n+k-1, k)), on
+    the powers w^alpha = w_alpha1 ... w_alphak, multiplied left to right."""
     phase = X @ w
     c, s = np.cos(phase), np.sin(phase)
     # d^k cos = cycle[k % 4] w^k and d^k sin = cycle[(k + 3) % 4] w^k
@@ -478,7 +556,8 @@ def _wave_jet(X: Array, w: Array, order: int) -> tuple[list, list]:
     for k in range(order + 1):
         cos_jet.append(np.multiply.outer(cycle[k % 4], wk))
         sin_jet.append(np.multiply.outer(cycle[(k + 3) % 4], wk))
-        wk = np.multiply.outer(wk, w)
+        prefix, last = _prefix_index(len(w), k + 1)
+        wk = wk.reshape(-1)[prefix] * w[last]
     return cos_jet, sin_jet
 
 
@@ -505,7 +584,7 @@ def trig_sym_tensor_field(
         packed.append((2 * np.pi * k, C, S))
 
     def jet(X, order):
-        out = [np.zeros((X.shape[0],) + (n,) * (2 + k)) for k in range(order + 1)]
+        out = [np.zeros((X.shape[0], n, n) + _packed_axes(n, k)) for k in range(order + 1)]
         for w, C, S in packed:
             cos_jet, sin_jet = _wave_jet(X, w, order)
             for k in range(order + 1):
@@ -601,7 +680,7 @@ def sphere_pullback_sym_tensor(
 
     def jet(X, order):
         Y = Yjet(X, order + 1)
-        J = Y[1:]
+        J = [_split(y, k, n) for k, y in enumerate(Y[1:], 1)]
         P = [np.einsum("ABc,ac...->aAB...", P1, y) for y in Y[:-1]]
         P[0] = P0 + P[0]
         return jet_einsum("aAi,aAj->aij", J, jet_einsum("aAB,aBj->aAj", P, J))

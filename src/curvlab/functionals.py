@@ -18,7 +18,7 @@ import numpy as np
 from .charts import QuadratureGrid, _require_quadrature, volume
 from .errors import DimensionError
 from .fields import MetricField
-from .tensors import curvature_grid, node_blocks
+from .tensors import CurvatureBundle, curvature_grid, node_blocks
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,25 @@ def _integrals(
     also int |W|^2), in the field's dtype: complex along a complex-step
     direction."""
     _require_quadrature(field)
+    densities = node_blocks(lambda Y: _densities(curvature_grid(field, Y), weyl), grid.nodes)
+    return _sums(grid, coeff, *densities)
 
-    def densities(Y):
-        b = curvature_grid(field, Y)
-        out = (b.sqrt_det, b.normRm2, b.normRic2, b.R**2)
-        return out + (b.normW2,) if weyl else out
 
-    sqrt_det, *parts = node_blocks(densities, grid.nodes)
+def _bundle_integrals(bundle: CurvatureBundle, grid: QuadratureGrid, coeff: Coefficients) -> dict:
+    """:func:`_integrals` of a field from its bundle on all the grid nodes:
+    the same per-node densities in node order, so the same sums bit for bit."""
+    return _sums(grid, coeff, *_densities(bundle))
+
+
+def _densities(b: CurvatureBundle, weyl: bool = False) -> tuple:
+    """Per node: sqrt(det g), |Rm|^2, |Ric|^2, R^2 and, with ``weyl``, |W|^2."""
+    out = (b.sqrt_det, b.normRm2, b.normRic2, b.R**2)
+    return out + (b.normW2,) if weyl else out
+
+
+def _sums(grid: QuadratureGrid, coeff: Coefficients, sqrt_det, *parts) -> dict:
+    """The quadrature sums of F, its parts and the volume from the per-node
+    densities of :func:`_densities`, each one sum over all nodes."""
     measure = grid.weights * sqrt_det
     sums = {k: np.sum(measure * d) for k, d in zip(("Rquad", "rho", "S", "W"), parts)}
     sums["F"] = sums["Rquad"] + coeff.s * sums["rho"] + coeff.tau * sums["S"]

@@ -4,7 +4,8 @@ All computations are batched over a leading node axis ``a``.  Index
 conventions (frozen by the unit tests against the round-sphere
 normalization Ric = (n-1) * lam * g):
 
-* ``dg[a,i,j,k] = d g_ij / d x^k``; ``d2g[a,i,j,k,l]`` appends ``d/d x^l``.
+* ``dg[a,i,j,k] = d g_ij / d x^k``; ``d2g[a,i,j,c]`` is the packed second
+  partial, c the column of the sorted pair (k <= l) (:mod:`curvlab.fields`).
 * Christoffel symbols ``Gamma[a,k,i,j]`` = Gamma^k_ij = g^{kl} S_lij / 2,
   where ``S[a,l,i,j]`` = g_jl,i + g_il,j - g_ij,l = 2 Gamma_{l,ij} holds the
   symbols of the first kind (:func:`christoffel_combination`).
@@ -34,15 +35,17 @@ normalization Ric = (n-1) * lam * g):
   :func:`space_form_scale`, the size max(1, |lam| max|g|^2) of the model.
 * Covariant derivatives of a symmetric tensor follow the index order
   ``h_ij,kl = nabla_l nabla_k h_ij``: ``Dh[a,i,j,k]``, ``D2h[a,i,j,k,l]``.
-* A jet ``[T, dT, ..., d^m T]`` appends m symmetric coordinate-derivative
-  axes to the components (as in :mod:`curvlab.fields`); :func:`jet_einsum`,
-  :func:`jet_inverse` and :func:`covariant_jet` carry jets through products,
-  inverses and covariant derivatives, so derivatives of computed curvature
-  are exact.  They require that symmetry of their inputs (every jet in the
-  package has it): Leibniz' rule runs on packed partials, the C(n+k-1, k)
-  sorted derivative multi-indices of each order, one packed product per
-  split of the order among the factors, and each result is expanded to its
-  full, exactly symmetric derivative axes once.
+* A jet ``[T, dT, ..., d^m T]`` is packed, as the fields hand it out
+  (:mod:`curvlab.fields`): its order-k partial (k >= 2) stores each
+  partial once, on one trailing axis over the C(n+k-1, k) sorted derivative
+  multi-indices.  :func:`jet_einsum`, :func:`jet_inverse`,
+  :func:`connection_jet`, :func:`covariant_jet`, :func:`ricci_arrays`,
+  :func:`sym_tensor_cov_derivs` and :func:`covariant_hessian_blocks` take
+  and return packed jets, so derivatives of computed curvature are exact and
+  no jet is expanded on the way: Leibniz' rule runs one packed product per
+  split of the order among the factors, and where a derivative index
+  becomes a tensor slot (d_m T) one ``np.take`` splits it off a packed
+  order.  Only a field's ``jet()`` expands a jet to full derivative axes.
 
 Products of two batched tensors go through :func:`contract`, which reads an
 einsum spec and runs it as one batched ``np.matmul``: each index is a batch
@@ -60,16 +63,16 @@ plain ``np.einsum``.
 Work over many nodes goes through one block helper, :func:`node_blocks`: it
 splits the nodes into near-equal blocks, runs a function on each and hands
 back each block's per-node outputs (or per-block maxima) concatenated in
-node order.  It has two block sizes.  :data:`HESSIAN_BLOCK` (64 nodes) serves
-:func:`covariant_hessian_blocks`, where the order-4 jets of every ingredient
-are live at once.  :data:`GRID_BLOCK` (1,024 nodes) serves the whole-grid
-reductions of order-2 curvature and covariant jets (the curvature check,
-the functionals, the Rayleigh quotient, the Einstein defects), so no
-grid-sized rank-4 or rank-5 array is built.  No block falls below
-:data:`MATMUL_MIN_BATCH` unless the whole batch does: every node then takes
-the contraction path a whole-grid pass would give it, the per-node values
-are the same bits, and callers that sum the concatenated densities in node
-order report the same bytes whatever the block size.
+node order.  It has two block sizes.  :data:`HESSIAN_BLOCK` (96 nodes) serves
+:func:`covariant_hessian_blocks`, where the packed order-4 jets of every
+ingredient are live at once.  :data:`GRID_BLOCK` (1,024 nodes) serves the
+whole-grid reductions of order-2 curvature and covariant jets (the
+curvature check, the functionals, the Rayleigh quotient, the Einstein
+defects), so no grid-sized rank-4 or rank-5 array is built.  No block falls
+below :data:`MATMUL_MIN_BATCH` unless the whole batch does: every node then
+takes the contraction path a whole-grid pass would give it, the per-node
+values are the same bits, and callers that sum the concatenated densities
+in node order report the same bytes whatever the block size.
 
 The rough Laplacian is the metric trace of the second covariant derivative,
 with the sign that makes it non-positive on the flat torus
@@ -87,7 +90,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateMetricError, DimensionError, PreconditionError
-from .fields import Array, CovectorField, MetricField, SymTensorField, _as_batch
+from .fields import (
+    Array,
+    CovectorField,
+    MetricField,
+    SymTensorField,
+    _as_batch,
+    _split,
+    _symmetric_index,
+)
 
 # Relative FD step (fraction of the smallest axis extent) of the
 # finite-difference oracles the tests check computed tensor fields, such as
@@ -98,9 +109,14 @@ FIELD_FD_REL_STEP = 2e-3
 
 EINSTEIN_TOL = 1e-6
 
-# Nodes per block of covariant_hessian_blocks (order-4 jets of every
+# Nodes per block of covariant_hessian_blocks (packed order-4 jets of every
 # ingredient are live at once): blocks keep peak memory flat in the grid.
-HESSIAN_BLOCK = 64
+# Both identity suites plus the generic S^3 gradient ingredients (1,536
+# nodes; 2-core host, OMP_NUM_THREADS=1, median of 5 interleaved rounds)
+# took 505 ms in 64-node blocks, 443 ms in 96 and 483 ms in 128; three such
+# passes with sympy loaded peaked at 80.7, 81.1 and 82.0 MB resident (81.3
+# MB with full-axis jets in 64-node blocks).
+HESSIAN_BLOCK = 96
 
 # Nodes per block of the whole-grid reductions (order-2 curvature and
 # covariant jets, reduced to per-node densities or block maxima): on the
@@ -234,61 +250,26 @@ def node_blocks(fn: Callable[..., tuple], *arrays: Array, size: int | None = Non
 # Jet algebra
 # ---------------------------------------------------------------------------
 #
-# A jet of order m is a list [T, dT, ..., d^m T] of batched arrays; d^k T
-# carries k trailing derivative axes.  Every jet in the package is symmetric
-# in those axes (partials commute), and the products below rely on it: they
-# read each order only on its C(n+k-1, k) sorted derivative multi-indices.
-#
-# Products follow Leibniz' rule (Taylor propagation, Griewank & Walther,
-# "Evaluating Derivatives", 2nd ed., ch. 13): the k-th partial of a product
-# sums, over every way of handing each of the k derivative indices to one
-# factor, the product of the factors' partials.  The ways group by split,
-# the orders (r_1, ..., r_F) the factors receive, and the rule runs on
-# packed jets: each order-r partial taken once (np.take) on its sorted
-# multi-indices, one trailing packed axis.  Each split is one packed
-# product, in which every factor's packed axis is a free matmul dimension.
-# A constant multiplicity matrix then folds the tuples (beta_1, ..., beta_F)
-# of the factors' multi-indices into the sorted output multi-index they make
-# up, in one 2-D matmul, and the splits' sum is expanded to the full
-# symmetric derivative axes once (Griewank, Utke & Walther, Math. Comp.
-# 69:1117, 2000; the unique-partials-then-expand pattern of the closed-form
-# jets in :mod:`curvlab.fields`).  The partials that come out are thus exactly
-# symmetric.  At n = 3, k = 4 a two-factor product is 5 packed products
-# over 126 (beta_1, beta_2) pairs; handing out the indices one by one would
-# take 16 products at all n^4 = 81 columns each.
+# Jets are packed (see the module docstring).  Products follow Leibniz' rule
+# (Taylor propagation, Griewank & Walther, "Evaluating Derivatives", 2nd
+# ed., ch. 13): the k-th partial of a product sums, over every way of
+# handing each of the k derivative indices to one factor, the product of
+# the factors' partials.  The ways group by split, the orders (r_1, ...,
+# r_F) the factors receive, and each split is one packed product, in which
+# every factor's packed axis is a free matmul dimension.  A constant
+# multiplicity matrix then folds the tuples (beta_1, ..., beta_F) of the
+# factors' multi-indices into the sorted output multi-index they make up,
+# in one 2-D matmul (Griewank, Utke & Walther, Math. Comp. 69:1117, 2000).
+# At n = 3, k = 4 a two-factor product is 5 packed products over 126
+# (beta_1, beta_2) pairs into 15 columns; handing out the indices one by
+# one would take 16 products at all n^4 = 81 columns each.  Where a
+# derivative index becomes a tensor slot (d_m T, the Christoffel
+# combination of dg, the traces of dGamma in Ricci), one np.take through
+# the merge table of :func:`curvlab.fields._split` maps (slot m, packed
+# beta) to the packed column of sort(beta + (m,)).
 
 _PACKED = "uvwxyz"  # packed-axis letters, less those the product spec uses
 _SLOTS = "ijkl"
-
-
-@lru_cache(maxsize=None)
-def _symmetric_index(n: int, k: int) -> tuple[Array, Array]:
-    """(the sorted column of each full derivative index of order k, the flat
-    position of each sorted multi-index), the columns in
-    combinations_with_replacement order; a sorted multi-index is the first
-    of its permutations in C order."""
-    column = {alpha: c for c, alpha in enumerate(combinations_with_replacement(range(n), k))}
-    expand = np.array([column[tuple(sorted(i))] for i in np.ndindex((n,) * k)]).reshape((n,) * k)
-    return expand, np.unique(expand, return_index=True)[1]
-
-
-def _pack(T: Array, r: int) -> Array:
-    """An order-r partial on its sorted derivative multi-indices, one
-    trailing packed axis (orders 0 and 1 are already packed)."""
-    if r < 2:
-        return T
-    flat = T.reshape(T.shape[: T.ndim - r] + (-1,))
-    return np.take(flat, _symmetric_index(T.shape[-1], r)[1], axis=-1)
-
-
-def _pack_jet(J: list) -> list:
-    """Every order of a jet, packed."""
-    return [_pack(T, r) for r, T in enumerate(J)]
-
-
-def _expand(P: Array, k: int, n: int) -> Array:
-    """The packed order-k partial P on its full symmetric derivative axes."""
-    return P if k < 2 else np.take(P, _symmetric_index(n, k)[0], axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -331,14 +312,14 @@ def _leibniz_plan(spec: str, k: int, n: int, tops: tuple[int, ...]) -> tuple:
     return tuple(splits)
 
 
-def _leibniz(spec: str, packed: list, k: int) -> Array:
+def _leibniz(spec: str, jets: list, k: int) -> Array:
     """Packed k-th partial (k >= 1) of an einsum product from the factors'
-    packed jets; partials missing from a short jet count as zero."""
-    n = packed[0][1].shape[-1]
-    tops = tuple(min(len(j) - 1, k) for j in packed)
+    jets; partials missing from a short jet count as zero."""
+    n = jets[0][1].shape[-1]
+    tops = tuple(min(len(j) - 1, k) for j in jets)
     total = None
     for orders, packed_spec, npacked, fold in _leibniz_plan(spec, k, n, tops):
-        P = contract(packed_spec, *(j[r] for j, r in zip(packed, orders)))
+        P = contract(packed_spec, *(j[r] for j, r in zip(jets, orders)))
         if fold is not None:
             lead = P.shape[: P.ndim - npacked]
             P = P.reshape(-1, fold.shape[0]) @ fold.astype(P.dtype, copy=False)
@@ -347,54 +328,46 @@ def _leibniz(spec: str, packed: list, k: int) -> Array:
     return total
 
 
-def _packed_product(spec: str, packed: list, order: int) -> list:
-    """Packed partials, orders 0 to ``order``, of an einsum product from the
-    factors' packed jets; order 0 is the plain product on the same spec."""
-    return [contract(spec, *(j[0] for j in packed))] + [
-        _leibniz(spec, packed, k) for k in range(1, order + 1)
-    ]
-
-
 def jet_einsum(spec: str, *jets: list, order: int | None = None) -> list:
     """Jet of the batched einsum ``spec`` of the factors' jets, to ``order``
-    (default: the order of the shortest factor jet).  The factors' partials
-    must be symmetric in their derivative axes; the result's are exactly."""
+    (default: the order of the shortest factor jet); order 0 is the plain
+    product on the same spec."""
     shortest = min(len(j) for j in jets) - 1
     if order is None:
         order = shortest
     elif order > shortest:
         raise DimensionError(f"a factor jet of order {shortest} cannot give order {order}")
-    packed = [_pack_jet(j[: order + 1]) for j in jets]
-    n = jets[0][1].shape[-1] if order else 0
-    return [_expand(P, k, n) for k, P in enumerate(_packed_product(spec, packed, order))]
+    jets = [j[: order + 1] for j in jets]
+    return [contract(spec, *(j[0] for j in jets))] + [
+        _leibniz(spec, jets, k) for k in range(1, order + 1)
+    ]
 
 
 def jet_inverse(A: list) -> list:
     """Jet of the matrix inverse, solving d^k(A A^-1) = 0 order by order."""
     inv = [np.linalg.inv(A[0])]
-    packed_A, packed_inv = _pack_jet(A), inv[:]
     for k in range(1, len(A)):
         # the terms of d^k(A A^-1) whose A factor is differentiated
-        rest = _leibniz("aij,ajk->aik", (packed_A, packed_inv), k)
-        packed_inv.append(-contract("aij,ajk...->aik...", inv[0], rest))
-        # the coordinate count is the derivative axis, not the matrix size
-        inv.append(_expand(packed_inv[-1], k, A[1].shape[-1]))
+        rest = _leibniz("aij,ajk->aik", (A, inv), k)
+        inv.append(-contract("aij,ajk...->aik...", inv[0], rest))
     return inv
 
 
 def connection_jet(g: list) -> tuple[list, list, list]:
     """Jets of (g^-1, S, Gamma) from a metric jet, S =
-    :func:`christoffel_combination` of the partials of g; all come one order
+    :func:`christoffel_combination` of the partials of g, each with its
+    first derivative index split off as the slot l; all come one order
     short."""
+    n = g[1].shape[-1]
     ginv = jet_inverse(g[:-1])
-    S = [christoffel_combination(d) for d in g[1:]]
+    S = [christoffel_combination(_split(d, k, n)) for k, d in enumerate(g[1:], 1)]
     return ginv, S, [0.5 * G for G in jet_einsum("akl,alij->akij", ginv, S)]
 
 
 def christoffel_combination(D: Array) -> Array:
     """S[a,l,i,j,...] = D[a,j,l,i,...] + D[a,i,l,j,...] - D[a,i,j,l,...], any
-    trailing derivative axes riding along: Gamma^k_ij = g^{kl} S_lij / 2 for
-    D = dg."""
+    trailing packed derivative axis riding along: Gamma^k_ij = g^{kl} S_lij /
+    2 for D = dg."""
     P = np.einsum("ailj...->alij...", D)
     return P + P.swapaxes(2, 3) - np.einsum("aijl...->alij...", D)
 
@@ -403,18 +376,18 @@ def covariant_jet(T: list, Gamma: list) -> list:
     """Jet of nabla T (new slot last), one order shorter than the jet of T.
 
     (nabla T)_{..m} = d_m T - sum over slots s of Gamma^p_{m i_s} T_{..p..};
-    the jet of Gamma must reach the order of the result.  Each order is
-    formed packed (d^k of d_m T on the sorted multi-indices of its last k
-    axes) and expanded once.
+    the jet of Gamma must reach the order of the result.  The order-k
+    partial of d_m T is the order-(k + 1) partial of T with the index m split
+    off.
     """
     comp = _SLOTS[: T[0].ndim - 1]
     order = len(T) - 2
-    factors = [_pack_jet(J[: order + 1]) for J in (Gamma, T)]
-    out = [_pack(dT, k) for k, dT in enumerate(T[1:])]
+    n = T[1].shape[-1]
+    out = [_split(dT, k, n) for k, dT in enumerate(T[1:], 1)]
     for s, c in enumerate(comp):
         spec = f"apm{c},a{comp[:s]}p{comp[s + 1:]}->a{comp}m"
-        out = [o - x for o, x in zip(out, _packed_product(spec, factors, order))]
-    return [_expand(P, k, T[1].shape[-1]) for k, P in enumerate(out)]
+        out = [o - x for o, x in zip(out, jet_einsum(spec, Gamma, T, order=order))]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -436,23 +409,24 @@ def christoffel_arrays(g: Array, dg: Array) -> Array:
 
 
 def ricci_arrays(field, X: Array, order: int = 0):
-    """Lean pipeline: jets of (g, ginv, Gamma, Ric, R) at the points.
+    """Lean pipeline: packed jets of (g, ginv, Gamma, Ric, R) at the points.
 
     Ric and R come to ``order``, ginv and Gamma to ``order + 1`` and g to
     ``order + 2``.  Ricci is contracted straight from the connection data, so
     no rank-5 intermediate is materialized.
     """
     X, _ = _as_batch(X, field.dimension)
-    g = field.jet(X, order + 2)
+    g = field.packed_jet(X, order + 2)
     ginv, _, Gamma = connection_jet(g)
     # Ric_ik = d_j Gamma^j_ik - d_k Gamma^j_ij + Gamma^p_ik Gamma^j_jp
-    #          - Gamma^p_ij Gamma^j_kp
+    #          - Gamma^p_ij Gamma^j_kp, d_m Gamma split off dGamma as slot m
     c1 = [np.einsum("ajjp...->ap...", G) for G in Gamma]
     t3 = jet_einsum("apik,ap->aik", Gamma, c1, order=order)
     t4 = jet_einsum("apij,ajkp->aik", Gamma, Gamma, order=order)
+    dGamma = [_split(G, k, field.dimension) for k, G in enumerate(Gamma[1:], 1)]
     Ric = [
         np.einsum("ajikj...->aik...", dG) - np.einsum("ajijk...->aik...", dG) + p - q
-        for dG, p, q in zip(Gamma[1:], t3, t4)
+        for dG, p, q in zip(dGamma, t3, t4)
     ]
     R = jet_einsum("aik,aik->a", ginv, Ric)
     return g, ginv, Gamma, Ric, R
@@ -597,19 +571,26 @@ def weyl_pairs(M: Array, g: Array, Ric: Array, R: Array, wedge2_g: Array) -> Arr
 
 @lru_cache(maxsize=None)
 def _pair_index(n: int) -> tuple:
-    """The sorted pairs p = (l < i) in np.triu_indices order, and two flat
-    index tables over p and q = (j < k): the Eisenhart reads [[klij, jlik],
-    [iklj, ijlk]] in an n^4 array, and each R_lijk's entry of [M, -M, 0]."""
+    """The sorted pairs p = (l < i) in np.triu_indices order, and three
+    flat index tables over p and q = (j < k): the Eisenhart reads [klij,
+    jlik] in an n^4 array, the reads [[klij, jlik], [iklj, ijlk]] in a
+    packed second partial d2[a, x, y, c] (its last two indices the sorted
+    multi-index c), and each R_lijk's entry of [M, -M, 0]."""
     l, i = np.triu_indices(n, 1)
     m = len(l)
     L, I, J, K = l[:, None], i[:, None], l, i
     flat = lambda *idx: np.ravel_multi_index(idx, (n,) * 4)
-    reads = np.array([[flat(K, L, I, J), flat(J, L, I, K)], [flat(I, K, L, J), flat(I, J, L, K)]])
+    column, width = _symmetric_index(n, 2), n * (n + 1) // 2
+    packed = lambda x, y, c, d: (x * n + y) * width + column[c, d]
+    reads = np.array([flat(K, L, I, J), flat(J, L, I, K)])
+    d2_reads = np.array([
+        [packed(K, L, I, J), packed(J, L, I, K)], [packed(I, K, L, J), packed(I, J, L, K)]
+    ])
     signed = np.zeros((n, n), int)  # p + 1 on the pair p = (l < i), -(p + 1) on (i, l)
     signed[l, i], signed[i, l] = np.arange(1, m + 1), -np.arange(1, m + 1)
     s, a = np.multiply.outer(signed, signed).ravel(), np.abs(signed) - 1
     expand = np.where(s == 0, 2 * m * m, np.add.outer(a * m, a).ravel() + m * m * (s < 0))
-    return l, i, reads, expand
+    return l, i, reads, d2_reads, expand
 
 
 def bivector_product(A: Array, B: Array) -> Array:
@@ -625,7 +606,7 @@ def expand_pairs(M: Array, n: int) -> Array:
     """The (0,4) tensor of a pair matrix: M on the sorted pairs, -M on a swapped
     pair, 0 on a repeated index, so exactly antisymmetric in each pair of slots."""
     flat = np.concatenate([M, -M, np.zeros_like(M[:, :1])], 1).reshape(len(M), -1)
-    return np.take(flat, _pair_index(n)[3], axis=1).reshape((len(M),) + (n,) * 4)
+    return np.take(flat, _pair_index(n)[4], axis=1).reshape((len(M),) + (n,) * 4)
 
 
 def _pair_norm2(M: Array, L: Array) -> Array:
@@ -673,23 +654,24 @@ def volume_element(g: Array) -> Array:
 
 
 def curvature_bundle(g: Array, dg: Array, d2g: Array) -> CurvatureBundle:
+    """The bundle of a packed metric jet [g, dg, d2g]."""
     return _bundle_from_connection(g, dg, d2g, *connection_arrays(g, dg))
 
 
 def _bundle_from_connection(
     g: Array, dg: Array, d2g: Array, ginv: Array, S: Array, Gamma: Array
 ) -> CurvatureBundle:
-    """The bundle of the metric jet [g, dg, d2g] from its connection (ginv,
-    S, Gamma) as :func:`connection_arrays` gives it, or as the order-0 parts
-    of :func:`connection_jet` (the same bits)."""
+    """The bundle of the packed metric jet [g, dg, d2g] from its connection
+    (ginv, S, Gamma) as :func:`connection_arrays` gives it, or as the order-0
+    parts of :func:`connection_jet` (the same bits)."""
     sqrt_det = volume_element(g)
     N, n = g.shape[:2]
-    reads = _pair_index(n)[2]
+    reads, d2_reads = _pair_index(n)[2:4]
     # 2 R_lijk = P_klij - P_jlik (Eisenhart), P_klij = 2 T_lijk = S_qkl Gamma^q_ij
-    # + g_lk,ij - g_ik,lj (g_lk,ij = d2g[a,k,l,i,j]), read on the sorted pairs
+    # + g_lk,ij - g_ik,lj (g_lk,ij = d2g[a,k,l,ij]), read on the sorted pairs
     # (l < i, j < k) only; products and second partials enter as one difference each
-    Q = np.take(contract("aqkl,aqij->aklij", S, Gamma).reshape(N, -1), reads[0], axis=1)
-    D = np.take(d2g.reshape(N, -1), reads, axis=1)
+    Q = np.take(contract("aqkl,aqij->aklij", S, Gamma).reshape(N, -1), reads, axis=1)
+    D = np.take(d2g.reshape(N, -1), d2_reads, axis=1)
     M = 0.5 * ((Q[:, 0] - Q[:, 1]) + ((D[:, 0, 0] - D[:, 1, 0]) - (D[:, 0, 1] - D[:, 1, 1])))
     del Q, D  # freed before Rm4 is built, so they add nothing to its peak
     Rm4 = expand_pairs(M, n)
@@ -704,7 +686,7 @@ def curvature_grid(field: MetricField, X: Array) -> CurvatureBundle:
     """Curvature bundle at a batch of points, in one pass; a reduction over a
     whole grid streams it through :func:`node_blocks` instead."""
     X, _ = _as_batch(X, field.dimension)
-    return curvature_bundle(*field.jet(X, 2))
+    return curvature_bundle(*field.packed_jet(X, 2))
 
 
 def curvature(field: MetricField, x) -> CurvatureBundle:
@@ -749,14 +731,14 @@ def weyl(bundle: CurvatureBundle) -> Array:
 
 def sym_tensor_cov_derivs(field: MetricField, h: SymTensorField, X: Array):
     """(h, Dh, D2h, g, ginv, S, Gamma) at the nodes: Dh[a,i,j,k] = h_ij,k,
-    D2h[a,i,j,k,l] = h_ij,kl, g the metric jet [g, dg, d2g] it evaluated and
-    (ginv, S, Gamma) its connection, from which
+    D2h[a,i,j,k,l] = h_ij,kl, g the packed metric jet [g, dg, d2g] it
+    evaluated and (ginv, S, Gamma) its connection, from which
     ``_bundle_from_connection(*g, ginv, S, Gamma)`` builds the curvature of
     the same nodes without inverting g or combining dg again."""
     X, _ = _as_batch(X, field.dimension)
-    g = field.jet(X, 2)
+    g = field.packed_jet(X, 2)
     ginv, S, Gamma = connection_jet(g)
-    hj = h.jet(X, 2)
+    hj = h.packed_jet(X, 2)
     Dh = covariant_jet(hj, Gamma)
     D2h = covariant_jet(Dh, Gamma)[0]
     return hj[0], Dh[0], D2h, g, ginv[0], S[0], Gamma[0]
@@ -793,8 +775,8 @@ def trace(field: MetricField, h: SymTensorField, x) -> Array:
 def delta_star(field: MetricField, omega: CovectorField, x) -> Array:
     """(delta* w)_ij = -(w_i,j + w_j,i)/2, the L^2 adjoint of the divergence."""
     X, single = _as_batch(x, field.dimension)
-    Gamma = christoffel_arrays(*field.jet(X, 1))
-    Dw = covariant_jet(omega.jet(X, 1), [Gamma])[0]  # Dw[a,i,j] = w_i,j
+    Gamma = christoffel_arrays(*field.packed_jet(X, 1))
+    Dw = covariant_jet(omega.packed_jet(X, 1), [Gamma])[0]  # Dw[a,i,j] = w_i,j
     out = -0.5 * (Dw + np.einsum("aij->aji", Dw))
     return out[0] if single else out
 
@@ -857,9 +839,10 @@ def covariant_hessian_blocks(
 ) -> list[Array]:
     """Second covariant derivatives of several computed fields at once.
 
-    ``inner_fn(Y)`` returns the jet of Gamma it built at the points ``Y``
-    (to order 1 at least) and, for each computed covariant tensor field, its
-    exact jet [T, dT, d2T] there; the connection corrections turn each into
+    ``inner_fn(Y)`` returns the packed jet of Gamma it built at the points
+    ``Y`` (to order 1 at least) and, for each computed covariant tensor
+    field, its exact packed jet [T, dT, d2T] there; the connection
+    corrections turn each into
     nabla nabla T.  Nodes go in blocks of ``HESSIAN_BLOCK``.  Each output
     has shape (N, n^valence, n, n) with the trailing axes ordered (k, l) for
     nabla_l nabla_k.

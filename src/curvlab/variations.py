@@ -98,7 +98,7 @@ def christoffel_variation(base: MetricField, h: SymTensorField, x) -> Array:
     (n,n,n) at a point."""
     X, single = _as_batch(x, base.dimension)
     metric = linear_combination_metric(base, h, 1j * COMPLEX_STEP)
-    out = christoffel_arrays(*metric.jet(X, 1)).imag / COMPLEX_STEP
+    out = christoffel_arrays(*metric.packed_jet(X, 1)).imag / COMPLEX_STEP
     return out[0] if single else out
 
 
@@ -380,6 +380,18 @@ def second_variation_numeric(
     (a_4 t_step^2 / a_2)^2 + eps (|a_0| + |S|) / (t_step^2 max(1, |a_2|)).
     Requires a constant-curvature (hence critical) base.
     """
+    return _second_variation(family, grid, coeff, t_step)
+
+
+def _second_variation(
+    family: PerturbationFamily,
+    grid: QuadratureGrid,
+    coeff: Coefficients,
+    t_step: float,
+    base_sums: dict | None = None,
+) -> D2Numeric:
+    """:func:`second_variation_numeric`, with F and the volume of the base
+    read from ``base_sums``, its :func:`_integrals` on the grid, when given."""
     base, h, n = family.base, family.h, family.base.dimension
     if base.lam is None:
         raise PreconditionError("second variation is evaluated at space-form bases")
@@ -387,7 +399,7 @@ def second_variation_numeric(
         raise PreconditionError(
             f"t_step must be positive with t_step**4 a finite normal float, got {t_step}"
         )
-    sums = _integrals(base, grid, coeff)
+    sums = _integrals(base, grid, coeff) if base_sums is None else base_sums
     a0, vol0 = float(sums["F"]), float(sums["volume"])
 
     def phi(z: complex) -> complex:

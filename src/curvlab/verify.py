@@ -19,7 +19,7 @@ from .fields import (
     random_sphere_sym_tensor,
     wave,
 )
-from .functionals import Coefficients
+from .functionals import Coefficients, _bundle_integrals
 from .spectral import rayleigh_lichnerowicz, s3_invariant_tt, torus_tt_mode
 from .variations import (
     SECOND_VARIATION_STEP,
@@ -27,12 +27,12 @@ from .variations import (
     VariationReport,
     _first_variation_pairing,
     _lagrange_constant,
+    _second_variation,
     conformal_identity_suite,
     conformal_tensor,
     first_variation_numeric,
     gradient_ingredients,
     second_variation_conformal_predicted,
-    second_variation_numeric,
     second_variation_tt_predicted,
     tt_identity_suite,
 )
@@ -109,7 +109,9 @@ def hessian_case(
         predicted = second_variation_conformal_predicted(n, lam, eigenvalue, coeff, f2)
     d1_analytic = _first_variation_pairing(base, ing, grid, coeff)(h)
     d1_numeric = first_variation_numeric(base, grid, h, coeff)
-    d2 = second_variation_numeric(PerturbationFamily(base, h), grid, coeff, t_step)
+    # the base's F and volume from the bundle of its gradient ingredients
+    base_sums = _bundle_integrals(b, grid, coeff)
+    d2 = _second_variation(PerturbationFamily(base, h), grid, coeff, t_step, base_sums)
     c = _lagrange_constant(base, ing, grid, coeff)
     return VariationReport(
         model=model,

@@ -8,6 +8,8 @@ independent symbolic route.  Nothing in ``src/curvlab`` imports sympy.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import sympy as sp
 
@@ -24,13 +26,17 @@ class _SympyJet:
     unique columns of each order into one ``(N, ncols)`` float64 array (a
     column sympy folded to a constant arrives as a scalar and broadcasts)
     and gathers the full index set from it with ``np.take``, so every order
-    comes back C-contiguous.
+    comes back C-contiguous.  A packed call (``packed``, by default the one
+    given at construction) gathers the derivative indices on their sorted
+    multi-indices instead, one trailing axis per order, as a field's
+    ``_jet`` hands them out.
     """
 
-    def __init__(self, coords, exprs: np.ndarray, symmetric: bool, eager: int = 2):
+    def __init__(self, coords, exprs: np.ndarray, symmetric: bool, eager: int = 2, packed=False):
         self.coords = tuple(coords)
         self.shape = exprs.shape
         self.symmetric = symmetric
+        self.packed = packed
         self._exprs = [
             {
                 idx: sp.sympify(exprs[idx])
@@ -39,6 +45,7 @@ class _SympyJet:
             }
         ]
         self._fns: list = []
+        self._index: dict = {}
         self._fn(eager)
 
     def _key(self, idx: tuple) -> tuple:
@@ -46,7 +53,7 @@ class _SympyJet:
         return (tuple(sorted(comp)) if self.symmetric else comp) + tuple(sorted(deriv))
 
     def _fn(self, k: int):
-        """(lambdified unique components, full-index gather map) of order k."""
+        """(lambdified unique components, their keys) of order k."""
         nc = len(self.shape)
         while len(self._fns) <= k:
             m = len(self._fns)
@@ -60,27 +67,39 @@ class _SympyJet:
                     }
                 )
             keys = list(self._exprs[m])
-            col = {key: c for c, key in enumerate(keys)}
-            full = self.shape + (len(self.coords),) * m
-            index = np.empty(full, dtype=np.intp)
-            for idx in np.ndindex(full):
-                index[idx] = col[self._key(idx)]
             exprs = [self._exprs[m][key] for key in keys]
-            self._fns.append((sp.lambdify(self.coords, exprs, modules="numpy"), index))
+            self._fns.append((sp.lambdify(self.coords, exprs, modules="numpy"), keys))
         return self._fns[k]
 
-    def __call__(self, X, order: int) -> list:
+    def _gather(self, k: int, packed: bool) -> np.ndarray:
+        """The unique column of every full (or packed) index of order k."""
+        if (k, packed) not in self._index:
+            col = {key: c for c, key in enumerate(self._fn(k)[1])}
+            n = len(self.coords)
+            derivs = (
+                list(itertools.combinations_with_replacement(range(n), k))
+                if packed
+                else list(np.ndindex((n,) * k))
+            )
+            index = np.array(
+                [[col[self._key(comp + d)] for d in derivs] for comp in np.ndindex(self.shape)]
+            )
+            trailing = ((len(derivs),) if k else ()) if packed else (n,) * k
+            self._index[k, packed] = index.reshape(self.shape + trailing)
+        return self._index[k, packed]
+
+    def __call__(self, X, order: int, packed: bool | None = None) -> list:
+        packed = self.packed if packed is None else packed
         N = X.shape[0]
         args = [X[:, k] for k in range(X.shape[1])]
         out = []
         for k in range(order + 1):
-            fn, index = self._fn(k)
-            vals = fn(*args)
+            vals = self._fn(k)[0](*args)
             cols = np.empty((N, len(vals)))
             for c, v in enumerate(vals):
                 cols[:, c] = v  # a constant column is a scalar and broadcasts
             # take keeps each node's components contiguous, unlike [:, index]
-            out.append(np.take(cols, index, axis=1))
+            out.append(np.take(cols, self._gather(k, packed), axis=1))
         return out
 
 
@@ -95,19 +114,20 @@ def _matrix_exprs(n: int, m: sp.Matrix) -> np.ndarray:
 
 
 def sympy_metric_field(domain, coords, g_expr: sp.Matrix, **meta) -> MetricField:
-    jet = _SympyJet(coords, _matrix_exprs(domain.dimension, g_expr), symmetric=True)
+    jet = _SympyJet(coords, _matrix_exprs(domain.dimension, g_expr), symmetric=True, packed=True)
     return MetricField(domain=domain, _jet=jet, **meta)
 
 
 def sympy_sym_tensor_field(domain, coords, h_expr: sp.Matrix, name: str = "h") -> SymTensorField:
-    jet = _SympyJet(coords, _matrix_exprs(domain.dimension, h_expr), symmetric=True)
+    jet = _SympyJet(coords, _matrix_exprs(domain.dimension, h_expr), symmetric=True, packed=True)
     return SymTensorField(domain=domain, _jet=jet, name=name)
 
 
 def sympy_scalar_field(domain, coords, f_expr, name: str = "f") -> ScalarField:
     exprs = np.empty((), dtype=object)
     exprs[()] = sp.sympify(f_expr)
-    return ScalarField(domain=domain, _jet=_SympyJet(coords, exprs, symmetric=False), name=name)
+    jet = _SympyJet(coords, exprs, symmetric=False, packed=True)
+    return ScalarField(domain=domain, _jet=jet, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from curvlab.charts import build_grid, make_model
 from curvlab.fields import linear_combination_metric, random_torus_metric, random_torus_sym_tensor
 from curvlab.functionals import Coefficients, _integrals, evaluate
 from curvlab.spectral import rayleigh_lichnerowicz, s3_invariant_tt, symmetrization_energies
-from curvlab.variations import COMPLEX_STEP, einstein_criticality_defect
-from curvlab.verify import curvature_case, rayleigh_case
+from curvlab.variations import COMPLEX_STEP, einstein_criticality_defect, gradient_ingredients
+from curvlab.verify import curvature_case, identity_case, rayleigh_case
 
 SMALL_BLOCK = 40  # near-equal blocks of 40 or fewer, none below MATMUL_MIN_BATCH
 
@@ -113,13 +113,47 @@ def _traced_peak_mib(fn) -> float:
 
 # Peaks measured on the default grids (numpy 2.4): 197.0 MiB and 91.6 MiB
 # with one whole-grid curvature pass, 15.7 MiB and 7.7 MiB in node blocks.
+# The TT identity suite peaks at 11.8 MiB with 96-node Hessian blocks of
+# packed jets (10.9 MiB with 64, 13.1 MiB with 128; 12.4 MiB with the
+# full-axis jets in 64-node blocks), so its gate sees a larger block.
 @pytest.mark.parametrize(
     "case, gate_mib",
     [
         (lambda: curvature_case("sphere", 5), 35.0),
         (lambda: rayleigh_case("s3-invariant"), 20.0),
+        (lambda: identity_case("tt"), 12.5),
     ],
-    ids=["curvature-sphere-5", "rayleigh-s3-invariant"],
+    ids=["curvature-sphere-5", "rayleigh-s3-invariant", "identity-tt"],
 )
 def test_whole_grid_reductions_stay_below_their_memory_gate(case, gate_mib):
     assert _traced_peak_mib(case) <= gate_mib
+
+
+def _ingredient_bits(field, X, sizes, monkeypatch):
+    """gradient_ingredients' Lap Ric, Hess R and Lap R on its generic path
+    with covariant_hessian_blocks in blocks of each size."""
+    out = []
+    for size in sizes:
+        monkeypatch.setattr(tensors, "HESSIAN_BLOCK", size)
+        ing = gradient_ingredients(field, X, use_structure=False)
+        out.append([ing[k] for k in ("lap_ric", "hess_R", "lap_R")])
+    return out
+
+
+@pytest.mark.parametrize("complex_step", [False, True], ids=["s3-euler", "complex-step"])
+def test_gradient_ingredients_are_hessian_block_invariant(monkeypatch, euler3, complex_step):
+    # the S^3 Euler grid of the identity suites, real and along the suites'
+    # complex step: the same bits at every block size, the whole grid included
+    grid = build_grid(euler3.domain, (8, 12, 16))
+    field = euler3
+    if complex_step:
+        h = s3_invariant_tt((2.0, -1.0, -1.0))
+        field = linear_combination_metric(euler3, h, 1j * COMPLEX_STEP)
+    sizes = (16, 64, tensors.HESSIAN_BLOCK, grid.node_count)
+    results = _ingredient_bits(field, grid.nodes, sizes, monkeypatch)
+    for size, result in zip(sizes[1:], results[1:]):
+        for a, b in zip(results[0], result):
+            assert a.dtype == b.dtype and np.array_equal(a, b), size
+    lap_ric = results[0][0]
+    # roundoff (real) or the complex step's imaginary part: bits to lose
+    assert np.abs(lap_ric.imag if complex_step else lap_ric).max() > 0

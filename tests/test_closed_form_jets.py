@@ -4,18 +4,28 @@ The built-in fields' jets are sums of products of one-coordinate waves
 (:class:`curvlab.fields.Separable`) or, for the Poincare ball, the jet
 inverse of a quadratic; here each is compared with the partials sympy
 differentiates and lambdifies from the same field's expression, at orders 0
-to 5 and batches 1, 17 and 64, within 1e-14 of the size of each order.
+to 5 and batches 1, 17 and 64, within 1e-14 of the size of each order: the
+packed jet the field hands out, and its full-axis expansion by
+:meth:`curvlab.fields._TensorValuedField.jet`.
 """
 
 import functools
 
 import numpy as np
 import pytest
+import sympy as sp
 
 import sympy_oracle as oracle
 from conftest import random_probes
 from curvlab.charts import make_model, milnor_coframe_exprs
-from curvlab.fields import _SeparableJet, _sphere_embedding_jet, euler_su2_domain, sphere_domain
+from curvlab.fields import (
+    _SeparableJet,
+    _sphere_embedding_jet,
+    _TensorValuedField,
+    euler_su2_domain,
+    sphere_domain,
+    torus_domain,
+)
 from curvlab.spectral import s3_invariant_tt
 from curvlab.verify import s3_first_harmonic, s3_second_harmonic
 
@@ -57,6 +67,11 @@ CASES = {
         )
         for n in (3, 4)
     },
+    "torus-3": (
+        lambda: make_model("torus", 3)._jet,
+        lambda: oracle._SympyJet(sp.symbols("x0:3"), _matrix(3, sp.eye(3)), True),
+        torus_domain(3),
+    ),
     "s3-euler": (
         lambda: make_model("s3-euler", 3, radius=RADIUS)._jet,
         lambda: oracle._SympyJet(*_sym(oracle.euler_su2_metric(RADIUS), 3), True),
@@ -118,17 +133,19 @@ def _oracle(case):
 @pytest.mark.parametrize("case", list(CASES))
 def test_closed_form_jet_matches_the_sympy_oracle(case):
     closed, _, domain = CASES[case]
-    jet, want_jet = closed(), _oracle(case)
+    field = _TensorValuedField(domain, closed())
     # the size of each order: its largest entry over the largest batch, so
     # that a single node near a zero of the field does not set it
     scales = None
     for N in sorted(BATCHES, reverse=True):
         X = random_probes(domain, np.random.default_rng(N), count=N)
-        got, want = jet(X, TOP), want_jet(X, TOP)
-        scales = scales or [float(np.max(np.abs(w))) for w in want]
-        for k, (g, w) in enumerate(zip(got, want)):
-            assert g.shape == w.shape and g.dtype == np.float64 and g.flags.c_contiguous
-            assert np.max(np.abs(g - w)) <= 1e-14 * scales[k], (case, N, k)
+        for packed in (True, False):
+            got = (field.packed_jet if packed else field.jet)(X, TOP)
+            want = _oracle(case)(X, TOP, packed=packed)
+            scales = scales or [float(np.max(np.abs(w))) for w in want]
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert g.shape == w.shape and g.dtype == np.float64 and g.flags.c_contiguous
+                assert np.max(np.abs(g - w)) <= 1e-14 * scales[k], (case, N, k, packed)
 
 
 def test_jets_of_lower_orders_are_the_leading_orders():

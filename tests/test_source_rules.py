@@ -115,3 +115,54 @@ def test_importing_the_package_loads_no_sympy():
         env={"PYTHONPATH": str(SRC.parent)},
     )
     assert out.stdout.strip() == "False"
+
+
+# jets are packed end to end: no module packs a full-axis jet, and a field
+# jet is expanded to full derivative axes in one place only
+PACKERS = {"_pack", "_pack_jet"}
+EXPANDER = "_expand"
+EXPANSION_SITE = "_TensorValuedField.jet"
+
+
+def _named_uses(tree: ast.AST, names: set):
+    """(name, enclosing qualified name, line, is_definition) for every
+    definition of, or reference to, one of the names."""
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if child.name in names:
+                    yield child.name, ".".join(scope), child.lineno, True
+                inner = scope + [child.name]
+            elif isinstance(child, ast.Name) and child.id in names:
+                yield child.id, ".".join(scope), child.lineno, isinstance(child.ctx, ast.Store)
+            elif isinstance(child, ast.Attribute) and child.attr in names:
+                yield child.attr, ".".join(scope), child.lineno, False
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                for alias in child.names:
+                    if alias.name in names:
+                        yield alias.name, ".".join(scope), child.lineno, False
+            yield from walk(child, inner)
+
+    yield from walk(tree, [])
+
+
+def test_jets_are_packed_end_to_end():
+    packers, expansions = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        packers += [(path.name, *use) for use in _named_uses(tree, PACKERS)]
+        expansions += [
+            (path.name, scope, line)
+            for _, scope, line, is_def in _named_uses(tree, {EXPANDER})
+            if not is_def
+        ]
+    assert not packers, f"a full-axis jet is packed in the package: {packers}"
+    assert expansions and all(
+        (f, scope) == ("fields.py", EXPANSION_SITE) for f, scope, _ in expansions
+    ), f"a jet is expanded outside {EXPANSION_SITE}: {expansions}"
+    # the rule sees what it forbids
+    code = "def _pack(T, r): pass\nclass A:\n    def f(self): _pack_jet(x)"
+    found = [(n, s, d) for n, s, _, d in _named_uses(ast.parse(code), PACKERS)]
+    assert found == [("_pack", "", True), ("_pack_jet", "A.f", False)]

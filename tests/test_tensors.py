@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import full_axis
+
 from curvlab.charts import build_grid, make_model
 from curvlab.errors import DegenerateMetricError, DimensionError, PreconditionError
 from curvlab.fields import (
@@ -19,7 +21,7 @@ from curvlab.fields import (
     torus_domain,
     trig_sym_tensor_field,
 )
-from curvlab import tensors
+from curvlab import fields, tensors
 from curvlab.functionals import Coefficients, evaluate
 from curvlab.spectral import s3_invariant_tt, torus_tt_mode
 from curvlab.tensors import (
@@ -81,8 +83,8 @@ def _dgamma_route(g, dg, d2g):
     """(Rm13, Rm4, Ric, R) the classical way, the oracle for the bundle:
     the order-1 connection jet gives dGamma, R^l_ijk = d_j Gamma^l_ik -
     d_k Gamma^l_ij + Gamma^p_ik Gamma^l_jp - Gamma^p_ij Gamma^l_kp, lowered
-    by g, and Ric_ik = R^j_ijk."""
-    ginv, _, (G, dG) = tensors.connection_jet([g, dg, d2g])
+    by g, and Ric_ik = R^j_ijk, from the full-axis metric jet."""
+    ginv, _, (G, dG) = full_axis.connection_jet([g, dg, d2g])
     Rm13 = (
         np.einsum("alikj->alijk", dG)
         - dG
@@ -95,10 +97,9 @@ def _dgamma_route(g, dg, d2g):
 
 def _bundle_vs_dgamma_route(field, X, part=np.real):
     """Largest relative deviation of (Rm13, Rm4, Ric, R) from the oracle."""
-    jet = field.jet(X, 2)
-    b = tensors.curvature_bundle(*jet)
+    b = tensors.curvature_bundle(*field.packed_jet(X, 2))
     assert "Rm13" not in vars(b)  # raised from Rm4 only on demand
-    want = _dgamma_route(*jet)
+    want = _dgamma_route(*field.jet(X, 2))
     got = (b.Rm13, b.Rm4, b.Ric, b.R)
     return max(
         float(np.abs(part(x) - part(y)).max() / np.abs(part(y)).max()) for x, y in zip(got, want)
@@ -135,10 +136,9 @@ def test_pair_matrix_matches_dgamma_route(n, step):
     base = random_torus_metric(n, rng)
     field = linear_combination_metric(base, random_torus_sym_tensor(n, rng), step) if step else base
     X = random_probes(base.domain, rng, count=100)
-    jet = field.jet(X, 2)
     l, i = np.triu_indices(n, 1)
-    want = _dgamma_route(*jet)[1][:, l, i][:, :, l, i]
-    got = tensors.curvature_bundle(*jet).M
+    want = _dgamma_route(*field.jet(X, 2))[1][:, l, i][:, :, l, i]
+    got = tensors.curvature_bundle(*field.packed_jet(X, 2)).M
     assert got.shape == (100, len(l), len(l))
     for part in (np.real, np.imag) if step else (np.real,):
         assert np.abs(part(got) - part(want)).max() <= 1e-13 * np.abs(part(want)).max()
@@ -447,17 +447,16 @@ def _owner_inverse(A):
 
 def _random_symmetric_jet(rng, N, comp, n, order, dtype):
     """[T, dT, ..., d^order T] with random values on the sorted derivative
-    multi-indices, copied to every permutation: exactly symmetric."""
-    jet = []
+    multi-indices: (the packed jet, its full expansion to every permutation,
+    exactly symmetric)."""
+    packed = []
     for r in range(order + 1):
-        sorted_idx = list(itertools.combinations_with_replacement(range(n), r))
-        col = {idx: c for c, idx in enumerate(sorted_idx)}
-        index = np.array([col[tuple(sorted(i))] for i in np.ndindex((n,) * r)]).reshape((n,) * r)
-        vals = rng.standard_normal((N, *comp, len(sorted_idx)))
+        width = len(list(itertools.combinations_with_replacement(range(n), r)))
+        vals = rng.standard_normal((N, *comp) + ((width,) if r else ()))
         if dtype == complex:
             vals = vals + 1j * rng.standard_normal(vals.shape)
-        jet.append(np.take(vals, index, axis=-1))
-    return jet
+        packed.append(vals)
+    return packed, full_axis.expand_jet(packed, n)
 
 
 def _derivative_asymmetry(T, k):
@@ -490,17 +489,20 @@ def test_jet_einsum_matches_owner_expansion(n, dtype):
     sizes = {"n": n, "N": n + 1}
     for N in (1, MATMUL_MIN_BATCH - 1, MATMUL_MIN_BATCH + 1, 64):
         for spec, comps in JET_PRODUCTS:
-            jets = [
+            packed, jets = zip(*(
                 _random_symmetric_jet(rng, N, tuple(sizes[c] for c in comp), n, 4, dtype)
                 for comp in comps
-            ]
-            got = tensors.jet_einsum(spec, *jets)
+            ))
+            got = tensors.jet_einsum(spec, *packed)
             for k, T in enumerate(got):
                 want = _owner_leibniz(spec, jets, k)
-                assert T.shape == want.shape and T.dtype == want.dtype
+                assert T.shape == full_axis.pack(want, k).shape and T.dtype == want.dtype
+                T = full_axis.expand(T, k, n)
                 assert _relative_error(T, want) <= 1e-13, (spec, N, k)
-                assert _derivative_asymmetry(T, k) == 0.0, (spec, N, k)
             assert np.array_equal(got[0], contract(spec, *(j[0] for j in jets)))
+            # the full-axis route: the same bits on every sorted multi-index
+            for k, F in enumerate(full_axis.jet_einsum(spec, *jets)):
+                assert np.array_equal(got[k], full_axis.pack(F, k)), (spec, N, k)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -508,13 +510,16 @@ def test_jet_einsum_matches_owner_expansion(n, dtype):
 def test_jet_inverse_matches_owner_expansion(n, dtype):
     rng = np.random.default_rng(20 * n + (dtype == complex))
     for N in (1, MATMUL_MIN_BATCH - 1, MATMUL_MIN_BATCH + 1, 64):
-        A = _random_symmetric_jet(rng, N, (n, n), n, 4, dtype)
-        A[0] = A[0] + 2 * n * np.eye(n)  # well conditioned
-        got, want = tensors.jet_inverse(A), _owner_inverse(A)
+        packed, A = _random_symmetric_jet(rng, N, (n, n), n, 4, dtype)
+        A[0] = packed[0] = A[0] + 2 * n * np.eye(n)  # well conditioned
+        got, want = tensors.jet_inverse(packed), _owner_inverse(A)
         assert np.array_equal(got[0], want[0])
         for k in range(1, 5):
-            assert _relative_error(got[k], want[k]) <= 1e-13, (N, k)
-            assert _derivative_asymmetry(got[k], k) == 0.0, (N, k)
+            assert got[k].shape == full_axis.pack(want[k], k).shape, (N, k)
+            assert _relative_error(full_axis.expand(got[k], k, n), want[k]) <= 1e-13, (N, k)
+        # the full-axis route: the same bits on every sorted multi-index
+        for k, F in enumerate(full_axis.jet_inverse(A)):
+            assert np.array_equal(got[k], full_axis.pack(F, k)), (N, k)
 
 
 def _polynomial_matrix_jet(rng, X, m, order):
@@ -572,21 +577,26 @@ def test_jet_inverse_of_a_matrix_smaller_than_the_coordinate_count(m, n):
     rng = np.random.default_rng(30 + n)
     X = rng.uniform(-0.3, 0.3, size=(5, n))
     A = _polynomial_matrix_jet(rng, X, m, 3)
-    got, want = tensors.jet_inverse(A), _inverse_by_partitions(A)
+    got = full_axis.expand_jet(tensors.jet_inverse(full_axis.pack_jet(A)), n)
+    want = _inverse_by_partitions(A)
     for k in range(4):
         assert got[k].shape == (5, m, m) + (n,) * k
         assert _relative_error(got[k], want[k]) <= 1e-13, k
     # and the hand formula for 1/u, u = 1 - |x|^2: d2 = 2 delta/u^2 + 2 u_i u_j/u^3
     u = 1.0 - np.einsum("ai,ai->a", X, X)
-    du, d2u = -2.0 * X, np.broadcast_to(-2.0 * np.eye(n), (5, n, n))
+    du, d2u = -2.0 * X, full_axis.pack(np.broadcast_to(-2.0 * np.eye(n), (5, n, n)), 2)
     w = tensors.jet_inverse([t.reshape((5, 1, 1) + t.shape[1:]) for t in (u, du, d2u)])
     hand = 2 * np.eye(n) / u[:, None, None] ** 2 + 2 * np.einsum("ai,aj->aij", du, du) / u[:, None, None] ** 3
-    assert _relative_error(w[2][:, 0, 0], hand) <= 1e-14
+    assert _relative_error(full_axis.expand(w[2][:, 0, 0], 2, n), hand) <= 1e-14
     assert _relative_error(w[1][:, 0, 0], -du / u[:, None] ** 2) <= 1e-15
 
 
 def test_pipeline_jet_partials_are_exactly_symmetric(pipeline_contractions):
-    assert pipeline_contractions[2] == 0.0
+    # the pipeline runs on packed jets, each partial stored once, and
+    # expands none; the one expansion, a field's jet(), is exactly symmetric
+    expansions, asymmetry = pipeline_contractions[2]
+    assert expansions == {"pipeline": 0, "jet()": 5}
+    assert asymmetry == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +612,10 @@ def pipeline_contractions():
     operators and the sphere pullback jet.
 
     Returns ({(spec, ndims): operand shapes} of every contract call,
-    {order: packed product specs of every Leibniz plan}, the largest
-    asymmetry in its derivative axes of a partial the jet algebra expanded).
+    {order: packed product specs of every Leibniz plan}, ({"pipeline": the
+    number of packed partials expanded to full axes in the pipeline calls,
+    "jet()": in the closing call of a field's jet()}, the largest asymmetry
+    in its derivative axes of an expanded partial)).
     """
     from curvlab.fields import random_sphere_sym_tensor
     from curvlab.variations import (
@@ -614,7 +626,8 @@ def pipeline_contractions():
     from curvlab.verify import s3_first_harmonic
 
     seen, planned, asymmetry = {}, {}, [0.0]
-    real, real_plan, real_expand = tensors.contract, tensors._leibniz_plan, tensors._expand
+    expansions, stage = {"pipeline": 0, "jet()": 0}, ["pipeline"]
+    real, real_plan, real_expand = tensors.contract, tensors._leibniz_plan, fields._expand
 
     def spy(spec, *ops):
         shapes = tuple(np.shape(o) for o in ops)
@@ -628,6 +641,7 @@ def pipeline_contractions():
 
     def expand_spy(P, k, n):
         out = real_expand(P, k, n)
+        expansions[stage[0]] += 1
         asymmetry[0] = max(asymmetry[0], _derivative_asymmetry(out, k))
         return out
 
@@ -635,7 +649,7 @@ def pipeline_contractions():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensors, "contract", spy)
         mp.setattr(tensors, "_leibniz_plan", plan_spy)
-        mp.setattr(tensors, "_expand", expand_spy)
+        mp.setattr(fields, "_expand", expand_spy)
         s4 = make_model("sphere", 4)
         evaluate(s4, build_grid(s4.domain, 4), Coefficients(1.0, 1.0))
         pm = random_torus_metric(3, rng)
@@ -650,9 +664,13 @@ def pipeline_contractions():
         divergence(e3, h, X)
         trace(e3, h, X)
         rough_laplacian_tensor(e3, h, X)
-        random_sphere_sym_tensor(3, rng).jet(random_probes(make_model("sphere", 3).domain, rng, 20), 4)
+        pullback = random_sphere_sym_tensor(3, rng)
+        Y = random_probes(make_model("sphere", 3).domain, rng, 20)
+        pullback.packed_jet(Y, 4)
+        stage[0] = "jet()"
+        pullback.jet(Y, 4)
         kulkarni_nomizu(np.eye(3), np.eye(3))
-    return seen, planned, asymmetry[0]
+    return seen, planned, (expansions, asymmetry[0])
 
 
 def _per_node_error(spec, A, B):
@@ -882,7 +900,7 @@ def test_node_blocks_keep_complex_fields(sphere3):
     h = random_torus_sym_tensor(3, np.random.default_rng(43))
     field = linear_combination_metric(sphere3, h, 1e-3j)
     X = random_probes(sphere3.domain, np.random.default_rng(44), count=200)
-    whole = tensors.curvature_bundle(*field.jet(X, 2))
+    whole = tensors.curvature_bundle(*field.packed_jet(X, 2))
     # the norms are computed on first read, so fields() does not list them
     names = [f.name for f in dataclasses.fields(tensors.CurvatureBundle)]
     names += ["normRm2", "normRic2"]

@@ -6,6 +6,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvlab import variations
 from curvlab.charts import build_grid, make_model, sqrt_det_grid, to_unit_volume
 from curvlab.errors import (
     EigenvalueRangeError,
@@ -499,6 +500,38 @@ def test_second_variation_error_estimate(model, s, tau):
     err, est = report.rel_err_d2, report.d2_rel_err_estimate
     # measured est / err from 0.93 to 3.4
     assert err / 30 <= est <= 30 * err
+
+
+def _hessian_inputs(model):
+    """(base, h, grid resolution) of each verify.hessian_case model."""
+    if model == "s3-invariant":
+        return make_model("s3-euler", 3), s3_invariant_tt((2.0, -1.0, -1.0)), (12, 12, 16)
+    base = make_model("torus", 3)
+    if model == "torus-tt":
+        h = torus_tt_mode(3, (1, 0, 0), np.diag([0.0, 1.0, -1.0]))
+    else:
+        h = conformal_tensor(base, cosine_scalar_field(base.domain, (1, 0, 0)))
+    return base, h, (16, 8, 8)
+
+
+@pytest.mark.parametrize("model", HESSIAN_MODELS)
+def test_hessian_case_makes_one_curvature_pass_of_the_base(model, monkeypatch):
+    # F and the volume of the base come from the bundle of its gradient
+    # ingredients, not from a second quadrature pass, with the same bits
+    coeff = Coefficients(0.5, -0.3)
+    integrated, real = [], variations._integrals
+
+    def spy(field, *args, **kwargs):
+        integrated.append(field.name)
+        return real(field, *args, **kwargs)
+
+    monkeypatch.setattr(variations, "_integrals", spy)
+    report = hessian_case(model, coeff)
+    monkeypatch.undo()
+    base, h, res = _hessian_inputs(model)
+    assert len(integrated) == 3 and base.name not in integrated  # d1 and phi(+-w)
+    d2 = second_variation_numeric(PerturbationFamily(base, h), build_grid(base.domain, res), coeff)
+    assert (report.d2_numeric, report.d2_rel_err_estimate) == (d2.value, d2.rel_err_estimate)
 
 
 def test_torus_tt_second_variation(torus3):
