@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import gamma
 from operator import mul
 from typing import Sequence
 
@@ -58,8 +59,6 @@ from .fields import (
 from .tensors import jet_einsum, jet_inverse, volume_element
 
 MIN_RESOLUTION = 4
-
-_SPHERE_VOLUMES = {2: 4 * np.pi, 3: 2 * np.pi**2, 4: 8 * np.pi**2 / 3, 5: np.pi**3}
 
 
 @dataclass(frozen=True)
@@ -137,18 +136,11 @@ def _require_quadrature(field: MetricField):
         )
 
 
-def integrate_density(field: MetricField, grid: QuadratureGrid, density: Array) -> float:
-    """Integral of a pointwise density against the Riemannian volume element.
-
-    Uses numpy's pairwise summation over the fixed node ordering, so results
-    are bit-stable across runs.
-    """
-    _require_quadrature(field)
-    return float(np.sum(grid.weights * sqrt_det_grid(field, grid) * density))
-
-
 def volume(field: MetricField, grid: QuadratureGrid) -> float:
-    return integrate_density(field, grid, np.ones(grid.node_count))
+    """Quadrature volume, numpy's pairwise sum over the fixed node ordering,
+    so results are bit-stable across runs."""
+    _require_quadrature(field)
+    return float(np.sum(grid.weights * sqrt_det_grid(field, grid)))
 
 
 def to_unit_volume(field: MetricField, grid: QuadratureGrid) -> MetricField:
@@ -158,11 +150,8 @@ def to_unit_volume(field: MetricField, grid: QuadratureGrid) -> MetricField:
 
 
 def exact_sphere_volume(n: int, radius: float = 1.0) -> float:
-    if n not in _SPHERE_VOLUMES:
-        from math import gamma
-
-        return float(2 * np.pi ** ((n + 1) / 2) / gamma((n + 1) / 2) * radius**n)
-    return float(_SPHERE_VOLUMES[n] * radius**n)
+    """Vol(S^n of radius r) = 2 pi^((n+1)/2) r^n / Gamma((n+1)/2)."""
+    return float(2 * np.pi ** ((n + 1) / 2) / gamma((n + 1) / 2) * radius**n)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +176,9 @@ def _finite_power(x: float, p: int) -> bool:
 MODEL_CURVATURE_SIGN = {"torus": 0, "sphere": 1, "poincare": -1, "s3-euler": 1}
 
 
-def _torus_model(n: int, lengths: Sequence[float] | None) -> MetricField:
+def _torus_model(n: int) -> MetricField:
     g = {(i, i): 1.0 for i in range(n)}
-    return analytic_metric_field(torus_domain(n, lengths), g, lam=0.0, name=f"flat torus T^{n}")
+    return analytic_metric_field(torus_domain(n), g, lam=0.0, name=f"flat torus T^{n}")
 
 
 def _sphere_model(n: int, radius: float) -> MetricField:
@@ -232,28 +221,15 @@ def _s3_euler_model(radius: float) -> MetricField:
     )
 
 
-def make_model(
-    kind: str,
-    n: int,
-    curvature: int | None = None,
-    radius: float = 1.0,
-    lengths: Sequence[float] | None = None,
-) -> MetricField:
-    """Construct a built-in constant-curvature model metric.
-
-    ``curvature`` is an optional consistency check against the model family
-    (0 torus, +1 spheres, -1 Poincare).  The actual sectional curvature of a
-    radius-r sphere is 1/r^2 and is stored on the returned field.
-    """
+def make_model(kind: str, n: int, radius: float = 1.0) -> MetricField:
+    """Construct a built-in constant-curvature model metric: one of
+    :data:`MODEL_CURVATURE_SIGN` (the unit torus, the Poincare ball chart,
+    and spheres of radius r, whose sectional curvature 1/r^2 is stored on
+    the returned field as ``lam``)."""
     if n < 2:
         raise UnsupportedModelError(f"models need dimension >= 2, got {n}")
     if kind not in MODEL_CURVATURE_SIGN:
         raise UnsupportedModelError(f"unknown model kind {kind!r}")
-    sign = MODEL_CURVATURE_SIGN[kind]
-    if curvature is not None and curvature != sign:
-        raise UnsupportedModelError(
-            f"model {kind!r} has curvature sign {sign}, not {curvature}"
-        )
     if kind == "s3-euler" and n != 3:
         raise UnsupportedModelError("the SU(2) Euler chart requires n = 3")
     if kind in ("torus", "poincare"):
@@ -266,7 +242,7 @@ def make_model(
         )
 
     if kind == "torus":
-        return _torus_model(n, lengths)
+        return _torus_model(n)
     if kind == "sphere":
         return _sphere_model(n, radius)
     if kind == "poincare":

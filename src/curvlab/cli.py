@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -52,6 +53,11 @@ EXIT_TOLERANCE = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a minus and a digit (or a dot and a digit) start a value: -1e-3, -1,2,-1
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with 2 on usage errors; the contract here is 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -277,7 +283,8 @@ def _merge_config(parser, args, defaults, argv: list) -> None:
             raise UsageError(f"unknown config key {key!r} for {args.command}")
         if given & set(action.option_strings):
             continue
-        text = value if isinstance(value, str) else json.dumps(value)
+        items = value if isinstance(value, list) else [value]  # --d and --k take lists
+        text = ",".join(v if isinstance(v, str) else json.dumps(v) for v in items)
         try:
             value = action.type(text) if action.type else text
         except (TypeError, ValueError) as exc:

@@ -95,16 +95,9 @@ class ChartDomain:
         return b[:, 1] - b[:, 0]
 
 
-def torus_domain(n: int, lengths: Sequence[float] | None = None) -> ChartDomain:
-    lengths = [1.0] * n if lengths is None else list(lengths)
-    if len(lengths) != n:
-        raise ConfigurationError("need one length per axis")
-    return ChartDomain(
-        dimension=n,
-        bounds=tuple((0.0, float(L)) for L in lengths),
-        periodic=(True,) * n,
-        kind=TORUS_BOX,
-    )
+def torus_domain(n: int) -> ChartDomain:
+    """The unit box torus [0, 1)^n."""
+    return ChartDomain(n, ((0.0, 1.0),) * n, (True,) * n, TORUS_BOX)
 
 
 def sphere_domain(n: int) -> ChartDomain:
@@ -114,11 +107,10 @@ def sphere_domain(n: int) -> ChartDomain:
     return ChartDomain(n, bounds, periodic, SPHERE_ANGULAR)
 
 
-def poincare_domain(n: int, r_max: float = 0.45) -> ChartDomain:
-    half = r_max / np.sqrt(n)
-    return ChartDomain(
-        n, tuple(((-half, half),) * n), (False,) * n, POINCARE_BALL
-    )
+def poincare_domain(n: int) -> ChartDomain:
+    """The cube inscribed in the ball of radius 0.45 of the Poincare chart."""
+    half = 0.45 / np.sqrt(n)
+    return ChartDomain(n, ((-half, half),) * n, (False,) * n, POINCARE_BALL)
 
 
 def euler_su2_domain() -> ChartDomain:
@@ -320,18 +312,14 @@ def metric_as_sym_tensor(g: MetricField) -> SymTensorField:
     )
 
 
-def linear_combination_metric(
-    base: MetricField, h: SymTensorField, t: float, scale: float = 1.0
-) -> MetricField:
-    """The metric scale*(base + t*h); derivatives combine linearly (a scale
-    of 1 multiplies nothing)."""
+def linear_combination_metric(base: MetricField, h: SymTensorField, t: float) -> MetricField:
+    """The metric base + t*h; derivatives combine linearly."""
     if h.dimension != base.dimension:
         raise DimensionError("perturbation dimension mismatch")
     bj, hj = base._jet, h._jet
 
     def jet(X, order):
-        out = [b + t * d for b, d in zip(bj(X, order), hj(X, order))]
-        return out if scale == 1 else [scale * T for T in out]
+        return [b + t * d for b, d in zip(bj(X, order), hj(X, order))]
 
     return MetricField(
         domain=base.domain,
@@ -596,33 +584,26 @@ def trig_sym_tensor_field(
 
 
 def random_torus_sym_tensor(
-    n: int,
-    rng: np.random.Generator,
-    amplitude: float = 1.0,
-    modes: int = 2,
-    lengths: Sequence[float] | None = None,
+    n: int, rng: np.random.Generator, amplitude: float = 1.0
 ) -> SymTensorField:
-    """Random smooth symmetric tensor field on the unit torus."""
-    dom = torus_domain(n, lengths)
+    """Random smooth symmetric tensor field on the unit torus: two plane
+    waves with random wave vectors in {-2, ..., 2}^n."""
     waves = []
-    for _ in range(modes):
+    for _ in range(2):
         k = np.zeros(n)
         while not k.any():
             k = rng.integers(-2, 3, size=n).astype(float)
         C = rng.standard_normal((n, n))
         S = rng.standard_normal((n, n))
         waves.append((k, amplitude * (C + C.T) / 2, amplitude * (S + S.T) / 2))
-    return trig_sym_tensor_field(dom, waves, name="random torus tensor")
+    return trig_sym_tensor_field(torus_domain(n), waves, name="random torus tensor")
 
 
 def random_torus_metric(
-    n: int,
-    rng: np.random.Generator,
-    amplitude: float = 0.05,
-    modes: int = 2,
+    n: int, rng: np.random.Generator, amplitude: float = 0.05
 ) -> MetricField:
     """Identity metric plus a small random trigonometric perturbation."""
-    pert = random_torus_sym_tensor(n, rng, amplitude=amplitude, modes=modes)
+    pert = random_torus_sym_tensor(n, rng, amplitude=amplitude)
 
     def jet(X, order):
         out = pert._jet(X, order)

@@ -57,8 +57,8 @@ class RayleighReport:
     tt_defect_tr: float
 
 
-def torus_tt_mode(n: int, k, A, lengths=None) -> SymTensorField:
-    """TT Fourier mode h = A cos(2 pi k.x) on the flat torus.
+def torus_tt_mode(n: int, k, A) -> SymTensorField:
+    """TT Fourier mode h = A cos(2 pi k.x) on the flat unit torus.
 
     The constraints tr A = 0 and A k = 0 are checked exactly (integer or
     dyadic-rational inputs incur no rounding).
@@ -76,11 +76,8 @@ def torus_tt_mode(n: int, k, A, lengths=None) -> SymTensorField:
     Ak = A @ k
     if Ak.any():
         raise InvalidModeError(f"A k = {Ak.tolist()} != 0 (transversality)")
-    dom = torus_domain(n, lengths)
-    field = trig_sym_tensor_field(
-        dom, [(k, A, np.zeros((n, n)))], name=f"torus TT mode k={k.astype(int).tolist()}"
-    )
-    return field
+    name = f"torus TT mode k={k.astype(int).tolist()}"
+    return trig_sym_tensor_field(torus_domain(n), [(k, A, np.zeros((n, n)))], name=name)
 
 
 def s3_invariant_tt(d, radius: float = 1.0) -> SymTensorField:

@@ -19,9 +19,10 @@ normalization Ric = (n-1) * lam * g):
   pairs p = (l < i), q = (j < k): the bivector operator ``M[a,p,q]`` =
   R_{l_p i_p j_q k_q}.  Rm4 expands M, so both antisymmetries are exact.
 * Ricci ``Ric[a,i,k] = g^{lj} R_lijk``; scalar ``R = g^{ik} Ric_ik``.
-* A :class:`CurvatureBundle` holds g, g^-1, sqrt(det g), Gamma, M, Rm4, Ric
-  and R; sqrt(det g) comes from :func:`volume_element`, the one positivity
-  test and volume measure, shared with :func:`curvlab.charts.sqrt_det_grid`.
+* A :class:`CurvatureBundle` holds g, g^-1, sqrt(det g), M, Rm4, Ric and
+  R, not the connection that builds M; sqrt(det g) comes from
+  :func:`volume_element`, the one positivity test and volume measure,
+  shared with :func:`curvlab.charts.sqrt_det_grid`.
   The rest is computed on first read and cached on the bundle: the norms
   ``normRm2``, ``normRic2`` and ``normW2`` (read by the functionals and the
   gradient, not by the curvature checks), wedge^2 g and wedge^2 g^-1, the
@@ -435,12 +436,12 @@ def ricci_arrays(field, X: Array, order: int = 0):
 @dataclass
 class CurvatureBundle:
     """Pointwise curvature data; arrays keep the leading node axis.  On a
-    space form M = lam wedge^2 g, the 2x2 minors of g (:func:`bivector_product`)."""
+    space form M = lam wedge^2 g, the 2x2 minors of g (:func:`bivector_product`).
+    The connection that builds M is not kept."""
 
     g: Array
     ginv: Array
     sqrt_det: Array  # (a,) sqrt(det g), the volume element
-    Gamma: Array  # (a,k,i,j)
     M: Array  # (a,p,q) = R_{l_p i_p j_q k_q} on the sorted pairs l < i, j < k
     Rm4: Array  # (a,l,i,j,k) = R_lijk (first kind), the expansion of M
     Ric: Array  # (a,i,k)
@@ -679,7 +680,7 @@ def _bundle_from_connection(
     # adjacent, so the product runs on Rm4's own layout
     Ric = -np.matmul(ginv.reshape(N, 1, 1, n * n), Rm4.reshape(N, n, n * n, n)).reshape(N, n, n)
     R = contract("aik,aik->a", ginv, Ric)
-    return CurvatureBundle(g, ginv, sqrt_det, Gamma, M, Rm4, Ric, R)
+    return CurvatureBundle(g, ginv, sqrt_det, M, Rm4, Ric, R)
 
 
 def curvature_grid(field: MetricField, X: Array) -> CurvatureBundle:

@@ -24,6 +24,11 @@ axis, Im (phi(w) + phi(-w)) / t^2 = phi''(0) + O(t^4), and no difference of
 nearby values cancels digits.  Richardson differences remain only in the
 tests, as oracles.
 
+The gradient's ten terms (A1, Lap Ric, Hess R, Ric^2, B, |Rm|^2 g, Lap R g,
+|Ric|^2 g, R Ric, R^2 g) are written once, in :func:`_gradient_terms`: G
+sums them by the (coefficient, term) rows of :data:`_GRADIENT_ROWS`, and the
+identity suites integrate their complex steps.
+
 Covariant derivatives are taken with the index order h_ij,kl = nabla_l
 nabla_k h_ij.  Quantities that need derivatives of curvature (Lap Ric,
 Hess R) are exact: the jets of the metric to order 4 propagate through the
@@ -35,6 +40,8 @@ corrections to the resulting exact partials.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import add
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -51,6 +58,7 @@ from .fields import (
     linear_combination_metric,
 )
 from .functionals import Coefficients, _integrals
+from .spectral import _require_tt, _tt_defect_arrays
 from .tensors import (
     CurvatureBundle,
     christoffel_arrays,
@@ -140,12 +148,6 @@ class GradientTensor:
 PARALLEL_CURVATURE_TOL = 1e-9
 
 
-def _is_verified_space_form(base: MetricField, bundle: CurvatureBundle) -> bool:
-    """True when the field declares constant curvature and the computed
-    curvature confirms it pointwise to well below working tolerance."""
-    return base.lam is not None and is_space_form(bundle, base.lam, PARALLEL_CURVATURE_TOL)[0]
-
-
 def gradient_ingredients(
     base: MetricField, X: Array, use_structure: bool = True
 ) -> dict:
@@ -166,7 +168,8 @@ def gradient_ingredients(
     X, _ = _as_batch(X, base.dimension)
     bundle = curvature_grid(base, X)
     ginv = bundle.ginv
-    if use_structure and _is_verified_space_form(base, bundle):
+    lam = base.lam
+    if use_structure and lam is not None and is_space_form(bundle, lam, PARALLEL_CURVATURE_TOL)[0]:
         N, n = X.shape
         lap_ric = np.zeros((N, n, n))
         hess_R = np.zeros((N, n, n))
@@ -180,41 +183,49 @@ def gradient_ingredients(
         lap_ric = contract("akl,aijkl->aij", ginv, ric_hess)
         hess_R = r_hess
         lap_R = contract("aik,aik->a", ginv, hess_R)
+    return {"bundle": bundle, "lap_ric": lap_ric, "hess_R": hess_R, "lap_R": lap_R}
+
+
+def _gradient_terms(ing: dict) -> dict[str, Array]:
+    """The ten terms of the gradient by name, from one set of gradient
+    ingredients: the one place each term is written."""
+    b: CurvatureBundle = ing["bundle"]
+    g = b.g
     return {
-        "bundle": bundle,
-        "lap_ric": lap_ric,
-        "hess_R": hess_R,
-        "lap_R": lap_R,
+        "riemann_product": b.A1,
+        "ricci_laplacian": ing["lap_ric"],
+        "scalar_hessian": ing["hess_R"],
+        "ricci_square": b.ric2,
+        "ricci_riemann": b.B,
+        "riem_norm_metric": b.normRm2[:, None, None] * g,
+        "scalar_laplacian_metric": ing["lap_R"][:, None, None] * g,
+        "ricci_norm_metric": b.normRic2[:, None, None] * g,
+        "scalar_ricci": b.R[:, None, None] * b.Ric,
+        "scalar_square_metric": (b.R**2)[:, None, None] * g,
     }
 
 
+# (coefficient, term) rows of each energy's gradient, in summation order
+_GRADIENT_ROWS = {
+    "grad_riemann": ((-2, "riemann_product"), (2, "scalar_hessian"), (-4, "ricci_laplacian"),
+                     (-4, "ricci_riemann"), (4, "ricci_square"), (0.5, "riem_norm_metric")),
+    "grad_ricci": ((-1, "ricci_laplacian"), (-2, "ricci_riemann"), (1, "scalar_hessian"),
+                   (-0.5, "scalar_laplacian_metric"), (0.5, "ricci_norm_metric")),
+    "grad_scalar": ((2, "scalar_hessian"), (-2, "scalar_laplacian_metric"),
+                    (-2, "scalar_ricci"), (0.5, "scalar_square_metric")),
+}
+
+
 def _gradient_parts(ing: dict, coeff: Coefficients) -> GradientTensor:
-    """The gradient G = gR + s gRic + tau gS of F, the one place its terms
-    are written."""
-    b: CurvatureBundle = ing["bundle"]
-    g = b.g
-    gR = (
-        -2 * b.A1
-        + 2 * ing["hess_R"]
-        - 4 * ing["lap_ric"]
-        - 4 * b.B
-        + 4 * b.ric2
-        + 0.5 * b.normRm2[:, None, None] * g
-    )
-    gRic = (
-        -ing["lap_ric"]
-        - 2 * b.B
-        + ing["hess_R"]
-        - 0.5 * ing["lap_R"][:, None, None] * g
-        + 0.5 * b.normRic2[:, None, None] * g
-    )
-    gS = (
-        2 * ing["hess_R"]
-        - 2 * ing["lap_R"][:, None, None] * g
-        - 2 * b.R[:, None, None] * b.Ric
-        + 0.5 * (b.R**2)[:, None, None] * g
-    )
-    return GradientTensor(gR, gRic, gS, gR + coeff.s * gRic + coeff.tau * gS)
+    """The gradient G = gR + s gRic + tau gS of F, each part summed from its
+    first row on (no 0 + to flip the sign of a zero)."""
+    terms = _gradient_terms(ing)
+    parts = {
+        part: reduce(add, (c * terms[name] for c, name in rows))
+        for part, rows in _GRADIENT_ROWS.items()
+    }
+    gR, gRic, gS = parts.values()
+    return GradientTensor(**parts, grad_total=gR + coeff.s * gRic + coeff.tau * gS)
 
 
 def gradient_tensor(base: MetricField, x, coeff: Coefficients) -> GradientTensor:
@@ -356,8 +367,7 @@ class PerturbationFamily:
     def metric_at(self, t: float, grid: QuadratureGrid) -> MetricField:
         if t == 0.0:
             return self.base
-        a = self.scale_factor(t, grid)
-        return linear_combination_metric(self.base, self.h, t, scale=a)
+        return linear_combination_metric(self.base, self.h, t).rescaled(self.scale_factor(t, grid))
 
 
 class D2Numeric(NamedTuple):
@@ -494,9 +504,10 @@ def _suite_sides(
     the gradient, and (int |h|^2, int <h, Lap h>, int |Lap h|^2), from h, its
     second covariant derivative D2h and g^-1 on the grid nodes.
 
-    Each T' is the complex step Im T(g + i eps h) / eps, all ten from one
-    :func:`gradient_ingredients` pass on the complex metric (its generic
-    path: the complex metric declares no space form).  Lap R g enters as
+    Each T' is the complex step Im T(g + i eps h) / eps of a term of
+    :func:`_gradient_terms`, all ten from one :func:`gradient_ingredients`
+    pass on the complex metric (its generic path: the complex metric
+    declares no space form).  The one term replaced here, Lap R g, enters as
     (g^{ik} (Hess R)'_ik) g, its prime at a space form, where Lap R =
     Hess R = 0: Im(Lap R g) / eps would also carry the generic path's
     roundoff in Lap R (about 3e-7 at the near-pole nodes) through Lap R h.
@@ -513,19 +524,10 @@ def _suite_sides(
     def integral(S, T) -> float:
         return float(np.sum(measure * inner_02(S, T, ginv)))
 
-    terms = {
-        "riemann_product": b.A1,
-        "ricci_laplacian": ing["lap_ric"],
-        "scalar_hessian": ing["hess_R"],
-        "ricci_square": b.ric2,
-        "ricci_riemann": b.B,
-        "riem_norm_metric": b.normRm2[:, None, None] * b.g,
-        "scalar_laplacian_metric": contract("aik,aik->a", ginv, ing["hess_R"])[:, None, None]
-        * b.g.real,
-        "ricci_norm_metric": b.normRic2[:, None, None] * b.g,
-        "scalar_ricci": b.R[:, None, None] * b.Ric,
-        "scalar_square_metric": (b.R**2)[:, None, None] * b.g,
-    }
+    terms = _gradient_terms(ing)
+    terms["scalar_laplacian_metric"] = (
+        contract("aik,aik->a", ginv, ing["hess_R"])[:, None, None] * b.g.real
+    )
     lhs = {k: integral(T.imag / COMPLEX_STEP, hv) for k, T in terms.items()}
     lap_h = contract("akl,aijkl->aij", ginv, D2h)
     return lam, lhs, (integral(hv, hv), integral(lap_h, hv), integral(lap_h, lap_h))
@@ -542,24 +544,22 @@ def tt_identity_suite(
     the suite returns the directly computed and closed-form values side by
     side.
     """
-    from .spectral import _require_tt, _tt_defect_arrays
-
     hv, Dh, D2h, _, ginv, *_ = sym_tensor_cov_derivs(base, h, grid.nodes)
     _require_tt(*_tt_defect_arrays(hv, Dh, ginv), "suite requires a TT field")
     lam, lhs, (nrm, ihl, ihl2) = _suite_sides(base, h, grid, hv, D2h, ginv)
     n = base.dimension
-    rhs = {
-        "riemann_product": 2 * (n + 1) * lam**2 * nrm - 2 * lam * ihl,
-        "ricci_laplacian": -0.5 * ihl2 + lam * ihl,
-        "scalar_hessian": 0.0,
-        "ricci_square": (n**2 - 1) * lam**2 * nrm - (n - 1) * lam * ihl,
-        "ricci_riemann": (n**2 - n - 1) * lam**2 * nrm - 0.5 * (n - 2) * lam * ihl,
-        "riem_norm_metric": 2 * lam**2 * n * (n - 1) * nrm,
-        "scalar_laplacian_metric": 0.0,
-        "ricci_norm_metric": lam**2 * n * (n - 1) ** 2 * nrm,
-        "scalar_ricci": lam**2 * n**2 * (n - 1) * nrm - 0.5 * lam * n * (n - 1) * ihl,
-        "scalar_square_metric": lam**2 * n**2 * (n - 1) ** 2 * nrm,
-    }
+    rhs = dict(
+        riemann_product=2 * (n + 1) * lam**2 * nrm - 2 * lam * ihl,
+        ricci_laplacian=-0.5 * ihl2 + lam * ihl,
+        scalar_hessian=0.0,
+        ricci_square=(n**2 - 1) * lam**2 * nrm - (n - 1) * lam * ihl,
+        ricci_riemann=(n**2 - n - 1) * lam**2 * nrm - 0.5 * (n - 2) * lam * ihl,
+        riem_norm_metric=2 * lam**2 * n * (n - 1) * nrm,
+        scalar_laplacian_metric=0.0,
+        ricci_norm_metric=lam**2 * n * (n - 1) ** 2 * nrm,
+        scalar_ricci=lam**2 * n**2 * (n - 1) * nrm - 0.5 * lam * n * (n - 1) * ihl,
+        scalar_square_metric=lam**2 * n**2 * (n - 1) ** 2 * nrm,
+    )
     return _checks(lhs, rhs)
 
 
@@ -574,25 +574,25 @@ def conformal_identity_suite(
     n = base.dimension
     # |f g|^2 = n f^2 and Lap(f g) = (Lap f) g
     f2, f_lap, f_lap2 = (v / n for v in h_integrals)
-    rhs = {
-        "riemann_product": -2 * lam**2 * n * (n - 1) * f2 - 4 * lam * (n - 1) * f_lap,
-        "ricci_laplacian": -(n - 1) * f_lap2 - lam * n * (n - 1) * f_lap,
-        "scalar_hessian": -(n - 1) * f_lap2 - lam * n * (n - 1) * f_lap,
-        "ricci_square": -(lam**2) * n * (n - 1) ** 2 * f2
+    rhs = dict(
+        riemann_product=-2 * lam**2 * n * (n - 1) * f2 - 4 * lam * (n - 1) * f_lap,
+        ricci_laplacian=-(n - 1) * f_lap2 - lam * n * (n - 1) * f_lap,
+        scalar_hessian=-(n - 1) * f_lap2 - lam * n * (n - 1) * f_lap,
+        ricci_square=-(lam**2) * n * (n - 1) ** 2 * f2
         - 2 * lam * (n - 1) ** 2 * f_lap,
-        "ricci_riemann": -(lam**2) * n * (n - 1) ** 2 * f2
+        ricci_riemann=-(lam**2) * n * (n - 1) ** 2 * f2
         - 2 * lam * (n - 1) ** 2 * f_lap,
-        "riem_norm_metric": -2 * lam**2 * n**2 * (n - 1) * f2
+        riem_norm_metric=-2 * lam**2 * n**2 * (n - 1) * f2
         - 4 * lam * n * (n - 1) * f_lap,
-        "scalar_laplacian_metric": -n * (n - 1) * f_lap2
+        scalar_laplacian_metric=-n * (n - 1) * f_lap2
         - lam * n**2 * (n - 1) * f_lap,
-        "ricci_norm_metric": -(lam**2) * n**2 * (n - 1) ** 2 * f2
+        ricci_norm_metric=-(lam**2) * n**2 * (n - 1) ** 2 * f2
         - 2 * lam * n * (n - 1) ** 2 * f_lap,
-        "scalar_ricci": -(lam**2) * n**2 * (n - 1) ** 2 * f2
+        scalar_ricci=-(lam**2) * n**2 * (n - 1) ** 2 * f2
         - 2 * lam * n * (n - 1) ** 2 * f_lap,
-        "scalar_square_metric": -(lam**2) * n**3 * (n - 1) ** 2 * f2
+        scalar_square_metric=-(lam**2) * n**3 * (n - 1) ** 2 * f2
         - 2 * lam * n**2 * (n - 1) ** 2 * f_lap,
-    }
+    )
     return _checks(lhs, rhs)
 
 

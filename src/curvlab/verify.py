@@ -61,14 +61,15 @@ _X1 = wave(0, 0.5) * (wave(1, 0.5) * wave(2, 0.5) - wave(1, 0.5, 3) * wave(2, 0.
 _STANDARD_TT = (2.0, -1.0, -1.0)
 
 
-def s3_first_harmonic(radius: float = 1.0) -> ScalarField:
-    """x1: a first spherical harmonic on the Euler chart of any radius r,
-    -Lap f = (n / r^2) f, mean zero."""
+def s3_first_harmonic() -> ScalarField:
+    """x1, a function of the angles only: a first spherical harmonic on the
+    Euler chart of every radius r, -Lap f = (3 / r^2) f, mean zero."""
     return analytic_scalar_field(euler_su2_domain(), _X1, name="S^3 harmonic l=1")
 
 
-def s3_second_harmonic(radius: float = 1.0) -> ScalarField:
-    """x1^2 - 1/4 on the unit S^3; -Lap f = 8 f, mean zero."""
+def s3_second_harmonic() -> ScalarField:
+    """x1^2 - 1/4, a second spherical harmonic on the Euler chart of every
+    radius r, -Lap f = (8 / r^2) f, mean zero."""
     return analytic_scalar_field(euler_su2_domain(), _X1 * _X1 - 0.25, name="S^3 harmonic l=2")
 
 

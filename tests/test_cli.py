@@ -356,3 +356,55 @@ def test_reports_are_the_same_bytes_on_a_repeat_in_one_process(argv, tmp_path):
         assert run(argv + ["--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1] and reports[0]
+
+
+CLASSIFY = ["classify", "--n", "4", "--lambda", "-1", "--mode", "conformal", "--s", "0.5"]
+ATLAS = ["atlas", "--n", "3", "--lambda", "1", "--mode", "tt", "--s-max", "0",
+         "--tau-min", "0", "--tau-max", "2", "--res", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (CLASSIFY, "--tau", "-1e-3"),
+        (["verify-hessian", "--model", "torus-tt"], "--s", "-2.5E-1"),
+        (ATLAS, "--s-min", "-1e1"),
+        (["rayleigh", "--res", "8"], "--d", "-1,2,-1"),
+        (["rayleigh", "--model", "torus-tt", "--res", "8"], "--k", "-1,0,0"),
+    ],
+)
+def test_negative_values_read_as_values(argv, flag, value, capsys):
+    # a minus and a digit start a value, however the number goes on: the same
+    # bytes as the --flag=value spelling
+    reports = []
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        assert run([*argv, *spelling]) == 0, capsys.readouterr().err
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and reports[0]
+
+
+def test_a_flag_after_a_flag_is_still_a_usage_error(capsys):
+    for value in ("-x", "--s", "-e1"):
+        assert run([*CLASSIFY, "--tau", value]) == 1
+        assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, key, items",
+    [
+        (["rayleigh", "--res", "8"], "d", [1, -2, 1]),
+        (["rayleigh", "--res", "8"], "d", [0.5, -1.5, 1]),
+        (["rayleigh", "--model", "torus-tt", "--res", "8"], "k", [-1, 0, 0]),
+    ],
+)
+def test_config_lists_read_as_comma_separated_values(argv, key, items, tmp_path, capsys):
+    text = ",".join(json.dumps(v) for v in items)
+    reports = []
+    for value in (items, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(["--config", str(cfg), *argv]) == 0, capsys.readouterr().err
+        reports.append(capsys.readouterr().out)
+    assert run([*argv, f"--{key}={text}"]) == 0
+    reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2] and reports[0]

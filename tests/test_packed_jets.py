@@ -134,17 +134,19 @@ def _kinds():
     A0, A1 = rng.standard_normal((4, 4)), rng.standard_normal((4, 4, 4))
     P0, P1 = 0.3 * (A0 + A0.T) / 2, 0.3 * (A1 + A1.transpose(1, 0, 2)) / 2
     out["pullback"] = (pull, _pullback_full(3, P0, P1))
-    for name, t, scale in (
-        ("linear combination", 0.2, 1.5),
-        ("linear combination, scale 1", 0.2, 1.0),
-        ("complex step", 1j * COMPLEX_STEP, 1.0),
-    ):
+    for name, t in (("linear combination, scale 1", 0.2), ("complex step", 1j * COMPLEX_STEP)):
         out[name] = (
-            linear_combination_metric(sphere3, pull, t, scale),
-            lambda X, order, t=t, scale=scale: [
-                scale * (b + t * d) for b, d in zip(sphere3.jet(X, order), pull.jet(X, order))
+            linear_combination_metric(sphere3, pull, t),
+            lambda X, order, t=t: [
+                b + t * d for b, d in zip(sphere3.jet(X, order), pull.jet(X, order))
             ],
         )
+    out["linear combination"] = (
+        linear_combination_metric(sphere3, pull, 0.2).rescaled(1.5),
+        lambda X, order: [
+            1.5 * (b + 0.2 * d) for b, d in zip(sphere3.jet(X, order), pull.jet(X, order))
+        ],
+    )
     tt3 = s3_invariant_tt((2.0, -1.0, -1.0))
     out["rescaled"] = (
         euler3.rescaled(2.0), lambda X, order: [2.0 * T for T in euler3.jet(X, order)]

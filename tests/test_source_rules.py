@@ -3,9 +3,11 @@
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import curvlab
+from curvlab.variations import _GRADIENT_ROWS
 
 SRC = Path(curvlab.__file__).parent
 
@@ -166,3 +168,50 @@ def test_jets_are_packed_end_to_end():
     code = "def _pack(T, r): pass\nclass A:\n    def f(self): _pack_jet(x)"
     found = [(n, s, d) for n, s, _, d in _named_uses(ast.parse(code), PACKERS)]
     assert found == [("_pack", "", True), ("_pack_jet", "A.f", False)]
+
+
+# the gradient's ten terms are named in three places only: where each is
+# written (_gradient_terms), the table of each energy's coefficients
+# (_GRADIENT_ROWS) and the one term the identity suites replace (_suite_sides)
+TERM_NAMES = {name for rows in _GRADIENT_ROWS.values() for _, name in rows}
+
+
+def _term_name_sites(tree: ast.AST):
+    """(enclosing name, line) for every string constant that names a gradient
+    term; a module-level assignment encloses its value under its target's name."""
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif isinstance(child, ast.Assign) and not scope:
+                inner = [t.id for t in child.targets if isinstance(t, ast.Name)][:1]
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                if child.value in TERM_NAMES:
+                    yield ".".join(scope), child.lineno
+            yield from walk(child, inner)
+
+    yield from walk(tree, [])
+
+
+def test_gradient_terms_are_named_in_three_places():
+    sites = Counter(
+        (path.name, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, _ in _term_name_sites(ast.parse(path.read_text()))
+    )
+    assert len(TERM_NAMES) == 10
+    assert sites == {
+        ("variations.py", "_gradient_terms"): 10,
+        ("variations.py", "_GRADIENT_ROWS"): sum(len(rows) for rows in _GRADIENT_ROWS.values()),
+        ("variations.py", "_suite_sides"): 1,
+    }, sites
+    # the rule sees the names it confines
+    code = (
+        "ROWS = ('scalar_ricci',)\n"
+        "def _suite_sides():\n    t['ricci_square'] = 0\n    t['ricci_riemann'] = 1\n"
+        "class A:\n    def suite(self):\n        return {'riemann_product': 0, 'other': 1}\n"
+    )
+    found = [scope for scope, _ in _term_name_sites(ast.parse(code))]
+    assert found == ["ROWS", "_suite_sides", "_suite_sides", "A.suite"]

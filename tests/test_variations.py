@@ -58,7 +58,13 @@ from curvlab.variations import (
     second_variation_tt_predicted,
     tt_identity_suite,
 )
-from curvlab.verify import HESSIAN_MODELS, hessian_case, s3_first_harmonic, s3_second_harmonic
+from curvlab.verify import (
+    HESSIAN_MODELS,
+    gradient_case,
+    hessian_case,
+    s3_first_harmonic,
+    s3_second_harmonic,
+)
 
 import sympy_oracle
 from conftest import random_probes
@@ -229,6 +235,80 @@ def test_gradient_vanishes_at_n4_space_form(sphere4):
     X = random_probes(sphere4.domain, np.random.default_rng(31), count=4)
     G = gradient_tensor(sphere4, X, Coefficients(0.7, 0.3)).grad_total
     assert np.abs(G).max() < 1e-8
+
+
+def _explicit_gradient_parts(ing, coeff):
+    """The gradient as its terms were once written out by hand, each energy
+    one expression: the oracle of the term table."""
+    b = ing["bundle"]
+    g = b.g
+    gR = (
+        -2 * b.A1
+        + 2 * ing["hess_R"]
+        - 4 * ing["lap_ric"]
+        - 4 * b.B
+        + 4 * b.ric2
+        + 0.5 * b.normRm2[:, None, None] * g
+    )
+    gRic = (
+        -ing["lap_ric"]
+        - 2 * b.B
+        + ing["hess_R"]
+        - 0.5 * ing["lap_R"][:, None, None] * g
+        + 0.5 * b.normRic2[:, None, None] * g
+    )
+    gS = (
+        2 * ing["hess_R"]
+        - 2 * ing["lap_R"][:, None, None] * g
+        - 2 * b.R[:, None, None] * b.Ric
+        + 0.5 * (b.R**2)[:, None, None] * g
+    )
+    return gR, gRic, gS, gR + coeff.s * gRic + coeff.tau * gS
+
+
+@pytest.mark.parametrize("use_structure", [True, False])
+@pytest.mark.parametrize("kind", ["random torus metric", "sphere", "torus", "s3-euler"])
+def test_gradient_parts_are_the_explicit_sums_bit_for_bit(kind, use_structure):
+    # the table's rows, summed from the first, give the same bits as the
+    # explicit expressions, signs of zeros included (flat T^3 is all zeros)
+    if kind == "random torus metric":
+        base = random_torus_metric(3, np.random.default_rng(3))
+    else:
+        base = make_model(kind, 3)
+    X = random_probes(base.domain, np.random.default_rng(4), count=24)
+    coeff = Coefficients(0.7, -0.4)
+    ing = gradient_ingredients(base, X, use_structure=use_structure)
+    got = _gradient_parts(ing, coeff)
+    for name, want in zip(
+        ("grad_riemann", "grad_ricci", "grad_scalar", "grad_total"),
+        _explicit_gradient_parts(ing, coeff),
+    ):
+        assert getattr(got, name).tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("part", list(variations._GRADIENT_ROWS))
+def test_changing_one_table_coefficient_fails_the_gradient_check(part, monkeypatch):
+    # the table is what G sums: a wrong coefficient on a term that is nonzero
+    # on S^3 (the last row of each energy, a multiple of g) fails every row
+    coeff = Coefficients(0.7, -0.4)
+    rows = gradient_case("s3", 3, coeff, count=3, seed=1)
+    assert all(r["rel_err"] <= 1e-4 for r in rows)
+    *head, (c, name) = variations._GRADIENT_ROWS[part]
+    monkeypatch.setitem(variations._GRADIENT_ROWS, part, (*head, (c + 0.5, name)))
+    rows = gradient_case("s3", 3, coeff, count=3, seed=1)
+    assert all(r["rel_err"] > 1e-4 for r in rows), rows
+
+
+def test_identity_suites_check_the_terms_of_the_table(euler3):
+    table = [name for rows in variations._GRADIENT_ROWS.values() for _, name in rows]
+    grid = build_grid(euler3.domain, (6, 8, 8))
+    terms = variations._gradient_terms(gradient_ingredients(euler3, grid.nodes[:4]))
+    assert set(table) == set(terms) and len(terms) == 10
+    for checks in (
+        tt_identity_suite(euler3, s3_invariant_tt((2.0, -1.0, -1.0)), grid),
+        conformal_identity_suite(euler3, s3_first_harmonic(), grid),
+    ):
+        assert [c.name for c in checks] == list(terms)
 
 
 def test_generic_curvature_derivatives_vanish_on_space_form(euler3, euler3_grid):
