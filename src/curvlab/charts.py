@@ -45,10 +45,10 @@ from .fields import (
     ChartDomain,
     MetricField,
     Separable,
-    _SeparableJet,
     _multi_index_counts,
     _packed_axes,
     _separable,
+    _separable_jet,
     analytic_metric_field,
     euler_su2_domain,
     poincare_domain,
@@ -56,7 +56,7 @@ from .fields import (
     torus_domain,
     wave,
 )
-from .tensors import jet_einsum, jet_inverse, volume_element
+from .tensors import jet_einsum, jet_solve, volume_element
 
 MIN_RESOLUTION = 4
 
@@ -191,8 +191,8 @@ def _sphere_model(n: int, radius: float) -> MetricField:
 
 
 def _poincare_model(n: int) -> MetricField:
-    """g = 4 delta (1/u)^2, u = 1 - |x|^2: 1/u is the jet inverse of the
-    1x1 jet of u, written out, and its square one jet product."""
+    """g = 4 delta (1/u)^2, u = 1 - |x|^2: 1/u solves u w = 1 on the 1x1 jet
+    of u, written out, and its square is one jet product."""
     # d^2 u = -2 delta, packed: 1 on the multi-indices (i, i), 0 elsewhere
     diagonal = (_multi_index_counts(n, 2).max(axis=1) == 2).astype(float)
 
@@ -200,7 +200,8 @@ def _poincare_model(n: int) -> MetricField:
         N = X.shape[0]
         u = [1.0 - np.einsum("ai,ai->a", X, X), -2.0 * X, np.tile(-2.0 * diagonal, (N, 1))]
         u += [np.zeros((N,) + _packed_axes(n, k)) for k in range(3, order + 1)]
-        w = jet_inverse([t.reshape((N, 1, 1) + t.shape[1:]) for t in u[: order + 1]])
+        u = [t.reshape((N, 1, 1) + t.shape[1:]) for t in u[: order + 1]]
+        w = jet_solve(u, [np.ones((N, 1, 1))], "aij,ajk->aik")
         w2 = jet_einsum("aij,ajk->aik", w, w)
         g = [np.zeros((N, n * n) + t.shape[3:]) for t in w2]
         for out, t in zip(g, w2):
@@ -272,7 +273,7 @@ def milnor_coframe(points: Array, radius: float = 1.0) -> Array:
     """``W[a, i, mu]``: the components of the i-th coframe 1-form of
     :func:`milnor_coframe_exprs` at the points."""
     w = milnor_coframe_exprs(radius)
-    jet = _SeparableJet(3, {(i, mu): w[i][mu] for i in range(3) for mu in range(3)}, (3, 3), False)
+    jet = _separable_jet(3, {(i, mu): w[i][mu] for i in range(3) for mu in range(3)}, (3, 3), False)
     return jet(np.atleast_2d(np.asarray(points, dtype=float)), 0)[0]
 
 

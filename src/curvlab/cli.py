@@ -14,10 +14,11 @@ exit 1 with one ``error:`` line.
 ``--config`` names a JSON object of defaults for the subcommand's flags
 (keys as the flag names, e.g. ``"lambda"``, ``"s-min"``); values pass
 through the same type conversion and choices as on the command line, and an
-unknown key is a usage error.  Float flags accept finite values only, and
-``--tol`` no negative one.  The computations are vectorized numpy; cap the
-BLAS thread pool with ``OMP_NUM_THREADS`` in the environment before starting
-the process.
+unknown key is a usage error; a flag given on the command line wins.  Flags
+are spelled in full (``--ta`` for ``--tau`` is a usage error).  Float flags
+accept finite values only, and ``--tol`` no negative one.  The computations
+are vectorized numpy; cap the BLAS thread pool with ``OMP_NUM_THREADS`` in
+the environment before starting the process.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ EXIT_TOLERANCE = 2
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # no abbreviated flags: _merge_config knows a flag was given only by
+        # its full option string, so a config value would override --ta 5
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # a minus and a digit (or a dot and a digit) start a value: -1e-3, -1,2,-1
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 

@@ -349,7 +349,8 @@ def linear_combination_metric(base: MetricField, h: SymTensorField, t: float) ->
 # identically zero, sorted by the unique partial it sums into, and one index
 # from every component and packed multi-index to that sum.  A call then
 # takes a fixed handful of numpy operations per order, none a loop over
-# multi-indices.
+# multi-indices.  Fields with the same entries share one jet, and so its
+# plans (:func:`_separable_jet`).
 
 
 @dataclass(frozen=True)
@@ -511,21 +512,35 @@ class _SeparableJet:
         return out
 
 
+# Making the 10 plans of an identity case's fields took 2-3 ms of its 130-150.
+@lru_cache(maxsize=64)
+def _shared_separable_jet(n: int, entries: tuple, shape: tuple, symmetric: bool) -> _SeparableJet:
+    return _SeparableJet(n, dict(entries), shape, symmetric)
+
+
+def _separable_jet(n: int, entries: dict, shape: tuple, symmetric: bool) -> _SeparableJet:
+    """The :class:`_SeparableJet` of the entries, one per (n, entries, shape,
+    symmetric): :class:`Separable` is frozen and hashable, and a jet's plans
+    are published with one assignment, so fields may share it."""
+    key = tuple(sorted((c, _separable(e)) for c, e in entries.items()))
+    return _shared_separable_jet(n, key, tuple(shape), symmetric)
+
+
 def analytic_metric_field(domain: ChartDomain, entries: dict, **meta) -> MetricField:
     """Metric from its upper-triangle components, {(i, j): Separable} with
     i <= j (absent ones zero), with closed-form jets."""
-    jet = _SeparableJet(domain.dimension, entries, (domain.dimension,) * 2, symmetric=True)
+    jet = _separable_jet(domain.dimension, entries, (domain.dimension,) * 2, symmetric=True)
     return MetricField(domain=domain, _jet=jet, **meta)
 
 
 def analytic_sym_tensor_field(domain: ChartDomain, entries: dict, name="h") -> SymTensorField:
     """Symmetric 2-tensor from its components as analytic_metric_field reads them."""
-    jet = _SeparableJet(domain.dimension, entries, (domain.dimension,) * 2, symmetric=True)
+    jet = _separable_jet(domain.dimension, entries, (domain.dimension,) * 2, symmetric=True)
     return SymTensorField(domain=domain, _jet=jet, name=name)
 
 
 def analytic_scalar_field(domain: ChartDomain, f: Separable, name="f") -> ScalarField:
-    return ScalarField(domain, _SeparableJet(domain.dimension, {(): f}, (), False), name)
+    return ScalarField(domain, _separable_jet(domain.dimension, {(): f}, (), False), name)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +645,7 @@ def _sphere_embedding_jet(n: int, radius: float) -> _SeparableJet:
     J[a, A, i] = dY_A/dx^i pull tensors back."""
     sines = [wave(m, q=3) for m in range(n)]
     Y = {(A,): reduce(mul, sines[:A], wave(A) if A < n else 1.0) * radius for A in range(n + 1)}
-    return _SeparableJet(n, Y, (n + 1,), symmetric=False)
+    return _separable_jet(n, Y, (n + 1,), symmetric=False)
 
 
 def sphere_pullback_sym_tensor(

@@ -39,7 +39,7 @@ normalization Ric = (n-1) * lam * g):
 * A jet ``[T, dT, ..., d^m T]`` is packed, as the fields hand it out
   (:mod:`curvlab.fields`): its order-k partial (k >= 2) stores each
   partial once, on one trailing axis over the C(n+k-1, k) sorted derivative
-  multi-indices.  :func:`jet_einsum`, :func:`jet_inverse`,
+  multi-indices.  :func:`jet_einsum`, :func:`jet_solve`,
   :func:`connection_jet`, :func:`covariant_jet`, :func:`ricci_arrays`,
   :func:`sym_tensor_cov_derivs` and :func:`covariant_hessian_blocks` take
   and return packed jets, so derivatives of computed curvature are exact and
@@ -47,6 +47,12 @@ normalization Ric = (n-1) * lam * g):
   split of the order among the factors, and where a derivative index
   becomes a tensor slot (d_m T) one ``np.take`` splits it off a packed
   order.  Only a field's ``jet()`` expands a jet to full derivative axes.
+* Quotients are solved, not multiplied by an inverse jet: Gamma from g Gamma
+  = S/2 and R as the trace of X from g X = Ric, order by order
+  (:func:`jet_solve`), so g^-1 is only ever built at order 0.  Above order
+  0, S and Gamma live on the symmetric pairs i <= j: S is read off the
+  packed partials of g by one take per order, and Gamma expanded to full
+  (i, j) by another.
 
 Products of two batched tensors go through :func:`contract`, which reads an
 einsum spec and runs it as one batched ``np.matmul``: each index is a batch
@@ -85,7 +91,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
-from math import prod
+from math import comb, prod
 from typing import Callable
 
 import numpy as np
@@ -97,6 +103,8 @@ from .fields import (
     MetricField,
     SymTensorField,
     _as_batch,
+    _merge_index,
+    _multi_indices,
     _split,
     _symmetric_index,
 )
@@ -268,6 +276,13 @@ def node_blocks(fn: Callable[..., tuple], *arrays: Array, size: int | None = Non
 # combination of dg, the traces of dGamma in Ricci), one np.take through
 # the merge table of :func:`curvlab.fields._split` maps (slot m, packed
 # beta) to the packed column of sort(beta + (m,)).
+#
+# Division is forward substitution (ibid.): the k-th partial of A X = B
+# gives X_k = A_0^-1 (B_k - the splits in which A is differentiated), and
+# those splits are the packed Leibniz products with X's jet one order
+# short.  Only A_0 is inverted, and each order costs the k splits of one
+# product; the inverse jet of A, whose product with B's jet then follows,
+# costs that twice over.
 
 _PACKED = "uvwxyz"  # packed-axis letters, less those the product spec uses
 _SLOTS = "ijkl"
@@ -344,25 +359,73 @@ def jet_einsum(spec: str, *jets: list, order: int | None = None) -> list:
     ]
 
 
-def jet_inverse(A: list) -> list:
-    """Jet of the matrix inverse, solving d^k(A A^-1) = 0 order by order."""
-    inv = [np.linalg.inv(A[0])]
+@lru_cache(maxsize=None)
+def _solve_spec(spec: str, packed: bool) -> str:
+    """The spec applying A^-1 to B for the product spec A X = B: A's two
+    component letters swapped, with the packed axis riding along on B."""
+    ins, out = spec.split("->")
+    a, x = ins.split(",")
+    tail = "..." if packed else ""
+    return f"{a[0]}{a[2]}{a[1]},{out}{tail}->{x}{tail}"
+
+
+def _solve_step(A: list, X: list, B, spec: str, inv: Array) -> Array:
+    """The packed order-k partial of X, k = len(X), from its lower ones:
+    A_0^-1 (B_k - the Leibniz splits of A X in which A is differentiated),
+    those splits being what :func:`_leibniz` gives with X one order short."""
+    return contract(_solve_spec(spec, True), inv, B - _leibniz(spec, (A, X), len(X)))
+
+
+def jet_solve(A: list, B: list, spec: str) -> list:
+    """Jet of X = A^-1 B from A X = B, the batched product ``spec`` (A first,
+    its two component letters the row and the one X shares), by forward
+    substitution: X_0 = A_0^-1 B_0, then :func:`_solve_step` order by order
+    to the order of A's jet; partials missing from a short B count as zero.
+    Only A_0 is inverted."""
+    inv = np.linalg.inv(A[0])
+    X = [contract(_solve_spec(spec, False), inv, B[0])]
     for k in range(1, len(A)):
-        # the terms of d^k(A A^-1) whose A factor is differentiated
-        rest = _leibniz("aij,ajk->aik", (A, inv), k)
-        inv.append(-contract("aij,ajk...->aik...", inv[0], rest))
-    return inv
+        X.append(_solve_step(A, X, B[k] if k < len(B) else 0.0, spec, inv))
+    return X
 
 
-def connection_jet(g: list) -> tuple[list, list, list]:
-    """Jets of (g^-1, S, Gamma) from a metric jet, S =
-    :func:`christoffel_combination` of the partials of g, each with its
-    first derivative index split off as the slot l; all come one order
-    short."""
-    n = g[1].shape[-1]
-    ginv = jet_inverse(g[:-1])
-    S = [christoffel_combination(_split(d, k, n)) for k, d in enumerate(g[1:], 1)]
-    return ginv, S, [0.5 * G for G in jet_einsum("akl,alij->akij", ginv, S)]
+@lru_cache(maxsize=None)
+def _symmetric_pairs(n: int) -> tuple[Array, Array]:
+    """(i, j) of the symmetric pairs i <= j, in packed column order."""
+    return tuple(np.array(_multi_indices(n, 2)).T)
+
+
+@lru_cache(maxsize=None)
+def _christoffel_reads(n: int, k: int) -> Array:
+    """Where S's order-(k - 1) partial reads the packed order-k partial of g
+    (k >= 2), flattened per node: S_l(ij),b = g_il,jb + g_jl,ib - g_ij,lb on
+    the symmetric pairs i <= j in packed column order and the packed
+    multi-indices b, the three reads stacked in a (3, n, pairs, C(n+k-2,
+    k-1)) table."""
+    width, merge = comb(n + k - 1, k), _merge_index(n, k - 1)
+    (i, j), l = _symmetric_pairs(n), np.arange(n)[:, None]
+    flat = lambda x, y, m: ((x * n + y) * width)[..., None] + merge[m]
+    return np.array([flat(i, l, j), flat(j, l, i), flat(i, j, l)])
+
+
+def connection_jet(g: list) -> tuple[Array, Array, list]:
+    """(g^-1, S, the jet of Gamma) from a metric jet, Gamma one order short.
+
+    Order 0 is :func:`connection_arrays`, the only inversion of g, so that
+    bundles built from it keep the bits of :func:`curvature_bundle`.  Above
+    it Gamma solves g Gamma = S/2 by forward substitution
+    (:func:`_solve_step`) on the symmetric pairs i <= j only, S's partials
+    read straight off the packed partials of g (:func:`_christoffel_reads`),
+    and each order is expanded to full (i, j) by one take.
+    """
+    N, n = g[0].shape[:2]
+    ginv, S, Gamma0 = connection_arrays(g[0], g[1])
+    i, j = _symmetric_pairs(n)
+    X, column = [Gamma0[:, :, i, j]], _symmetric_index(n, 2)
+    for k, d in enumerate(g[2:], 2):
+        T = np.take(d.reshape(N, -1), _christoffel_reads(n, k), axis=1)
+        X.append(_solve_step(g, X, 0.5 * ((T[:, 0] + T[:, 1]) - T[:, 2]), "alk,akp->alp", ginv))
+    return ginv, S, [Gamma0] + [np.take(x, column, axis=2) for x in X[1:]]
 
 
 def christoffel_combination(D: Array) -> Array:
@@ -412,9 +475,12 @@ def christoffel_arrays(g: Array, dg: Array) -> Array:
 def ricci_arrays(field, X: Array, order: int = 0):
     """Lean pipeline: packed jets of (g, ginv, Gamma, Ric, R) at the points.
 
-    Ric and R come to ``order``, ginv and Gamma to ``order + 1`` and g to
-    ``order + 2``.  Ricci is contracted straight from the connection data, so
-    no rank-5 intermediate is materialized.
+    Ric and R come to ``order``, Gamma to ``order + 1`` and g to ``order +
+    2``; ginv is the one-element jet [g^-1], as no inverse jet is built:
+    Gamma comes from :func:`connection_jet` and R is the trace of
+    :func:`jet_solve` (g, Ric), forward substitution both.  Ricci is
+    contracted straight from the connection data, so no rank-5 intermediate
+    is materialized.
     """
     X, _ = _as_batch(X, field.dimension)
     g = field.packed_jet(X, order + 2)
@@ -429,8 +495,9 @@ def ricci_arrays(field, X: Array, order: int = 0):
         np.einsum("ajikj...->aik...", dG) - np.einsum("ajijk...->aik...", dG) + p - q
         for dG, p, q in zip(dGamma, t3, t4)
     ]
-    R = jet_einsum("aik,aik->a", ginv, Ric)
-    return g, ginv, Gamma, Ric, R
+    # R = g^{ik} Ric_ik, the trace of g^-1 Ric
+    R = [np.einsum("aii...->a...", Y) for Y in jet_solve(g[: order + 1], Ric, "aij,ajk->aik")]
+    return g, [ginv], Gamma, Ric, R
 
 
 @dataclass
@@ -663,8 +730,8 @@ def _bundle_from_connection(
     g: Array, dg: Array, d2g: Array, ginv: Array, S: Array, Gamma: Array
 ) -> CurvatureBundle:
     """The bundle of the packed metric jet [g, dg, d2g] from its connection
-    (ginv, S, Gamma) as :func:`connection_arrays` gives it, or as the order-0
-    parts of :func:`connection_jet` (the same bits)."""
+    (ginv, S, Gamma) as :func:`connection_arrays` gives it, or as
+    :func:`connection_jet` gives its order 0 (the same bits)."""
     sqrt_det = volume_element(g)
     N, n = g.shape[:2]
     reads, d2_reads = _pair_index(n)[2:4]
@@ -742,7 +809,7 @@ def sym_tensor_cov_derivs(field: MetricField, h: SymTensorField, X: Array):
     hj = h.packed_jet(X, 2)
     Dh = covariant_jet(hj, Gamma)
     D2h = covariant_jet(Dh, Gamma)[0]
-    return hj[0], Dh[0], D2h, g, ginv[0], S[0], Gamma[0]
+    return hj[0], Dh[0], D2h, g, ginv, S, Gamma[0]
 
 
 def covariant_derivative(

@@ -2,12 +2,16 @@
 
 A full-axis jet [T, dT, ..., d^m T] carries k trailing, symmetric derivative
 axes at order k, as :meth:`curvlab.fields._TensorValuedField.jet` hands it
-out.  :func:`jet_einsum`, :func:`jet_inverse`, :func:`connection_jet` and
+out.  :func:`jet_einsum`, :func:`jet_solve`, :func:`connection_jet` and
 :func:`covariant_jet` here take and return such jets the way the package
 did before its pipeline ran on packed jets: every input is packed on its
 sorted derivative multi-indices, the packed Leibniz rule runs once, and
-every output is expanded to full axes again.  The tests compare the packed
-pipeline with them bit for bit.
+every output is expanded to full axes again.  The forward substitution of
+``jet_solve`` and ``connection_jet`` is mirrored step by step, S combined
+on full axes and cut to the symmetric pairs i <= j here rather than read
+through the package's index table.  :func:`jet_inverse`, the inverse jet
+the package no longer builds, differentiates A A^-1 = 1 order by order.
+The tests compare the packed pipeline with them bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +20,13 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from curvlab.tensors import _SLOTS, _leibniz, christoffel_combination, contract
+from curvlab.tensors import (
+    _SLOTS,
+    _leibniz,
+    christoffel_combination,
+    connection_arrays,
+    contract,
+)
 
 
 def symmetric_index(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -72,10 +82,34 @@ def jet_inverse(A: list) -> list:
     return inv
 
 
-def connection_jet(g: list) -> tuple[list, list, list]:
-    ginv = jet_inverse(g[:-1])
-    S = [christoffel_combination(d) for d in g[1:]]
-    return ginv, S, [0.5 * G for G in jet_einsum("akl,alij->akij", ginv, S)]
+def _solve_spec(spec: str, tail: str) -> str:
+    ins, out = spec.split("->")
+    a, x = ins.split(",")
+    return f"{a[0]}{a[2]}{a[1]},{out}{tail}->{x}{tail}"
+
+
+def _substitute(A: list, B: list, X: list, spec: str, inv: np.ndarray) -> list:
+    """Extend the packed jet X of A^-1 B to the order of the packed jet A."""
+    for k in range(len(X), len(A)):
+        rest = _leibniz(spec, (A, X), k)
+        X.append(contract(_solve_spec(spec, "..."), inv, (B[k] if k < len(B) else 0.0) - rest))
+    return X
+
+
+def jet_solve(A: list, B: list, spec: str) -> list:
+    inv = np.linalg.inv(A[0])
+    X = _substitute(pack_jet(A), pack_jet(B), [contract(_solve_spec(spec, ""), inv, B[0])], spec, inv)
+    return expand_jet(X, A[1].shape[-1])
+
+
+def connection_jet(g: list) -> tuple[np.ndarray, np.ndarray, list]:
+    n = g[0].shape[-1]
+    i, j = np.triu_indices(n)  # the symmetric pairs in packed column order
+    ginv, S, Gamma0 = connection_arrays(g[0], g[1])
+    half = [pack(0.5 * christoffel_combination(d)[:, :, i, j], k) for k, d in enumerate(g[1:])]
+    X = _substitute(pack_jet(g[:-1]), half, [Gamma0[:, :, i, j]], "alk,akp->alp", ginv)
+    pairs = symmetric_index(n, 2)[0]
+    return ginv, S, [Gamma0] + [expand(np.take(x, pairs, axis=2), k, n) for k, x in enumerate(X) if k]
 
 
 def covariant_jet(T: list, Gamma: list) -> list:
@@ -91,7 +125,7 @@ def covariant_jet(T: list, Gamma: list) -> list:
 
 def ricci_arrays(field, X: np.ndarray, order: int = 0):
     """Full-axis jets of (g, ginv, Gamma, Ric, R), as the package's
-    ``ricci_arrays`` gave them before it ran on packed jets."""
+    ``ricci_arrays`` gives them packed."""
     g = field.jet(X, order + 2)
     ginv, _, Gamma = connection_jet(g)
     c1 = [np.einsum("ajjp...->ap...", G) for G in Gamma]
@@ -101,5 +135,5 @@ def ricci_arrays(field, X: np.ndarray, order: int = 0):
         np.einsum("ajikj...->aik...", dG) - np.einsum("ajijk...->aik...", dG) + p - q
         for dG, p, q in zip(Gamma[1:], t3, t4)
     ]
-    R = jet_einsum("aik,aik->a", ginv, Ric)
-    return g, ginv, Gamma, Ric, R
+    R = [np.einsum("aii...->a...", Y) for Y in jet_solve(g[: order + 1], Ric, "aij,ajk->aik")]
+    return g, [ginv], Gamma, Ric, R

@@ -408,3 +408,23 @@ def test_config_lists_read_as_comma_separated_values(argv, key, items, tmp_path,
     assert run([*argv, f"--{key}={text}"]) == 0
     reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1] == reports[2] and reports[0]
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+def test_abbreviated_flags_are_usage_errors(with_config, tmp_path, capsys):
+    # --ta once set tau past the config merge, which then put the config's
+    # tau over it; the full flag wins over the config, an abbreviation is refused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau": 0.0}))
+    argv = (["--config", str(cfg)] if with_config else []) + [
+        "classify", "--n", "3", "--lambda", "1", "--mode", "tt", "--s", "0", "--format", "json",
+    ]
+    assert run(argv + ["--tau", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["tau"] == 5.0
+    assert run(argv + ["--ta", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        "error: unrecognized arguments: --ta 5"
+    ]
+    assert run(["--conf", str(cfg), "classify"]) == 1

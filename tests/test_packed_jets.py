@@ -20,6 +20,7 @@ from conftest import random_probes
 from curvlab import tensors
 from curvlab.charts import make_model
 from curvlab.fields import (
+    _shared_separable_jet,
     _sphere_embedding_jet,
     _TensorValuedField,
     cosine_scalar_field,
@@ -219,13 +220,14 @@ def test_packed_covariant_derivatives_match_the_full_axis_route():
 
 def test_separable_plans_are_safe_to_share_across_threads():
     # four threads ask a fresh field's order-4 jet at once; each must get
-    # every order, with its own shape, whatever plans the others are making
+    # every order, with its own shape, whatever plans the others are making.
+    # Fields of equal entries share their jet, so each trial's mode is new
     X = random_probes(make_model("s3-euler", 3).domain, np.random.default_rng(10), count=64)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for trial in range(20):
-            field = s3_invariant_tt((2.0, -1.0, -1.0))
+            field = s3_invariant_tt((3.0 + trial, -1.0, -2.0 - trial))
             barrier, shapes, errors = threading.Barrier(4), [], []
 
             def ask():
@@ -242,5 +244,25 @@ def test_separable_plans_are_safe_to_share_across_threads():
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads) and not errors, errors
             assert shapes == [[(64, 3, 3) + (3,) * k for k in range(5)]] * 4, trial
+            assert len(field._jet._plans) == 5
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_fields_of_equal_entries_share_their_jet_and_its_bits():
+    # a model, mode or harmonic built again reuses the first one's jet and
+    # plans, a jet made afresh gives the same bits, and other entries get
+    # their own jet
+    X = random_probes(make_model("s3-euler", 3).domain, np.random.default_rng(13), count=20)
+    makers = (
+        lambda: make_model("s3-euler", 3), lambda: s3_invariant_tt((2.0, -1.0, -1.0)), s3_first_harmonic
+    )
+    shared = [make() for make in makers]
+    assert all(field._jet is make()._jet for field, make in zip(shared, makers))
+    _shared_separable_jet.cache_clear()
+    for field, make in zip(shared, makers):
+        fresh = make()
+        assert fresh._jet is not field._jet
+        assert all(np.array_equal(p, q) for p, q in zip(field.packed_jet(X, 4), fresh.packed_jet(X, 4)))
+    assert s3_invariant_tt((1.0, -1.0, 0.0))._jet is not s3_invariant_tt((2.0, -1.0, -1.0))._jet
+    assert make_model("sphere", 3)._jet is not make_model("sphere", 4)._jet

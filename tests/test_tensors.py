@@ -92,7 +92,7 @@ def _dgamma_route(g, dg, d2g):
         - np.einsum("apij,alkp->alijk", G, G)
     )
     Ric = np.einsum("ajijk->aik", Rm13)
-    return Rm13, np.einsum("alp,apijk->alijk", g, Rm13), Ric, np.einsum("aik,aik->a", ginv[0], Ric)
+    return Rm13, np.einsum("alp,apijk->alijk", g, Rm13), Ric, np.einsum("aik,aik->a", ginv, Ric)
 
 
 def _bundle_vs_dgamma_route(field, X, part=np.real):
@@ -505,19 +505,27 @@ def test_jet_einsum_matches_owner_expansion(n, dtype):
                 assert np.array_equal(got[k], full_axis.pack(F, k)), (spec, N, k)
 
 
+def _identity_jet(N, m, dtype=float):
+    """The order-0 jet of the identity: jet_solve(A, it) is the inverse jet."""
+    return [np.tile(np.eye(m, dtype=dtype), (N, 1, 1))]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_jet_inverse_matches_owner_expansion(n, dtype):
+    # the inverse jet as jet_solve(A, 1): forward substitution on B = 1
     rng = np.random.default_rng(20 * n + (dtype == complex))
     for N in (1, MATMUL_MIN_BATCH - 1, MATMUL_MIN_BATCH + 1, 64):
         packed, A = _random_symmetric_jet(rng, N, (n, n), n, 4, dtype)
         A[0] = packed[0] = A[0] + 2 * n * np.eye(n)  # well conditioned
-        got, want = tensors.jet_inverse(packed), _owner_inverse(A)
+        got = tensors.jet_solve(packed, _identity_jet(N, n, dtype), "aij,ajk->aik")
+        want = _owner_inverse(A)
         assert np.array_equal(got[0], want[0])
         for k in range(1, 5):
             assert got[k].shape == full_axis.pack(want[k], k).shape, (N, k)
             assert _relative_error(full_axis.expand(got[k], k, n), want[k]) <= 1e-13, (N, k)
-        # the full-axis route: the same bits on every sorted multi-index
+        # the full-axis inverse jet: the same bits on every sorted multi-index,
+        # A^-1 (0 - rest) being -(A^-1 rest) exactly
         for k, F in enumerate(full_axis.jet_inverse(A)):
             assert np.array_equal(got[k], full_axis.pack(F, k)), (N, k)
 
@@ -577,7 +585,8 @@ def test_jet_inverse_of_a_matrix_smaller_than_the_coordinate_count(m, n):
     rng = np.random.default_rng(30 + n)
     X = rng.uniform(-0.3, 0.3, size=(5, n))
     A = _polynomial_matrix_jet(rng, X, m, 3)
-    got = full_axis.expand_jet(tensors.jet_inverse(full_axis.pack_jet(A)), n)
+    got = tensors.jet_solve(full_axis.pack_jet(A), _identity_jet(5, m), "aij,ajk->aik")
+    got = full_axis.expand_jet(got, n)
     want = _inverse_by_partitions(A)
     for k in range(4):
         assert got[k].shape == (5, m, m) + (n,) * k
@@ -585,10 +594,87 @@ def test_jet_inverse_of_a_matrix_smaller_than_the_coordinate_count(m, n):
     # and the hand formula for 1/u, u = 1 - |x|^2: d2 = 2 delta/u^2 + 2 u_i u_j/u^3
     u = 1.0 - np.einsum("ai,ai->a", X, X)
     du, d2u = -2.0 * X, full_axis.pack(np.broadcast_to(-2.0 * np.eye(n), (5, n, n)), 2)
-    w = tensors.jet_inverse([t.reshape((5, 1, 1) + t.shape[1:]) for t in (u, du, d2u)])
+    u1 = [t.reshape((5, 1, 1) + t.shape[1:]) for t in (u, du, d2u)]
+    w = tensors.jet_solve(u1, _identity_jet(5, 1), "aij,ajk->aik")
     hand = 2 * np.eye(n) / u[:, None, None] ** 2 + 2 * np.einsum("ai,aj->aij", du, du) / u[:, None, None] ** 3
     assert _relative_error(full_axis.expand(w[2][:, 0, 0], 2, n), hand) <= 1e-14
     assert _relative_error(w[1][:, 0, 0], -du / u[:, None] ** 2) <= 1e-15
+
+
+def _inverse_jet(A):
+    """The packed inverse jet, differentiating A A^-1 = 1 order by order: the
+    route Gamma = g^-1 S / 2 and R = g^-1 Ric took before forward
+    substitution, kept as their oracle."""
+    inv = [np.linalg.inv(A[0])]
+    for k in range(1, len(A)):
+        rest = tensors._leibniz("aij,ajk->aik", (A, inv), k)
+        inv.append(-contract("aij,ajk...->aik...", inv[0], rest))
+    return inv
+
+
+def _relative_by_part(got, want):
+    """_relative_error of the real part and, for complex arrays, of the
+    imaginary part, each judged against its own size: a complex step keeps
+    its derivative in the imaginary part, 1e-20 of the real one."""
+    parts = (np.real, np.imag) if np.iscomplexobj(want) else (np.real,)
+    return max(_relative_error(part(got), part(want)) for part in parts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_jet_solve_matches_the_inverse_jet_route(n, dtype):
+    rng = np.random.default_rng(40 + 2 * n + (dtype == complex))
+    for N in (1, MATMUL_MIN_BATCH + 1):
+        A, _ = _random_symmetric_jet(rng, N, (n, n), n, 4, dtype)
+        A[0] = A[0] + 2 * n * np.eye(n)  # well conditioned
+        # the shapes of g Gamma = S/2 on full (i, j) and of g X = Ric
+        for spec, inverse_spec, comp in (
+            ("alk,akij->alij", "akl,alij->akij", (n, n, n)),
+            ("aij,ajk->aik", "aji,aik->ajk", (n, n)),
+        ):
+            B, _ = _random_symmetric_jet(rng, N, comp, n, 4, dtype)
+            got = tensors.jet_solve(A, B, spec)
+            want = tensors.jet_einsum(inverse_spec, _inverse_jet(A), B)
+            assert np.array_equal(got[0], want[0])
+            for k in range(1, 5):
+                assert got[k].shape == want[k].shape and got[k].dtype == want[k].dtype
+                assert _relative_by_part(got[k], want[k]) <= 1e-13, (spec, N, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("step", [0.0, 1e-20j])
+def test_gamma_and_scalar_jets_match_the_inverse_jet_route(n, step):
+    # a perturbed round sphere, real or with a complex step along h: Gamma to
+    # order 4 and R to order 2 against the inverse-jet route
+    sphere = make_model("sphere", n)
+    h = random_sphere_sym_tensor(n, np.random.default_rng(50 + n), amplitude=0.3)
+    field = linear_combination_metric(sphere, h, 0.2 + step)
+    X = random_probes(field.domain, np.random.default_rng(60 + n), count=MATMUL_MIN_BATCH + 1)
+    g = field.packed_jet(X, 5)
+    _, _, Gamma = tensors.connection_jet(g)
+    S = [tensors.christoffel_combination(fields._split(d, k, n)) for k, d in enumerate(g[1:], 1)]
+    want = tensors.jet_einsum("akl,alij->akij", _inverse_jet(g[:5]), S)
+    for k in range(5):
+        assert _relative_by_part(Gamma[k], 0.5 * want[k]) <= 1e-13, k
+    _, _, _, Ric, R = tensors.ricci_arrays(field, X, order=2)
+    want = tensors.jet_einsum("aik,aik->a", _inverse_jet(g[:3]), Ric)
+    for k in range(3):
+        assert _relative_by_part(R[k], want[k]) <= 1e-13, k
+
+
+@pytest.mark.parametrize("count", [1, MATMUL_MIN_BATCH + 1, 96])
+def test_connection_jet_order_0_is_connection_arrays(count):
+    # bundles built from connection_jet's order 0 keep the bits of
+    # curvature_bundle, which builds on connection_arrays
+    e3 = make_model("s3-euler", 3)
+    step = linear_combination_metric(e3, s3_invariant_tt((2.0, -1.0, -1.0)), 1e-20j)
+    for field in (*bundle_models(), step):
+        X = random_probes(field.domain, np.random.default_rng(count), count=count)
+        g = field.packed_jet(X, 3)
+        ginv, S, Gamma = tensors.connection_jet(g)
+        want = tensors.connection_arrays(g[0], g[1])
+        assert all(np.array_equal(a, b) for a, b in zip((ginv, S, Gamma[0]), want))
+        assert len(Gamma) == 3
 
 
 def test_pipeline_jet_partials_are_exactly_symmetric(pipeline_contractions):
@@ -696,9 +782,12 @@ def _strided(X):
 # plain products, some of them also the order-0 terms of a jet product.
 NON_JET_SPECS = {
     "aJj,aKLij->aJKLi", "aKk,aLijk->aKLij", "aLl,aijkl->aLijk", "aij,aIi->ajI",
-    "aij,aij->a", "aij,ajk...->aik...", "aik,aik->a", "aikjl,akl->aij",
+    "aij,aij->a", "aik,aik->a", "aikjl,akl->aij",
     "aiplk,ajplk->aij", "ajI,aJj->aIJ", "akl,aijkl->aij", "akl,alij->akij",
     "apl,aipjl->aij", "apq,apjq->aj", "apq,apq->a", "aqkl,aqij->aklij",
+    # jet_solve's A_0^-1 at order 0 and on a packed order, g Gamma = S/2 on
+    # the symmetric pairs p and g X = Ric
+    "aji,aik->ajk", "aji,aik...->ajk...", "akl,alp...->akp...",
 }
 
 

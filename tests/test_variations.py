@@ -319,6 +319,24 @@ def test_generic_curvature_derivatives_vanish_on_space_form(euler3, euler3_grid)
         assert np.abs(ing[key]).max() < 3e-6, key  # worst measured 3.1e-7
 
 
+# Worst Lap Ric, Hess R and Lap R on the first 192 nodes (two Hessian blocks)
+# of the (4, ..., 4, 6) grid of the unit S^4 and S^5, measured with the
+# forward-substitution jets (2-core host): 1.24e-9, 2.88e-9, 9.7e-7 (n = 4)
+# and 2.81e-8, 6.93e-8, 4.9e-4 (n = 5), against 2.83e-9, 3.11e-9, 1.2e-6 and
+# 5.47e-8, 6.98e-8, 5.7e-4 with the inverse-metric jet.  The gates are twice
+# the first figures; Lap R carries the g^kk near the poles, up to 1e6.
+GENERIC_SPHERE_GATES = {4: (2.5e-9, 6e-9, 2e-6), 5: (6e-8, 1.5e-7, 1e-3)}
+
+
+@pytest.mark.parametrize("n", sorted(GENERIC_SPHERE_GATES))
+def test_generic_curvature_derivatives_vanish_on_round_spheres(n):
+    sphere = make_model("sphere", n)
+    X = build_grid(sphere.domain, (4,) * (n - 1) + (6,)).nodes[:192]
+    ing = gradient_ingredients(sphere, X, use_structure=False)
+    for key, gate in zip(("lap_ric", "hess_R", "lap_R"), GENERIC_SPHERE_GATES[n]):
+        assert np.abs(ing[key]).max() <= gate, key
+
+
 def test_complex_step_through_generic_gradient_ingredients():
     # the identity suites read their primes as Im X(g + i eps h) / eps off the
     # generic exact-jet path; a Richardson central difference in t is the
