@@ -3,7 +3,8 @@
 Subcommands: curvature, check-identities, verify-gradient, verify-hessian,
 rayleigh, classify, atlas.  Exit codes: 0 success, 1 usage or configuration
 error, 2 tolerance failure (the report is still written).  Reports are
-byte-identical across runs with the same configuration.
+byte-identical across runs with the same configuration, and across calls of
+:func:`run` in one process, which share one parser.
 
 Each ``_cmd_*`` handler builds its report from what its case returns and
 hands back ``(text, ok)``; every report leaves through one writer,
@@ -29,6 +30,7 @@ import math
 import re
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 
 from . import atlas as atlas_mod
@@ -178,6 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`run`, built once per process: parsing returns a
+    fresh namespace and leaves the parser as it was, and nothing else
+    writes to it."""
+    return build_parser()
+
+
 def _cmd_curvature(args) -> tuple[str, bool]:
     rep = curvature_case(args.model, args.n, radius=args.radius, tol=args.tol)
     return _json(rep), rep["pass"]
@@ -300,7 +310,7 @@ def _merge_config(parser, args, defaults, argv: list) -> None:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

@@ -548,20 +548,30 @@ def analytic_scalar_field(domain: ChartDomain, f: Separable, name="f") -> Scalar
 # ---------------------------------------------------------------------------
 
 
-def _wave_jet(X: Array, w: Array, order: int) -> tuple[list, list]:
-    """Packed jets of cos(x.w) and sin(x.w): order k is (N, C(n+k-1, k)), on
-    the powers w^alpha = w_alpha1 ... w_alphak, multiplied left to right."""
-    phase = X @ w
+def _plane_wave_jet(X: Array, W: Array, A: Array, shape: tuple, order: int) -> list[Array]:
+    """Packed jet of sum_m A_2m cos(x.w_m) + A_2m+1 sin(x.w_m), the wave
+    vectors w_m the rows of W and the amplitudes A_r, arrays of ``shape``,
+    flattened as the rows of A.
+
+    d^k cos = cycle[k % 4] w^k and d^k sin = cycle[(k + 3) % 4] w^k, with the
+    powers w^alpha = w_alpha1 ... w_alphak on the packed multi-indices,
+    multiplied left to right.  Order k is one matrix product: the (cos, sin)
+    terms of every wave, one row per node and multi-index, times A.  It
+    comes out as a view with the packed axis trailing.
+    """
+    N, waves = len(X), len(W)
+    phase = X @ W.T
     c, s = np.cos(phase), np.sin(phase)
-    # d^k cos = cycle[k % 4] w^k and d^k sin = cycle[(k + 3) % 4] w^k
     cycle = (c, -s, -c, s)
-    cos_jet, sin_jet, wk = [], [], np.ones(())
+    out, wk = [], np.ones((waves, 1))
     for k in range(order + 1):
-        cos_jet.append(np.multiply.outer(cycle[k % 4], wk))
-        sin_jet.append(np.multiply.outer(cycle[(k + 3) % 4], wk))
-        prefix, last = _prefix_index(len(w), k + 1)
-        wk = wk.reshape(-1)[prefix] * w[last]
-    return cos_jet, sin_jet
+        terms = np.stack([cycle[k % 4], cycle[(k + 3) % 4]], axis=2)[:, None] * wk.T[:, :, None]
+        cols = terms.shape[1]
+        T = (terms.reshape(N * cols, 2 * waves) @ A).reshape((N, cols) + shape)
+        out.append(np.moveaxis(T, 1, -1) if k else T[:, 0])
+        prefix, last = _prefix_index(X.shape[1], k + 1)
+        wk = wk[:, prefix] * W[:, last]
+    return out
 
 
 def trig_sym_tensor_field(
@@ -572,10 +582,11 @@ def trig_sym_tensor_field(
     """h(x) = sum_m C_m cos(2 pi k_m.x) + S_m sin(2 pi k_m.x).
 
     Each wave is a triple (k, C, S) with integer wave vector k and constant
-    symmetric matrices C, S.  Exact derivatives of all orders.
+    symmetric matrices C, S.  Exact derivatives of all orders, each order one
+    matrix product over every wave (:func:`_plane_wave_jet`).
     """
     n = domain.dimension
-    packed = []
+    vectors, amplitudes = [], []
     for k, C, S in waves:
         k = np.asarray(k, dtype=float)
         C = np.asarray(C, dtype=float)
@@ -584,16 +595,13 @@ def trig_sym_tensor_field(
             raise DimensionError("wave component shapes do not match dimension")
         if not (np.array_equal(C, C.T) and np.array_equal(S, S.T)):
             raise DimensionError("wave amplitude matrices must be symmetric")
-        packed.append((2 * np.pi * k, C, S))
+        vectors.append(2 * np.pi * k)
+        amplitudes += [C, S]
+    W = np.array(vectors).reshape(-1, n)
+    A = np.array(amplitudes).reshape(-1, n * n)
 
     def jet(X, order):
-        out = [np.zeros((X.shape[0], n, n) + _packed_axes(n, k)) for k in range(order + 1)]
-        for w, C, S in packed:
-            cos_jet, sin_jet = _wave_jet(X, w, order)
-            for k in range(order + 1):
-                out[k] += np.einsum("a...,ij->aij...", cos_jet[k], C)
-                out[k] += np.einsum("a...,ij->aij...", sin_jet[k], S)
-        return out
+        return _plane_wave_jet(X, W, A, (n, n), order)
 
     return SymTensorField(domain=domain, _jet=jet, name=name)
 
@@ -632,9 +640,10 @@ def cosine_scalar_field(domain: ChartDomain, k: Sequence[float]) -> ScalarField:
     w = 2 * np.pi * np.asarray(k, dtype=float)
     if w.shape != (domain.dimension,):
         raise DimensionError("wave vector length must match the chart dimension")
+    A = np.array([[1.0], [0.0]])  # cos, no sin: the product adds exact zeros
 
     def jet(X, order):
-        return _wave_jet(X, w, order)[0]
+        return _plane_wave_jet(X, w[None], A, (), order)
 
     return ScalarField(domain=domain, _jet=jet, name=f"cos(2pi {list(k)}.x)")
 
@@ -659,7 +668,9 @@ def sphere_pullback_sym_tensor(
 
     The result is a globally smooth symmetric tensor field on the sphere
     (not merely chart-smooth), which is what the integration-by-parts
-    identities require.
+    identities require.  Its jet is Leibniz' rule on J^T P J, J the first
+    partials of the embedding Y; each order of P is one matrix product of
+    P1, its rows the pairs (A, B), with that order of Y.
     """
     from .tensors import jet_einsum
 
@@ -672,13 +683,14 @@ def sphere_pullback_sym_tensor(
     P1 = np.asarray(P1, dtype=float)
     if P1.shape != (m, m, m):
         raise DimensionError(f"P1 must have shape {(m, m, m)}")
+    P1 = P1.reshape(m * m, m)
     Yjet = _sphere_embedding_jet(n, radius)
 
     def jet(X, order):
         Y = Yjet(X, order + 1)
         J = [_split(y, k, n) for k, y in enumerate(Y[1:], 1)]
-        P = [np.einsum("ABc,ac...->aAB...", P1, y) for y in Y[:-1]]
-        P[0] = P0 + P[0]
+        P = [P0 + (Y[0] @ P1.T).reshape(-1, m, m)]
+        P += [np.matmul(P1, y).reshape((len(X), m, m, -1)) for y in Y[1:-1]]
         return jet_einsum("aAi,aAj->aij", J, jet_einsum("aAB,aBj->aAj", P, J))
 
     return SymTensorField(domain=sphere_domain(n), _jet=jet, name=name)

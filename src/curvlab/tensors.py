@@ -18,18 +18,24 @@ normalization Ric = (n-1) * lam * g):
   T_likj, T_lijk = (g_lk,ij - g_ik,lj + S_qkl Gamma^q_ij) / 2, on the sorted
   pairs p = (l < i), q = (j < k): the bivector operator ``M[a,p,q]`` =
   R_{l_p i_p j_q k_q}.  Rm4 expands M, so both antisymmetries are exact.
-* Ricci ``Ric[a,i,k] = g^{lj} R_lijk``; scalar ``R = g^{ik} Ric_ik``.
-* A :class:`CurvatureBundle` holds g, g^-1, sqrt(det g), M, Rm4, Ric and
-  R, not the connection that builds M; sqrt(det g) comes from
+* Ricci ``Ric[a,i,k] = g^{lj} R_lijk``; scalar ``R = g^{ik} Ric_ik``.  Ric
+  is read off M (:func:`pair_ricci`): R_lijk vanishes unless l != i and j !=
+  k, so each Ric_ik, i <= k, sums (n - 1)^2 products of an entry of M and
+  one of g^-1, and no n^4 array is built.
+* A :class:`CurvatureBundle` is built holding g, g^-1, sqrt(det g), M, Ric
+  and R, not the connection that builds M; sqrt(det g) comes from
   :func:`volume_element`, the one positivity test and volume measure,
   shared with :func:`curvlab.charts.sqrt_det_grid`.
-  The rest is computed on first read and cached on the bundle: the norms
-  ``normRm2``, ``normRic2`` and ``normW2`` (read by the functionals and the
-  gradient, not by the curvature checks), wedge^2 g and wedge^2 g^-1, the
-  Weyl tensor's pair matrix ``W_pairs`` and its expansion ``W``, the raised
-  forms of Rm4 and Ric (``Rm13`` = R^l_ijk), and the quadratic contractions of the
-  gradient, ``A1_ij = R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl`` and
-  ``ric2_ij = R_ip g^{pq} R_qj``, all with Rm4's slot order.
+  The rest is computed on first read and cached on the bundle: Rm4, the
+  n^4 expansion of M; the norms ``normRm2``, ``normRic2`` and ``normW2``
+  (read by the functionals and the gradient, not by the curvature checks);
+  wedge^2 g and wedge^2 g^-1; the Weyl tensor's pair matrix ``W_pairs`` and
+  its expansion ``W``; the raised forms of Rm4 and Ric (``Rm13`` =
+  R^l_ijk); and the quadratic contractions of the gradient, ``A1_ij =
+  R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl`` and ``ric2_ij = R_ip g^{pq}
+  R_qj``, all with Rm4's slot order.  The curvature check and the
+  functionals read M, Ric and R only, so they never build Rm4; Rm13, A1, B
+  and the Lichnerowicz Laplacian read it.
   :func:`space_form_deviation` is the one space-form deviation, max |M -
   lam wedge^2 g| = max |Rm4 - lam (g o g)/2|, and :func:`is_space_form` the
   one gate on it: each caller passes its own tolerance, judged relative to
@@ -376,13 +382,14 @@ def _solve_step(A: list, X: list, B, spec: str, inv: Array) -> Array:
     return contract(_solve_spec(spec, True), inv, B - _leibniz(spec, (A, X), len(X)))
 
 
-def jet_solve(A: list, B: list, spec: str) -> list:
+def jet_solve(A: list, B: list, spec: str, inv: Array | None = None) -> list:
     """Jet of X = A^-1 B from A X = B, the batched product ``spec`` (A first,
     its two component letters the row and the one X shares), by forward
     substitution: X_0 = A_0^-1 B_0, then :func:`_solve_step` order by order
     to the order of A's jet; partials missing from a short B count as zero.
-    Only A_0 is inverted."""
-    inv = np.linalg.inv(A[0])
+    Only A_0 is inverted, and not at all when its inverse comes as ``inv``."""
+    if inv is None:
+        inv = np.linalg.inv(A[0])
     X = [contract(_solve_spec(spec, False), inv, B[0])]
     for k in range(1, len(A)):
         X.append(_solve_step(A, X, B[k] if k < len(B) else 0.0, spec, inv))
@@ -478,7 +485,8 @@ def ricci_arrays(field, X: Array, order: int = 0):
     Ric and R come to ``order``, Gamma to ``order + 1`` and g to ``order +
     2``; ginv is the one-element jet [g^-1], as no inverse jet is built:
     Gamma comes from :func:`connection_jet` and R is the trace of
-    :func:`jet_solve` (g, Ric), forward substitution both.  Ricci is
+    :func:`jet_solve` (g, Ric), forward substitution both, on the one
+    inversion of g that :func:`connection_jet` makes.  Ricci is
     contracted straight from the connection data, so no rank-5 intermediate
     is materialized.
     """
@@ -496,7 +504,10 @@ def ricci_arrays(field, X: Array, order: int = 0):
         for dG, p, q in zip(dGamma, t3, t4)
     ]
     # R = g^{ik} Ric_ik, the trace of g^-1 Ric
-    R = [np.einsum("aii...->a...", Y) for Y in jet_solve(g[: order + 1], Ric, "aij,ajk->aik")]
+    R = [
+        np.einsum("aii...->a...", Y)
+        for Y in jet_solve(g[: order + 1], Ric, "aij,ajk->aik", ginv)
+    ]
     return g, [ginv], Gamma, Ric, R
 
 
@@ -504,19 +515,29 @@ def ricci_arrays(field, X: Array, order: int = 0):
 class CurvatureBundle:
     """Pointwise curvature data; arrays keep the leading node axis.  On a
     space form M = lam wedge^2 g, the 2x2 minors of g (:func:`bivector_product`).
-    The connection that builds M is not kept."""
+
+    A bundle is built holding g, g^-1, sqrt(det g), the pair matrix M, Ric
+    (read off M, :func:`pair_ricci`) and R.  Everything else is built on
+    first read and cached: the n^4 tensor Rm4 (the expansion of M, read by
+    Rm13, A1, B and the Lichnerowicz Laplacian, not by the curvature check or
+    the functionals), the norms, wedge^2 g and wedge^2 g^-1, and the Weyl
+    tensor.  The connection that builds M is not kept."""
 
     g: Array
     ginv: Array
     sqrt_det: Array  # (a,) sqrt(det g), the volume element
     M: Array  # (a,p,q) = R_{l_p i_p j_q k_q} on the sorted pairs l < i, j < k
-    Rm4: Array  # (a,l,i,j,k) = R_lijk (first kind), the expansion of M
     Ric: Array  # (a,i,k)
     R: Array  # (a,)
 
     @property
     def dimension(self) -> int:
         return self.g.shape[-1]
+
+    @cached_property
+    def Rm4(self) -> Array:
+        """(a,l,i,j,k) = R_lijk (first kind), the expansion of M."""
+        return expand_pairs(self.M, self.dimension)
 
     @cached_property
     def wedge2_g(self) -> Array:
@@ -677,6 +698,38 @@ def expand_pairs(M: Array, n: int) -> Array:
     return np.take(flat, _pair_index(n)[4], axis=1).reshape((len(M),) + (n,) * 4)
 
 
+@lru_cache(maxsize=None)
+def _ricci_reads(n: int) -> tuple[Array, Array]:
+    """Where Ric_ik = g^{lj} R_lijk reads M and g^-1, on the symmetric pairs i
+    <= k in packed column order.  R_lijk = +-M[(l, i), (j, k)] for l != i and
+    j != k, and 0 otherwise, so each Ric_ik sums (n - 1)^2 products: two flat
+    tables of shape (pairs, (n - 1)^2), into M and into [g^-1, -g^-1], the
+    sign of each term carried by its g^-1 read."""
+    l, i = np.triu_indices(n, 1)
+    pair = np.zeros((n, n), int)
+    pair[l, i] = pair[i, l] = np.arange(len(l))
+    sign = np.sign(np.subtract.outer(np.arange(n), np.arange(n)))  # -1 on a sorted pair
+    others = np.array([[x for x in range(n) if x != y] for y in range(n)])
+    I, K = _symmetric_pairs(n)
+    L, J = others[I][:, :, None], others[K][:, None, :]  # (pairs, n - 1, 1), (pairs, 1, n - 1)
+    I, K = I[:, None, None], K[:, None, None]
+    m_read = pair[L, I] * len(l) + pair[J, K]
+    g_read = L * n + J + n * n * (sign[L, I] * sign[J, K] < 0)
+    return m_read.reshape(len(m_read), -1), g_read.reshape(len(g_read), -1)
+
+
+def pair_ricci(M: Array, ginv: Array) -> Array:
+    """Ric_ik = g^{lj} R_lijk from Rm's pair matrix M, with no n^4 expansion:
+    (n - 1)^2 products per entry on the pairs i <= k (:func:`_ricci_reads`),
+    expanded to the exactly symmetric (n, n) by one take."""
+    N, n = ginv.shape[:2]
+    m_read, g_read = _ricci_reads(n)
+    G = ginv.reshape(N, -1)
+    terms = np.take(M.reshape(N, -1), m_read, axis=1)
+    signed = np.take(np.concatenate([G, -G], axis=1), g_read, axis=1)
+    return np.take(np.einsum("apx,apx->ap", terms, signed), _symmetric_index(n, 2), axis=1)
+
+
 def _pair_norm2(M: Array, L: Array) -> Array:
     """4 tr(M^T L M L), L = wedge^2 g^-1: |T|^2 of a (0,4) tensor
     antisymmetric in slots (0,1) and in slots (2,3) from its pair matrix M."""
@@ -741,13 +794,10 @@ def _bundle_from_connection(
     Q = np.take(contract("aqkl,aqij->aklij", S, Gamma).reshape(N, -1), reads, axis=1)
     D = np.take(d2g.reshape(N, -1), d2_reads, axis=1)
     M = 0.5 * ((Q[:, 0] - Q[:, 1]) + ((D[:, 0, 0] - D[:, 1, 0]) - (D[:, 0, 1] - D[:, 1, 1])))
-    del Q, D  # freed before Rm4 is built, so they add nothing to its peak
-    Rm4 = expand_pairs(M, n)
-    # Ric_ik = g^{lj} R_lijk = -g^{lj} R_ljik: the contracted slots are
-    # adjacent, so the product runs on Rm4's own layout
-    Ric = -np.matmul(ginv.reshape(N, 1, 1, n * n), Rm4.reshape(N, n, n * n, n)).reshape(N, n, n)
+    del Q, D  # freed before Ric is read off M, so they add nothing to its peak
+    Ric = pair_ricci(M, ginv)
     R = contract("aik,aik->a", ginv, Ric)
-    return CurvatureBundle(g, ginv, sqrt_det, M, Rm4, Ric, R)
+    return CurvatureBundle(g, ginv, sqrt_det, M, Ric, R)
 
 
 def curvature_grid(field: MetricField, X: Array) -> CurvatureBundle:

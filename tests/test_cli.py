@@ -1,6 +1,9 @@
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -428,3 +431,39 @@ def test_abbreviated_flags_are_usage_errors(with_config, tmp_path, capsys):
         "error: unrecognized arguments: --ta 5"
     ]
     assert run(["--conf", str(cfg), "classify"]) == 1
+
+
+def test_one_process_writes_what_separate_processes_write(tmp_path, capsys):
+    # run() builds its parser once per process and parses every call with it:
+    # with --config, without it and across subcommands, each report is the
+    # bytes a fresh process writes, and an abbreviation is still refused
+    from curvlab import cli
+
+    assert cli._parser() is cli._parser()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s": -1.0, "tau": 0.25}))
+    runs = [
+        ["--config", str(cfg), *CLASSIFY, "--format", "json"],
+        [*CLASSIFY, "--tau", "0.25", "--format", "json"],
+        ["curvature", "--n", "2"],
+        ["--config", str(cfg), "classify", "--n", "3", "--lambda", "1", "--mode", "tt"],
+        ATLAS + ["--s-min", "-8"],
+        [*CLASSIFY, "--tau", "-1"],
+    ]
+    reports = []
+    for k, argv in enumerate(runs):
+        out = tmp_path / f"one-process-{k}"
+        assert run(argv + ["--out", str(out)]) == 0, capsys.readouterr().err
+        reports.append(out.read_bytes())
+        assert run([*CLASSIFY, "--ta", "5"]) == 1
+        assert run(["--config", str(cfg), *CLASSIFY, "--ta", "5"]) == 1
+        assert "unrecognized arguments: --ta 5" in capsys.readouterr().err
+    assert reports[0] == reports[1]  # the config's tau, or the same tau as a flag
+    src = Path(cli.__file__).parents[1]
+    for k, argv in enumerate(runs):
+        out = tmp_path / f"own-process-{k}"
+        subprocess.run(
+            [sys.executable, "-m", "curvlab", *argv, "--out", str(out)],
+            check=True, capture_output=True, env={"PYTHONPATH": str(src)},
+        )
+        assert out.read_bytes() == reports[k], argv

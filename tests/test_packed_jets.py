@@ -39,17 +39,22 @@ TOP = 5
 
 def _full_waves(X, waves, order):
     """sum_m C_m cos(x.w_m) + S_m sin(x.w_m) on full derivative axes, the
-    powers of w as outer products."""
-    n = X.shape[1]
-    out = [np.zeros((len(X), n, n) + (n,) * k) for k in range(order + 1)]
-    for w, C, S in waves:
-        phase = X @ w
-        cycle = (np.cos(phase), -np.sin(phase), -np.cos(phase), np.sin(phase))
-        wk = np.ones(())
-        for k in range(order + 1):
-            out[k] += np.einsum("a...,ij->aij...", np.multiply.outer(cycle[k % 4], wk), C)
-            out[k] += np.einsum("a...,ij->aij...", np.multiply.outer(cycle[(k + 3) % 4], wk), S)
-            wk = np.multiply.outer(wk, w)
+    powers of w as outer products.  Each order sums its terms as the package
+    does, in one matrix product of the (cos, sin) terms of every wave with
+    the amplitudes (C_1, S_1, C_2, ...), here one row per node and full
+    derivative index."""
+    N, n = X.shape
+    W, shape = np.array([w for w, _, _ in waves]), waves[0][1].shape
+    A = np.array([M for _, C, S in waves for M in (C, S)]).reshape(2 * len(W), -1)
+    phase = X @ W.T
+    cycle = (np.cos(phase), -np.sin(phase), -np.cos(phase), np.sin(phase))
+    out, wk = [], np.ones(len(W))
+    for k in range(order + 1):
+        terms = np.stack([cycle[k % 4], cycle[(k + 3) % 4]], axis=-1)[:, None]
+        U = terms * wk.reshape(len(W), -1).T[None, :, :, None]
+        T = (U.reshape(-1, 2 * len(W)) @ A).reshape((N,) + (n,) * k + shape)
+        out.append(np.moveaxis(T, tuple(range(1, k + 1)), tuple(range(-k, 0))))
+        wk = wk[..., None] * W.reshape((len(W),) + (1,) * k + (n,))
     return out
 
 
@@ -86,8 +91,12 @@ def _pullback_full(n, P0, P1):
     def jet(X, order):
         Y = Y_jet.jet(X, order + 1)
         J = Y[1:]
-        P = [np.einsum("ABc,ac...->aAB...", P1, y) for y in Y[:-1]]
-        P[0] = P0 + P[0]
+        # P_AB = P0_AB + P1_ABc y_c, each order one matrix product of P1's
+        # rows (A, B) with y, as the package takes it on packed partials
+        N, m = len(X), len(P0)
+        rows = P1.reshape(m * m, m)
+        P = [P0 + (Y[0] @ rows.T).reshape(N, m, m)]
+        P += [np.matmul(rows, y.reshape(N, m, -1)).reshape((N, m, m) + y.shape[2:]) for y in Y[1:-1]]
         return full_axis.jet_einsum("aAi,aAj->aij", J, full_axis.jet_einsum("aAB,aBj->aAj", P, J))
 
     return jet

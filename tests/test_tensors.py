@@ -24,6 +24,7 @@ from curvlab.fields import (
 from curvlab import fields, tensors
 from curvlab.functionals import Coefficients, evaluate
 from curvlab.spectral import s3_invariant_tt, torus_tt_mode
+from curvlab.variations import COMPLEX_STEP
 from curvlab.tensors import (
     MATMUL_MIN_BATCH,
     contract,
@@ -1005,3 +1006,82 @@ def test_node_blocks_keep_complex_fields(sphere3):
     # the positivity test reads the real part of det g
     with pytest.raises(DegenerateMetricError):
         curvature_grid(linear_combination_metric(sphere3, metric_as_sym_tensor(sphere3), -1 + 1j), X)
+
+
+def _expanded_ricci(M, ginv):
+    """Ric_ik = -g^{lj} R_ljik on the expanded Rm4 (the contracted slots
+    adjacent): the route the bundle took before it read Ric off M."""
+    return -np.einsum("alj,ailjk->aik", ginv, tensors.expand_pairs(M, ginv.shape[-1]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("step", [0.0, 1j * COMPLEX_STEP], ids=["random", "complex-step"])
+def test_ricci_read_off_the_pair_matrix(n, step):
+    rng = np.random.default_rng(90 + n)
+    base = random_torus_metric(n, rng)
+    field = linear_combination_metric(base, random_torus_sym_tensor(n, rng), step) if step else base
+    b = curvature_grid(field, random_probes(base.domain, rng, count=64))
+    assert "Rm4" not in vars(b)
+    want = _expanded_ricci(b.M, b.ginv)
+    # read on the pairs i <= k only, so exactly symmetric
+    assert np.array_equal(b.Ric, b.Ric.swapaxes(1, 2))
+    for part in (np.real, np.imag) if step else (np.real,):
+        assert np.abs(part(want)).max() > 0
+        # measured 3.4e-16 (real parts) and 2.3e-16 (imaginary parts) at most
+        assert np.abs(part(b.Ric) - part(want)).max() <= 1e-14 * np.abs(part(want)).max()
+
+
+def test_the_functionals_and_the_curvature_check_never_expand_rm4(monkeypatch, sphere4):
+    from curvlab import functionals, verify
+
+    built = []
+
+    def recording(field, X):
+        built.append(curvature_grid(field, X))
+        return built[-1]
+
+    monkeypatch.setattr(functionals, "curvature_grid", recording)
+    monkeypatch.setattr(verify, "curvature_grid", recording)
+    functionals._integrals(sphere4, build_grid(sphere4.domain, 6), Coefficients(1.0, 1.0), weyl=True)
+    verify.curvature_case("sphere", 4)
+    assert len(built) > 2 and all("Rm4" not in vars(b) for b in built)
+
+
+def test_the_readers_of_rm4_keep_their_values():
+    # A1, B and the Lichnerowicz Laplacian read the Rm4 built on first read;
+    # against a bundle holding the Ric and R of the expanded route, A1 keeps
+    # its bits (it reads Rm4 only) and B and Lap_L h their values
+    rng = np.random.default_rng(98)
+    base, h = random_torus_metric(4, rng), random_torus_sym_tensor(4, rng)
+    X = random_probes(base.domain, rng, count=64)
+    hv, _, D2h, g, *connection = tensors.sym_tensor_cov_derivs(base, h, X)
+    b = tensors._bundle_from_connection(*g, *connection)
+    Ric = _expanded_ricci(b.M, b.ginv)
+    old = dataclasses.replace(b, Ric=Ric, R=np.einsum("aik,aik->a", b.ginv, Ric))
+    assert np.array_equal(b.A1, old.A1)
+    pairs = [(b.B, old.B)]
+    pairs.append((tensors.lichnerowicz_arrays(hv, D2h, b), tensors.lichnerowicz_arrays(hv, D2h, old)))
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.array_equal(b.Rm4, tensors.expand_pairs(b.M, 4)) and "Rm4" in vars(b)
+
+
+def test_ricci_jets_invert_g_once_per_hessian_block(monkeypatch):
+    field = random_torus_metric(3, np.random.default_rng(99))
+    X = random_probes(field.domain, np.random.default_rng(100), count=3 * tensors.HESSIAN_BLOCK)
+    inv, calls = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv", lambda A: calls.append(len(A)) or inv(A))
+    jets = []
+
+    def inner(Y):
+        g, _, Gamma, Ric, R = tensors.ricci_arrays(field, Y, order=2)
+        jets.append((g, Ric, R))
+        return Gamma, [Ric, R]
+
+    tensors.covariant_hessian_blocks(inner, X)
+    assert calls == [tensors.HESSIAN_BLOCK] * 3
+    # R solves on the inverse connection_jet made: the bits of its own inversion
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    for g, Ric, R in jets:
+        Y = tensors.jet_solve(g[:3], Ric, "aij,ajk->aik")
+        assert all(np.array_equal(r, np.einsum("aii...->a...", y)) for r, y in zip(R, Y))
