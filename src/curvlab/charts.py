@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import gamma
+from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -59,6 +59,12 @@ from .fields import (
 from .tensors import jet_einsum, jet_solve, volume_element
 
 MIN_RESOLUTION = 4
+# The largest grid build_grid makes, refused before anything is allocated:
+# 2^22 nodes (their coordinates alone take 168 MB at n = 5), and 1,024
+# Gauss-Legendre nodes on one axis (numpy's leggauss solves a dense m x m
+# eigenproblem, 8 MB at m = 1,024).
+MAX_GRID_NODES = 2**22
+MAX_GAUSS_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,12 @@ def build_grid(domain: ChartDomain, resolution: Sequence[int] | int) -> Quadratu
         raise ConfigurationError(
             f"resolution must be >= {MIN_RESOLUTION} per axis, got {resolution}"
         )
+    gauss = max((m for m, per in zip(resolution, domain.periodic) if not per), default=0)
+    if prod(resolution) > MAX_GRID_NODES or gauss > MAX_GAUSS_NODES:
+        raise ConfigurationError(
+            f"grid {resolution} is too large: at most {MAX_GRID_NODES} nodes and "
+            f"{MAX_GAUSS_NODES} Gauss-Legendre nodes on a non-periodic axis"
+        )
     axes, wts = [], []
     for (lo, hi), m, per in zip(domain.bounds, resolution, domain.periodic):
         x, w = _axis_rule(lo, hi, m, per)
@@ -147,11 +159,6 @@ def to_unit_volume(field: MetricField, grid: QuadratureGrid) -> MetricField:
     """Rescale by a constant so the quadrature volume is exactly 1."""
     v = volume(field, grid)
     return field.rescaled(v ** (-2.0 / field.dimension))
-
-
-def exact_sphere_volume(n: int, radius: float = 1.0) -> float:
-    """Vol(S^n of radius r) = 2 pi^((n+1)/2) r^n / Gamma((n+1)/2)."""
-    return float(2 * np.pi ** ((n + 1) / 2) / gamma((n + 1) / 2) * radius**n)
 
 
 # ---------------------------------------------------------------------------

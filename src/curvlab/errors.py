@@ -14,7 +14,17 @@ class UnsupportedModelError(CurvlabError):
 
 
 class DegenerateMetricError(CurvlabError):
-    """Metric is singular or not positive definite at an evaluation point."""
+    """Metric is singular or not positive definite at an evaluation point:
+    ``node``, its row in the batch of points, where det g = ``det``."""
+
+    def __init__(self, node: int, det):
+        super().__init__(f"metric not positive definite (node {node}, det g = {det:.3e})")
+        self.node, self.det = node, det
+
+    def renumbered(self, rows) -> "DegenerateMetricError":
+        """The error raised on the rows ``rows`` of a batch, naming its row of
+        that batch."""
+        return DegenerateMetricError(int(rows[self.node]), self.det)
 
 
 class DimensionError(CurvlabError):

@@ -30,6 +30,16 @@ derivative axes, ``d2[a, i, j, k, l] = d^2 g_ij / (d x^k d x^l)`` and m
 symmetric trailing axes at order m, for the tests and pointwise readers.
 :func:`_merge_index` splits one derivative index off a packed order: slot m
 and packed beta of order k - 1 go to the packed column of sort(beta + (m,)).
+
+A field knows the chart coordinates its jet reads (:attr:`_TensorValuedField.reads`),
+a tag its builder puts on the jet: a :class:`Separable` field reads the
+coordinates of its waves, a plane-wave field the nonzero columns of its wave
+vectors, and a field combined from others (a sum, a product, a constant
+multiple) the union of what its parts read.  An untagged jet, such as one
+swapped in by ``dataclasses.replace``, reads every coordinate.  Along the
+axes a field does not read, its jet, and so every pointwise quantity built
+from it, is constant: the whole-grid reductions compute it once per
+distinct node (:func:`curvlab.tensors.distinct_nodes`).
 """
 
 from __future__ import annotations
@@ -205,8 +215,20 @@ def _expand(P: Array, k: int, n: int) -> Array:
     return P if k < 2 else np.take(P, _symmetric_index(n, k), axis=-1)
 
 
-def _scaled_jet(jet, c: float):
-    return lambda X, order: [c * t for t in jet(X, order)]
+def _reading(reads, jet):
+    """``jet``, tagged with the chart coordinates it reads, given sorted."""
+    jet.reads = tuple(int(m) for m in reads)
+    return jet
+
+
+def reads_of(*fields) -> tuple[int, ...]:
+    """The chart coordinates that any of the fields reads, sorted."""
+    return tuple(sorted({m for f in fields for m in f.reads}))
+
+
+def _scaled_jet(field, c: float):
+    jet = field._jet
+    return _reading(field.reads, lambda X, order: [c * t for t in jet(X, order)])
 
 
 @dataclass(frozen=True)
@@ -226,6 +248,13 @@ class _TensorValuedField:
     @property
     def dimension(self) -> int:
         return self.domain.dimension
+
+    @property
+    def reads(self) -> tuple[int, ...]:
+        """The chart coordinates the jet reads, as its builder tagged it
+        (see the module docstring); every coordinate for an untagged jet."""
+        reads = getattr(self._jet, "reads", None)
+        return tuple(range(self.dimension)) if reads is None else reads
 
     def packed_jet(self, X: Array, order: int) -> list[Array]:
         """[T, dT, ..., d^order T] at the points, each order packed."""
@@ -274,7 +303,7 @@ class MetricField(_TensorValuedField):
             raise ConfigurationError("scale factor must be positive")
         return replace(
             self,
-            _jet=_scaled_jet(self._jet, c),
+            _jet=_scaled_jet(self, c),
             lam=None if self.lam is None else self.lam / c,
             name=f"{self.name}*{c:g}",
         )
@@ -290,7 +319,7 @@ class SymTensorField(_TensorValuedField):
         return h[0] if single else h
 
     def scaled(self, c: float) -> "SymTensorField":
-        return replace(self, _jet=_scaled_jet(self._jet, c), name=f"{self.name}*{c:g}")
+        return replace(self, _jet=_scaled_jet(self, c), name=f"{self.name}*{c:g}")
 
 
 @dataclass(frozen=True)
@@ -301,15 +330,6 @@ class CovectorField(_TensorValuedField):
 @dataclass(frozen=True)
 class ScalarField(_TensorValuedField):
     """A scalar field; eval shape (N,)."""
-
-
-def metric_as_sym_tensor(g: MetricField) -> SymTensorField:
-    """View a metric as a symmetric 2-tensor field (e.g. the direction h = g)."""
-    return SymTensorField(
-        domain=g.domain,
-        _jet=g._jet,
-        name=f"{g.name} (as tensor)",
-    )
 
 
 def linear_combination_metric(base: MetricField, h: SymTensorField, t: float) -> MetricField:
@@ -323,7 +343,7 @@ def linear_combination_metric(base: MetricField, h: SymTensorField, t: float) ->
 
     return MetricField(
         domain=base.domain,
-        _jet=jet,
+        _jet=_reading(reads_of(base, h), jet),
         lam=None,
         name=f"{base.name}+{t:g}*{h.name}",
     )
@@ -436,6 +456,7 @@ class _SeparableJet:
         freqs = sorted(freqs | {(f[0], s[1]) for f, s in self._single.items()})
         self._col = {mw: 1 + c for c, mw in enumerate(freqs)}
         self._m = np.array([m for m, _ in freqs], dtype=np.intp)
+        self.reads = tuple(sorted(set(self._m.tolist())))
         self._w = np.array([w for _, w in freqs])
         # a factor's value: its wave's column, or its product's after the waves
         products = [f for f in factors if len(f[1]) == 2]
@@ -603,7 +624,8 @@ def trig_sym_tensor_field(
     def jet(X, order):
         return _plane_wave_jet(X, W, A, (n, n), order)
 
-    return SymTensorField(domain=domain, _jet=jet, name=name)
+    reads = np.flatnonzero(W.any(axis=0))
+    return SymTensorField(domain=domain, _jet=_reading(reads, jet), name=name)
 
 
 def random_torus_sym_tensor(
@@ -632,7 +654,7 @@ def random_torus_metric(
         out = pert._jet(X, order)
         return [np.eye(n) + out[0]] + out[1:]
 
-    return MetricField(domain=pert.domain, _jet=jet, name="perturbed torus")
+    return MetricField(domain=pert.domain, _jet=_reading(pert.reads, jet), name="perturbed torus")
 
 
 def cosine_scalar_field(domain: ChartDomain, k: Sequence[float]) -> ScalarField:
@@ -645,7 +667,8 @@ def cosine_scalar_field(domain: ChartDomain, k: Sequence[float]) -> ScalarField:
     def jet(X, order):
         return _plane_wave_jet(X, w[None], A, (), order)
 
-    return ScalarField(domain=domain, _jet=jet, name=f"cos(2pi {list(k)}.x)")
+    name = f"cos(2pi {list(k)}.x)"
+    return ScalarField(domain=domain, _jet=_reading(np.flatnonzero(w), jet), name=name)
 
 
 def _sphere_embedding_jet(n: int, radius: float) -> _SeparableJet:

@@ -2,11 +2,13 @@
 
 The total functional is  F = int |Rm|^2 + s int |Ric|^2 + tau int R^2,
 reported together with the Weyl energy and the volume.  The curvature is
-streamed over the grid in node blocks (:func:`curvlab.tensors.node_blocks`),
-which hand back per-node densities; every sum runs once over the
-concatenated densities, never over partial sums per block, with numpy's
-pairwise summation in a fixed node order.  Reports are therefore bit-stable
-and do not depend on the block size.
+computed once per distinct node of the coordinates the metric reads, in
+node blocks (:func:`curvlab.tensors.distinct_blocks`), which hand back
+per-node densities; these are gathered back to every node, and every sum
+runs once over every node's density in node order, never over partial sums
+per block, with numpy's pairwise summation.  Reports are therefore
+bit-stable and depend neither on the block size nor on the coordinates the
+metric reads.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .charts import QuadratureGrid, _require_quadrature, volume
 from .errors import DimensionError
 from .fields import MetricField
-from .tensors import CurvatureBundle, curvature_grid, node_blocks
+from .tensors import CurvatureBundle, curvature_grid, distinct_blocks
 
 
 @dataclass(frozen=True)
@@ -50,14 +52,19 @@ def _integrals(
     also int |W|^2), in the field's dtype: complex along a complex-step
     direction."""
     _require_quadrature(field)
-    densities = node_blocks(lambda Y: _densities(curvature_grid(field, Y), weyl), grid.nodes)
-    return _sums(grid, coeff, *densities)
+    densities, at = distinct_blocks(
+        lambda Y: _densities(curvature_grid(field, Y), weyl), grid.nodes, field.reads
+    )
+    return _sums(grid, coeff, *(d[at] for d in densities))
 
 
-def _bundle_integrals(bundle: CurvatureBundle, grid: QuadratureGrid, coeff: Coefficients) -> dict:
-    """:func:`_integrals` of a field from its bundle on all the grid nodes:
+def _bundle_integrals(
+    bundle: CurvatureBundle, at, grid: QuadratureGrid, coeff: Coefficients
+) -> dict:
+    """:func:`_integrals` of a field from its bundle on the grid nodes that
+    ``at`` gathers to every node (see :func:`curvlab.tensors.distinct_nodes`):
     the same per-node densities in node order, so the same sums bit for bit."""
-    return _sums(grid, coeff, *_densities(bundle))
+    return _sums(grid, coeff, *(d[at] for d in _densities(bundle)))
 
 
 def _densities(b: CurvatureBundle, weyl: bool = False) -> tuple:

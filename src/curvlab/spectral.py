@@ -29,15 +29,16 @@ from .fields import (
     SymTensorField,
     analytic_sym_tensor_field,
     euler_su2_domain,
+    reads_of,
     torus_domain,
     trig_sym_tensor_field,
 )
 from .tensors import (
     _bundle_from_connection,
+    distinct_blocks,
     einstein_parts,
     inner_02,
     lichnerowicz_arrays,
-    node_blocks,
     norm2_02,
     raise_all,
     require_einstein,
@@ -114,7 +115,8 @@ def tt_defect(
         hv, Dh, _, _, ginv, *_ = sym_tensor_cov_derivs(base, h, Y)
         return _tt_defect_arrays(hv, Dh, ginv)
 
-    return tuple(float(np.max(v)) for v in node_blocks(defects, grid.nodes))
+    maxima, _ = distinct_blocks(defects, grid.nodes, reads_of(base, h))
+    return tuple(float(np.max(v)) for v in maxima)
 
 
 def _tt_defect_arrays(hv: Array, Dh: Array, ginv: Array) -> tuple[Array, Array]:
@@ -137,9 +139,10 @@ def rayleigh_lichnerowicz(
     base: MetricField, h: SymTensorField, grid: QuadratureGrid
 ) -> RayleighReport:
     """Rayleigh quotient of -Lap_L on a TT field over an Einstein base, the
-    nodes streamed in blocks (per-node densities, one sum over all nodes),
-    each block's curvature built from the metric jet and connection (g^-1,
-    S, Gamma) of its covariant derivatives."""
+    distinct nodes of the coordinates base and h read streamed in blocks
+    (per-node densities, gathered to one sum over all nodes), each block's
+    curvature built from the metric jet and connection (g^-1, S, Gamma) of
+    its covariant derivatives."""
     _require_quadrature(base)
 
     def densities(Y):
@@ -154,12 +157,13 @@ def rayleigh_lichnerowicz(
             norm2_02(hv, bundle.ginv),
         )
 
-    defect2, r_scale, div_norm, tr, sqrt_det, energy_d, norm_d = node_blocks(densities, grid.nodes)
+    out, at = distinct_blocks(densities, grid.nodes, reads_of(base, h))
+    defect2, r_scale, div_norm, tr, sqrt_det, energy_d, norm_d = out
     require_einstein(defect2, r_scale)
     dd, dt = _require_tt(div_norm, tr, "field is not transverse-traceless")
-    measure = grid.weights * sqrt_det
-    energy = float(np.sum(measure * energy_d))
-    norm2 = float(np.sum(measure * norm_d))
+    measure = grid.weights * sqrt_det[at]
+    energy = float(np.sum(measure * energy_d[at]))
+    norm2 = float(np.sum(measure * norm_d[at]))
     return RayleighReport(
         energy=energy,
         norm2=norm2,
@@ -192,7 +196,8 @@ def symmetrization_energies(
             *(np.einsum("aijk,aijk->a", T, raise_all(T, ginv, (0, 1, 2))) for T in (cyc, anti)),
         )
 
-    div_norm, tr, sqrt_det, cyc_d, anti_d = node_blocks(densities, grid.nodes)
+    out, at = distinct_blocks(densities, grid.nodes, reads_of(base, h))
+    div_norm, tr, sqrt_det, cyc_d, anti_d = out
     _require_tt(div_norm, tr, "field is not transverse-traceless")
-    measure = grid.weights * sqrt_det
-    return float(np.sum(measure * cyc_d)), float(np.sum(measure * anti_d))
+    measure = grid.weights * sqrt_det[at]
+    return float(np.sum(measure * cyc_d[at])), float(np.sum(measure * anti_d[at]))

@@ -87,6 +87,20 @@ takes the contraction path a whole-grid pass would give it, the per-node
 values are the same bits, and callers that sum the concatenated densities
 in node order report the same bytes whatever the block size.
 
+A whole-grid reduction runs once per distinct node: the fields it reads
+say which chart coordinates their jets read (:mod:`curvlab.fields`), and
+on a tensor-product grid a pointwise quantity of such fields repeats along
+every other axis.  :func:`distinct_nodes` keeps the first node of each
+distinct value of the coordinates read, in node order, and an index ``at``
+from every node to its representative; :func:`distinct_blocks` runs
+:func:`node_blocks` over the representatives alone.  Callers gather each
+per-node density back to node order (``density[at]``) before they sum it,
+so every sum adds the same values in the same order as a pass over every
+node, and a maximum over the representatives is the maximum over the grid.
+The representatives are never fewer than :data:`MATMUL_MIN_BATCH` (the first
+nodes pad them), so they take the contraction path of the whole grid, and
+an error that names a node names its row of the grid.
+
 The rough Laplacian is the metric trace of the second covariant derivative,
 with the sign that makes it non-positive on the flat torus
 (Laplacian of cos(k.x) = -|k|^2 cos(k.x)).
@@ -98,7 +112,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, prod
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -259,6 +273,51 @@ def node_blocks(fn: Callable[..., tuple], *arrays: Array, size: int | None = Non
     edges = [N * k // count for k in range(count + 1)]
     parts = [fn(*(A[a:b] for A in arrays)) for a, b in zip(edges, edges[1:])]
     return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def distinct_nodes(X: Array, reads: Sequence[int]) -> tuple:
+    """(rows, at): the rows of X that differ on the coordinates ``reads``,
+    the first of each distinct value, in node order, and the index from
+    every row of X to its representative in X[rows] (both ``slice(None)``
+    when the rows are all of X).
+
+    A per-node quantity of fields that read only those coordinates, made at
+    X[rows] as ``out``, is ``out[at]`` at X, bit for bit: the two rows hold
+    the same bits on every coordinate read.  Rows are never fewer than
+    :data:`MATMUL_MIN_BATCH`, unless X is: the first rows of X pad them.
+    """
+    N, n = X.shape
+    if N <= MATMUL_MIN_BATCH or len(reads) == n:
+        return slice(None), slice(None)
+    if reads:
+        # one key per row: the bytes of its coordinates read, so that rows
+        # share a representative only when they share those bits
+        keys = np.ascontiguousarray(X[:, list(reads)])
+        keys = keys.view(np.dtype((np.void, keys.itemsize * len(reads)))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        first, inverse = np.zeros(1, dtype=np.intp), np.zeros(N, dtype=np.intp)
+    short = len(first) < MATMUL_MIN_BATCH
+    rows = np.union1d(first, np.arange(MATMUL_MIN_BATCH if short else 0))  # sorted
+    if len(rows) == N:
+        return slice(None), slice(None)
+    return rows, np.searchsorted(rows, first)[inverse]
+
+
+def distinct_blocks(fn: Callable[[Array], tuple], X: Array, reads: Sequence[int]) -> tuple:
+    """(outputs, at): :func:`node_blocks` of ``fn`` over the
+    :func:`distinct_nodes` of X on the coordinates ``reads``, and the index
+    ``at`` that gathers a per-node output back to the rows of X.  An error
+    that names a node names its row of X."""
+    rows, at = distinct_nodes(X, reads)
+
+    def block(Y, grid_rows):
+        try:
+            return fn(Y)
+        except DegenerateMetricError as e:
+            raise e.renumbered(grid_rows) from None
+
+    return node_blocks(block, X[rows], np.arange(len(X))[rows]), at
 
 
 # ---------------------------------------------------------------------------
@@ -736,13 +795,6 @@ def _pair_norm2(M: Array, L: Array) -> Array:
     return 4 * contract("apq,apq->a", M, np.matmul(np.matmul(L, M), L))
 
 
-def norm2_04(T: Array, ginv: Array) -> Array:
-    """|T|^2 for a batched (0,4) tensor antisymmetric in slots (0,1) and in
-    slots (2,3), as Rm and W are: its pair matrix, then :func:`_pair_norm2`."""
-    l, i = _pair_index(ginv.shape[-1])[:2]
-    return _pair_norm2(T[:, l, i][:, :, l, i], bivector_product(ginv, ginv))
-
-
 def inner_02(S: Array, T: Array, ginv: Array) -> Array:
     """S_ij T^ij for batched (0,2) tensors: the sum of (g^-1 S) o (T g^-1)."""
     return np.einsum("aij,aij->a", np.matmul(ginv, S), np.matmul(T, ginv))
@@ -767,10 +819,7 @@ def volume_element(g: Array) -> Array:
     if bad.size:
         bad = bad[np.linalg.slogdet(g[bad])[0].real <= 0]
         if bad.size:
-            a = int(bad[0])
-            raise DegenerateMetricError(
-                f"metric not positive definite (node {a}, det g = {det[a]:.3e})"
-            )
+            raise DegenerateMetricError(int(bad[0]), det[bad[0]])
     return np.sqrt(det)
 
 
@@ -802,7 +851,8 @@ def _bundle_from_connection(
 
 def curvature_grid(field: MetricField, X: Array) -> CurvatureBundle:
     """Curvature bundle at a batch of points, in one pass; a reduction over a
-    whole grid streams it through :func:`node_blocks` instead."""
+    whole grid streams its distinct nodes through :func:`distinct_blocks`
+    instead."""
     X, _ = _as_batch(X, field.dimension)
     return curvature_bundle(*field.packed_jet(X, 2))
 

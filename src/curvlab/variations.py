@@ -48,14 +48,16 @@ import numpy as np
 
 from .atlas import conformal_polynomial, tt_polynomial
 from .charts import QuadratureGrid, _require_quadrature, positive_normal_power, volume
-from .errors import EigenvalueRangeError, PreconditionError
+from .errors import DegenerateMetricError, EigenvalueRangeError, PreconditionError
 from .fields import (
     Array,
     MetricField,
     ScalarField,
     SymTensorField,
     _as_batch,
+    _reading,
     linear_combination_metric,
+    reads_of,
 )
 from .functionals import Coefficients, _integrals
 from .spectral import _require_tt, _tt_defect_arrays
@@ -65,12 +67,13 @@ from .tensors import (
     contract,
     covariant_hessian_blocks,
     curvature_grid,
+    distinct_blocks,
+    distinct_nodes,
     einstein_parts,
     inner_02,
     is_space_form,
     jet_einsum,
     max_abs,
-    node_blocks,
     require_einstein,
     ricci_arrays,
     sym_tensor_cov_derivs,
@@ -93,6 +96,7 @@ def conformal_tensor(base: MetricField, f: ScalarField) -> SymTensorField:
     def jet(X, order):
         return jet_einsum("a,aij->aij", fj(X, order), gj(X, order))
 
+    jet = _reading(reads_of(f, base), jet)
     return SymTensorField(domain=base.domain, _jet=jet, name=f"{f.name}*g")
 
 
@@ -154,6 +158,12 @@ def gradient_ingredients(
     """Curvature derivatives entering the gradient, with the curvature
     bundle, whose cached A1, B and ric2 are the quadratic contractions.
 
+    All of them are made once per distinct node of the coordinates the base
+    reads (:func:`curvlab.tensors.distinct_nodes`), and every array is on
+    those nodes: ``ing["at"]`` gathers a per-node quantity made from them
+    back to the rows of X, as the quadrature sums and the pointwise
+    gradient do, and a maximum over them is the maximum over X.
+
     The Laplacian of the Ricci tensor and the Hessian of the scalar
     curvature come from the exact order-2 jets of Ric and R (the metric jet
     to order 4 through the lean Ricci pipeline) plus the connection
@@ -166,7 +176,12 @@ def gradient_ingredients(
     leaves roundoff of order 1e-7 at the near-pole nodes of angular charts).
     """
     X, _ = _as_batch(X, base.dimension)
-    bundle = curvature_grid(base, X)
+    rows, at = distinct_nodes(X, base.reads)
+    try:
+        bundle = curvature_grid(base, X[rows])
+    except DegenerateMetricError as e:
+        raise e.renumbered(np.arange(len(X))[rows]) from None
+    X = X[rows]
     ginv = bundle.ginv
     lam = base.lam
     if use_structure and lam is not None and is_space_form(bundle, lam, PARALLEL_CURVATURE_TOL)[0]:
@@ -183,7 +198,7 @@ def gradient_ingredients(
         lap_ric = contract("akl,aijkl->aij", ginv, ric_hess)
         hess_R = r_hess
         lap_R = contract("aik,aik->a", ginv, hess_R)
-    return {"bundle": bundle, "lap_ric": lap_ric, "hess_R": hess_R, "lap_R": lap_R}
+    return {"bundle": bundle, "lap_ric": lap_ric, "hess_R": hess_R, "lap_R": lap_R, "at": at}
 
 
 def _gradient_terms(ing: dict) -> dict[str, Array]:
@@ -231,10 +246,10 @@ def _gradient_parts(ing: dict, coeff: Coefficients) -> GradientTensor:
 def gradient_tensor(base: MetricField, x, coeff: Coefficients) -> GradientTensor:
     """Gradient tensors at a point (or batch of points)."""
     X, single = _as_batch(x, base.dimension)
-    G = _gradient_parts(gradient_ingredients(base, X), coeff)
-    if single:
-        return GradientTensor(*(getattr(G, f.name)[0] for f in fields(G)))
-    return G
+    ing = gradient_ingredients(base, X)
+    G = _gradient_parts(ing, coeff)
+    parts = [getattr(G, f.name)[ing["at"]] for f in fields(G)]
+    return GradientTensor(*(T[0] for T in parts) if single else parts)
 
 
 def _trace_multiplier(ing: dict, coeff: Coefficients) -> Array:
@@ -252,8 +267,9 @@ def _lagrange_constant(
     base: MetricField, ing: dict, grid: QuadratureGrid, coeff: Coefficients
 ) -> float:
     _require_quadrature(base)
-    measure = grid.weights * ing["bundle"].sqrt_det
-    return float(np.sum(measure * _trace_multiplier(ing, coeff)) / np.sum(measure))
+    at = ing["at"]
+    measure = grid.weights * ing["bundle"].sqrt_det[at]
+    return float(np.sum(measure * _trace_multiplier(ing, coeff)[at]) / np.sum(measure))
 
 
 def lagrange_constant(
@@ -271,9 +287,10 @@ def _first_variation_pairing(
     direction."""
     _require_quadrature(base)
     b: CurvatureBundle = ing["bundle"]
-    G = _gradient_parts(ing, coeff).grad_total
-    measure = grid.weights * b.sqrt_det
-    return lambda h: float(np.sum(measure * inner_02(G, h.eval_grid(grid.nodes), b.ginv)))
+    at = ing["at"]
+    G, ginv = _gradient_parts(ing, coeff).grad_total[at], b.ginv[at]
+    measure = grid.weights * b.sqrt_det[at]
+    return lambda h: float(np.sum(measure * inner_02(G, h.eval_grid(grid.nodes), ginv)))
 
 
 def first_variation(
@@ -317,7 +334,7 @@ def el_residual(
     _require_quadrature(base)
     ing = gradient_ingredients(base, grid.nodes) if ingredients is None else ingredients
     b: CurvatureBundle = ing["bundle"]
-    vol = float(np.sum(grid.weights * b.sqrt_det))
+    vol = float(np.sum(grid.weights * b.sqrt_det[ing["at"]]))
     if abs(vol - 1.0) > UNIT_VOLUME_TOL:
         raise PreconditionError(
             f"Euler-Lagrange residual needs a unit-volume base (vol = {vol:.6g})"
@@ -338,7 +355,7 @@ def einstein_criticality_defect(base: MetricField, grid: QuadratureGrid) -> floa
         D = b.A1 - (b.normRm2 / n)[:, None, None] * b.g
         return (*einstein_parts(b), [max_abs(D)])
 
-    defect2, r_scale, D_max = node_blocks(block, grid.nodes)
+    (defect2, r_scale, D_max), _ = distinct_blocks(block, grid.nodes, base.reads)
     require_einstein(defect2, r_scale)
     return float(np.max(D_max))
 
@@ -497,12 +514,24 @@ def _require_space_form(base: MetricField, bundle: CurvatureBundle) -> float:
     return lam
 
 
+def _suite_derivatives(base: MetricField, h: SymTensorField, grid: QuadratureGrid) -> tuple:
+    """(X, at, (h, Dh, D2h, g^-1) at X): the distinct nodes X of the
+    coordinates base and h read, the index that gathers from X to every grid
+    node, and h with its covariant derivatives at X."""
+    rows, at = distinct_nodes(grid.nodes, reads_of(base, h))
+    X = grid.nodes[rows]
+    hv, Dh, D2h, _, ginv, *_ = sym_tensor_cov_derivs(base, h, X)
+    return X, at, (hv, Dh, D2h, ginv)
+
+
 def _suite_sides(
-    base: MetricField, h: SymTensorField, grid: QuadratureGrid, hv, D2h, ginv
+    base: MetricField, h: SymTensorField, grid: QuadratureGrid, X, at, hv, D2h, ginv
 ) -> tuple[float, dict[str, float], tuple[float, float, float]]:
     """lam, the left-hand sides {name: int <T', h> dV} of the ten terms T of
     the gradient, and (int |h|^2, int <h, Lap h>, int |Lap h|^2), from h, its
-    second covariant derivative D2h and g^-1 on the grid nodes.
+    second covariant derivative D2h and g^-1 at the nodes X of
+    :func:`_suite_derivatives`, each integrand gathered to every grid node
+    by ``at``.
 
     Each T' is the complex step Im T(g + i eps h) / eps of a term of
     :func:`_gradient_terms`, all ten from one :func:`gradient_ingredients`
@@ -515,18 +544,18 @@ def _suite_sides(
     forms read from the last integral.
     """
     _require_quadrature(base)
-    X = grid.nodes
     ing = gradient_ingredients(linear_combination_metric(base, h, 1j * COMPLEX_STEP), X)
     b: CurvatureBundle = ing["bundle"]
     lam = _require_space_form(base, b)
-    measure = grid.weights * b.sqrt_det.real
+    on_X = ing["at"]  # the complex metric reads what base and h read: all of X
+    measure = grid.weights * b.sqrt_det.real[on_X][at]
 
     def integral(S, T) -> float:
-        return float(np.sum(measure * inner_02(S, T, ginv)))
+        return float(np.sum(measure * inner_02(S, T, ginv)[at]))
 
-    terms = _gradient_terms(ing)
+    terms = {k: T[on_X] for k, T in _gradient_terms(ing).items()}
     terms["scalar_laplacian_metric"] = (
-        contract("aik,aik->a", ginv, ing["hess_R"])[:, None, None] * b.g.real
+        contract("aik,aik->a", ginv, ing["hess_R"][on_X])[:, None, None] * b.g.real[on_X]
     )
     lhs = {k: integral(T.imag / COMPLEX_STEP, hv) for k, T in terms.items()}
     lap_h = contract("akl,aijkl->aij", ginv, D2h)
@@ -544,9 +573,9 @@ def tt_identity_suite(
     the suite returns the directly computed and closed-form values side by
     side.
     """
-    hv, Dh, D2h, _, ginv, *_ = sym_tensor_cov_derivs(base, h, grid.nodes)
+    X, at, (hv, Dh, D2h, ginv) = _suite_derivatives(base, h, grid)
     _require_tt(*_tt_defect_arrays(hv, Dh, ginv), "suite requires a TT field")
-    lam, lhs, (nrm, ihl, ihl2) = _suite_sides(base, h, grid, hv, D2h, ginv)
+    lam, lhs, (nrm, ihl, ihl2) = _suite_sides(base, h, grid, X, at, hv, D2h, ginv)
     n = base.dimension
     rhs = dict(
         riemann_product=2 * (n + 1) * lam**2 * nrm - 2 * lam * ihl,
@@ -569,8 +598,8 @@ def conformal_identity_suite(
     """Same contract as :func:`tt_identity_suite` for h = f g, in terms of
     int f^2, int f Lap f and int f Lap^2 f = int (Lap f)^2."""
     h = conformal_tensor(base, f)
-    hv, _, D2h, _, ginv, *_ = sym_tensor_cov_derivs(base, h, grid.nodes)
-    lam, lhs, h_integrals = _suite_sides(base, h, grid, hv, D2h, ginv)
+    X, at, (hv, _, D2h, ginv) = _suite_derivatives(base, h, grid)
+    lam, lhs, h_integrals = _suite_sides(base, h, grid, X, at, hv, D2h, ginv)
     n = base.dimension
     # |f g|^2 = n f^2 and Lap(f g) = (Lap f) g
     f2, f_lap, f_lap2 = (v / n for v in h_integrals)

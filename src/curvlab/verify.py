@@ -38,8 +38,8 @@ from .variations import (
 )
 from .tensors import (
     curvature_grid,
+    distinct_blocks,
     max_abs,
-    node_blocks,
     norm2_02,
     space_form_deviation,
     space_form_scale,
@@ -65,12 +65,6 @@ def s3_first_harmonic() -> ScalarField:
     """x1, a function of the angles only: a first spherical harmonic on the
     Euler chart of every radius r, -Lap f = (3 / r^2) f, mean zero."""
     return analytic_scalar_field(euler_su2_domain(), _X1, name="S^3 harmonic l=1")
-
-
-def s3_second_harmonic() -> ScalarField:
-    """x1^2 - 1/4, a second spherical harmonic on the Euler chart of every
-    radius r, -Lap f = (8 / r^2) f, mean zero."""
-    return analytic_scalar_field(euler_su2_domain(), _X1 * _X1 - 0.25, name="S^3 harmonic l=2")
 
 
 def hessian_case(
@@ -100,10 +94,10 @@ def hessian_case(
             f"unknown hessian model {model!r}; pick one of {HESSIAN_MODELS}"
         )
     ing = gradient_ingredients(base, grid.nodes)
-    b = ing["bundle"]
-    measure = grid.weights * b.sqrt_det
+    b, at = ing["bundle"], ing["at"]
+    measure = grid.weights * b.sqrt_det[at]
     if mode == "tt":
-        norm2 = float(np.sum(measure * norm2_02(h.eval_grid(grid.nodes), b.ginv)))
+        norm2 = float(np.sum(measure * norm2_02(h.eval_grid(grid.nodes), b.ginv[at])))
         predicted = second_variation_tt_predicted(n, lam, eigenvalue, coeff, norm2)
     else:
         f2 = float(np.sum(measure * f.eval_grid(grid.nodes) ** 2))
@@ -111,7 +105,7 @@ def hessian_case(
     d1_analytic = _first_variation_pairing(base, ing, grid, coeff)(h)
     d1_numeric = first_variation_numeric(base, grid, h, coeff)
     # the base's F and volume from the bundle of its gradient ingredients
-    base_sums = _bundle_integrals(b, grid, coeff)
+    base_sums = _bundle_integrals(b, at, grid, coeff)
     d2 = _second_variation(PerturbationFamily(base, h), grid, coeff, t_step, base_sums)
     c = _lagrange_constant(base, ing, grid, coeff)
     return VariationReport(
@@ -184,8 +178,8 @@ def gradient_case(
 def curvature_case(
     kind: str, n: int, radius: float = 1.0, res=None, tol: float | None = None
 ) -> dict:
-    """Space-form deviations of a model over a grid of nodes, the grid
-    streamed in node blocks.
+    """Space-form deviations of a model over a grid of nodes, its distinct
+    nodes streamed in node blocks.
 
     With ``tol``, the report also says whether each deviation passes: the
     Rm, Ric and R deviations against ``tol`` times max(1, |lam| max|g|^k),
@@ -211,9 +205,8 @@ def curvature_case(
         )
 
     # np.max over the block maxima keeps a NaN
-    rm_dev, ric_dev, r_dev, g_max = (
-        float(np.max(v)) for v in node_blocks(block_max, grid.nodes)
-    )
+    maxima, _ = distinct_blocks(block_max, grid.nodes, field.reads)
+    rm_dev, ric_dev, r_dev, g_max = (float(np.max(v)) for v in maxima)
     report = {
         "model": kind,
         "n": n,

@@ -1,7 +1,12 @@
+from math import gamma
+
 import numpy as np
 import pytest
 
 from curvlab.charts import build_grid, make_model
+from curvlab.fields import MetricField, SymTensorField, analytic_scalar_field, euler_su2_domain
+from curvlab.tensors import _pair_index, _pair_norm2, bivector_product
+from curvlab.verify import _X1
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +52,26 @@ def random_probes(domain, rng, count=100, margin=0.08):
     lo_eff = lo + np.where(domain.periodic, 0.0, margin * span)
     hi_eff = hi - np.where(domain.periodic, 0.0, margin * span)
     return rng.uniform(lo_eff, hi_eff, size=(count, domain.dimension))
+
+
+def exact_sphere_volume(n: int, radius: float = 1.0) -> float:
+    """Vol(S^n of radius r) = 2 pi^((n+1)/2) r^n / Gamma((n+1)/2)."""
+    return float(2 * np.pi ** ((n + 1) / 2) / gamma((n + 1) / 2) * radius**n)
+
+
+def metric_as_sym_tensor(g: MetricField) -> SymTensorField:
+    """View a metric as a symmetric 2-tensor field (e.g. the direction h = g)."""
+    return SymTensorField(domain=g.domain, _jet=g._jet, name=f"{g.name} (as tensor)")
+
+
+def norm2_04(T, ginv):
+    """|T|^2 for a batched (0,4) tensor antisymmetric in slots (0,1) and in
+    slots (2,3), as Rm and W are: its pair matrix, then the pair norm."""
+    l, i = _pair_index(ginv.shape[-1])[:2]
+    return _pair_norm2(T[:, l, i][:, :, l, i], bivector_product(ginv, ginv))
+
+
+def s3_second_harmonic():
+    """x1^2 - 1/4, a second spherical harmonic on the Euler chart of every
+    radius r, -Lap f = (8 / r^2) f, mean zero."""
+    return analytic_scalar_field(euler_su2_domain(), _X1 * _X1 - 0.25, name="S^3 harmonic l=2")

@@ -17,7 +17,7 @@ from curvlab.spectral import (
     symmetrization_energies,
     torus_tt_mode,
 )
-from curvlab.tensors import curvature_grid, norm2_04
+from curvlab.tensors import curvature_grid
 from curvlab.variations import (
     PerturbationFamily,
     conformal_identity_suite,
@@ -35,6 +35,8 @@ from curvlab.verify import (
     hessian_case,
     s3_first_harmonic,
 )
+
+from conftest import norm2_04
 
 C00 = Coefficients(0.0, 0.0)
 TWO_PI_SQ = 2 * np.pi**2

@@ -6,7 +6,6 @@ import pytest
 
 from curvlab.charts import (
     build_grid,
-    exact_sphere_volume,
     make_model,
     milnor_coframe,
     milnor_frame,
@@ -30,7 +29,7 @@ from curvlab.fields import (
 )
 from curvlab.tensors import curvature_grid
 
-from conftest import random_probes
+from conftest import exact_sphere_volume, metric_as_sym_tensor, random_probes
 
 
 def test_domain_validation():
@@ -258,7 +257,6 @@ def _jet_fields():
     from curvlab.fields import (
         cosine_scalar_field,
         linear_combination_metric,
-        metric_as_sym_tensor,
         random_sphere_sym_tensor,
         random_torus_metric,
         random_torus_sym_tensor,

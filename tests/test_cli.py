@@ -5,6 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from curvlab.cli import run
@@ -264,6 +265,28 @@ def test_rayleigh_malformed_lists_are_usage_errors(capsys):
     assert run(["rayleigh", "--model", "s3-invariant", "--d", "1,x,2"]) == 1
     assert "--d" in capsys.readouterr().err
     assert run(["rayleigh", "--model", "s3-invariant", "--d", "1,nan,2"]) == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--model", "s3-invariant", "--res", "100000"], ["--model", "s3-invariant", "--res", "2000"],
+     ["--model", "torus-tt", "--res", "200"]],
+    ids=["1e15-nodes", "gauss-axis", "8e6-nodes"],
+)
+def test_rayleigh_refuses_a_huge_grid_before_allocating_it(flags, monkeypatch, capsys, tmp_path):
+    # --res 100000 once built a 100000 x 100000 Gauss-Legendre companion
+    # matrix and ended in a MemoryError traceback; the grid is now refused
+    # before any node, weight or Gauss-Legendre rule is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused grid was allocated")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    out = tmp_path / "ray.json"
+    assert run(["rayleigh", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid (") and "too large" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_curvature_without_default_grid_is_a_usage_error(capsys):

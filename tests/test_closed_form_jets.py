@@ -16,7 +16,7 @@ import pytest
 import sympy as sp
 
 import sympy_oracle as oracle
-from conftest import random_probes
+from conftest import random_probes, s3_second_harmonic
 from curvlab.charts import make_model, milnor_coframe_exprs
 from curvlab.fields import (
     _SeparableJet,
@@ -27,7 +27,7 @@ from curvlab.fields import (
     torus_domain,
 )
 from curvlab.spectral import s3_invariant_tt
-from curvlab.verify import s3_first_harmonic, s3_second_harmonic
+from curvlab.verify import s3_first_harmonic
 
 RADIUS = 1.7
 TOP = 5

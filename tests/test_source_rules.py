@@ -215,3 +215,33 @@ def test_gradient_terms_are_named_in_three_places():
     )
     found = [scope for scope, _ in _term_name_sites(ast.parse(code))]
     assert found == ["ROWS", "_suite_sides", "_suite_sides", "A.suite"]
+
+
+# a whole-grid pass runs once per distinct node of the coordinates its
+# fields read: node_blocks is called by the distinct-node helper and by the
+# Hessian blocks, whose one caller takes the distinct nodes first
+BLOCK_SITES = {
+    "node_blocks": {("tensors.py", "distinct_blocks"), ("tensors.py", "covariant_hessian_blocks")},
+    # the second site is the import
+    "covariant_hessian_blocks": {("variations.py", "gradient_ingredients"), ("variations.py", "")},
+}
+
+
+def _use_sites(name: str) -> set:
+    """(file, enclosing name) of every reference to ``name`` in the package."""
+    return {
+        (path.name, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for _, scope, _, is_def in _named_uses(ast.parse(path.read_text()), {name})
+        if not is_def
+    }
+
+
+def test_whole_grid_blocks_run_on_distinct_nodes():
+    for name, sites in BLOCK_SITES.items():
+        assert _use_sites(name) == sites, name
+    assert ("variations.py", "gradient_ingredients") in _use_sites("distinct_nodes")
+    # the rule sees a reduction that streams the grid past the helper
+    code = "from .tensors import node_blocks\ndef reduce(f, X):\n    return node_blocks(f, X)\n"
+    found = {scope for _, scope, _, d in _named_uses(ast.parse(code), {"node_blocks"}) if not d}
+    assert found == {"", "reduce"}

@@ -19,7 +19,6 @@ from curvlab.fields import (
     SymTensorField,
     cosine_scalar_field,
     fd_partials,
-    metric_as_sym_tensor,
     linear_combination_metric,
     random_sphere_sym_tensor,
     random_torus_metric,
@@ -63,11 +62,10 @@ from curvlab.verify import (
     gradient_case,
     hessian_case,
     s3_first_harmonic,
-    s3_second_harmonic,
 )
 
 import sympy_oracle
-from conftest import random_probes
+from conftest import metric_as_sym_tensor, random_probes, s3_second_harmonic
 
 C00 = Coefficients(0.0, 0.0)
 TWO_PI_SQ = 2 * np.pi**2
