@@ -32,9 +32,15 @@ For the conformal families the inequalities above are exactly equivalent to
 never contradict sampled polynomial signs.  For lam = -1 with n != 4 the
 published clause text for these regions is internally inconsistent with P2;
 the classifier follows the polynomial criterion and flags this in the
-citation string.  Points on any defining line are reported as Boundary;
-points covered by no clause are Undetermined (the conditions are sufficient
-only, so no Indefinite verdict is ever claimed).
+citation string.
+
+The table is written once, in :func:`clause`, as one or two linear forms in
+(s, tau) per (mode, lam, n).  One rule, in :func:`classify`, reads the forms
+scaled by 1/(max(1, |s|, |tau|) n^2), which keeps their signs: Boundary if any
+is within BOUNDARY_TOL of 0, LocalMin if all are positive, LocalMax if all are
+negative, otherwise Undetermined (the conditions are sufficient only, so no
+Indefinite verdict is ever claimed).  A query whose scale or scaled forms are
+not finite floats gets no verdict: ``classify`` raises ConfigurationError.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -53,6 +60,10 @@ from .errors import ConfigurationError
 # relative to the size of the form's terms, so that rounding them at large
 # s or tau cannot move a point on the line to LocalMin or LocalMax.
 BOUNDARY_TOL = 1e-12
+_OVERFLOWED = "s, tau or n too large to classify: the scaled clause forms overflow"
+# The largest atlas resolution, refused before any row is built: a row
+# costs about 600 B, so 512^2 rows take about 160 MB.
+MAX_ATLAS_RESOLUTION = 512
 
 LOCAL_MIN = "LocalMin"
 LOCAL_MAX = "LocalMax"
@@ -119,79 +130,63 @@ class Verdict:
     citation: str = ""
 
 
-def _two_form_verdict(f1, f2, min_signs, cite_min, cite_max, boundary_cite):
-    """Verdict from two linear forms; min region is sign(f) == min_signs."""
-    if abs(f1) <= BOUNDARY_TOL or abs(f2) <= BOUNDARY_TOL:
-        return Verdict(BOUNDARY, boundary_cite)
-    s1, s2 = np.sign(f1), np.sign(f2)
-    if (s1, s2) == min_signs:
-        return Verdict(LOCAL_MIN, cite_min)
-    if (s1, s2) == (-min_signs[0], -min_signs[1]):
-        return Verdict(LOCAL_MAX, cite_max)
-    return Verdict(UNDETERMINED)
-
-
-def _one_form_verdict(f, cite_min, cite_max, boundary_cite):
-    if abs(f) <= BOUNDARY_TOL:
-        return Verdict(BOUNDARY, boundary_cite)
-    return Verdict(LOCAL_MIN, cite_min) if f > 0 else Verdict(LOCAL_MAX, cite_max)
+def clause(mode, lam, n, s, tau):
+    """The clause of Thms 1.1-1.6 that decides (mode, lam, n) at (s, tau), as
+    ``(forms, cite_min, cite_max, theorem)``: linear forms in (s, tau) that are
+    all positive on the LocalMin region and all negative on the LocalMax one,
+    the two citations, and the theorem a Boundary citation names."""
+    if mode == TT:
+        if lam == 0:
+            return (s + 4,), "Thm 1.3 / Cor 3.1", "Thm 1.3 / Cor 3.1", "Thm 1.3"
+        thr = (6 * n - 12) / (n * (n - 1))
+        if lam == 1:
+            return (s + 4, thr - tau), "Thm 1.1(1)", "Thm 1.1(2)", "Thm 1.1"
+        return (s + 4, tau - thr), "Thm 1.2(1)", "Thm 1.2(2)", "Thm 1.2"
+    if lam == 0:
+        cite = "Thm 1.4 / Cor 3.2"
+        return (s + 4 * tau - 4 * (tau - 1) / n,), cite, cite, "Thm 1.4"
+    a, b = _conformal_ab(n, s, tau)
+    if n == 4:  # b = 0
+        cite = "Thm 1.5(1)" if lam == 1 else "Thm 1.6(1)"
+        return (a,), cite, cite, cite
+    if lam == 1:  # P1 >= 0 on [n, inf) iff a >= 0 and a n + b >= 0
+        cite = "Thm 1.5(2)" if n == 3 else "Thm 1.5(3)"
+        return (a, a * n + b), cite, cite, cite
+    # P2 >= 0 on (0, inf) iff a >= 0 and b <= 0
+    cite = ("Thm 1.6(2)" if n == 3 else "Thm 1.6(3)") + ", regions per P2 criterion"
+    return (a, -b), cite, cite, cite
 
 
 def classify(q: StabilityQuery) -> Verdict:
-    """Stability verdict for the query, with the clause that fired."""
+    """Stability verdict for the query, with the clause that fired: the one
+    verdict rule read on the clause's scaled forms."""
     n, s, tau = q.n, q.s, q.tau
-    u = 1.0 / (max(1.0, abs(s), abs(tau)) * n * n)  # scales each form, keeping its sign
-    if q.mode == TT:
-        thr = (6 * n - 12) / (n * (n - 1))
-        if q.lam == 0:
-            return _one_form_verdict(
-                u * (s + 4), "Thm 1.3 / Cor 3.1", "Thm 1.3 / Cor 3.1", "boundary of Thm 1.3"
-            )
-        if q.lam == 1:
-            return _two_form_verdict(
-                u * (s + 4),
-                u * (thr - tau),
-                (1.0, 1.0),
-                "Thm 1.1(1)",
-                "Thm 1.1(2)",
-                "boundary of Thm 1.1",
-            )
-        return _two_form_verdict(
-            u * (s + 4),
-            u * (tau - thr),
-            (1.0, 1.0),
-            "Thm 1.2(1)",
-            "Thm 1.2(2)",
-            "boundary of Thm 1.2",
-        )
-
-    # conformal mode
-    if q.lam == 0:
-        return _one_form_verdict(
-            u * (s + 4 * tau - 4 * (tau - 1) / n),
-            "Thm 1.4 / Cor 3.2",
-            "Thm 1.4 / Cor 3.2",
-            "boundary of Thm 1.4",
-        )
-    a, b = _conformal_ab(n, s, tau)
-    if q.lam == 1:
-        clause = {3: "Thm 1.5(2)", 4: "Thm 1.5(1)"}.get(n, "Thm 1.5(3)")
-        if n == 4:
-            return _one_form_verdict(u * a, clause, clause, "boundary of Thm 1.5(1)")
-        return _two_form_verdict(
-            u * a, u * (a * n + b), (1.0, 1.0), clause, clause, f"boundary of {clause}"
-        )
-    # lam = -1 conformal: P2 >= 0 on (0, inf) iff a >= 0 and b <= 0
-    if n == 4:
-        return _one_form_verdict(
-            u * a, "Thm 1.6(1)", "Thm 1.6(1)", "boundary of Thm 1.6(1)"
-        )
-    clause = (
-        "Thm 1.6(2), regions per P2 criterion"
-        if n == 3
-        else "Thm 1.6(3), regions per P2 criterion"
-    )
-    return _two_form_verdict(u * a, -u * b, (1.0, 1.0), clause, clause, f"boundary of {clause}")
+    try:
+        scale = max(1.0, abs(s), abs(tau)) * n * n
+    except OverflowError:  # n is beyond the float range
+        scale = inf
+    if not scale < inf:  # a finite scale bounds n^2, so clause converts n to float
+        raise ConfigurationError(_OVERFLOWED)
+    forms, cite_min, cite_max, theorem = clause(q.mode, q.lam, n, s, tau)
+    u = 1.0 / scale  # scales each form, keeping its sign
+    positive = negative = boundary = False
+    for f in forms:
+        f *= u
+        if not abs(f) < inf:
+            raise ConfigurationError(_OVERFLOWED)
+        if abs(f) <= BOUNDARY_TOL:
+            boundary = True
+        elif f > 0:
+            positive = True
+        else:
+            negative = True
+    if boundary:
+        return Verdict(BOUNDARY, "boundary of " + theorem)
+    if not negative:
+        return Verdict(LOCAL_MIN, cite_min)
+    if not positive:
+        return Verdict(LOCAL_MAX, cite_max)
+    return Verdict(UNDETERMINED)
 
 
 def emit_atlas(
@@ -209,11 +204,11 @@ def emit_atlas(
     deterministic.  Returns the serialized text, CSV or JSON; the ``atlas``
     subcommand writes it through the CLI's one report writer.
     """
-    if resolution < 2:
-        raise ConfigurationError("atlas resolution must be >= 2")
-    if not (
-        np.isfinite(s_range).all() and np.isfinite(tau_range).all()  # type: ignore[union-attr]
-    ):
+    if not 2 <= resolution <= MAX_ATLAS_RESOLUTION:
+        raise ConfigurationError(
+            f"atlas resolution must be between 2 and {MAX_ATLAS_RESOLUTION}, got {resolution}"
+        )
+    if not np.isfinite([*s_range, *tau_range]).all():
         raise ConfigurationError("atlas ranges must be finite")
     ss = np.linspace(s_range[0], s_range[1], resolution)
     taus = np.linspace(tau_range[0], tau_range[1], resolution)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvlab.atlas import (
     StabilityQuery,
     Verdict,
     classify,
+    clause,
     conformal_polynomial,
     emit_atlas,
     p1,
@@ -70,11 +71,88 @@ def test_one_lambda_formula_equals_the_per_lambda_forms():
 
 
 @given(s=finite, tau=finite, mu=finite)
+@example(s=49.5234375, tau=-16.84120846899652, mu=8.0)  # s + 3 tau + 1 cancels
 @settings(max_examples=200, deadline=None)
 def test_p1_factorization_n4(s, tau, mu):
     lhs = p1(4, s, tau, mu)
     rhs = 6 * (mu - 4) * (s + 3 * tau + 1) * mu
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+    # roundoff of the summed terms, not of their sum, which may cancel;
+    # below the smallest normal float it is absolute
+    size = 6 * abs(mu - 4) * abs(mu) * (abs(s) + 3 * abs(tau) + 1)
+    assert abs(lhs - rhs) <= 1e-14 * size + np.finfo(float).tiny
+
+
+# Every clause against its polynomial, exactly.  Each polynomial is k (x - r)
+# g(x) with k (x - r) >= 0 on the spectrum [x0, inf) and g linear in x, so g
+# keeps one sign there iff its leading coefficient and g(x0) do.
+SPECTRUM = {  # (k, r, x0) per (mode, lam)
+    ("tt", 1): lambda n: (1, 2 * (n - 1), 4 * n),
+    ("tt", -1): lambda n: (1, -2 * (n - 1), -n),
+    ("tt", 0): lambda n: (1, 0, 0),
+    ("conformal", 1): lambda n: (n - 1, n, n),
+    ("conformal", -1): lambda n: (n - 1, -n, 0),
+    ("conformal", 0): lambda n: (n - 1, 0, 0),
+}
+POLYNOMIAL = {"tt": tt_polynomial, "conformal": conformal_polynomial}
+S, TAU, X = sp.symbols("s tau x")
+M = sp.Symbol("m", nonnegative=True)
+
+
+def _nonnegative(e, n_min):
+    """e >= 0 for every n >= n_min (e may hold the symbol n)."""
+    return sp.factor(sp.sympify(e).subs(sp.Symbol("n"), M + n_min)).is_nonnegative
+
+
+def _sign_terms(mode, lam, n, n_min):
+    """g's leading coefficient and g(x0), less those that vanish identically;
+    checks that k (x - r) >= 0 on the spectrum."""
+    k, r, x0 = SPECTRUM[mode, lam](n)
+    assert _nonnegative(k, n_min) and _nonnegative(x0 - r, n_min)
+    g = sp.cancel(POLYNOMIAL[mode](n, lam, S, TAU, X) / (k * (X - r)))
+    assert sp.Poly(g, X).degree() <= 1 and X not in sp.denom(g).free_symbols
+    return [e for e in (g.coeff(X, 1), g.subs(X, x0)) if sp.expand(e) != 0]
+
+
+def _combines(e, forms, n_min):
+    """e is a combination of the forms, with coefficients >= 0 free of s, tau
+    (where the forms are dependent, the one with the free coefficients 0)."""
+    c = sp.symbols(f"c:{len(forms)}")
+    rest = sp.Poly(sp.expand(e - sum(ci * f for ci, f in zip(c, forms))), S, TAU)
+    sols = sp.solve(rest.coeffs(), c, dict=True)
+    free = dict.fromkeys(c, 0)
+    return len(sols) == 1 and all(_nonnegative(ci.subs(sols[0]).subs(free), n_min) for ci in c)
+
+
+def _clause_cases():
+    # n = 3..8, and symbolic n from the first n that each mode's generic
+    # clause covers
+    for mode in ("tt", "conformal"):
+        for lam in (-1, 0, 1):
+            for n in range(3, 9):
+                yield mode, lam, sp.Integer(n), n
+            yield mode, lam, sp.Symbol("n"), 3 if mode == "tt" else 5
+
+
+@pytest.mark.parametrize("mode, lam, n, n_min", list(_clause_cases()))
+def test_each_clause_against_its_polynomial(mode, lam, n, n_min):
+    forms = clause(mode, lam, n, S, TAU)[0]
+    terms = _sign_terms(mode, lam, n, n_min)
+    # all forms > 0 makes every sign term >= 0, so the polynomial >= 0 on the
+    # spectrum; all < 0 makes it <= 0
+    assert all(_combines(e, forms, n_min) for e in terms), terms
+    if mode == "conformal":
+        # and back: off the boundary lines, the polynomial >= 0 on the
+        # spectrum makes all forms > 0 (and <= 0 all < 0)
+        assert all(_combines(f, terms, n_min) for f in forms), forms
+
+
+def test_tt_clauses_are_sufficient_only():
+    # at n = 3, lam = 1, (s, tau) = (0, 1.5) the TT polynomial is >= 40 on
+    # lam_L >= 12, yet tau is above the Thm 1.1 threshold 1
+    y = sp.Symbol("y", nonnegative=True)
+    shifted = sp.Poly(sp.expand(tt_polynomial(3, 1, sp.Integer(0), sp.Rational(3, 2), 12 + y)), y)
+    assert shifted.coeff_monomial(1) == 40 and all(c >= 0 for c in shifted.coeffs())
+    assert classify(q(3, 1, "tt", 0.0, 1.5)) == Verdict("Undetermined")
 
 
 def test_query_validation():

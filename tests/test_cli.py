@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from curvlab import atlas
+from curvlab.atlas import MAX_ATLAS_RESOLUTION
 from curvlab.cli import run
 
 
@@ -287,6 +289,43 @@ def test_rayleigh_refuses_a_huge_grid_before_allocating_it(flags, monkeypatch, c
     err = capsys.readouterr().err
     assert err.startswith("error: grid (") and "too large" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("res", [MAX_ATLAS_RESOLUTION + 1, 100000])
+def test_atlas_refuses_a_huge_resolution_before_building_a_row(res, monkeypatch, capsys, tmp_path):
+    # an atlas row costs about 600 B, and --res 100000 asks for 1e10 rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused atlas was built")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(atlas, "classify", refuse)
+    out = tmp_path / "atlas.csv"
+    argv = ["atlas", "--n", "3", "--lambda", "1", "--mode", "tt", "--s-min", "-8", "--s-max", "0",
+            "--tau-min", "0", "--tau-max", "2", "--res", str(res), "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: atlas resolution must be") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # a NaN form once read LocalMax; here s + 3 tau + 1 > 0 makes it LocalMin
+        ["--n", "4", "--lambda", "0", "--mode", "conformal", "--s", "1e308", "--tau", "1e308"],
+        ["--n", "4", "--lambda", "1", "--mode", "conformal", "--s", "1e308", "--tau", "-2e307"],
+        # an overflowed scale once read Boundary
+        ["--n", "3", "--lambda", "0", "--mode", "tt", "--s", "1e308", "--tau", "0"],
+        # n**2 beyond the float range once ended in an OverflowError traceback
+        ["--n", str(10**200), "--lambda", "1", "--mode", "conformal", "--s", "0", "--tau", "0"],
+        ["--n", str(10**400), "--lambda", "-1", "--mode", "tt", "--s", "0", "--tau", "0"],
+    ],
+    ids=["nan-form", "nan-form-lam1", "scale", "n-1e200", "n-1e400"],
+)
+def test_classify_refuses_an_overflowed_form(flags, capsys):
+    assert run(["classify", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: s, tau or n too large to classify") and err.count("\n") == 1
 
 
 def test_curvature_without_default_grid_is_a_usage_error(capsys):

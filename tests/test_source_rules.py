@@ -176,9 +176,16 @@ def test_jets_are_packed_end_to_end():
 TERM_NAMES = {name for rows in _GRADIENT_ROWS.values() for _, name in rows}
 
 
-def _term_name_sites(tree: ast.AST):
-    """(enclosing name, line) for every string constant that names a gradient
-    term; a module-level assignment encloses its value under its target's name."""
+def _string_sites(tree: ast.AST, match):
+    """(enclosing name, line) for every string constant in code that ``match``
+    accepts; docstrings are not code, and a module-level assignment encloses
+    its value under its target's name."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -188,11 +195,16 @@ def _term_name_sites(tree: ast.AST):
             elif isinstance(child, ast.Assign) and not scope:
                 inner = [t.id for t in child.targets if isinstance(t, ast.Name)][:1]
             elif isinstance(child, ast.Constant) and isinstance(child.value, str):
-                if child.value in TERM_NAMES:
+                if match(child.value) and id(child) not in docstrings:
                     yield ".".join(scope), child.lineno
             yield from walk(child, inner)
 
     yield from walk(tree, [])
+
+
+def _term_name_sites(tree: ast.AST):
+    """(enclosing name, line) for every string constant that names a gradient term."""
+    return _string_sites(tree, TERM_NAMES.__contains__)
 
 
 def test_gradient_terms_are_named_in_three_places():
@@ -215,6 +227,32 @@ def test_gradient_terms_are_named_in_three_places():
     )
     found = [scope for scope, _ in _term_name_sites(ast.parse(code))]
     assert found == ["ROWS", "_suite_sides", "_suite_sides", "A.suite"]
+
+
+# the theorem citations are written in one place, the clause table: the
+# verdict rule and the atlas only pass them on
+CITATION = "Thm 1."
+
+
+def _citation_sites(tree: ast.AST):
+    return _string_sites(tree, lambda s: CITATION in s)
+
+
+def test_theorems_are_cited_in_the_clause_table_only():
+    sites = Counter(
+        (path.name, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, _ in _citation_sites(ast.parse(path.read_text()))
+    )
+    assert set(sites) == {("atlas.py", "clause")}, sites
+    # the rule sees a citation outside the table, and passes docstrings over
+    code = (
+        '"""Thm 1.1 in a docstring."""\n'
+        'def clause():\n    """Thm 1.2."""\n    return "Thm 1.3"\n'
+        'def classify(q):\n    return f"Thm 1.{q}" if q else "boundary of Thm 1.4"\n'
+    )
+    found = [scope for scope, _ in _citation_sites(ast.parse(code))]
+    assert found == ["clause", "classify", "classify"]
 
 
 # a whole-grid pass runs once per distinct node of the coordinates its

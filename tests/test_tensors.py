@@ -924,10 +924,12 @@ def test_space_form_deviation_keeps_a_nan(sphere4):
 
 
 def test_curvature_norms_are_computed_on_first_read(sphere4):
-    b = curvature(sphere4, random_probes(sphere4.domain, RNG, count=1)[0])
+    b = curvature(sphere4, random_probes(sphere4.domain, np.random.default_rng(926), count=1)[0])
     assert "normRm2" not in vars(b) and "normRic2" not in vars(b)
-    assert np.array_equal(b.normRm2, norm2_04(b.Rm4, b.ginv))
+    assert np.array_equal(b.normRm2, tensors._pair_norm2(b.M, b.wedge2_ginv))
     assert np.array_equal(b.normRic2, tensors.norm2_02(b.Ric, b.ginv))
+    # the n^4 route sums in another order: equal to roundoff of |Rm|^2
+    assert np.abs(b.normRm2 - norm2_04(b.Rm4, b.ginv)).max() <= 1e-14 * b.normRm2.max()
     assert "normRm2" in vars(b) and "normRic2" in vars(b)
     assert np.abs(b.normRm2 - 24).max() < 1e-9  # 2 n (n-1) on the unit S^4
 
