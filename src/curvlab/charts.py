@@ -56,7 +56,7 @@ from .fields import (
     torus_domain,
     wave,
 )
-from .tensors import jet_einsum, jet_solve, volume_element
+from .tensors import jet_scale, jet_solve, volume_element
 
 MIN_RESOLUTION = 4
 # The largest grid build_grid makes, refused before anything is allocated:
@@ -198,8 +198,9 @@ def _sphere_model(n: int, radius: float) -> MetricField:
 
 
 def _poincare_model(n: int) -> MetricField:
-    """g = 4 delta (1/u)^2, u = 1 - |x|^2: 1/u solves u w = 1 on the 1x1 jet
-    of u, written out, and its square is one jet product."""
+    """g = 4 delta (1/u)^2, u = 1 - |x|^2: w = 1/u solves u w = 1 on the 1x1
+    jet of u, written out, and w^2 is w's scalar jet times w
+    (:func:`curvlab.tensors.jet_scale`)."""
     # d^2 u = -2 delta, packed: 1 on the multi-indices (i, i), 0 elsewhere
     diagonal = (_multi_index_counts(n, 2).max(axis=1) == 2).astype(float)
 
@@ -209,7 +210,7 @@ def _poincare_model(n: int) -> MetricField:
         u += [np.zeros((N,) + _packed_axes(n, k)) for k in range(3, order + 1)]
         u = [t.reshape((N, 1, 1) + t.shape[1:]) for t in u[: order + 1]]
         w = jet_solve(u, [np.ones((N, 1, 1))], "aij,ajk->aik")
-        w2 = jet_einsum("aij,ajk->aik", w, w)
+        w2 = jet_scale([t[:, 0, 0] for t in w], w)
         g = [np.zeros((N, n * n) + t.shape[3:]) for t in w2]
         for out, t in zip(g, w2):
             out[:, :: n + 1] = 4.0 * t[:, 0]  # the diagonal, g_ii = 4 (1/u)^2

@@ -45,12 +45,13 @@ normalization Ric = (n-1) * lam * g):
 * A jet ``[T, dT, ..., d^m T]`` is packed, as the fields hand it out
   (:mod:`curvlab.fields`): its order-k partial (k >= 2) stores each
   partial once, on one trailing axis over the C(n+k-1, k) sorted derivative
-  multi-indices.  :func:`jet_einsum`, :func:`jet_solve`,
+  multi-indices.  :func:`jet_einsum`, :func:`jet_scale`, :func:`jet_solve`,
   :func:`connection_jet`, :func:`covariant_jet`, :func:`ricci_arrays`,
   :func:`sym_tensor_cov_derivs` and :func:`covariant_hessian_blocks` take
   and return packed jets, so derivatives of computed curvature are exact and
   no jet is expanded on the way: Leibniz' rule runs one packed product per
-  split of the order among the factors, and where a derivative index
+  split of the order among the factors (one matmul per order for a scalar
+  times a tensor, :func:`jet_scale`), and where a derivative index
   becomes a tensor slot (d_m T) one ``np.take`` splits it off a packed
   order.  Only a field's ``jet()`` expands a jet to full derivative axes.
 * Quotients are solved, not multiplied by an inverse jet: Gamma from g Gamma
@@ -342,6 +343,16 @@ def distinct_blocks(fn: Callable[[Array], tuple], X: Array, reads: Sequence[int]
 # the merge table of :func:`curvlab.fields._split` maps (slot m, packed
 # beta) to the packed column of sort(beta + (m,)).
 #
+# A scalar factor f (the conformal direction f g, the Poincare chart's
+# (1/u)^2) takes :func:`jet_scale` instead.  The split in which f is not
+# differentiated scales T_k by f_0; in each other split f's order-r partial
+# is folded alone, into a (P_(k-r), P_k) matrix per node (P_j the packed
+# width of order j), and stacked over r these meet T's partials of orders
+# 0 .. k - 1 side by side: one batched matmul per order, with no product
+# intermediate, and the folds those of _leibniz_plan.  Tensor products keep
+# the splits above: folding one factor first there, or stacking the splits
+# of a solve, measured slower.
+#
 # Division is forward substitution (ibid.): the k-th partial of A X = B
 # gives X_k = A_0^-1 (B_k - the splits in which A is differentiated), and
 # those splits are the packed Leibniz products with X's jet one order
@@ -407,6 +418,56 @@ def _leibniz(spec: str, jets: list, k: int) -> Array:
             P = P.reshape(lead + (-1,))
         total = P if total is None else total + P
     return total
+
+
+@lru_cache(maxsize=None)
+def _scale_folds(k: int, n: int, dtype: np.dtype) -> tuple:
+    """The folds of the splits (r, k - r), r = k - 1 .. 1, of the k-th
+    partial of a scalar times a tensor, as :func:`_leibniz_plan` makes them,
+    one row per multi-index of the scalar's order-r partial: (P_r, P_(k-r)
+    P_k) matrices, P_j = C(n+j-1, j), in ``dtype``."""
+    folds = {o[0]: fold for o, _, _, fold in _leibniz_plan("a,aij->aij", k, n, (k, k))}
+    return tuple(
+        folds[r].reshape(comb(n + r - 1, r), -1).astype(dtype) for r in range(k - 1, 0, -1)
+    )
+
+
+def jet_scale(f: list, T: list) -> list:
+    """Jet of f T for a scalar jet f and a tensor jet T, to the order of the
+    shorter jet: Leibniz' rule with one factor a scalar.
+
+    Order 0 and the split in which f is not differentiated scale T by f_0.
+    The other splits of order k are one batched matmul: T's partials of
+    orders 0 to k - 1 side by side on one contracted axis, times f's partials
+    of orders k to 1 folded into the output multi-indices (:func:`_scale_folds`)
+    and stacked on that axis, so no product of the two is formed before it is
+    folded.
+    """
+    order = min(len(f), len(T)) - 1
+    N, comp = len(T[0]), T[0].shape[1:]
+    f0 = f[0].reshape((N,) + (1,) * len(comp))
+    out = [f0 * T[0]]
+    if order == 0:
+        return out
+    # T's partials of orders 0 .. order - 1 on one trailing axis, per node a
+    # (components, sum of P_j) matrix whose prefixes are the orders below k
+    lower = np.concatenate(
+        [T[0].reshape(N, -1, 1)] + [t.reshape(N, -1, t.shape[-1]) for t in T[1:order]], axis=2
+    )
+    n, width = f[1].shape[-1], 1
+    for k in range(1, order + 1):
+        # f's partials of orders k .. 1 folded into the (P_j, P_k) blocks
+        # that meet T's partials of orders j = 0 .. k - 1
+        folded = np.empty((N, width, f[k].shape[-1]), dtype=f[k].dtype)
+        folded[:, 0], row = f[k], 1
+        for r, fold in zip(range(k - 1, 0, -1), _scale_folds(k, n, f[k].dtype)):
+            rows = fold.shape[1] // f[k].shape[-1]
+            np.matmul(f[r], fold, out=folded[:, row : row + rows].reshape(N, -1))
+            row += rows
+        P = np.matmul(lower[:, :, :width], folded)
+        out.append(f0[..., None] * T[k] + P.reshape(T[k].shape))
+        width += f[k].shape[-1]
+    return out
 
 
 def jet_einsum(spec: str, *jets: list, order: int | None = None) -> list:
@@ -515,8 +576,8 @@ def covariant_jet(T: list, Gamma: list) -> list:
     n = T[1].shape[-1]
     out = [_split(dT, k, n) for k, dT in enumerate(T[1:], 1)]
     for s, c in enumerate(comp):
-        spec = f"apm{c},a{comp[:s]}p{comp[s + 1:]}->a{comp}m"
-        out = [o - x for o, x in zip(out, jet_einsum(spec, Gamma, T, order=order))]
+        terms = jet_einsum(f"apm{c},a{comp[:s]}p{comp[s + 1:]}->a{comp}m", Gamma, T, order=order)
+        out = [o - x for o, x in zip(out, terms)]
     return out
 
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from .atlas import conformal_polynomial, tt_polynomial
 from .charts import QuadratureGrid, _require_quadrature, positive_normal_power, volume
-from .errors import DegenerateMetricError, EigenvalueRangeError, PreconditionError
+from .errors import DegenerateMetricError, DimensionError, EigenvalueRangeError, PreconditionError
 from .fields import (
     Array,
     MetricField,
@@ -72,7 +72,7 @@ from .tensors import (
     einstein_parts,
     inner_02,
     is_space_form,
-    jet_einsum,
+    jet_scale,
     max_abs,
     require_einstein,
     ricci_arrays,
@@ -90,11 +90,19 @@ SECOND_VARIATION_STEP = 1e-3
 
 
 def conformal_tensor(base: MetricField, f: ScalarField) -> SymTensorField:
-    """The conformal direction h = f * g, its jet by Leibniz' rule."""
+    """The conformal direction h = f * g, its jet the scalar-times-tensor
+    product of the two jets (:func:`curvlab.tensors.jet_scale`); f must be a
+    scalar field in the dimension of the base."""
+    if not isinstance(f, ScalarField):
+        raise DimensionError(f"a conformal factor must be a ScalarField, got {type(f).__name__}")
+    if f.dimension != base.dimension:
+        raise DimensionError(
+            f"conformal factor of dimension {f.dimension} on a base of dimension {base.dimension}"
+        )
     fj, gj = f._jet, base._jet
 
     def jet(X, order):
-        return jet_einsum("a,aij->aij", fj(X, order), gj(X, order))
+        return jet_scale(fj(X, order), gj(X, order))
 
     jet = _reading(reads_of(f, base), jet)
     return SymTensorField(domain=base.domain, _jet=jet, name=f"{f.name}*g")

@@ -2,10 +2,11 @@
 
 A full-axis jet [T, dT, ..., d^m T] carries k trailing, symmetric derivative
 axes at order k, as :meth:`curvlab.fields._TensorValuedField.jet` hands it
-out.  :func:`jet_einsum`, :func:`jet_solve`, :func:`connection_jet` and
-:func:`covariant_jet` here take and return such jets the way the package
-did before its pipeline ran on packed jets: every input is packed on its
-sorted derivative multi-indices, the packed Leibniz rule runs once, and
+out.  :func:`jet_einsum`, :func:`jet_scale`, :func:`jet_solve`,
+:func:`connection_jet` and :func:`covariant_jet` here take and return such
+jets the way the package did before its pipeline ran on packed jets: every
+input is packed on its sorted derivative multi-indices, the packed Leibniz
+rule (or, for a scalar factor, the packed scalar product) runs once, and
 every output is expanded to full axes again.  The forward substitution of
 ``jet_solve`` and ``connection_jet`` is mirrored step by step, S combined
 on full axes and cut to the symmetric pairs i <= j here rather than read
@@ -26,6 +27,7 @@ from curvlab.tensors import (
     christoffel_combination,
     connection_arrays,
     contract,
+    jet_scale as _packed_scale,
 )
 
 
@@ -70,6 +72,11 @@ def jet_einsum(spec: str, *jets: list, order: int | None = None) -> list:
     packed = [pack_jet(j[: order + 1]) for j in jets]
     n = jets[0][1].shape[-1] if order else 0
     return [expand(P, k, n) for k, P in enumerate(_packed_product(spec, packed, order))]
+
+
+def jet_scale(f: list, T: list) -> list:
+    n = T[1].shape[-1] if min(len(f), len(T)) > 1 else 0
+    return expand_jet(_packed_scale(pack_jet(f), pack_jet(T)), n)
 
 
 def jet_inverse(A: list) -> list:

@@ -76,7 +76,7 @@ def _poincare_full(n):
         u = [1.0 - np.einsum("ai,ai->a", X, X), -2.0 * X, np.tile(-2.0 * np.eye(n), (N, 1, 1))]
         u += [np.zeros((N,) + (n,) * k) for k in range(3, order + 1)]
         w = full_axis.jet_inverse([t.reshape((N, 1, 1) + t.shape[1:]) for t in u[: order + 1]])
-        w2 = full_axis.jet_einsum("aij,ajk->aik", w, w)
+        w2 = full_axis.jet_scale([t[:, 0, 0] for t in w], w)
         g = [np.zeros((N, n * n) + t.shape[3:]) for t in w2]
         for out, t in zip(g, w2):
             out[:, :: n + 1] = 4.0 * t[:, 0]
@@ -134,9 +134,7 @@ def _kinds():
     harmonic = s3_first_harmonic()
     out["conformal"] = (
         conformal_tensor(euler3, harmonic),
-        lambda X, order: full_axis.jet_einsum(
-            "a,aij->aij", harmonic.jet(X, order), euler3.jet(X, order)
-        ),
+        lambda X, order: full_axis.jet_scale(harmonic.jet(X, order), euler3.jet(X, order)),
     )
     rng = np.random.default_rng(12)
     pull = random_sphere_sym_tensor(3, rng, amplitude=0.3)

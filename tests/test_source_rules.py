@@ -283,3 +283,49 @@ def test_whole_grid_blocks_run_on_distinct_nodes():
     code = "from .tensors import node_blocks\ndef reduce(f, X):\n    return node_blocks(f, X)\n"
     found = {scope for _, scope, _, d in _named_uses(ast.parse(code), {"node_blocks"}) if not d}
     assert found == {"", "reduce"}
+
+
+# every scalar-times-tensor jet goes through jet_scale: no jet_einsum spec
+# in the package names an operand by the batch index alone
+SCALAR_PRODUCT = "jet_einsum"
+
+
+def _scalar_operand_calls(tree: ast.AST):
+    """(line, spec) for every jet_einsum call whose spec has an operand that
+    is the batch index alone, or that is neither a string nor an f-string (so
+    that it cannot be read); an f-string's fields count as no letters."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if getattr(f, "id", getattr(f, "attr", None)) != SCALAR_PRODUCT:
+            continue
+        spec = node.args[0] if node.args else None
+        if isinstance(spec, ast.Constant) and isinstance(spec.value, str):
+            text = spec.value
+        elif isinstance(spec, ast.JoinedStr):
+            text = "".join(v.value for v in spec.values if isinstance(v, ast.Constant))
+        else:
+            yield node.lineno, ast.unparse(spec) if spec else ""
+            continue
+        if any(len(sub.strip()) <= 1 for sub in text.split("->")[0].split(",")):
+            yield node.lineno, text
+
+
+def test_scalar_products_go_through_jet_scale():
+    found = [
+        (path.name, line, spec)
+        for path in sorted(SRC.glob("*.py"))
+        for line, spec in _scalar_operand_calls(ast.parse(path.read_text()))
+    ]
+    assert not found, f"a scalar operand in jet_einsum, not jet_scale: {found}"
+    # the rule sees a scalar operand, in a string or an f-string, and a spec
+    # it cannot read, and passes tensor products over
+    code = (
+        'jet_einsum("a,aij->aij", f, g)\n'
+        'tensors.jet_einsum(f"aij,a->a{c}", g, f)\n'
+        "jet_einsum(spec, f, g)\n"
+        'jet_einsum("aij,ajk->aik", g, g)\n'
+        'jet_einsum(f"apm{c},a{s}p->a{c}m", G, T)\n'
+    )
+    assert [line for line, _ in _scalar_operand_calls(ast.parse(code))] == [1, 2, 3]

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import itertools
+import operator
 import warnings
 
 import numpy as np
@@ -502,6 +504,112 @@ def test_jet_einsum_matches_owner_expansion(n, dtype):
             # the full-axis route: the same bits on every sorted multi-index
             for k, F in enumerate(full_axis.jet_einsum(spec, *jets)):
                 assert np.array_equal(got[k], full_axis.pack(F, k)), (spec, N, k)
+
+
+# (subscripts, shape) of the tensors a scalar factor meets: a scalar, a
+# covector, a 2-tensor and the pullback's (ambient, chart) matrix
+SCALED_COMPONENTS = (("", ""), ("i", "n"), ("ij", "nn"), ("Ai", "Nn"))
+
+
+def _partialwise_error(got, want):
+    """max over the partials of |got - want| / max |want|, real and imaginary
+    parts each against their own size (a complex step's imaginary part is
+    eps times the size of its real part)."""
+    return max(
+        _relative_error(part(g), part(w))
+        for g, w in zip(got, want)
+        for part in ((np.real, np.imag) if np.iscomplexobj(w) else (np.real,))
+        if np.any(part(w))
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_jet_scale_matches_the_leibniz_route(n, dtype):
+    rng = np.random.default_rng(30 * n + (dtype == complex))
+    sizes = {"n": n, "N": n + 1}
+    for N in (1, MATMUL_MIN_BATCH - 1, MATMUL_MIN_BATCH + 1, 64):
+        for sub, comp in SCALED_COMPONENTS:
+            # complex times real, and complex times complex on the odd ranks
+            T_dtype = dtype if len(sub) % 2 else float
+            f = _random_symmetric_jet(rng, N, (), n, 4, dtype)[0]
+            T = _random_symmetric_jet(rng, N, tuple(sizes[c] for c in comp), n, 4, T_dtype)[0]
+            got = tensors.jet_scale(f, T)
+            want = tensors.jet_einsum(f"a,a{sub}->a{sub}", f, T)
+            assert [(g.shape, g.dtype) for g in got] == [(w.shape, w.dtype) for w in want]
+            assert np.array_equal(got[0], f[0].reshape((N,) + (1,) * len(sub)) * T[0])
+            assert _partialwise_error(got, want) <= 1e-15, (N, comp)
+            # the order is that of the shorter jet
+            assert len(tensors.jet_scale(f[:3], T)) == len(tensors.jet_scale(f, T[:3])) == 3
+            assert all(np.array_equal(a, b) for a, b in zip(tensors.jet_scale(f, T[:3]), got))
+
+
+SCALED_METRICS = [
+    *(("torus", n) for n in range(2, 7)),
+    *(("sphere", n) for n in range(2, 7)),
+    *(("poincare", n) for n in range(2, 7)),
+    ("s3-euler", 3),
+]
+
+
+def _separable_scalar(n):
+    """f = 1/2 + cos(x^0) sin(2 x^1) cos(3 x^2) ... + cos(2 x^0) / 4, a
+    separable scalar that every coordinate enters, and the function that
+    writes it in sympy coordinates."""
+    waves = [fields.wave(m, m + 1.0, 3 * (m % 2)) for m in range(n)]
+    f = 0.5 + 0.25 * fields.wave(0, 2.0) + functools.reduce(operator.mul, waves)
+
+    def expr(coords):
+        terms = [sp.cos((m + 1) * c + 3 * (m % 2) * sp.pi / 2) for m, c in enumerate(coords)]
+        return sp.Rational(1, 2) + sp.cos(2 * coords[0]) / 4 + sp.Mul(*terms)
+
+    return f, expr
+
+
+def _metric_exprs(kind, n):
+    if kind == "torus":
+        return sp.symbols(f"x0:{n}"), sp.eye(n)
+    if kind == "sphere":
+        return sympy_oracle.sphere_metric(n, 1.0)
+    if kind == "poincare":
+        return sympy_oracle.poincare_metric(n)
+    return sympy_oracle.euler_su2_metric(1.0)
+
+
+def _packed_oracle(coords, m, X, order):
+    """The packed sympy jet of a symmetric matrix expression m at X."""
+    n = len(coords)
+    exprs = np.empty((n, n), dtype=object)
+    for idx in np.ndindex(n, n):
+        exprs[idx] = m[idx]
+    return sympy_oracle._SympyJet(coords, exprs, True, eager=0, packed=True)(X, order)
+
+
+@pytest.mark.parametrize("kind, n", SCALED_METRICS)
+def test_jet_scale_of_a_separable_scalar_and_a_metric(kind, n):
+    g = make_model(kind, n)
+    f, f_expr = _separable_scalar(n)
+    f = fields.analytic_scalar_field(g.domain, f)
+    X = random_probes(g.domain, np.random.default_rng(n), count=MATMUL_MIN_BATCH + 1)
+    fj, gj = f.packed_jet(X, 4), g.packed_jet(X, 4)
+    # the real scalar and a complex step on it, 1 + i eps f, whose imaginary
+    # part is eps f g: against the Leibniz route
+    step = [(k == 0) + 1j * COMPLEX_STEP * t for k, t in enumerate(fj)]
+    for scalar in (fj, step):
+        for order in range(5):
+            got = tensors.jet_scale(scalar[: order + 1], gj)
+            want = tensors.jet_einsum("a,aij->aij", scalar[: order + 1], gj)
+            assert len(got) == order + 1
+            assert _partialwise_error(got, want) <= 1e-15, (order, scalar is step)
+    # against sympy's partials of f g, from sympy's jets of f and g; sympy
+    # takes seconds a case above n = 3, where the route above checks the folds
+    if n > 3:
+        return
+    coords, g_expr = _metric_exprs(kind, n)
+    scalar_jet = sympy_oracle.sympy_scalar_field(g.domain, coords, f_expr(coords))._jet(X, 4)
+    want = _packed_oracle(coords, f_expr(coords) * g_expr, X, 4)
+    got = tensors.jet_scale(scalar_jet, _packed_oracle(coords, g_expr, X, 4))
+    assert _partialwise_error(got, want) <= 1e-15
 
 
 def _identity_jet(N, m, dtype=float):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from curvlab import variations
 from curvlab.charts import build_grid, make_model, sqrt_det_grid, to_unit_volume
 from curvlab.errors import (
+    DimensionError,
     EigenvalueRangeError,
     GlobalIntegralUnsupportedError,
     PreconditionError,
@@ -156,6 +157,18 @@ def test_scalar_variation_conformal_flat(torus3):
     dR = curvature_variations(torus3, h, X)["dR"]
     lap_f = -((2 * np.pi) ** 2) * np.cos(2 * np.pi * X[:, 0])
     assert np.abs(dR - (-(3 - 1) * lap_f)).max() < 1e-10
+
+
+def test_conformal_factor_must_match_the_base_dimension():
+    # the S^3 harmonic's jet would read the first three of four coordinates
+    # as Euler angles
+    with pytest.raises(DimensionError, match="dimension 3 on a base of dimension 4"):
+        conformal_tensor(make_model("sphere", 4), s3_first_harmonic())
+
+
+def test_conformal_factor_must_be_a_scalar_field(euler3):
+    with pytest.raises(DimensionError, match="must be a ScalarField, got SymTensorField"):
+        conformal_tensor(euler3, s3_invariant_tt((2.0, -1.0, -1.0)))
 
 
 def test_scalar_variation_tt_sphere(euler3):
