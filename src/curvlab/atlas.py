@@ -35,12 +35,15 @@ the classifier follows the polynomial criterion and flags this in the
 citation string.
 
 The table is written once, in :func:`clause`, as one or two linear forms in
-(s, tau) per (mode, lam, n).  One rule, in :func:`classify`, reads the forms
-scaled by 1/(max(1, |s|, |tau|) n^2), which keeps their signs: Boundary if any
-is within BOUNDARY_TOL of 0, LocalMin if all are positive, LocalMax if all are
-negative, otherwise Undetermined (the conditions are sufficient only, so no
-Indefinite verdict is ever claimed).  A query whose scale or scaled forms are
-not finite floats gets no verdict: ``classify`` raises ConfigurationError.
+(s, tau) per (mode, lam, n), homogeneous in (s, tau, 1).  One rule, in
+:func:`classify`, reads each form at (s, tau, 1)/m, m = max(1, |s|, |tau|),
+which keeps its sign and every argument in [-1, 1], so the form stays finite
+for every finite s and tau: Boundary if any form is within BOUNDARY_TOL of 0
+relative to the size of its own terms, sum |coefficient x argument|, LocalMin
+if all are positive, LocalMax if all are negative, otherwise Undetermined (the
+conditions are sufficient only, so no Indefinite verdict is ever claimed).  A
+query whose forms are not finite floats (n beyond the float range) gets no
+verdict: ``classify`` raises ConfigurationError.
 """
 
 from __future__ import annotations
@@ -49,18 +52,18 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from math import inf
+from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-# A point is on a defining line when the line's linear form, divided by
-# max(1, |s|, |tau|) n^2, is within BOUNDARY_TOL of zero: a tolerance
-# relative to the size of the form's terms, so that rounding them at large
-# s or tau cannot move a point on the line to LocalMin or LocalMax.
+# A point is on a defining line when the line's linear form is within
+# BOUNDARY_TOL of zero relative to the size of the form's own terms, so that
+# rounding them cannot move a point on the line to LocalMin or LocalMax.
 BOUNDARY_TOL = 1e-12
-_OVERFLOWED = "s, tau or n too large to classify: the scaled clause forms overflow"
+_OVERFLOWED = "n too large to classify: the clause forms overflow"
 # The largest atlas resolution, refused before any row is built: a row
 # costs about 600 B, so 512^2 rows take about 160 MB.
 MAX_ATLAS_RESOLUTION = 512
@@ -75,10 +78,11 @@ CONFORMAL = "conformal"
 MODES = (TT, CONFORMAL)
 
 
-def _conformal_ab(n, s, tau):
-    """The coefficients a, b of the conformal polynomial (clause table)."""
-    a = (n * s - 4 * tau + 4 * n * tau + 4) / 2
-    b = (n - 4) * (n**2 * tau + n * s - n * tau - s + 2)
+def _conformal_ab(n, s, tau, one=1):
+    """The coefficients a, b of the conformal polynomial (clause table),
+    linear in (s, tau, one)."""
+    a = (n * s - 4 * tau + 4 * n * tau + 4 * one) / 2
+    b = (n - 4) * (n**2 * tau + n * s - n * tau - s + 2 * one)
     return a, b
 
 
@@ -130,22 +134,23 @@ class Verdict:
     citation: str = ""
 
 
-def clause(mode, lam, n, s, tau):
+def clause(mode, lam, n, s, tau, one=1):
     """The clause of Thms 1.1-1.6 that decides (mode, lam, n) at (s, tau), as
     ``(forms, cite_min, cite_max, theorem)``: linear forms in (s, tau) that are
     all positive on the LocalMin region and all negative on the LocalMax one,
-    the two citations, and the theorem a Boundary citation names."""
+    the two citations, and the theorem a Boundary citation names.  Each form
+    is linear in (s, tau, one): at (s, tau, 1)/m it is the form divided by m."""
     if mode == TT:
         if lam == 0:
-            return (s + 4,), "Thm 1.3 / Cor 3.1", "Thm 1.3 / Cor 3.1", "Thm 1.3"
+            return (s + 4 * one,), "Thm 1.3 / Cor 3.1", "Thm 1.3 / Cor 3.1", "Thm 1.3"
         thr = (6 * n - 12) / (n * (n - 1))
         if lam == 1:
-            return (s + 4, thr - tau), "Thm 1.1(1)", "Thm 1.1(2)", "Thm 1.1"
-        return (s + 4, tau - thr), "Thm 1.2(1)", "Thm 1.2(2)", "Thm 1.2"
+            return (s + 4 * one, thr * one - tau), "Thm 1.1(1)", "Thm 1.1(2)", "Thm 1.1"
+        return (s + 4 * one, tau - thr * one), "Thm 1.2(1)", "Thm 1.2(2)", "Thm 1.2"
     if lam == 0:
         cite = "Thm 1.4 / Cor 3.2"
-        return (s + 4 * tau - 4 * (tau - 1) / n,), cite, cite, "Thm 1.4"
-    a, b = _conformal_ab(n, s, tau)
+        return (s + 4 * tau - 4 * (tau - one) / n,), cite, cite, "Thm 1.4"
+    a, b = _conformal_ab(n, s, tau, one)
     if n == 4:  # b = 0
         cite = "Thm 1.5(1)" if lam == 1 else "Thm 1.6(1)"
         return (a,), cite, cite, cite
@@ -157,24 +162,37 @@ def clause(mode, lam, n, s, tau):
     return (a, -b), cite, cite, cite
 
 
+@lru_cache(maxsize=64)
+def _table_row(mode, lam, n) -> tuple:
+    """The clause of (mode, lam, n) with each form as its coefficients of
+    (s, tau, one), the forms at the unit vectors, made in exact integer
+    arithmetic where n enters and rounded to floats; raises
+    ConfigurationError when n or a coefficient is not a finite float."""
+    try:
+        float(n)  # beyond the float range, thr = 6/n and its kin round to 0
+        rows = [clause(mode, lam, n, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        coefficients = tuple(tuple(map(float, form)) for form in zip(*(r[0] for r in rows)))
+    except OverflowError:
+        raise ConfigurationError(_OVERFLOWED) from None
+    if not all(isfinite(c) for form in coefficients for c in form):
+        raise ConfigurationError(_OVERFLOWED)
+    return (coefficients,) + rows[0][1:]
+
+
 def classify(q: StabilityQuery) -> Verdict:
     """Stability verdict for the query, with the clause that fired: the one
-    verdict rule read on the clause's scaled forms."""
-    n, s, tau = q.n, q.s, q.tau
-    try:
-        scale = max(1.0, abs(s), abs(tau)) * n * n
-    except OverflowError:  # n is beyond the float range
-        scale = inf
-    if not scale < inf:  # a finite scale bounds n^2, so clause converts n to float
-        raise ConfigurationError(_OVERFLOWED)
-    forms, cite_min, cite_max, theorem = clause(q.mode, q.lam, n, s, tau)
-    u = 1.0 / scale  # scales each form, keeping its sign
+    verdict rule read on the clause's forms at (s, tau, 1)/m, each the sum of
+    its terms coefficient x argument, judged against their magnitudes."""
+    forms, cite_min, cite_max, theorem = _table_row(q.mode, q.lam, q.n)
+    m = max(1.0, abs(q.s), abs(q.tau))
+    s, tau, one = q.s / m, q.tau / m, 1.0 / m
     positive = negative = boundary = False
-    for f in forms:
-        f *= u
-        if not abs(f) < inf:
+    for cs, ct, c1 in forms:
+        a, b, c = cs * s, ct * tau, c1 * one
+        f, size = a + b + c, abs(a) + abs(b) + abs(c)
+        if not isfinite(size):  # |a| + |b| + |c| overflows
             raise ConfigurationError(_OVERFLOWED)
-        if abs(f) <= BOUNDARY_TOL:
+        if abs(f) <= BOUNDARY_TOL * size:
             boundary = True
         elif f > 0:
             positive = True

@@ -24,6 +24,10 @@ derivative index trails the component axes):
                     ``combinations_with_replacement`` order, so each partial
                     is stored once (``d2[a, i, j, c]``, c the column of k <= l)
 
+The built-in fields hand out every order C-contiguous, with the packed axis
+last in memory as well, so that sums and scalings of jets (g + t h along a
+direction, :func:`linear_combination_metric`) run on contiguous memory.
+
 The whole pipeline of :mod:`curvlab.tensors` takes and returns packed jets.
 :meth:`_TensorValuedField.jet` is the one place a jet is expanded to full
 derivative axes, ``d2[a, i, j, k, l] = d^2 g_ij / (d x^k d x^l)`` and m
@@ -333,13 +337,15 @@ class ScalarField(_TensorValuedField):
 
 
 def linear_combination_metric(base: MetricField, h: SymTensorField, t: float) -> MetricField:
-    """The metric base + t*h; derivatives combine linearly."""
+    """The metric base + t*h; derivatives combine linearly, each order of
+    the jet one new array: t*h, with the base's partial added in place (the
+    bits of b + t*d)."""
     if h.dimension != base.dimension:
         raise DimensionError("perturbation dimension mismatch")
     bj, hj = base._jet, h._jet
 
     def jet(X, order):
-        return [b + t * d for b, d in zip(bj(X, order), hj(X, order))]
+        return [_add_into(t * d, b) for b, d in zip(bj(X, order), hj(X, order))]
 
     return MetricField(
         domain=base.domain,
@@ -347,6 +353,15 @@ def linear_combination_metric(base: MetricField, h: SymTensorField, t: float) ->
         lam=None,
         name=f"{base.name}+{t:g}*{h.name}",
     )
+
+
+def _add_into(P: Array, b: Array) -> Array:
+    """b + P, written into P, a new array, where it holds the sum's shape and
+    dtype."""
+    if P.shape != b.shape or not np.can_cast(b.dtype, P.dtype):
+        return b + P
+    P += b
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +592,9 @@ def _plane_wave_jet(X: Array, W: Array, A: Array, shape: tuple, order: int) -> l
     d^k cos = cycle[k % 4] w^k and d^k sin = cycle[(k + 3) % 4] w^k, with the
     powers w^alpha = w_alpha1 ... w_alphak on the packed multi-indices,
     multiplied left to right.  Order k is one matrix product: the (cos, sin)
-    terms of every wave, one row per node and multi-index, times A.  It
-    comes out as a view with the packed axis trailing.
+    terms of every wave, one row per node and multi-index, times A, copied
+    once to C order with the packed axis trailing, so that sums and scalings
+    of the jet run on contiguous memory.
     """
     N, waves = len(X), len(W)
     phase = X @ W.T
@@ -588,8 +604,10 @@ def _plane_wave_jet(X: Array, W: Array, A: Array, shape: tuple, order: int) -> l
     for k in range(order + 1):
         terms = np.stack([cycle[k % 4], cycle[(k + 3) % 4]], axis=2)[:, None] * wk.T[:, :, None]
         cols = terms.shape[1]
-        T = (terms.reshape(N * cols, 2 * waves) @ A).reshape((N, cols) + shape)
-        out.append(np.moveaxis(T, 1, -1) if k else T[:, 0])
+        T = (terms.reshape(N * cols, 2 * waves) @ A).reshape(N, cols, -1)
+        if k:  # one transposing copy of (node, multi-index, component) rows
+            T = np.ascontiguousarray(T.swapaxes(1, 2))
+        out.append(T.reshape((N,) + shape + _packed_axes(X.shape[1], k)))
         prefix, last = _prefix_index(X.shape[1], k + 1)
         wk = wk[:, prefix] * W[:, last]
     return out

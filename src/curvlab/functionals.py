@@ -9,6 +9,11 @@ runs once over every node's density in node order, never over partial sums
 per block, with numpy's pairwise summation.  Reports are therefore
 bit-stable and depend neither on the block size nor on the coordinates the
 metric reads.
+
+A pass of F reads only the energies F weighs: int |Rm|^2 always, int
+|Ric|^2 when s != 0 and int R^2 when tau != 0, so the complex-step
+variations at s = tau = 0 never build Ric or R; :func:`evaluate` reports
+every part.
 """
 
 from __future__ import annotations
@@ -46,16 +51,26 @@ class FunctionalReport:
 
 
 def _integrals(
-    field: MetricField, grid: QuadratureGrid, coeff: Coefficients, weyl: bool = False
+    field: MetricField,
+    grid: QuadratureGrid,
+    coeff: Coefficients,
+    weyl: bool = False,
+    every: bool = False,
 ) -> dict:
-    """The quadrature sums of F, its parts and the volume (with ``weyl``,
-    also int |W|^2), in the field's dtype: complex along a complex-step
-    direction."""
+    """The quadrature sums of F, the parts of F it reads and the volume, in
+    the field's dtype: complex along a complex-step direction.
+
+    F reads int |Rm|^2, int |Ric|^2 only when s != 0 and int R^2 only when
+    tau != 0 (:func:`_parts`), so a complex-step pass at s = tau = 0 never
+    builds Ric or R; with ``every``, all three parts are read and summed
+    into F, as :func:`evaluate` reports them, and with ``weyl`` int |W|^2
+    too."""
     _require_quadrature(field)
+    names = _parts(coeff, weyl, every)
     densities, at = distinct_blocks(
-        lambda Y: _densities(curvature_grid(field, Y), weyl), grid.nodes, field.reads
+        lambda Y: _densities(curvature_grid(field, Y), names), grid.nodes, field.reads
     )
-    return _sums(grid, coeff, *(d[at] for d in densities))
+    return _sums(grid, coeff, names, *(d[at] for d in densities))
 
 
 def _bundle_integrals(
@@ -64,21 +79,46 @@ def _bundle_integrals(
     """:func:`_integrals` of a field from its bundle on the grid nodes that
     ``at`` gathers to every node (see :func:`curvlab.tensors.distinct_nodes`):
     the same per-node densities in node order, so the same sums bit for bit."""
-    return _sums(grid, coeff, *(d[at] for d in _densities(bundle)))
+    names = _parts(coeff)
+    return _sums(grid, coeff, names, *(d[at] for d in _densities(bundle, names)))
 
 
-def _densities(b: CurvatureBundle, weyl: bool = False) -> tuple:
-    """Per node: sqrt(det g), |Rm|^2, |Ric|^2, R^2 and, with ``weyl``, |W|^2."""
-    out = (b.sqrt_det, b.normRm2, b.normRic2, b.R**2)
-    return out + (b.normW2,) if weyl else out
+# the per-node density of each energy, by its FunctionalReport name
+_DENSITIES = {
+    "Rquad": lambda b: b.normRm2,
+    "rho": lambda b: b.normRic2,
+    "S": lambda b: b.R**2,
+    "W": lambda b: b.normW2,
+}
 
 
-def _sums(grid: QuadratureGrid, coeff: Coefficients, sqrt_det, *parts) -> dict:
-    """The quadrature sums of F, its parts and the volume from the per-node
-    densities of :func:`_densities`, each one sum over all nodes."""
+def _parts(coeff: Coefficients, weyl: bool = False, every: bool = False) -> tuple:
+    """The energies a pass reads, in F's summation order: int |Rm|^2, then
+    int |Ric|^2 and int R^2 when ``every`` or when F weighs them by a
+    nonzero s or tau, then, with ``weyl``, int |W|^2."""
+    reads = {"Rquad": True, "rho": every or coeff.s != 0, "S": every or coeff.tau != 0, "W": weyl}
+    return tuple(k for k, read in reads.items() if read)
+
+
+def _densities(b: CurvatureBundle, names: tuple) -> tuple:
+    """Per node: sqrt(det g), then the density of each energy ``names``
+    lists; a density nobody reads is never built."""
+    return (b.sqrt_det,) + tuple(_DENSITIES[k](b) for k in names)
+
+
+def _sums(grid: QuadratureGrid, coeff: Coefficients, names: tuple, sqrt_det, *parts) -> dict:
+    """The quadrature sums of the energies ``names``, F and the volume from
+    the per-node densities of :func:`_densities`, each one sum over all
+    nodes; F adds s int |Ric|^2 and tau int R^2 to int |Rm|^2, in that
+    order, when they were read."""
     measure = grid.weights * sqrt_det
-    sums = {k: np.sum(measure * d) for k, d in zip(("Rquad", "rho", "S", "W"), parts)}
-    sums["F"] = sums["Rquad"] + coeff.s * sums["rho"] + coeff.tau * sums["S"]
+    sums = {k: np.sum(measure * d) for k, d in zip(names, parts)}
+    F = sums["Rquad"]
+    if "rho" in sums:
+        F = F + coeff.s * sums["rho"]
+    if "S" in sums:
+        F = F + coeff.tau * sums["S"]
+    sums["F"] = F
     sums["volume"] = np.sum(measure)
     return sums
 
@@ -88,7 +128,7 @@ def evaluate(
 ) -> FunctionalReport:
     """Integrate the curvature invariants of the field over the grid."""
     # the Weyl tensor vanishes identically for n <= 3
-    sums = {"W": 0.0} | _integrals(field, grid, coeff, weyl=field.dimension >= 4)
+    sums = {"W": 0.0} | _integrals(field, grid, coeff, weyl=field.dimension >= 4, every=True)
     return FunctionalReport(**{k: float(v) for k, v in sums.items()})
 
 

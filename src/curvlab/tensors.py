@@ -22,20 +22,22 @@ normalization Ric = (n-1) * lam * g):
   is read off M (:func:`pair_ricci`): R_lijk vanishes unless l != i and j !=
   k, so each Ric_ik, i <= k, sums (n - 1)^2 products of an entry of M and
   one of g^-1, and no n^4 array is built.
-* A :class:`CurvatureBundle` is built holding g, g^-1, sqrt(det g), M, Ric
-  and R, not the connection that builds M; sqrt(det g) comes from
+* A :class:`CurvatureBundle` is built holding g, g^-1, sqrt(det g) and M,
+  not the connection that builds M; sqrt(det g) comes from
   :func:`volume_element`, the one positivity test and volume measure,
   shared with :func:`curvlab.charts.sqrt_det_grid`.
-  The rest is computed on first read and cached on the bundle: Rm4, the
-  n^4 expansion of M; the norms ``normRm2``, ``normRic2`` and ``normW2``
-  (read by the functionals and the gradient, not by the curvature checks);
+  The rest is computed on first read and cached on the bundle: Ric (read
+  off M, :func:`pair_ricci`) and R, so a pass of F at s = tau = 0, which
+  reads |Rm|^2 alone, never builds them; Rm4, the n^4 expansion of M; the
+  norms ``normRm2``, ``normRic2`` and ``normW2`` (read by the functionals
+  and the gradient, not by the curvature checks);
   wedge^2 g and wedge^2 g^-1; the Weyl tensor's pair matrix ``W_pairs`` and
   its expansion ``W``; the raised forms of Rm4 and Ric (``Rm13`` =
   R^l_ijk); and the quadratic contractions of the gradient, ``A1_ij =
   R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl`` and ``ric2_ij = R_ip g^{pq}
-  R_qj``, all with Rm4's slot order.  The curvature check and the
-  functionals read M, Ric and R only, so they never build Rm4; Rm13, A1, B
-  and the Lichnerowicz Laplacian read it.
+  R_qj``, all with Rm4's slot order.  The curvature check reads M, Ric and
+  R, and the functionals M and, where F weighs them, Ric and R, so neither
+  builds Rm4; Rm13, A1, B and the Lichnerowicz Laplacian read it.
   :func:`space_form_deviation` is the one space-form deviation, max |M -
   lam wedge^2 g| = max |Rm4 - lam (g o g)/2|, and :func:`is_space_form` the
   one gate on it: each caller passes its own tolerance, judged relative to
@@ -636,23 +638,31 @@ class CurvatureBundle:
     """Pointwise curvature data; arrays keep the leading node axis.  On a
     space form M = lam wedge^2 g, the 2x2 minors of g (:func:`bivector_product`).
 
-    A bundle is built holding g, g^-1, sqrt(det g), the pair matrix M, Ric
-    (read off M, :func:`pair_ricci`) and R.  Everything else is built on
-    first read and cached: the n^4 tensor Rm4 (the expansion of M, read by
-    Rm13, A1, B and the Lichnerowicz Laplacian, not by the curvature check or
-    the functionals), the norms, wedge^2 g and wedge^2 g^-1, and the Weyl
+    A bundle is built holding g, g^-1, sqrt(det g) and the pair matrix M.
+    Everything else is built on first read and cached: Ric (read off M,
+    :func:`pair_ricci`) and R, the n^4 tensor Rm4 (the expansion of M, read
+    by Rm13, A1, B and the Lichnerowicz Laplacian, not by the curvature check
+    or the functionals), the norms, wedge^2 g and wedge^2 g^-1, and the Weyl
     tensor.  The connection that builds M is not kept."""
 
     g: Array
     ginv: Array
     sqrt_det: Array  # (a,) sqrt(det g), the volume element
     M: Array  # (a,p,q) = R_{l_p i_p j_q k_q} on the sorted pairs l < i, j < k
-    Ric: Array  # (a,i,k)
-    R: Array  # (a,)
 
     @property
     def dimension(self) -> int:
         return self.g.shape[-1]
+
+    @cached_property
+    def Ric(self) -> Array:
+        """(a,i,k) = g^{lj} R_lijk, read off M (:func:`pair_ricci`)."""
+        return pair_ricci(self.M, self.ginv)
+
+    @cached_property
+    def R(self) -> Array:
+        """(a,) = g^{ik} Ric_ik."""
+        return contract("aik,aik->a", self.ginv, self.Ric)
 
     @cached_property
     def Rm4(self) -> Array:
@@ -904,10 +914,7 @@ def _bundle_from_connection(
     Q = np.take(contract("aqkl,aqij->aklij", S, Gamma).reshape(N, -1), reads, axis=1)
     D = np.take(d2g.reshape(N, -1), d2_reads, axis=1)
     M = 0.5 * ((Q[:, 0] - Q[:, 1]) + ((D[:, 0, 0] - D[:, 1, 0]) - (D[:, 0, 1] - D[:, 1, 1])))
-    del Q, D  # freed before Ric is read off M, so they add nothing to its peak
-    Ric = pair_ricci(M, ginv)
-    R = contract("aik,aik->a", ginv, Ric)
-    return CurvatureBundle(g, ginv, sqrt_det, M, Ric, R)
+    return CurvatureBundle(g, ginv, sqrt_det, M)
 
 
 def curvature_grid(field: MetricField, X: Array) -> CurvatureBundle:

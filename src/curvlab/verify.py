@@ -6,6 +6,8 @@ the closed-form prediction it is checked against.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .charts import build_grid, make_model
@@ -61,6 +63,21 @@ _X1 = wave(0, 0.5) * (wave(1, 0.5) * wave(2, 0.5) - wave(1, 0.5, 3) * wave(2, 0.
 _STANDARD_TT = (2.0, -1.0, -1.0)
 
 
+@contextmanager
+def _finite_functional(coeff: Coefficients):
+    """Refuse an (s, tau) whose F, gradient or second variation leaves the
+    float range: the first overflowing or invalid (NaN-making) operation
+    raises a ConfigurationError, so no warning is printed and no report of
+    non-JSON NaN or Infinity tokens is written."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise ConfigurationError(
+            f"s = {coeff.s:g}, tau = {coeff.tau:g} too large: the functional overflows ({exc})"
+        ) from None
+
+
 def s3_first_harmonic() -> ScalarField:
     """x1, a function of the angles only: a first spherical harmonic on the
     Euler chart of every radius r, -Lap f = (3 / r^2) f, mean zero."""
@@ -93,37 +110,38 @@ def hessian_case(
         raise ConfigurationError(
             f"unknown hessian model {model!r}; pick one of {HESSIAN_MODELS}"
         )
-    ing = gradient_ingredients(base, grid.nodes)
-    b, at = ing["bundle"], ing["at"]
-    measure = grid.weights * b.sqrt_det[at]
-    if mode == "tt":
-        norm2 = float(np.sum(measure * norm2_02(h.eval_grid(grid.nodes), b.ginv[at])))
-        predicted = second_variation_tt_predicted(n, lam, eigenvalue, coeff, norm2)
-    else:
-        f2 = float(np.sum(measure * f.eval_grid(grid.nodes) ** 2))
-        predicted = second_variation_conformal_predicted(n, lam, eigenvalue, coeff, f2)
-    d1_analytic = _first_variation_pairing(base, ing, grid, coeff)(h)
-    d1_numeric = first_variation_numeric(base, grid, h, coeff)
-    # the base's F and volume from the bundle of its gradient ingredients
-    base_sums = _bundle_integrals(b, at, grid, coeff)
-    d2 = _second_variation(PerturbationFamily(base, h), grid, coeff, t_step, base_sums)
-    c = _lagrange_constant(base, ing, grid, coeff)
-    return VariationReport(
-        model=model,
-        mode=mode,
-        n=n,
-        lam=lam,
-        s=coeff.s,
-        tau=coeff.tau,
-        d1_numeric=d1_numeric,
-        d1_analytic=d1_analytic,
-        d2_numeric=d2.value,
-        d2_predicted=predicted,
-        rel_err_d1=abs(d1_numeric - d1_analytic) / max(1.0, abs(d1_analytic)),
-        rel_err_d2=abs(d2.value - predicted) / max(1.0, abs(predicted)),
-        d2_rel_err_estimate=d2.rel_err_estimate,
-        c_lagrange=c,
-    )
+    with _finite_functional(coeff):
+        ing = gradient_ingredients(base, grid.nodes)
+        b, at = ing["bundle"], ing["at"]
+        measure = grid.weights * b.sqrt_det[at]
+        if mode == "tt":
+            norm2 = float(np.sum(measure * norm2_02(h.eval_grid(grid.nodes), b.ginv[at])))
+            predicted = second_variation_tt_predicted(n, lam, eigenvalue, coeff, norm2)
+        else:
+            f2 = float(np.sum(measure * f.eval_grid(grid.nodes) ** 2))
+            predicted = second_variation_conformal_predicted(n, lam, eigenvalue, coeff, f2)
+        d1_analytic = _first_variation_pairing(base, ing, grid, coeff)(h)
+        d1_numeric = first_variation_numeric(base, grid, h, coeff)
+        # the base's F and volume from the bundle of its gradient ingredients
+        base_sums = _bundle_integrals(b, at, grid, coeff)
+        d2 = _second_variation(PerturbationFamily(base, h), grid, coeff, t_step, base_sums)
+        c = _lagrange_constant(base, ing, grid, coeff)
+        return VariationReport(
+            model=model,
+            mode=mode,
+            n=n,
+            lam=lam,
+            s=coeff.s,
+            tau=coeff.tau,
+            d1_numeric=d1_numeric,
+            d1_analytic=d1_analytic,
+            d2_numeric=d2.value,
+            d2_predicted=predicted,
+            rel_err_d1=abs(d1_numeric - d1_analytic) / max(1.0, abs(d1_analytic)),
+            rel_err_d2=abs(d2.value - predicted) / max(1.0, abs(predicted)),
+            d2_rel_err_estimate=d2.rel_err_estimate,
+            c_lagrange=c,
+        )
 
 
 def gradient_case(
@@ -155,23 +173,24 @@ def gradient_case(
         make_h = lambda: random_sphere_sym_tensor(3, rng)
     else:
         raise ConfigurationError(f"unknown gradient model {model!r}; pick one of {GRADIENT_MODELS}")
-    # the gradient is independent of h: build it once, pair it per direction
-    ing = gradient_ingredients(base, grid.nodes)
-    d1_analytic = _first_variation_pairing(base, ing, grid, coeff)
     rows = []
-    for i in range(count):
-        h = make_h()
-        d1a = d1_analytic(h)
-        d1n = first_variation_numeric(base, grid, h, coeff)
-        rows.append(
-            {
-                "index": i,
-                "d1_analytic": d1a,
-                "d1_numeric": d1n,
-                "abs_err": abs(d1a - d1n),
-                "rel_err": abs(d1a - d1n) / max(1.0, abs(d1a)),
-            }
-        )
+    with _finite_functional(coeff):
+        # the gradient is independent of h: build it once, pair it per direction
+        ing = gradient_ingredients(base, grid.nodes)
+        d1_analytic = _first_variation_pairing(base, ing, grid, coeff)
+        for i in range(count):
+            h = make_h()
+            d1a = d1_analytic(h)
+            d1n = first_variation_numeric(base, grid, h, coeff)
+            rows.append(
+                {
+                    "index": i,
+                    "d1_analytic": d1a,
+                    "d1_numeric": d1n,
+                    "abs_err": abs(d1a - d1n),
+                    "rel_err": abs(d1a - d1n) / max(1.0, abs(d1a)),
+                }
+            )
     return rows
 
 

@@ -146,6 +146,20 @@ def test_each_clause_against_its_polynomial(mode, lam, n, n_min):
         assert all(_combines(f, terms, n_min) for f in forms), forms
 
 
+def test_each_form_is_judged_against_its_own_terms():
+    # the forms at (s, tau, 1) / max(1, |s|, |tau|) stay finite for every
+    # finite s and tau: a = 2 s + 6 tau + 2 > 0 here once overflowed
+    assert classify(q(4, 1, "conformal", 1e308, 0.0)) == Verdict("LocalMin", "Thm 1.5(1)")
+    # a form with small terms is not judged by the size of another: tau = 0
+    # is a unit below the threshold 1 of Thm 1.1 at every s > -4
+    for s in (1e11, 2e11, 1e200, 1e308):
+        assert classify(q(3, 1, "tt", s, 0.0)) == Verdict("LocalMin", "Thm 1.1(1)"), s
+    # points on a line stay on it beside any size of the other coefficient
+    for big in (1e3, 2e11, 1e200, 1e308):
+        assert classify(q(3, 1, "tt", -4.0, big)).value == "Boundary", big
+        assert classify(q(3, 1, "tt", big, 1.0)).value == "Boundary", big
+
+
 def test_tt_clauses_are_sufficient_only():
     # at n = 3, lam = 1, (s, tau) = (0, 1.5) the TT polynomial is >= 40 on
     # lam_L >= 12, yet tau is above the Thm 1.1 threshold 1

@@ -261,6 +261,24 @@ def test_t_step_with_no_normal_fourth_power_is_usage_error(t_step, capsys):
     _refused_cleanly(["verify-hessian", "--model", "torus-tt", "--t-step", t_step], capsys)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-gradient", "--model", "s3", "--count", "1", "--s", "1e308"],
+     ["verify-hessian", "--s", "1e308", "--tau", "1e308"]],
+    ids=["verify-gradient", "verify-hessian"],
+)
+def test_an_overflowing_functional_is_refused(argv, capsys, tmp_path):
+    # s |Ric|^2 and the gradient leave the float range at s = 1e308: one
+    # error line and no report, not a report of NaN and Infinity tokens
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: s = 1e+308") and "too large" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_rayleigh_malformed_lists_are_usage_errors(capsys):
     assert run(["rayleigh", "--model", "torus-tt", "--k", "a,b,c"]) == 1
     assert "--k" in capsys.readouterr().err
@@ -311,21 +329,42 @@ def test_atlas_refuses_a_huge_resolution_before_building_a_row(res, monkeypatch,
 @pytest.mark.parametrize(
     "flags",
     [
-        # a NaN form once read LocalMax; here s + 3 tau + 1 > 0 makes it LocalMin
-        ["--n", "4", "--lambda", "0", "--mode", "conformal", "--s", "1e308", "--tau", "1e308"],
-        ["--n", "4", "--lambda", "1", "--mode", "conformal", "--s", "1e308", "--tau", "-2e307"],
-        # an overflowed scale once read Boundary
-        ["--n", "3", "--lambda", "0", "--mode", "tt", "--s", "1e308", "--tau", "0"],
-        # n**2 beyond the float range once ended in an OverflowError traceback
+        # n**3 beyond the float range once ended in an OverflowError traceback
         ["--n", str(10**200), "--lambda", "1", "--mode", "conformal", "--s", "0", "--tau", "0"],
         ["--n", str(10**400), "--lambda", "-1", "--mode", "tt", "--s", "0", "--tau", "0"],
     ],
-    ids=["nan-form", "nan-form-lam1", "scale", "n-1e200", "n-1e400"],
+    ids=["n-1e200", "n-1e400"],
 )
 def test_classify_refuses_an_overflowed_form(flags, capsys):
     assert run(["classify", *flags]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: s, tau or n too large to classify") and err.count("\n") == 1
+    assert err.startswith("error: n too large to classify") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags, verdict",
+    [
+        # a NaN form once read LocalMax, then was refused; s + 3 tau + 1 > 0
+        (["--n", "4", "--lambda", "0", "--mode", "conformal", "--s", "1e308", "--tau", "1e308"],
+         "LocalMin (Thm 1.4 / Cor 3.2)"),
+        # a = 2 s + 6 tau + 2 > 0
+        (["--n", "4", "--lambda", "1", "--mode", "conformal", "--s", "1e308", "--tau", "-2e307"],
+         "LocalMin (Thm 1.5(1))"),
+        # an overflowed scale once read Boundary, then was refused; s + 4 > 0
+        (["--n", "3", "--lambda", "0", "--mode", "tt", "--s", "1e308", "--tau", "0"],
+         "LocalMin (Thm 1.3 / Cor 3.1)"),
+        # tau = 0 is a unit below the threshold 1, yet read Boundary beside s = 2e11
+        (["--n", "3", "--lambda", "1", "--mode", "tt", "--s", "2e11", "--tau", "0"],
+         "LocalMin (Thm 1.1(1))"),
+        # and on the line tau = 1 it stays Boundary, beside any s
+        (["--n", "3", "--lambda", "1", "--mode", "tt", "--s", "1e300", "--tau", "1"],
+         "Boundary (boundary of Thm 1.1)"),
+    ],
+    ids=["conformal-lam0", "conformal-lam1", "tt-lam0", "tt-2e11", "tt-line"],
+)
+def test_classify_decides_huge_s_and_tau(flags, verdict, capsys):
+    assert run(["classify", *flags]) == 0
+    assert capsys.readouterr().out == verdict + "\n"
 
 
 def test_curvature_without_default_grid_is_a_usage_error(capsys):

@@ -9,6 +9,7 @@ against the sympy oracle in ``test_closed_form_jets``), and the pipeline's
 packed Ricci and covariant jets against the full-axis ones, bit for bit.
 """
 
+import math
 import sys
 import threading
 
@@ -273,3 +274,44 @@ def test_fields_of_equal_entries_share_their_jet_and_its_bits():
         assert all(np.array_equal(p, q) for p, q in zip(field.packed_jet(X, 4), fresh.packed_jet(X, 4)))
     assert s3_invariant_tt((1.0, -1.0, 0.0))._jet is not s3_invariant_tt((2.0, -1.0, -1.0))._jet
     assert make_model("sphere", 3)._jet is not make_model("sphere", 4)._jet
+
+
+def _bits(a):
+    """The bytes of an array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_plane_wave_jets_are_contiguous_with_the_packed_axis_last(n):
+    rng = np.random.default_rng(70 + n)
+    X = random_probes(torus_domain(n), rng, count=33)
+    fields = [random_torus_sym_tensor(n, rng), random_torus_metric(n, rng),
+              cosine_scalar_field(torus_domain(n), rng.integers(-2, 3, size=n))]
+    for field in fields:
+        comp = field.packed_jet(X, 0)[0].shape[1:]
+        for k, P in enumerate(field.packed_jet(X, 4)):
+            assert P.flags.c_contiguous, (field.name, k)
+            assert P.shape == (33,) + comp + ((math.comb(n + k - 1, k),) if k else ())
+
+
+@pytest.mark.parametrize(
+    "t", [0.37, 1j * COMPLEX_STEP, 1e-3 * np.exp(0.25j * np.pi)],
+    ids=["real", "complex-step", "rotated"],
+)
+def test_linear_combination_jets_are_b_plus_t_d_bit_for_bit(t):
+    rng = np.random.default_rng(71)
+    torus = make_model("torus", 3)
+    cases = [
+        (torus, random_torus_sym_tensor(3, rng)),
+        (random_torus_metric(4, rng), random_torus_sym_tensor(4, rng)),
+        (make_model("sphere", 3), random_sphere_sym_tensor(3, rng)),
+        (make_model("s3-euler", 3), s3_invariant_tt((2.0, -1.0, -1.0))),
+        (torus, conformal_tensor(torus, cosine_scalar_field(torus.domain, (1, 0, 0)))),
+    ]
+    for base, h in cases:
+        X = random_probes(base.domain, rng, count=40)
+        got = linear_combination_metric(base, h, t).packed_jet(X, 4)
+        want = [b + t * d for b, d in zip(base.packed_jet(X, 4), h.packed_jet(X, 4))]
+        for k, (p, q) in enumerate(zip(got, want)):
+            assert p.dtype == q.dtype and p.shape == q.shape, (base.name, k)
+            assert np.array_equal(_bits(p), _bits(q)), (base.name, h.name, k)

@@ -6,7 +6,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlab import variations
+from curvlab import functionals, tensors, variations
 from curvlab.charts import build_grid, make_model, sqrt_det_grid, to_unit_volume
 from curvlab.errors import (
     DimensionError,
@@ -956,3 +956,55 @@ def test_complex_step_matches_richardson_oracle(sphere3, s, tau):
         with pytest.raises(PreconditionError):
             first_variation_numeric(sphere3, grid, h, coeff, t_step=bad)
 
+
+
+def _complex_step_values(coeff):
+    """First variations on S^3 and the torus and a second variation on the
+    Euler S^3, all complex-step passes of F."""
+    rng = np.random.default_rng(72)
+    sphere, torus = make_model("sphere", 3), make_model("torus", 3)
+    d1 = [
+        first_variation_numeric(
+            sphere, build_grid(sphere.domain, (5, 5, 8)), random_sphere_sym_tensor(3, rng), coeff
+        ),
+        first_variation_numeric(
+            torus, build_grid(torus.domain, 6), random_torus_sym_tensor(3, rng), coeff
+        ),
+    ]
+    euler = make_model("s3-euler", 3)
+    family = PerturbationFamily(euler, s3_invariant_tt((2.0, -1.0, -1.0)))
+    d2 = second_variation_numeric(family, build_grid(euler.domain, (6, 6, 8)), coeff)
+    return [v.hex() for v in (*d1, d2.value, d2.rel_err_estimate)]
+
+
+@pytest.mark.parametrize("s, tau", [(0.0, 0.0), (0.7, 0.0), (0.0, -0.4), (0.7, -0.4)])
+def test_complex_step_passes_keep_the_bits_of_the_sum_over_all_parts(s, tau, monkeypatch):
+    # F reads int |Ric|^2 only when s != 0 and int R^2 only when tau != 0;
+    # the values keep the bits of F summed over all three parts
+    coeff = Coefficients(s, tau)
+    got = _complex_step_values(coeff)
+    real = functionals._integrals
+    monkeypatch.setattr(variations, "_integrals", lambda *a, **kw: real(*a, **kw, every=True))
+    assert got == _complex_step_values(coeff)
+    assert float.fromhex(got[0]) != 0.0 and float.fromhex(got[2]) != 0.0
+
+
+def test_a_pass_of_F_builds_ricci_only_where_F_weighs_it(monkeypatch):
+    # in the style of test_ricci_jets_invert_g_once_per_hessian_block
+    calls = []
+    for name in ("pair_ricci", "norm2_02"):
+        real = getattr(tensors, name)
+        monkeypatch.setattr(tensors, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    sphere = make_model("sphere", 3)
+    grid = build_grid(sphere.domain, (5, 5, 8))
+    h = random_sphere_sym_tensor(3, np.random.default_rng(73))
+    expected = {(0.0, 0.0): set(), (0.7, 0.0): {"pair_ricci", "norm2_02"},
+                (0.0, -0.4): {"pair_ricci"}, (0.7, -0.4): {"pair_ricci", "norm2_02"}}
+    for (s, tau), names in expected.items():
+        calls.clear()
+        first_variation_numeric(sphere, grid, h, Coefficients(s, tau))
+        assert set(calls) == names, (s, tau)
+    # evaluate reports every part, so it reads both at s = tau = 0
+    calls.clear()
+    evaluate(sphere, grid, Coefficients())
+    assert set(calls) == {"pair_ricci", "norm2_02"}
