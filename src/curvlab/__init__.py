@@ -39,7 +39,6 @@ from .spectral import (
     RayleighReport,
     rayleigh_lichnerowicz,
     s3_invariant_tt,
-    symmetrization_energies,
     torus_tt_mode,
     tt_defect,
 )
@@ -49,21 +48,16 @@ from .tensors import (
     curvature,
     delta_star,
     divergence,
-    kulkarni_nomizu,
     lichnerowicz,
-    trace,
-    weyl,
 )
 from .variations import (
     GradientTensor,
     PerturbationFamily,
     VariationReport,
-    christoffel_variation,
     conformal_identity_suite,
     curvature_variations,
     einstein_criticality_defect,
     el_residual,
-    first_variation,
     gradient_tensor,
     second_variation_conformal_predicted,
     second_variation_numeric,

@@ -136,7 +136,7 @@ def build_grid(domain: ChartDomain, resolution: Sequence[int] | int) -> Quadratu
 
 def sqrt_det_grid(field: MetricField, grid: QuadratureGrid) -> Array:
     """sqrt(det g) at every node (:func:`curvlab.tensors.volume_element`)."""
-    return volume_element(field.metric_grid(grid.nodes))
+    return volume_element(field.eval_grid(grid.nodes))
 
 
 def _require_quadrature(field: MetricField):

@@ -298,9 +298,6 @@ class MetricField(_TensorValuedField):
         g = self.eval_grid(X)
         return g[0] if single else g
 
-    def metric_grid(self, X: Array) -> Array:
-        return self.eval_grid(X)
-
     def rescaled(self, c: float) -> "MetricField":
         """The metric c*g (c a positive constant)."""
         if c <= 0:

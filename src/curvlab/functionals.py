@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import QuadratureGrid, _require_quadrature, volume
+from .charts import QuadratureGrid, _require_quadrature
 from .errors import DimensionError
 from .fields import MetricField
 from .tensors import CurvatureBundle, curvature_grid, distinct_blocks
@@ -71,16 +71,6 @@ def _integrals(
         lambda Y: _densities(curvature_grid(field, Y), names), grid.nodes, field.reads
     )
     return _sums(grid, coeff, names, *(d[at] for d in densities))
-
-
-def _bundle_integrals(
-    bundle: CurvatureBundle, at, grid: QuadratureGrid, coeff: Coefficients
-) -> dict:
-    """:func:`_integrals` of a field from its bundle on the grid nodes that
-    ``at`` gathers to every node (see :func:`curvlab.tensors.distinct_nodes`):
-    the same per-node densities in node order, so the same sums bit for bit."""
-    names = _parts(coeff)
-    return _sums(grid, coeff, names, *(d[at] for d in _densities(bundle, names)))
 
 
 # the per-node density of each energy, by its FunctionalReport name
@@ -160,13 +150,3 @@ def scaling_check(
     rhs = c ** ((n - 4) / 2.0) * evaluate(field, grid, coeff).F
     rel = abs(lhs - rhs) / max(1.0, abs(rhs))
     return lhs, rhs, rel
-
-
-__all__ = [
-    "Coefficients",
-    "FunctionalReport",
-    "evaluate",
-    "decomposition_residual",
-    "scaling_check",
-    "volume",
-]

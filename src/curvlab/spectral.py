@@ -11,7 +11,9 @@ Two analytically TT families are provided:
 
 Random TT fields on curved models are deliberately not offered: without an
 elliptic projection the TT property could only hold approximately, and every
-spectral claim here is meant to be exactly checkable.
+spectral claim here is meant to be exactly checkable.  The TT gate judges
+the defects relative to the size of h (:func:`_require_tt`), so a mode is
+accepted at every scale, as its quotient is.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .tensors import (
     raise_all,
     require_einstein,
     sym_tensor_cov_derivs,
-    volume_element,
 )
 
 TT_TOL = 1e-6
@@ -61,13 +62,18 @@ class RayleighReport:
 def torus_tt_mode(n: int, k, A) -> SymTensorField:
     """TT Fourier mode h = A cos(2 pi k.x) on the flat unit torus.
 
+    k must hold integers of size at most 2^53, which float64 holds exactly.
     The constraints tr A = 0 and A k = 0 are checked exactly (integer or
     dyadic-rational inputs incur no rounding).
     """
+    if np.shape(k) != (n,) or np.shape(A) != (n, n):
+        raise InvalidModeError(f"expected k of shape ({n},) and A of shape ({n},{n})")
+    # compared as given: a large int would round on the way to float64
+    given = np.asarray(k, dtype=object).tolist()
+    if not all(abs(v) <= 2**53 and float(v).is_integer() for v in given):
+        raise InvalidModeError(f"wave vector k = {given} must hold integers of size <= 2^53")
     k = np.asarray(k, dtype=float)
     A = np.asarray(A, dtype=float)
-    if k.shape != (n,) or A.shape != (n, n):
-        raise InvalidModeError(f"expected k of shape ({n},) and A of shape ({n},{n})")
     if not np.array_equal(A, A.T):
         raise InvalidModeError("amplitude matrix is not symmetric")
     if not k.any():
@@ -113,24 +119,32 @@ def tt_defect(
 
     def defects(Y):
         hv, Dh, _, _, ginv, *_ = sym_tensor_cov_derivs(base, h, Y)
-        return _tt_defect_arrays(hv, Dh, ginv)
+        return _tt_defect_arrays(hv, Dh, ginv)[:2]
 
     maxima, _ = distinct_blocks(defects, grid.nodes, reads_of(base, h))
     return tuple(float(np.max(v)) for v in maxima)
 
 
-def _tt_defect_arrays(hv: Array, Dh: Array, ginv: Array) -> tuple[Array, Array]:
-    """(|delta h|_g, |tr h|) at each node."""
+def _tt_defect_arrays(hv: Array, Dh: Array, ginv: Array) -> tuple[Array, ...]:
+    """(|delta h|_g, |tr h|, |nabla h|_g^2, |h|_g^2) at each node: the two TT
+    defects and the squared sizes :func:`_require_tt` judges them against."""
     div = np.einsum("apq,apjq->aj", ginv, Dh)
     div_norm = np.sqrt(np.maximum(np.einsum("aij,ai,aj->a", ginv, div, div), 0.0))
     tr = np.einsum("aij,aij->a", ginv, hv)
-    return div_norm, np.abs(tr)
+    grad2 = np.einsum("aijk,aijk->a", Dh, raise_all(Dh, ginv, (0, 1, 2)))
+    return div_norm, np.abs(tr), grad2, norm2_02(hv, ginv)
 
 
-def _require_tt(div_norm: Array, tr: Array, what: str) -> tuple[float, float]:
-    """The TT defect maxima over all nodes; PreconditionError past TT_TOL."""
+def _require_tt(
+    div_norm: Array, tr: Array, grad2: Array, size2: Array, what: str
+) -> tuple[float, float]:
+    """The TT defect maxima over all nodes, from :func:`_tt_defect_arrays`;
+    PreconditionError unless max |delta h|_g <= TT_TOL max |nabla h|_g and
+    max |tr h| <= TT_TOL max |h|_g, so that the gate holds at every scale of
+    h.  A NaN fails."""
     dd, dt = float(np.max(div_norm)), float(np.max(tr))
-    if dd > TT_TOL or dt > TT_TOL:
+    grad, size = (np.sqrt(np.maximum(np.max(v), 0.0)) for v in (grad2, size2))
+    if not (dd <= TT_TOL * grad and dt <= TT_TOL * size):
         raise PreconditionError(f"{what} (div {dd:.2e}, tr {dt:.2e})")
     return dd, dt
 
@@ -154,16 +168,22 @@ def rayleigh_lichnerowicz(
             *_tt_defect_arrays(hv, Dh, ginv),
             bundle.sqrt_det,
             -inner_02(lap_L, hv, bundle.ginv),
-            norm2_02(hv, bundle.ginv),
         )
 
-    out, at = distinct_blocks(densities, grid.nodes, reads_of(base, h))
-    defect2, r_scale, div_norm, tr, sqrt_det, energy_d, norm_d = out
+    # an h near the float range overflows to inf or NaN, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, at = distinct_blocks(densities, grid.nodes, reads_of(base, h))
+        defect2, r_scale, div_norm, tr, grad2, norm_d, sqrt_det, energy_d = out
+        measure = grid.weights * sqrt_det[at]
+        energy = float(np.sum(measure * energy_d[at]))
+        norm2 = float(np.sum(measure * norm_d[at]))
     require_einstein(defect2, r_scale)
-    dd, dt = _require_tt(div_norm, tr, "field is not transverse-traceless")
-    measure = grid.weights * sqrt_det[at]
-    energy = float(np.sum(measure * energy_d[at]))
-    norm2 = float(np.sum(measure * norm_d[at]))
+    if not (0.0 < norm2 < np.inf and np.isfinite(energy)):
+        raise PreconditionError(
+            f"h leaves the float range: int |h|^2 = {norm2:.3g}, int <-Lap_L h, h> = "
+            f"{energy:.3g}; rescale it (the quotient is scale-invariant)"
+        )
+    dd, dt = _require_tt(div_norm, tr, grad2, norm_d, "field is not transverse-traceless")
     return RayleighReport(
         energy=energy,
         norm2=norm2,
@@ -172,32 +192,3 @@ def rayleigh_lichnerowicz(
         tt_defect_tr=dt,
     )
 
-
-def symmetrization_energies(
-    base: MetricField, h: SymTensorField, grid: QuadratureGrid
-) -> tuple[float, float]:
-    """Energies of the cyclic and antisymmetrized first derivatives of h:
-
-    cyc  = int |h_ij,k + h_jk,i + h_ki,j|^2
-    anti = int |h_ij,k - h_ik,j|^2
-
-    Both are non-negative; the invariant S^3 mode makes cyc vanish, the
-    equality case of the least-eigenvalue bound on the unit sphere.
-    """
-    _require_quadrature(base)
-
-    def densities(Y):
-        hv, Dh, _, g, ginv, *_ = sym_tensor_cov_derivs(base, h, Y)
-        cyc = Dh + np.einsum("ajki->aijk", Dh) + np.einsum("akij->aijk", Dh)
-        anti = Dh - np.einsum("aikj->aijk", Dh)
-        return (
-            *_tt_defect_arrays(hv, Dh, ginv),
-            volume_element(g[0]),
-            *(np.einsum("aijk,aijk->a", T, raise_all(T, ginv, (0, 1, 2))) for T in (cyc, anti)),
-        )
-
-    out, at = distinct_blocks(densities, grid.nodes, reads_of(base, h))
-    div_norm, tr, sqrt_det, cyc_d, anti_d = out
-    _require_tt(div_norm, tr, "field is not transverse-traceless")
-    measure = grid.weights * sqrt_det[at]
-    return float(np.sum(measure * cyc_d[at])), float(np.sum(measure * anti_d[at]))

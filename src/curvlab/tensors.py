@@ -103,10 +103,6 @@ node, and a maximum over the representatives is the maximum over the grid.
 The representatives are never fewer than :data:`MATMUL_MIN_BATCH` (the first
 nodes pad them), so they take the contraction path of the whole grid, and
 an error that names a node names its row of the grid.
-
-The rough Laplacian is the metric trace of the second covariant derivative,
-with the sign that makes it non-positive on the flat torus
-(Laplacian of cos(k.x) = -|k|^2 cos(k.x)).
 """
 
 from __future__ import annotations
@@ -760,22 +756,6 @@ def raise_all(T: Array, ginv: Array, slots: tuple[int, ...]) -> Array:
     return np.transpose(out, (0,) + tuple(1 + mem.lower().index(c) for c in comp))
 
 
-def kulkarni_nomizu(A: Array, B: Array) -> Array:
-    """(A o B)_ijkl = A_ik B_jl + A_jl B_ik - A_il B_jk - A_jk B_il, the expansion
-    of A wedge B + B wedge A.  Accepts (n,n) or batched (N,n,n) symmetric inputs.
-    """
-    A, B = np.asarray(A), np.asarray(B)
-    dtype = np.result_type(A, B, float)  # complex inputs stay complex
-    A, B = A.astype(dtype, copy=False), B.astype(dtype, copy=False)
-    single = A.ndim == 2
-    if single:
-        A, B = A[None], B[None]
-    if A.shape != B.shape:
-        raise DimensionError(f"shape mismatch {A.shape} vs {B.shape}")
-    out = expand_pairs(bivector_product(A, B) + bivector_product(B, A), A.shape[-1])
-    return out[0] if single else out
-
-
 def weyl_pairs(M: Array, g: Array, Ric: Array, R: Array, wedge2_g: Array) -> Array:
     """Pair matrix of W in Rm = W + (Ric o g)/(n-2) - R (g o g)/(2 (n-1)(n-2)), from
     Rm's pair matrix M: M - (Ric wedge g + g wedge Ric)/(n-2) + R wedge^2 g/((n-1)(n-2)),
@@ -815,7 +795,7 @@ def _pair_index(n: int) -> tuple:
 def bivector_product(A: Array, B: Array) -> Array:
     """(A wedge B)[a,p,q] = A_{l_p j_q} B_{i_p k_q} - A_{l_p k_q} B_{i_p j_q}
     on the sorted pairs, for batched (n, n) arrays: wedge^2 g = g wedge g,
-    and A o B (:func:`kulkarni_nomizu`) is A wedge B + B wedge A there."""
+    and the Kulkarni-Nomizu product A o B is A wedge B + B wedge A there."""
     l, i = _pair_index(A.shape[-1])[:2]
     L, I = l[:, None], i[:, None]
     return A[:, L, l] * B[:, I, i] - A[:, L, i] * B[:, I, l]
@@ -953,13 +933,6 @@ def is_space_form(bundle: CurvatureBundle, lam: float, tol: float) -> tuple[bool
     return dev <= tol * space_form_scale(lam, max_abs(bundle.g)), dev
 
 
-def weyl(bundle: CurvatureBundle) -> Array:
-    """Weyl tensor of an existing bundle (n >= 3)."""
-    if bundle.dimension < 3:
-        raise DimensionError("Weyl tensor requires n >= 3")
-    return bundle.W
-
-
 # ---------------------------------------------------------------------------
 # Covariant derivatives of symmetric-tensor fields (analytic route)
 # ---------------------------------------------------------------------------
@@ -1000,28 +973,12 @@ def divergence(field: MetricField, h: SymTensorField, x) -> Array:
     return out[0] if single else out
 
 
-def trace(field: MetricField, h: SymTensorField, x) -> Array:
-    """tr_g h = g^{ij} h_ij."""
-    X, single = _as_batch(x, field.dimension)
-    ginv = np.linalg.inv(field.metric_grid(X))
-    out = contract("aij,aij->a", ginv, h.eval_grid(X))
-    return out[0] if single else out
-
-
 def delta_star(field: MetricField, omega: CovectorField, x) -> Array:
     """(delta* w)_ij = -(w_i,j + w_j,i)/2, the L^2 adjoint of the divergence."""
     X, single = _as_batch(x, field.dimension)
     Gamma = christoffel_arrays(*field.packed_jet(X, 1))
     Dw = covariant_jet(omega.packed_jet(X, 1), [Gamma])[0]  # Dw[a,i,j] = w_i,j
     out = -0.5 * (Dw + np.einsum("aij->aji", Dw))
-    return out[0] if single else out
-
-
-def rough_laplacian_tensor(field: MetricField, h: SymTensorField, x) -> Array:
-    """(Lap h)_ij = g^{kl} h_ij,kl (non-positive spectrum on the flat torus)."""
-    X, single = _as_batch(x, field.dimension)
-    _, _, D2h, _, ginv, *_ = sym_tensor_cov_derivs(field, h, X)
-    out = contract("akl,aijkl->aij", ginv, D2h)
     return out[0] if single else out
 
 

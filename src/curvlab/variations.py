@@ -12,17 +12,16 @@ SIAM Rev. 40:110, 1998; Martins, Sturdza & Alonso, ACM TOMS 29:245, 2003):
 the pipeline is analytic in the metric, so X'(0) = Im X(g0 + i eps h) / eps +
 O(eps^2) from one curvature pass, with no difference of nearby values to
 cancel digits.  :func:`first_variation_numeric` takes it of F,
-:func:`curvature_variations` of Rm, Ric and R, :func:`christoffel_variation`
-of Gamma, and the identity suites of each of the ten terms of the gradient.
-No hand-derived prime (Gamma', Rm', Ric', R') remains in the package: the
-classical linearisations live on only in the tests, as oracles for these
-complex steps beside finite differences.  :func:`second_variation_numeric`
-takes the second-order sibling, the complex step rotated by pi/4 (the
-four-point contour of Lyness & Moler, SIAM J. Numer. Anal. 4:202, 1967,
-halved by conjugate symmetry): with w = t e^(i pi/4) and phi real on the real
-axis, Im (phi(w) + phi(-w)) / t^2 = phi''(0) + O(t^4), and no difference of
-nearby values cancels digits.  Richardson differences remain only in the
-tests, as oracles.
+:func:`curvature_variations` of Rm, Ric and R, and the identity suites of
+each of the ten terms of the gradient.  No hand-derived prime (Gamma', Rm',
+Ric', R') remains in the package: the classical linearisations live on only
+in the tests, as oracles for these complex steps beside finite differences.
+:func:`second_variation_numeric` takes the second-order sibling, the complex
+step rotated by pi/4 (the four-point contour of Lyness & Moler, SIAM J.
+Numer. Anal. 4:202, 1967, halved by conjugate symmetry): with w = t e^(i
+pi/4) and phi real on the real axis, Im (phi(w) + phi(-w)) / t^2 = phi''(0)
++ O(t^4), and no difference of nearby values cancels digits.  Richardson
+differences remain only in the tests, as oracles.
 
 The gradient's ten terms (A1, Lap Ric, Hess R, Ric^2, B, |Rm|^2 g, Lap R g,
 |Ric|^2 g, R Ric, R^2 g) are written once, in :func:`_gradient_terms`: G
@@ -63,7 +62,6 @@ from .functionals import Coefficients, _integrals
 from .spectral import _require_tt, _tt_defect_arrays
 from .tensors import (
     CurvatureBundle,
-    christoffel_arrays,
     contract,
     covariant_hessian_blocks,
     curvature_grid,
@@ -109,17 +107,8 @@ def conformal_tensor(base: MetricField, f: ScalarField) -> SymTensorField:
 
 
 # ---------------------------------------------------------------------------
-# Connection and curvature variations
+# Curvature variations
 # ---------------------------------------------------------------------------
-
-
-def christoffel_variation(base: MetricField, h: SymTensorField, x) -> Array:
-    """(Gamma^k_ij)' under (g_ij)' = h_ij, the complex step of Gamma; shape
-    (n,n,n) at a point."""
-    X, single = _as_batch(x, base.dimension)
-    metric = linear_combination_metric(base, h, 1j * COMPLEX_STEP)
-    out = christoffel_arrays(*metric.packed_jet(X, 1)).imag / COMPLEX_STEP
-    return out[0] if single else out
 
 
 def curvature_variation_arrays(base: MetricField, h: SymTensorField, X: Array) -> dict:
@@ -280,13 +269,6 @@ def _lagrange_constant(
     return float(np.sum(measure * _trace_multiplier(ing, coeff)[at]) / np.sum(measure))
 
 
-def lagrange_constant(
-    base: MetricField, grid: QuadratureGrid, coeff: Coefficients
-) -> float:
-    """Volume average of the trace identity defining the multiplier c."""
-    return _lagrange_constant(base, gradient_ingredients(base, grid.nodes), grid, coeff)
-
-
 def _first_variation_pairing(
     base: MetricField, ing: dict, grid: QuadratureGrid, coeff: Coefficients
 ) -> Callable[[SymTensorField], float]:
@@ -299,14 +281,6 @@ def _first_variation_pairing(
     G, ginv = _gradient_parts(ing, coeff).grad_total[at], b.ginv[at]
     measure = grid.weights * b.sqrt_det[at]
     return lambda h: float(np.sum(measure * inner_02(G, h.eval_grid(grid.nodes), ginv)))
-
-
-def first_variation(
-    base: MetricField, grid: QuadratureGrid, h: SymTensorField, coeff: Coefficients
-) -> float:
-    """int G_ij h^{ij} dV, the first variation of F along g + t h."""
-    ing = gradient_ingredients(base, grid.nodes)
-    return _first_variation_pairing(base, ing, grid, coeff)(h)
 
 
 def first_variation_numeric(
@@ -389,11 +363,6 @@ class PerturbationFamily:
         vol_t = volume(linear_combination_metric(self.base, self.h, t), grid)
         return (volume(self.base, grid) / vol_t) ** (2.0 / self.base.dimension)
 
-    def metric_at(self, t: float, grid: QuadratureGrid) -> MetricField:
-        if t == 0.0:
-            return self.base
-        return linear_combination_metric(self.base, self.h, t).rescaled(self.scale_factor(t, grid))
-
 
 class D2Numeric(NamedTuple):
     value: float
@@ -415,18 +384,6 @@ def second_variation_numeric(
     (a_4 t_step^2 / a_2)^2 + eps (|a_0| + |S|) / (t_step^2 max(1, |a_2|)).
     Requires a constant-curvature (hence critical) base.
     """
-    return _second_variation(family, grid, coeff, t_step)
-
-
-def _second_variation(
-    family: PerturbationFamily,
-    grid: QuadratureGrid,
-    coeff: Coefficients,
-    t_step: float,
-    base_sums: dict | None = None,
-) -> D2Numeric:
-    """:func:`second_variation_numeric`, with F and the volume of the base
-    read from ``base_sums``, its :func:`_integrals` on the grid, when given."""
     base, h, n = family.base, family.h, family.base.dimension
     if base.lam is None:
         raise PreconditionError("second variation is evaluated at space-form bases")
@@ -434,7 +391,7 @@ def _second_variation(
         raise PreconditionError(
             f"t_step must be positive with t_step**4 a finite normal float, got {t_step}"
         )
-    sums = _integrals(base, grid, coeff) if base_sums is None else base_sums
+    sums = _integrals(base, grid, coeff)
     a0, vol0 = float(sums["F"]), float(sums["volume"])
 
     def phi(z: complex) -> complex:

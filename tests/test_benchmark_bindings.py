@@ -1,28 +1,22 @@
 """The benchmark under perfbench/ reaches into curvlab by name: its tracer
-rebinds the functions listed in ``perfbench/tracer.py``, and its workloads
-read keyword defaults by signature and curvature bundle fields by name.
-These tests fail on a rename in the package, before the benchmark would
-crash on it."""
+rebinds the functions listed in ``perfbench/tracer.py``, its workloads,
+child process and tracer read module attributes, and its workloads read
+keyword defaults by signature and curvature bundle fields by name.  These
+tests fail on a rename or a deletion in the package, before the benchmark
+would crash on it."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from perfbench_names import benchmark_reads, curvlab_reads, traced
 
 
-def _traced():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TRACED
-
-
-@pytest.mark.parametrize("module, path", [(m, p) for m, p, _, _ in _traced()])
+@pytest.mark.parametrize("module, path", [(m, p) for m, p, _, _ in traced()])
 def test_traced_function_resolves(module, path):
     owner = importlib.import_module(f"curvlab.{module}")
     *outer, attr = path.split(".")
@@ -31,6 +25,33 @@ def test_traced_function_resolves(module, path):
     # a method is rebound on the class that defines it
     target = vars(owner).get(attr) if outer else getattr(owner, attr, None)
     assert callable(target), f"curvlab.{module}.{path}"
+
+
+def _resolves(module: str, name: str) -> bool:
+    owner = importlib.import_module("curvlab" + (f".{module}" if module else ""))
+    if hasattr(owner, name):
+        return True
+    # a submodule the package's __init__ does not import, such as cli
+    return not module and importlib.util.find_spec(f"curvlab.{name}") is not None
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    reads = benchmark_reads()
+    missing = sorted((m, n) for m, n in reads if not _resolves(m, n))
+    assert not missing, f"perfbench reads (module, name) the package lacks: {missing}"
+    # the reads the checks above lean on are found
+    assert {("verify", "HESSIAN_MODELS"), ("variations", "second_variation_tt_predicted"),
+            ("fields", "random_torus_metric"), ("", "__version__"), ("", "cli")} <= reads
+    # the parser sees each way of reading a name, and a name that is gone
+    code = (
+        "import curvlab\nfrom curvlab import tensors as t\nfrom curvlab.fields import gone\n"
+        "def f():\n    return t.curvature, curvlab.__version__, t.removed\n"
+    )
+    found = curvlab_reads(ast.parse(code))
+    assert found == {("", "tensors"), ("fields", "gone"), ("tensors", "curvature"),
+                     ("", "__version__"), ("tensors", "removed")}
+    gone = [r for r in sorted(found) if not _resolves(*r)]
+    assert gone == [("fields", "gone"), ("tensors", "removed")]
 
 
 @pytest.mark.parametrize(

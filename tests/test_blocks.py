@@ -11,9 +11,10 @@ from curvlab import tensors
 from curvlab.charts import build_grid, make_model
 from curvlab.fields import linear_combination_metric, random_torus_metric, random_torus_sym_tensor
 from curvlab.functionals import Coefficients, _integrals, evaluate
-from curvlab.spectral import rayleigh_lichnerowicz, s3_invariant_tt, symmetrization_energies
+from curvlab.spectral import rayleigh_lichnerowicz, s3_invariant_tt
 from curvlab.variations import COMPLEX_STEP, einstein_criticality_defect, gradient_ingredients
 from curvlab.verify import curvature_case, identity_case, rayleigh_case
+from oracles import symmetrization_energies
 
 SMALL_BLOCK = 40  # near-equal blocks of 40 or fewer, none below MATMUL_MIN_BATCH
 

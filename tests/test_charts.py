@@ -64,7 +64,7 @@ def test_make_model_errors():
 
 def test_torus_metric_is_identity(torus3):
     X = np.random.default_rng(0).uniform(0, 1, (10, 3))
-    g = torus3.metric_grid(X)
+    g = torus3.eval_grid(X)
     assert np.array_equal(g, np.broadcast_to(np.eye(3), (10, 3, 3)))
 
 
@@ -176,7 +176,7 @@ def test_analytic_partials_match_finite_differences(sphere3, euler3, poincare3):
     for field in (sphere3, euler3, poincare3):
         X = random_probes(field.domain, rng, count=5)
         step = DEFAULT_FD_REL_STEP * float(np.min(field.domain.extents))
-        fd1 = fd_partials(field.metric_grid, X, np.full(field.dimension, step))
+        fd1 = fd_partials(field.eval_grid, X, np.full(field.dimension, step))
         assert np.abs(field.d1_grid(X) - fd1).max() < 10 * step**2
         fd2 = fd_partials(field.d1_grid, X, np.full(field.dimension, step))
         assert np.abs(field.d2_grid(X) - fd2).max() < 10 * step**2
@@ -200,7 +200,7 @@ def test_milnor_frame_duality_and_brackets(euler3):
     X = random_probes(euler3.domain, rng, count=20)
     F = milnor_frame(X)
     W = milnor_coframe(X)
-    g = euler3.metric_grid(X)
+    g = euler3.eval_grid(X)
     gram = np.einsum("aim,amn,ajn->aij", F, g, F)
     assert np.abs(gram - np.eye(3)).max() < 1e-11
     assert np.abs(np.einsum("aim,ajm->aij", W, F) - np.eye(3)).max() < 1e-12

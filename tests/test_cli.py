@@ -568,3 +568,55 @@ def test_one_process_writes_what_separate_processes_write(tmp_path, capsys):
             check=True, capture_output=True, env={"PYTHONPATH": str(src)},
         )
         assert out.read_bytes() == reports[k], argv
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--d", "1e-200,-1e-200,0"], "error: h leaves the float range"),
+     (["--d", "5e-324,-5e-324,0"], "error: h leaves the float range"),
+     (["--d", "1e300,-5e299,-5e299"], "error: h leaves the float range"),
+     (["--model", "torus-tt", "--k", "99999999999999999999,0,0"], "error: wave vector k ="),
+     (["--model", "torus-tt", "--k", "9007199254740993,0,0"], "error: wave vector k =")],
+    ids=["underflow", "subnormal", "overflow", "k-1e20", "k-2^53+1"],
+)
+def test_rayleigh_refuses_a_mode_outside_the_float_range(flags, message, capsys, tmp_path):
+    # int |h|^2 underflowed to 0 and ended in a ZeroDivisionError traceback;
+    # a k past 2^53 was cast to int64 with a numpy warning and reported
+    out = tmp_path / "ray.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["rayleigh", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["1e6", "1e10", "1e150"])
+def test_rayleigh_accepts_a_scaled_tt_mode(scale, capsys):
+    # the TT gate is relative to the size of h, as the quotient is scale-invariant
+    d = ",".join(repr(float(scale) * c) for c in (2.0, -1.0, -1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["rayleigh", "--d", d]) == 0
+    assert json.loads(capsys.readouterr().out)["quotient"] == pytest.approx(12.0, abs=1e-9)
+
+
+def test_verify_gradient_caps_the_count_before_building_a_model(monkeypatch, capsys, tmp_path):
+    # --count 100000000 was accepted: days of work and an unbounded report
+    from curvlab import verify
+    from curvlab.functionals import Coefficients
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused count built a model")
+
+    monkeypatch.setattr(verify, "make_model", refuse)
+    out = tmp_path / "grad.json"
+    for count in (verify.MAX_GRADIENT_COUNT + 1, 100_000_000):
+        assert run(["verify-gradient", "--count", str(count), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: gradient checks take count <= {verify.MAX_GRADIENT_COUNT}")
+        assert err.count("\n") == 1
+    assert not out.exists()
+    # the cap itself is accepted: it reaches the model
+    with pytest.raises(AssertionError, match="built a model"):
+        verify.gradient_case("torus", 3, Coefficients(), count=verify.MAX_GRADIENT_COUNT)

@@ -112,7 +112,7 @@ def test_coefficients_validation():
 
 
 def test_evaluate_volume_element_matches_sqrt_det_grid(sphere4, euler3, torus3, sphere3):
-    # evaluate and the functions holding a curvature bundle (lagrange_constant,
+    # evaluate and the functions holding a curvature bundle (_lagrange_constant,
     # el_residual, the identity suites, rayleigh_lichnerowicz) take the volume
     # element from the bundle; it must be sqrt_det_grid's bit for bit
     from curvlab.charts import sqrt_det_grid, to_unit_volume

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import curvlab
 from curvlab.variations import _GRADIENT_ROWS
+from perfbench_names import benchmark_reads
 
 SRC = Path(curvlab.__file__).parent
 
@@ -329,3 +330,110 @@ def test_scalar_products_go_through_jet_scale():
         'jet_einsum(f"apm{c},a{s}p->a{c}m", G, T)\n'
     )
     assert [line for line, _ in _scalar_operand_calls(ast.parse(code))] == [1, 2, 3]
+
+
+# every top-level name of the package serves a report, the library's API or
+# the benchmark: each is reached, on the syntax trees, from the CLI's entry
+# points, from a name listed here with its reason, or from a name the
+# benchmark under perfbench/ reads (tests/perfbench_names.py)
+CLI_ROOTS = {"cli.run", "cli.main"}
+ENTRY = "library entry point"
+POINTWISE = "pointwise API"
+UNREACHED = {
+    "atlas.p1": ENTRY,
+    "atlas.p2": ENTRY,
+    "charts.to_unit_volume": ENTRY,
+    "functionals.evaluate": ENTRY,
+    "fields.random_torus_metric": POINTWISE,
+    "tensors.curvature": POINTWISE,
+    "tensors.covariant_derivative": POINTWISE,
+    "tensors.lichnerowicz": POINTWISE,
+    "variations.curvature_variations": POINTWISE,
+    "variations.gradient_tensor": POINTWISE,
+    "functionals.decomposition_residual": "reserved for ROADMAP item 1",
+    "functionals.scaling_check": "reserved for ROADMAP item 1",
+    "fields.CovectorField": "reserved for ROADMAP item 2",
+    "tensors.delta_star": "reserved for ROADMAP item 2",
+    "tensors.divergence": "reserved for ROADMAP item 2",
+    "charts.milnor_coframe": "reserved for ROADMAP item 3",
+    "charts.milnor_frame": "reserved for ROADMAP item 3",
+    "variations.el_residual": "reserved for ROADMAP item 3",
+    "variations.einstein_criticality_defect": "reserved for ROADMAP item 8",
+}
+
+
+def _top_level_names(sources: dict) -> dict:
+    """{"module.name": (defining node, module, relative imports of the
+    module)} for every top-level function, class and assigned name of the
+    package's modules (``__init__`` and ``__main__`` only re-export and run)."""
+    out = {}
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        imports = {}  # local name -> "module.name", or "module" for a module
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    target = f"{node.module}.{alias.name}" if node.module else alias.name
+                    imports[alias.asname or alias.name] = target
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                out[f"{module}.{name}"] = (node, module, imports)
+    return out
+
+
+def _references(key: str, names: dict):
+    """The package names the definition of ``key`` refers to: a name of its
+    own module, a name imported from a sibling, or an attribute read off an
+    imported sibling module (``atlas_mod.classify``)."""
+    node, module, imports = names[key]
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield f"{module}.{sub.id}" if f"{module}.{sub.id}" in names else imports.get(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            yield f"{imports.get(sub.value.id)}.{sub.attr}"
+
+
+def _reached(names: dict, roots) -> set:
+    seen, todo = set(), list(roots)
+    while todo:
+        key = todo.pop()
+        if key in names and key not in seen:
+            seen.add(key)
+            todo.extend(_references(key, names))
+    return seen
+
+
+def _package_sources() -> dict:
+    return {
+        path.stem: path.read_text()
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+    }
+
+
+def _unserved(sources: dict) -> set:
+    """Top-level names that neither the CLI, nor a listed name, nor the
+    benchmark's reads reach."""
+    names = _top_level_names(sources)
+    bench = {f"{m}.{n}" for m, n in benchmark_reads()}
+    return set(names) - _reached(names, CLI_ROOTS | set(UNREACHED) | bench)
+
+
+def test_every_top_level_name_serves_a_report_the_api_or_the_benchmark():
+    assert not _unserved(_package_sources())
+    # each listed name exists and is not reached from the CLI: a name that
+    # gets a CLI caller leaves the list
+    names = _top_level_names(_package_sources())
+    from_cli = _reached(names, CLI_ROOTS)
+    assert [key for key in UNREACHED if key not in names or key in from_cli] == []
+    # the rule sees a new top-level function that nothing calls
+    sources = _package_sources()
+    sources["variations"] += "\n\ndef orphan(x):\n    return gradient_tensor(x)\n"
+    assert _unserved(sources) == {"variations.orphan"}

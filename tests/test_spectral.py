@@ -19,7 +19,6 @@ from curvlab.fields import (
 from curvlab.spectral import (
     rayleigh_lichnerowicz,
     s3_invariant_tt,
-    symmetrization_energies,
     torus_tt_mode,
     tt_defect,
 )
@@ -27,7 +26,9 @@ from curvlab.tensors import covariant_derivative, distinct_nodes, lichnerowicz
 from curvlab.variations import conformal_tensor
 from curvlab.fields import cosine_scalar_field
 
+import oracles
 from conftest import metric_as_sym_tensor, random_probes
+from oracles import rough_laplacian, symmetrization_energies
 
 TWO_PI_SQ = 2 * np.pi**2
 
@@ -149,13 +150,12 @@ def test_rayleigh_refuses_hyperbolic(poincare3):
 def test_flat_energy_via_rough_laplacian(torus3, torus3_grid):
     # with zero curvature the Lichnerowicz energy reduces to the rough one
     from curvlab.charts import sqrt_det_grid
-    from curvlab.tensors import rough_laplacian_tensor
 
     mode = torus_tt_mode(3, (1, 0, 0), np.diag([0.0, 1.0, -1.0]))
     rep = rayleigh_lichnerowicz(torus3, mode, torus3_grid)
     X = torus3_grid.nodes
     meas = torus3_grid.weights * sqrt_det_grid(torus3, torus3_grid)
-    lap = rough_laplacian_tensor(torus3, mode, X)
+    lap = rough_laplacian(torus3, mode, X)
     hv = mode.eval_grid(X)
     energy = np.sum(meas * -np.einsum("aij,aij->a", lap, hv))
     assert abs(rep.energy - energy) < 1e-10
@@ -186,7 +186,7 @@ def test_symmetrization_energies_take_one_cov_derivs_pass(
     want = []
     for base, h, grid in cases:
         Dh = covariant_derivative(base, h, grid.nodes, order=1)
-        ginv = np.linalg.inv(base.metric_grid(grid.nodes))
+        ginv = np.linalg.inv(base.eval_grid(grid.nodes))
         measure = grid.weights * sqrt_det_grid(base, grid)
         cyc = Dh + np.einsum("ajki->aijk", Dh) + np.einsum("akij->aijk", Dh)
         anti = Dh - np.einsum("aikj->aijk", Dh)
@@ -204,6 +204,7 @@ def test_symmetrization_energies_take_one_cov_derivs_pass(
         return real(*args)
 
     monkeypatch.setattr(spectral, "sym_tensor_cov_derivs", counted)
+    monkeypatch.setattr(oracles, "sym_tensor_cov_derivs", counted)
     for (base, h, grid), (cyc, anti) in zip(cases, want):
         calls.clear()
         got = symmetrization_energies(base, h, grid)
@@ -237,3 +238,42 @@ def test_sphere_bound(euler3):
     for d in ((2.0, -1.0, -1.0), (1.0, -3.0, 2.0), (0.0, 1.0, -1.0)):
         rep = rayleigh_lichnerowicz(euler3, s3_invariant_tt(d), grid)
         assert rep.quotient >= 4 * 3 - 1e-3
+
+
+def test_the_tt_gate_is_relative_to_the_size_of_h(torus3, torus3_grid, euler3):
+    # a scaled TT mode passes at every scale, with the raw defect maxima reported
+    grid = build_grid(euler3.domain, 12)
+    unit = rayleigh_lichnerowicz(euler3, s3_invariant_tt((2.0, -1.0, -1.0)), grid)
+    for scale in (1e6, 1e150):
+        rep = rayleigh_lichnerowicz(euler3, s3_invariant_tt((2 * scale, -scale, -scale)), grid)
+        assert rep.quotient == pytest.approx(unit.quotient, rel=1e-12)
+        assert rep.tt_defect_div > spectral.TT_TOL  # the absolute gate refused it
+    # non-TT fields whose defects lie far below TT_TOL are still refused
+    f = cosine_scalar_field(torus3.domain, (1, 0, 0))
+    tiny = conformal_tensor(torus3, f).scaled(1e-12)
+    assert max(tt_defect(torus3, tiny, torus3_grid)) < spectral.TT_TOL
+    tiny_div = random_torus_sym_tensor(3, np.random.default_rng(31)).scaled(1e-12)
+    for h in (tiny, tiny_div):
+        with pytest.raises(PreconditionError, match="transverse-traceless"):
+            rayleigh_lichnerowicz(torus3, h, torus3_grid)
+
+
+def test_rayleigh_refuses_a_norm_outside_the_float_range(euler3):
+    grid = build_grid(euler3.domain, 8)
+    for d in ((1e-200, -1e-200, 0.0), (1e300, -5e299, -5e299)):
+        with pytest.raises(PreconditionError, match="float range"):
+            rayleigh_lichnerowicz(euler3, s3_invariant_tt(d), grid)
+
+
+def test_torus_modes_take_integer_wave_vectors_float64_holds():
+    A = np.diag([0.0, 1.0, -1.0])
+    for k in ((0.5, 0, 0), (2**53 + 1, 0, 0), (10**20, 0, 0), (np.nan, 0, 0), (np.inf, 0, 0)):
+        with pytest.raises(InvalidModeError, match="integers"):
+            torus_tt_mode(3, k, A)
+    assert torus_tt_mode(3, (2**53, 0, 0), A).name == f"torus TT mode k={[2**53, 0, 0]}"
+    assert torus_tt_mode(3, (-3.0, 0, 0), A).name == "torus TT mode k=[-3, 0, 0]"
+    # the expected quotient (2 pi)^2 |k|^2 of a large k: an int64 dot overflowed
+    from curvlab.verify import rayleigh_case
+
+    _, meta = rayleigh_case("torus-tt", res=4, k=(2**40, 0, 0))
+    assert meta["expected_quotient"] == (2 * np.pi) ** 2 * 2.0**80

@@ -34,17 +34,14 @@ from curvlab.tensors import (
     curvature_grid,
     delta_star,
     divergence,
-    kulkarni_nomizu,
     lichnerowicz,
     raise_all,
-    rough_laplacian_tensor,
     space_form_deviation,
-    trace,
-    weyl,
 )
 
 import sympy_oracle
 from conftest import metric_as_sym_tensor, norm2_04, random_probes
+from oracles import kulkarni_nomizu, rough_laplacian
 
 RNG = np.random.default_rng(42)
 
@@ -227,8 +224,6 @@ def test_weyl_vanishes_on_space_forms_and_in_3d():
     assert np.abs(b3.W).max() == 0.0 and np.abs(b3.normW2).max() == 0.0
     b2 = curvature(make_model("sphere", 2), [1.0, 2.0])
     assert b2.W is None and b2.normW2 is None
-    with pytest.raises(DimensionError):
-        weyl(b2)
 
 
 def test_weyl_decomposition_identity_n4():
@@ -289,6 +284,11 @@ def test_ricci_identity_on_round_s3(euler3):
     assert np.abs(lhs - rhs).max() < 1e-6
 
 
+def _trace(field, h, X):
+    """tr_g h = g^{ij} h_ij, g^-1 inverted from the metric's values."""
+    return np.einsum("aij,aij->a", np.linalg.inv(field.eval_grid(X)), h.eval_grid(X))
+
+
 def test_divergence_trace_delta_star(torus3, torus3_grid):
     # h = f g with f = cos(2 pi x1): (delta h)_j = -2 pi sin(2 pi x1) delta_j1
     f_amp = np.eye(3)
@@ -300,12 +300,12 @@ def test_divergence_trace_delta_star(torus3, torus3_grid):
     )
     assert np.abs(dv - expected).max() < 1e-12
     assert np.abs(
-        trace(torus3, h, X) - 3 * np.cos(2 * np.pi * X[:, 0])
+        _trace(torus3, h, X) - 3 * np.cos(2 * np.pi * X[:, 0])
     ).max() < 1e-12
 
     mode = torus_tt_mode(3, (1, 0, 0), np.diag([0.0, 1.0, -1.0]))
     assert np.abs(divergence(torus3, mode, torus3_grid.nodes)).max() < 1e-9
-    assert np.abs(trace(torus3, mode, torus3_grid.nodes)).max() < 1e-9
+    assert np.abs(_trace(torus3, mode, torus3_grid.nodes)).max() < 1e-9
 
 
 def test_divergence_adjoint_to_delta_star(torus3, torus3_grid):
@@ -329,7 +329,7 @@ def test_divergence_adjoint_to_delta_star(torus3, torus3_grid):
 
     om = CovectorField(domain=torus3.domain, _jet=om_jet)
     X = torus3_grid.nodes
-    g = torus3.metric_grid(X)
+    g = torus3.eval_grid(X)
     gi = np.linalg.inv(g)
     meas = torus3_grid.weights * sqrt_det_grid(torus3, torus3_grid)
     ip1 = np.sum(
@@ -344,7 +344,7 @@ def test_lichnerowicz_flat_equals_rough(torus3):
     h = random_torus_sym_tensor(3, np.random.default_rng(12))
     X = np.random.default_rng(13).uniform(0, 1, (10, 3))
     assert np.abs(
-        lichnerowicz(torus3, h, X) - rough_laplacian_tensor(torus3, h, X)
+        lichnerowicz(torus3, h, X) - rough_laplacian(torus3, h, X)
     ).max() < 1e-12
 
 
@@ -366,7 +366,7 @@ def test_lichnerowicz_invariant_mode(euler3):
     h = s3_invariant_tt((2.0, -1.0, -1.0))
     X = random_probes(euler3.domain, np.random.default_rng(14), count=12)
     hv = h.eval_grid(X)
-    assert np.abs(rough_laplacian_tensor(euler3, h, X) + 6 * hv).max() < 1e-8
+    assert np.abs(rough_laplacian(euler3, h, X) + 6 * hv).max() < 1e-8
     assert np.abs(lichnerowicz(euler3, h, X) + 12 * hv).max() < 1e-8
 
 
@@ -391,7 +391,7 @@ def test_rough_laplacian_sign_convention(torus3):
     # Laplacian of cos(2 pi x) modes is negative: -|2 pi k|^2
     mode = torus_tt_mode(3, (1, 0, 0), np.diag([0.0, 1.0, -1.0]))
     X = np.array([[0.1, 0.0, 0.0]])
-    lap = rough_laplacian_tensor(torus3, mode, X)
+    lap = rough_laplacian(torus3, mode, X)
     hv = mode.eval_grid(X)
     assert np.allclose(lap, -((2 * np.pi) ** 2) * hv, atol=1e-10)
 
@@ -409,7 +409,7 @@ def test_contracted_bianchi_hessian_on_generic_metric():
         return Gamma, [Ric, R]
 
     ric_hess, r_hess = covariant_hessian_blocks(inner, X)
-    gi = np.linalg.inv(base.metric_grid(X))
+    gi = np.linalg.inv(base.eval_grid(X))
     lhs = np.einsum("aik,ajl,aijkl->a", gi, gi, ric_hess)
     rhs = 0.5 * np.einsum("akl,akl->a", gi, r_hess)
     assert np.abs(rhs).max() > 1.0  # the identity is not trivially 0 = 0
@@ -855,14 +855,11 @@ def pipeline_contractions():
         X = random_probes(e3.domain, rng, count=20)
         lichnerowicz(e3, h, X)
         divergence(e3, h, X)
-        trace(e3, h, X)
-        rough_laplacian_tensor(e3, h, X)
         pullback = random_sphere_sym_tensor(3, rng)
         Y = random_probes(make_model("sphere", 3).domain, rng, 20)
         pullback.packed_jet(Y, 4)
         stage[0] = "jet()"
         pullback.jet(Y, 4)
-        kulkarni_nomizu(np.eye(3), np.eye(3))
     return seen, planned, (expansions, asymmetry[0])
 
 
@@ -889,7 +886,7 @@ def _strided(X):
 # plain products, some of them also the order-0 terms of a jet product.
 NON_JET_SPECS = {
     "aJj,aKLij->aJKLi", "aKk,aLijk->aKLij", "aLl,aijkl->aLijk", "aij,aIi->ajI",
-    "aij,aij->a", "aik,aik->a", "aikjl,akl->aij",
+    "aik,aik->a", "aikjl,akl->aij",
     "aiplk,ajplk->aij", "ajI,aJj->aIJ", "akl,aijkl->aij", "akl,alij->akij",
     "apl,aipjl->aij", "apq,apjq->aj", "apq,apq->a", "aqkl,aqij->aklij",
     # jet_solve's A_0^-1 at order 0 and on a packed order, g Gamma = S/2 on

@@ -27,7 +27,7 @@ from curvlab.fields import (
     trig_sym_tensor_field,
 )
 from curvlab.functionals import Coefficients, evaluate
-from curvlab.spectral import s3_invariant_tt, symmetrization_energies, torus_tt_mode
+from curvlab.spectral import s3_invariant_tt, torus_tt_mode
 from curvlab.tensors import (
     FIELD_FD_REL_STEP,
     christoffel_arrays,
@@ -39,20 +39,19 @@ from curvlab.variations import (
     COMPLEX_STEP,
     PerturbationFamily,
     _checks,
+    _first_variation_pairing,
     _gradient_parts,
+    _lagrange_constant,
     _trace_multiplier,
-    christoffel_variation,
     conformal_identity_suite,
     conformal_tensor,
     curvature_variation_arrays,
     curvature_variations,
     einstein_criticality_defect,
     el_residual,
-    first_variation,
     first_variation_numeric,
     gradient_ingredients,
     gradient_tensor,
-    lagrange_constant,
     second_variation_conformal_predicted,
     second_variation_numeric,
     second_variation_tt_predicted,
@@ -67,6 +66,7 @@ from curvlab.verify import (
 
 import sympy_oracle
 from conftest import metric_as_sym_tensor, random_probes, s3_second_harmonic
+from oracles import christoffel_variation, metric_at, symmetrization_energies
 
 C00 = Coefficients(0.0, 0.0)
 TWO_PI_SQ = 2 * np.pi**2
@@ -80,7 +80,7 @@ TWO_PI_SQ = 2 * np.pi**2
 def fd_christoffel_variation(base, h, X, t=1e-3):
     def gam(tt):
         f = linear_combination_metric(base, h, tt)
-        return christoffel_arrays(f.metric_grid(X), f.d1_grid(X))
+        return christoffel_arrays(f.eval_grid(X), f.d1_grid(X))
 
     d1 = (gam(t) - gam(-t)) / (2 * t)
     d2 = (gam(t / 2) - gam(-t / 2)) / t
@@ -188,7 +188,7 @@ def cov_grad_of_map(field, fn, valence, X, rel_step=FIELD_FD_REL_STEP):
     steps = np.full(field.dimension, rel_step * float(np.min(field.domain.extents)))
     out = fd_partials(fn, X, steps)
     T = np.asarray(fn(X))
-    Gamma = christoffel_arrays(field.metric_grid(X), field.d1_grid(X))
+    Gamma = christoffel_arrays(field.eval_grid(X), field.d1_grid(X))
     comp = "ijkl"[:valence]
     for s in range(valence):
         t_sub = "a" + comp[:s] + "p" + comp[s + 1 :]
@@ -239,7 +239,7 @@ def test_gradient_space_form_constant(sphere3):
     for s, tau in ((0.0, 0.0), (1.5, -0.5)):
         G = gradient_tensor(sphere3, X, Coefficients(s, tau)).grad_total
         c = (3 - 4) * (3 - 1) * (2 + s * 2 + tau * 6) / 2
-        assert np.abs(G - c * sphere3.metric_grid(X)).max() < 1e-7
+        assert np.abs(G - c * sphere3.eval_grid(X)).max() < 1e-7
 
 
 def test_gradient_vanishes_at_n4_space_form(sphere4):
@@ -378,15 +378,19 @@ def test_complex_step_through_generic_gradient_ingredients():
 
 def test_first_variation_zero_directions(torus3, torus3_grid, euler3, euler3_grid):
     # critical space form, TT direction
+    on_euler = _first_variation_pairing(
+        euler3, gradient_ingredients(euler3, euler3_grid.nodes), euler3_grid, C00
+    )
     h = s3_invariant_tt((2.0, -1.0, -1.0))
-    assert abs(first_variation(euler3, euler3_grid, h, C00)) < 1e-7
+    assert abs(on_euler(h)) < 1e-7
     # flat base, any direction
     hr = random_torus_sym_tensor(3, np.random.default_rng(32))
-    assert abs(first_variation(torus3, torus3_grid, hr, C00)) < 1e-9
+    ing = gradient_ingredients(torus3, torus3_grid.nodes)
+    assert abs(_first_variation_pairing(torus3, ing, torus3_grid, C00)(hr)) < 1e-9
     # mean-zero conformal direction on the sphere
     f = s3_first_harmonic()
     hc = conformal_tensor(euler3, f)
-    assert abs(first_variation(euler3, euler3_grid, hc, C00)) < 1e-6
+    assert abs(on_euler(hc)) < 1e-6
 
 
 def test_first_variation_matches_fd_on_random_directions(torus3, sphere3):
@@ -394,13 +398,17 @@ def test_first_variation_matches_fd_on_random_directions(torus3, sphere3):
     coeff = Coefficients(0.4, -0.6)
     tg = build_grid(torus3.domain, 8)
     sg = build_grid(sphere3.domain, (10, 10, 12))
+    on_torus = _first_variation_pairing(torus3, gradient_ingredients(torus3, tg.nodes), tg, coeff)
+    on_sphere = _first_variation_pairing(
+        sphere3, gradient_ingredients(sphere3, sg.nodes), sg, coeff
+    )
     for _ in range(3):
         ht = random_torus_sym_tensor(3, rng)
-        d1a = first_variation(torus3, tg, ht, coeff)
+        d1a = on_torus(ht)
         d1n = first_variation_numeric(torus3, tg, ht, coeff)
         assert abs(d1a - d1n) <= 1e-4 * max(1.0, abs(d1a))
         hs = random_sphere_sym_tensor(3, rng)
-        d1a = first_variation(sphere3, sg, hs, coeff)
+        d1a = on_sphere(hs)
         d1n = first_variation_numeric(sphere3, sg, hs, coeff)
         assert abs(d1a - d1n) <= 1e-4 * max(1.0, abs(d1a))
 
@@ -417,9 +425,10 @@ def test_gradient_on_generic_metric():
     ing = gradient_ingredients(unit, X)
     b = ing["bundle"]
     measure = grid.weights * b.sqrt_det
+    ing_base = gradient_ingredients(base, X)
     for s, tau in ((0.0, 0.0), (0.5, -0.3), (-1.7, 2.2)):
         coeff = Coefficients(s, tau)
-        d1a = first_variation(base, grid, h, coeff)
+        d1a = _first_variation_pairing(base, ing_base, grid, coeff)(h)
         d1n = first_variation_numeric(base, grid, h, coeff)
         # measured 2.4e-4, 2.8e-4 and 6.5e-5
         assert abs(d1a - d1n) <= 1e-3 * abs(d1n), (s, tau)
@@ -451,7 +460,7 @@ def test_el_residual_space_forms(sphere4, torus3, torus3_grid, sphere3):
     lam = u3.lam
     assert res3 < 1e-6
     # dual route: trace constant equals the gradient-tensor proportionality
-    c_direct = lagrange_constant(u3, grid3, C00)
+    c_direct = _lagrange_constant(u3, gradient_ingredients(u3, grid3.nodes), grid3, C00)
     assert abs(c3 - c_direct) < 1e-12
     assert abs(c3 - (-(2.0) * lam**2)) <= 1e-8 * max(1.0, 2 * lam**2)
 
@@ -469,9 +478,13 @@ def test_integrals_refuse_the_poincare_chart(poincare3):
     f = cosine_scalar_field(poincare3.domain, (1, 0, 0))
     h = conformal_tensor(poincare3, f)
     refusals = {
-        "lagrange_constant": lambda: lagrange_constant(poincare3, grid, C00),
+        "_lagrange_constant": lambda: _lagrange_constant(
+            poincare3, gradient_ingredients(poincare3, grid.nodes), grid, C00
+        ),
         "conformal_identity_suite": lambda: conformal_identity_suite(poincare3, f, grid),
-        "first_variation": lambda: first_variation(poincare3, grid, h, C00),
+        "_first_variation_pairing": lambda: _first_variation_pairing(
+            poincare3, gradient_ingredients(poincare3, grid.nodes), grid, C00
+        ),
         "el_residual": lambda: el_residual(poincare3, grid, C00),
         "symmetrization_energies": lambda: symmetrization_energies(poincare3, h, grid),
     }
@@ -518,11 +531,11 @@ def _family_t_derivative(fam, X, grid, order, dt=1e-3):
     of the metric along a perturbation family."""
 
     def diff(step):
-        gp = fam.metric_at(step, grid).metric_grid(X)
-        gm = fam.metric_at(-step, grid).metric_grid(X)
+        gp = metric_at(fam, step, grid).eval_grid(X)
+        gm = metric_at(fam, -step, grid).eval_grid(X)
         if order == 1:
             return (gp - gm) / (2 * step)
-        return (gp - 2 * fam.base.metric_grid(X) + gm) / step**2
+        return (gp - 2 * fam.base.eval_grid(X) + gm) / step**2
 
     return (4 * diff(dt / 2) - diff(dt)) / 3
 
@@ -534,15 +547,15 @@ def test_family_volume_and_identities(euler3, euler3_grid):
 
     v0 = volume(euler3, euler3_grid)
     for t in (0.03, -0.06):
-        assert volume(fam.metric_at(t, euler3_grid), euler3_grid) == pytest.approx(
+        assert volume(metric_at(fam, t, euler3_grid), euler3_grid) == pytest.approx(
             v0, abs=1e-10 * v0
         )
-    assert fam.metric_at(0.0, euler3_grid) is euler3
+    assert metric_at(fam, 0.0, euler3_grid) is euler3
 
     X = euler3_grid.nodes
     v1 = _family_t_derivative(fam, X, euler3_grid, order=1)
     v2 = _family_t_derivative(fam, X, euler3_grid, order=2)
-    g0 = euler3.metric_grid(X)
+    g0 = euler3.eval_grid(X)
     gi = np.linalg.inv(g0)
     meas = euler3_grid.weights * sqrt_det_grid(euler3, euler3_grid)
     trh = np.einsum("aij,aij->a", gi, v1)
@@ -582,7 +595,7 @@ def _richardson_second_variation(family, grid, coeff, t_step=2.5e-3):
     F0 = evaluate(family.base, grid, coeff).F
 
     def D(dt):
-        Fp, Fm = (evaluate(family.metric_at(t, grid), grid, coeff).F for t in (dt, -dt))
+        Fp, Fm = (evaluate(metric_at(family, t, grid), grid, coeff).F for t in (dt, -dt))
         return (Fp - 2 * F0 + Fm) / dt**2
 
     return (4 * D(t_step / 2) - D(t_step)) / 3
@@ -624,9 +637,9 @@ def _hessian_inputs(model):
 
 
 @pytest.mark.parametrize("model", HESSIAN_MODELS)
-def test_hessian_case_makes_one_curvature_pass_of_the_base(model, monkeypatch):
-    # F and the volume of the base come from the bundle of its gradient
-    # ingredients, not from a second quadrature pass, with the same bits
+def test_hessian_case_integrates_the_base_once(model, monkeypatch):
+    # the case takes its second variation from second_variation_numeric, as
+    # every other caller does: one quadrature pass of the base, the same bits
     coeff = Coefficients(0.5, -0.3)
     integrated, real = [], variations._integrals
 
@@ -638,7 +651,7 @@ def test_hessian_case_makes_one_curvature_pass_of_the_base(model, monkeypatch):
     report = hessian_case(model, coeff)
     monkeypatch.undo()
     base, h, res = _hessian_inputs(model)
-    assert len(integrated) == 3 and base.name not in integrated  # d1 and phi(+-w)
+    assert len(integrated) == 4 and integrated.count(base.name) == 1  # d1, F(g), phi(+-w)
     d2 = second_variation_numeric(PerturbationFamily(base, h), build_grid(base.domain, res), coeff)
     assert (report.d2_numeric, report.d2_rel_err_estimate) == (d2.value, d2.rel_err_estimate)
 
@@ -732,7 +745,7 @@ def test_predicted_formulas_and_domains():
 
 
 def _integral_norm2(base, h, grid):
-    ginv = np.linalg.inv(base.metric_grid(grid.nodes))
+    ginv = np.linalg.inv(base.eval_grid(grid.nodes))
     return np.sum(grid.weights * sqrt_det_grid(base, grid) * norm2_02(h.eval_grid(grid.nodes), ginv))
 
 
@@ -743,14 +756,14 @@ def test_second_variation_matches_gradient_route(euler3):
     fam = PerturbationFamily(euler3, h)
     X = grid.nodes
     dt = 5e-3
-    Gp = gradient_tensor(fam.metric_at(dt, grid), X, C00).grad_total
-    Gm = gradient_tensor(fam.metric_at(-dt, grid), X, C00).grad_total
+    Gp = gradient_tensor(metric_at(fam, dt, grid), X, C00).grad_total
+    Gm = gradient_tensor(metric_at(fam, -dt, grid), X, C00).grad_total
     dG = (Gp - Gm) / (2 * dt)
-    gi = np.linalg.inv(euler3.metric_grid(X))
+    gi = np.linalg.inv(euler3.eval_grid(X))
     hup = raise_all(h.eval_grid(X), gi, (0, 1))
     meas = grid.weights * sqrt_det_grid(euler3, grid)
     term = np.sum(meas * np.einsum("aij,aij->a", dG, hup))
-    c = lagrange_constant(euler3, grid, C00)
+    c = _lagrange_constant(euler3, gradient_ingredients(euler3, grid.nodes), grid, C00)
     pred = term - c * _integral_norm2(euler3, h, grid)
     d2 = second_variation_numeric(fam, grid, C00).value
     assert abs(d2 - pred) / abs(d2) < 0.01
