@@ -7,7 +7,7 @@ Built-in models
               (n-1 polar angles, one azimuth); sectional curvature 1/r^2.
 ``poincare``  Poincare ball chart g = 4 delta / (1-|x|^2)^2, curvature -1.
               Pointwise use only: the chart covers a non-compact model, so
-              every integral operation refuses it.
+              :meth:`QuadratureGrid.integrals` refuses its grids.
 ``s3-euler``  round S^3 as SU(2) in z-y-z Euler angles (theta, phi, psi)
               with psi running over [0, 4 pi).  The bi-invariant frame is
               exposed through :func:`milnor_frame` / :func:`milnor_coframe`
@@ -71,8 +71,9 @@ MAX_GAUSS_NODES = 1024
 class QuadratureGrid:
     """Tensor-product quadrature nodes with coordinate-measure weights.
 
-    Weights carry only the coordinate measure; sqrt(det g) is applied by the
-    integral operations.  Periodic axes use uniform open grids (trapezoidal
+    Weights carry only the coordinate measure; sqrt(det g) is applied by
+    :meth:`integrals`, every integral of the package and the only reader of
+    the weights.  Periodic axes use uniform open grids (trapezoidal
     weights), non-periodic axes use Gauss-Legendre nodes, so no node ever
     lands on a pole.
     """
@@ -89,6 +90,18 @@ class QuadratureGrid:
     @property
     def node_count(self) -> int:
         return self.nodes.shape[0]
+
+    def integrals(self, sqrt_det: Array, *densities: Array) -> tuple:
+        """(volume, int d_1 dV, ...): each one node-order sum over every node
+        of weight * sqrt(det g) * density, bit-stable across runs, in the
+        arrays' dtype.  A Poincare ball grid is refused: its chart covers a
+        non-compact model, where a sum against the weights is no integral."""
+        if self.domain.kind == POINCARE_BALL:
+            raise GlobalIntegralUnsupportedError(
+                "the Poincare ball chart covers a non-compact model: no global integrals"
+            )
+        measure = self.weights * sqrt_det
+        return (np.sum(measure),) + tuple(np.sum(measure * d) for d in densities)
 
 
 def _axis_rule(lo: float, hi: float, m: int, periodic: bool):
@@ -139,20 +152,9 @@ def sqrt_det_grid(field: MetricField, grid: QuadratureGrid) -> Array:
     return volume_element(field.eval_grid(grid.nodes))
 
 
-def _require_quadrature(field: MetricField):
-    # the Poincare chart covers a non-compact model; every other chart a closed one
-    if field.domain.kind == POINCARE_BALL:
-        raise GlobalIntegralUnsupportedError(
-            f"{field.name}: chart covers a non-compact model; "
-            "global integrals are not defined"
-        )
-
-
 def volume(field: MetricField, grid: QuadratureGrid) -> float:
-    """Quadrature volume, numpy's pairwise sum over the fixed node ordering,
-    so results are bit-stable across runs."""
-    _require_quadrature(field)
-    return float(np.sum(grid.weights * sqrt_det_grid(field, grid)))
+    """Quadrature volume (:meth:`QuadratureGrid.integrals`)."""
+    return float(grid.integrals(sqrt_det_grid(field, grid))[0])
 
 
 def to_unit_volume(field: MetricField, grid: QuadratureGrid) -> MetricField:

@@ -154,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--d", type=finite_float_list, help="comma-separated invariant-mode coefficients")
     r.add_argument("--k", type=int_list, help="comma-separated torus wave vector")
     r.add_argument("--res", type=int)
-    r.add_argument("--tol", type=tolerance, default=1e-3)
+    r.add_argument("--tol", type=tolerance, default=1e-6,
+                   help="relative: pass when |quotient - expected| <= tol * |expected|")
     r.add_argument("--out")
 
     cl = sub.add_parser("classify", help="stability verdict at a single (s, tau)")
@@ -227,7 +228,8 @@ def _cmd_hessian(args) -> tuple[str, bool]:
 
 def _cmd_rayleigh(args) -> tuple[str, bool]:
     report, meta = rayleigh_case(args.model, res=args.res, d=args.d, k=args.k)
-    ok = abs(report.quotient - meta["expected_quotient"]) <= args.tol
+    expected = meta["expected_quotient"]
+    ok = abs(report.quotient - expected) <= args.tol * abs(expected)
     return _json(asdict(report) | meta | {"pass": ok}), ok
 
 

@@ -4,11 +4,11 @@ The total functional is  F = int |Rm|^2 + s int |Ric|^2 + tau int R^2,
 reported together with the Weyl energy and the volume.  The curvature is
 computed once per distinct node of the coordinates the metric reads, in
 node blocks (:func:`curvlab.tensors.distinct_blocks`), which hand back
-per-node densities; these are gathered back to every node, and every sum
-runs once over every node's density in node order, never over partial sums
-per block, with numpy's pairwise summation.  Reports are therefore
-bit-stable and depend neither on the block size nor on the coordinates the
-metric reads.
+per-node densities; these are gathered back to every node and summed in
+one call of :meth:`curvlab.charts.QuadratureGrid.integrals`, once over
+every node in node order, never over partial sums per block.  Reports are
+therefore bit-stable and depend neither on the block size nor on the
+coordinates the metric reads.
 
 A pass of F reads only the energies F weighs: int |Rm|^2 always, int
 |Ric|^2 when s != 0 and int R^2 when tau != 0, so the complex-step
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import QuadratureGrid, _require_quadrature
+from .charts import QuadratureGrid
 from .errors import DimensionError
 from .fields import MetricField
-from .tensors import CurvatureBundle, curvature_grid, distinct_blocks
+from .tensors import CurvatureBundle, curvature, distinct_blocks
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,20 @@ def _integrals(
     F reads int |Rm|^2, int |Ric|^2 only when s != 0 and int R^2 only when
     tau != 0 (:func:`_parts`), so a complex-step pass at s = tau = 0 never
     builds Ric or R; with ``every``, all three parts are read and summed
-    into F, as :func:`evaluate` reports them, and with ``weyl`` int |W|^2
-    too."""
-    _require_quadrature(field)
+    into F (in that order, added to int |Rm|^2), as :func:`evaluate`
+    reports them, and with ``weyl`` int |W|^2 too."""
     names = _parts(coeff, weyl, every)
     densities, at = distinct_blocks(
-        lambda Y: _densities(curvature_grid(field, Y), names), grid.nodes, field.reads
+        lambda Y: _densities(curvature(field, Y), names), grid.nodes, field.reads
     )
-    return _sums(grid, coeff, names, *(d[at] for d in densities))
+    volume, *parts = grid.integrals(*(d[at] for d in densities))
+    sums = dict(zip(names, parts))
+    F = sums["Rquad"]
+    if "rho" in sums:
+        F = F + coeff.s * sums["rho"]
+    if "S" in sums:
+        F = F + coeff.tau * sums["S"]
+    return sums | {"F": F, "volume": volume}
 
 
 # the per-node density of each energy, by its FunctionalReport name
@@ -94,23 +100,6 @@ def _densities(b: CurvatureBundle, names: tuple) -> tuple:
     """Per node: sqrt(det g), then the density of each energy ``names``
     lists; a density nobody reads is never built."""
     return (b.sqrt_det,) + tuple(_DENSITIES[k](b) for k in names)
-
-
-def _sums(grid: QuadratureGrid, coeff: Coefficients, names: tuple, sqrt_det, *parts) -> dict:
-    """The quadrature sums of the energies ``names``, F and the volume from
-    the per-node densities of :func:`_densities`, each one sum over all
-    nodes; F adds s int |Ric|^2 and tau int R^2 to int |Rm|^2, in that
-    order, when they were read."""
-    measure = grid.weights * sqrt_det
-    sums = {k: np.sum(measure * d) for k, d in zip(names, parts)}
-    F = sums["Rquad"]
-    if "rho" in sums:
-        F = F + coeff.s * sums["rho"]
-    if "S" in sums:
-        F = F + coeff.tau * sums["S"]
-    sums["F"] = F
-    sums["volume"] = np.sum(measure)
-    return sums
 
 
 def evaluate(

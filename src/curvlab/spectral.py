@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import QuadratureGrid, _require_quadrature, milnor_coframe_exprs
+from .charts import QuadratureGrid, milnor_coframe_exprs
 from .errors import InvalidModeError, PreconditionError
 from .fields import (
     Array,
@@ -157,7 +157,6 @@ def rayleigh_lichnerowicz(
     (per-node densities, gathered to one sum over all nodes), each block's
     curvature built from the metric jet and connection (g^-1, S, Gamma) of
     its covariant derivatives."""
-    _require_quadrature(base)
 
     def densities(Y):
         hv, Dh, D2h, g, ginv, S, Gamma = sym_tensor_cov_derivs(base, h, Y)
@@ -174,9 +173,7 @@ def rayleigh_lichnerowicz(
     with np.errstate(over="ignore", invalid="ignore"):
         out, at = distinct_blocks(densities, grid.nodes, reads_of(base, h))
         defect2, r_scale, div_norm, tr, grad2, norm_d, sqrt_det, energy_d = out
-        measure = grid.weights * sqrt_det[at]
-        energy = float(np.sum(measure * energy_d[at]))
-        norm2 = float(np.sum(measure * norm_d[at]))
+        _, energy, norm2 = map(float, grid.integrals(sqrt_det[at], energy_d[at], norm_d[at]))
     require_einstein(defect2, r_scale)
     if not (0.0 < norm2 < np.inf and np.isfinite(energy)):
         raise PreconditionError(

@@ -897,18 +897,11 @@ def _bundle_from_connection(
     return CurvatureBundle(g, ginv, sqrt_det, M)
 
 
-def curvature_grid(field: MetricField, X: Array) -> CurvatureBundle:
-    """Curvature bundle at a batch of points, in one pass; a reduction over a
-    whole grid streams its distinct nodes through :func:`distinct_blocks`
-    instead."""
-    X, _ = _as_batch(X, field.dimension)
-    return curvature_bundle(*field.packed_jet(X, 2))
-
-
 def curvature(field: MetricField, x) -> CurvatureBundle:
-    """Curvature bundle at a single chart point (arrays keep a length-1 batch)."""
-    X, _ = _as_batch(x, field.dimension)
-    return curvature_grid(field, X)
+    """Curvature bundle at a chart point or a batch of points, in one pass
+    (a point keeps a length-1 batch); a reduction over a whole grid streams
+    its distinct nodes through :func:`distinct_blocks` into it."""
+    return curvature_bundle(*field.packed_jet(x, 2))
 
 
 def space_form_deviation(bundle: CurvatureBundle, lam: float) -> float:

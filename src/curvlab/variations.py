@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .atlas import conformal_polynomial, tt_polynomial
-from .charts import QuadratureGrid, _require_quadrature, positive_normal_power, volume
+from .charts import QuadratureGrid, positive_normal_power, volume
 from .errors import DegenerateMetricError, DimensionError, EigenvalueRangeError, PreconditionError
 from .fields import (
     Array,
@@ -64,7 +64,7 @@ from .tensors import (
     CurvatureBundle,
     contract,
     covariant_hessian_blocks,
-    curvature_grid,
+    curvature,
     distinct_blocks,
     distinct_nodes,
     einstein_parts,
@@ -115,7 +115,7 @@ def curvature_variation_arrays(base: MetricField, h: SymTensorField, X: Array) -
     """Batched variations of curvature under (g_ij)' = h_ij: dRm13 (of
     R^l_ijk), dRm4 (of the lowered tensor), dRic and dR, each the complex
     step of one curvature pass."""
-    b = curvature_grid(linear_combination_metric(base, h, 1j * COMPLEX_STEP), X)
+    b = curvature(linear_combination_metric(base, h, 1j * COMPLEX_STEP), X)
     return {
         "dRm13": b.Rm13.imag / COMPLEX_STEP,
         "dRm4": b.Rm4.imag / COMPLEX_STEP,
@@ -175,7 +175,7 @@ def gradient_ingredients(
     X, _ = _as_batch(X, base.dimension)
     rows, at = distinct_nodes(X, base.reads)
     try:
-        bundle = curvature_grid(base, X[rows])
+        bundle = curvature(base, X[rows])
     except DegenerateMetricError as e:
         raise e.renumbered(np.arange(len(X))[rows]) from None
     X = X[rows]
@@ -260,27 +260,25 @@ def _trace_multiplier(ing: dict, coeff: Coefficients) -> Array:
     ) / (2 * n)
 
 
-def _lagrange_constant(
-    base: MetricField, ing: dict, grid: QuadratureGrid, coeff: Coefficients
-) -> float:
-    _require_quadrature(base)
+def _lagrange_constant(ing: dict, grid: QuadratureGrid, coeff: Coefficients) -> float:
+    """The multiplier c of G = c g: the volume average of tr_g G / n."""
     at = ing["at"]
-    measure = grid.weights * ing["bundle"].sqrt_det[at]
-    return float(np.sum(measure * _trace_multiplier(ing, coeff)[at]) / np.sum(measure))
+    vol, trace = grid.integrals(ing["bundle"].sqrt_det[at], _trace_multiplier(ing, coeff)[at])
+    return float(trace / vol)
 
 
 def _first_variation_pairing(
-    base: MetricField, ing: dict, grid: QuadratureGrid, coeff: Coefficients
+    ing: dict, grid: QuadratureGrid, coeff: Coefficients
 ) -> Callable[[SymTensorField], float]:
     """h -> int G_ij h^{ij} dV, with G, g^-1 and the volume element of one
     set of gradient ingredients of the base on the grid built once for every
+    direction; a grid without integrals is refused here, before any
     direction."""
-    _require_quadrature(base)
     b: CurvatureBundle = ing["bundle"]
     at = ing["at"]
-    G, ginv = _gradient_parts(ing, coeff).grad_total[at], b.ginv[at]
-    measure = grid.weights * b.sqrt_det[at]
-    return lambda h: float(np.sum(measure * inner_02(G, h.eval_grid(grid.nodes), ginv)))
+    G, ginv, sqrt_det = _gradient_parts(ing, coeff).grad_total[at], b.ginv[at], b.sqrt_det[at]
+    grid.integrals(sqrt_det)
+    return lambda h: float(grid.integrals(sqrt_det, inner_02(G, h.eval_grid(grid.nodes), ginv))[1])
 
 
 def first_variation_numeric(
@@ -290,12 +288,14 @@ def first_variation_numeric(
     coeff: Coefficients,
     t_step: float = COMPLEX_STEP,
 ) -> float:
-    """Complex-step derivative Im F(g + i t_step h) / t_step of F along
-    g + t h (see the module docstring)."""
+    """Complex-step derivative Im F(g + i eps h) / eps of F along g + t h
+    (module docstring), eps = t_step / sqrt(max(1, |s|, |tau|)) so that its
+    residue, eps^2 times the weights of F, stays at roundoff at every (s, tau)."""
     if not (np.isfinite(t_step) and t_step > 0):
         raise PreconditionError(f"t_step must be positive and finite, got {t_step}")
-    sums = _integrals(linear_combination_metric(base, h, 1j * t_step), grid, coeff)
-    return float(sums["F"].imag / t_step)
+    eps = t_step / np.sqrt(max(1.0, abs(coeff.s), abs(coeff.tau)))
+    sums = _integrals(linear_combination_metric(base, h, 1j * eps), grid, coeff)
+    return float(sums["F"].imag / eps)
 
 
 def el_residual(
@@ -313,17 +313,16 @@ def el_residual(
     the output of :func:`gradient_ingredients` on this grid, which does not
     depend on (s, tau).
     """
-    _require_quadrature(base)
     ing = gradient_ingredients(base, grid.nodes) if ingredients is None else ingredients
     b: CurvatureBundle = ing["bundle"]
-    vol = float(np.sum(grid.weights * b.sqrt_det[ing["at"]]))
+    vol = float(grid.integrals(b.sqrt_det[ing["at"]])[0])
     if abs(vol - 1.0) > UNIT_VOLUME_TOL:
         raise PreconditionError(
             f"Euler-Lagrange residual needs a unit-volume base (vol = {vol:.6g})"
         )
     G = _gradient_parts(ing, coeff).grad_total
     E = G - _trace_multiplier(ing, coeff)[:, None, None] * b.g
-    return max_abs(E), _lagrange_constant(base, ing, grid, coeff)
+    return max_abs(E), _lagrange_constant(ing, grid, coeff)
 
 
 def einstein_criticality_defect(base: MetricField, grid: QuadratureGrid) -> float:
@@ -333,7 +332,7 @@ def einstein_criticality_defect(base: MetricField, grid: QuadratureGrid) -> floa
     n = base.dimension
 
     def block(Y):
-        b = curvature_grid(base, Y)
+        b = curvature(base, Y)
         D = b.A1 - (b.normRm2 / n)[:, None, None] * b.g
         return (*einstein_parts(b), [max_abs(D)])
 
@@ -508,23 +507,20 @@ def _suite_sides(
     On a closed manifold int <h, Lap^2 h> = int |Lap h|^2, which the closed
     forms read from the last integral.
     """
-    _require_quadrature(base)
     ing = gradient_ingredients(linear_combination_metric(base, h, 1j * COMPLEX_STEP), X)
     b: CurvatureBundle = ing["bundle"]
     lam = _require_space_form(base, b)
     on_X = ing["at"]  # the complex metric reads what base and h read: all of X
-    measure = grid.weights * b.sqrt_det.real[on_X][at]
-
-    def integral(S, T) -> float:
-        return float(np.sum(measure * inner_02(S, T, ginv)[at]))
-
     terms = {k: T[on_X] for k, T in _gradient_terms(ing).items()}
     terms["scalar_laplacian_metric"] = (
         contract("aik,aik->a", ginv, ing["hess_R"][on_X])[:, None, None] * b.g.real[on_X]
     )
-    lhs = {k: integral(T.imag / COMPLEX_STEP, hv) for k, T in terms.items()}
     lap_h = contract("akl,aijkl->aij", ginv, D2h)
-    return lam, lhs, (integral(hv, hv), integral(lap_h, hv), integral(lap_h, lap_h))
+    pairs = [(T.imag / COMPLEX_STEP, hv) for T in terms.values()]
+    pairs += [(hv, hv), (lap_h, hv), (lap_h, lap_h)]
+    densities = (inner_02(S, T, ginv)[at] for S, T in pairs)
+    _, *sums = map(float, grid.integrals(b.sqrt_det.real[on_X][at], *densities))
+    return lam, dict(zip(terms, sums)), tuple(sums[len(terms):])
 
 
 def tt_identity_suite(

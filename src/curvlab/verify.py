@@ -39,7 +39,7 @@ from .variations import (
     tt_identity_suite,
 )
 from .tensors import (
-    curvature_grid,
+    curvature,
     distinct_blocks,
     max_abs,
     norm2_02,
@@ -115,17 +115,16 @@ def hessian_case(
     with _finite_functional(coeff):
         ing = gradient_ingredients(base, grid.nodes)
         b, at = ing["bundle"], ing["at"]
-        measure = grid.weights * b.sqrt_det[at]
         if mode == "tt":
-            norm2 = float(np.sum(measure * norm2_02(h.eval_grid(grid.nodes), b.ginv[at])))
-            predicted = second_variation_tt_predicted(n, lam, eigenvalue, coeff, norm2)
+            _, norm2 = grid.integrals(b.sqrt_det[at], norm2_02(h.eval_grid(grid.nodes), b.ginv[at]))
+            predicted = second_variation_tt_predicted(n, lam, eigenvalue, coeff, float(norm2))
         else:
-            f2 = float(np.sum(measure * f.eval_grid(grid.nodes) ** 2))
-            predicted = second_variation_conformal_predicted(n, lam, eigenvalue, coeff, f2)
-        d1_analytic = _first_variation_pairing(base, ing, grid, coeff)(h)
+            _, f2 = grid.integrals(b.sqrt_det[at], f.eval_grid(grid.nodes) ** 2)
+            predicted = second_variation_conformal_predicted(n, lam, eigenvalue, coeff, float(f2))
+        d1_analytic = _first_variation_pairing(ing, grid, coeff)(h)
         d1_numeric = first_variation_numeric(base, grid, h, coeff)
         d2 = second_variation_numeric(PerturbationFamily(base, h), grid, coeff, t_step)
-        c = _lagrange_constant(base, ing, grid, coeff)
+        c = _lagrange_constant(ing, grid, coeff)
         return VariationReport(
             model=model,
             mode=mode,
@@ -179,7 +178,7 @@ def gradient_case(
     with _finite_functional(coeff):
         # the gradient is independent of h: build it once, pair it per direction
         ing = gradient_ingredients(base, grid.nodes)
-        d1_analytic = _first_variation_pairing(base, ing, grid, coeff)
+        d1_analytic = _first_variation_pairing(ing, grid, coeff)
         for i in range(count):
             h = make_h()
             d1a = d1_analytic(h)
@@ -217,7 +216,7 @@ def curvature_case(
     lam = field.lam
 
     def block_max(Y):
-        b = curvature_grid(field, Y)
+        b = curvature(field, Y)
         return (
             [space_form_deviation(b, lam)],
             [max_abs(b.Ric - (n - 1) * lam * b.g)],

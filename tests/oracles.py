@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from curvlab.charts import _require_quadrature
 from curvlab.errors import DimensionError
 from curvlab.fields import _as_batch, linear_combination_metric, reads_of
 from curvlab.spectral import _require_tt, _tt_defect_arrays
@@ -76,9 +75,9 @@ def symmetrization_energies(base, h, grid):
     Both are non-negative; the invariant S^3 mode makes cyc vanish, the
     equality case of the least-eigenvalue bound on the unit sphere.  The
     distinct nodes are streamed in blocks, each in one covariant-derivative
-    pass, and h must pass the package's TT gate.
+    pass, and h must pass the package's TT gate, judged after the sums, so
+    that a grid without integrals is refused first.
     """
-    _require_quadrature(base)
 
     def densities(Y):
         hv, Dh, _, g, ginv, *_ = sym_tensor_cov_derivs(base, h, Y)
@@ -92,6 +91,6 @@ def symmetrization_energies(base, h, grid):
 
     out, at = distinct_blocks(densities, grid.nodes, reads_of(base, h))
     div_norm, tr, grad2, size2, sqrt_det, cyc_d, anti_d = out
+    _, cyc, anti = grid.integrals(sqrt_det[at], cyc_d[at], anti_d[at])
     _require_tt(div_norm, tr, grad2, size2, "field is not transverse-traceless")
-    measure = grid.weights * sqrt_det[at]
-    return float(np.sum(measure * cyc_d[at])), float(np.sum(measure * anti_d[at]))
+    return float(cyc), float(anti)

@@ -16,7 +16,7 @@ from curvlab.spectral import (
     s3_invariant_tt,
     torus_tt_mode,
 )
-from curvlab.tensors import curvature_grid
+from curvlab.tensors import curvature
 from curvlab.variations import (
     PerturbationFamily,
     conformal_identity_suite,
@@ -68,7 +68,7 @@ def test_criterion_02_decomposition_identity():
     for n, seed in ((4, 101), (5, 102)):
         pm = random_torus_metric(n, np.random.default_rng(seed), amplitude=0.05)
         X = np.random.default_rng(seed + 1).uniform(0, 1, (60, n))
-        b = curvature_grid(pm, X)
+        b = curvature(pm, X)
         w2 = norm2_04(b.W, b.ginv)
         rhs = w2 + 4 / (n - 2) * b.normRic2 - 2 / ((n - 1) * (n - 2)) * b.R**2
         rel = (np.abs(b.normRm2 - rhs) / np.maximum(1.0, np.abs(b.normRm2))).max()
@@ -77,7 +77,7 @@ def test_criterion_02_decomposition_identity():
     # n = 3: Weyl vanishes identically and the reduced identity holds
     pm3 = random_torus_metric(3, np.random.default_rng(103), amplitude=0.05)
     X3 = np.random.default_rng(104).uniform(0, 1, (60, 3))
-    b3 = curvature_grid(pm3, X3)
+    b3 = curvature(pm3, X3)
     assert np.abs(b3.W).max() == 0.0
     rel3 = (
         np.abs(b3.normRm2 - (4 * b3.normRic2 - b3.R**2))

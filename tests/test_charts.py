@@ -23,11 +23,12 @@ from curvlab.fields import (
     ChartDomain,
     MetricField,
     fd_partials,
+    linear_combination_metric,
     poincare_domain,
     sphere_domain,
     torus_domain,
 )
-from curvlab.tensors import curvature_grid
+from curvlab.tensors import curvature, distinct_nodes
 
 from conftest import exact_sphere_volume, metric_as_sym_tensor, random_probes
 
@@ -148,20 +149,39 @@ def test_determinant_underflow_is_not_a_degenerate_metric():
     tiny = _constant_metric(1e-120 * np.eye(3))
     grid = build_grid(tiny.domain, 4)
     assert volume(tiny, grid) == 0.0  # sqrt(det g) keeps its underflowed value
-    b = curvature_grid(tiny, grid.nodes)
+    b = curvature(tiny, grid.nodes)
     assert np.array_equal(b.sqrt_det, np.zeros(grid.node_count)) and not b.R.any()
     for g0 in (np.diag([1.0, -1.0, 1.0]), 1e-120 * np.diag([1.0, -1.0, 1.0])):
         bad = _constant_metric(g0)
         with pytest.raises(DegenerateMetricError, match="node 0"):
             volume(bad, grid)
         with pytest.raises(DegenerateMetricError, match="node 0"):
-            curvature_grid(bad, grid.nodes)
+            curvature(bad, grid.nodes)
 
 
 def test_hyperbolic_chart_refuses_integrals(poincare3):
     grid = build_grid(poincare3.domain, 4)
     with pytest.raises(GlobalIntegralUnsupportedError):
         volume(poincare3, grid)
+
+
+def test_integrals_keep_the_bits_of_the_hand_written_sum(sphere3):
+    # the sphere metric does not read the azimuth: 8 x 8 distinct nodes of
+    # 768, gathered back to every node, as every caller of integrals does
+    grid = build_grid(sphere3.domain, (8, 8, 12))
+    rows, at = distinct_nodes(grid.nodes, sphere3.reads)
+    assert len(rows) == 64 < grid.node_count
+    hexes = lambda z: (complex(z).real.hex(), complex(z).imag.hex())
+    h = metric_as_sym_tensor(sphere3)
+    for field in (sphere3, linear_combination_metric(sphere3, h, 1e-20j)):
+        b = curvature(field, grid.nodes[rows])
+        sd, rm2 = b.sqrt_det[at], b.normRm2[at]
+        vol, energy = grid.integrals(sd, rm2)
+        assert vol.dtype == energy.dtype == sd.dtype
+        assert hexes(vol) == hexes(np.sum(grid.weights * sd))
+        assert hexes(energy) == hexes(np.sum(grid.weights * sd * rm2))
+    # the complex step keeps its imaginary part
+    assert np.iscomplexobj(energy) and energy.imag != 0
 
 
 def test_unit_volume_rescale(sphere3):
@@ -186,7 +206,7 @@ def test_space_form_identity_on_models(sphere3, euler3, poincare3):
     rng = np.random.default_rng(11)
     for field in (sphere3, euler3, poincare3):
         X = random_probes(field.domain, rng, count=40)
-        b = curvature_grid(field, X)
+        b = curvature(field, X)
         lam = field.lam
         model = lam * (
             np.einsum("alj,aik->alijk", b.g, b.g)

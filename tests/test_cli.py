@@ -10,7 +10,9 @@ import pytest
 
 from curvlab import atlas
 from curvlab.atlas import MAX_ATLAS_RESOLUTION
-from curvlab.cli import run
+from curvlab.cli import build_parser, run
+
+from report_digests import ARGVS
 
 
 def test_classify_text_output(capsys):
@@ -46,6 +48,21 @@ def test_help_exists_for_each_subcommand(capsys):
             run([sub, "--help"])
         assert exc.value.code == 0
         assert "--" in capsys.readouterr().out
+
+
+def test_report_digests_cover_every_subcommand_model_and_mode():
+    # tests/report_digests.py hashes a report of every subcommand, and of
+    # every model and mode its flags offer
+    for name, sub in build_parser().commands.items():
+        runs = [argv for argv in ARGVS if argv[0] == name]
+        assert runs, name
+        for action in sub._actions:
+            if action.dest in ("model", "mode"):
+                given = {
+                    argv[i + 1] for argv in runs for i, tok in enumerate(argv)
+                    if tok in action.option_strings
+                }
+                assert given == set(action.choices), (name, action.dest)
 
 
 def test_atlas_deterministic(tmp_path):
@@ -589,6 +606,32 @@ def test_rayleigh_refuses_a_mode_outside_the_float_range(flags, message, capsys,
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_rayleigh_tol_is_relative_to_the_expected_quotient(capsys):
+    # at expected = 12 an absolute test would read 12 times the relative error
+    assert run(["rayleigh", "--res", "12", "--tol", "0"]) == 2
+    rel = abs(json.loads(capsys.readouterr().out)["quotient"] - 12.0) / 12.0
+    assert run(["rayleigh", "--res", "12", "--tol", repr(2 * rel)]) == 0
+    assert run(["rayleigh", "--res", "12", "--tol", repr(rel / 2)]) == 2
+
+
+def test_rayleigh_passes_a_huge_mode_one_ulp_off(capsys):
+    # expected (2 pi)^2 |k|^2 = 3.2e33: the quotient is one ulp off it, a
+    # relative error of 1.8e-16 that an absolute tolerance failed
+    assert run(["rayleigh", "--model", "torus-tt", "--k", f"{2**53},0,0"]) == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--s", "1e50"), ("--tau", "1e200")])
+def test_verify_gradient_stays_at_roundoff_at_a_huge_coefficient(flag, value, capsys):
+    # G = 0 on the flat torus: the complex step shrinks with sqrt(max(1, |s|,
+    # |tau|)), so its residue stays at roundoff instead of growing with s
+    assert run(["verify-gradient", "--count", "3", flag, value]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert all(r["d1_analytic"] == 0.0 and abs(r["d1_numeric"]) < 1e-50 for r in rows)
+    # on S^3 the rows compare nonzero values; measured rel_err 1.0e-8 at most
+    argv = ["verify-gradient", "--model", "s3", "--count", "3", flag, value, "--tol", "1e-7"]
+    assert run(argv) == 0
 
 
 @pytest.mark.parametrize("scale", ["1e6", "1e10", "1e150"])

@@ -171,10 +171,10 @@ def test_the_functionals_and_the_curvature_check_build_curvature_once_per_distin
 
     def counted(field, X):
         rows.append(len(X))
-        return tensors.curvature_grid(field, X)
+        return tensors.curvature(field, X)
 
-    monkeypatch.setattr(functionals, "curvature_grid", counted)
-    monkeypatch.setattr(verify, "curvature_grid", counted)
+    monkeypatch.setattr(functionals, "curvature", counted)
+    monkeypatch.setattr(verify, "curvature", counted)
     s4 = make_model("sphere", 4)
     evaluate(s4, build_grid(s4.domain, (6, 6, 6, 8)), COEFF)
     assert rows == [6**3]  # the azimuth is not read
@@ -206,8 +206,8 @@ def test_the_variations_equal_those_of_fields_reading_every_coordinate():
         got.append((
             first_variation_numeric(base, grid, h, COEFF),
             second_variation_numeric(PerturbationFamily(base, h), grid, COEFF),
-            _first_variation_pairing(base, ing, grid, COEFF)(h),
-            _lagrange_constant(base, ing, grid, COEFF),
+            _first_variation_pairing(ing, grid, COEFF)(h),
+            _lagrange_constant(ing, grid, COEFF),
         ))
     assert got[0] == got[1]
     assert got[0][0] != 0  # roundoff, so the comparison has bits to lose

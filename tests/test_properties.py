@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from curvlab.charts import build_grid
 from curvlab.fields import random_torus_metric
 from curvlab.functionals import Coefficients, evaluate
-from curvlab.tensors import covariant_jet, curvature_grid, ricci_arrays
+from curvlab.tensors import covariant_jet, curvature, ricci_arrays
 
 dims = st.integers(3, 5)
 seeds = st.integers(0, 2**32 - 1)
@@ -26,7 +26,7 @@ def _metric_and_nodes(n, seed, count=8):
 @given(n=dims, seed=seeds)
 def test_weyl_is_totally_trace_free(n, seed):
     field, X = _metric_and_nodes(n, seed)
-    b = curvature_grid(field, X)
+    b = curvature(field, X)
     # W = Rm - (Ric o g)/(n-2) + R (g o g)/(2(n-1)(n-2)): roundoff of each
     # trace is relative to the terms of Rm and of its trace
     scale = n * np.abs(b.Rm4).max() * np.abs(b.ginv).max()

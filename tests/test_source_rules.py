@@ -6,6 +6,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import curvlab
 from curvlab.variations import _GRADIENT_ROWS
 from perfbench_names import benchmark_reads
@@ -345,7 +347,6 @@ UNREACHED = {
     "charts.to_unit_volume": ENTRY,
     "functionals.evaluate": ENTRY,
     "fields.random_torus_metric": POINTWISE,
-    "tensors.curvature": POINTWISE,
     "tensors.covariant_derivative": POINTWISE,
     "tensors.lichnerowicz": POINTWISE,
     "variations.curvature_variations": POINTWISE,
@@ -437,3 +438,120 @@ def test_every_top_level_name_serves_a_report_the_api_or_the_benchmark():
     sources = _package_sources()
     sources["variations"] += "\n\ndef orphan(x):\n    return gradient_tensor(x)\n"
     assert _unserved(sources) == {"variations.orphan"}
+
+
+# ROADMAP aim 2: the volume measure, the curvature, the Christoffel symbols,
+# the space-form test and the A1/B/Ric^2 contractions are each computed in
+# one place.  Per quantity, each site kind and name -> the definitions that
+# may hold it (a name nested in one counts as in it): a call of the name, a
+# reference to it, a read of the attribute, or an einsum spec equal to it up
+# to renaming its indices.
+AIM2 = {
+    "volume measure": {
+        ("call", "det"): {"tensors.volume_element"},
+        ("call", "slogdet"): {"tensors.volume_element"},
+        ("attribute", "weights"): {"charts.QuadratureGrid"},
+    },
+    "curvature": {
+        ("call", "CurvatureBundle"): {"tensors._bundle_from_connection"},
+        ("call", "curvature_bundle"): {"tensors.curvature"},
+        ("call", "pair_ricci"): {"tensors.CurvatureBundle.Ric"},
+        # the one jet route, kept for its measured speed at n >= 4
+        ("call", "ricci_arrays"): {"variations.gradient_ingredients"},
+    },
+    "Christoffel symbols": {
+        ("reference", "christoffel_combination"): {"tensors.connection_arrays"},
+        ("reference", "_christoffel_reads"): {"tensors.connection_jet"},
+    },
+    "space-form test": {
+        ("call", "space_form_deviation"): {"tensors.is_space_form", "verify.curvature_case"},
+    },
+    "A1/B/Ric^2 contractions": {
+        ("spec", "aiplk,ajplk->aij"): {"tensors.CurvatureBundle.A1"},
+        ("spec", "apl,aipjl->aij"): {"tensors.CurvatureBundle.B"},
+        ("spec", "aip,apq,aqj->aij"): {"tensors.CurvatureBundle.ric2"},
+    },
+}
+
+
+def _canonical_spec(text: str) -> str | None:
+    """An einsum spec with its indices renamed in order of first appearance
+    (``"akl,alij->akij"`` -> ``"abc,acde->abde"``); None for another string."""
+    if "->" not in text or not all(c.isalpha() or c in ",->." for c in text):
+        return None
+    names = {}
+    return "".join(
+        names.setdefault(c, chr(ord("a") + len(names))) if c.isalpha() else c for c in text
+    )
+
+
+def _hits(node: ast.AST, kind: str, name: str) -> bool:
+    if kind == "call":
+        f = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and getattr(f, "id", getattr(f, "attr", None)) == name
+    if kind == "attribute":
+        return isinstance(node, ast.Attribute) and node.attr == name
+    if kind == "reference":
+        return (
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and node.name == name)
+        )
+    return (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and _canonical_spec(node.value) == _canonical_spec(name)
+    )
+
+
+def _aim2_sites(sources: dict, kind: str, name: str) -> set:
+    """The qualified name, module first, of the definition enclosing each site."""
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif _hits(child, kind, name):
+                yield scope
+            yield from walk(child, inner)
+
+    return {site for module, text in sources.items() for site in walk(ast.parse(text), module)}
+
+
+def _aim2_violations(sources: dict, quantity: str) -> list:
+    """(name, site) for each site of the quantity outside its definitions,
+    and for each definition that holds no site (the rule lost sight of it)."""
+    inside = lambda site, a: site == a or site.startswith(a + ".")
+    out = []
+    for (kind, name), allowed in AIM2[quantity].items():
+        sites = _aim2_sites(sources, kind, name)
+        out += [(name, s) for s in sorted(sites) if not any(inside(s, a) for a in allowed)]
+        out += [
+            (name, f"no site in {a}") for a in sorted(allowed)
+            if not any(inside(s, a) for s in sites)
+        ]
+    return out
+
+
+# a planted second copy of each quantity, which its rule must see
+AIM2_PLANTED = {
+    "volume measure": ("functionals", "def _mass(grid, sd):\n    return np.sum(grid.weights * sd)"),
+    "curvature": ("variations", "def _ricci(M, ginv):\n    return pair_ricci(M, ginv)"),
+    "Christoffel symbols": ("spectral", "from .tensors import christoffel_combination as _S"),
+    "space-form test": ("atlas", "def _flat(b):\n    return space_form_deviation(b, 0.0) == 0"),
+    # A1 with its indices renamed
+    "A1/B/Ric^2 contractions": (
+        "verify", "def _a1(R, U):\n    return contract('axyzw,abyzw->axb', R, U)"
+    ),
+}
+
+
+@pytest.mark.parametrize("quantity", list(AIM2))
+def test_each_aim2_quantity_is_computed_in_one_place(quantity):
+    assert _aim2_violations(_package_sources(), quantity) == []
+    # the rule sees a planted second copy
+    sources = _package_sources()
+    module, code = AIM2_PLANTED[quantity]
+    sources[module] += f"\n\n{code}\n"
+    assert _aim2_violations(sources, quantity)

@@ -31,7 +31,6 @@ from curvlab.tensors import (
     contract,
     covariant_derivative,
     curvature,
-    curvature_grid,
     delta_star,
     divergence,
     lichnerowicz,
@@ -59,7 +58,7 @@ def bundle_models():
 def test_bundle_symmetries_on_models():
     for field in bundle_models():
         X = random_probes(field.domain, RNG, count=100)
-        b = curvature_grid(field, X)
+        b = curvature(field, X)
         scale = max(1.0, np.abs(b.Rm4).max())
         # antisymmetry in each pair of slots (exact: Rm4 expands the pair
         # matrix M), pair symmetry, first Bianchi
@@ -151,7 +150,7 @@ def test_weyl_complex_step_matches_central_difference(sphere4):
     eps, t = 1e-20, 3e-5
 
     def W(s):
-        return curvature_grid(linear_combination_metric(sphere4, h, s), X).W
+        return curvature(linear_combination_metric(sphere4, h, s), X).W
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no ComplexWarning: W keeps its imaginary part
@@ -170,7 +169,7 @@ def test_flat_torus_curvature_vanishes(torus3):
 
 def test_round_sphere_invariants(sphere3):
     X = random_probes(sphere3.domain, RNG, count=30)
-    b = curvature_grid(sphere3, X)
+    b = curvature(sphere3, X)
     assert np.abs(b.normRm2 - 12).max() < 1e-9
     assert np.abs(b.normRic2 - 12).max() < 1e-9
     assert np.abs(b.R - 6).max() < 1e-9
@@ -210,17 +209,17 @@ def test_kulkarni_nomizu():
 
 def test_space_form_is_half_kn(sphere3):
     X = random_probes(sphere3.domain, RNG, count=10)
-    b = curvature_grid(sphere3, X)
+    b = curvature(sphere3, X)
     assert np.abs(b.Rm4 - 0.5 * kulkarni_nomizu(b.g, b.g)).max() < 1e-10
 
 
 def test_weyl_vanishes_on_space_forms_and_in_3d():
     s4 = make_model("sphere", 4)
     X = random_probes(s4.domain, RNG, count=20)
-    b = curvature_grid(s4, X)
+    b = curvature(s4, X)
     assert np.abs(b.W).max() < 1e-9
     pm3 = random_torus_metric(3, np.random.default_rng(1), amplitude=0.05)
-    b3 = curvature_grid(pm3, np.random.default_rng(2).uniform(0, 1, (20, 3)))
+    b3 = curvature(pm3, np.random.default_rng(2).uniform(0, 1, (20, 3)))
     assert np.abs(b3.W).max() == 0.0 and np.abs(b3.normW2).max() == 0.0
     b2 = curvature(make_model("sphere", 2), [1.0, 2.0])
     assert b2.W is None and b2.normW2 is None
@@ -229,7 +228,7 @@ def test_weyl_vanishes_on_space_forms_and_in_3d():
 def test_weyl_decomposition_identity_n4():
     pm = random_torus_metric(4, np.random.default_rng(7), amplitude=0.05)
     X = np.random.default_rng(8).uniform(0, 1, (40, 4))
-    b = curvature_grid(pm, X)
+    b = curvature(pm, X)
     w2 = norm2_04(b.W, b.ginv)
     assert np.array_equal(b.normW2, w2)  # W expands the pair matrix normW2 reads
     rhs = w2 + 2.0 * b.normRic2 - (1.0 / 3.0) * b.R**2
@@ -273,7 +272,7 @@ def test_ricci_identity_on_round_s3(euler3):
     h = sympy_oracle.sympy_sym_tensor_field(euler3.domain, (th, ph, ps), hm, name="poly probe")
     X = random_probes(euler3.domain, np.random.default_rng(6), count=8)
     D2 = covariant_derivative(euler3, h, X, order=2)
-    b = curvature_grid(euler3, X)
+    b = curvature(euler3, X)
     hv = h.eval_grid(X)
     lhs = D2 - np.einsum("aijkl->aijlk", D2)
     s_up_left = np.einsum("apq,aqj->apj", b.ginv, hv)
@@ -380,8 +379,8 @@ def test_lichnerowicz_requires_einstein():
 @pytest.mark.parametrize("c", [0.5, 2.0])
 def test_curvature_scaling(sphere3, c):
     X = random_probes(sphere3.domain, RNG, count=6)
-    b1 = curvature_grid(sphere3, X)
-    b2 = curvature_grid(sphere3.rescaled(c), X)
+    b1 = curvature(sphere3, X)
+    b2 = curvature(sphere3.rescaled(c), X)
     assert np.allclose(b2.Rm4, c * b1.Rm4, rtol=1e-10, atol=1e-12)
     assert np.allclose(b2.normRm2, b1.normRm2 / c**2, rtol=1e-10)
     assert np.allclose(b2.R, b1.R / c, rtol=1e-10)
@@ -980,7 +979,7 @@ def test_norm2_04_matches_four_raised_slots(n):
 def test_weyl_on_demand_random_torus_n4():
     pm = random_torus_metric(4, np.random.default_rng(11))
     grid = build_grid(pm.domain, 4)
-    b = curvature_grid(pm, grid.nodes)
+    b = curvature(pm, grid.nodes)
     assert "W" not in vars(b)  # the pipeline never builds W itself
     # the Weyl pair matrix of Rm4's own pairs, and the dense decomposition
     l, i = np.triu_indices(4, 1)
@@ -999,11 +998,11 @@ def test_weyl_on_demand_random_torus_n4():
 def test_space_form_deviation_against_dense_model(sphere4):
     pm = random_torus_metric(4, np.random.default_rng(12))
     X = random_probes(pm.domain, np.random.default_rng(13), count=3 * tensors.HESSIAN_BLOCK + 5)
-    b = curvature_grid(pm, X)
+    b = curvature(pm, X)
     dense = float(np.abs(b.Rm4 - 0.5 * kulkarni_nomizu(b.g, b.g)).max())
     assert dense > 1e-2  # not a space form
     assert space_form_deviation(b, 1.0) == pytest.approx(dense, rel=1e-14, abs=0)
-    S = curvature_grid(sphere4, random_probes(sphere4.domain, RNG, count=100))
+    S = curvature(sphere4, random_probes(sphere4.domain, RNG, count=100))
     assert space_form_deviation(S, sphere4.lam) <= 1e-12
 
 
@@ -1012,7 +1011,7 @@ def test_space_form_deviation_equals_the_full_tensor_maximum(sphere4):
     # entries of the model are exact negations
     h = random_sphere_sym_tensor(4, np.random.default_rng(12))
     field = linear_combination_metric(sphere4, h, 0.05)
-    b = curvature_grid(field, random_probes(sphere4.domain, np.random.default_rng(13), count=200))
+    b = curvature(field, random_probes(sphere4.domain, np.random.default_rng(13), count=200))
     lam = 0.7
     model = lam * (np.einsum("alj,aik->alijk", b.g, b.g) - np.einsum("alk,aij->alijk", b.g, b.g))
     dense = float(np.abs(b.Rm4 - model).max())
@@ -1022,7 +1021,7 @@ def test_space_form_deviation_equals_the_full_tensor_maximum(sphere4):
 
 def test_space_form_deviation_keeps_a_nan(sphere4):
     # a NaN in the pair matrix the deviation reads must survive the maximum
-    S = curvature_grid(sphere4, random_probes(sphere4.domain, RNG, count=100))
+    S = curvature(sphere4, random_probes(sphere4.domain, RNG, count=100))
     M = S.M.copy()
     M[1, 0, 1] = np.nan
     assert np.isnan(space_form_deviation(dataclasses.replace(S, M=M), sphere4.lam))
@@ -1067,7 +1066,7 @@ def test_sympy_jet_matches_per_component_lambdify(N):
 
 def test_bundle_quadratic_contractions_random_torus_n4():
     pm = random_torus_metric(4, np.random.default_rng(14))
-    b = curvature_grid(pm, build_grid(pm.domain, 4).nodes)
+    b = curvature(pm, build_grid(pm.domain, 4).nodes)
     assert "A1" not in vars(b)  # built on first use
     gi, Rm, Ric = b.ginv, b.Rm4, b.Ric
     A1 = np.einsum("aiplk,ajqrs,apq,alr,aks->aij", Rm, Rm, gi, gi, gi, optimize=True)
@@ -1100,7 +1099,7 @@ def test_node_blocks_keep_complex_fields(sphere3):
     names = [f.name for f in dataclasses.fields(tensors.CurvatureBundle)]
     names += ["normRm2", "normRic2"]
     blocked = tensors.node_blocks(
-        lambda Y: tuple(getattr(curvature_grid(field, Y), k) for k in names), X, size=64
+        lambda Y: tuple(getattr(curvature(field, Y), k) for k in names), X, size=64
     )
     for name, a in zip(names, blocked):
         b = getattr(whole, name)
@@ -1110,7 +1109,7 @@ def test_node_blocks_keep_complex_fields(sphere3):
     assert np.abs(whole.normRm2.imag).max() > 1e-4
     # the positivity test reads the real part of det g
     with pytest.raises(DegenerateMetricError):
-        curvature_grid(linear_combination_metric(sphere3, metric_as_sym_tensor(sphere3), -1 + 1j), X)
+        curvature(linear_combination_metric(sphere3, metric_as_sym_tensor(sphere3), -1 + 1j), X)
 
 
 def _expanded_ricci(M, ginv):
@@ -1125,7 +1124,7 @@ def test_ricci_read_off_the_pair_matrix(n, step):
     rng = np.random.default_rng(90 + n)
     base = random_torus_metric(n, rng)
     field = linear_combination_metric(base, random_torus_sym_tensor(n, rng), step) if step else base
-    b = curvature_grid(field, random_probes(base.domain, rng, count=64))
+    b = curvature(field, random_probes(base.domain, rng, count=64))
     assert "Rm4" not in vars(b)
     want = _expanded_ricci(b.M, b.ginv)
     # read on the pairs i <= k only, so exactly symmetric
@@ -1142,11 +1141,11 @@ def test_the_functionals_and_the_curvature_check_never_expand_rm4(monkeypatch, s
     built = []
 
     def recording(field, X):
-        built.append(curvature_grid(field, X))
+        built.append(curvature(field, X))
         return built[-1]
 
-    monkeypatch.setattr(functionals, "curvature_grid", recording)
-    monkeypatch.setattr(verify, "curvature_grid", recording)
+    monkeypatch.setattr(functionals, "curvature", recording)
+    monkeypatch.setattr(verify, "curvature", recording)
     functionals._integrals(sphere4, build_grid(sphere4.domain, 6), Coefficients(1.0, 1.0), weyl=True)
     verify.curvature_case("sphere", 4)
     # one node block each: the S^4 grids have 216 and 512 distinct nodes
