@@ -39,9 +39,10 @@ normalization Ric = (n-1) * lam * g):
   R, and the functionals M and, where F weighs them, Ric and R, so neither
   builds Rm4; Rm13, A1, B and the Lichnerowicz Laplacian read it.
   :func:`space_form_deviation` is the one space-form deviation, max |M -
-  lam wedge^2 g| = max |Rm4 - lam (g o g)/2|, and :func:`is_space_form` the
-  one gate on it: each caller passes its own tolerance, judged relative to
-  :func:`space_form_scale`, the size max(1, |lam| max|g|^2) of the model.
+  lam wedge^2 g| = max |Rm4 - lam (g o g)/2|, taken per block beside max|g|
+  (:func:`space_form_parts`), and :func:`space_form_gate` the one gate on
+  the maxima of every block: each caller passes its own tolerance, judged
+  relative to max(1, |lam| max|g|^2), the size of the model.
 * Covariant derivatives of a symmetric tensor follow the index order
   ``h_ij,kl = nabla_l nabla_k h_ij``: ``Dh[a,i,j,k]``, ``D2h[a,i,j,k,l]``.
 * A jet ``[T, dT, ..., d^m T]`` is packed, as the fields hand it out
@@ -84,11 +85,13 @@ node order.  It has two block sizes.  :data:`HESSIAN_BLOCK` (96 nodes) serves
 ingredient are live at once.  :data:`GRID_BLOCK` (1,024 nodes) serves the
 whole-grid reductions of order-2 curvature and covariant jets (the
 curvature check, the functionals, the Rayleigh quotient, the Einstein
-defects), so no grid-sized rank-4 or rank-5 array is built.  No block falls
-below :data:`MATMUL_MIN_BATCH` unless the whole batch does: every node then
-takes the contraction path a whole-grid pass would give it, the per-node
-values are the same bits, and callers that sum the concatenated densities
-in node order report the same bytes whatever the block size.
+defects) and the identity suites' pass, whose blocks of complex-step
+curvature are each cut again into Hessian blocks, so no grid-sized rank-4
+or rank-5 array is built.  No block falls below :data:`MATMUL_MIN_BATCH`
+unless the whole batch does: every node then takes the contraction path a
+whole-grid pass would give it, the per-node values are the same bits, and
+callers that sum the concatenated densities in node order report the same
+bytes whatever the block size.
 
 A whole-grid reduction runs once per distinct node: the fields it reads
 say which chart coordinates their jets read (:mod:`curvlab.fields`), and
@@ -861,16 +864,21 @@ def volume_element(g: Array) -> Array:
     """sqrt(det g) at every node, the one volume measure; raises naming the
     first node whose metric is not positive definite.
 
-    The test reads the real part of det g, so complex-step metrics pass
-    through.  A determinant that underflows to 0 (a valid metric with tiny
-    entries) is rechecked by the sign slogdet gives at that node.
+    The test is one batched Cholesky factorisation of the real part of g,
+    so complex-step metrics pass through, and so does a valid metric whose
+    determinant underflows to 0 (tiny entries): its factor does not.  A
+    positive determinant is no test: diag(-1, -1, 1) has det 1.  Only when
+    the batch fails are its nodes factored one by one, to name the first.
     """
     det = np.linalg.det(g)
-    bad = np.flatnonzero(det.real <= 0)
-    if bad.size:
-        bad = bad[np.linalg.slogdet(g[bad])[0].real <= 0]
-        if bad.size:
-            raise DegenerateMetricError(int(bad[0]), det[bad[0]])
+    try:
+        np.linalg.cholesky(g.real)
+    except np.linalg.LinAlgError:
+        for node, G in enumerate(g.real):
+            try:
+                np.linalg.cholesky(G)
+            except np.linalg.LinAlgError:
+                raise DegenerateMetricError(node, det[node]) from None
     return np.sqrt(det)
 
 
@@ -910,20 +918,22 @@ def space_form_deviation(bundle: CurvatureBundle, lam: float) -> float:
     return max_abs(bundle.M - lam * bundle.wedge2_g)
 
 
-def space_form_scale(lam: float, g_max: float) -> float:
-    """max(1, |lam| max|g|^2): the size of the model tensor lam (g o g)/2,
-    which a space-form deviation is judged against, given max|g|."""
-    # |lam| g g, not |lam| g**2: a float power raises OverflowError, a product does not
-    return max(1.0, abs(lam) * g_max * g_max)
+def space_form_parts(bundle: CurvatureBundle, lam: float) -> tuple[list[float], list[float]]:
+    """([deviation], [max|g|]) of a bundle: its :func:`space_form_deviation`
+    and the size :func:`space_form_gate` judges it against, as the maxima of
+    one block, so that the blocks of a grid are judged once, together."""
+    return [space_form_deviation(bundle, lam)], [max_abs(bundle.g)]
 
 
-def is_space_form(bundle: CurvatureBundle, lam: float, tol: float) -> tuple[bool, float]:
-    """(deviation <= tol * scale, deviation): the one space-form gate, the
-    :func:`space_form_deviation` of the bundle judged relative to
-    :func:`space_form_scale`, so that it holds at any radius.  A NaN
+def space_form_gate(dev: Array, g_max: Array, lam: float, tol: float) -> tuple[bool, float]:
+    """(deviation <= tol * scale, deviation) from the :func:`space_form_parts`
+    of every block: the one space-form gate.  The largest deviation is
+    judged against scale = max(1, |lam| max|g|^2), the size of the model
+    tensor lam (g o g)/2, so that the gate holds at any radius.  A NaN
     deviation fails."""
-    dev = space_form_deviation(bundle, lam)
-    return dev <= tol * space_form_scale(lam, max_abs(bundle.g)), dev
+    worst, g = float(np.max(dev)), float(np.max(g_max))
+    # |lam| g g, not |lam| g**2: a float power raises OverflowError, a product does not
+    return worst <= tol * max(1.0, abs(lam) * g * g), worst
 
 
 # ---------------------------------------------------------------------------

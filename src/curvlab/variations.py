@@ -69,11 +69,12 @@ from .tensors import (
     distinct_nodes,
     einstein_parts,
     inner_02,
-    is_space_form,
     jet_scale,
     max_abs,
     require_einstein,
     ricci_arrays,
+    space_form_gate,
+    space_form_parts,
     sym_tensor_cov_derivs,
 )
 
@@ -181,7 +182,9 @@ def gradient_ingredients(
     X = X[rows]
     ginv = bundle.ginv
     lam = base.lam
-    if use_structure and lam is not None and is_space_form(bundle, lam, PARALLEL_CURVATURE_TOL)[0]:
+    if use_structure and lam is not None and space_form_gate(
+        *space_form_parts(bundle, lam), lam, PARALLEL_CURVATURE_TOL
+    )[0]:
         N, n = X.shape
         lap_ric = np.zeros((N, n, n))
         hess_R = np.zeros((N, n, n))
@@ -468,34 +471,20 @@ def _checks(lhs: dict[str, float], rhs: dict[str, float]) -> list[IdentityCheck]
     return out
 
 
-def _require_space_form(base: MetricField, bundle: CurvatureBundle) -> float:
-    lam = base.lam
-    if lam is None:
-        raise PreconditionError("identity suites need a constant-curvature base")
-    ok, dev = is_space_form(bundle, lam, SPACE_FORM_TOL)
-    if not ok:
-        raise PreconditionError(f"base is not a space form (deviation {dev:.2e})")
-    return lam
-
-
-def _suite_derivatives(base: MetricField, h: SymTensorField, grid: QuadratureGrid) -> tuple:
-    """(X, at, (h, Dh, D2h, g^-1) at X): the distinct nodes X of the
-    coordinates base and h read, the index that gathers from X to every grid
-    node, and h with its covariant derivatives at X."""
-    rows, at = distinct_nodes(grid.nodes, reads_of(base, h))
-    X = grid.nodes[rows]
-    hv, Dh, D2h, _, ginv, *_ = sym_tensor_cov_derivs(base, h, X)
-    return X, at, (hv, Dh, D2h, ginv)
-
-
 def _suite_sides(
-    base: MetricField, h: SymTensorField, grid: QuadratureGrid, X, at, hv, D2h, ginv
+    base: MetricField, h: SymTensorField, grid: QuadratureGrid, tt: bool
 ) -> tuple[float, dict[str, float], tuple[float, float, float]]:
     """lam, the left-hand sides {name: int <T', h> dV} of the ten terms T of
-    the gradient, and (int |h|^2, int <h, Lap h>, int |Lap h|^2), from h, its
-    second covariant derivative D2h and g^-1 at the nodes X of
-    :func:`_suite_derivatives`, each integrand gathered to every grid node
-    by ``at``.
+    the gradient, and (int |h|^2, int <h, Lap h>, int |Lap h|^2), from one
+    pass over the distinct nodes of the coordinates base and h read,
+    streamed in node blocks (:func:`curvlab.tensors.distinct_blocks`).
+
+    Each block builds h and its covariant derivatives on the base, the
+    complex-step ingredients and the 13 per-node densities, and the maxima
+    the space-form gate judges (and, with ``tt``, the TT defects), so no
+    grid-sized complex curvature array is built.  After the pass the gates
+    are judged once and the densities, gathered to every grid node, make
+    one :meth:`curvlab.charts.QuadratureGrid.integrals` call.
 
     Each T' is the complex step Im T(g + i eps h) / eps of a term of
     :func:`_gradient_terms`, all ten from one :func:`gradient_ingredients`
@@ -507,20 +496,41 @@ def _suite_sides(
     On a closed manifold int <h, Lap^2 h> = int |Lap h|^2, which the closed
     forms read from the last integral.
     """
-    ing = gradient_ingredients(linear_combination_metric(base, h, 1j * COMPLEX_STEP), X)
-    b: CurvatureBundle = ing["bundle"]
-    lam = _require_space_form(base, b)
-    on_X = ing["at"]  # the complex metric reads what base and h read: all of X
-    terms = {k: T[on_X] for k, T in _gradient_terms(ing).items()}
-    terms["scalar_laplacian_metric"] = (
-        contract("aik,aik->a", ginv, ing["hess_R"][on_X])[:, None, None] * b.g.real[on_X]
-    )
-    lap_h = contract("akl,aijkl->aij", ginv, D2h)
-    pairs = [(T.imag / COMPLEX_STEP, hv) for T in terms.values()]
-    pairs += [(hv, hv), (lap_h, hv), (lap_h, lap_h)]
-    densities = (inner_02(S, T, ginv)[at] for S, T in pairs)
-    _, *sums = map(float, grid.integrals(b.sqrt_det.real[on_X][at], *densities))
-    return lam, dict(zip(terms, sums)), tuple(sums[len(terms):])
+    lam = base.lam
+    if lam is None:
+        raise PreconditionError("identity suites need a constant-curvature base")
+    complex_metric = linear_combination_metric(base, h, 1j * COMPLEX_STEP)
+    names: list[str] = []  # the term names of _gradient_terms, in its order
+
+    def block(Y):
+        hv, Dh, D2h, _, ginv, *_ = sym_tensor_cov_derivs(base, h, Y)
+        ing = gradient_ingredients(complex_metric, Y)
+        b: CurvatureBundle = ing["bundle"]
+        on_Y = ing["at"]  # the complex metric reads what base and h read: all of Y
+        terms = {k: T[on_Y] for k, T in _gradient_terms(ing).items()}
+        terms["scalar_laplacian_metric"] = (
+            contract("aik,aik->a", ginv, ing["hess_R"][on_Y])[:, None, None] * b.g.real[on_Y]
+        )
+        names[:] = terms
+        lap_h = contract("akl,aijkl->aij", ginv, D2h)
+        pairs = [(T.imag / COMPLEX_STEP, hv) for T in terms.values()]
+        pairs += [(hv, hv), (lap_h, hv), (lap_h, lap_h)]
+        return (
+            *space_form_parts(b, lam),
+            b.sqrt_det.real[on_Y],
+            *(inner_02(S, T, ginv) for S, T in pairs),
+            *(_tt_defect_arrays(hv, Dh, ginv) if tt else ()),
+        )
+
+    (dev, g_max, sqrt_det, *rest), at = distinct_blocks(block, grid.nodes, reads_of(base, h))
+    densities, defects = rest[: len(names) + 3], rest[len(names) + 3 :]
+    if tt:
+        _require_tt(*defects, "suite requires a TT field")
+    ok, worst = space_form_gate(dev, g_max, lam, SPACE_FORM_TOL)
+    if not ok:
+        raise PreconditionError(f"base is not a space form (deviation {worst:.2e})")
+    _, *sums = map(float, grid.integrals(sqrt_det[at], *(d[at] for d in densities)))
+    return lam, dict(zip(names, sums)), tuple(sums[len(names) :])
 
 
 def tt_identity_suite(
@@ -534,9 +544,7 @@ def tt_identity_suite(
     the suite returns the directly computed and closed-form values side by
     side.
     """
-    X, at, (hv, Dh, D2h, ginv) = _suite_derivatives(base, h, grid)
-    _require_tt(*_tt_defect_arrays(hv, Dh, ginv), "suite requires a TT field")
-    lam, lhs, (nrm, ihl, ihl2) = _suite_sides(base, h, grid, X, at, hv, D2h, ginv)
+    lam, lhs, (nrm, ihl, ihl2) = _suite_sides(base, h, grid, tt=True)
     n = base.dimension
     rhs = dict(
         riemann_product=2 * (n + 1) * lam**2 * nrm - 2 * lam * ihl,
@@ -558,9 +566,7 @@ def conformal_identity_suite(
 ) -> list[IdentityCheck]:
     """Same contract as :func:`tt_identity_suite` for h = f g, in terms of
     int f^2, int f Lap f and int f Lap^2 f = int (Lap f)^2."""
-    h = conformal_tensor(base, f)
-    X, at, (hv, _, D2h, ginv) = _suite_derivatives(base, h, grid)
-    lam, lhs, h_integrals = _suite_sides(base, h, grid, X, at, hv, D2h, ginv)
+    lam, lhs, h_integrals = _suite_sides(base, conformal_tensor(base, f), grid, tt=False)
     n = base.dimension
     # |f g|^2 = n f^2 and Lap(f g) = (Lap f) g
     f2, f_lap, f_lap2 = (v / n for v in h_integrals)

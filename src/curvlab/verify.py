@@ -43,8 +43,8 @@ from .tensors import (
     distinct_blocks,
     max_abs,
     norm2_02,
-    space_form_deviation,
-    space_form_scale,
+    space_form_gate,
+    space_form_parts,
 )
 
 # the names each case dispatches on, read by the CLI's choices
@@ -204,8 +204,7 @@ def curvature_case(
     With ``tol``, the report also says whether each deviation passes: the
     Rm, Ric and R deviations against ``tol`` times max(1, |lam| max|g|^k),
     k = 2, 1, 0, the size of the model tensor each is measured against (k = 2
-    is :func:`curvlab.tensors.space_form_scale`, the scale of every
-    space-form gate).
+    is :func:`curvlab.tensors.space_form_gate`, the one space-form gate).
     """
     if res is None:
         if n not in CURVATURE_RES:
@@ -218,15 +217,14 @@ def curvature_case(
     def block_max(Y):
         b = curvature(field, Y)
         return (
-            [space_form_deviation(b, lam)],
+            *space_form_parts(b, lam),
             [max_abs(b.Ric - (n - 1) * lam * b.g)],
             [max_abs(b.R - n * (n - 1) * lam)],
-            [max_abs(b.g)],
         )
 
     # np.max over the block maxima keeps a NaN
     maxima, _ = distinct_blocks(block_max, grid.nodes, field.reads)
-    rm_dev, ric_dev, r_dev, g_max = (float(np.max(v)) for v in maxima)
+    rm_dev, g_max, ric_dev, r_dev = (float(np.max(v)) for v in maxima)
     report = {
         "model": kind,
         "n": n,
@@ -237,11 +235,12 @@ def curvature_case(
         "max_r_dev": r_dev,
     }
     if tol is not None:
-        scales = (space_form_scale(lam, g_max), max(1.0, abs(lam) * g_max), max(1.0, abs(lam)))
         report["tol"] = tol
-        # all(), not max(): max() can drop a NaN deviation, which must fail
-        report["pass"] = all(
-            dev <= tol * s for dev, s in zip((rm_dev, ric_dev, r_dev), scales)
+        # each comparison fails on a NaN deviation
+        report["pass"] = (
+            space_form_gate(*maxima[:2], lam, tol)[0]
+            and ric_dev <= tol * max(1.0, abs(lam) * g_max)
+            and r_dev <= tol * max(1.0, abs(lam))
         )
     return report
 

@@ -12,8 +12,14 @@ from curvlab.charts import build_grid, make_model
 from curvlab.fields import linear_combination_metric, random_torus_metric, random_torus_sym_tensor
 from curvlab.functionals import Coefficients, _integrals, evaluate
 from curvlab.spectral import rayleigh_lichnerowicz, s3_invariant_tt
-from curvlab.variations import COMPLEX_STEP, einstein_criticality_defect, gradient_ingredients
-from curvlab.verify import curvature_case, identity_case, rayleigh_case
+from curvlab.variations import (
+    COMPLEX_STEP,
+    conformal_identity_suite,
+    einstein_criticality_defect,
+    gradient_ingredients,
+    tt_identity_suite,
+)
+from curvlab.verify import curvature_case, identity_case, rayleigh_case, s3_first_harmonic
 from oracles import symmetrization_energies
 
 SMALL_BLOCK = 40  # near-equal blocks of 40 or fewer, none below MATMUL_MIN_BATCH
@@ -102,6 +108,20 @@ def test_weyl_energy_and_criticality_defect_are_block_invariant(monkeypatch):
     assert defects[0] == defects[1]
 
 
+def test_identity_suites_are_block_invariant(monkeypatch, euler3):
+    # 48 distinct nodes of the TT pass (h reads two coordinates) and 288 of
+    # the conformal one: two and eight blocks of at most 40
+    grid = build_grid(euler3.domain, (6, 6, 8))
+    h = s3_invariant_tt((2.0, -1.0, -1.0))
+    for suite in (
+        lambda: tt_identity_suite(euler3, h, grid),
+        lambda: conformal_identity_suite(euler3, s3_first_harmonic(), grid),
+    ):
+        whole, small = _whole_and_small(monkeypatch, suite, grid.node_count)
+        assert whole == small
+        assert sum(c.rel_err > 0 for c in whole) >= 9  # roundoff: bits to lose
+
+
 def _traced_peak_mib(fn) -> float:
     fn()  # warms numpy and the jet plans' index tables, outside the measure
     tracemalloc.start()
@@ -112,19 +132,21 @@ def _traced_peak_mib(fn) -> float:
         tracemalloc.stop()
 
 
-# Peaks measured on the default grids (numpy 2.4): 197.0 MiB and 91.6 MiB
-# with one whole-grid curvature pass, 15.7 MiB and 7.7 MiB in node blocks.
-# The TT identity suite peaks at 11.8 MiB with 96-node Hessian blocks of
-# packed jets (10.9 MiB with 64, 13.1 MiB with 128; 12.4 MiB with the
-# full-axis jets in 64-node blocks), so its gate sees a larger block.
+# Peaks measured on the default grids (numpy 2.4, one thread): 197.0 MiB and
+# 91.6 MiB with one whole-grid curvature pass, 9.3 MiB and 4.2 MiB in node
+# blocks of distinct nodes.  The identity suites stream their 1,536 distinct
+# nodes in two blocks of 768, each cut into 96-node Hessian blocks of packed
+# jets: TT 2.6 MiB, conformal 5.9 MiB (10.6 MiB with the complex-step
+# curvature of all 1,536 nodes held at once).
 @pytest.mark.parametrize(
     "case, gate_mib",
     [
-        (lambda: curvature_case("sphere", 5), 35.0),
-        (lambda: rayleigh_case("s3-invariant"), 20.0),
-        (lambda: identity_case("tt"), 12.5),
+        (lambda: curvature_case("sphere", 5), 12.0),
+        (lambda: rayleigh_case("s3-invariant"), 5.5),
+        (lambda: identity_case("tt"), 3.5),
+        (lambda: identity_case("conformal"), 8.0),
     ],
-    ids=["curvature-sphere-5", "rayleigh-s3-invariant", "identity-tt"],
+    ids=["curvature-sphere-5", "rayleigh-s3-invariant", "identity-tt", "identity-conformal"],
 )
 def test_whole_grid_reductions_stay_below_their_memory_gate(case, gate_mib):
     assert _traced_peak_mib(case) <= gate_mib

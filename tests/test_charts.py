@@ -22,13 +22,18 @@ from curvlab.fields import (
     DEFAULT_FD_REL_STEP,
     ChartDomain,
     MetricField,
+    analytic_metric_field,
+    analytic_sym_tensor_field,
     fd_partials,
     linear_combination_metric,
     poincare_domain,
     sphere_domain,
     torus_domain,
+    wave,
 )
+from curvlab.functionals import Coefficients, evaluate
 from curvlab.tensors import curvature, distinct_nodes
+from curvlab.variations import first_variation_numeric
 
 from conftest import exact_sphere_volume, metric_as_sym_tensor, random_probes
 
@@ -157,6 +162,49 @@ def test_determinant_underflow_is_not_a_degenerate_metric():
             volume(bad, grid)
         with pytest.raises(DegenerateMetricError, match="node 0"):
             curvature(bad, grid.nodes)
+
+
+# det g = 1 and 5, yet each has two negative eigenvalues
+INDEFINITE = {
+    "diag(-1,-1,1)": np.diag([-1.0, -1.0, 1.0]),
+    "det-5": np.array([[1.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("g0", list(INDEFINITE.values()), ids=list(INDEFINITE))
+def test_a_positive_determinant_is_no_positive_definite_metric(g0, torus3):
+    assert np.linalg.det(g0) > 0 and np.sum(np.linalg.eigvalsh(g0) < 0) == 2
+    # the flat torus plus a constant h, as linear_combination_metric makes it
+    h0 = g0 - np.eye(3)
+    h = analytic_sym_tensor_field(
+        torus_domain(3), {(i, j): float(h0[i, j]) for i in range(3) for j in range(i, 3)}
+    )
+    bad = linear_combination_metric(torus3, h, 1.0)
+    grid = build_grid(bad.domain, 4)
+    for call in (
+        lambda: curvature(bad, grid.nodes),
+        lambda: evaluate(bad, grid, Coefficients()),
+        lambda: volume(bad, grid),
+    ):
+        with pytest.raises(DegenerateMetricError, match="node 0,"):
+            call()
+    # a complex step of the positive-definite base along the same h passes
+    assert first_variation_numeric(torus3, grid, h, Coefficients(0.5, 0.25)) == 0.0
+
+
+def test_an_indefinite_metric_is_refused_at_its_first_bad_node():
+    # g = diag(c, c, 1), c = 1/2 + cos(2 pi x0): det g = c^2 > 0 everywhere,
+    # but c < 0 from x0 = 3/8 on, first at node 3 * 64 of the 8^3 grid
+    c = 0.5 + wave(0, 2 * np.pi)
+    field = analytic_metric_field(torus_domain(3), {(0, 0): c, (1, 1): c, (2, 2): 1.0})
+    grid = build_grid(field.domain, 8)
+    for call in (
+        lambda: curvature(field, grid.nodes),
+        lambda: evaluate(field, grid, Coefficients()),
+        lambda: volume(field, grid),
+    ):
+        with pytest.raises(DegenerateMetricError, match="node 192,"):
+            call()
 
 
 def test_hyperbolic_chart_refuses_integrals(poincare3):

@@ -65,6 +65,15 @@ def test_report_digests_cover_every_subcommand_model_and_mode():
                 assert given == set(action.choices), (name, action.dest)
 
 
+def test_report_peaks_run_the_digests_list(tmp_path):
+    # tests/report_peaks.py measures the argvs the digests hash, not a copy
+    import report_peaks
+
+    assert report_peaks.ARGVS is ARGVS
+    query = next(argv for argv in ARGVS if argv[0] == "classify")
+    assert report_peaks.peak_mib(query, tmp_path / "report") > 0
+
+
 def test_atlas_deterministic(tmp_path):
     args = ["atlas", "--n", "3", "--lambda", "1", "--mode", "tt",
             "--s-min", "-8", "--s-max", "0", "--tau-min", "0", "--tau-max", "2",
@@ -207,9 +216,9 @@ def test_non_finite_float_flags_and_config_values(tmp_path, capsys):
 
 
 def test_curvature_nan_deviation_fails_the_check(monkeypatch, tmp_path):
-    import curvlab.verify as verify
+    import curvlab.tensors as tensors
 
-    monkeypatch.setattr(verify, "space_form_deviation", lambda bundle, lam: float("nan"))
+    monkeypatch.setattr(tensors, "space_form_deviation", lambda bundle, lam: float("nan"))
     out = tmp_path / "curv.json"
     assert run(["curvature", "--out", str(out)]) == 2
     body = json.loads(out.read_text())

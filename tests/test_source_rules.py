@@ -175,7 +175,8 @@ def test_jets_are_packed_end_to_end():
 
 # the gradient's ten terms are named in three places only: where each is
 # written (_gradient_terms), the table of each energy's coefficients
-# (_GRADIENT_ROWS) and the one term the identity suites replace (_suite_sides)
+# (_GRADIENT_ROWS) and the one term the identity suites replace, per node
+# block of their pass (_suite_sides.block)
 TERM_NAMES = {name for rows in _GRADIENT_ROWS.values() for _, name in rows}
 
 
@@ -220,7 +221,7 @@ def test_gradient_terms_are_named_in_three_places():
     assert sites == {
         ("variations.py", "_gradient_terms"): 10,
         ("variations.py", "_GRADIENT_ROWS"): sum(len(rows) for rows in _GRADIENT_ROWS.values()),
-        ("variations.py", "_suite_sides"): 1,
+        ("variations.py", "_suite_sides.block"): 1,
     }, sites
     # the rule sees the names it confines
     code = (
@@ -449,7 +450,8 @@ def test_every_top_level_name_serves_a_report_the_api_or_the_benchmark():
 AIM2 = {
     "volume measure": {
         ("call", "det"): {"tensors.volume_element"},
-        ("call", "slogdet"): {"tensors.volume_element"},
+        # the positivity test: a positive det g is none (diag(-1, -1, 1))
+        ("call", "cholesky"): {"tensors.volume_element"},
         ("attribute", "weights"): {"charts.QuadratureGrid"},
     },
     "curvature": {
@@ -464,7 +466,9 @@ AIM2 = {
         ("reference", "_christoffel_reads"): {"tensors.connection_jet"},
     },
     "space-form test": {
-        ("call", "space_form_deviation"): {"tensors.is_space_form", "verify.curvature_case"},
+        # per block, beside max|g|: the suites and the curvature check judge
+        # the maxima of every block at once (space_form_gate)
+        ("call", "space_form_deviation"): {"tensors.space_form_parts"},
     },
     "A1/B/Ric^2 contractions": {
         ("spec", "aiplk,ajplk->aij"): {"tensors.CurvatureBundle.A1"},
