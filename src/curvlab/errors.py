@@ -14,7 +14,7 @@ class UnsupportedModelError(CurvlabError):
 
 
 class DegenerateMetricError(CurvlabError):
-    """Metric is singular or not positive definite at an evaluation point:
+    """Metric is singular, not finite or not positive definite at a point:
     ``node``, its row in the batch of points, where det g = ``det``."""
 
     def __init__(self, node: int, det):

@@ -4,9 +4,9 @@ The total functional is  F = int |Rm|^2 + s int |Ric|^2 + tau int R^2,
 reported together with the Weyl energy and the volume.  The curvature is
 computed once per distinct node of the coordinates the metric reads, in
 node blocks (:func:`curvlab.tensors.distinct_blocks`), which hand back
-per-node densities; these are gathered back to every node and summed in
-one call of :meth:`curvlab.charts.QuadratureGrid.integrals`, once over
-every node in node order, never over partial sums per block.  Reports are
+the per-node densities at every node; these are summed in one call of
+:meth:`curvlab.charts.QuadratureGrid.integrals`, once over every node in
+node order, never over partial sums per block.  Reports are
 therefore bit-stable and depend neither on the block size nor on the
 coordinates the metric reads.
 
@@ -25,7 +25,7 @@ import numpy as np
 from .charts import QuadratureGrid
 from .errors import DimensionError
 from .fields import MetricField
-from .tensors import CurvatureBundle, curvature, distinct_blocks
+from .tensors import curvature, distinct_blocks
 
 
 @dataclass(frozen=True)
@@ -50,26 +50,36 @@ class FunctionalReport:
     volume: float
 
 
+# the per-node density of each energy, by its FunctionalReport name, in F's
+# summation order
+_DENSITIES = {
+    "Rquad": lambda b: b.normRm2,
+    "rho": lambda b: b.normRic2,
+    "S": lambda b: b.R**2,
+    "W": lambda b: b.normW2,
+}
+
+
 def _integrals(
-    field: MetricField,
-    grid: QuadratureGrid,
-    coeff: Coefficients,
-    weyl: bool = False,
-    every: bool = False,
+    field: MetricField, grid: QuadratureGrid, coeff: Coefficients, every: bool = False
 ) -> dict:
     """The quadrature sums of F, the parts of F it reads and the volume, in
     the field's dtype: complex along a complex-step direction.
 
     F reads int |Rm|^2, int |Ric|^2 only when s != 0 and int R^2 only when
-    tau != 0 (:func:`_parts`), so a complex-step pass at s = tau = 0 never
-    builds Ric or R; with ``every``, all three parts are read and summed
-    into F (in that order, added to int |Rm|^2), as :func:`evaluate`
-    reports them, and with ``weyl`` int |W|^2 too."""
-    names = _parts(coeff, weyl, every)
-    densities, at = distinct_blocks(
-        lambda Y: _densities(curvature(field, Y), names), grid.nodes, field.reads
-    )
-    volume, *parts = grid.integrals(*(d[at] for d in densities))
+    tau != 0, so a complex-step pass at s = tau = 0 never builds Ric or R; a
+    density nobody reads is never built.  With ``every``, all three parts
+    are read and summed into F (in that order, added to int |Rm|^2), as
+    :func:`evaluate` reports them, and int |W|^2 too for n >= 4."""
+    reads = {"Rquad": True, "rho": every or coeff.s != 0, "S": every or coeff.tau != 0,
+             "W": every and field.dimension >= 4}
+    names = [k for k in _DENSITIES if reads[k]]
+
+    def densities(Y):
+        b = curvature(field, Y)
+        return (b.sqrt_det, *(_DENSITIES[k](b) for k in names))
+
+    volume, *parts = grid.integrals(*distinct_blocks(densities, grid.nodes, field.reads))
     sums = dict(zip(names, parts))
     F = sums["Rquad"]
     if "rho" in sums:
@@ -79,35 +89,12 @@ def _integrals(
     return sums | {"F": F, "volume": volume}
 
 
-# the per-node density of each energy, by its FunctionalReport name
-_DENSITIES = {
-    "Rquad": lambda b: b.normRm2,
-    "rho": lambda b: b.normRic2,
-    "S": lambda b: b.R**2,
-    "W": lambda b: b.normW2,
-}
-
-
-def _parts(coeff: Coefficients, weyl: bool = False, every: bool = False) -> tuple:
-    """The energies a pass reads, in F's summation order: int |Rm|^2, then
-    int |Ric|^2 and int R^2 when ``every`` or when F weighs them by a
-    nonzero s or tau, then, with ``weyl``, int |W|^2."""
-    reads = {"Rquad": True, "rho": every or coeff.s != 0, "S": every or coeff.tau != 0, "W": weyl}
-    return tuple(k for k, read in reads.items() if read)
-
-
-def _densities(b: CurvatureBundle, names: tuple) -> tuple:
-    """Per node: sqrt(det g), then the density of each energy ``names``
-    lists; a density nobody reads is never built."""
-    return (b.sqrt_det,) + tuple(_DENSITIES[k](b) for k in names)
-
-
 def evaluate(
     field: MetricField, grid: QuadratureGrid, coeff: Coefficients
 ) -> FunctionalReport:
     """Integrate the curvature invariants of the field over the grid."""
     # the Weyl tensor vanishes identically for n <= 3
-    sums = {"W": 0.0} | _integrals(field, grid, coeff, weyl=field.dimension >= 4, every=True)
+    sums = {"W": 0.0} | _integrals(field, grid, coeff, every=True)
     return FunctionalReport(**{k: float(v) for k, v in sums.items()})
 
 

@@ -121,7 +121,7 @@ def tt_defect(
         hv, Dh, _, _, ginv, *_ = sym_tensor_cov_derivs(base, h, Y)
         return _tt_defect_arrays(hv, Dh, ginv)[:2]
 
-    maxima, _ = distinct_blocks(defects, grid.nodes, reads_of(base, h))
+    maxima = distinct_blocks(defects, grid.nodes, reads_of(base, h))
     return tuple(float(np.max(v)) for v in maxima)
 
 
@@ -154,7 +154,7 @@ def rayleigh_lichnerowicz(
 ) -> RayleighReport:
     """Rayleigh quotient of -Lap_L on a TT field over an Einstein base, the
     distinct nodes of the coordinates base and h read streamed in blocks
-    (per-node densities, gathered to one sum over all nodes), each block's
+    (per-node densities, summed once over all nodes), each block's
     curvature built from the metric jet and connection (g^-1, S, Gamma) of
     its covariant derivatives."""
 
@@ -171,9 +171,9 @@ def rayleigh_lichnerowicz(
 
     # an h near the float range overflows to inf or NaN, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        out, at = distinct_blocks(densities, grid.nodes, reads_of(base, h))
+        out = distinct_blocks(densities, grid.nodes, reads_of(base, h))
         defect2, r_scale, div_norm, tr, grad2, norm_d, sqrt_det, energy_d = out
-        _, energy, norm2 = map(float, grid.integrals(sqrt_det[at], energy_d[at], norm_d[at]))
+        _, energy, norm2 = map(float, grid.integrals(sqrt_det, energy_d, norm_d))
     require_einstein(defect2, r_scale)
     if not (0.0 < norm2 < np.inf and np.isfinite(energy)):
         raise PreconditionError(

@@ -32,16 +32,17 @@ normalization Ric = (n-1) * lam * g):
   norms ``normRm2``, ``normRic2`` and ``normW2`` (read by the functionals
   and the gradient, not by the curvature checks);
   wedge^2 g and wedge^2 g^-1; the Weyl tensor's pair matrix ``W_pairs`` and
-  its expansion ``W``; the raised forms of Rm4 and Ric (``Rm13`` =
-  R^l_ijk); and the quadratic contractions of the gradient, ``A1_ij =
-  R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl`` and ``ric2_ij = R_ip g^{pq}
-  R_qj``, all with Rm4's slot order.  The curvature check reads M, Ric and
-  R, and the functionals M and, where F weighs them, Ric and R, so neither
-  builds Rm4; Rm13, A1, B and the Lichnerowicz Laplacian read it.
+  its expansion ``W``; ``Rm13`` = R^l_ijk; and the quadratic contractions
+  of the gradient, ``A1_ij = R_i^{plk} R_jplk``, ``B_ij = R^{pl} R_ipjl``
+  and ``ric2_ij = R_ip g^{pq} R_qj``, all with Rm4's slot order (A1 and B
+  raise their factor themselves and keep no raised copy).  The curvature
+  check reads M, Ric and R, and the functionals M and, where F weighs them,
+  Ric and R, so neither builds Rm4; Rm13, A1, B and the Lichnerowicz
+  Laplacian read it.
   :func:`space_form_deviation` is the one space-form deviation, max |M -
-  lam wedge^2 g| = max |Rm4 - lam (g o g)/2|, taken per block beside max|g|
+  lam wedge^2 g| = max |Rm4 - lam (g o g)/2| per node, taken beside max|g|
   (:func:`space_form_parts`), and :func:`space_form_gate` the one gate on
-  the maxima of every block: each caller passes its own tolerance, judged
+  those of every node: each caller passes its own tolerance, judged
   relative to max(1, |lam| max|g|^2), the size of the model.
 * Covariant derivatives of a symmetric tensor follow the index order
   ``h_ij,kl = nabla_l nabla_k h_ij``: ``Dh[a,i,j,k]``, ``D2h[a,i,j,k,l]``.
@@ -71,16 +72,16 @@ a contracted index (in both, summed), and the operands are transposed and
 reshaped to (batch, free, contracted) matrices.  numpy's own ``einsum``
 cannot hand a product that keeps the node axis to BLAS, and its inner loops
 here run only n = 3..5 long.  ``contract`` falls back to ``np.einsum`` for an
-index summed inside one operand, for more than two operands, for operands
-whose shared axes differ in size (broadcasting), and for a batch smaller
-than :data:`MATMUL_MIN_BATCH` (single-point calls), where the transposes
-cost more than they save.  Single-operand traces and permutations stay
-plain ``np.einsum``.
+ellipsis, for an index summed inside one operand, for more than two
+operands, for operands whose shared axes differ in size (broadcasting), and
+for a batch smaller than :data:`MATMUL_MIN_BATCH` (single-point calls),
+where the transposes cost more than they save.  Single-operand traces and
+permutations stay plain ``np.einsum``.
 
 Work over many nodes goes through one block helper, :func:`node_blocks`: it
 splits the nodes into near-equal blocks, runs a function on each and hands
-back each block's per-node outputs (or per-block maxima) concatenated in
-node order.  It has two block sizes.  :data:`HESSIAN_BLOCK` (96 nodes) serves
+back each block's per-node outputs concatenated in node order.  It has two
+block sizes.  :data:`HESSIAN_BLOCK` (96 nodes) serves
 :func:`covariant_hessian_blocks`, where the packed order-4 jets of every
 ingredient are live at once.  :data:`GRID_BLOCK` (1,024 nodes) serves the
 whole-grid reductions of order-2 curvature and covariant jets (the
@@ -99,11 +100,12 @@ on a tensor-product grid a pointwise quantity of such fields repeats along
 every other axis.  :func:`distinct_nodes` keeps the first node of each
 distinct value of the coordinates read, in node order, and an index ``at``
 from every node to its representative; :func:`distinct_blocks` runs
-:func:`node_blocks` over the representatives alone.  Callers gather each
-per-node density back to node order (``density[at]``) before they sum it,
-so every sum adds the same values in the same order as a pass over every
-node, and a maximum over the representatives is the maximum over the grid.
-The representatives are never fewer than :data:`MATMUL_MIN_BATCH` (the first
+:func:`node_blocks` over the representatives alone and gathers every output
+back to node order, so it hands back what the function gives on the whole
+grid, bit for bit.  A whole-grid pass is thus one per-node function
+followed by one sum (:meth:`curvlab.charts.QuadratureGrid.integrals`, over
+every node in node order) or one maximum, and no caller sees ``at``.  The
+representatives are never fewer than :data:`MATMUL_MIN_BATCH` (the first
 nodes pad them), so they take the contraction path of the whole grid, and
 an error that names a node names its row of the grid.
 """
@@ -150,7 +152,7 @@ EINSTEIN_TOL = 1e-6
 HESSIAN_BLOCK = 96
 
 # Nodes per block of the whole-grid reductions (order-2 curvature and
-# covariant jets, reduced to per-node densities or block maxima): on the
+# covariant jets, reduced to per-node densities and maxima): on the
 # default 12,960-node S^5 grid one rank-5 array is 65 MB, one block's 5 MB.
 GRID_BLOCK = 1024
 
@@ -163,17 +165,6 @@ MATMUL_MIN_BATCH = 16
 # ---------------------------------------------------------------------------
 # Contraction kernel
 # ---------------------------------------------------------------------------
-
-
-def _expand_ellipsis(sub: str, ndim: int) -> str | None:
-    """Subscripts with ``...`` replaced by one digit label per axis, aligned
-    from the right as numpy broadcasts them; None if the count is off."""
-    if "..." not in sub:
-        return sub if len(sub) == ndim else None
-    width = ndim - (len(sub) - 3)
-    if not 0 <= width <= 10:
-        return None
-    return sub.replace("...", "".join(str(k) for k in reversed(range(width))))
 
 
 def _operand_layout(sub: str, batch: str, free: str, summed: str):
@@ -192,15 +183,9 @@ def _contract_plan(spec: str, ndims: tuple[int, ...]):
     None when the spec needs np.einsum."""
     ins, arrow, out = spec.partition("->")
     subs = ins.split(",")
-    if not arrow or len(subs) != 2 or len(ndims) != 2:
-        return None
-    a, b = (_expand_ellipsis(s, nd) for s, nd in zip(subs, ndims))
-    if a is None or b is None:
-        return None
-    width = max(sum(c.isdigit() for c in x) for x in (a, b))
-    if "..." not in out and width:
-        return None
-    out = out.replace("...", "".join(str(k) for k in reversed(range(width))))
+    if not arrow or "." in spec or len(subs) != 2 or list(map(len, subs)) != list(ndims):
+        return None  # an ellipsis, or not two operands named axis by axis
+    a, b = subs
     if any(len(set(x)) != len(x) for x in (a, b, out)):
         return None  # a diagonal or a repeated output index
     if any(c not in out for c in a + b if (c in a) != (c in b)):
@@ -264,11 +249,10 @@ def node_blocks(fn: Callable[..., tuple], *arrays: Array, size: int | None = Non
     the same nodes) and concatenate each of its outputs over the blocks, in
     node order.
 
-    ``fn`` returns a tuple of arrays led by the block's node axis, or of
-    length-1 sequences for a reduction per block.  Blocks hold at most
-    ``size`` nodes (default :data:`GRID_BLOCK`) and, when there are that
-    many, no fewer than :data:`MATMUL_MIN_BATCH`, a floor that wins over a
-    smaller ``size``.
+    ``fn`` returns a tuple of arrays led by the block's node axis.  Blocks
+    hold at most ``size`` nodes (default :data:`GRID_BLOCK`) and, when there
+    are that many, no fewer than :data:`MATMUL_MIN_BATCH`, a floor that wins
+    over a smaller ``size``.
     """
     N = len(arrays[0])
     count = max(1, min(-(-N // (GRID_BLOCK if size is None else size)), N // MATMUL_MIN_BATCH))
@@ -307,10 +291,11 @@ def distinct_nodes(X: Array, reads: Sequence[int]) -> tuple:
 
 
 def distinct_blocks(fn: Callable[[Array], tuple], X: Array, reads: Sequence[int]) -> tuple:
-    """(outputs, at): :func:`node_blocks` of ``fn`` over the
-    :func:`distinct_nodes` of X on the coordinates ``reads``, and the index
-    ``at`` that gathers a per-node output back to the rows of X.  An error
-    that names a node names its row of X."""
+    """``fn(X)``, bit for bit, for an ``fn`` of per-node outputs of fields
+    that read only the coordinates ``reads``: :func:`node_blocks` of ``fn``
+    over the :func:`distinct_nodes` of X on those coordinates, each output
+    gathered back to the rows of X.  An error that names a node names its
+    row of X."""
     rows, at = distinct_nodes(X, reads)
 
     def block(Y, grid_rows):
@@ -319,7 +304,7 @@ def distinct_blocks(fn: Callable[[Array], tuple], X: Array, reads: Sequence[int]
         except DegenerateMetricError as e:
             raise e.renumbered(grid_rows) from None
 
-    return node_blocks(block, X[rows], np.arange(len(X))[rows]), at
+    return tuple(out[at] for out in node_blocks(block, X[rows], np.arange(len(X))[rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +474,11 @@ def jet_einsum(spec: str, *jets: list, order: int | None = None) -> list:
 @lru_cache(maxsize=None)
 def _solve_spec(spec: str, packed: bool) -> str:
     """The spec applying A^-1 to B for the product spec A X = B: A's two
-    component letters swapped, with the packed axis riding along on B."""
+    component letters swapped, with B's packed axis, named by the first
+    letter of :data:`_PACKED` not in the spec, riding along."""
     ins, out = spec.split("->")
     a, x = ins.split(",")
-    tail = "..." if packed else ""
+    tail = next(c for c in _PACKED if c not in spec) if packed else ""
     return f"{a[0]}{a[2]}{a[1]},{out}{tail}->{x}{tail}"
 
 
@@ -589,8 +575,13 @@ def covariant_jet(T: list, Gamma: list) -> list:
 
 def connection_arrays(g: Array, dg: Array):
     """(ginv, S, Gamma) from the metric and its first partials: S[a,l,i,j] =
-    2 Gamma_{l,ij} (first kind) and Gamma[a,k,i,j] = g^{kl} S_lij / 2."""
-    ginv = np.linalg.inv(g)
+    2 Gamma_{l,ij} (first kind) and Gamma[a,k,i,j] = g^{kl} S_lij / 2.  A
+    singular g raises naming its node, as :func:`volume_element` does."""
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        volume_element(g)  # names the first node that is not positive definite
+        raise
     S = christoffel_combination(dg)
     return ginv, S, 0.5 * contract("akl,alij->akij", ginv, S)
 
@@ -709,24 +700,14 @@ class CurvatureBundle:
         return raise_all(self.Rm4, self.ginv, (0,))
 
     @cached_property
-    def Rm_up3(self) -> Array:
-        """R_i^{jkl}: Rm4 with its last three slots raised."""
-        return raise_all(self.Rm4, self.ginv, (1, 2, 3))
-
-    @cached_property
-    def ric_up(self) -> Array:
-        """R^{ik}."""
-        return raise_all(self.Ric, self.ginv, (0, 1))
-
-    @cached_property
     def A1(self) -> Array:
-        """A1_ij = R_i^{plk} R_jplk."""
-        return contract("aiplk,ajplk->aij", self.Rm4, self.Rm_up3)
+        """A1_ij = R_i^{plk} R_jplk, its raised factor built here and not kept."""
+        return contract("aiplk,ajplk->aij", self.Rm4, raise_all(self.Rm4, self.ginv, (1, 2, 3)))
 
     @cached_property
     def B(self) -> Array:
-        """B_ij = R^{pl} R_ipjl."""
-        return contract("apl,aipjl->aij", self.ric_up, self.Rm4)
+        """B_ij = R^{pl} R_ipjl, R^{pl} built here and not kept."""
+        return contract("apl,aipjl->aij", raise_all(self.Ric, self.ginv, (0, 1)), self.Rm4)
 
     @cached_property
     def ric2(self) -> Array:
@@ -869,7 +850,12 @@ def volume_element(g: Array) -> Array:
     determinant underflows to 0 (tiny entries): its factor does not.  A
     positive determinant is no test: diag(-1, -1, 1) has det 1.  Only when
     the batch fails are its nodes factored one by one, to name the first.
+    Non-finite entries are refused first: their factor is NaN, not an error.
     """
+    if not np.isfinite(g).all():
+        node = int(np.argmin(np.isfinite(g).all(axis=(1, 2))))
+        with np.errstate(invalid="ignore"):
+            raise DegenerateMetricError(node, np.linalg.det(g[node]))
     det = np.linalg.det(g)
     try:
         np.linalg.cholesky(g.real)
@@ -912,22 +898,23 @@ def curvature(field: MetricField, x) -> CurvatureBundle:
     return curvature_bundle(*field.packed_jet(x, 2))
 
 
-def space_form_deviation(bundle: CurvatureBundle, lam: float) -> float:
-    """max |Rm4 - lam (g o g)/2| = max |M - lam wedge^2 g|, the same bits: Rm4
-    expands M, and the model is exactly antisymmetric too.  A NaN is kept."""
-    return max_abs(bundle.M - lam * bundle.wedge2_g)
+def space_form_deviation(bundle: CurvatureBundle, lam: float) -> Array:
+    """Per node, max |Rm4 - lam (g o g)/2| = max |M - lam wedge^2 g|, the same
+    bits: Rm4 expands M, and the model is exactly antisymmetric too.  A NaN
+    is kept."""
+    return np.abs(bundle.M - lam * bundle.wedge2_g).max(axis=(1, 2))
 
 
-def space_form_parts(bundle: CurvatureBundle, lam: float) -> tuple[list[float], list[float]]:
-    """([deviation], [max|g|]) of a bundle: its :func:`space_form_deviation`
-    and the size :func:`space_form_gate` judges it against, as the maxima of
-    one block, so that the blocks of a grid are judged once, together."""
-    return [space_form_deviation(bundle, lam)], [max_abs(bundle.g)]
+def space_form_parts(bundle: CurvatureBundle, lam: float) -> tuple[Array, Array]:
+    """Per node (deviation, max|g|): its :func:`space_form_deviation` and the
+    size :func:`space_form_gate` judges it against, so that the nodes of a
+    grid are judged once, together."""
+    return space_form_deviation(bundle, lam), np.abs(bundle.g).max(axis=(1, 2))
 
 
 def space_form_gate(dev: Array, g_max: Array, lam: float, tol: float) -> tuple[bool, float]:
     """(deviation <= tol * scale, deviation) from the :func:`space_form_parts`
-    of every block: the one space-form gate.  The largest deviation is
+    of every node: the one space-form gate.  The largest deviation is
     judged against scale = max(1, |lam| max|g|^2), the size of the model
     tensor lam (g o g)/2, so that the gate holds at any radius.  A NaN
     deviation fails."""
@@ -1049,8 +1036,3 @@ def covariant_hessian_blocks(
         return tuple(covariant_jet(covariant_jet(T, Gamma), Gamma)[0] for T in jets)
 
     return list(node_blocks(block, X, size=HESSIAN_BLOCK))
-
-
-def max_abs(T: Array) -> float:
-    """Componentwise sup norm over nodes and indices."""
-    return float(np.max(np.abs(T)))

@@ -70,7 +70,6 @@ from .tensors import (
     einstein_parts,
     inner_02,
     jet_scale,
-    max_abs,
     require_einstein,
     ricci_arrays,
     space_form_gate,
@@ -160,7 +159,11 @@ def gradient_ingredients(
     reads (:func:`curvlab.tensors.distinct_nodes`), and every array is on
     those nodes: ``ing["at"]`` gathers a per-node quantity made from them
     back to the rows of X, as the quadrature sums and the pointwise
-    gradient do, and a maximum over them is the maximum over X.
+    gradient do, and a maximum over them is the maximum over X.  Unlike a
+    :func:`curvlab.tensors.distinct_blocks` pass, which gathers its outputs
+    itself, this hands out the bundle, which builds A1, B and the norms
+    lazily on first read, so on the representatives only; the benchmark
+    reads ``ing["bundle"]`` too.
 
     The Laplacian of the Ricci tensor and the Hessian of the scalar
     curvature come from the exact order-2 jets of Ric and R (the metric jet
@@ -325,7 +328,7 @@ def el_residual(
         )
     G = _gradient_parts(ing, coeff).grad_total
     E = G - _trace_multiplier(ing, coeff)[:, None, None] * b.g
-    return max_abs(E), _lagrange_constant(ing, grid, coeff)
+    return float(np.max(np.abs(E))), _lagrange_constant(ing, grid, coeff)
 
 
 def einstein_criticality_defect(base: MetricField, grid: QuadratureGrid) -> float:
@@ -337,9 +340,9 @@ def einstein_criticality_defect(base: MetricField, grid: QuadratureGrid) -> floa
     def block(Y):
         b = curvature(base, Y)
         D = b.A1 - (b.normRm2 / n)[:, None, None] * b.g
-        return (*einstein_parts(b), [max_abs(D)])
+        return (*einstein_parts(b), np.abs(D).max(axis=(1, 2)))
 
-    (defect2, r_scale, D_max), _ = distinct_blocks(block, grid.nodes, base.reads)
+    defect2, r_scale, D_max = distinct_blocks(block, grid.nodes, base.reads)
     require_einstein(defect2, r_scale)
     return float(np.max(D_max))
 
@@ -480,11 +483,11 @@ def _suite_sides(
     streamed in node blocks (:func:`curvlab.tensors.distinct_blocks`).
 
     Each block builds h and its covariant derivatives on the base, the
-    complex-step ingredients and the 13 per-node densities, and the maxima
-    the space-form gate judges (and, with ``tt``, the TT defects), so no
+    complex-step ingredients and the 13 per-node densities, and what the
+    space-form gate judges (and, with ``tt``, the TT defects), so no
     grid-sized complex curvature array is built.  After the pass the gates
-    are judged once and the densities, gathered to every grid node, make
-    one :meth:`curvlab.charts.QuadratureGrid.integrals` call.
+    are judged once and the densities at every grid node make one
+    :meth:`curvlab.charts.QuadratureGrid.integrals` call.
 
     Each T' is the complex step Im T(g + i eps h) / eps of a term of
     :func:`_gradient_terms`, all ten from one :func:`gradient_ingredients`
@@ -504,12 +507,12 @@ def _suite_sides(
 
     def block(Y):
         hv, Dh, D2h, _, ginv, *_ = sym_tensor_cov_derivs(base, h, Y)
+        # Y is distinct on what the complex metric reads: ing is on all of Y
         ing = gradient_ingredients(complex_metric, Y)
         b: CurvatureBundle = ing["bundle"]
-        on_Y = ing["at"]  # the complex metric reads what base and h read: all of Y
-        terms = {k: T[on_Y] for k, T in _gradient_terms(ing).items()}
+        terms = _gradient_terms(ing)
         terms["scalar_laplacian_metric"] = (
-            contract("aik,aik->a", ginv, ing["hess_R"][on_Y])[:, None, None] * b.g.real[on_Y]
+            contract("aik,aik->a", ginv, ing["hess_R"])[:, None, None] * b.g.real
         )
         names[:] = terms
         lap_h = contract("akl,aijkl->aij", ginv, D2h)
@@ -517,19 +520,19 @@ def _suite_sides(
         pairs += [(hv, hv), (lap_h, hv), (lap_h, lap_h)]
         return (
             *space_form_parts(b, lam),
-            b.sqrt_det.real[on_Y],
+            b.sqrt_det.real,
             *(inner_02(S, T, ginv) for S, T in pairs),
             *(_tt_defect_arrays(hv, Dh, ginv) if tt else ()),
         )
 
-    (dev, g_max, sqrt_det, *rest), at = distinct_blocks(block, grid.nodes, reads_of(base, h))
+    dev, g_max, sqrt_det, *rest = distinct_blocks(block, grid.nodes, reads_of(base, h))
     densities, defects = rest[: len(names) + 3], rest[len(names) + 3 :]
     if tt:
         _require_tt(*defects, "suite requires a TT field")
     ok, worst = space_form_gate(dev, g_max, lam, SPACE_FORM_TOL)
     if not ok:
         raise PreconditionError(f"base is not a space form (deviation {worst:.2e})")
-    _, *sums = map(float, grid.integrals(sqrt_det[at], *(d[at] for d in densities)))
+    _, *sums = map(float, grid.integrals(sqrt_det, *densities))
     return lam, dict(zip(names, sums)), tuple(sums[len(names) :])
 
 

@@ -84,7 +84,7 @@ def jet_inverse(A: list) -> list:
     packed_A, packed_inv = pack_jet(A), inv[:]
     for k in range(1, len(A)):
         rest = _leibniz("aij,ajk->aik", (packed_A, packed_inv), k)
-        packed_inv.append(-contract("aij,ajk...->aik...", inv[0], rest))
+        packed_inv.append(-contract("aij,ajku->aiku", inv[0], rest))
         inv.append(expand(packed_inv[-1], k, A[1].shape[-1]))
     return inv
 
@@ -99,7 +99,7 @@ def _substitute(A: list, B: list, X: list, spec: str, inv: np.ndarray) -> list:
     """Extend the packed jet X of A^-1 B to the order of the packed jet A."""
     for k in range(len(X), len(A)):
         rest = _leibniz(spec, (A, X), k)
-        X.append(contract(_solve_spec(spec, "..."), inv, (B[k] if k < len(B) else 0.0) - rest))
+        X.append(contract(_solve_spec(spec, "u"), inv, (B[k] if k < len(B) else 0.0) - rest))
     return X
 
 

@@ -89,8 +89,8 @@ def symmetrization_energies(base, h, grid):
             *(np.einsum("aijk,aijk->a", T, raise_all(T, ginv, (0, 1, 2))) for T in (cyc, anti)),
         )
 
-    out, at = distinct_blocks(densities, grid.nodes, reads_of(base, h))
+    out = distinct_blocks(densities, grid.nodes, reads_of(base, h))
     div_norm, tr, grad2, size2, sqrt_det, cyc_d, anti_d = out
-    _, cyc, anti = grid.integrals(sqrt_det[at], cyc_d[at], anti_d[at])
+    _, cyc, anti = grid.integrals(sqrt_det, cyc_d, anti_d)
     _require_tt(div_norm, tr, grad2, size2, "field is not transverse-traceless")
     return float(cyc), float(anti)

@@ -8,9 +8,11 @@ Run it from the repository root on each of two trees and diff the output:
 Each argv runs in-process through ``curvlab.cli.run`` with ``--out`` in a
 temporary directory; the digest covers the report's bytes and everything
 written to stderr.  The list holds every subcommand at its defaults, every
-model and mode its flags offer, nonzero (s, tau) forms of ``verify-hessian``
-as the benchmark draws them (one inside and one beyond max(|s|, |tau|) = 1),
-and a ``classify`` query and an ``atlas`` grid per mode.
+model and mode its flags offer, the round spheres of dimension 3 to 5 and
+an invariant mode as the benchmark checks them, the torus gradient in
+dimension 4, nonzero (s, tau) forms of ``verify-hessian`` as the benchmark
+draws them (one inside and one beyond max(|s|, |tau|) = 1), and a
+``classify`` query and an ``atlas`` grid per mode.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ GRID = ["--n", "4", "--lambda", "-1", "--s-min", "-8", "--s-max", "4",
 ARGVS = (
     [["curvature"], ["verify-gradient"], ["verify-hessian"], ["rayleigh"]]
     + [["curvature", "--model", m] for m in MODEL_CURVATURE_SIGN]
+    # S^4 and S^5, which the benchmark checks beside S^3, an invariant mode
+    # of the kind it draws, and the torus gradient in dimension 4
+    + [["curvature", "--n", "4"], ["curvature", "--n", "5"], ["rayleigh", "--d", "3,-1,-2"],
+       ["verify-gradient", "--model", "torus", "--n", "4", "--count", "2"]]
     + [["check-identities", "--mode", m] for m in IDENTITY_MODES]
     + [["verify-gradient", "--model", m] for m in GRADIENT_MODELS]
     + [["verify-hessian", "--model", m] for m in HESSIAN_MODELS]

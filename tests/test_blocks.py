@@ -9,7 +9,14 @@ import pytest
 
 from curvlab import tensors
 from curvlab.charts import build_grid, make_model
-from curvlab.fields import linear_combination_metric, random_torus_metric, random_torus_sym_tensor
+from curvlab.fields import (
+    analytic_metric_field,
+    linear_combination_metric,
+    random_torus_metric,
+    random_torus_sym_tensor,
+    torus_domain,
+    wave,
+)
 from curvlab.functionals import Coefficients, _integrals, evaluate
 from curvlab.spectral import rayleigh_lichnerowicz, s3_invariant_tt
 from curvlab.variations import (
@@ -42,11 +49,11 @@ def test_node_blocks_cover_every_node_once_in_near_equal_blocks(N, size):
 
     def fn(Y):
         sizes.append(len(Y))
-        return Y[:, 0], [len(Y)]
+        return Y[:, 0], np.full(len(Y), len(Y))
 
-    nodes, per_block = tensors.node_blocks(fn, X, size=size)
+    nodes, block_size = tensors.node_blocks(fn, X, size=size)
     assert np.array_equal(nodes, X[:, 0])
-    assert per_block.tolist() == sizes and sum(sizes) == N
+    assert block_size.tolist() == [s for s in sizes for _ in range(s)] and sum(sizes) == N
     # the MATMUL_MIN_BATCH floor wins over a smaller size
     assert max(sizes) - min(sizes) <= 1
     assert max(sizes) <= max(size, 2 * tensors.MATMUL_MIN_BATCH - 1)
@@ -54,6 +61,42 @@ def test_node_blocks_cover_every_node_once_in_near_equal_blocks(N, size):
         assert min(sizes) >= tensors.MATMUL_MIN_BATCH
     else:
         assert sizes == [N]
+
+
+def _field_reading(count):
+    """A metric on the 3-torus that reads its first ``count`` coordinates."""
+    g11 = sum((wave(m, 2 * np.pi) for m in range(count)), 2.5)
+    return analytic_metric_field(torus_domain(3), {(0, 0): 1.0, (1, 1): g11, (2, 2): 2.0})
+
+
+@pytest.mark.parametrize("size", [tensors.GRID_BLOCK, SMALL_BLOCK])
+@pytest.mark.parametrize("count", [0, 1, 2])  # of n = 3 coordinates
+def test_distinct_blocks_hand_back_fn_of_every_node(count, size, monkeypatch):
+    field = _field_reading(count)
+    assert field.reads == tuple(range(count))
+    X = build_grid(field.domain, (16, 8, 8)).nodes
+    monkeypatch.setattr(tensors, "GRID_BLOCK", size)
+    sizes = []
+
+    def fn(Y):
+        sizes.append(len(Y))
+        b = tensors.curvature(field, Y)
+        nan_at = np.where(b.R > 0, np.nan, b.normRm2)  # at the nodes where R > 0
+        return (b.sqrt_det, b.M, b.Ric, *tensors.space_form_parts(b, 0.0), nan_at)
+
+    want = fn(X)
+    sizes.clear()
+    got = tensors.distinct_blocks(fn, X, field.reads)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert count == 0 or np.isnan(got[-1]).any()
+    # fn ran once per distinct node only, in blocks of at most size
+    rows = tensors.distinct_nodes(X, field.reads)[0]
+    assert sum(sizes) == len(X[rows]) < len(X) and max(sizes) <= size
+    # self-check: a function reading a coordinate outside reads is not fn(X)
+    leak = lambda Y: (Y[:, 2] + tensors.curvature(field, Y).sqrt_det,)
+    assert not np.array_equal(tensors.distinct_blocks(leak, X, field.reads)[0], leak(X)[0])
 
 
 def test_curvature_case_is_block_invariant(monkeypatch):

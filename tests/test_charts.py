@@ -33,7 +33,7 @@ from curvlab.fields import (
 )
 from curvlab.functionals import Coefficients, evaluate
 from curvlab.tensors import curvature, distinct_nodes
-from curvlab.variations import first_variation_numeric
+from curvlab.variations import first_variation_numeric, gradient_tensor
 
 from conftest import exact_sphere_volume, metric_as_sym_tensor, random_probes
 
@@ -204,6 +204,23 @@ def test_an_indefinite_metric_is_refused_at_its_first_bad_node():
         lambda: volume(field, grid),
     ):
         with pytest.raises(DegenerateMetricError, match="node 192,"):
+            call()
+
+
+@pytest.mark.parametrize("c", [0.0, np.nan, np.inf], ids=["singular", "nan", "inf"])
+def test_a_singular_or_non_finite_metric_is_a_degenerate_metric(c):
+    # g = diag(1, 1, c): inverting a singular g raised numpy's LinAlgError,
+    # a NaN entry made a NaN volume and an inf entry an infinite one
+    field = analytic_metric_field(torus_domain(3), {(0, 0): 1.0, (1, 1): 1.0, (2, 2): c})
+    grid = build_grid(field.domain, 4)
+    for call in (
+        lambda: volume(field, grid),
+        lambda: curvature(field, grid.nodes[0]),
+        lambda: curvature(field, grid.nodes),
+        lambda: evaluate(field, grid, Coefficients()),
+        lambda: gradient_tensor(field, grid.nodes[0], Coefficients()),
+    ):
+        with pytest.raises(DegenerateMetricError, match="node 0,"):
             call()
 
 

@@ -63,6 +63,10 @@ def test_report_digests_cover_every_subcommand_model_and_mode():
                     if tok in action.option_strings
                 }
                 assert given == set(action.choices), (name, action.dest)
+    # and the round spheres the benchmark checks, n = 3 at the default
+    parse = build_parser().parse_args
+    spheres = {args.n for args in map(parse, ARGVS) if vars(args).get("model") == "sphere"}
+    assert {3, 4, 5} <= spheres
 
 
 def test_report_peaks_run_the_digests_list(tmp_path):
@@ -218,7 +222,9 @@ def test_non_finite_float_flags_and_config_values(tmp_path, capsys):
 def test_curvature_nan_deviation_fails_the_check(monkeypatch, tmp_path):
     import curvlab.tensors as tensors
 
-    monkeypatch.setattr(tensors, "space_form_deviation", lambda bundle, lam: float("nan"))
+    monkeypatch.setattr(
+        tensors, "space_form_deviation", lambda bundle, lam: np.full(len(bundle.g), np.nan)
+    )
     out = tmp_path / "curv.json"
     assert run(["curvature", "--out", str(out)]) == 2
     body = json.loads(out.read_text())

@@ -466,8 +466,8 @@ AIM2 = {
         ("reference", "_christoffel_reads"): {"tensors.connection_jet"},
     },
     "space-form test": {
-        # per block, beside max|g|: the suites and the curvature check judge
-        # the maxima of every block at once (space_form_gate)
+        # per node, beside max|g|: the suites and the curvature check judge
+        # those of every node at once (space_form_gate)
         ("call", "space_form_deviation"): {"tensors.space_form_parts"},
     },
     "A1/B/Ric^2 contractions": {
