@@ -57,7 +57,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, InvalidModeError
 
 Array = np.ndarray
 
@@ -581,6 +581,23 @@ def analytic_scalar_field(domain: ChartDomain, f: Separable, name="f") -> Scalar
 # ---------------------------------------------------------------------------
 
 
+def _wave_vector(domain: ChartDomain, k) -> Array:
+    """k of a plane wave cos(2 pi k.x) on ``domain`` as float64; InvalidModeError
+    unless finite and, on the unit torus, integers of size <= 2^53 (float64
+    holds them exactly): only those waves are periodic there."""
+    given = np.asarray(k, dtype=object)  # compared as given: a large int rounds in float64
+    if given.shape != (domain.dimension,):
+        raise DimensionError("wave vector length must match the chart dimension")
+    given = given.tolist()
+    whole = all(abs(v) <= 2**53 and float(v).is_integer() for v in given)
+    if domain.kind == TORUS_BOX and not whole:
+        raise InvalidModeError(f"wave vector k = {given} must hold integers of size <= 2^53")
+    k = np.asarray(given, dtype=float)
+    if not np.isfinite(k).all():
+        raise InvalidModeError(f"wave vector k = {given} must be finite")
+    return k
+
+
 def _plane_wave_jet(X: Array, W: Array, A: Array, shape: tuple, order: int) -> list[Array]:
     """Packed jet of sum_m A_2m cos(x.w_m) + A_2m+1 sin(x.w_m), the wave
     vectors w_m the rows of W and the amplitudes A_r, arrays of ``shape``,
@@ -617,17 +634,17 @@ def trig_sym_tensor_field(
 ) -> SymTensorField:
     """h(x) = sum_m C_m cos(2 pi k_m.x) + S_m sin(2 pi k_m.x).
 
-    Each wave is a triple (k, C, S) with integer wave vector k and constant
-    symmetric matrices C, S.  Exact derivatives of all orders, each order one
-    matrix product over every wave (:func:`_plane_wave_jet`).
+    Each wave is a triple (k, C, S), k integer on the torus (:func:`_wave_vector`),
+    C and S constant symmetric matrices.  Exact derivatives of all orders,
+    each order one matrix product over every wave (:func:`_plane_wave_jet`).
     """
     n = domain.dimension
     vectors, amplitudes = [], []
     for k, C, S in waves:
-        k = np.asarray(k, dtype=float)
+        k = _wave_vector(domain, k)
         C = np.asarray(C, dtype=float)
         S = np.asarray(S, dtype=float)
-        if C.shape != (n, n) or S.shape != (n, n) or k.shape != (n,):
+        if C.shape != (n, n) or S.shape != (n, n):
             raise DimensionError("wave component shapes do not match dimension")
         if not (np.array_equal(C, C.T) and np.array_equal(S, S.T)):
             raise DimensionError("wave amplitude matrices must be symmetric")
@@ -673,10 +690,8 @@ def random_torus_metric(
 
 
 def cosine_scalar_field(domain: ChartDomain, k: Sequence[float]) -> ScalarField:
-    """f(x) = cos(2 pi k.x) with closed-form derivatives."""
-    w = 2 * np.pi * np.asarray(k, dtype=float)
-    if w.shape != (domain.dimension,):
-        raise DimensionError("wave vector length must match the chart dimension")
+    """f(x) = cos(2 pi k.x) with closed-form derivatives (k: :func:`_wave_vector`)."""
+    w = 2 * np.pi * _wave_vector(domain, k)
     A = np.array([[1.0], [0.0]])  # cos, no sin: the product adds exact zeros
 
     def jet(X, order):

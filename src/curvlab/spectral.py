@@ -29,6 +29,7 @@ from .fields import (
     MetricField,
     Separable,
     SymTensorField,
+    _wave_vector,
     analytic_sym_tensor_field,
     euler_su2_domain,
     reads_of,
@@ -36,7 +37,6 @@ from .fields import (
     trig_sym_tensor_field,
 )
 from .tensors import (
-    _bundle_from_connection,
     distinct_blocks,
     einstein_parts,
     inner_02,
@@ -62,17 +62,13 @@ class RayleighReport:
 def torus_tt_mode(n: int, k, A) -> SymTensorField:
     """TT Fourier mode h = A cos(2 pi k.x) on the flat unit torus.
 
-    k must hold integers of size at most 2^53, which float64 holds exactly.
+    k must hold integers of size at most 2^53 (:func:`curvlab.fields._wave_vector`).
     The constraints tr A = 0 and A k = 0 are checked exactly (integer or
     dyadic-rational inputs incur no rounding).
     """
     if np.shape(k) != (n,) or np.shape(A) != (n, n):
         raise InvalidModeError(f"expected k of shape ({n},) and A of shape ({n},{n})")
-    # compared as given: a large int would round on the way to float64
-    given = np.asarray(k, dtype=object).tolist()
-    if not all(abs(v) <= 2**53 and float(v).is_integer() for v in given):
-        raise InvalidModeError(f"wave vector k = {given} must hold integers of size <= 2^53")
-    k = np.asarray(k, dtype=float)
+    k = _wave_vector(torus_domain(n), k)
     A = np.asarray(A, dtype=float)
     if not np.array_equal(A, A.T):
         raise InvalidModeError("amplitude matrix is not symmetric")
@@ -112,14 +108,12 @@ def s3_invariant_tt(d, radius: float = 1.0) -> SymTensorField:
     )
 
 
-def tt_defect(
-    base: MetricField, h: SymTensorField, grid: QuadratureGrid
-) -> tuple[float, float]:
+def tt_defect(base: MetricField, h: SymTensorField, grid: QuadratureGrid) -> tuple[float, float]:
     """(sup |delta h|_g, sup |tr h|) over the grid nodes."""
 
     def defects(Y):
-        hv, Dh, _, _, ginv, *_ = sym_tensor_cov_derivs(base, h, Y)
-        return _tt_defect_arrays(hv, Dh, ginv)[:2]
+        hv, Dh, _, bundle = sym_tensor_cov_derivs(base, h, Y)
+        return _tt_defect_arrays(hv, Dh, bundle.ginv)[:2]
 
     maxima = distinct_blocks(defects, grid.nodes, reads_of(base, h))
     return tuple(float(np.max(v)) for v in maxima)
@@ -154,17 +148,15 @@ def rayleigh_lichnerowicz(
 ) -> RayleighReport:
     """Rayleigh quotient of -Lap_L on a TT field over an Einstein base, the
     distinct nodes of the coordinates base and h read streamed in blocks
-    (per-node densities, summed once over all nodes), each block's
-    curvature built from the metric jet and connection (g^-1, S, Gamma) of
-    its covariant derivatives."""
+    (per-node densities, summed once over all nodes), each block's bundle
+    that of its covariant derivatives (:func:`curvlab.tensors.sym_tensor_cov_derivs`)."""
 
     def densities(Y):
-        hv, Dh, D2h, g, ginv, S, Gamma = sym_tensor_cov_derivs(base, h, Y)
-        bundle = _bundle_from_connection(*g, ginv, S, Gamma)
+        hv, Dh, D2h, bundle = sym_tensor_cov_derivs(base, h, Y)
         lap_L = lichnerowicz_arrays(hv, D2h, bundle)
         return (
             *einstein_parts(bundle),
-            *_tt_defect_arrays(hv, Dh, ginv),
+            *_tt_defect_arrays(hv, Dh, bundle.ginv),
             bundle.sqrt_det,
             -inner_02(lap_L, hv, bundle.ginv),
         )

@@ -23,9 +23,9 @@ normalization Ric = (n-1) * lam * g):
   k, so each Ric_ik, i <= k, sums (n - 1)^2 products of an entry of M and
   one of g^-1, and no n^4 array is built.
 * A :class:`CurvatureBundle` is built holding g, g^-1, sqrt(det g) and M,
-  not the connection that builds M; sqrt(det g) comes from
-  :func:`volume_element`, the one positivity test and volume measure,
-  shared with :func:`curvlab.charts.sqrt_det_grid`.
+  not the connection that builds M; sqrt(det g) comes with the connection
+  from :func:`volume_element`, the one positivity test and volume measure,
+  run where g is inverted and shared with :func:`curvlab.charts.sqrt_det_grid`.
   The rest is computed on first read and cached on the bundle: Ric (read
   off M, :func:`pair_ricci`) and R, so a pass of F at s = tau = 0, which
   reads |Rm|^2 alone, never builds them; Rm4, the n^4 expansion of M; the
@@ -522,24 +522,25 @@ def _christoffel_reads(n: int, k: int) -> Array:
     return np.array([flat(i, l, j), flat(j, l, i), flat(i, j, l)])
 
 
-def connection_jet(g: list) -> tuple[Array, Array, list]:
-    """(g^-1, S, the jet of Gamma) from a metric jet, Gamma one order short.
+def connection_jet(g: list) -> tuple[Array, Array, Array, list]:
+    """(g^-1, sqrt(det g), S, Gamma's jet one order short) from a metric jet.
 
-    Order 0 is :func:`connection_arrays`, the only inversion of g, so that
-    bundles built from it keep the bits of :func:`curvature_bundle`.  Above
-    it Gamma solves g Gamma = S/2 by forward substitution
-    (:func:`_solve_step`) on the symmetric pairs i <= j only, S's partials
-    read straight off the packed partials of g (:func:`_christoffel_reads`),
-    and each order is expanded to full (i, j) by one take.
+    Order 0 is :func:`connection_arrays`, the only inversion of g and the
+    positivity test, so that bundles built from it keep the bits of
+    :func:`curvature_bundle`.  Above it Gamma solves g Gamma = S/2 by forward
+    substitution (:func:`_solve_step`) on the symmetric pairs i <= j only,
+    S's partials read straight off the packed partials of g
+    (:func:`_christoffel_reads`), and each order is expanded to full (i, j)
+    by one take.
     """
     N, n = g[0].shape[:2]
-    ginv, S, Gamma0 = connection_arrays(g[0], g[1])
+    ginv, sqrt_det, S, Gamma0 = connection_arrays(g[0], g[1])
     i, j = _symmetric_pairs(n)
     X, column = [Gamma0[:, :, i, j]], _symmetric_index(n, 2)
     for k, d in enumerate(g[2:], 2):
         T = np.take(d.reshape(N, -1), _christoffel_reads(n, k), axis=1)
         X.append(_solve_step(g, X, 0.5 * ((T[:, 0] + T[:, 1]) - T[:, 2]), "alk,akp->alp", ginv))
-    return ginv, S, [Gamma0] + [np.take(x, column, axis=2) for x in X[1:]]
+    return ginv, sqrt_det, S, [Gamma0] + [np.take(x, column, axis=2) for x in X[1:]]
 
 
 def christoffel_combination(D: Array) -> Array:
@@ -574,21 +575,19 @@ def covariant_jet(T: list, Gamma: list) -> list:
 
 
 def connection_arrays(g: Array, dg: Array):
-    """(ginv, S, Gamma) from the metric and its first partials: S[a,l,i,j] =
-    2 Gamma_{l,ij} (first kind) and Gamma[a,k,i,j] = g^{kl} S_lij / 2.  A
-    singular g raises naming its node, as :func:`volume_element` does."""
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        volume_element(g)  # names the first node that is not positive definite
-        raise
+    """(ginv, sqrt(det g), S, Gamma) from the metric and its first partials:
+    S[a,l,i,j] = 2 Gamma_{l,ij} (first kind), Gamma[a,k,i,j] = g^{kl} S_lij/2.
+    g is tested where it is inverted: one that is not positive definite
+    raises naming its node (:func:`volume_element`)."""
+    sqrt_det = volume_element(g)
+    ginv = np.linalg.inv(g)
     S = christoffel_combination(dg)
-    return ginv, S, 0.5 * contract("akl,alij->akij", ginv, S)
+    return ginv, sqrt_det, S, 0.5 * contract("akl,alij->akij", ginv, S)
 
 
 def christoffel_arrays(g: Array, dg: Array) -> Array:
     """Gamma[a,k,i,j] from the metric and its first partials."""
-    return connection_arrays(g, dg)[2]
+    return connection_arrays(g, dg)[3]
 
 
 def ricci_arrays(field, X: Array, order: int = 0):
@@ -604,7 +603,7 @@ def ricci_arrays(field, X: Array, order: int = 0):
     """
     X, _ = _as_batch(X, field.dimension)
     g = field.packed_jet(X, order + 2)
-    ginv, _, Gamma = connection_jet(g)
+    ginv, _, _, Gamma = connection_jet(g)
     # Ric_ik = d_j Gamma^j_ik - d_k Gamma^j_ij + Gamma^p_ik Gamma^j_jp
     #          - Gamma^p_ij Gamma^j_kp, d_m Gamma split off dGamma as slot m
     c1 = [np.einsum("ajjp...->ap...", G) for G in Gamma]
@@ -874,12 +873,11 @@ def curvature_bundle(g: Array, dg: Array, d2g: Array) -> CurvatureBundle:
 
 
 def _bundle_from_connection(
-    g: Array, dg: Array, d2g: Array, ginv: Array, S: Array, Gamma: Array
+    g: Array, dg: Array, d2g: Array, ginv: Array, sqrt_det: Array, S: Array, Gamma: Array
 ) -> CurvatureBundle:
-    """The bundle of the packed metric jet [g, dg, d2g] from its connection
-    (ginv, S, Gamma) as :func:`connection_arrays` gives it, or as
-    :func:`connection_jet` gives its order 0 (the same bits)."""
-    sqrt_det = volume_element(g)
+    """The bundle of the packed metric jet [g, dg, d2g] from its tested
+    connection (ginv, sqrt_det, S, Gamma) as :func:`connection_arrays` gives
+    it, or as :func:`connection_jet` gives its order 0 (the same bits)."""
     N, n = g.shape[:2]
     reads, d2_reads = _pair_index(n)[2:4]
     # 2 R_lijk = P_klij - P_jlik (Eisenhart), P_klij = 2 T_lijk = S_qkl Gamma^q_ij
@@ -929,28 +927,24 @@ def space_form_gate(dev: Array, g_max: Array, lam: float, tol: float) -> tuple[b
 
 
 def sym_tensor_cov_derivs(field: MetricField, h: SymTensorField, X: Array):
-    """(h, Dh, D2h, g, ginv, S, Gamma) at the nodes: Dh[a,i,j,k] = h_ij,k,
-    D2h[a,i,j,k,l] = h_ij,kl, g the packed metric jet [g, dg, d2g] it
-    evaluated and (ginv, S, Gamma) its connection, from which
-    ``_bundle_from_connection(*g, ginv, S, Gamma)`` builds the curvature of
-    the same nodes without inverting g or combining dg again."""
+    """(h, Dh, D2h, bundle) at the nodes: Dh[a,i,j,k] = h_ij,k, D2h[a,i,j,k,l]
+    = h_ij,kl and the base's :class:`CurvatureBundle` on the same metric jet
+    and connection, from which callers read g, g^-1 and sqrt(det g)."""
     X, _ = _as_batch(X, field.dimension)
     g = field.packed_jet(X, 2)
-    ginv, S, Gamma = connection_jet(g)
+    ginv, sqrt_det, S, Gamma = connection_jet(g)
     hj = h.packed_jet(X, 2)
     Dh = covariant_jet(hj, Gamma)
     D2h = covariant_jet(Dh, Gamma)[0]
-    return hj[0], Dh[0], D2h, g, ginv, S, Gamma[0]
+    return hj[0], Dh[0], D2h, _bundle_from_connection(*g, ginv, sqrt_det, S, Gamma[0])
 
 
-def covariant_derivative(
-    field: MetricField, h: SymTensorField, x, order: int = 1
-) -> Array:
+def covariant_derivative(field: MetricField, h: SymTensorField, x, order: int = 1) -> Array:
     """h_ij,k (order 1) or h_ij,kl (order 2) at a point or batch."""
     if order not in (1, 2):
         raise DimensionError("order must be 1 or 2")
     X, single = _as_batch(x, field.dimension)
-    _, Dh, D2h, *_ = sym_tensor_cov_derivs(field, h, X)
+    _, Dh, D2h, _ = sym_tensor_cov_derivs(field, h, X)
     out = Dh if order == 1 else D2h
     return out[0] if single else out
 
@@ -958,8 +952,8 @@ def covariant_derivative(
 def divergence(field: MetricField, h: SymTensorField, x) -> Array:
     """(delta h)_j = g^{pq} h_pj,q."""
     X, single = _as_batch(x, field.dimension)
-    _, Dh, _, _, ginv, *_ = sym_tensor_cov_derivs(field, h, X)
-    out = contract("apq,apjq->aj", ginv, Dh)
+    _, Dh, _, bundle = sym_tensor_cov_derivs(field, h, X)
+    out = contract("apq,apjq->aj", bundle.ginv, Dh)
     return out[0] if single else out
 
 
@@ -995,8 +989,7 @@ def lichnerowicz(field: MetricField, h: SymTensorField, x) -> Array:
     Requires an Einstein base metric at the evaluation points.
     """
     X, single = _as_batch(x, field.dimension)
-    hv, _, D2h, g, *connection = sym_tensor_cov_derivs(field, h, X)
-    bundle = _bundle_from_connection(*g, *connection)
+    hv, _, D2h, bundle = sym_tensor_cov_derivs(field, h, X)
     require_einstein(*einstein_parts(bundle))
     out = lichnerowicz_arrays(hv, D2h, bundle)
     return out[0] if single else out

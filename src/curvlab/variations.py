@@ -482,10 +482,10 @@ def _suite_sides(
     pass over the distinct nodes of the coordinates base and h read,
     streamed in node blocks (:func:`curvlab.tensors.distinct_blocks`).
 
-    Each block builds h and its covariant derivatives on the base, the
-    complex-step ingredients and the 13 per-node densities, and what the
-    space-form gate judges (and, with ``tt``, the TT defects), so no
-    grid-sized complex curvature array is built.  After the pass the gates
+    Each block builds h's covariant derivatives with the base's bundle (the
+    measure, the g of the replaced term below, the space-form parts), the
+    complex-step ingredients and the 13 per-node densities (with ``tt``, the
+    TT defects too), so no grid-sized complex curvature array is built.  After the pass the gates
     are judged once and the densities at every grid node make one
     :meth:`curvlab.charts.QuadratureGrid.integrals` call.
 
@@ -506,23 +506,22 @@ def _suite_sides(
     names: list[str] = []  # the term names of _gradient_terms, in its order
 
     def block(Y):
-        hv, Dh, D2h, _, ginv, *_ = sym_tensor_cov_derivs(base, h, Y)
+        hv, Dh, D2h, b = sym_tensor_cov_derivs(base, h, Y)
         # Y is distinct on what the complex metric reads: ing is on all of Y
         ing = gradient_ingredients(complex_metric, Y)
-        b: CurvatureBundle = ing["bundle"]
         terms = _gradient_terms(ing)
         terms["scalar_laplacian_metric"] = (
-            contract("aik,aik->a", ginv, ing["hess_R"])[:, None, None] * b.g.real
+            contract("aik,aik->a", b.ginv, ing["hess_R"])[:, None, None] * b.g
         )
         names[:] = terms
-        lap_h = contract("akl,aijkl->aij", ginv, D2h)
+        lap_h = contract("akl,aijkl->aij", b.ginv, D2h)
         pairs = [(T.imag / COMPLEX_STEP, hv) for T in terms.values()]
         pairs += [(hv, hv), (lap_h, hv), (lap_h, lap_h)]
         return (
             *space_form_parts(b, lam),
-            b.sqrt_det.real,
-            *(inner_02(S, T, ginv) for S, T in pairs),
-            *(_tt_defect_arrays(hv, Dh, ginv) if tt else ()),
+            b.sqrt_det,
+            *(inner_02(S, T, b.ginv) for S, T in pairs),
+            *(_tt_defect_arrays(hv, Dh, b.ginv) if tt else ()),
         )
 
     dev, g_max, sqrt_det, *rest = distinct_blocks(block, grid.nodes, reads_of(base, h))

@@ -112,7 +112,7 @@ def jet_solve(A: list, B: list, spec: str) -> list:
 def connection_jet(g: list) -> tuple[np.ndarray, np.ndarray, list]:
     n = g[0].shape[-1]
     i, j = np.triu_indices(n)  # the symmetric pairs in packed column order
-    ginv, S, Gamma0 = connection_arrays(g[0], g[1])
+    ginv, _, S, Gamma0 = connection_arrays(g[0], g[1])
     half = [pack(0.5 * christoffel_combination(d)[:, :, i, j], k) for k, d in enumerate(g[1:])]
     X = _substitute(pack_jet(g[:-1]), half, [Gamma0[:, :, i, j]], "alk,akp->alp", ginv)
     pairs = symmetric_index(n, 2)[0]

@@ -20,7 +20,6 @@ from curvlab.tensors import (
     expand_pairs,
     raise_all,
     sym_tensor_cov_derivs,
-    volume_element,
 )
 from curvlab.variations import COMPLEX_STEP
 
@@ -80,12 +79,13 @@ def symmetrization_energies(base, h, grid):
     """
 
     def densities(Y):
-        hv, Dh, _, g, ginv, *_ = sym_tensor_cov_derivs(base, h, Y)
+        hv, Dh, _, b = sym_tensor_cov_derivs(base, h, Y)
+        ginv = b.ginv
         cyc = Dh + np.einsum("ajki->aijk", Dh) + np.einsum("akij->aijk", Dh)
         anti = Dh - np.einsum("aikj->aijk", Dh)
         return (
             *_tt_defect_arrays(hv, Dh, ginv),
-            volume_element(g[0]),
+            b.sqrt_det,
             *(np.einsum("aijk,aijk->a", T, raise_all(T, ginv, (0, 1, 2))) for T in (cyc, anti)),
         )
 

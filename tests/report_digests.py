@@ -9,10 +9,12 @@ Each argv runs in-process through ``curvlab.cli.run`` with ``--out`` in a
 temporary directory; the digest covers the report's bytes and everything
 written to stderr.  The list holds every subcommand at its defaults, every
 model and mode its flags offer, the round spheres of dimension 3 to 5 and
-an invariant mode as the benchmark checks them, the torus gradient in
-dimension 4, nonzero (s, tau) forms of ``verify-hessian`` as the benchmark
-draws them (one inside and one beyond max(|s|, |tau|) = 1), and a
-``classify`` query and an ``atlas`` grid per mode.
+an invariant mode as the benchmark checks them, curvature at non-unit
+radii (one whose det g underflows), a torus mode off the default wave
+vector, the torus gradient in dimension 4, nonzero (s, tau) forms of
+``verify-hessian`` as the benchmark draws them (one inside and one beyond
+max(|s|, |tau|) = 1), and a ``classify`` query and an ``atlas`` grid per
+mode.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ ARGVS = (
     # of the kind it draws, and the torus gradient in dimension 4
     + [["curvature", "--n", "4"], ["curvature", "--n", "5"], ["rayleigh", "--d", "3,-1,-2"],
        ["verify-gradient", "--model", "torus", "--n", "4", "--count", "2"]]
+    # non-unit radii of both round models (det g underflows at 1e-60, the
+    # curvature is 1e-60 at 1e30) and a torus mode off the default k
+    + [["curvature", "--radius", "1e-60"], ["curvature", "--n", "5", "--radius", "2"],
+       ["curvature", "--n", "4", "--radius", "1e30"],
+       ["curvature", "--model", "s3-euler", "--radius", "0.5"],
+       ["rayleigh", "--model", "torus-tt", "--k", "2,0,0"]]
     + [["check-identities", "--mode", m] for m in IDENTITY_MODES]
     + [["verify-gradient", "--model", m] for m in GRADIENT_MODELS]
     + [["verify-hessian", "--model", m] for m in HESSIAN_MODELS]

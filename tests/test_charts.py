@@ -21,6 +21,7 @@ from curvlab.errors import (
 from curvlab.fields import (
     DEFAULT_FD_REL_STEP,
     ChartDomain,
+    CovectorField,
     MetricField,
     analytic_metric_field,
     analytic_sym_tensor_field,
@@ -32,7 +33,15 @@ from curvlab.fields import (
     wave,
 )
 from curvlab.functionals import Coefficients, evaluate
-from curvlab.tensors import curvature, distinct_nodes
+from curvlab.spectral import rayleigh_lichnerowicz, torus_tt_mode, tt_defect
+from curvlab.tensors import (
+    covariant_derivative,
+    curvature,
+    delta_star,
+    distinct_nodes,
+    divergence,
+    lichnerowicz,
+)
 from curvlab.variations import first_variation_numeric, gradient_tensor
 
 from conftest import exact_sphere_volume, metric_as_sym_tensor, random_probes
@@ -207,21 +216,42 @@ def test_an_indefinite_metric_is_refused_at_its_first_bad_node():
             call()
 
 
-@pytest.mark.parametrize("c", [0.0, np.nan, np.inf], ids=["singular", "nan", "inf"])
+@pytest.mark.parametrize(
+    "c", [0.0, np.nan, np.inf, -1.0], ids=["singular", "nan", "inf", "indefinite"]
+)
 def test_a_singular_or_non_finite_metric_is_a_degenerate_metric(c):
     # g = diag(1, 1, c): inverting a singular g raised numpy's LinAlgError,
-    # a NaN entry made a NaN volume and an inf entry an infinite one
+    # a NaN entry made a NaN volume and an inf entry an infinite one; the
+    # covariant-derivative routes took NaN, inf and indefinite metrics and
+    # returned arrays (tt_defect read (0, 2) at c = -1)
     field = analytic_metric_field(torus_domain(3), {(0, 0): 1.0, (1, 1): 1.0, (2, 2): c})
     grid = build_grid(field.domain, 4)
+    x = grid.nodes[0]
+    h = torus_tt_mode(3, (1, 0, 0), np.diag([0.0, 1.0, -1.0]))
+    omega = CovectorField(
+        domain=field.domain,
+        _jet=lambda X, order: [np.ones((len(X), 3)), np.zeros((len(X), 3, 3))][: order + 1],
+    )
     for call in (
         lambda: volume(field, grid),
-        lambda: curvature(field, grid.nodes[0]),
+        lambda: curvature(field, x),
         lambda: curvature(field, grid.nodes),
         lambda: evaluate(field, grid, Coefficients()),
-        lambda: gradient_tensor(field, grid.nodes[0], Coefficients()),
+        lambda: gradient_tensor(field, x, Coefficients()),
+        lambda: covariant_derivative(field, h, x),
+        lambda: covariant_derivative(field, h, grid.nodes, order=2),
+        lambda: divergence(field, h, x),
+        lambda: delta_star(field, omega, x),
+        lambda: lichnerowicz(field, h, x),
+        lambda: tt_defect(field, h, grid),
+        lambda: rayleigh_lichnerowicz(field, h, grid),
     ):
         with pytest.raises(DegenerateMetricError, match="node 0,"):
             call()
+    # a complex step of a Riemannian metric is no degenerate metric
+    flat = analytic_metric_field(torus_domain(3), {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0})
+    step = covariant_derivative(linear_combination_metric(flat, h, 1e-20j), h, (0.125, 0.0, 0.0))
+    assert np.iscomplexobj(step) and np.isfinite(step).all() and np.abs(step.imag).max() > 0
 
 
 def test_hyperbolic_chart_refuses_integrals(poincare3):

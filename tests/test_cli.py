@@ -67,6 +67,9 @@ def test_report_digests_cover_every_subcommand_model_and_mode():
     parse = build_parser().parse_args
     spheres = {args.n for args in map(parse, ARGVS) if vars(args).get("model") == "sphere"}
     assert {3, 4, 5} <= spheres
+    # and both round models at a non-unit radius
+    scaled = {args.model for args in map(parse, ARGVS) if vars(args).get("radius", 1.0) != 1.0}
+    assert {"sphere", "s3-euler"} <= scaled
 
 
 def test_report_peaks_run_the_digests_list(tmp_path):

@@ -217,7 +217,9 @@ def test_packed_covariant_derivatives_match_the_full_axis_route():
     base = make_model("s3-euler", 3)
     h = s3_invariant_tt((2.0, -1.0, -1.0))
     X = random_probes(base.domain, np.random.default_rng(9), count=40)
-    hv, Dh, D2h, g, *_ = tensors.sym_tensor_cov_derivs(base, h, X)
+    hv, Dh, D2h, bundle = tensors.sym_tensor_cov_derivs(base, h, X)
+    g = base.packed_jet(X, 2)
+    assert np.array_equal(bundle.g, g[0])
     _, _, Gamma = full_axis.connection_jet(base.jet(X, 2))
     want = full_axis.covariant_jet(h.jet(X, 2), Gamma)
     assert np.array_equal(Dh, want[0])

@@ -452,6 +452,8 @@ AIM2 = {
         ("call", "det"): {"tensors.volume_element"},
         # the positivity test: a positive det g is none (diag(-1, -1, 1))
         ("call", "cholesky"): {"tensors.volume_element"},
+        # run where g is inverted, so every connection and bundle passes it
+        ("call", "volume_element"): {"tensors.connection_arrays", "charts.sqrt_det_grid"},
         ("attribute", "weights"): {"charts.QuadratureGrid"},
     },
     "curvature": {

@@ -12,9 +12,12 @@ from curvlab.errors import (
 )
 from curvlab.fields import (
     euler_su2_domain,
+    poincare_domain,
     reads_of,
     random_torus_metric,
     random_torus_sym_tensor,
+    torus_domain,
+    trig_sym_tensor_field,
 )
 from curvlab.spectral import (
     rayleigh_lichnerowicz,
@@ -277,3 +280,21 @@ def test_torus_modes_take_integer_wave_vectors_float64_holds():
 
     _, meta = rayleigh_case("torus-tt", res=4, k=(2**40, 0, 0))
     assert meta["expected_quotient"] == (2 * np.pi) ** 2 * 2.0**80
+
+
+def test_torus_plane_waves_take_integer_wave_vectors_float64_holds():
+    # a plane wave of another k is not periodic on the unit torus, so its
+    # grid sums are no integrals; k = NaN gave NaN jets and k = inf a numpy
+    # RuntimeWarning.  Off the torus k need only be finite
+    A, Z = np.diag([0.0, 1.0, -1.0]), np.zeros((3, 3))
+    torus, poincare = torus_domain(3), poincare_domain(3)
+    X = np.array([[0.1, 0.2, 0.05]])
+    for build in (lambda d, k: trig_sym_tensor_field(d, [(k, A, Z)]), cosine_scalar_field):
+        for k in ((0.5, 0, 0), (2**53 + 1, 0, 0), (np.nan, 0, 0), (np.inf, 0, 0)):
+            with pytest.raises(InvalidModeError, match="integers"):
+                build(torus, k)
+        for k in ((np.nan, 0, 0), (0, -np.inf, 0)):
+            with pytest.raises(InvalidModeError, match="finite"):
+                build(poincare, k)
+        for domain, k in ((torus, (2**53, -3, 0)), (poincare, (1, 0, 0)), (poincare, (0.5, 0, 0))):
+            assert all(np.isfinite(d).all() for d in build(domain, k).packed_jet(X, 2))

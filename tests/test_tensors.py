@@ -757,7 +757,7 @@ def test_gamma_and_scalar_jets_match_the_inverse_jet_route(n, step):
     field = linear_combination_metric(sphere, h, 0.2 + step)
     X = random_probes(field.domain, np.random.default_rng(60 + n), count=MATMUL_MIN_BATCH + 1)
     g = field.packed_jet(X, 5)
-    _, _, Gamma = tensors.connection_jet(g)
+    _, _, _, Gamma = tensors.connection_jet(g)
     S = [tensors.christoffel_combination(fields._split(d, k, n)) for k, d in enumerate(g[1:], 1)]
     want = tensors.jet_einsum("akl,alij->akij", _inverse_jet(g[:5]), S)
     for k in range(5):
@@ -777,9 +777,9 @@ def test_connection_jet_order_0_is_connection_arrays(count):
     for field in (*bundle_models(), step):
         X = random_probes(field.domain, np.random.default_rng(count), count=count)
         g = field.packed_jet(X, 3)
-        ginv, S, Gamma = tensors.connection_jet(g)
+        ginv, sqrt_det, S, Gamma = tensors.connection_jet(g)
         want = tensors.connection_arrays(g[0], g[1])
-        assert all(np.array_equal(a, b) for a, b in zip((ginv, S, Gamma[0]), want))
+        assert all(np.array_equal(a, b) for a, b in zip((ginv, sqrt_det, S, Gamma[0]), want))
         assert len(Gamma) == 3
 
 
@@ -918,16 +918,20 @@ def test_contract_matches_einsum_on_every_pipeline_spec(pipeline_contractions):
 
 @pytest.mark.parametrize("m", range(5))
 def test_contract_ellipsis_derivative_axes(m):
+    # m trailing derivative axes, named with letters: a spec with "..."
+    # takes the einsum fallback, so these reach the matmul kernel
     rng = np.random.default_rng(m)
-    n, tail = 4, (4,) * m
+    n, tail, T = 4, (4,) * m, "uvwx"[:m]
     for N in (1, MATMUL_MIN_BATCH - 1, MATMUL_MIN_BATCH + 1, 300):
         for spec, sa, sb in (
-            ("aij,ajk...->aik...", (n, n), (n, n) + tail),
-            ("aij...,ajk->aik...", (n, n) + tail, (n, n)),
-            ("apm...,aip->aim...", (n, n) + tail, (n, n)),
+            (f"aij,ajk{T}->aik{T}", (n, n), (n, n) + tail),
+            (f"aij{T},ajk->aik{T}", (n, n) + tail, (n, n)),
+            (f"apm{T},aip->aim{T}", (n, n) + tail, (n, n)),
         ):
             A = rng.standard_normal((N,) + sa)
             B = rng.standard_normal((N,) + sb)
+            if N >= MATMUL_MIN_BATCH:
+                assert tensors._contract_plan(spec, (A.ndim, B.ndim)) is not None, spec
             assert _per_node_error(spec, A, B) < 1e-13
             assert _per_node_error(spec, _strided(A), _strided(B)) < 1e-13
 
@@ -937,6 +941,7 @@ def test_contract_falls_back_to_einsum():
     assert plan("ajjp->ap", (4,)) is None  # one operand
     assert plan("ajj,ajk->ak", (3, 3)) is None  # summed inside one operand
     assert plan("aij,ajk,akl->ail", (3, 3, 3)) is None  # three operands
+    assert plan("aij,ajk...->aik...", (3, 5)) is None  # an ellipsis
     assert plan("aij,ajk->aik", (3, 3)) is not None
     rng = np.random.default_rng(0)
     A, B, C = (rng.standard_normal((40, 3, 3)) for _ in range(3))
@@ -1161,8 +1166,7 @@ def test_the_readers_of_rm4_keep_their_values():
     rng = np.random.default_rng(98)
     base, h = random_torus_metric(4, rng), random_torus_sym_tensor(4, rng)
     X = random_probes(base.domain, rng, count=64)
-    hv, _, D2h, g, *connection = tensors.sym_tensor_cov_derivs(base, h, X)
-    b = tensors._bundle_from_connection(*g, *connection)
+    hv, _, D2h, b = tensors.sym_tensor_cov_derivs(base, h, X)
     Ric = _expanded_ricci(b.M, b.ginv)
     # Ric and R are cached on first read: seed the expanded route's values
     old = dataclasses.replace(b)

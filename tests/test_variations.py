@@ -207,7 +207,7 @@ def test_ricci_derivative_variation_identity(euler3):
         return curvature_variation_arrays(euler3, h, Y)["dRic"]
 
     lhs = cov_grad_of_map(euler3, dric_field, 2, X)  # (R_ij')_,k
-    _, Dh, *_ = sym_tensor_cov_derivs(euler3, h, X)
+    _, Dh, _, _ = sym_tensor_cov_derivs(euler3, h, X)
     rhs_expected = lhs - 1.0 * (3 - 1) * Dh  # (R_ij,k)' per the identity
 
     # FD oracle for (R_ij,k)': difference covariant derivatives of Ricci
@@ -891,7 +891,8 @@ def test_ricci_variation_arrays_match_reference_formulas(euler3):
     ]
     for base, h in cases:
         X = random_probes(base.domain, rng, count=40)
-        hv, _, D2h, _, ginv, *_ = sym_tensor_cov_derivs(base, h, X)
+        hv, _, D2h, bundle = sym_tensor_cov_derivs(base, h, X)
+        ginv = bundle.ginv
         Ric = curvature(base, X).Ric
         arrs = curvature_variation_arrays(base, h, X)
         want = _ricci_variation_reference(hv, D2h, ginv, Ric)
