@@ -592,7 +592,10 @@ def _wave_vector(domain: ChartDomain, k) -> Array:
     whole = all(abs(v) <= 2**53 and float(v).is_integer() for v in given)
     if domain.kind == TORUS_BOX and not whole:
         raise InvalidModeError(f"wave vector k = {given} must hold integers of size <= 2^53")
-    k = np.asarray(given, dtype=float)
+    try:
+        k = np.asarray(given, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        k = np.array([np.inf])
     if not np.isfinite(k).all():
         raise InvalidModeError(f"wave vector k = {given} must be finite")
     return k

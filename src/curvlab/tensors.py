@@ -104,7 +104,9 @@ from every node to its representative; :func:`distinct_blocks` runs
 back to node order, so it hands back what the function gives on the whole
 grid, bit for bit.  A whole-grid pass is thus one per-node function
 followed by one sum (:meth:`curvlab.charts.QuadratureGrid.integrals`, over
-every node in node order) or one maximum, and no caller sees ``at``.  The
+every node in node order) or one maximum, the gradient's too, and no
+caller sees ``at`` (:func:`curvlab.variations.gradient_ingredients` keeps
+its own dedupe only for the benchmark's whole-grid call).  The
 representatives are never fewer than :data:`MATMUL_MIN_BATCH` (the first
 nodes pad them), so they take the contraction path of the whole grid, and
 an error that names a node names its row of the grid.

@@ -157,13 +157,12 @@ def gradient_ingredients(
 
     All of them are made once per distinct node of the coordinates the base
     reads (:func:`curvlab.tensors.distinct_nodes`), and every array is on
-    those nodes: ``ing["at"]`` gathers a per-node quantity made from them
-    back to the rows of X, as the quadrature sums and the pointwise
-    gradient do, and a maximum over them is the maximum over X.  Unlike a
-    :func:`curvlab.tensors.distinct_blocks` pass, which gathers its outputs
-    itself, this hands out the bundle, which builds A1, B and the norms
-    lazily on first read, so on the representatives only; the benchmark
-    reads ``ing["bundle"]`` too.
+    those nodes, so a maximum over them is the maximum over X.  Whole-grid
+    callers run this per block of a :func:`curvlab.tensors.distinct_blocks`
+    pass, whose blocks are distinct already, so there every array is on
+    every row of the block; that dedupe is kept only for the benchmark's
+    whole-grid call, which reads maxima and the bundle's g and Rm4, and
+    ROADMAP item 10 retires it.
 
     The Laplacian of the Ricci tensor and the Hessian of the scalar
     curvature come from the exact order-2 jets of Ric and R (the metric jet
@@ -177,7 +176,7 @@ def gradient_ingredients(
     leaves roundoff of order 1e-7 at the near-pole nodes of angular charts).
     """
     X, _ = _as_batch(X, base.dimension)
-    rows, at = distinct_nodes(X, base.reads)
+    rows, _ = distinct_nodes(X, base.reads)
     try:
         bundle = curvature(base, X[rows])
     except DegenerateMetricError as e:
@@ -201,7 +200,7 @@ def gradient_ingredients(
         lap_ric = contract("akl,aijkl->aij", ginv, ric_hess)
         hess_R = r_hess
         lap_R = contract("aik,aik->a", ginv, hess_R)
-    return {"bundle": bundle, "lap_ric": lap_ric, "hess_R": hess_R, "lap_R": lap_R, "at": at}
+    return {"bundle": bundle, "lap_ric": lap_ric, "hess_R": hess_R, "lap_R": lap_R}
 
 
 def _gradient_terms(ing: dict) -> dict[str, Array]:
@@ -249,9 +248,12 @@ def _gradient_parts(ing: dict, coeff: Coefficients) -> GradientTensor:
 def gradient_tensor(base: MetricField, x, coeff: Coefficients) -> GradientTensor:
     """Gradient tensors at a point (or batch of points)."""
     X, single = _as_batch(x, base.dimension)
-    ing = gradient_ingredients(base, X)
-    G = _gradient_parts(ing, coeff)
-    parts = [getattr(G, f.name)[ing["at"]] for f in fields(G)]
+
+    def block(Y):
+        G = _gradient_parts(gradient_ingredients(base, Y), coeff)
+        return tuple(getattr(G, f.name) for f in fields(G))
+
+    parts = distinct_blocks(block, X, base.reads)
     return GradientTensor(*(T[0] for T in parts) if single else parts)
 
 
@@ -266,24 +268,30 @@ def _trace_multiplier(ing: dict, coeff: Coefficients) -> Array:
     ) / (2 * n)
 
 
-def _lagrange_constant(ing: dict, grid: QuadratureGrid, coeff: Coefficients) -> float:
-    """The multiplier c of G = c g: the volume average of tr_g G / n."""
-    at = ing["at"]
-    vol, trace = grid.integrals(ing["bundle"].sqrt_det[at], _trace_multiplier(ing, coeff)[at])
-    return float(trace / vol)
+def _gradient_pass(base: MetricField, grid: QuadratureGrid, coeff: Coefficients) -> dict:
+    """:func:`gradient_ingredients` in one pass over the grid's distinct nodes
+    (:func:`curvlab.tensors.distinct_blocks`): ``sqrt_det``, ``ginv``, ``G``
+    and ``el_max``, the largest entry of |G - (tr_g G / n) g|, at every node,
+    then the ``volume`` and ``c``, the multiplier of G = c g (the volume mean
+    of tr_g G / n), from one sum, which refuses a grid without integrals."""
+
+    def block(Y):
+        ing = gradient_ingredients(base, Y)
+        b, G = ing["bundle"], _gradient_parts(ing, coeff).grad_total
+        trace = _trace_multiplier(ing, coeff)
+        E = G - trace[:, None, None] * b.g
+        return b.sqrt_det, b.ginv, G, np.abs(E).max(axis=(1, 2)), trace
+
+    sqrt_det, ginv, G, el_max, trace = distinct_blocks(block, grid.nodes, base.reads)
+    vol, total = grid.integrals(sqrt_det, trace)
+    return {"sqrt_det": sqrt_det, "ginv": ginv, "G": G, "el_max": el_max,
+            "volume": float(vol), "c": float(total / vol)}
 
 
-def _first_variation_pairing(
-    ing: dict, grid: QuadratureGrid, coeff: Coefficients
-) -> Callable[[SymTensorField], float]:
+def _first_variation_pairing(p: dict, grid: QuadratureGrid) -> Callable[[SymTensorField], float]:
     """h -> int G_ij h^{ij} dV, with G, g^-1 and the volume element of one
-    set of gradient ingredients of the base on the grid built once for every
-    direction; a grid without integrals is refused here, before any
-    direction."""
-    b: CurvatureBundle = ing["bundle"]
-    at = ing["at"]
-    G, ginv, sqrt_det = _gradient_parts(ing, coeff).grad_total[at], b.ginv[at], b.sqrt_det[at]
-    grid.integrals(sqrt_det)
+    :func:`_gradient_pass` of the base on the grid for every direction."""
+    sqrt_det, G, ginv = p["sqrt_det"], p["G"], p["ginv"]
     return lambda h: float(grid.integrals(sqrt_det, inner_02(G, h.eval_grid(grid.nodes), ginv))[1])
 
 
@@ -305,30 +313,21 @@ def first_variation_numeric(
 
 
 def el_residual(
-    base: MetricField,
-    grid: QuadratureGrid,
-    coeff: Coefficients,
-    ingredients: dict | None = None,
+    base: MetricField, grid: QuadratureGrid, coeff: Coefficients
 ) -> tuple[float, float]:
-    """Sup-norm (componentwise, over all nodes) of the Euler-Lagrange tensor,
-    the trace-free part G - (tr_g G / n) g of the gradient, and the
-    multiplier c of G = c g, the volume average of tr_g G / n.
+    """Sup-norm (componentwise, over all nodes) of the Euler-Lagrange tensor
+    G - (tr_g G / n) g, the trace-free part of the gradient, and the multiplier
+    c of G = c g (the volume mean of tr_g G / n), of one :func:`_gradient_pass`.
 
     The base must have unit quadrature volume (rescale with
-    :func:`curvlab.charts.to_unit_volume` first).  ``ingredients`` may pass
-    the output of :func:`gradient_ingredients` on this grid, which does not
-    depend on (s, tau).
+    :func:`curvlab.charts.to_unit_volume` first).
     """
-    ing = gradient_ingredients(base, grid.nodes) if ingredients is None else ingredients
-    b: CurvatureBundle = ing["bundle"]
-    vol = float(grid.integrals(b.sqrt_det[ing["at"]])[0])
-    if abs(vol - 1.0) > UNIT_VOLUME_TOL:
+    p = _gradient_pass(base, grid, coeff)
+    if abs(p["volume"] - 1.0) > UNIT_VOLUME_TOL:
         raise PreconditionError(
-            f"Euler-Lagrange residual needs a unit-volume base (vol = {vol:.6g})"
+            f"Euler-Lagrange residual needs a unit-volume base (vol = {p['volume']:.6g})"
         )
-    G = _gradient_parts(ing, coeff).grad_total
-    E = G - _trace_multiplier(ing, coeff)[:, None, None] * b.g
-    return float(np.max(np.abs(E))), _lagrange_constant(ing, grid, coeff)
+    return float(np.max(p["el_max"])), p["c"]
 
 
 def einstein_criticality_defect(base: MetricField, grid: QuadratureGrid) -> float:
@@ -507,7 +506,6 @@ def _suite_sides(
 
     def block(Y):
         hv, Dh, D2h, b = sym_tensor_cov_derivs(base, h, Y)
-        # Y is distinct on what the complex metric reads: ing is on all of Y
         ing = gradient_ingredients(complex_metric, Y)
         terms = _gradient_terms(ing)
         terms["scalar_laplacian_metric"] = (

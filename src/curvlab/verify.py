@@ -28,11 +28,10 @@ from .variations import (
     PerturbationFamily,
     VariationReport,
     _first_variation_pairing,
-    _lagrange_constant,
+    _gradient_pass,
     conformal_identity_suite,
     conformal_tensor,
     first_variation_numeric,
-    gradient_ingredients,
     second_variation_conformal_predicted,
     second_variation_numeric,
     second_variation_tt_predicted,
@@ -112,18 +111,16 @@ def hessian_case(
             f"unknown hessian model {model!r}; pick one of {HESSIAN_MODELS}"
         )
     with _finite_functional(coeff):
-        ing = gradient_ingredients(base, grid.nodes)
-        b, at = ing["bundle"], ing["at"]
+        p = _gradient_pass(base, grid, coeff)
         if mode == "tt":
-            _, norm2 = grid.integrals(b.sqrt_det[at], norm2_02(h.eval_grid(grid.nodes), b.ginv[at]))
+            _, norm2 = grid.integrals(p["sqrt_det"], norm2_02(h.eval_grid(grid.nodes), p["ginv"]))
             predicted = second_variation_tt_predicted(n, lam, eigenvalue, coeff, float(norm2))
         else:
-            _, f2 = grid.integrals(b.sqrt_det[at], f.eval_grid(grid.nodes) ** 2)
+            _, f2 = grid.integrals(p["sqrt_det"], f.eval_grid(grid.nodes) ** 2)
             predicted = second_variation_conformal_predicted(n, lam, eigenvalue, coeff, float(f2))
-        d1_analytic = _first_variation_pairing(ing, grid, coeff)(h)
+        d1_analytic = _first_variation_pairing(p, grid)(h)
         d1_numeric = first_variation_numeric(base, grid, h, coeff)
         d2 = second_variation_numeric(PerturbationFamily(base, h), grid, coeff, t_step)
-        c = _lagrange_constant(ing, grid, coeff)
         return VariationReport(
             model=model,
             mode=mode,
@@ -138,7 +135,7 @@ def hessian_case(
             rel_err_d1=abs(d1_numeric - d1_analytic) / max(1.0, abs(d1_analytic)),
             rel_err_d2=abs(d2.value - predicted) / max(1.0, abs(predicted)),
             d2_rel_err_estimate=d2.rel_err_estimate,
-            c_lagrange=c,
+            c_lagrange=p["c"],
         )
 
 
@@ -176,8 +173,7 @@ def gradient_case(
     rows = []
     with _finite_functional(coeff):
         # the gradient is independent of h: build it once, pair it per direction
-        ing = gradient_ingredients(base, grid.nodes)
-        d1_analytic = _first_variation_pairing(ing, grid, coeff)
+        d1_analytic = _first_variation_pairing(_gradient_pass(base, grid, coeff), grid)
         for i in range(count):
             h = make_h()
             d1a = d1_analytic(h)

@@ -11,8 +11,8 @@ written to stderr.  The list holds every subcommand at its defaults, every
 model and mode its flags offer, the round spheres of dimension 3 to 5 and
 an invariant mode as the benchmark checks them, curvature at non-unit
 radii (one whose det g underflows), a torus mode off the default wave
-vector, the torus gradient in dimension 4, nonzero (s, tau) forms of
-``verify-hessian`` as the benchmark draws them (one inside and one beyond
+vector, the torus gradient in dimension 4, the S^3 gradient at a nonzero (s, tau),
+nonzero (s, tau) forms of ``verify-hessian`` as the benchmark draws them (one inside and one beyond
 max(|s|, |tau|) = 1), and a ``classify`` query and an ``atlas`` grid per
 mode.
 """
@@ -50,6 +50,8 @@ ARGVS = (
        ["rayleigh", "--model", "torus-tt", "--k", "2,0,0"]]
     + [["check-identities", "--mode", m] for m in IDENTITY_MODES]
     + [["verify-gradient", "--model", m] for m in GRADIENT_MODELS]
+    # S^3 at nonzero (s, tau), where G is not zero and its multiplier enters
+    + [["verify-gradient", "--model", "s3", "--s", "-0.7", "--tau", "0.4"]]
     + [["verify-hessian", "--model", m] for m in HESSIAN_MODELS]
     + [["verify-hessian", "--model", m, "--s", s, "--tau", t]
        for m in HESSIAN_MODELS for s, t in NONZERO]

@@ -22,7 +22,6 @@ from curvlab.variations import (
     conformal_identity_suite,
     conformal_tensor,
     el_residual,
-    gradient_ingredients,
     second_variation_conformal_predicted,
     second_variation_numeric,
     second_variation_tt_predicted,
@@ -96,10 +95,9 @@ def test_criterion_03_criticality():
         grid = build_grid(base.domain, res)
         u = to_unit_volume(base, grid)
         lam = u.lam
-        ing = gradient_ingredients(u, grid.nodes)
         for _ in range(5):
             s, tau = rng.uniform(-2, 2, 2)
-            resid, c = el_residual(u, grid, Coefficients(s, tau), ingredients=ing)
+            resid, c = el_residual(u, grid, Coefficients(s, tau))
             c_exp = (n - 4) * (n - 1) * lam**2 * (2 + s * (n - 1) + tau * n * (n - 1)) / 2
             worst_res = max(worst_res, resid)
             worst_c = max(worst_c, abs(c - c_exp) / max(1.0, abs(c_exp)))

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curvlab import tensors
-from curvlab.charts import build_grid, make_model
+from curvlab import fields, tensors, variations
+from curvlab.charts import build_grid, make_model, to_unit_volume
 from curvlab.fields import (
     analytic_metric_field,
     linear_combination_metric,
@@ -21,12 +21,20 @@ from curvlab.functionals import Coefficients, _integrals, evaluate
 from curvlab.spectral import rayleigh_lichnerowicz, s3_invariant_tt
 from curvlab.variations import (
     COMPLEX_STEP,
+    _gradient_pass,
     conformal_identity_suite,
     einstein_criticality_defect,
+    el_residual,
     gradient_ingredients,
     tt_identity_suite,
 )
-from curvlab.verify import curvature_case, identity_case, rayleigh_case, s3_first_harmonic
+from curvlab.verify import (
+    curvature_case,
+    hessian_case,
+    identity_case,
+    rayleigh_case,
+    s3_first_harmonic,
+)
 from oracles import symmetrization_energies
 
 SMALL_BLOCK = 40  # near-equal blocks of 40 or fewer, none below MATMUL_MIN_BATCH
@@ -163,6 +171,44 @@ def test_identity_suites_are_block_invariant(monkeypatch, euler3):
         whole, small = _whole_and_small(monkeypatch, suite, grid.node_count)
         assert whole == small
         assert sum(c.rel_err > 0 for c in whole) >= 9  # roundoff: bits to lose
+
+
+def test_the_gradient_pass_is_block_invariant(monkeypatch):
+    # a generic torus metric reads every coordinate: its 512 distinct nodes
+    # in one block, then in thirteen of at most 40
+    base = random_torus_metric(3, np.random.default_rng(5), amplitude=0.08)
+    grid = build_grid(base.domain, 8)
+    unit = to_unit_volume(base, grid)
+    coeff = Coefficients(0.5, -0.3)
+    blocks, real = [], variations.gradient_ingredients
+
+    def spy(field, Y, **kw):
+        blocks.append(len(Y))
+        return real(field, Y, **kw)
+
+    monkeypatch.setattr(variations, "gradient_ingredients", spy)
+    whole, small = _whole_and_small(
+        monkeypatch, lambda: _gradient_pass(unit, grid, coeff), grid.node_count
+    )
+    assert blocks[0] == sum(blocks[1:]) == 512 and len(blocks) == 14
+    assert whole.keys() == small.keys()
+    for key in whole:
+        assert np.array_equal(whole[key], small[key]), key
+    assert whole["el_max"].min() > 0 and whole["c"] != 0  # not a critical metric: bits to lose
+    residuals = _whole_and_small(
+        monkeypatch, lambda: el_residual(unit, grid, coeff), grid.node_count
+    )
+    assert residuals[0] == residuals[1]
+    # the torus-conformal case on fields reading every coordinate: its
+    # 1,024 nodes in one block, then in 26
+    every = property(lambda self: tuple(range(self.dimension)))
+    monkeypatch.setattr(fields._TensorValuedField, "reads", every)
+    blocks.clear()
+    reports = _whole_and_small(
+        monkeypatch, lambda: hessian_case("torus-conformal", coeff), 16 * 8 * 8
+    )
+    assert reports[0] == reports[1]
+    assert blocks[0] == sum(blocks[1:]) == 1024 and len(blocks) == 27
 
 
 def _traced_peak_mib(fn) -> float:

@@ -70,6 +70,10 @@ def test_report_digests_cover_every_subcommand_model_and_mode():
     # and both round models at a non-unit radius
     scaled = {args.model for args in map(parse, ARGVS) if vars(args).get("radius", 1.0) != 1.0}
     assert {"sphere", "s3-euler"} <= scaled
+    # and the S^3 gradient at a nonzero (s, tau), where G is not zero and its
+    # multiplier enters
+    gradients = [parse(argv) for argv in ARGVS if argv[0] == "verify-gradient"]
+    assert "s3" in {args.model for args in gradients if args.s != 0 and args.tau != 0}
 
 
 def test_report_peaks_run_the_digests_list(tmp_path):

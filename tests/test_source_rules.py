@@ -442,11 +442,12 @@ def test_every_top_level_name_serves_a_report_the_api_or_the_benchmark():
 
 
 # ROADMAP aim 2: the volume measure, the curvature, the Christoffel symbols,
-# the space-form test and the A1/B/Ric^2 contractions are each computed in
-# one place.  Per quantity, each site kind and name -> the definitions that
-# may hold it (a name nested in one counts as in it): a call of the name, a
-# reference to it, a read of the attribute, or an einsum spec equal to it up
-# to renaming its indices.
+# the space-form test, the choice of representative nodes and the A1/B/Ric^2
+# contractions are each computed in one place.  Per quantity, each site kind
+# and name -> the definitions that may hold it (a name nested in one counts
+# as in it): a call of the name, a reference to it, a read of the attribute,
+# a subscript by the string, or an einsum spec equal to it up to renaming
+# its indices.
 AIM2 = {
     "volume measure": {
         ("call", "det"): {"tensors.volume_element"},
@@ -471,6 +472,13 @@ AIM2 = {
         # per node, beside max|g|: the suites and the curvature check judge
         # those of every node at once (space_form_gate)
         ("call", "space_form_deviation"): {"tensors.space_form_parts"},
+    },
+    "representative nodes": {
+        # whole-grid passes gather through distinct_blocks; the ingredients
+        # keep their own dedupe for the benchmark's whole-grid call
+        ("call", "distinct_nodes"): {"tensors.distinct_blocks", "variations.gradient_ingredients"},
+        # and hand out no index to the representatives (ing["at"])
+        ("key", "at"): set(),
     },
     "A1/B/Ric^2 contractions": {
         ("spec", "aiplk,ajplk->aij"): {"tensors.CurvatureBundle.A1"},
@@ -497,6 +505,8 @@ def _hits(node: ast.AST, kind: str, name: str) -> bool:
         return isinstance(node, ast.Call) and getattr(f, "id", getattr(f, "attr", None)) == name
     if kind == "attribute":
         return isinstance(node, ast.Attribute) and node.attr == name
+    if kind == "key":
+        return isinstance(node, ast.Subscript) and getattr(node.slice, "value", None) == name
     if kind == "reference":
         return (
             (isinstance(node, ast.Name) and node.id == name)
@@ -546,6 +556,10 @@ AIM2_PLANTED = {
     "curvature": ("variations", "def _ricci(M, ginv):\n    return pair_ricci(M, ginv)"),
     "Christoffel symbols": ("spectral", "from .tensors import christoffel_combination as _S"),
     "space-form test": ("atlas", "def _flat(b):\n    return space_form_deviation(b, 0.0) == 0"),
+    # a hand-made gather of the representatives back to the grid
+    "representative nodes": (
+        "verify", "def _gather(X, reads, out):\n    return out[distinct_nodes(X, reads)[1]]"
+    ),
     # A1 with its indices renamed
     "A1/B/Ric^2 contractions": (
         "verify", "def _a1(R, U):\n    return contract('axyzw,abyzw->axb', R, U)"

@@ -820,15 +820,26 @@ def pipeline_contractions():
     seen, planned, asymmetry = {}, {}, [0.0]
     expansions, stage = {"pipeline": 0, "jet()": 0}, ["pipeline"]
     real, real_plan, real_expand = tensors.contract, tensors._leibniz_plan, fields._expand
+    real_leibniz, in_leibniz = tensors._leibniz, [False]
 
     def spy(spec, *ops):
         shapes = tuple(np.shape(o) for o in ops)
         seen.setdefault((spec, tuple(len(x) for x in shapes)), shapes)
         return real(spec, *ops)
 
+    def leibniz_spy(spec, jets, k):
+        in_leibniz[0] = True
+        try:
+            return real_leibniz(spec, jets, k)
+        finally:
+            in_leibniz[0] = False
+
     def plan_spy(spec, k, n, tops):
+        # only the plans _leibniz contracts: _scale_folds plans the scalar
+        # splits too, whose folds jet_scale applies without contract
         splits = real_plan(spec, k, n, tops)
-        planned.setdefault(k, set()).update(packed_spec for _, packed_spec, _, _ in splits)
+        if in_leibniz[0]:
+            planned.setdefault(k, set()).update(packed_spec for _, packed_spec, _, _ in splits)
         return splits
 
     def expand_spy(P, k, n):
@@ -840,6 +851,7 @@ def pipeline_contractions():
     rng = np.random.default_rng(3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensors, "contract", spy)
+        mp.setattr(tensors, "_leibniz", leibniz_spy)
         mp.setattr(tensors, "_leibniz_plan", plan_spy)
         mp.setattr(fields, "_expand", expand_spy)
         s4 = make_model("sphere", 4)

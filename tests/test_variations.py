@@ -40,8 +40,8 @@ from curvlab.variations import (
     PerturbationFamily,
     _checks,
     _first_variation_pairing,
+    _gradient_pass,
     _gradient_parts,
-    _lagrange_constant,
     _trace_multiplier,
     conformal_identity_suite,
     conformal_tensor,
@@ -378,15 +378,13 @@ def test_complex_step_through_generic_gradient_ingredients():
 
 def test_first_variation_zero_directions(torus3, torus3_grid, euler3, euler3_grid):
     # critical space form, TT direction
-    on_euler = _first_variation_pairing(
-        gradient_ingredients(euler3, euler3_grid.nodes), euler3_grid, C00
-    )
+    on_euler = _first_variation_pairing(_gradient_pass(euler3, euler3_grid, C00), euler3_grid)
     h = s3_invariant_tt((2.0, -1.0, -1.0))
     assert abs(on_euler(h)) < 1e-7
     # flat base, any direction
     hr = random_torus_sym_tensor(3, np.random.default_rng(32))
-    ing = gradient_ingredients(torus3, torus3_grid.nodes)
-    assert abs(_first_variation_pairing(ing, torus3_grid, C00)(hr)) < 1e-9
+    p = _gradient_pass(torus3, torus3_grid, C00)
+    assert abs(_first_variation_pairing(p, torus3_grid)(hr)) < 1e-9
     # mean-zero conformal direction on the sphere
     f = s3_first_harmonic()
     hc = conformal_tensor(euler3, f)
@@ -398,8 +396,8 @@ def test_first_variation_matches_fd_on_random_directions(torus3, sphere3):
     coeff = Coefficients(0.4, -0.6)
     tg = build_grid(torus3.domain, 8)
     sg = build_grid(sphere3.domain, (10, 10, 12))
-    on_torus = _first_variation_pairing(gradient_ingredients(torus3, tg.nodes), tg, coeff)
-    on_sphere = _first_variation_pairing(gradient_ingredients(sphere3, sg.nodes), sg, coeff)
+    on_torus = _first_variation_pairing(_gradient_pass(torus3, tg, coeff), tg)
+    on_sphere = _first_variation_pairing(_gradient_pass(sphere3, sg, coeff), sg)
     for _ in range(3):
         ht = random_torus_sym_tensor(3, rng)
         d1a = on_torus(ht)
@@ -423,10 +421,9 @@ def test_gradient_on_generic_metric():
     ing = gradient_ingredients(unit, X)
     b = ing["bundle"]
     measure = grid.weights * b.sqrt_det
-    ing_base = gradient_ingredients(base, X)
     for s, tau in ((0.0, 0.0), (0.5, -0.3), (-1.7, 2.2)):
         coeff = Coefficients(s, tau)
-        d1a = _first_variation_pairing(ing_base, grid, coeff)(h)
+        d1a = _first_variation_pairing(_gradient_pass(base, grid, coeff), grid)(h)
         d1n = first_variation_numeric(base, grid, h, coeff)
         # measured 2.4e-4, 2.8e-4 and 6.5e-5
         assert abs(d1a - d1n) <= 1e-3 * abs(d1n), (s, tau)
@@ -435,7 +432,7 @@ def test_gradient_on_generic_metric():
         E = G - _trace_multiplier(ing, coeff)[:, None, None] * b.g
         tr_E = np.einsum("aij,aij->a", b.ginv, E)
         assert np.abs(tr_E).max() <= 1e-10 * np.abs(G).max(), (s, tau)
-        res, c = el_residual(unit, grid, coeff, ingredients=ing)
+        res, c = el_residual(unit, grid, coeff)
         assert res == np.abs(E).max() and res > 0.1 * np.abs(G).max()
         # ... and the multiplier the volume mean of tr_g G / n
         tr_G = np.einsum("aij,aij->a", b.ginv, G) / 3
@@ -458,7 +455,7 @@ def test_el_residual_space_forms(sphere4, torus3, torus3_grid, sphere3):
     lam = u3.lam
     assert res3 < 1e-6
     # dual route: trace constant equals the gradient-tensor proportionality
-    c_direct = _lagrange_constant(gradient_ingredients(u3, grid3.nodes), grid3, C00)
+    c_direct = _gradient_pass(u3, grid3, C00)["c"]
     assert abs(c3 - c_direct) < 1e-12
     assert abs(c3 - (-(2.0) * lam**2)) <= 1e-8 * max(1.0, 2 * lam**2)
 
@@ -487,12 +484,10 @@ def test_integrals_refuse_the_poincare_chart(poincare3):
         "scale_factor": lambda: PerturbationFamily(poincare3, h).scale_factor(0.1, grid),
         "decomposition_residual": lambda: decomposition_residual(poincare3, grid),
         "rayleigh_lichnerowicz": lambda: rayleigh_lichnerowicz(poincare3, h, grid),
-        "_lagrange_constant": lambda: _lagrange_constant(
-            gradient_ingredients(poincare3, grid.nodes), grid, C00
-        ),
+        "_gradient_pass": lambda: _gradient_pass(poincare3, grid, C00),
         "conformal_identity_suite": lambda: conformal_identity_suite(poincare3, f, grid),
         "_first_variation_pairing": lambda: _first_variation_pairing(
-            gradient_ingredients(poincare3, grid.nodes), grid, C00
+            _gradient_pass(poincare3, grid, C00), grid
         ),
         "el_residual": lambda: el_residual(poincare3, grid, C00),
         "symmetrization_energies": lambda: symmetrization_energies(poincare3, h, grid),
@@ -770,7 +765,7 @@ def test_second_variation_matches_gradient_route(euler3):
     hup = raise_all(h.eval_grid(X), gi, (0, 1))
     meas = grid.weights * sqrt_det_grid(euler3, grid)
     term = np.sum(meas * np.einsum("aij,aij->a", dG, hup))
-    c = _lagrange_constant(gradient_ingredients(euler3, grid.nodes), grid, C00)
+    c = _gradient_pass(euler3, grid, C00)["c"]
     pred = term - c * _integral_norm2(euler3, h, grid)
     d2 = second_variation_numeric(fam, grid, C00).value
     assert abs(d2 - pred) / abs(d2) < 0.01
