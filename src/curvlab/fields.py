@@ -590,14 +590,17 @@ def _wave_vector(domain: ChartDomain, k) -> Array:
         raise DimensionError("wave vector length must match the chart dimension")
     given = given.tolist()
     whole = all(abs(v) <= 2**53 and float(v).is_integer() for v in given)
+    # Python refuses to print an int of over 4,300 digits: name one by its size
+    shown = [f"<{v.bit_length()}-bit int>" if isinstance(v, int) and v.bit_length() > 1024 else v
+             for v in given]
     if domain.kind == TORUS_BOX and not whole:
-        raise InvalidModeError(f"wave vector k = {given} must hold integers of size <= 2^53")
+        raise InvalidModeError(f"wave vector k = {shown} must hold integers of size <= 2^53")
     try:
         k = np.asarray(given, dtype=float)
     except OverflowError:  # an int beyond the float range
         k = np.array([np.inf])
     if not np.isfinite(k).all():
-        raise InvalidModeError(f"wave vector k = {given} must be finite")
+        raise InvalidModeError(f"wave vector k = {shown} must be finite")
     return k
 
 

@@ -86,13 +86,14 @@ block sizes.  :data:`HESSIAN_BLOCK` (96 nodes) serves
 ingredient are live at once.  :data:`GRID_BLOCK` (1,024 nodes) serves the
 whole-grid reductions of order-2 curvature and covariant jets (the
 curvature check, the functionals, the Rayleigh quotient, the Einstein
-defects) and the identity suites' pass, whose blocks of complex-step
-curvature are each cut again into Hessian blocks, so no grid-sized rank-4
-or rank-5 array is built.  No block falls below :data:`MATMUL_MIN_BATCH`
-unless the whole batch does: every node then takes the contraction path a
-whole-grid pass would give it, the per-node values are the same bits, and
-callers that sum the concatenated densities in node order report the same
-bytes whatever the block size.
+defects, the rows of the first-variation jet pairing) and the identity
+suites' pass, whose blocks of complex-step curvature are each cut again
+into Hessian blocks, so no grid-sized rank-4 or rank-5 array is built.  No
+block falls below :data:`MATMUL_MIN_BATCH` unless the whole batch does:
+every node then takes the contraction path a whole-grid pass would give it,
+the per-node values are the same bits, and callers that sum the
+concatenated densities in node order report the same bytes whatever the
+block size.
 
 A whole-grid reduction runs once per distinct node: the fields it reads
 say which chart coordinates their jets read (:mod:`curvlab.fields`), and
@@ -106,7 +107,9 @@ grid, bit for bit.  A whole-grid pass is thus one per-node function
 followed by one sum (:meth:`curvlab.charts.QuadratureGrid.integrals`, over
 every node in node order) or one maximum, the gradient's too, and no
 caller sees ``at`` (:func:`curvlab.variations.gradient_ingredients` keeps
-its own dedupe only for the benchmark's whole-grid call).  The
+its own dedupe only for the benchmark's whole-grid call).  What is made
+once and read per direction, as the jet pairing's derivatives, stays at the
+representatives, read per node block (:func:`representative_blocks`).  The
 representatives are never fewer than :data:`MATMUL_MIN_BATCH` (the first
 nodes pad them), so they take the contraction path of the whole grid, and
 an error that names a node names its row of the grid.
@@ -307,6 +310,20 @@ def distinct_blocks(fn: Callable[[Array], tuple], X: Array, reads: Sequence[int]
             raise e.renumbered(grid_rows) from None
 
     return tuple(out[at] for out in node_blocks(block, X[rows], np.arange(len(X))[rows]))
+
+
+def representative_blocks(kept: Callable[[Array], Array], X: Array, reads: Sequence[int]):
+    """``kept`` run once on the :func:`distinct_nodes` of X on ``reads``, and
+    ``read``: ``read(fn)`` is :func:`node_blocks` of ``fn(Y, K)`` over every
+    row of X, K the kept rows that stand for the rows Y.  The index to them
+    is made per read, so neither it nor the kept array is held at every row."""
+    K = kept(X[distinct_nodes(X, reads)[0]])
+
+    def read(fn: Callable[[Array, Array], tuple]) -> tuple:
+        at = np.arange(len(X))[distinct_nodes(X, reads)[1]]
+        return node_blocks(lambda Y, a: fn(Y, K[a]), X, at)
+
+    return read
 
 
 # ---------------------------------------------------------------------------

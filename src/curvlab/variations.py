@@ -11,11 +11,13 @@ Every numeric first derivative in t here is a complex step (Squire & Trapp,
 SIAM Rev. 40:110, 1998; Martins, Sturdza & Alonso, ACM TOMS 29:245, 2003):
 the pipeline is analytic in the metric, so X'(0) = Im X(g0 + i eps h) / eps +
 O(eps^2) from one curvature pass, with no difference of nearby values to
-cancel digits.  :func:`first_variation_numeric` takes it of F,
-:func:`curvature_variations` of Rm, Ric and R, and the identity suites of
-each of the ten terms of the gradient.  No hand-derived prime (Gamma', Rm',
-Ric', R') remains in the package: the classical linearisations live on only
-in the tests, as oracles for these complex steps beside finite differences.
+cancel digits.  :func:`first_variation_numeric` takes it of F along one
+direction, :func:`_numeric_pairing` once per unit entry of the base's jet
+for every direction (the step is linear in h), :func:`curvature_variations`
+of Rm, Ric and R, and the identity suites of each of the ten terms of the
+gradient.  No hand-derived prime (Gamma', Rm', Ric', R') remains in the
+package: the classical linearisations live on only in the tests, as oracles
+for these complex steps beside finite differences.
 :func:`second_variation_numeric` takes the second-order sibling, the complex
 step rotated by pi/4 (the four-point contour of Lyness & Moler, SIAM J.
 Numer. Anal. 4:202, 1967, halved by conjugate symmetry): with w = t e^(i
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import reduce
+from math import comb
 from operator import add
 from typing import Callable, NamedTuple
 
@@ -58,18 +61,22 @@ from .fields import (
     linear_combination_metric,
     reads_of,
 )
-from .functionals import Coefficients, _integrals
+from .functionals import _DENSITIES, Coefficients, _integrals
 from .spectral import _require_tt, _tt_defect_arrays
 from .tensors import (
     CurvatureBundle,
+    _symmetric_pairs,
     contract,
     covariant_hessian_blocks,
     curvature,
+    curvature_bundle,
     distinct_blocks,
     distinct_nodes,
     einstein_parts,
     inner_02,
     jet_scale,
+    node_blocks,
+    representative_blocks,
     require_einstein,
     ricci_arrays,
     space_form_gate,
@@ -259,13 +266,13 @@ def gradient_tensor(base: MetricField, x, coeff: Coefficients) -> GradientTensor
 
 def _trace_multiplier(ing: dict, coeff: Coefficients) -> Array:
     """tr_g G / n at each node, from the trace identity
-    tr_g G = ((n-4) (|Rm|^2 + s |Ric|^2 + tau R^2) - (4 + n s + 4(n-1) tau) Lap R) / 2."""
+    tr_g G = ((n-4) (|Rm|^2 + s |Ric|^2 + tau R^2) - (4 + n s + 4(n-1) tau) Lap R) / 2,
+    each coefficient multiplied into Lap R first (their sum overflows at |s| ~ 1e308)."""
     b: CurvatureBundle = ing["bundle"]
-    n = b.dimension
+    n, lap_R = b.dimension, ing["lap_R"]
     density = b.normRm2 + coeff.s * b.normRic2 + coeff.tau * b.R**2
-    return (
-        (n - 4) * density - (4 + n * coeff.s + 4 * (n - 1) * coeff.tau) * ing["lap_R"]
-    ) / (2 * n)
+    weighted = 4 * lap_R + n * (coeff.s * lap_R) + 4 * (n - 1) * (coeff.tau * lap_R)
+    return ((n - 4) * density - weighted) / (2 * n)
 
 
 def _gradient_pass(base: MetricField, grid: QuadratureGrid, coeff: Coefficients) -> dict:
@@ -295,6 +302,66 @@ def _first_variation_pairing(p: dict, grid: QuadratureGrid) -> Callable[[SymTens
     return lambda h: float(grid.integrals(sqrt_det, inner_02(G, h.eval_grid(grid.nodes), ginv))[1])
 
 
+def _functional_step(coeff: Coefficients, t_step: float) -> float:
+    """The complex step of F, eps = t_step / sqrt(max(1, |s|, |tau|)): its
+    residue, eps^2 times the weights of F, stays at roundoff at every (s, tau)."""
+    return t_step / np.sqrt(max(1.0, abs(coeff.s), abs(coeff.tau)))
+
+
+def _jet_entries(jet: list) -> Array:
+    """The n(n+1)/2 C(n+2, 2) unique entries, per node, of the packed jet
+    [T, dT, d2T] of a symmetric (0,2) tensor: the pairs i <= j in packed
+    column order, each with its columns of T, dT and d2T."""
+    N, n = jet[0].shape[:2]
+    i, j = _symmetric_pairs(n)
+    pairs = [np.take(T.reshape(N, n * n, -1), i * n + j, axis=1) for T in jet]
+    return np.concatenate(pairs, axis=2).reshape(N, -1)
+
+
+def _numeric_pairing(
+    base: MetricField, grid: QuadratureGrid, coeff: Coefficients
+) -> Callable[[SymTensorField], float]:
+    """h -> :func:`first_variation_numeric` (base, grid, h, coeff), up to
+    O(eps^2), from one complex-step pass for every direction (vector-mode
+    forward differentiation; Griewank & Walther, *Evaluating Derivatives*,
+    2nd ed., 2008).  A row, a distinct node of the coordinates the base reads
+    and a unit entry e of its jet (:func:`_jet_entries`), i eps in both slots
+    (i, j) and (j, i), gives L_e = Im(sqrt(det g) (|Rm|^2 + s |Ric|^2 + tau
+    R^2)) / eps; rows run in node blocks, and a direction sums L_e h_e over
+    the grid, L read per node block (:func:`curvlab.tensors.representative_blocks`).
+    The base is tested by the gradient pass beside it."""
+    eps = _functional_step(coeff, COMPLEX_STEP)
+    n = base.dimension
+    i, j = _symmetric_pairs(n)
+    width = comb(n + 2, 2)  # the columns of an entry: 1 + n + n(n+1)/2
+    W = len(i) * width
+
+    def seeded(Y):
+        # the base's jet at the representatives, its orders side by side
+        jet = np.concatenate([d.reshape(len(Y), n, n, -1) for d in base.packed_jet(Y, 2)], 3)
+
+        def rows(r):
+            node, (pair, col) = r // W, divmod(r % W, width)
+            J = jet[node].astype(complex)
+            J.imag[np.arange(len(r)), i[pair], j[pair], col] = eps
+            J.imag[np.arange(len(r)), j[pair], i[pair], col] = eps
+            b = curvature_bundle(J[..., 0], J[..., 1 : n + 1], J[..., n + 1 :])
+            # F's integrand, reading Ric and R only where F weighs them
+            terms = [w * _DENSITIES[k](b) for w, k in ((coeff.s, "rho"), (coeff.tau, "S")) if w]
+            return ((b.sqrt_det * sum(terms, b.normRm2)).imag / eps,)
+
+        return node_blocks(rows, np.arange(len(Y) * W))[0].reshape(len(Y), W)
+
+    read = representative_blocks(seeded, grid.nodes, base.reads)
+
+    def pairing(h: SymTensorField) -> float:
+        (p,) = read(lambda Y, L: (np.einsum("ae,ae->a", L, _jet_entries(h.packed_jet(Y, 2))),))
+        # L carries the base's sqrt(det g): p is the measure's own density
+        return float(grid.integrals(p)[0])
+
+    return pairing
+
+
 def first_variation_numeric(
     base: MetricField,
     grid: QuadratureGrid,
@@ -303,11 +370,10 @@ def first_variation_numeric(
     t_step: float = COMPLEX_STEP,
 ) -> float:
     """Complex-step derivative Im F(g + i eps h) / eps of F along g + t h
-    (module docstring), eps = t_step / sqrt(max(1, |s|, |tau|)) so that its
-    residue, eps^2 times the weights of F, stays at roundoff at every (s, tau)."""
+    (module docstring), eps from :func:`_functional_step`."""
     if not (np.isfinite(t_step) and t_step > 0):
         raise PreconditionError(f"t_step must be positive and finite, got {t_step}")
-    eps = t_step / np.sqrt(max(1.0, abs(coeff.s), abs(coeff.tau)))
+    eps = _functional_step(coeff, t_step)
     sums = _integrals(linear_combination_metric(base, h, 1j * eps), grid, coeff)
     return float(sums["F"].imag / eps)
 
@@ -403,9 +469,10 @@ def second_variation_numeric(
         return (vol0 / s["volume"]) ** ((n - 4) / n) * s["F"]
 
     w = t_step * np.exp(0.25j * np.pi)
-    S = complex(phi(w) + phi(-w))
-    value = S.imag / t_step**2
-    a2, a4 = value / 2, (a0 - S.real / 2) / t_step**4
+    # numpy's complex: a d2 or a4 beyond the float range overflows as numpy's do
+    S = phi(w) + phi(-w)
+    value = float(S.imag / t_step**2)
+    a2, a4 = value / 2, float((a0 - S.real / 2) / t_step**4)
     roundoff = np.finfo(float).eps * (abs(a0) + abs(S)) / (t_step**2 * max(1.0, abs(a2)))
     return D2Numeric(value, (a4 * t_step**2 / a2) ** 2 + roundoff if a2 else np.inf)
 

@@ -29,6 +29,7 @@ from .variations import (
     VariationReport,
     _first_variation_pairing,
     _gradient_pass,
+    _numeric_pairing,
     conformal_identity_suite,
     conformal_tensor,
     first_variation_numeric,
@@ -51,7 +52,8 @@ HESSIAN_MODELS = ("s3-invariant", "torus-tt", "torus-conformal")
 RAYLEIGH_MODELS = ("s3-invariant", "torus-tt")
 IDENTITY_MODES = ("tt", "conformal")
 CURVATURE_RES = {2: (16, 32), 3: (10, 10, 16), 4: (8, 8, 8, 12), 5: (6, 6, 6, 6, 10)}
-# directions of one gradient check: each takes about 4.5 ms and one report row
+# directions of one gradient check: each takes one report row and about
+# 1.6 ms on the torus, 9.3 ms on S^3 (2-core host, one thread)
 MAX_GRADIENT_COUNT = 10_000
 
 
@@ -147,9 +149,11 @@ def gradient_case(
     seed: int = 0,
 ) -> list[dict]:
     """int <G, h> dV against the complex-step derivative of F on random
-    directions.  On the flat torus both sides vanish identically (F is
-    quadratic in the curvature, which is zero there; the numeric side is
-    roundoff), so the s3 rows are the ones comparing nonzero values."""
+    directions, each side built once per grid and paired per direction.  On
+    the flat torus both vanish identically (F is quadratic in the curvature,
+    which is zero there, and each unit jet entry keeps F's integrand real:
+    the numeric side is 0, not a complex step's eps^2 residue), so the s3
+    rows are the ones comparing nonzero values."""
     if count < 1 or seed < 0:
         raise ConfigurationError(f"gradient checks need count >= 1, seed >= 0, got {count}, {seed}")
     if count > MAX_GRADIENT_COUNT:
@@ -172,12 +176,12 @@ def gradient_case(
         raise ConfigurationError(f"unknown gradient model {model!r}; pick one of {GRADIENT_MODELS}")
     rows = []
     with _finite_functional(coeff):
-        # the gradient is independent of h: build it once, pair it per direction
+        # both sides are independent of h: build each once, pair it per direction
         d1_analytic = _first_variation_pairing(_gradient_pass(base, grid, coeff), grid)
+        d1_numeric = _numeric_pairing(base, grid, coeff)
         for i in range(count):
             h = make_h()
-            d1a = d1_analytic(h)
-            d1n = first_variation_numeric(base, grid, h, coeff)
+            d1a, d1n = d1_analytic(h), d1_numeric(h)
             rows.append(
                 {
                     "index": i,

@@ -11,10 +11,11 @@ written to stderr.  The list holds every subcommand at its defaults, every
 model and mode its flags offer, the round spheres of dimension 3 to 5 and
 an invariant mode as the benchmark checks them, curvature at non-unit
 radii (one whose det g underflows), a torus mode off the default wave
-vector, the torus gradient in dimension 4, the S^3 gradient at a nonzero (s, tau),
-nonzero (s, tau) forms of ``verify-hessian`` as the benchmark draws them (one inside and one beyond
-max(|s|, |tau|) = 1), and a ``classify`` query and an ``atlas`` grid per
-mode.
+vector, the torus gradient in dimensions 4 and 5, the S^3 gradient at a
+nonzero (s, tau) and at the benchmark's count of directions, nonzero
+(s, tau) forms of ``verify-hessian`` as the benchmark draws them (one
+inside and one beyond max(|s|, |tau|) = 1), and a ``classify`` query and
+an ``atlas`` grid per mode.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ ARGVS = (
     + [["verify-gradient", "--model", m] for m in GRADIENT_MODELS]
     # S^3 at nonzero (s, tau), where G is not zero and its multiplier enters
     + [["verify-gradient", "--model", "s3", "--s", "-0.7", "--tau", "0.4"]]
+    # the torus gradient at n = 5 (315 jet entries on 10^5 nodes) and the
+    # S^3 gradient at the benchmark's count
+    + [["verify-gradient", "--model", "torus", "--n", "5", "--count", "1"],
+       ["verify-gradient", "--model", "s3", "--count", "3"]]
     + [["verify-hessian", "--model", m] for m in HESSIAN_MODELS]
     + [["verify-hessian", "--model", m, "--s", s, "--tau", t]
        for m in HESSIAN_MODELS for s, t in NONZERO]

@@ -30,6 +30,7 @@ from curvlab.variations import (
 )
 from curvlab.verify import (
     curvature_case,
+    gradient_case,
     hessian_case,
     identity_case,
     rayleigh_case,
@@ -211,6 +212,19 @@ def test_the_gradient_pass_is_block_invariant(monkeypatch):
     assert blocks[0] == sum(blocks[1:]) == 1024 and len(blocks) == 27
 
 
+@pytest.mark.parametrize("model", ["torus", "s3"])
+def test_gradient_case_is_block_invariant(model, monkeypatch):
+    # the jet pairing runs its seeded (representative, jet entry) rows and
+    # the grid's nodes in blocks of GRID_BLOCK: 960 and 1,000 of them on the
+    # torus, 6,000 and 1,200 on S^3, in one to six blocks, then in 24 to 150
+    coeff = Coefficients(-0.7, 0.4)
+    whole, small = _whole_and_small(
+        monkeypatch, lambda: gradient_case(model, 3, coeff, count=3, seed=4), tensors.GRID_BLOCK
+    )
+    assert whole == small
+    assert model == "torus" or all(r["d1_numeric"] != 0 for r in whole)
+
+
 def _traced_peak_mib(fn) -> float:
     fn()  # warms numpy and the jet plans' index tables, outside the measure
     tracemalloc.start()
@@ -226,7 +240,12 @@ def _traced_peak_mib(fn) -> float:
 # blocks of distinct nodes.  The identity suites stream their 1,536 distinct
 # nodes in two blocks of 768, each cut into 96-node Hessian blocks of packed
 # jets: TT 2.6 MiB, conformal 5.9 MiB (10.6 MiB with the complex-step
-# curvature of all 1,536 nodes held at once).
+# curvature of all 1,536 nodes held at once).  The gradient checks' jet
+# pairing runs its seeded rows in blocks and reads what it keeps per
+# representative per node block: 12.3 MiB on the 4-torus and 4.4 MiB on S^3
+# (one complex step of F per direction peaked at 14.3 and 4.2 MiB).  All
+# seeded rows in one block take 30.9 and 24.5 MiB, and what is kept per
+# representative gathered to every node 18.6 MiB on the 4-torus.
 @pytest.mark.parametrize(
     "case, gate_mib",
     [
@@ -234,8 +253,11 @@ def _traced_peak_mib(fn) -> float:
         (lambda: rayleigh_case("s3-invariant"), 5.5),
         (lambda: identity_case("tt"), 3.5),
         (lambda: identity_case("conformal"), 8.0),
+        (lambda: gradient_case("torus", 4, Coefficients(), count=2), 14.5),
+        (lambda: gradient_case("s3", 3, Coefficients(), count=10), 5.0),
     ],
-    ids=["curvature-sphere-5", "rayleigh-s3-invariant", "identity-tt", "identity-conformal"],
+    ids=["curvature-sphere-5", "rayleigh-s3-invariant", "identity-tt", "identity-conformal",
+         "gradient-torus-4", "gradient-s3"],
 )
 def test_whole_grid_reductions_stay_below_their_memory_gate(case, gate_mib):
     assert _traced_peak_mib(case) <= gate_mib

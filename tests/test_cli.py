@@ -303,8 +303,10 @@ def test_t_step_with_no_normal_fourth_power_is_usage_error(t_step, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["verify-gradient", "--model", "s3", "--count", "1", "--s", "1e308"],
-     ["verify-hessian", "--s", "1e308", "--tau", "1e308"]],
-    ids=["verify-gradient", "verify-hessian"],
+     ["verify-hessian", "--s", "1e308", "--tau", "1e308"],
+     # d2 itself, (4 + s) |2 pi k|^4 |h|^2 / 2, leaves the float range
+     ["verify-hessian", "--model", "torus-tt", "--s", "1e308"]],
+    ids=["verify-gradient", "verify-hessian", "verify-hessian-torus-tt"],
 )
 def test_an_overflowing_functional_is_refused(argv, capsys, tmp_path):
     # s |Ric|^2 and the gradient leave the float range at s = 1e308: one
@@ -316,6 +318,28 @@ def test_an_overflowing_functional_is_refused(argv, capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: s = 1e+308") and "too large" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n, s, tau", [(3, 1e308, 0.0), (3, 0.0, 1e308), (3, 0.0, -1e308), (4, 1e308, 0.0)]
+)
+def test_the_flat_torus_is_critical_at_huge_coefficients(n, s, tau, tmp_path):
+    # G = 0 and c = 0 there: the multiplier's factor 4 + n s + 4 (n - 1) tau
+    # overflowed to inf, and inf times the exact-zero Lap R made a NaN
+    from curvlab.charts import build_grid, make_model
+    from curvlab.functionals import Coefficients
+    from curvlab.variations import _gradient_pass
+
+    out = tmp_path / "grad.json"
+    argv = ["verify-gradient", "--n", str(n), "--s", repr(s), "--tau", repr(tau), "--count", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert all(r["d1_analytic"] == r["d1_numeric"] == 0.0 for r in rows)
+    base = make_model("torus", n)
+    with np.errstate(all="raise"):
+        assert _gradient_pass(base, build_grid(base.domain, 6), Coefficients(s, tau))["c"] == 0.0
 
 
 def test_rayleigh_malformed_lists_are_usage_errors(capsys):

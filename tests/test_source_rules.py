@@ -260,10 +260,16 @@ def test_theorems_are_cited_in_the_clause_table_only():
 
 
 # a whole-grid pass runs once per distinct node of the coordinates its
-# fields read: node_blocks is called by the distinct-node helper and by the
-# Hessian blocks, whose one caller takes the distinct nodes first
+# fields read: node_blocks is called by the two distinct-node helpers and by
+# the Hessian blocks, whose one caller takes the distinct nodes first, and by
+# the jet pairing, on its (representative, jet entry) rows, not on the grid
 BLOCK_SITES = {
-    "node_blocks": {("tensors.py", "distinct_blocks"), ("tensors.py", "covariant_hessian_blocks")},
+    "node_blocks": {
+        ("tensors.py", "distinct_blocks"), ("tensors.py", "representative_blocks.read"),
+        ("tensors.py", "covariant_hessian_blocks"),
+        # the second site is the import
+        ("variations.py", "_numeric_pairing.seeded"), ("variations.py", ""),
+    },
     # the second site is the import
     "covariant_hessian_blocks": {("variations.py", "gradient_ingredients"), ("variations.py", "")},
 }
@@ -459,7 +465,9 @@ AIM2 = {
     },
     "curvature": {
         ("call", "CurvatureBundle"): {"tensors._bundle_from_connection"},
-        ("call", "curvature_bundle"): {"tensors.curvature"},
+        # and the seeded jets of the jet pairing, one unit entry of the
+        # base's jet each, which no field hands out
+        ("call", "curvature_bundle"): {"tensors.curvature", "variations._numeric_pairing"},
         ("call", "pair_ricci"): {"tensors.CurvatureBundle.Ric"},
         # the one jet route, kept for its measured speed at n >= 4
         ("call", "ricci_arrays"): {"variations.gradient_ingredients"},
@@ -474,9 +482,13 @@ AIM2 = {
         ("call", "space_form_deviation"): {"tensors.space_form_parts"},
     },
     "representative nodes": {
-        # whole-grid passes gather through distinct_blocks; the ingredients
-        # keep their own dedupe for the benchmark's whole-grid call
-        ("call", "distinct_nodes"): {"tensors.distinct_blocks", "variations.gradient_ingredients"},
+        # whole-grid passes gather through distinct_blocks, or read what they
+        # keep per representative through representative_blocks; the
+        # ingredients keep their own dedupe for the benchmark's whole-grid call
+        ("call", "distinct_nodes"): {
+            "tensors.distinct_blocks", "tensors.representative_blocks",
+            "variations.gradient_ingredients",
+        },
         # and hand out no index to the representatives (ing["at"])
         ("key", "at"): set(),
     },

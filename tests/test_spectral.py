@@ -286,15 +286,16 @@ def test_torus_plane_waves_take_integer_wave_vectors_float64_holds():
     # a plane wave of another k is not periodic on the unit torus, so its
     # grid sums are no integrals; k = NaN gave NaN jets and k = inf a numpy
     # RuntimeWarning.  Off the torus k need only be finite (an int beyond
-    # the float range raised OverflowError)
+    # the float range raised OverflowError, one of 5,001 digits the
+    # ValueError of printing it)
     A, Z = np.diag([0.0, 1.0, -1.0]), np.zeros((3, 3))
     torus, poincare = torus_domain(3), poincare_domain(3)
     X = np.array([[0.1, 0.2, 0.05]])
     for build in (lambda d, k: trig_sym_tensor_field(d, [(k, A, Z)]), cosine_scalar_field):
-        for k in ((0.5, 0, 0), (2**53 + 1, 0, 0), (np.nan, 0, 0), (np.inf, 0, 0)):
+        for k in ((0.5, 0, 0), (2**53 + 1, 0, 0), (np.nan, 0, 0), (np.inf, 0, 0), (10**5000, 0, 0)):
             with pytest.raises(InvalidModeError, match="integers"):
                 build(torus, k)
-        for k in ((np.nan, 0, 0), (0, -np.inf, 0), (10**400, 0, 0)):
+        for k in ((np.nan, 0, 0), (0, -np.inf, 0), (10**400, 0, 0), (10**5000, 0, 0)):
             with pytest.raises(InvalidModeError, match="finite"):
                 build(poincare, k)
         for domain, k in ((torus, (2**53, -3, 0)), (poincare, (1, 0, 0)), (poincare, (0.5, 0, 0))):
