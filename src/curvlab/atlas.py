@@ -88,8 +88,11 @@ def _conformal_ab(n, s, tau, one=1):
 
 def tt_polynomial(n, lam, s, tau, lam_L):
     """TT second variation per unit |h|^2 at curvature lam in {-1, 0, 1}."""
+    flat = (4 + s) / 2 * lam_L
+    if lam == 0:  # no curvature term: 0 * inf at a tau beyond the float range
+        return lam_L * flat
     return (lam_L - 2 * (n - 1) * lam) * (
-        (4 + s) / 2 * lam_L - lam * (2 * n + 4) - lam * (n - 1) * (2 * s + n * tau)
+        flat - lam * (2 * n + 4) - lam * (n - 1) * (2 * s + n * tau)
     )
 
 

@@ -108,11 +108,13 @@ followed by one sum (:meth:`curvlab.charts.QuadratureGrid.integrals`, over
 every node in node order) or one maximum, the gradient's too, and no
 caller sees ``at`` (:func:`curvlab.variations.gradient_ingredients` keeps
 its own dedupe only for the benchmark's whole-grid call).  What is made
-once and read per direction, as the jet pairing's derivatives, stays at the
-representatives, read per node block (:func:`representative_blocks`).  The
-representatives are never fewer than :data:`MATMUL_MIN_BATCH` (the first
-nodes pad them), so they take the contraction path of the whole grid, and
-an error that names a node names its row of the grid.
+once and read per direction or mode, as the jet pairing's derivatives and
+the conformal suite's seeded steps, stays at the representatives, read per
+node block (:func:`representative_blocks`, whose ``kept`` contracts over
+its own rows, 35 or more per representative, so it gets no padding).  The
+representatives of :func:`distinct_blocks` are never fewer than
+:data:`MATMUL_MIN_BATCH` (the first nodes pad them), so they take the
+contraction path of the whole grid, and an error names its row of the grid.
 """
 
 from __future__ import annotations
@@ -151,9 +153,9 @@ EINSTEIN_TOL = 1e-6
 # ingredient are live at once): blocks keep peak memory flat in the grid.
 # Both identity suites plus the generic S^3 gradient ingredients (1,536
 # nodes; 2-core host, OMP_NUM_THREADS=1, median of 5 interleaved rounds)
-# took 505 ms in 64-node blocks, 443 ms in 96 and 483 ms in 128; three such
-# passes with sympy loaded peaked at 80.7, 81.1 and 82.0 MB resident (81.3
-# MB with full-axis jets in 64-node blocks).
+# took 47.2 ms in 64-node blocks, 46.7 ms in 96 and 46.3 ms in 128 (their
+# rows: 128 TT nodes, 280 seeded conformal rows, 16 generic nodes); three
+# such passes with sympy loaded peaked at 77.3, 77.6 and 76.4 MB resident.
 HESSIAN_BLOCK = 96
 
 # Nodes per block of the whole-grid reductions (order-2 curvature and
@@ -312,16 +314,21 @@ def distinct_blocks(fn: Callable[[Array], tuple], X: Array, reads: Sequence[int]
     return tuple(out[at] for out in node_blocks(block, X[rows], np.arange(len(X))[rows]))
 
 
-def representative_blocks(kept: Callable[[Array], Array], X: Array, reads: Sequence[int]):
-    """``kept`` run once on the :func:`distinct_nodes` of X on ``reads``, and
-    ``read``: ``read(fn)`` is :func:`node_blocks` of ``fn(Y, K)`` over every
-    row of X, K the kept rows that stand for the rows Y.  The index to them
-    is made per read, so neither it nor the kept array is held at every row."""
-    K = kept(X[distinct_nodes(X, reads)[0]])
+def representative_blocks(kept: Callable[[Array], tuple], X: Array, reads: Sequence[int]):
+    """``kept`` run once on the representatives the rows of X stand for
+    (:func:`distinct_nodes` on ``reads``, not its padding), and ``read``:
+    ``read(fn)`` is :func:`node_blocks` of ``fn(Y, L)`` over every row of X,
+    ``L(i)`` the rows of kept's i-th output that stand for the rows Y.  The
+    index is made per read, so neither it nor a kept array is held per row."""
 
-    def read(fn: Callable[[Array, Array], tuple]) -> tuple:
-        at = np.arange(len(X))[distinct_nodes(X, reads)[1]]
-        return node_blocks(lambda Y, a: fn(Y, K[a]), X, at)
+    def representatives():
+        rows, at = distinct_nodes(X, reads)
+        return np.unique(np.arange(len(X))[rows][at], return_inverse=True)
+
+    K = kept(X[representatives()[0]])
+
+    def read(fn: Callable[[Array, Callable[[int], Array]], tuple]) -> tuple:
+        return node_blocks(lambda Y, a: fn(Y, lambda i: K[i][a]), X, representatives()[1])
 
     return read
 
@@ -610,7 +617,8 @@ def christoffel_arrays(g: Array, dg: Array) -> Array:
 
 
 def ricci_arrays(field, X: Array, order: int = 0):
-    """Lean pipeline: packed jets of (g, ginv, Gamma, Ric, R) at the points.
+    """Lean pipeline: packed jets of (g, ginv, Gamma, Ric, R) at the points
+    (or the seeded rows) X, from the metric jet ``field.packed_jet(X, order)``.
 
     Ric and R come to ``order``, Gamma to ``order + 1`` and g to ``order +
     2``; ginv is the one-element jet [g^-1], as no inverse jet is built:
@@ -620,7 +628,6 @@ def ricci_arrays(field, X: Array, order: int = 0):
     contracted straight from the connection data, so no rank-5 intermediate
     is materialized.
     """
-    X, _ = _as_batch(X, field.dimension)
     g = field.packed_jet(X, order + 2)
     ginv, _, _, Gamma = connection_jet(g)
     # Ric_ik = d_j Gamma^j_ik - d_k Gamma^j_ij + Gamma^p_ik Gamma^j_jp
@@ -628,7 +635,7 @@ def ricci_arrays(field, X: Array, order: int = 0):
     c1 = [np.einsum("ajjp...->ap...", G) for G in Gamma]
     t3 = jet_einsum("apik,ap->aik", Gamma, c1, order=order)
     t4 = jet_einsum("apij,ajkp->aik", Gamma, Gamma, order=order)
-    dGamma = [_split(G, k, field.dimension) for k, G in enumerate(Gamma[1:], 1)]
+    dGamma = [_split(G, k, g[0].shape[-1]) for k, G in enumerate(Gamma[1:], 1)]
     Ric = [
         np.einsum("ajikj...->aik...", dG) - np.einsum("ajijk...->aik...", dG) + p - q
         for dG, p, q in zip(dGamma, t3, t4)

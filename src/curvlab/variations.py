@@ -15,9 +15,11 @@ cancel digits.  :func:`first_variation_numeric` takes it of F along one
 direction, :func:`_numeric_pairing` once per unit entry of the base's jet
 for every direction (the step is linear in h), :func:`curvature_variations`
 of Rm, Ric and R, and the identity suites of each of the ten terms of the
-gradient.  No hand-derived prime (Gamma', Rm', Ric', R') remains in the
-package: the classical linearisations live on only in the tests, as oracles
-for these complex steps beside finite differences.
+gradient, the conformal one once per unit entry of f's jet along h = f g
+(:func:`_suite_sides`; TT's h has six times the entries).  No hand-derived
+prime (Gamma', Rm', Ric', R') remains in the package: the classical
+linearisations live on only in the tests, as oracles for these complex
+steps beside finite differences.
 :func:`second_variation_numeric` takes the second-order sibling, the complex
 step rotated by pi/4 (the four-point contour of Lyness & Moler, SIAM J.
 Numer. Anal. 4:202, 1967, halved by conjugate symmetry): with w = t e^(i
@@ -44,6 +46,7 @@ from dataclasses import dataclass, fields
 from functools import reduce
 from math import comb
 from operator import add
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -110,6 +113,7 @@ def conformal_tensor(base: MetricField, f: ScalarField) -> SymTensorField:
         return jet_scale(fj(X, order), gj(X, order))
 
     jet = _reading(reads_of(f, base), jet)
+    jet.factor = (base, f)  # the form f g, which the identity suites seed
     return SymTensorField(domain=base.domain, _jet=jet, name=f"{f.name}*g")
 
 
@@ -160,53 +164,48 @@ def gradient_ingredients(
     base: MetricField, X: Array, use_structure: bool = True
 ) -> dict:
     """Curvature derivatives entering the gradient, with the curvature
-    bundle, whose cached A1, B and ric2 are the quadratic contractions.
+    bundle, whose cached A1, B and ric2 are the quadratic contractions, made
+    once per distinct node of the coordinates the base reads
+    (:func:`curvlab.tensors.distinct_nodes`), every array on those nodes.
+    Whole-grid callers run this per block of a distinct-node pass; the
+    dedupe is kept only for the benchmark's whole-grid call, which reads
+    maxima and the bundle's g and Rm4 (ROADMAP item 10 retires it).
 
-    All of them are made once per distinct node of the coordinates the base
-    reads (:func:`curvlab.tensors.distinct_nodes`), and every array is on
-    those nodes, so a maximum over them is the maximum over X.  Whole-grid
-    callers run this per block of a :func:`curvlab.tensors.distinct_blocks`
-    pass, whose blocks are distinct already, so there every array is on
-    every row of the block; that dedupe is kept only for the benchmark's
-    whole-grid call, which reads maxima and the bundle's g and Rm4, and
-    ROADMAP item 10 retires it.
-
-    The Laplacian of the Ricci tensor and the Hessian of the scalar
-    curvature come from the exact order-2 jets of Ric and R (the metric jet
-    to order 4 through the lean Ricci pipeline) plus the connection
-    corrections; they reuse across coefficient choices.
-
-    Constant-curvature metrics have parallel curvature, so when the field
-    declares a space form and the declaration is confirmed pointwise on
-    these nodes the derivative ingredients are exact zeros and the jet work
-    is skipped (set ``use_structure=False`` to force the generic path, which
-    leaves roundoff of order 1e-7 at the near-pole nodes of angular charts).
+    Lap Ric and Hess R come from the exact order-2 jets of Ric and R (the
+    metric jet to order 4 through :func:`curvlab.tensors.ricci_arrays`)
+    plus the connection corrections, in Hessian blocks.  Constant-curvature
+    metrics have parallel curvature, so when the field declares a space
+    form and the declaration is confirmed pointwise on these nodes they are
+    exact zeros and the jet work is skipped (``use_structure=False`` forces
+    the generic path, which leaves roundoff of order 1e-7 at the near-pole
+    nodes of angular charts).
     """
     X, _ = _as_batch(X, base.dimension)
     rows, _ = distinct_nodes(X, base.reads)
     try:
-        bundle = curvature(base, X[rows])
+        return _ingredients(base, X[rows], base.lam if use_structure else None)
     except DegenerateMetricError as e:
         raise e.renumbered(np.arange(len(X))[rows]) from None
-    X = X[rows]
-    ginv = bundle.ginv
-    lam = base.lam
-    if use_structure and lam is not None and space_form_gate(
+
+
+def _ingredients(metric, X: Array, lam: float | None) -> dict:
+    """:func:`gradient_ingredients` at the rows X of ``metric``, whose
+    ``packed_jet(X, order)`` is a packed metric jet (a field, or the seeded
+    rows of :func:`_suite_sides`); with ``lam``, the structure shortcut."""
+    bundle = curvature_bundle(*metric.packed_jet(X, 2))
+    if lam is not None and space_form_gate(
         *space_form_parts(bundle, lam), lam, PARALLEL_CURVATURE_TOL
     )[0]:
-        N, n = X.shape
-        lap_ric = np.zeros((N, n, n))
-        hess_R = np.zeros((N, n, n))
-        lap_R = np.zeros(N)
+        N, n = bundle.g.shape[:2]
+        lap_ric, hess_R, lap_R = np.zeros((N, n, n)), np.zeros((N, n, n)), np.zeros(N)
     else:
         def inner(Y):
-            _, _, Gamma, Ric, R = ricci_arrays(base, Y, order=2)
+            _, _, Gamma, Ric, R = ricci_arrays(metric, Y, order=2)
             return Gamma, [Ric, R]
 
-        ric_hess, r_hess = covariant_hessian_blocks(inner, X)
-        lap_ric = contract("akl,aijkl->aij", ginv, ric_hess)
-        hess_R = r_hess
-        lap_R = contract("aik,aik->a", ginv, hess_R)
+        ric_hess, hess_R = covariant_hessian_blocks(inner, X)
+        lap_ric = contract("akl,aijkl->aij", bundle.ginv, ric_hess)
+        lap_R = contract("aik,aik->a", bundle.ginv, hess_R)
     return {"bundle": bundle, "lap_ric": lap_ric, "hess_R": hess_R, "lap_R": lap_R}
 
 
@@ -318,17 +317,24 @@ def _jet_entries(jet: list) -> Array:
     return np.concatenate(pairs, axis=2).reshape(N, -1)
 
 
+def _seeded_blocks(fn: Callable[[Array], tuple], K: int, W: int) -> tuple:
+    """``fn`` over the K W seeded rows, an (R, 2) array of (representative, unit
+    jet entry e < W), in node blocks: each output with its rows on (K, W) axes."""
+    rows = np.stack(np.divmod(np.arange(K * W), W), axis=1)
+    return tuple(out.reshape((K, W) + out.shape[1:]) for out in node_blocks(fn, rows))
+
+
 def _numeric_pairing(
     base: MetricField, grid: QuadratureGrid, coeff: Coefficients
 ) -> Callable[[SymTensorField], float]:
     """h -> :func:`first_variation_numeric` (base, grid, h, coeff), up to
     O(eps^2), from one complex-step pass for every direction (vector-mode
     forward differentiation; Griewank & Walther, *Evaluating Derivatives*,
-    2nd ed., 2008).  A row, a distinct node of the coordinates the base reads
-    and a unit entry e of its jet (:func:`_jet_entries`), i eps in both slots
-    (i, j) and (j, i), gives L_e = Im(sqrt(det g) (|Rm|^2 + s |Ric|^2 + tau
-    R^2)) / eps; rows run in node blocks, and a direction sums L_e h_e over
-    the grid, L read per node block (:func:`curvlab.tensors.representative_blocks`).
+    2nd ed., 2008).  A row (:func:`_seeded_blocks`), a representative of the
+    coordinates the base reads and a unit entry e of its jet
+    (:func:`_jet_entries`), i eps in both slots (i, j) and (j, i), gives L_e
+    = Im(sqrt(det g) (|Rm|^2 + s |Ric|^2 + tau R^2)) / eps, and a direction
+    sums L_e h_e over the grid (:func:`curvlab.tensors.representative_blocks`).
     The base is tested by the gradient pass beside it."""
     eps = _functional_step(coeff, COMPLEX_STEP)
     n = base.dimension
@@ -341,7 +347,7 @@ def _numeric_pairing(
         jet = np.concatenate([d.reshape(len(Y), n, n, -1) for d in base.packed_jet(Y, 2)], 3)
 
         def rows(r):
-            node, (pair, col) = r // W, divmod(r % W, width)
+            node, (pair, col) = r[:, 0], divmod(r[:, 1], width)
             J = jet[node].astype(complex)
             J.imag[np.arange(len(r)), i[pair], j[pair], col] = eps
             J.imag[np.arange(len(r)), j[pair], i[pair], col] = eps
@@ -350,12 +356,12 @@ def _numeric_pairing(
             terms = [w * _DENSITIES[k](b) for w, k in ((coeff.s, "rho"), (coeff.tau, "S")) if w]
             return ((b.sqrt_det * sum(terms, b.normRm2)).imag / eps,)
 
-        return node_blocks(rows, np.arange(len(Y) * W))[0].reshape(len(Y), W)
+        return _seeded_blocks(rows, len(Y), W)
 
     read = representative_blocks(seeded, grid.nodes, base.reads)
 
     def pairing(h: SymTensorField) -> float:
-        (p,) = read(lambda Y, L: (np.einsum("ae,ae->a", L, _jet_entries(h.packed_jet(Y, 2))),))
+        (p,) = read(lambda Y, L: (np.einsum("ae,ae->a", L(0), _jet_entries(h.packed_jet(Y, 2))),))
         # L carries the base's sqrt(det g): p is the measure's own density
         return float(grid.integrals(p)[0])
 
@@ -540,48 +546,52 @@ def _checks(lhs: dict[str, float], rhs: dict[str, float]) -> list[IdentityCheck]
     return out
 
 
+def _suite_primes(ing: dict, g: Array, ginv: Array) -> dict[str, Array]:
+    """Im T / eps of the ten terms of complex-step ingredients, Lap R g replaced on g."""
+    terms = _gradient_terms(ing)
+    terms["scalar_laplacian_metric"] = contract("aik,aik->a", ginv, ing["hess_R"])[:, None, None] * g
+    return {k: T.imag / COMPLEX_STEP for k, T in terms.items()}
+
+
 def _suite_sides(
     base: MetricField, h: SymTensorField, grid: QuadratureGrid, tt: bool
 ) -> tuple[float, dict[str, float], tuple[float, float, float]]:
     """lam, the left-hand sides {name: int <T', h> dV} of the ten terms T of
     the gradient, and (int |h|^2, int <h, Lap h>, int |Lap h|^2), from one
-    pass over the distinct nodes of the coordinates base and h read,
-    streamed in node blocks (:func:`curvlab.tensors.distinct_blocks`).
-
-    Each block builds h's covariant derivatives with the base's bundle (the
-    measure, the g of the replaced term below, the space-form parts), the
-    complex-step ingredients and the 13 per-node densities (with ``tt``, the
-    TT defects too), so no grid-sized complex curvature array is built.  After the pass the gates
-    are judged once and the densities at every grid node make one
-    :meth:`curvlab.charts.QuadratureGrid.integrals` call.
+    pass over the grid in node blocks.  Each block builds h's covariant
+    derivatives with the base's bundle (the measure, the g of the replaced
+    term below, the space-form parts), the primes T' and the 13 per-node
+    densities (with ``tt``, the TT defects too), so no grid-sized complex
+    curvature array is built; then the gates are judged once and the
+    densities make one :meth:`curvlab.charts.QuadratureGrid.integrals` call.
 
     Each T' is the complex step Im T(g + i eps h) / eps of a term of
-    :func:`_gradient_terms`, all ten from one :func:`gradient_ingredients`
-    pass on the complex metric (its generic path: the complex metric
-    declares no space form).  The one term replaced here, Lap R g, enters as
-    (g^{ik} (Hess R)'_ik) g, its prime at a space form, where Lap R =
-    Hess R = 0: Im(Lap R g) / eps would also carry the generic path's
-    roundoff in Lap R (about 3e-7 at the near-pole nodes) through Lap R h.
-    On a closed manifold int <h, Lap^2 h> = int |Lap h|^2, which the closed
-    forms read from the last integral.
+    :func:`_gradient_terms` (:func:`_suite_primes`), all ten from one
+    ingredients pass on a complex metric (its generic path: it declares no
+    space form).  A TT h takes them on the distinct nodes of base and h.  An
+    h = f g of :func:`conformal_tensor` on this base is seeded, the step
+    being linear in f's jet: one step per representative of the base's
+    coordinates and unit entry e of f's packed jet to order 4 (35 at n =
+    3) gives L_e, kept per representative
+    (:func:`curvlab.tensors.representative_blocks`), and T' = sum_e L_e d^e
+    f is one contraction per term and block, so a further mode on the base
+    costs one pairing.  TT's 6 x 35 seeds would make 13 times its rows.
+
+    The one term replaced, Lap R g, enters as (g^{ik} (Hess R)'_ik) g, its
+    prime at a space form, where Lap R = Hess R = 0: Im(Lap R g) / eps
+    would also carry the generic path's roundoff in Lap R (about 3e-7 at
+    the near-pole nodes) through Lap R h.  On a closed manifold int <h,
+    Lap^2 h> = int |Lap h|^2, which the closed forms read from the last
+    integral.
     """
-    lam = base.lam
+    lam, n = base.lam, base.dimension
     if lam is None:
         raise PreconditionError("identity suites need a constant-curvature base")
-    complex_metric = linear_combination_metric(base, h, 1j * COMPLEX_STEP)
     names: list[str] = []  # the term names of _gradient_terms, in its order
 
-    def block(Y):
-        hv, Dh, D2h, b = sym_tensor_cov_derivs(base, h, Y)
-        ing = gradient_ingredients(complex_metric, Y)
-        terms = _gradient_terms(ing)
-        terms["scalar_laplacian_metric"] = (
-            contract("aik,aik->a", b.ginv, ing["hess_R"])[:, None, None] * b.g
-        )
-        names[:] = terms
+    def sides(hv, Dh, D2h, b, primes):
         lap_h = contract("akl,aijkl->aij", b.ginv, D2h)
-        pairs = [(T.imag / COMPLEX_STEP, hv) for T in terms.values()]
-        pairs += [(hv, hv), (lap_h, hv), (lap_h, lap_h)]
+        pairs = [(T, hv) for T in primes] + [(hv, hv), (lap_h, hv), (lap_h, lap_h)]
         return (
             *space_form_parts(b, lam),
             b.sqrt_det,
@@ -589,7 +599,47 @@ def _suite_sides(
             *(_tt_defect_arrays(hv, Dh, b.ginv) if tt else ()),
         )
 
-    dev, g_max, sqrt_det, *rest = distinct_blocks(block, grid.nodes, reads_of(base, h))
+    seeded_base, f = getattr(h._jet, "factor", (None, None))
+    if seeded_base is base:
+        W = comb(n + 4, 4)
+        unit = np.split(np.eye(W), np.cumsum([comb(n + k - 1, k) for k in range(4)]), axis=1)
+
+        def kept(Y):
+            g = base.packed_jet(Y, 4)  # once per representative
+
+            def jet(rows, order):  # g + i eps jet_scale(u_e, g), u_e a unit entry of f's jet
+                node, e = rows.T
+                at = [d[node] for d in g[: order + 1]]
+                step = jet_scale([u[e] for u in unit[: order + 1]], at)
+                return [d + 1j * COMPLEX_STEP * t for d, t in zip(at, step)]
+
+            def steps(rows):
+                ing = _ingredients(SimpleNamespace(packed_jet=jet), rows, None)
+                b = ing["bundle"]  # its real part is the base's
+                primes = _suite_primes(ing, b.g.real, b.ginv.real)
+                names[:] = primes
+                return tuple(primes.values())
+
+            # L_t[rep, :, :, e], entries last: a gather of rows is the pairing's layout
+            return tuple(np.moveaxis(L, 1, -1) for L in _seeded_blocks(steps, len(Y), W))
+
+        def paired(Y, L):
+            derivs = sym_tensor_cov_derivs(base, h, Y)
+            fj = np.concatenate([d.reshape(len(Y), -1) for d in f.packed_jet(Y, 4)], axis=1)
+            return sides(*derivs, [contract("aije,ae->aij", L(t), fj) for t in range(len(names))])
+
+        out = representative_blocks(kept, grid.nodes, base.reads)(paired)
+    else:
+        complex_metric = linear_combination_metric(base, h, 1j * COMPLEX_STEP)
+
+        def block(Y):
+            hv, Dh, D2h, b = sym_tensor_cov_derivs(base, h, Y)
+            primes = _suite_primes(gradient_ingredients(complex_metric, Y), b.g, b.ginv)
+            names[:] = primes
+            return sides(hv, Dh, D2h, b, primes.values())
+
+        out = distinct_blocks(block, grid.nodes, reads_of(base, h))
+    dev, g_max, sqrt_det, *rest = out
     densities, defects = rest[: len(names) + 3], rest[len(names) + 3 :]
     if tt:
         _require_tt(*defects, "suite requires a TT field")

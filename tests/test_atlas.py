@@ -70,6 +70,18 @@ def test_one_lambda_formula_equals_the_per_lambda_forms():
         assert second_variation_conformal_predicted(4, lam, x0, coeff, 2.0) == 2.0 * conf0
 
 
+def test_the_flat_tt_form_reads_no_tau_at_any_size():
+    # (4 + s) lam_L^2 / 2 on the flat torus, lam_L = 39.48 near (2 pi)^2: a
+    # curvature term lam (n - 1)(2 s + n tau) formed at lam = 0 was 0 * inf
+    # at tau = 1e308, and the NaN reached the predicted second variation
+    want = 2 * 39.48**2  # 3117.34...
+    assert tt_polynomial(3, 0, 0.0, 1e308, 39.48) == want
+    assert tt_polynomial(3, 0, 0.0, -1e308, 39.48) == want
+    assert second_variation_tt_predicted(3, 0, 39.48, Coefficients(0.0, 1e308), 2.0) == 2 * want
+    # a curved base still reads tau, and overflows with it
+    assert tt_polynomial(3, 1, 0.0, 1e308, 12.0) == -np.inf
+
+
 @given(s=finite, tau=finite, mu=finite)
 @example(s=49.5234375, tau=-16.84120846899652, mu=8.0)  # s + 3 tau + 1 cancels
 @settings(max_examples=200, deadline=None)

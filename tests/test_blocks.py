@@ -161,8 +161,10 @@ def test_weyl_energy_and_criticality_defect_are_block_invariant(monkeypatch):
 
 
 def test_identity_suites_are_block_invariant(monkeypatch, euler3):
-    # 48 distinct nodes of the TT pass (h reads two coordinates) and 288 of
-    # the conformal one: two and eight blocks of at most 40
+    # 48 distinct nodes of the TT pass (h reads two coordinates): two blocks
+    # of at most 40; the conformal suite's 210 seeded rows (6 values of the
+    # one coordinate the base reads, 35 jet entries each) and 288 nodes
+    # paired: six and eight blocks
     grid = build_grid(euler3.domain, (6, 6, 8))
     h = s3_invariant_tt((2.0, -1.0, -1.0))
     for suite in (
@@ -212,11 +214,32 @@ def test_the_gradient_pass_is_block_invariant(monkeypatch):
     assert blocks[0] == sum(blocks[1:]) == 1024 and len(blocks) == 27
 
 
+def test_only_the_representatives_are_kept(monkeypatch):
+    # what is kept per representative is made on the representatives that
+    # nodes stand for, without distinct_nodes' padding to MATMUL_MIN_BATCH
+    # rows: the flat torus reads no coordinate, the Euler S^3 its 8 values
+    # of theta on the identity grid (16 and 23 rows with the padding)
+    seen, real = [], tensors.representative_blocks
+
+    def spy(kept, X, reads):
+        def counted(Y):
+            seen.append(len(Y))
+            assert len(np.unique(Y[:, list(reads)], axis=0)) == len(Y), "a repeated row"
+            return kept(Y)
+
+        return real(counted, X, reads)
+
+    monkeypatch.setattr(variations, "representative_blocks", spy)
+    gradient_case("torus", 3, Coefficients(), count=1)
+    identity_case("conformal")
+    assert seen == [1, 8]
+
+
 @pytest.mark.parametrize("model", ["torus", "s3"])
 def test_gradient_case_is_block_invariant(model, monkeypatch):
     # the jet pairing runs its seeded (representative, jet entry) rows and
-    # the grid's nodes in blocks of GRID_BLOCK: 960 and 1,000 of them on the
-    # torus, 6,000 and 1,200 on S^3, in one to six blocks, then in 24 to 150
+    # the grid's nodes in blocks of GRID_BLOCK: 60 and 1,000 of them on the
+    # torus, 6,000 and 1,200 on S^3, in one to six blocks, then in 2 to 150
     coeff = Coefficients(-0.7, 0.4)
     whole, small = _whole_and_small(
         monkeypatch, lambda: gradient_case(model, 3, coeff, count=3, seed=4), tensors.GRID_BLOCK
@@ -237,15 +260,18 @@ def _traced_peak_mib(fn) -> float:
 
 # Peaks measured on the default grids (numpy 2.4, one thread): 197.0 MiB and
 # 91.6 MiB with one whole-grid curvature pass, 9.3 MiB and 4.2 MiB in node
-# blocks of distinct nodes.  The identity suites stream their 1,536 distinct
-# nodes in two blocks of 768, each cut into 96-node Hessian blocks of packed
-# jets: TT 2.6 MiB, conformal 5.9 MiB (10.6 MiB with the complex-step
-# curvature of all 1,536 nodes held at once).  The gradient checks' jet
-# pairing runs its seeded rows in blocks and reads what it keeps per
-# representative per node block: 12.3 MiB on the 4-torus and 4.4 MiB on S^3
-# (one complex step of F per direction peaked at 14.3 and 4.2 MiB).  All
-# seeded rows in one block take 30.9 and 24.5 MiB, and what is kept per
-# representative gathered to every node 18.6 MiB on the 4-torus.
+# blocks of distinct nodes.  The TT suite streams its 128 distinct nodes in
+# 96-node Hessian blocks of packed jets: 2.6 MiB.  The conformal suite runs
+# its 280 seeded rows (8 representatives, 35 jet entries each) the same way
+# and pairs them with f's jet over the 1,536 nodes in two blocks of 768:
+# 5.2 MiB (5.6 MiB with one complex step per node, in blocks; 10.6 MiB with
+# the complex-step curvature of all 1,536 nodes held at once).  The gradient
+# checks' jet pairing runs its seeded rows in blocks and reads what it keeps
+# per representative per node block: 8.3 MiB on the 4-torus (one
+# representative; 12.3 MiB with the 16 rows of distinct_nodes' padding) and
+# 4.4 MiB on S^3 (one complex step of F per direction peaked at 14.3 and 4.2
+# MiB).  All seeded rows in one block took 30.9 and 24.5 MiB, and what is
+# kept per representative gathered to every node 18.6 MiB on the 4-torus.
 @pytest.mark.parametrize(
     "case, gate_mib",
     [

@@ -221,7 +221,8 @@ def test_gradient_terms_are_named_in_three_places():
     assert sites == {
         ("variations.py", "_gradient_terms"): 10,
         ("variations.py", "_GRADIENT_ROWS"): sum(len(rows) for rows in _GRADIENT_ROWS.values()),
-        ("variations.py", "_suite_sides.block"): 1,
+        # the suites' replaced Lap R g, one place for the seeded and direct routes
+        ("variations.py", "_suite_primes"): 1,
     }, sites
     # the rule sees the names it confines
     code = (
@@ -261,17 +262,18 @@ def test_theorems_are_cited_in_the_clause_table_only():
 
 # a whole-grid pass runs once per distinct node of the coordinates its
 # fields read: node_blocks is called by the two distinct-node helpers and by
-# the Hessian blocks, whose one caller takes the distinct nodes first, and by
-# the jet pairing, on its (representative, jet entry) rows, not on the grid
+# the Hessian blocks, whose one caller, the ingredients' jet route, takes
+# distinct nodes or seeded rows, and by the seeded rows (representative, jet
+# entry) of the jet pairing and the conformal suite, not on the grid
 BLOCK_SITES = {
     "node_blocks": {
         ("tensors.py", "distinct_blocks"), ("tensors.py", "representative_blocks.read"),
         ("tensors.py", "covariant_hessian_blocks"),
         # the second site is the import
-        ("variations.py", "_numeric_pairing.seeded"), ("variations.py", ""),
+        ("variations.py", "_seeded_blocks"), ("variations.py", ""),
     },
     # the second site is the import
-    "covariant_hessian_blocks": {("variations.py", "gradient_ingredients"), ("variations.py", "")},
+    "covariant_hessian_blocks": {("variations.py", "_ingredients"), ("variations.py", "")},
 }
 
 
@@ -466,11 +468,15 @@ AIM2 = {
     "curvature": {
         ("call", "CurvatureBundle"): {"tensors._bundle_from_connection"},
         # and the seeded jets of the jet pairing, one unit entry of the
-        # base's jet each, which no field hands out
-        ("call", "curvature_bundle"): {"tensors.curvature", "variations._numeric_pairing"},
+        # base's jet each, which no field hands out, and the ingredients'
+        # jet route, which takes a field's jet or the conformal suite's
+        # seeded rows
+        ("call", "curvature_bundle"): {
+            "tensors.curvature", "variations._numeric_pairing", "variations._ingredients",
+        },
         ("call", "pair_ricci"): {"tensors.CurvatureBundle.Ric"},
         # the one jet route, kept for its measured speed at n >= 4
-        ("call", "ricci_arrays"): {"variations.gradient_ingredients"},
+        ("call", "ricci_arrays"): {"variations._ingredients"},
     },
     "Christoffel symbols": {
         ("reference", "christoffel_combination"): {"tensors.connection_arrays"},
